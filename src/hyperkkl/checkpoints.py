@@ -16,7 +16,12 @@ File layout (little-endian):
     u64 total f64 count, then the raw little-endian f64 data
 
 Parameter slices are tagged by component through their name prefixes
-(enc., dec., hyper., inj., obs.). Files round-trip bitwise.
+(enc., dec., hyper., inj., obs.). Files round-trip bitwise. The
+hypernetwork block is laid out from the spec in the metadata, so only
+its value count has to match; files that split each head's U readout
+into several slices load unchanged, since the values sit in the same
+order. A file that ends early or has bytes past the data is refused
+with the byte offset.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binfile import Reader
 from .errors import ContractViolation
 from .hypernet import (
     HyperNetSpec,
     InjectionSpec,
     build_hypernet_spec,
     build_injection_spec,
+    hypernet_layout,
 )
 from .kkl import KklMaps, ObserverMatrices, make_maps, verify_observer
 from .params import Layout, ParamStore
@@ -93,7 +100,6 @@ def _meta_for(bundle: CheckpointBundle) -> dict:
             "lstm_hidden": hs.lstm.hidden_size,
             "input_size": hs.lstm.input_size,
             "rank": hs.enc_head.rank,
-            "chunk_size": hs.chunk_size,
             "tau": hs.tau,
         }
     if bundle.injection_spec is not None:
@@ -155,32 +161,45 @@ def write_checkpoint(bundle: CheckpointBundle, path) -> None:
 
 def read_checkpoint(path) -> CheckpointBundle:
     with open(path, "rb") as fh:
+        r = Reader(fh, path)
         if fh.read(4) != MAGIC:
             raise ContractViolation(f"{path}: not an HKKP checkpoint")
-        (version,) = struct.unpack("<H", fh.read(2))
+        (version,) = r.unpack("<H")
         if version != VERSION:
             raise ContractViolation(f"{path}: unsupported version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode())
-        (n_entries,) = struct.unpack("<I", fh.read(4))
+        (meta_len,) = r.unpack("<I")
+        meta_offset = fh.tell()
+        try:
+            meta = json.loads(r.text(meta_len))
+        except json.JSONDecodeError as e:
+            raise ContractViolation(
+                f"{path}: bad metadata at byte offset {meta_offset}: {e}"
+            ) from None
+        (n_entries,) = r.unpack("<I")
         entries = []
         for _ in range(n_entries):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(
-                struct.unpack("<I", fh.read(4))[0] for _ in range(ndim)
-            )
-            (off,) = struct.unpack("<Q", fh.read(8))
+            (name_len,) = r.unpack("<H")
+            name = r.text(name_len)
+            (ndim,) = r.unpack("<B")
+            shape = r.unpack(f"<{ndim}I")
+            (off,) = r.unpack("<Q")
             entries.append((name, shape, off))
-        (total,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(8 * total), dtype="<f8").astype(np.float64)
+        (total,) = r.unpack("<Q")
+        data = r.f64(total).astype(np.float64)
+        r.finish()
 
-    def take(prefix):
+    def take(prefix, layout=None):
         named = [(n, sh) for n, sh, _ in entries if n.startswith(prefix)]
         if not named:
             return None
-        layout = Layout(named)
+        stored = Layout(named)
+        if layout is None:
+            layout = stored
+        elif stored.total != layout.total:
+            raise ContractViolation(
+                f"{path}: stored {prefix} block holds {stored.total} values, "
+                f"its spec needs {layout.total}"
+            )
         first_off = next(off for n, _, off in entries if n.startswith(prefix))
         return ParamStore(layout, data[first_off : first_off + layout.total])
 
@@ -200,10 +219,9 @@ def read_checkpoint(path) -> CheckpointBundle:
         h = meta["hyper"]
         hyper_spec = build_hypernet_spec(
             maps, window=h["window"], lstm_hidden=h["lstm_hidden"],
-            rank=h["rank"], chunk_size=h["chunk_size"], tau=h["tau"],
-            input_size=h["input_size"],
+            rank=h["rank"], tau=h["tau"], input_size=h["input_size"],
         )
-        psi = take("hyper.")
+        psi = take("hyper.", hypernet_layout(hyper_spec))
     injection_spec = xi = None
     if "injection" in meta:
         i = meta["injection"]

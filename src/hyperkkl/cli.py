@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -31,17 +30,7 @@ from .hypernet import build_hypernet_spec, build_injection_spec
 from .kkl import build_observer_matrices, init_map_params, make_maps
 from .manifest import append_manifest
 from .plots import plot_name, svg_timeseries
-from .signals import KINDS, difficulty, probe_horizon
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        n = int(os.environ.get("HYPERKKL_THREADS", "1"))
-    if n < 1:
-        raise ConfigError("--threads must be >= 1")
-    return n
+from .signals import KINDS, difficulty_level
 
 
 def _load_cfg(args) -> dict:
@@ -98,7 +87,6 @@ def cmd_gen(args, argv) -> int:
     dataset = generate_dataset(
         get_system(system_name), regime, int(count), int(seed),
         dt=ds["dt"], horizon=ds["horizon"], sigma=ds["sigma"],
-        threads=_threads(args),
     )
     path = out_dir / f"{system_name}_{regime}_n{count}_s{seed}.hkkl"
     write_dataset(dataset, path)
@@ -119,14 +107,8 @@ def cmd_gen(args, argv) -> int:
 
 
 def _dataset_level(dataset) -> int:
-    levels = []
-    for tr in dataset.trajectories:
-        if tr.signal is None:
-            levels.append(0)
-            continue
-        horizon = probe_horizon(tr.signal, len(tr.times) * tr.dt)
-        levels.append(difficulty(tr.signal, tr.dt, horizon).level)
-    return max(levels)
+    return max(0 if tr.signal is None else difficulty_level(tr.signal)
+               for tr in dataset.trajectories)
 
 
 def cmd_train(args, argv) -> int:
@@ -224,10 +206,6 @@ def cmd_train(args, argv) -> int:
                                    sysdef["rank"]))
             spec = build_hypernet_spec(
                 base.maps, window=window, lstm_hidden=lstm_hidden, rank=rank,
-                chunk_size=int(cfg.resolve(
-                    "chunk_size", None, _get(conf, "hypernet", "chunk_size"),
-                    h["chunk_size"],
-                )),
                 tau=tau,
             )
         else:
@@ -297,6 +275,10 @@ def cmd_train(args, argv) -> int:
     else:
         raise ConfigError("--phase must be 1, 2, or curriculum")
 
+    if result.abort is not None:
+        # The parameters were rolled back, but they are not a trained
+        # model: write nothing.
+        raise NumericError(f"epoch {result.abort.epoch}: {result.abort.reason}")
     ckpt_path = out_dir / f"{stem}.hkkp"
     write_checkpoint(bundle, ckpt_path)
     loss_path = out_dir / f"{stem}_loss.csv"
@@ -477,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="output directory", default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: HYPERKKL_THREADS)")
 
     g = sub.add_parser("gen", help="generate a trajectory dataset")
     common(g)

@@ -2,9 +2,11 @@
 
 Config files are INI-style with the sections [system], [data], [train],
 [curriculum], and [hypernet]; values are parsed as bool/int/float/str or
-comma-separated integer lists (for layer widths). A value present both
-in the config file and as an explicit command-line flag must agree —
-silent precedence is a reproducibility hazard, so conflicts are errors.
+comma-separated integer lists (for layer widths). A key its section
+does not know is an error, so a misspelt setting cannot silently fall
+back to its default. A value present both in the config file and as an
+explicit command-line flag must agree — silent precedence is a
+reproducibility hazard, so conflicts are errors.
 
 Per-system architecture defaults follow the benchmark split: 150-unit
 3-layer maps with rank-32 heads for the planar oscillators, 350-unit
@@ -62,11 +64,25 @@ DEFAULTS = {
     "hypernet": {
         "window": 100,
         "lstm_hidden": 64,
-        "chunk_size": 256,
         "tau": 0.01,
         "inj_hidden": 64,
     },
 }
+
+
+# Keys a config file may set that have no entry in DEFAULTS: the system
+# name, and the widths and rank whose defaults depend on the system.
+SYSTEM_DEPENDENT_KEYS = {
+    "system": ("name",),
+    "train": ("hidden",),
+    "hypernet": ("rank",),
+}
+
+
+def _known_keys(section: str) -> set:
+    return set(DEFAULTS.get(section, ())) | set(
+        SYSTEM_DEPENDENT_KEYS.get(section, ())
+    )
 
 
 def _parse_value(raw: str):
@@ -104,6 +120,12 @@ def load_config(path) -> dict:
         if section not in SECTIONS:
             raise ConfigError(
                 f"unknown config section [{section}]; expected one of {SECTIONS}"
+            )
+        unknown = sorted(set(parser[section]) - _known_keys(section))
+        if unknown:
+            raise ConfigError(
+                f"unknown key {unknown[0]!r} in config section [{section}]; "
+                f"expected one of {sorted(_known_keys(section))}"
             )
         out[section] = {
             key: _parse_value(val) for key, val in parser.items(section)

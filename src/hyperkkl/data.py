@@ -3,8 +3,7 @@
 A dataset owns a contiguous per-trajectory seed range [seed, seed+count):
 trajectory i draws its noise, its input-signal parameters, and (jointly,
 through one stream on the base seed) its initial condition from streams
-keyed by seed+i. Generation may fan out across threads; results are
-keyed by index, so the bytes written never depend on scheduling.
+keyed by seed+i.
 
 File layout (all little-endian):
 
@@ -19,19 +18,21 @@ File layout (all little-endian):
         u8  kind, u8 component count K, f64 offset, K * (f64 A, f64 w, f64 phi)
     per trajectory: f64 arrays in (states, inputs, outputs) order
 
+Readers refuse a file that ends early or has bytes past the last
+trajectory, naming the byte offset.
+
 CSV export mirrors the columns t, x1..x_{n_x}, u1..u_{m}, y1..y_{n_y}.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import Reader
 from .dynamics import SystemSpec, Trajectory, get_system, n_steps_for, simulate
 from .dynamics import sample_initial_conditions
 from .errors import ContractViolation
@@ -76,7 +77,6 @@ def generate_dataset(
     dt: float = 0.05,
     horizon: float = 50.0,
     sigma: float = 0.01,
-    threads: int = 1,
 ) -> Dataset:
     """Sample ``count`` seeded trajectories under the given input regime."""
     if count < 1:
@@ -88,11 +88,7 @@ def generate_dataset(
         sig = None if regime == "zero" else sample_signal(regime, seed + i)
         return simulate(system, x0s[i], sig, dt, horizon, sigma, seed + i)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(one, range(count)))
-    else:
-        trajectories = [one(i) for i in range(count)]
+    trajectories = [one(i) for i in range(count)]
     return Dataset(
         system=system, trajectories=trajectories, dt=dt, horizon=horizon,
         sigma=sigma, seed=seed, regime=regime,
@@ -117,12 +113,12 @@ def _pack_signal(sig: InputSignal | None) -> bytes:
     return out
 
 
-def _unpack_signal(buf: io.BufferedIOBase) -> InputSignal:
-    code, k, offset = struct.unpack("<BBd", buf.read(10))
+def _unpack_signal(r: Reader) -> InputSignal:
+    code, k, offset = r.unpack("<BBd")
+    if code not in _CODE_KIND:
+        raise ContractViolation(f"{r.path}: unknown signal kind code {code}")
     kind = _CODE_KIND[code]
-    comps = tuple(
-        struct.unpack("<ddd", buf.read(24)) for _ in range(k)
-    )
+    comps = tuple(r.unpack("<ddd") for _ in range(k))
     if kind == "mixture":
         return InputSignal(kind=kind, components=comps)
     if kind in ("sinusoid", "square"):
@@ -157,19 +153,20 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
+        r = Reader(fh, path)
         if fh.read(4) != MAGIC:
             raise ContractViolation(f"{path}: not an HKKL dataset")
-        (version,) = struct.unpack("<H", fh.read(2))
+        (version,) = r.unpack("<H")
         if version != VERSION:
             raise ContractViolation(f"{path}: unsupported version {version}")
-        (name_len,) = struct.unpack("<H", fh.read(2))
-        sysname = fh.read(name_len).decode()
-        n_x, n_y, m = struct.unpack("<HHH", fh.read(6))
-        dt, horizon, sigma = struct.unpack("<ddd", fh.read(24))
-        count, seed = struct.unpack("<IQ", fh.read(12))
-        (regime_len,) = struct.unpack("<H", fh.read(2))
-        regime = fh.read(regime_len).decode()
-        signals = [_unpack_signal(fh) for _ in range(count)]
+        (name_len,) = r.unpack("<H")
+        sysname = r.text(name_len)
+        n_x, n_y, m = r.unpack("<HHH")
+        dt, horizon, sigma = r.unpack("<ddd")
+        count, seed = r.unpack("<IQ")
+        (regime_len,) = r.unpack("<H")
+        regime = r.text(regime_len)
+        signals = [_unpack_signal(r) for _ in range(count)]
         system = get_system(sysname)
         if (system.n_x, system.n_y, system.m) != (n_x, n_y, m):
             raise ContractViolation(f"{path}: dimension header mismatch")
@@ -177,15 +174,9 @@ def read_dataset(path) -> Dataset:
         times = np.arange(n + 1) * dt
         trajectories = []
         for i in range(count):
-            states = np.frombuffer(
-                fh.read(8 * (n + 1) * n_x), dtype="<f8"
-            ).reshape(n + 1, n_x)
-            inputs = np.frombuffer(
-                fh.read(8 * (n + 1) * m), dtype="<f8"
-            ).reshape(n + 1, m)
-            outputs = np.frombuffer(
-                fh.read(8 * (n + 1) * n_y), dtype="<f8"
-            ).reshape(n + 1, n_y)
+            states = r.f64((n + 1) * n_x).reshape(n + 1, n_x)
+            inputs = r.f64((n + 1) * m).reshape(n + 1, m)
+            outputs = r.f64((n + 1) * n_y).reshape(n + 1, n_y)
             sig = (
                 dataclasses.replace(signals[i], seed=seed + i)
                 if regime != "zero"
@@ -198,6 +189,7 @@ def read_dataset(path) -> Dataset:
                     seed=seed + i, signal=sig,
                 )
             )
+        r.finish()
     return Dataset(
         system=system, trajectories=trajectories, dt=dt, horizon=horizon,
         sigma=sigma, seed=seed, regime=regime,

@@ -4,7 +4,7 @@ Two conditioning mechanisms live here:
 
 * a residual hypernetwork that reads a sliding input window through a
   shared LSTM and emits additive weight perturbations for the encoder
-  and decoder through two chunked readout heads, and
+  and decoder through two rank-factorized readout heads, and
 * an injection network that adds a learned drive term to the latent
   observer dynamics, conditioned on the latent state and the same kind
   of windowed input context.
@@ -15,12 +15,10 @@ and the injection are exactly zero, so the conditioned observer is the
 autonomous one, bit for bit — that recovery claim is enforced rather
 than merely trained for.
 
-Each readout head is "chunked": the flat weight-entry space of its
-target is partitioned into blocks of at most chunk_size entries, and
-every chunk owns a (chunk_len, rank) readout matrix applied to a shared
-rank-sized projection of the LSTM state. Chunks are stored back to back,
-so the stacked per-chunk matrices form one contiguous region and the
-whole head evaluates as two dense products.
+Each readout head is rank-factorized: a (rank, d_h) matrix V projects
+the LSTM state to rank coordinates, and one (total, rank) matrix U maps
+them onto the flat entry space of the target's weight matrices, in
+layout order. The whole head evaluates as two dense products.
 """
 
 from __future__ import annotations
@@ -51,28 +49,14 @@ DEFAULT_TAU = 1e-2
 
 
 @dataclass(frozen=True)
-class ChunkSpec:
-    """One block of a head's flat weight-entry space."""
-
-    index: int
-    target: str      # name of the base slice this block lands in
-    offset: int      # offset in the head's flat entry space
-    length: int
-
-
-@dataclass(frozen=True)
 class HeadSpec:
-    """A chunked rank-factorized readout onto one base layout."""
+    """A rank-factorized readout onto the weights of one base layout."""
 
     name: str                   # parameter prefix, e.g. "hyper.enc_head"
     target_layout: Layout       # full base layout (weights + biases)
     weight_names: tuple         # targeted weight slices, in layout order
-    chunks: tuple               # ChunkSpec tiling of the entry space
     total: int                  # total targeted entries
     rank: int
-
-    def chunk_param_names(self):
-        return [f"{self.name}.U{c.index:04d}" for c in self.chunks]
 
 
 @dataclass(frozen=True)
@@ -81,36 +65,20 @@ class HyperNetSpec:
     window: int
     enc_head: HeadSpec
     dec_head: HeadSpec
-    chunk_size: int
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
         if self.window < 1:
             raise ContractViolation("window must be >= 1")
-        if self.chunk_size < 1:
-            raise ContractViolation("chunk_size must be >= 1")
         if self.tau <= 0:
             raise ContractViolation("tau must be positive")
 
 
-def _chunk_plan(name, target_layout, weight_names, chunk_size, rank):
-    chunks = []
-    offset = 0
-    for wname in weight_names:
-        size = target_layout[wname].size
-        done = 0
-        while done < size:
-            length = min(chunk_size, size - done)
-            chunks.append(
-                ChunkSpec(index=len(chunks), target=wname, offset=offset,
-                          length=length)
-            )
-            offset += length
-            done += length
+def _head(name, target_layout, weight_names, rank):
     return HeadSpec(
         name=name, target_layout=target_layout,
-        weight_names=tuple(weight_names), chunks=tuple(chunks), total=offset,
-        rank=rank,
+        weight_names=tuple(weight_names),
+        total=sum(target_layout[w].size for w in weight_names), rank=rank,
     )
 
 
@@ -119,22 +87,20 @@ def build_hypernet_spec(
     window: int,
     lstm_hidden: int,
     rank: int,
-    chunk_size: int = 256,
     tau: float = DEFAULT_TAU,
     input_size: int = 1,
 ) -> HyperNetSpec:
-    enc_head = _chunk_plan(
+    enc_head = _head(
         "hyper.enc_head", encoder_layout(maps), mlp_weight_names(maps.enc, ENC),
-        chunk_size, rank,
+        rank,
     )
-    dec_head = _chunk_plan(
+    dec_head = _head(
         "hyper.dec_head", decoder_layout(maps), mlp_weight_names(maps.dec, DEC),
-        chunk_size, rank,
+        rank,
     )
     return HyperNetSpec(
         lstm=LstmSpec(input_size=input_size, hidden_size=lstm_hidden),
-        window=window, enc_head=enc_head, dec_head=dec_head,
-        chunk_size=chunk_size, tau=tau,
+        window=window, enc_head=enc_head, dec_head=dec_head, tau=tau,
     )
 
 
@@ -142,13 +108,12 @@ def hypernet_layout(spec: HyperNetSpec) -> Layout:
     entries = lstm_layout_entries(spec.lstm, "hyper.lstm")
     for head in (spec.enc_head, spec.dec_head):
         entries.append((f"{head.name}.V", (head.rank, spec.lstm.hidden_size)))
-        for chunk, pname in zip(head.chunks, head.chunk_param_names()):
-            entries.append((pname, (chunk.length, head.rank)))
+        entries.append((f"{head.name}.U", (head.total, head.rank)))
     return Layout(entries)
 
 
 def init_hypernet_params(spec: HyperNetSpec, seed: int) -> ParamStore:
-    """LSTM and V get fan-in inits; chunk readouts start at exact zero.
+    """LSTM and V get fan-in inits; the U readouts start at exact zero.
 
     Zero readouts make the initial perturbations vanish for every input,
     so conditioned training starts exactly at the frozen base observer.
@@ -162,7 +127,7 @@ def init_hypernet_params(spec: HyperNetSpec, seed: int) -> ParamStore:
             f"{head.name}.V",
             rng.uniform(-bound, bound, (head.rank, spec.lstm.hidden_size)),
         )
-        # U chunks stay zero
+        # U stays zero
     return psi
 
 
@@ -193,10 +158,9 @@ def encode_context(psi, spec: HyperNetSpec, windows):
 
 def _head_readout(psi, head: HeadSpec, context):
     v = psi.get(f"{head.name}.V")
-    names = head.chunk_param_names()
-    u_all = psi.region(names[0], names[-1], (head.total, head.rank))
+    u = psi.get(f"{head.name}.U")
     s = ad.matmul(context, transpose2d(v))          # (B, rank)
-    return ad.matmul(s, transpose2d(u_all))         # (B, total)
+    return ad.matmul(s, transpose2d(u))             # (B, total)
 
 
 def generate_deltas(psi, spec: HyperNetSpec, windows, context=None):
@@ -224,7 +188,7 @@ def head_layer_deltas(head: HeadSpec, maps_spec: MlpSpec, prefix: str, flat):
         out.append(ad.reshape(block, (b, *sspec.shape)))
         offset += sspec.size
     if offset != head.total:
-        raise ContractViolation("chunk plan does not tile the target weights")
+        raise ContractViolation("MLP layers do not match the head's targets")
     return out
 
 
@@ -237,11 +201,6 @@ def delta_store(head: HeadSpec, flat_row: np.ndarray) -> ParamStore:
         store.set(wname, flat_row[offset : offset + sspec.size].reshape(sspec.shape))
         offset += sspec.size
     return store
-
-
-def conditioned_params(base: ParamStore, delta: ParamStore) -> ParamStore:
-    """base + delta under an exact layout match; base is left untouched."""
-    return base + delta
 
 
 @dataclass(frozen=True)
@@ -306,25 +265,6 @@ def injection_context(xi, spec: InjectionSpec, windows):
             f"window length {w.shape[1]} does not match spec window {spec.window}"
         )
     return lstm_forward(xi, spec.lstm, w, "inj.lstm")
-
-
-def static_injection(xi, spec: InjectionSpec, z, u_window, context=None):
-    """Gated latent drive for one latent state and one input window."""
-    zv = ad.val(z)
-    if zv.shape != (spec.n_z,):
-        raise ContractViolation(
-            f"latent state must have shape ({spec.n_z},), got {zv.shape}"
-        )
-    win = np.asarray(ad.val(u_window), dtype=np.float64)
-    g = float(gate_values(win, spec.tau)[0, 0])
-    if g == 0.0:
-        return np.zeros(spec.n_z)
-    if context is None:
-        context = injection_context(xi, spec, win)
-    ctx = ad.reshape(context, (spec.lstm.hidden_size,))
-    inp = ad.concat([z, ctx], axis=0)
-    out = mlp_forward(xi, spec.mlp, inp, "inj.mlp")
-    return ad.mul(out, g)
 
 
 def make_step_injection(xi, spec: InjectionSpec, u_seq, dt: float):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .dynamics import SystemSpec, eval_vector_field
+from .dynamics import eval_vector_field
 from .errors import ContractViolation, NumericError
 from .nets import (
     MlpSpec,
@@ -31,7 +31,6 @@ from .nets import (
     mlp_layout_entries,
 )
 from .params import Layout, ParamStore
-from .signals import InputSignal, signal_window
 
 ENC = "enc"
 DEC = "dec"
@@ -184,16 +183,14 @@ def simulate_latent_nodes(
     y_seq,
     dt: float,
     injection=None,
-    plain_injection=None,
-    u_seq=None,
     z0=None,
 ):
     """RK4 integration of the latent observer, returning per-step nodes.
 
-    z' = A z + B y_k (+ injection(z, k)) (+ plain_injection(u_k)), with y
-    and u held constant over each step (zero-order hold). Elements are
-    Vars when the injection closes over tape leaves, plain arrays
-    otherwise; callers that only need numbers use simulate_latent.
+    z' = A z + B y_k (+ injection(z, k)), with y held constant over each
+    step (zero-order hold); an injection returning None adds nothing.
+    Elements are Vars when the injection closes over tape leaves, plain
+    arrays otherwise; callers that only need numbers use simulate_latent.
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
@@ -204,14 +201,6 @@ def simulate_latent_nodes(
         raise ContractViolation(
             f"y has {y.shape[1]} channels, observer expects {obs.n_y}"
         )
-    if injection is not None and plain_injection is not None:
-        raise ContractViolation("at most one injection mode may be active")
-    if plain_injection is not None:
-        if u_seq is None:
-            raise ContractViolation("plain input injection needs u_seq")
-        u = np.asarray(u_seq, dtype=np.float64)
-        if len(u) != len(y):
-            raise ContractViolation("u_seq and y_seq lengths disagree")
     n_steps = len(y) - 1
     a_t = obs.A.T
     by = y @ obs.B.T  # (N+1, n_z)
@@ -220,12 +209,9 @@ def simulate_latent_nodes(
     zs = [z]
 
     for k in range(n_steps):
-        drive = by[k]
-        if plain_injection is not None:
-            drive = drive + np.asarray(plain_injection(u[k]), dtype=np.float64)
 
         def deriv(zz):
-            dz = ad.add(ad.matmul(zz, a_t), drive)
+            dz = ad.add(ad.matmul(zz, a_t), by[k])
             if injection is not None:
                 inj = injection(zz, k)
                 if inj is not None:
@@ -323,39 +309,6 @@ def dynamic_pde_residual_batch(
         maps, theta, obs, system, x, u_now, f_scale, deltas_pre, fd
     )
     return _mean_sq(r, len(x))
-
-
-def dynamic_pde_residual(
-    maps,
-    theta_of_window,
-    obs,
-    system: SystemSpec,
-    x,
-    u_signal: InputSignal,
-    t: float,
-    dt: float,
-    window: int,
-    f_scale=None,
-):
-    """Single-point dynamic residual driven by a parametric input signal.
-
-    ``theta_of_window`` maps a sampled input window to effective encoder
-    parameters (a ParamStore). The temporal term compares the windows
-    ending at t and t + dt; spatial terms use the pre-window parameters.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    win_pre = signal_window(u_signal, t, window, dt)
-    win_post = signal_window(u_signal, t + dt, window, dt)
-    theta_pre = theta_of_window(win_pre)
-    theta_post = theta_of_window(win_post)
-    t_pre = encode(maps, theta_pre, x)
-    t_post = encode(maps, theta_post, x)
-    fd = ad.mul(ad.sub(t_post, t_pre), 1.0 / dt)
-    u_now = np.array([[float(win_pre[-1])]]) if system.m else None
-    r = _stationary_residual_vec(
-        maps, theta_pre, obs, system, x, u_now, f_scale, None, fd
-    )
-    return _mean_sq(r, 1)
 
 
 def reconstruction_loss(maps, theta, phi, x_batch, enc_deltas=None,

@@ -1,9 +1,9 @@
 """Flat parameter storage with a named-slice layout.
 
 A ParamStore is one contiguous float64 vector plus an ordered layout of
-named slices (one per weight/bias tensor). Arithmetic between stores
-requires bit-identical layouts, which is what lets hypernetwork deltas be
-added chunk-by-chunk without any reshaping ambiguity.
+named slices (one per weight/bias tensor). Adding two stores requires
+bit-identical layouts, which is what lets a hypernetwork delta be added
+onto base weights without any reshaping ambiguity.
 """
 
 from __future__ import annotations
@@ -102,12 +102,6 @@ class ParamStore:
             )
         self.data[s.offset : s.offset + s.size] = value.ravel()
 
-    def region(self, first: str, last: str, shape) -> np.ndarray:
-        """A view spanning the contiguous slices from ``first`` to ``last``."""
-        a, b = self.layout[first], self.layout[last]
-        flat = self.data[a.offset : b.offset + b.size]
-        return flat.reshape(shape)
-
     def copy(self) -> "ParamStore":
         return ParamStore(self.layout, self.data.copy())
 
@@ -118,16 +112,6 @@ class ParamStore:
         _check_same_layout(self, other)
         return ParamStore(self.layout, self.data + other.data)
 
-    def __sub__(self, other: "ParamStore") -> "ParamStore":
-        _check_same_layout(self, other)
-        return ParamStore(self.layout, self.data - other.data)
-
-    def scaled(self, factor: float) -> "ParamStore":
-        return ParamStore(self.layout, self.data * float(factor))
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.data**2)))
-
     def __repr__(self):
         return f"ParamStore({self.layout!r})"
 
@@ -137,27 +121,18 @@ class ParamVars:
 
     ``get`` returns the leaf Var for a slice, so forward code written
     against ``.get`` runs identically on a ParamStore (plain arrays) and
-    on ParamVars (recorded graph). ``region`` exposes a contiguous run of
-    slices as a single leaf, used for the stacked per-chunk readout
-    matrices of the hypernetwork heads.
+    on ParamVars (recorded graph).
     """
 
     def __init__(self, store: ParamStore):
         self.store = store
         self.layout = store.layout
         self._vars: dict[str, Var] = {}
-        self._regions: dict[tuple[str, str], Var] = {}
 
     def get(self, name: str) -> Var:
         if name not in self._vars:
             self._vars[name] = Var(self.store.get(name))
         return self._vars[name]
-
-    def region(self, first: str, last: str, shape) -> Var:
-        key = (first, last)
-        if key not in self._regions:
-            self._regions[key] = Var(self.store.region(first, last, shape))
-        return self._regions[key]
 
     def grads(self) -> ParamStore:
         """Collect leaf gradients into a flat store; untouched slices are 0."""
@@ -166,8 +141,4 @@ class ParamVars:
             if var.grad is not None:
                 s = self.layout[name]
                 out.data[s.offset : s.offset + s.size] += var.grad.ravel()
-        for (first, last), var in self._regions.items():
-            if var.grad is not None:
-                a, b = self.layout[first], self.layout[last]
-                out.data[a.offset : b.offset + b.size] += var.grad.ravel()
         return out

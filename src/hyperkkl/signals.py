@@ -1,15 +1,15 @@
-"""Exogenous input families, sliding windows, and difficulty scoring.
+"""Exogenous input families, sliding windows, and difficulty levels.
 
 Five scalar signal kinds are shipped: zero, constant, sinusoid, square,
-and multi-sinusoid mixtures. Difficulty for the curriculum orders signals
-by dominant frequency and mean rate of change; the shipped thresholds put
-constants on level 1, slow sinusoids on 2, fast sinusoids and squares on
-3, and mixtures on 4. The zero signal sits on level 0.
+and multi-sinusoid mixtures. The curriculum orders signals by a level
+read from the kind and, for sinusoids, the frequency: zero sits on level
+0, constants on 1, slow sinusoids (at most 1 rad/s) on 2, fast sinusoids
+and squares on 3, and mixtures on 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,6 @@ class InputSignal:
             freqs = [w for _, w, _ in self.components]
             if len(set(freqs)) != len(freqs):
                 raise ContractViolation("mixture component frequencies must differ")
-
-
-@dataclass(frozen=True)
-class DifficultyScore:
-    dominant_freq: float  # rad/s
-    mean_rate: float      # time-average of |du/dt|
-    level: int
 
 
 def eval_signal(signal: InputSignal, t):
@@ -137,15 +130,8 @@ def window_matrix(u_seq: np.ndarray, w: int) -> np.ndarray:
     return padded[idx]
 
 
-def _dominant_freq(signal: InputSignal) -> float:
-    if signal.kind in ("zero", "constant"):
-        return 0.0
-    if signal.kind == "mixture":
-        return max(w for _, w, _ in signal.components)
-    return signal.frequency
-
-
-def _level(signal: InputSignal) -> int:
+def difficulty_level(signal: InputSignal) -> int:
+    """Curriculum level of a signal, 0 (zero input) to 4 (mixtures)."""
     if signal.kind == "zero":
         return 0
     if signal.kind == "constant":
@@ -155,35 +141,3 @@ def _level(signal: InputSignal) -> int:
     if signal.kind == "square":
         return 3
     return 4
-
-
-def difficulty(signal: InputSignal, dt: float, horizon: float) -> DifficultyScore:
-    """Score a signal for curriculum ordering.
-
-    dominant_freq comes from the parametric form; mean_rate is the
-    finite-difference average of |u(t_{k+1}) - u(t_k)|/dt over the horizon.
-    The horizon should cover at least two periods of the slowest component
-    for the rate estimate to be stable; ``probe_horizon`` below extends it
-    when needed.
-    """
-    n = max(1, int(round(horizon / dt)))
-    ts = np.arange(n + 1) * dt
-    u = eval_signal(signal, ts)
-    mean_rate = float(np.mean(np.abs(np.diff(u)) / dt))
-    return DifficultyScore(
-        dominant_freq=_dominant_freq(signal), mean_rate=mean_rate,
-        level=_level(signal),
-    )
-
-
-def probe_horizon(signal: InputSignal, horizon: float) -> float:
-    """A horizon long enough to cover >= 2 periods of the slowest component."""
-    if signal.kind in ("zero", "constant"):
-        return horizon
-    if signal.kind == "mixture":
-        slowest = min(w for _, w, _ in signal.components)
-    else:
-        slowest = signal.frequency
-    if slowest <= 0:
-        return horizon
-    return max(horizon, 2.0 * (2.0 * np.pi / slowest))

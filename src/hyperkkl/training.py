@@ -96,13 +96,21 @@ class LogRow:
     level: int
 
 
+@dataclass(frozen=True)
+class Abort:
+    """A numeric failure that stopped training at ``epoch``."""
+
+    epoch: int
+    reason: str
+
+
 @dataclass
 class Phase1Result:
     theta: ParamStore
     phi: ParamStore
     f_scale: float
     log: list
-    aborted: bool = False
+    abort: Abort | None = None
 
 
 @dataclass
@@ -112,7 +120,7 @@ class Phase2Result:
     log: list
     base_hash_before: str = ""
     base_hash_after: str = ""
-    aborted: bool = False
+    abort: Abort | None = None
 
 
 @dataclass
@@ -120,7 +128,7 @@ class CurriculumResult:
     phi: ParamStore
     log: list
     transitions: list = field(default_factory=list)  # (level, first_epoch)
-    aborted: bool = False
+    abort: Abort | None = None
 
 
 def store_hash(store: ParamStore) -> str:
@@ -276,7 +284,7 @@ def phase1_train(
     theta_hash_after_stage_a = None
     state = AdamState.for_params(theta)
     snapshot = theta.data.copy()
-    aborted = False
+    abort = None
     for epoch in range(1, config.epochs + 1):
         idx = batch_rng.integers(0, len(x_data), size=config.batch)
         colloc = _sample_box(colloc_rng, system, config.collocation)
@@ -289,9 +297,9 @@ def phase1_train(
             )
             loss = ad.add(fit, ad.mul(pde, config.lam))
             ad.backward(loss)
-        except NumericError:
+        except NumericError as e:
             theta.data[:] = snapshot
-            aborted = True
+            abort = Abort(epoch, str(e))
             break
         snapshot[:] = theta.data
         grads = clip_grad_norm(pv.grads(), config.clip_norm)
@@ -303,7 +311,7 @@ def phase1_train(
     state = AdamState.for_params(phi)
     snapshot = phi.data.copy()
     for epoch in range(config.epochs + 1, 2 * config.epochs + 1):
-        if aborted:
+        if abort is not None:
             break
         idx = batch_rng.integers(0, len(x_data), size=config.batch)
         colloc = _sample_box(colloc_rng, system, config.collocation)
@@ -313,9 +321,9 @@ def phase1_train(
             pv = ParamVars(phi)
             rec = _mse(ad.sub(decode(maps, pv, z_rec), x_rec), len(x_rec))
             ad.backward(rec)
-        except NumericError:
+        except NumericError as e:
             phi.data[:] = snapshot
-            aborted = True
+            abort = Abort(epoch, str(e))
             break
         snapshot[:] = phi.data
         grads = clip_grad_norm(pv.grads(), config.clip_norm)
@@ -325,7 +333,7 @@ def phase1_train(
     if store_hash(theta) != theta_hash_after_stage_a:
         raise NumericError("encoder changed during the decoder stage")
     return Phase1Result(theta=theta, phi=phi, f_scale=f_scale, log=log,
-                        aborted=aborted)
+                        abort=abort)
 
 
 def _gather_windows(trajectories, picks, w: int, shift: int = 0):
@@ -386,7 +394,7 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
     state = AdamState.for_params(psi)
     snapshot = psi.data.copy()
     log: list[LogRow] = []
-    aborted = False
+    abort = None
 
     for epoch in range(1, config.epochs + 1):
         t_idx = batch_rng.integers(0, len(trajectories), size=config.batch)
@@ -418,9 +426,9 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
                 f_scale=f_scale,
             )
             ad.backward(loss)
-        except NumericError:
+        except NumericError as e:
             psi.data[:] = snapshot
-            aborted = True
+            abort = Abort(epoch, str(e))
             break
         snapshot[:] = psi.data
         grads = clip_grad_norm(pv.grads(), config.clip_norm)
@@ -432,7 +440,7 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
         params=psi, variant="dynamic", log=log,
         base_hash_before=base_hash,
         base_hash_after=store_hash(theta_base) + store_hash(phi_base),
-        aborted=aborted,
+        abort=abort,
     )
 
 
@@ -449,7 +457,7 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
     state = AdamState.for_params(xi)
     snapshot = xi.data.copy()
     log: list[LogRow] = []
-    aborted = False
+    abort = None
 
     for epoch in range(1, config.epochs + 1):
         t_idx = batch_rng.integers(0, len(trajectories), size=config.segment_batch)
@@ -479,9 +487,9 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
             if not np.isfinite(ad.val(loss)):
                 raise NumericError("segment loss is non-finite")
             ad.backward(loss)
-        except NumericError:
+        except NumericError as e:
             xi.data[:] = snapshot
-            aborted = True
+            abort = Abort(epoch, str(e))
             break
         snapshot[:] = xi.data
         grads = clip_grad_norm(pv.grads(), config.clip_norm)
@@ -492,7 +500,7 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
         params=xi, variant="static", log=log,
         base_hash_before=base_hash,
         base_hash_after=store_hash(theta_base) + store_hash(phi_base),
-        aborted=aborted,
+        abort=abort,
     )
 
 
@@ -542,7 +550,7 @@ def curriculum_train(
     log: list[LogRow] = []
     transitions = []
     epoch = 0
-    aborted = False
+    abort = None
 
     for level_idx, trajectories in enumerate(level_datasets, start=1):
         z_data, x_data = observer_pairs(obs, trajectories)
@@ -556,9 +564,9 @@ def curriculum_train(
                 rec = _mse(ad.sub(decode(maps, pv, z_data[idx]), x_data[idx]),
                            config.batch)
                 ad.backward(rec)
-            except NumericError:
+            except NumericError as e:
                 phi.data[:] = snapshot
-                aborted = True
+                abort = Abort(epoch, str(e))
                 break
             snapshot[:] = phi.data
             grads = clip_grad_norm(pv.grads(), config.clip_norm)
@@ -570,10 +578,10 @@ def curriculum_train(
                 history, schedule.epsilon, schedule.patience
             ):
                 break
-        if aborted:
+        if abort is not None:
             break
 
     if store_hash(theta_frozen) != theta_hash:
         raise NumericError("encoder changed during curriculum training")
     return CurriculumResult(phi=phi, log=log, transitions=transitions,
-                            aborted=aborted)
+                            abort=abort)

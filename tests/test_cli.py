@@ -103,26 +103,6 @@ class TestGen:
         ds = read_dataset(out / "duffing_mixture_n10_s3.hkkl")
         assert all(len(tr.signal.components) >= 2 for tr in ds.trajectories)
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        blobs = []
-        for threads, name in (("1", "t1"), ("3", "t3")):
-            out = tmp_path / name
-            assert run(
-                "gen", "--system", "vanderpol", "--regime", "square", "--n",
-                "4", "--seed", "5", "--horizon", "2.0", "--threads", threads,
-                "--out", str(out),
-            ) == 0
-            blobs.append((out / "vanderpol_square_n4_s5.hkkl").read_bytes())
-        assert blobs[0] == blobs[1]
-
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPERKKL_THREADS", "2")
-        out = tmp_path / "env"
-        assert run(
-            "gen", "--system", "duffing", "--regime", "zero", "--n", "2",
-            "--seed", "6", "--horizon", "1.0", "--out", str(out),
-        ) == 0
-
     def test_bad_flags_exit_2(self, tmp_path):
         assert run(
             "gen", "--system", "duffing", "--regime", "zero", "--n", "0",
@@ -165,6 +145,39 @@ class TestTrain:
             "--config", str(ini), "--out", str(tmp_path / "x"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("section, key", [
+        pytest.param("train", "segmnt_batch", id="misspelt"),
+        pytest.param("hypernet", "chunk_size", id="removed"),
+    ])
+    def test_unknown_config_key_is_error(self, gen_dir, tmp_path, capsys,
+                                         section, key):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = 1\n")
+        out = tmp_path / "x"
+        code = run(
+            "train", "--system", "duffing", "--phase", "1", "--data",
+            str(gen_dir / "duffing_zero_n4_s1.hkkl"), "--epochs", "1",
+            "--config", str(ini), "--out", str(out),
+        )
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_abort_writes_no_checkpoint(self, gen_dir, tmp_path, capsys):
+        out = tmp_path / "abort"
+        code = run(
+            "train", "--system", "duffing", "--phase", "1", "--data",
+            str(gen_dir / "duffing_zero_n4_s1.hkkl"), "--epochs", "5",
+            "--batch", "16", "--hidden", "8,8", "--lr", "1e300",
+            "--out", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: epoch ")
+        assert "non-finite" in err
+        assert not list(out.glob("*.hkkp"))
 
     def test_config_supplies_values(self, gen_dir, tmp_path):
         ini = tmp_path / "run.ini"
@@ -317,3 +330,44 @@ class TestEvalPlotReport:
         assert run(
             "eval", "--system", "duffing", "--checkpoint", "nonsense",
         ) == 2
+
+
+class TestDamagedFiles:
+    """Cut or padded files exit 2 with the byte offset, never a traceback."""
+
+    @staticmethod
+    def damage(src, dst, cut=None, extra=b""):
+        blob = src.read_bytes()
+        dst.write_bytes((blob if cut is None else blob[:cut]) + extra)
+        return dst
+
+    @pytest.mark.parametrize("cut, extra, offset", [
+        pytest.param(300, b"", "byte 300", id="truncated"),
+        pytest.param(None, b"\x00" * 4, "4 trailing bytes", id="trailing"),
+    ])
+    def test_dataset(self, gen_dir, tmp_path, capsys, cut, extra, offset):
+        bad = self.damage(gen_dir / "duffing_zero_n4_s1.hkkl",
+                          tmp_path / "bad.hkkl", cut, extra)
+        code = run(
+            "train", "--system", "duffing", "--phase", "1", "--data",
+            str(bad), "--epochs", "1", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and offset in err
+
+    @pytest.mark.parametrize("cut, extra, offset", [
+        pytest.param(100, b"", "byte 100", id="truncated"),
+        pytest.param(None, b"\x00" * 4, "4 trailing bytes", id="trailing"),
+    ])
+    def test_checkpoint(self, trained, capsys, cut, extra, offset):
+        bad = self.damage(trained["base"], trained["root"] / "bad.hkkp",
+                          cut, extra)
+        code = run(
+            "eval", "--system", "duffing", "--checkpoint", f"autonomous={bad}",
+            "--regimes", "zero", "--n", "1", "--seed", "9000", "--horizon",
+            "1.0", "--out", str(trained["root"] / "ev"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and offset in err

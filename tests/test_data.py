@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,26 @@ from hyperkkl.data import (
     trajectory_to_csv,
     write_dataset,
 )
-from hyperkkl.dynamics import duffing, van_der_pol
+from hyperkkl.dynamics import (
+    Trajectory,
+    duffing,
+    sample_initial_conditions,
+    simulate,
+    van_der_pol,
+)
 from hyperkkl.errors import ContractViolation
+from hyperkkl.evaluation import run_observer
 from hyperkkl.hypernet import (
     build_hypernet_spec,
     build_injection_spec,
+    hypernet_layout,
     init_hypernet_params,
     init_injection_params,
 )
 from hyperkkl.kkl import build_observer_matrices, init_map_params, make_maps
+from hyperkkl.signals import sample_signal
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestGeneration:
@@ -34,14 +47,18 @@ class TestGeneration:
         assert seed_ranges_overlap((0, 10), (10, 20))
         assert not seed_ranges_overlap((0, 9), (10, 20))
 
-    def test_threaded_generation_matches_serial(self, tmp_path):
-        kw = dict(count=6, seed=7, dt=0.05, horizon=2.0, sigma=0.01)
-        serial = generate_dataset(van_der_pol(), "mixture", threads=1, **kw)
-        threaded = generate_dataset(van_der_pol(), "mixture", threads=4, **kw)
-        p1, p2 = tmp_path / "a.hkkl", tmp_path / "b.hkkl"
-        write_dataset(serial, p1)
-        write_dataset(threaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_batch_matches_single_trajectories(self):
+        system = van_der_pol()
+        ds = generate_dataset(system, "mixture", 6, 7, dt=0.05, horizon=2.0,
+                              sigma=0.01)
+        x0s = sample_initial_conditions(system, 6, 7)
+        for i, tr in enumerate(ds.trajectories):
+            one = simulate(system, x0s[i], sample_signal("mixture", 7 + i),
+                           0.05, 2.0, 0.01, 7 + i)
+            assert np.array_equal(tr.states, one.states)
+            assert np.array_equal(tr.inputs, one.inputs)
+            assert np.array_equal(tr.outputs, one.outputs)
+            assert tr.signal == one.signal
 
     def test_regimes_record_signals(self):
         ds = generate_dataset(duffing(), "mixture", 4, 3, horizon=2.0)
@@ -115,7 +132,7 @@ class TestCheckpointFormat:
         kw = {}
         if variant == "dynamic":
             spec = build_hypernet_spec(maps, window=7, lstm_hidden=5, rank=2,
-                                       chunk_size=16, tau=0.02)
+                                       tau=0.02)
             psi = init_hypernet_params(spec, 4)
             psi.data[:] = np.random.default_rng(5).normal(size=psi.data.shape)
             kw = {"hyper_spec": spec, "psi": psi}
@@ -164,6 +181,35 @@ class TestCheckpointFormat:
                 variant="dynamic", system_name="duffing", maps=maps, obs=obs,
                 theta=theta, phi=phi,
             )
+
+    def test_reads_file_with_chunked_readout_slices(self):
+        # Written by an earlier release that stored each head's U readout
+        # as 7-row slices hyper.*_head.U0000, U0001, ... (tiny maps, rank
+        # 2), with the run_observer estimate it gave on one trajectory.
+        bundle = read_checkpoint(DATA / "dynamic_rank2_chunk7.hkkp")
+        spec = bundle.hyper_spec
+        assert bundle.psi.layout == hypernet_layout(spec)
+        assert bundle.psi.get("hyper.dec_head.U").shape == (
+            spec.dec_head.total, 2)
+        with np.load(DATA / "dynamic_rank2_chunk7_estimate.npz") as ref:
+            dt, u, y, xhat = (ref[k] for k in ("dt", "inputs", "outputs",
+                                               "xhat"))
+        n = len(y)
+        tr = Trajectory(
+            dt=float(dt), times=np.arange(n) * float(dt),
+            states=np.zeros((n, 2)), inputs=u, outputs=y, x0=np.zeros(2),
+            noise_sigma=0.0, seed=0,
+        )
+        assert np.array_equal(run_observer(bundle, tr), xhat)
+
+    def test_hypernet_value_count_must_match_spec(self, tmp_path):
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(self.build_bundle("dynamic"), path)
+        blob = path.read_bytes()
+        assert blob.count(b'"rank": 2') == 1
+        path.write_bytes(blob.replace(b'"rank": 2', b'"rank": 3'))
+        with pytest.raises(ContractViolation, match="hyper. block"):
+            read_checkpoint(path)
 
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hkkp"

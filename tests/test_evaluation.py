@@ -86,8 +86,7 @@ def duffing_bundles(variant_list, seed=0):
     for variant in variant_list:
         kw = {}
         if variant == "dynamic":
-            spec = build_hypernet_spec(maps, window=12, lstm_hidden=6, rank=3,
-                                       chunk_size=32)
+            spec = build_hypernet_spec(maps, window=12, lstm_hidden=6, rank=3)
             psi = init_hypernet_params(spec, seed + 1)
             psi.data[:] = np.random.default_rng(seed + 2).normal(
                 size=psi.data.shape

@@ -6,7 +6,6 @@ from hyperkkl.errors import ContractViolation
 from hyperkkl.hypernet import (
     build_hypernet_spec,
     build_injection_spec,
-    conditioned_params,
     delta_store,
     encode_context,
     gate_values,
@@ -17,7 +16,6 @@ from hyperkkl.hypernet import (
     init_injection_params,
     injection_layout,
     make_step_injection,
-    static_injection,
 )
 from hyperkkl.kkl import (
     build_observer_matrices,
@@ -30,37 +28,28 @@ from hyperkkl.optim import grad_check
 from hyperkkl.params import ParamStore
 
 
-def small_hyper(chunk_size=16, window=8, rank=3, hidden=6):
+def small_hyper(window=8, rank=3, hidden=6):
     maps = make_maps(2, 5, hidden=(7,))
-    spec = build_hypernet_spec(
-        maps, window=window, lstm_hidden=hidden, rank=rank, chunk_size=chunk_size
-    )
+    spec = build_hypernet_spec(maps, window=window, lstm_hidden=hidden, rank=rank)
     psi = init_hypernet_params(spec, seed=0)
     return maps, spec, psi
 
 
-class TestChunkPlan:
-    def test_chunks_tile_targets_exactly_once(self):
-        maps, spec, _ = small_hyper(chunk_size=10)
+class TestHeadSpec:
+    def test_readout_covers_target_weights_once(self):
+        maps, spec, psi = small_hyper()
         for head, mlp, prefix in (
             (spec.enc_head, maps.enc, "enc"),
             (spec.dec_head, maps.dec, "dec"),
         ):
+            assert head.weight_names == tuple(
+                f"{prefix}.W{i}" for i in range(mlp.n_layers)
+            )
             weight_total = sum(
                 head.target_layout[n].size for n in head.weight_names
             )
             assert head.total == weight_total
-            assert all(c.length <= spec.chunk_size for c in head.chunks)
-            # contiguous, disjoint, in order
-            cursor = 0
-            per_target = {n: 0 for n in head.weight_names}
-            for c in head.chunks:
-                assert c.offset == cursor
-                cursor += c.length
-                per_target[c.target] += c.length
-            assert cursor == head.total
-            for n in head.weight_names:
-                assert per_target[n] == head.target_layout[n].size
+            assert psi.get(f"{head.name}.U").shape == (head.total, head.rank)
 
     def test_scatter_matches_delta_store(self):
         maps, spec, psi = small_hyper()
@@ -106,17 +95,15 @@ class TestDeltas:
     def test_tiny_tau_recovers_raw_head_output(self):
         maps, spec0, _ = small_hyper()
         spec = build_hypernet_spec(
-            maps, window=spec0.window, lstm_hidden=6, rank=3, chunk_size=16,
-            tau=1e-12,
+            maps, window=spec0.window, lstm_hidden=6, rank=3, tau=1e-12,
         )
         psi = init_hypernet_params(spec, seed=4)
         psi.data[:] = np.random.default_rng(4).normal(size=psi.data.shape) * 0.3
         win = np.random.default_rng(5).normal(size=(1, spec.window, 1))
         ctx = encode_context(psi, spec, win)
         v = psi.get("hyper.enc_head.V")
-        names = spec.enc_head.chunk_param_names()
-        u_all = psi.region(names[0], names[-1], (spec.enc_head.total, 3))
-        raw = (ctx @ v.T) @ u_all.T
+        u = psi.get("hyper.enc_head.U")
+        raw = (ctx @ v.T) @ u.T
         d_theta, _ = generate_deltas(psi, spec, win)
         assert np.array_equal(ad.val(d_theta), raw)  # gate saturates to 1.0
 
@@ -126,12 +113,12 @@ class TestDeltas:
         rng = np.random.default_rng(6)
         flat = rng.normal(size=spec.enc_head.total) * 0.1
         delta = delta_store(spec.enc_head, flat)
-        eff = conditioned_params(theta, delta)
+        eff = theta + delta
         x = np.array([[0.4, -0.3]])
         out_eff = encode(maps, eff, x)
         assert out_eff.shape == (1, 5)
         # zero delta reproduces base bitwise
-        zero = conditioned_params(theta, theta.zeros_like())
+        zero = theta + theta.zeros_like()
         assert np.array_equal(zero.data, theta.data)
         assert np.array_equal(encode(maps, zero, x), encode(maps, theta, x))
 
@@ -141,15 +128,13 @@ class TestDeltas:
         theta.data[:] = np.round(theta.data * 64.0)  # representable values
         delta = theta.zeros_like()
         delta.data[:] = np.arange(theta.layout.total, dtype=np.float64)
-        assert np.array_equal(
-            (conditioned_params(theta, delta) - delta).data, theta.data
-        )
+        assert np.array_equal((theta + delta).data - delta.data, theta.data)
 
     def test_layout_mismatch_rejected(self):
         maps, spec, psi = small_hyper()
         theta, phi = init_map_params(maps, seed=3)
         with pytest.raises(ContractViolation):
-            conditioned_params(theta, phi)
+            theta + phi
 
     def test_nonzero_first_layer_delta_changes_output(self):
         maps, spec, psi = small_hyper()
@@ -159,11 +144,11 @@ class TestDeltas:
         delta = delta_store(spec.enc_head, flat)
         x = np.array([[0.7, 0.1]])
         base_out = encode(maps, theta, x)
-        cond_out = encode(maps, conditioned_params(theta, delta), x)
+        cond_out = encode(maps, theta + delta, x)
         assert not np.array_equal(base_out, cond_out)
 
     def test_delta_gradients_flow_to_psi(self):
-        maps, spec, psi = small_hyper(window=5, hidden=4, rank=2, chunk_size=8)
+        maps, spec, psi = small_hyper(window=5, hidden=4, rank=2)
         # move U off its zero init so V sees gradient too
         rng = np.random.default_rng(7)
         psi.data[:] = rng.normal(size=psi.data.shape) * 0.2
@@ -218,23 +203,29 @@ class TestInjection:
         xi = init_injection_params(spec, seed=seed)
         return spec, xi
 
+    @staticmethod
+    def inject_once(xi, spec, z, win):
+        """The step injection at the step whose window is exactly ``win``."""
+        inject = make_step_injection(xi, spec, win, 0.05)
+        return inject(z, spec.window - 1)
+
     def test_zero_window_injection_exactly_zero(self):
         spec, xi = self.spec_and_params()
         xi.data[:] = np.random.default_rng(9).normal(size=xi.data.shape)
-        out = static_injection(xi, spec, np.ones(5), np.zeros((spec.window, 1)))
-        assert np.all(ad.val(out) == 0.0)
+        out = self.inject_once(xi, spec, np.ones(5), np.zeros((spec.window, 1)))
+        assert out is None  # the latent step adds nothing
 
     def test_zero_params_injection_zero_for_any_input(self):
         spec, xi = self.spec_and_params()
         xi.data[:] = 0.0
         win = np.random.default_rng(10).normal(size=(spec.window, 1))
-        out = static_injection(xi, spec, np.ones(5), win)
+        out = self.inject_once(xi, spec, np.ones(5), win)
         assert np.all(ad.val(out) == 0.0)
 
     def test_zero_final_layer_init_starts_at_zero(self):
         spec, xi = self.spec_and_params(seed=3)
         win = np.random.default_rng(11).normal(size=(spec.window, 1))
-        out = static_injection(xi, spec, np.full(5, 0.3), win)
+        out = self.inject_once(xi, spec, np.full(5, 0.3), win)
         assert np.all(ad.val(out) == 0.0)
 
     def test_gradient_wrt_xi(self):
@@ -248,7 +239,7 @@ class TestInjection:
         z = rng.normal(size=3)
 
         def loss(p):
-            out = static_injection(p, spec, z, win)
+            out = self.inject_once(p, spec, z, win)
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(loss, xi, eps=1e-6) < 1e-5
@@ -278,5 +269,6 @@ class TestInjection:
 
     def test_latent_dim_contract(self):
         spec, xi = self.spec_and_params()
+        win = np.random.default_rng(16).normal(size=(spec.window, 1))
         with pytest.raises(ContractViolation):
-            static_injection(xi, spec, np.ones(4), np.zeros((spec.window, 1)))
+            self.inject_once(xi, spec, np.ones(4), win)

@@ -15,7 +15,7 @@ from hyperkkl.kkl import (
     check_hurwitz,
     decode,
     decoder_layout,
-    dynamic_pde_residual,
+    dynamic_pde_residual_batch,
     encode,
     encoder_layout,
     init_map_params,
@@ -29,7 +29,6 @@ from hyperkkl.kkl import (
 from hyperkkl.nets import MlpSpec
 from hyperkkl.optim import grad_check
 from hyperkkl.params import ParamStore, ParamVars
-from hyperkkl.signals import InputSignal
 
 
 def elimination_rank(mat, tol=1e-9):
@@ -57,6 +56,14 @@ from conftest import (
     analytic_linear_observer,
     linear_test_system,
 )
+
+
+def random_weight_deltas(maps, batch, seed):
+    """Per-sample (B, out, in) encoder weight deltas."""
+    rng = np.random.default_rng(seed)
+    w = maps.enc.widths
+    return [rng.normal(size=(batch, w[i + 1], w[i])) * 0.1
+            for i in range(maps.enc.n_layers)]
 
 
 class TestObserverMatrices:
@@ -160,9 +167,8 @@ class TestSimulateLatent:
         y = rng.normal(size=(41, 1))
         u = rng.normal(size=(41, 1))
         gain = rng.normal(size=(5, 1))
-        zs = simulate_latent(
-            obs, y, 0.05, plain_injection=lambda uk: gain @ uk, u_seq=u
-        )
+        # a state-independent injection is held over each step like y
+        zs = simulate_latent(obs, y, 0.05, injection=lambda z, k: gain @ u[k])
         z = np.zeros(5)
         for k in range(40):
             c = obs.B @ y[k] + gain @ u[k]
@@ -180,11 +186,6 @@ class TestSimulateLatent:
             simulate_latent(obs, np.zeros((10, 2)), 0.05)
         with pytest.raises(ContractViolation):
             simulate_latent(obs, np.zeros((10, 1)), -0.1)
-        with pytest.raises(ContractViolation):
-            simulate_latent(
-                obs, np.zeros((10, 1)), 0.05,
-                plain_injection=lambda u: np.zeros(5),
-            )  # missing u_seq
 
 
 class TestMaps:
@@ -250,12 +251,15 @@ class TestResiduals:
         obs = build_observer_matrices(2, 1)
         maps = make_maps(2, 5, hidden=(6,))
         theta, _ = init_map_params(maps, seed=6)
-        x = np.array([0.4, -0.2])
-        sig = InputSignal(kind="zero")
-        dyn = dynamic_pde_residual(
-            maps, lambda win: theta, obs, sys, x, sig, t=2.0, dt=0.05, window=10
+        x = np.array([[0.4, -0.2]])
+        # equal windows before and after the step give equal deltas
+        deltas = random_weight_deltas(maps, 1, seed=60)
+        dyn = dynamic_pde_residual_batch(
+            maps, theta, obs, sys, x, np.zeros((1, 1)), deltas, deltas,
+            dt=0.05,
         )
-        auto = autonomous_pde_residual(maps, theta, obs, sys, x[None])
+        auto = autonomous_pde_residual(maps, theta, obs, sys, x,
+                                       weight_deltas=deltas)
         assert float(ad.val(dyn)) == float(ad.val(auto))
 
     def test_constant_input_reduces_to_forced_stationary(self):
@@ -263,14 +267,15 @@ class TestResiduals:
         obs = build_observer_matrices(2, 1)
         maps = make_maps(2, 5, hidden=(6,))
         theta, _ = init_map_params(maps, seed=7)
-        x = np.array([0.4, -0.2])
-        sig = InputSignal(kind="constant", offset=0.6)
-        dyn = dynamic_pde_residual(
-            maps, lambda win: theta, obs, sys, x, sig, t=2.0, dt=0.05, window=10
+        x = np.array([[0.4, -0.2]])
+        u = np.array([[0.6]])
+        # a constant input's windows agree, and so do their deltas
+        deltas = random_weight_deltas(maps, 1, seed=70)
+        dyn = dynamic_pde_residual_batch(
+            maps, theta, obs, sys, x, u, deltas, deltas, dt=0.05,
         )
-        forced = autonomous_pde_residual(
-            maps, theta, obs, sys, x[None], u_batch=np.array([[0.6]])
-        )
+        forced = autonomous_pde_residual(maps, theta, obs, sys, x, u_batch=u,
+                                         weight_deltas=deltas)
         assert float(ad.val(dyn)) == float(ad.val(forced))
 
     def test_finite_difference_matches_linear_parameter_drift(self):
