@@ -7,6 +7,13 @@ forward-only evaluation pays no tape overhead and training/inference
 share one code path.
 
 Gradients of untouched leaves are exact zeros; all values are float64.
+
+``backward`` consumes the graph it walks: once a node has passed its
+gradient on, the node drops that gradient, its VJP closure (and with it
+the activations the closure saved) and its parent links, so the tape
+shrinks while the backward pass runs. Leaves (nodes without a VJP) keep
+their ``.grad``; every value stays readable. A second ``backward`` over
+a consumed node raises ContractViolation.
 """
 
 from __future__ import annotations
@@ -212,7 +219,7 @@ def reshape(x, shape):
 
 
 def backward(root: Var) -> None:
-    """Accumulate d(root)/d(leaf) into .grad over the whole graph."""
+    """Accumulate d(root)/d(leaf) into .grad, consuming the graph."""
     if not is_var(root):
         raise ContractViolation("backward needs a Var")
     if root.value.shape != ():
@@ -230,6 +237,8 @@ def backward(root: Var) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise ContractViolation("graph was already consumed by backward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -237,10 +246,12 @@ def backward(root: Var) -> None:
                 stack.append((p, False))
 
     root.grad = np.ones(())
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
+    while topo:
+        node = topo.pop()
+        if node._vjp is None:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
             parent.grad += g
+        node.grad = node._vjp = node._parents = None

@@ -14,6 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfg
 from . import training
 from .checkpoints import (
@@ -168,7 +170,6 @@ def cmd_train(args, argv) -> int:
     seed_hi = max(ds.seed_range[1] for ds in datasets)
 
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = list(args.data) + ([args.config] if args.config else [])
 
     if args.phase == "1":
@@ -279,6 +280,7 @@ def cmd_train(args, argv) -> int:
         # The parameters were rolled back, but they are not a trained
         # model: write nothing.
         raise NumericError(f"epoch {result.abort.epoch}: {result.abort.reason}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{stem}.hkkp"
     write_checkpoint(bundle, ckpt_path)
     loss_path = out_dir / f"{stem}_loss.csv"
@@ -529,7 +531,11 @@ def main(argv=None) -> int:
         "report": cmd_report,
     }
     try:
-        return handlers[args.command](args, argv)
+        # Explicit finite checks turn overflow and NaN into a NumericError
+        # (exit 3); numpy's own warnings would only repeat them as raw
+        # stderr lines.
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args, argv)
     except (ConfigError, ContractViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -156,25 +156,24 @@ def encode_context(psi, spec: HyperNetSpec, windows):
     return lstm_forward(psi, spec.lstm, w, "hyper.lstm")
 
 
-def _head_readout(psi, head: HeadSpec, context):
+def head_deltas(psi, head: HeadSpec, context, gates):
+    """Gated (B, total) flat perturbations of one head for (B, d_h) contexts."""
     v = psi.get(f"{head.name}.V")
     u = psi.get(f"{head.name}.U")
     s = ad.matmul(context, transpose2d(v))          # (B, rank)
-    return ad.matmul(s, transpose2d(u))             # (B, total)
+    return ad.mul(ad.matmul(s, transpose2d(u)), gates)
 
 
-def generate_deltas(psi, spec: HyperNetSpec, windows, context=None):
+def generate_deltas(psi, spec: HyperNetSpec, windows):
     """Gated weight perturbations for both heads.
 
     Returns (d_theta, d_phi) as (B, total) flat entry tensors; rows whose
     window is identically zero are exactly zero.
     """
-    if context is None:
-        context = encode_context(psi, spec, windows)
+    context = encode_context(psi, spec, windows)
     g = gate_values(windows, spec.tau)
-    d_theta = ad.mul(_head_readout(psi, spec.enc_head, context), g)
-    d_phi = ad.mul(_head_readout(psi, spec.dec_head, context), g)
-    return d_theta, d_phi
+    return (head_deltas(psi, spec.enc_head, context, g),
+            head_deltas(psi, spec.dec_head, context, g))
 
 
 def head_layer_deltas(head: HeadSpec, maps_spec: MlpSpec, prefix: str, flat):

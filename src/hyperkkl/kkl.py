@@ -238,12 +238,9 @@ def simulate_latent(obs, y_seq, dt, **kwargs) -> np.ndarray:
 
 
 def _stationary_residual_vec(
-    maps, theta, obs, system, x_batch, u_batch, f_scale, weight_deltas, fd_term
+    obs, system, x, u_batch, f_scale, t_out, cols, fd_term
 ):
-    x = np.asarray(x_batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ContractViolation("residual expects a (B, n_x) state batch")
-    t_out, cols = encode_with_jacobian(maps, theta, x, weight_deltas=weight_deltas)
+    """dT/dx f (+ fd_term) - A T - B h from the encoder output and Jacobian."""
     f = eval_vector_field(system, x, u_batch)
     jf = ad.mul(cols[0], f[:, 0:1])
     for j in range(1, system.n_x):
@@ -256,6 +253,13 @@ def _stationary_residual_vec(
     if f_scale is not None and f_scale != 1.0:
         r = ad.mul(r, 1.0 / float(f_scale))
     return r
+
+
+def _state_batch(x_batch):
+    x = np.asarray(x_batch, dtype=np.float64)
+    if x.ndim != 2:
+        raise ContractViolation("residual expects a (B, n_x) state batch")
+    return x
 
 
 def _mean_sq(r, batch):
@@ -275,22 +279,11 @@ def autonomous_pde_residual(
     passing inputs gives the forced stationary form (the dynamic residual
     reduces to it when consecutive windows coincide).
     """
-    r = _stationary_residual_vec(
-        maps, theta, obs, system, np.asarray(x_batch, dtype=np.float64),
-        u_batch, f_scale, weight_deltas, None,
-    )
-    return _mean_sq(r, len(np.asarray(x_batch)))
-
-
-def map_time_difference(maps, theta, x_batch, deltas_pre, deltas_post, dt):
-    """Finite-difference temporal derivative of the encoder output.
-
-    Evaluates the encoder at the same states under two consecutive
-    parameter conditions and divides by the window step.
-    """
-    t_pre = encode(maps, theta, x_batch, weight_deltas=deltas_pre)
-    t_post = encode(maps, theta, x_batch, weight_deltas=deltas_post)
-    return ad.mul(ad.sub(t_post, t_pre), 1.0 / dt)
+    x = _state_batch(x_batch)
+    t_out, cols = encode_with_jacobian(maps, theta, x, weight_deltas=weight_deltas)
+    r = _stationary_residual_vec(obs, system, x, u_batch, f_scale, t_out, cols,
+                                 None)
+    return _mean_sq(r, len(x))
 
 
 def dynamic_pde_residual_batch(
@@ -301,13 +294,15 @@ def dynamic_pde_residual_batch(
 
     ``deltas_pre``/``deltas_post`` are per-layer (B, out, in) encoder
     weight perturbations for the windows ending at t and t + dt; the
-    spatial terms are evaluated at the pre-window parameters.
+    spatial terms are evaluated at the pre-window parameters. The time
+    derivative is the finite difference of the encoder output between
+    the two conditions, divided by the window step.
     """
-    x = np.asarray(x_batch, dtype=np.float64)
-    fd = map_time_difference(maps, theta, x, deltas_pre, deltas_post, dt)
-    r = _stationary_residual_vec(
-        maps, theta, obs, system, x, u_now, f_scale, deltas_pre, fd
-    )
+    x = _state_batch(x_batch)
+    t_pre, cols = encode_with_jacobian(maps, theta, x, weight_deltas=deltas_pre)
+    t_post = encode(maps, theta, x, weight_deltas=deltas_post)
+    fd = ad.mul(ad.sub(t_post, t_pre), 1.0 / dt)
+    r = _stationary_residual_vec(obs, system, x, u_now, f_scale, t_pre, cols, fd)
     return _mean_sq(r, len(x))
 
 

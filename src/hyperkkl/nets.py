@@ -194,7 +194,11 @@ def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str,
 def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     """Final hidden state of the LSTM over (B, w, m) input windows.
 
-    Zero initial hidden and cell state; returns (B, hidden_size).
+    Zero initial hidden and cell state; returns (B, hidden_size). The
+    whole window is one tape node: when the weights are tape leaves, the
+    forward keeps each step's gate activations, tanh(c) and c, and a
+    hand-written backward-through-time pass reads them back. On plain
+    parameters nothing is kept.
     """
     seq = np.asarray(ad.val(sequence), dtype=np.float64)
     if seq.ndim == 2:
@@ -207,18 +211,52 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
         )
     batch, w, _ = seq.shape
     hsz = spec.hidden_size
-    wx = params.get(f"{prefix}.Wx")
-    wh = params.get(f"{prefix}.Wh")
-    b = params.get(f"{prefix}.b")
-    wxt, wht = _maybe_t(wx), _maybe_t(wh)
+    weights = [params.get(f"{prefix}.{n}") for n in ("Wx", "Wh", "b")]
+    wx, wh, b = (ad.val(p) for p in weights)
+    taped = any(ad.is_var(p) for p in weights)
+    acts, tanh_cs, c_prevs = [], [], []
     h = np.zeros((batch, hsz))
     c = np.zeros((batch, hsz))
     for t in range(w):
-        gates = ad.add(ad.add(ad.matmul(seq[:, t, :], wxt), ad.matmul(h, wht)), b)
-        gi = ad.sigmoid(ad.narrow(gates, 1, 0, hsz))
-        gf = ad.sigmoid(ad.narrow(gates, 1, hsz, hsz))
-        gc = ad.tanh(ad.narrow(gates, 1, 2 * hsz, hsz))
-        go = ad.sigmoid(ad.narrow(gates, 1, 3 * hsz, hsz))
-        c = ad.add(ad.mul(gf, c), ad.mul(gi, gc))
-        h = ad.mul(go, ad.tanh(c))
-    return h
+        gates = seq[:, t, :] @ wx.T + h @ wh.T + b
+        gi = ad.sigmoid(gates[:, :hsz])
+        gf = ad.sigmoid(gates[:, hsz : 2 * hsz])
+        gc = np.tanh(gates[:, 2 * hsz : 3 * hsz])
+        go = ad.sigmoid(gates[:, 3 * hsz :])
+        if taped:
+            c_prevs.append(c)
+        c = gf * c + gi * gc
+        tanh_c = np.tanh(c)
+        h = go * tanh_c
+        if taped:
+            acts.append(np.concatenate([gi, gf, gc, go], axis=1))
+            tanh_cs.append(tanh_c)
+    if not taped:
+        return h
+
+    def vjp(g):
+        # Pops the saved steps as it goes, so they are freed step by step.
+        gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+        dh, dc = g, np.zeros_like(g)
+        for t in reversed(range(w)):
+            gi, gf, gc, go = np.split(acts.pop(), 4, axis=1)
+            tanh_c, c_prev = tanh_cs.pop(), c_prevs.pop()
+            # h_{t-1} = o_{t-1} tanh(c_{t-1}), bit for bit as in the forward
+            h_prev = (acts[-1][:, 3 * hsz :] * tanh_cs[-1] if t
+                      else np.zeros_like(g))
+            dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
+            dz = np.concatenate([
+                dc * gc * gi * (1.0 - gi),
+                dc * c_prev * gf * (1.0 - gf),
+                dc * gi * (1.0 - gc * gc),
+                dh * tanh_c * go * (1.0 - go),
+            ], axis=1)
+            gwx += dz.T @ seq[:, t, :]
+            gwh += dz.T @ h_prev
+            gb += dz.sum(axis=0)
+            dh = dz @ wh
+            dc = dc * gf
+        return tuple(gr for p, gr in zip(weights, (gwx, gwh, gb))
+                     if ad.is_var(p))
+
+    return ad.Var(h, tuple(p for p in weights if ad.is_var(p)), vjp)

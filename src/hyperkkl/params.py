@@ -55,9 +55,6 @@ class Layout:
         except KeyError:
             raise ContractViolation(f"no slice named {name!r}") from None
 
-    def names(self):
-        return [s.name for s in self.slices]
-
     def __eq__(self, other):
         return isinstance(other, Layout) and self.slices == other.slices
 
@@ -104,9 +101,6 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         return ParamStore(self.layout, self.data.copy())
-
-    def zeros_like(self) -> "ParamStore":
-        return ParamStore(self.layout)
 
     def __add__(self, other: "ParamStore") -> "ParamStore":
         _check_same_layout(self, other)

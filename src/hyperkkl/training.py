@@ -28,7 +28,10 @@ from .errors import ContractViolation, NumericError
 from .hypernet import (
     HyperNetSpec,
     InjectionSpec,
+    encode_context,
+    gate_values,
     generate_deltas,
+    head_deltas,
     head_layer_deltas,
     init_hypernet_params,
     init_injection_params,
@@ -365,7 +368,17 @@ def phase2_train(
     variant: str,
     f_scale: float = 1.0,
 ) -> Phase2Result:
-    """Train the conditioning parameters on forced data; bases stay frozen."""
+    """Train the conditioning parameters on forced data; bases stay frozen.
+
+    Every trajectory must share one dt and one length: both variants
+    take them from the first trajectory.
+    """
+    grids = sorted({(tr.dt, tr.n_steps) for tr in trajectories})
+    if len(grids) > 1:
+        raise ContractViolation(
+            "phase 2 needs trajectories on one time grid, got (dt, n_steps) "
+            f"{grids}"
+        )
     if variant == "dynamic":
         if not isinstance(spec, HyperNetSpec):
             raise ContractViolation("dynamic variant needs a HyperNetSpec")
@@ -408,16 +421,22 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
 
         try:
             pv = ParamVars(psi)
-            d_theta, d_phi = generate_deltas(pv, spec, windows)
             b = config.batch
+            context = encode_context(pv, spec, windows)
+            gates = gate_values(windows, spec.tau)
+            pre, post = ad.narrow(context, 0, 0, b), ad.narrow(context, 0, b, b)
             enc_pre = head_layer_deltas(
-                spec.enc_head, maps.enc, "enc", ad.narrow(d_theta, 0, 0, b)
+                spec.enc_head, maps.enc, "enc",
+                head_deltas(pv, spec.enc_head, pre, gates[:b]),
             )
             enc_post = head_layer_deltas(
-                spec.enc_head, maps.enc, "enc", ad.narrow(d_theta, 0, b, b)
+                spec.enc_head, maps.enc, "enc",
+                head_deltas(pv, spec.enc_head, post, gates[b:]),
             )
+            # the decoder head reads only the pre-windows
             dec_pre = head_layer_deltas(
-                spec.dec_head, maps.dec, "dec", ad.narrow(d_phi, 0, 0, b)
+                spec.dec_head, maps.dec, "dec",
+                head_deltas(pv, spec.dec_head, pre, gates[:b]),
             )
             loss, rec, pde = total_loss(
                 maps, theta_base, phi_base, obs, system, x, config.lam,

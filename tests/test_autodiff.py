@@ -121,3 +121,31 @@ class TestBackwardContract:
         ad.backward(ad.sum_all(ad.mul(a, a)))
         assert b.grad is None
         assert np.allclose(a.grad, 2 * np.ones(2))
+
+    def test_backward_releases_interior_nodes(self):
+        a = ad.Var(np.array([0.5, -1.0]))
+        b = ad.Var(np.array([2.0, 3.0]))
+        prod = ad.mul(a, b)
+        act = ad.tanh(prod)
+        loss = ad.sum_all(act)
+        ad.backward(loss)
+        for node in (prod, act, loss):
+            assert node.grad is None
+            assert node._parents is None
+            assert node._vjp is None
+        assert np.array_equal(act.value, np.tanh(a.value * b.value))
+        dact = 1.0 - np.tanh(a.value * b.value) ** 2
+        assert np.array_equal(a.grad, dact * b.value)
+        assert np.array_equal(b.grad, dact * a.value)
+
+    def test_second_backward_is_refused(self):
+        a = ad.Var(np.ones(2))
+        mid = ad.mul(a, a)
+        loss = ad.sum_all(mid)
+        ad.backward(loss)
+        with pytest.raises(ContractViolation, match="consumed"):
+            ad.backward(loss)
+        # a fresh root over a consumed node is refused too
+        with pytest.raises(ContractViolation, match="consumed"):
+            ad.backward(ad.sum_all(ad.add(mid, a)))
+        assert np.array_equal(a.grad, 2 * np.ones(2))

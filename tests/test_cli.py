@@ -164,7 +164,8 @@ class TestTrain:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a numpy RuntimeWarning would raise here and fail the test
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_abort_writes_no_checkpoint(self, gen_dir, tmp_path, capsys):
         out = tmp_path / "abort"
         code = run(
@@ -174,10 +175,11 @@ class TestTrain:
             "--out", str(out),
         )
         assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric failure: epoch ")
-        assert "non-finite" in err
-        assert not list(out.glob("*.hkkp"))
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numeric failure: epoch ")
+        assert "non-finite" in err[0]
+        assert not out.exists()
 
     def test_config_supplies_values(self, gen_dir, tmp_path):
         ini = tmp_path / "run.ini"
@@ -250,6 +252,27 @@ class TestTrainConditioned:
         bundle = read_checkpoint(out / "duffing_static.hkkp")
         assert bundle.variant == "static"
         assert bundle.xi is not None
+
+    def test_phase2_refuses_mixed_time_grids(self, trained, tmp_path, capsys):
+        longer = tmp_path / "longer"
+        assert run(
+            "gen", "--system", "duffing", "--regime", "sinusoid", "--n", "2",
+            "--seed", "40", "--horizon", "3.0", "--out", str(longer),
+        ) == 0
+        out = trained["root"] / "mixed"
+        capsys.readouterr()
+        code = run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            "dynamic", "--base", str(trained["base"]), "--data",
+            str(trained["forced"]), "--data",
+            str(longer / "duffing_sinusoid_n2_s40.hkkl"), "--epochs", "1",
+            "--batch", "8", "--window", "6", "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: phase 2 needs trajectories on one time grid")
+        assert "(0.05, 40)" in err and "(0.05, 60)" in err
+        assert not out.exists()
 
     def test_curriculum_orders_levels(self, trained, tmp_path):
         levels_dir = tmp_path / "levels"

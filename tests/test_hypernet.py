@@ -118,7 +118,7 @@ class TestDeltas:
         out_eff = encode(maps, eff, x)
         assert out_eff.shape == (1, 5)
         # zero delta reproduces base bitwise
-        zero = theta + theta.zeros_like()
+        zero = theta + ParamStore(theta.layout)
         assert np.array_equal(zero.data, theta.data)
         assert np.array_equal(encode(maps, zero, x), encode(maps, theta, x))
 
@@ -126,7 +126,7 @@ class TestDeltas:
         maps, spec, psi = small_hyper()
         theta, _ = init_map_params(maps, seed=2)
         theta.data[:] = np.round(theta.data * 64.0)  # representable values
-        delta = theta.zeros_like()
+        delta = ParamStore(theta.layout)
         delta.data[:] = np.arange(theta.layout.total, dtype=np.float64)
         assert np.array_equal((theta + delta).data - delta.data, theta.data)
 

@@ -21,7 +21,6 @@ from hyperkkl.kkl import (
     init_map_params,
     latent_dim,
     make_maps,
-    map_time_difference,
     reconstruction_loss,
     simulate_latent,
     verify_observer,

@@ -17,6 +17,7 @@ from hyperkkl.nets import (
     mlp_forward,
     mlp_forward_with_jacobian,
     mlp_layout_entries,
+    transpose2d,
 )
 from hyperkkl.optim import grad_check
 from hyperkkl.params import Layout, ParamStore, ParamVars
@@ -142,6 +143,31 @@ def oracle_lstm(wx, wh, b, seq):
     return h
 
 
+def taped_lstm(params, spec, sequence, prefix):
+    """The LSTM as about 15 tape nodes per step: the reference for the fused
+    one-node forward and its hand-written backward-through-time pass."""
+    seq = np.asarray(sequence, dtype=np.float64)
+    batch, w, _ = seq.shape
+    hsz = spec.hidden_size
+    wxt, wht = (transpose2d(params.get(f"{prefix}.{n}")) for n in ("Wx", "Wh"))
+    b = params.get(f"{prefix}.b")
+    h = np.zeros((batch, hsz))
+    c = np.zeros((batch, hsz))
+    for t in range(w):
+        gates = ad.add(ad.add(ad.matmul(seq[:, t, :], wxt), ad.matmul(h, wht)), b)
+        gi = ad.sigmoid(ad.narrow(gates, 1, 0, hsz))
+        gf = ad.sigmoid(ad.narrow(gates, 1, hsz, hsz))
+        gc = ad.tanh(ad.narrow(gates, 1, 2 * hsz, hsz))
+        go = ad.sigmoid(ad.narrow(gates, 1, 3 * hsz, hsz))
+        c = ad.add(ad.mul(gf, c), ad.mul(gi, gc))
+        h = ad.mul(go, ad.tanh(c))
+    return h
+
+
+# (input size, hidden size, batch, window length)
+FUSED_CASES = [(1, 4, 3, 7), (2, 5, 4, 30), (1, 16, 9, 100)]
+
+
 class TestLstm:
     def test_zero_params_zero_input_zero_hidden(self):
         spec, store = fresh_lstm(1, 4)
@@ -188,6 +214,41 @@ class TestLstm:
             return ad.sum_all(ad.mul(h, h))
 
         assert grad_check(loss, store, eps=1e-6) < 1e-5
+
+    @pytest.mark.parametrize("m, h, batch, w", FUSED_CASES)
+    def test_fused_forward_bitwise_equals_taped_oracle(self, m, h, batch, w):
+        spec, store = fresh_lstm(m, h, seed=m + h)
+        seq = np.random.default_rng(w).normal(size=(batch, w, m))
+        expect = ad.val(taped_lstm(store, spec, seq, "lstm"))
+        plain = lstm_forward(store, spec, seq, "lstm")
+        taped = lstm_forward(ParamVars(store), spec, seq, "lstm")
+        assert isinstance(plain, np.ndarray)
+        assert np.array_equal(plain, expect)
+        assert np.array_equal(taped.value, expect)
+
+    @pytest.mark.parametrize("m, h, batch, w", FUSED_CASES)
+    def test_fused_gradients_match_taped_oracle(self, m, h, batch, w):
+        # stated tolerance: 1e-12 of the largest gradient entry (the two
+        # sum the same products; on OpenBLAS they agree bit for bit)
+        spec, store = fresh_lstm(m, h, seed=m + h)
+        rng = np.random.default_rng(w)
+        seq = rng.normal(size=(batch, w, m))
+        weight = rng.normal(size=(batch, h))
+        grads = []
+        for forward in (lstm_forward, taped_lstm):
+            pv = ParamVars(store)
+            out = forward(pv, spec, seq, "lstm")
+            ad.backward(ad.sum_all(ad.mul(out, weight)))
+            grads.append(pv.grads().data)
+        fused, oracle = grads
+        assert np.max(np.abs(fused - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_window_is_one_tape_node(self):
+        spec, store = fresh_lstm(2, 3, seed=4)
+        pv = ParamVars(store)
+        seq = np.random.default_rng(4).normal(size=(2, 5, 2))
+        out = lstm_forward(pv, spec, seq, "lstm")
+        assert out._parents == tuple(pv.get(f"lstm.{n}") for n in ("Wx", "Wh", "b"))
 
     def test_empty_sequence_contract(self):
         spec, store = fresh_lstm(1, 3)

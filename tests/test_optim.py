@@ -15,7 +15,7 @@ def test_zero_gradient_leaves_params_unchanged():
     params = make_store([("w", np.array([1.0, -2.0, 0.5]))])
     before = params.data.copy()
     state = AdamState.for_params(params)
-    adam_step(state, params, params.zeros_like(), lr=0.1)
+    adam_step(state, params, ParamStore(params.layout), lr=0.1)
     assert np.array_equal(params.data, before)
     assert state.step == 1
 

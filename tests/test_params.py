@@ -49,7 +49,7 @@ def test_add_then_subtract_is_bitwise_identity():
     d = ParamStore(layout, rng.integers(-50, 50, 12).astype(np.float64))
     back = (a + d).data - d.data
     assert np.array_equal(back, a.data)
-    z = a + a.zeros_like()
+    z = a + ParamStore(a.layout)
     assert np.array_equal(z.data, a.data)
 
 
