@@ -7,6 +7,9 @@ forward-only evaluation pays no tape overhead and training/inference
 share one code path.
 
 Gradients of untouched leaves are exact zeros; all values are float64.
+A ``narrow`` passes back only its slice's gradient, which ``backward``
+adds into that slice of the parent's, so a small block of a large
+matrix costs no matrix-sized array in the backward pass.
 
 ``backward`` consumes the graph it walks: once a node has passed its
 gradient on, the node drops that gradient, its VJP closure (and with it
@@ -150,19 +153,6 @@ def matmul(a, b):
     return _binary(a, b, out, vjp)
 
 
-def bmatvec(w, x):
-    """Per-sample matrix-vector product: (B,o,i) x (B,i) -> (B,o)."""
-    wv, xv = val(w), val(x)
-    out = np.einsum("boi,bi->bo", wv, xv)
-
-    def vjp(g):
-        gw = np.einsum("bo,bi->boi", g, xv)
-        gx = np.einsum("boi,bo->bi", wv, g)
-        return gw, gx
-
-    return _binary(w, x, out, vjp)
-
-
 def sum_all(x):
     """Sum of all entries, as a scalar."""
     out = np.sum(val(x))
@@ -193,6 +183,16 @@ def concat(parts, axis=0):
     return Var(out, var_parents, vjp)
 
 
+class _Part:
+    """A gradient that is zero outside ``index`` of its parent."""
+
+    __slots__ = ("index", "value")
+
+    def __init__(self, index, value):
+        self.index = index
+        self.value = value
+
+
 def narrow(x, axis, start, length):
     """Contiguous slice along one axis."""
     xv = val(x)
@@ -202,12 +202,7 @@ def narrow(x, axis, start, length):
     if not is_var(x):
         return out
 
-    def vjp(g):
-        full = np.zeros_like(xv)
-        full[tuple(sl)] = g
-        return (full,)
-
-    return Var(out, (x,), vjp)
+    return Var(out, (x,), lambda g: (_Part(tuple(sl), g),))
 
 
 def reshape(x, shape):
@@ -253,5 +248,8 @@ def backward(root: Var) -> None:
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
-            parent.grad += g
+            if isinstance(g, _Part):
+                parent.grad[g.index] += g.value
+            else:
+                parent.grad += g
         node.grad = node._vjp = node._parents = None

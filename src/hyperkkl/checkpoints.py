@@ -3,14 +3,15 @@
 A checkpoint stores everything needed to run an observer variant: the
 latent pair, the base encoder/decoder parameters, optional conditioning
 parameters (hypernetwork or injection network), architecture metadata,
-the frozen drift normalization scale, and the training seed range (used
-by the evaluation harness to refuse train/test seed overlap).
+the frozen drift normalization scale, the training seed range (used by
+the evaluation harness to refuse train/test seed overlap) and the time
+step of the training data (files written without it load with dt None).
 
 File layout (little-endian):
 
     magic "HKKP", u16 version (1)
     u32 metadata length, then that many bytes of UTF-8 JSON
-        (sorted keys; architecture, system name, seeds, scale, variant)
+        (sorted keys; architecture, system name, seeds, scale, dt, variant)
     u32 slice count, then per slice:
         u16 name length + UTF-8 name, u8 ndim, ndim * u32 dims, u64 offset
     u64 total f64 count, then the raw little-endian f64 data
@@ -60,6 +61,7 @@ class CheckpointBundle:
     phi: ParamStore
     f_scale: float = 1.0
     train_seed_range: tuple[int, int] | None = None
+    dt: float | None = None     # time step of the training data
     hyper_spec: HyperNetSpec | None = None
     psi: ParamStore | None = None
     injection_spec: InjectionSpec | None = None
@@ -88,6 +90,7 @@ def _meta_for(bundle: CheckpointBundle) -> dict:
         "n_z": maps.n_z,
         "n_y": bundle.obs.n_y,
         "f_scale": bundle.f_scale,
+        "dt": bundle.dt,
         "train_seed_range": list(bundle.train_seed_range)
         if bundle.train_seed_range
         else None,
@@ -240,6 +243,7 @@ def read_checkpoint(path) -> CheckpointBundle:
         theta=take("enc."),
         phi=take("dec."),
         f_scale=meta["f_scale"],
+        dt=meta.get("dt"),
         train_seed_range=tuple(meta["train_seed_range"])
         if meta.get("train_seed_range")
         else None,

@@ -108,6 +108,19 @@ def cmd_gen(args, argv) -> int:
     return 0
 
 
+def _training_dt(datasets, base=None) -> float:
+    """The one time step of the training data, also the base model's."""
+    dts = sorted({ds.dt for ds in datasets})
+    if len(dts) > 1:
+        raise ConfigError(f"training datasets mix time steps {dts}")
+    if base is not None and base.dt is not None and base.dt != dts[0]:
+        raise ConfigError(
+            f"base checkpoint was trained at dt {base.dt!r}, the data has "
+            f"dt {dts[0]!r}"
+        )
+    return dts[0]
+
+
 def _dataset_level(dataset) -> int:
     return max(0 if tr.signal is None else difficulty_level(tr.signal)
                for tr in dataset.trajectories)
@@ -173,6 +186,7 @@ def cmd_train(args, argv) -> int:
     inputs = list(args.data) + ([args.config] if args.config else [])
 
     if args.phase == "1":
+        dt = _training_dt(datasets)
         obs = build_observer_matrices(system.n_x, system.n_y, args.latent_dim)
         maps = make_maps(system.n_x, obs.n_z, hidden=hidden)
         theta, phi = init_map_params(maps, seed)
@@ -183,7 +197,7 @@ def cmd_train(args, argv) -> int:
         bundle = CheckpointBundle(
             variant="autonomous", system_name=system_name, maps=maps, obs=obs,
             theta=result.theta, phi=result.phi, f_scale=result.f_scale,
-            train_seed_range=(seed_lo, seed_hi),
+            train_seed_range=(seed_lo, seed_hi), dt=dt,
         )
         stem = f"{system_name}_phase1"
     elif args.phase == "2":
@@ -193,6 +207,7 @@ def cmd_train(args, argv) -> int:
             raise ConfigError("--phase 2 requires --variant static|dynamic")
         base = read_checkpoint(args.base)
         inputs.append(args.base)
+        dt = _training_dt(datasets, base)
         trajectories = [tr for ds in datasets for tr in ds.trajectories]
         window = int(cfg.resolve("window", args.window,
                                  _get(conf, "hypernet", "window"), h["window"]))
@@ -230,7 +245,7 @@ def cmd_train(args, argv) -> int:
         bundle = CheckpointBundle(
             variant=args.variant, system_name=system_name, maps=base.maps,
             obs=base.obs, theta=base.theta, phi=base.phi, f_scale=base.f_scale,
-            train_seed_range=(lo, hi),
+            train_seed_range=(lo, hi), dt=dt,
             hyper_spec=spec if args.variant == "dynamic" else None,
             psi=result.params if args.variant == "dynamic" else None,
             injection_spec=spec if args.variant == "static" else None,
@@ -242,6 +257,7 @@ def cmd_train(args, argv) -> int:
             raise ConfigError("--phase curriculum requires --base CHECKPOINT")
         base = read_checkpoint(args.base)
         inputs.append(args.base)
+        dt = _training_dt(datasets, base)
         levels = [_dataset_level(ds) for ds in datasets]
         if levels != sorted(levels):
             raise ConfigError(
@@ -269,7 +285,7 @@ def cmd_train(args, argv) -> int:
         bundle = CheckpointBundle(
             variant="curriculum", system_name=system_name, maps=base.maps,
             obs=base.obs, theta=base.theta, phi=result.phi,
-            f_scale=base.f_scale, train_seed_range=(lo, hi),
+            f_scale=base.f_scale, train_seed_range=(lo, hi), dt=dt,
             extra={"level_transitions": result.transitions},
         )
         stem = f"{system_name}_curriculum"
@@ -301,7 +317,7 @@ def cmd_train(args, argv) -> int:
     return 0
 
 
-def _parse_checkpoint_args(pairs) -> dict:
+def _parse_checkpoint_args(pairs, dt: float) -> dict:
     bundles = {}
     for spec in pairs or []:
         if "=" not in spec:
@@ -318,6 +334,11 @@ def _parse_checkpoint_args(pairs) -> dict:
             raise ConfigError(
                 f"checkpoint {path} holds variant {bundle.variant!r}, "
                 f"requested {variant!r}"
+            )
+        if bundle.dt is not None and bundle.dt != dt:
+            raise ConfigError(
+                f"checkpoint {path} was trained at dt {bundle.dt!r}, "
+                f"not at dt {dt!r}"
             )
         bundles[variant] = (bundle, path)
     if not bundles:
@@ -345,7 +366,7 @@ def _eval_common(args, conf):
 def cmd_eval(args, argv) -> int:
     conf = _load_cfg(args)
     system_name, regimes, n_test, seed, ds = _eval_common(args, conf)
-    named = _parse_checkpoint_args(args.checkpoint)
+    named = _parse_checkpoint_args(args.checkpoint, ds["dt"])
     bundles = {v: b for v, (b, _) in named.items()}
     report = benchmark(
         bundles, system_name, regimes=regimes, n_test=n_test, seed=seed,
@@ -372,7 +393,7 @@ def cmd_eval(args, argv) -> int:
 def cmd_plot(args, argv) -> int:
     conf = _load_cfg(args)
     system_name, regimes, _, seed, ds = _eval_common(args, conf)
-    named = _parse_checkpoint_args(args.checkpoint)
+    named = _parse_checkpoint_args(args.checkpoint, ds["dt"])
     system = get_system(system_name)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -24,13 +24,12 @@ from .data import Dataset, generate_dataset, seed_ranges_overlap
 from .dynamics import Trajectory, get_system
 from .errors import ContractViolation, NumericError
 from .hypernet import (
-    delta_store,
     encode_context,
     gate_values,
-    generate_deltas,
+    head_layer_deltas,
     make_step_injection,
 )
-from .kkl import decode, simulate_latent
+from .kkl import DEC, decode, simulate_latent
 from .signals import window_matrix
 
 REGIMES = ("zero", "constant", "sinusoid", "square")
@@ -95,21 +94,18 @@ def run_observer(bundle: CheckpointBundle, trajectory: Trajectory) -> np.ndarray
         xhat = decode(maps, bundle.phi, zs)
     elif bundle.variant == "dynamic":
         zs = simulate_latent(obs, y, trajectory.dt)
-        u = trajectory.inputs
         spec = bundle.hyper_spec
-        windows = window_matrix(u, spec.window)
-        gates = gate_values(windows, spec.tau)[:, 0]
-        live = gates != 0.0
-        xhat = np.empty((len(zs), maps.n_x))
-        if not np.any(live):
-            xhat = decode(maps, bundle.phi, zs)
-        else:
-            _, d_phi = generate_deltas(bundle.psi, spec, windows[live])
-            phi_rows = np.flatnonzero(live)
-            xhat[~live] = decode(maps, bundle.phi, zs[~live])
-            for row, flat in zip(phi_rows, d_phi):
-                eff = bundle.phi + delta_store(spec.dec_head, flat)
-                xhat[row] = decode(maps, eff, zs[row])
+        windows = window_matrix(trajectory.inputs, spec.window)
+        gates = gate_values(windows, spec.tau)
+        live = gates[:, 0] != 0.0
+        xhat = decode(maps, bundle.phi, zs)
+        if np.any(live):
+            # only the decoder head is read, and all live rows in one pass
+            context = encode_context(bundle.psi, spec, windows[live])
+            factors = head_layer_deltas(bundle.psi, spec.dec_head, maps.dec,
+                                        DEC, context, gates[live])
+            xhat[live] = decode(maps, bundle.phi, zs[live],
+                                weight_deltas=factors)
     elif bundle.variant in ("autonomous", "curriculum"):
         zs = simulate_latent(obs, y, trajectory.dt)
         xhat = decode(maps, bundle.phi, zs)
@@ -141,11 +137,13 @@ class EvalReport:
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("system,variant,regime,rmse,smape,n,seed_lo,seed_hi\n")
+            fh.write("system,variant,regime,rmse,smape,rmse_std,n,seed_lo,"
+                     "seed_hi\n")
             for c in self.cells:
                 fh.write(
                     f"{c.system},{c.variant},{c.regime},{c.rmse!r},"
-                    f"{c.smape!r},{c.n},{c.seed_lo},{c.seed_hi}\n"
+                    f"{c.smape!r},{c.rmse_std!r},{c.n},{c.seed_lo},"
+                    f"{c.seed_hi}\n"
                 )
 
 

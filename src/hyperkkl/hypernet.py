@@ -16,9 +16,14 @@ autonomous one, bit for bit — that recovery claim is enforced rather
 than merely trained for.
 
 Each readout head is rank-factorized: a (rank, d_h) matrix V projects
-the LSTM state to rank coordinates, and one (total, rank) matrix U maps
-them onto the flat entry space of the target's weight matrices, in
-layout order. The whole head evaluates as two dense products.
+the LSTM state h to rank coordinates s = g · h Vᵀ, and one (total, rank)
+matrix U maps them onto the flat entry space of the target's weight
+matrices, in layout order. Training and inference keep the factors:
+``head_layer_deltas`` splits U into per-layer row blocks U_l and pairs
+each with s, and the MLP applies W x + Σ_r s_r (U_l,r x) through
+``nets.lowrank_linear``, so no (B, total) delta or (B, o, i) weight is
+formed. ``generate_deltas`` and ``delta_store`` give the dense form of
+the same perturbations.
 """
 
 from __future__ import annotations
@@ -156,36 +161,42 @@ def encode_context(psi, spec: HyperNetSpec, windows):
     return lstm_forward(psi, spec.lstm, w, "hyper.lstm")
 
 
-def head_deltas(psi, head: HeadSpec, context, gates):
-    """Gated (B, total) flat perturbations of one head for (B, d_h) contexts."""
-    v = psi.get(f"{head.name}.V")
-    u = psi.get(f"{head.name}.U")
-    s = ad.matmul(context, transpose2d(v))          # (B, rank)
-    return ad.mul(ad.matmul(s, transpose2d(u)), gates)
-
-
 def generate_deltas(psi, spec: HyperNetSpec, windows):
-    """Gated weight perturbations for both heads.
+    """Gated weight perturbations for both heads, in dense form.
 
-    Returns (d_theta, d_phi) as (B, total) flat entry tensors; rows whose
-    window is identically zero are exactly zero.
+    Returns (d_theta, d_phi) as (B, total) flat entry tensors, each
+    ((h Vᵀ) Uᵀ) · g; rows whose window is identically zero are exactly
+    zero. Training and inference use head_layer_deltas instead, which
+    never forms these tensors.
     """
     context = encode_context(psi, spec, windows)
     g = gate_values(windows, spec.tau)
-    return (head_deltas(psi, spec.enc_head, context, g),
-            head_deltas(psi, spec.dec_head, context, g))
+    out = []
+    for head in (spec.enc_head, spec.dec_head):
+        s = ad.matmul(context, transpose2d(psi.get(f"{head.name}.V")))
+        out.append(ad.mul(ad.matmul(s, transpose2d(psi.get(f"{head.name}.U"))),
+                          g))
+    return tuple(out)
 
 
-def head_layer_deltas(head: HeadSpec, maps_spec: MlpSpec, prefix: str, flat):
-    """Scatter a (B, total) flat delta tensor into per-layer (B, o, i) blocks."""
+def head_layer_deltas(psi, head: HeadSpec, maps_spec: MlpSpec, prefix: str,
+                      context, gates):
+    """One head as per-layer (U_l, s) weight-delta factors for mlp_forward.
+
+    s = g · h Vᵀ is the gated (B, rank) projection of the (B, d_h)
+    contexts, shared by every layer; U_l is the block of the head's U
+    rows that maps onto layer l's weight entries, so sample b's layer-l
+    delta is reshape(U_l s[b], (o, i)). Rows whose gate is 0 get s = 0.
+    """
+    u = psi.get(f"{head.name}.U")
+    s = ad.mul(ad.matmul(context, transpose2d(psi.get(f"{head.name}.V"))),
+               gates)
     out = []
     offset = 0
     for i in range(maps_spec.n_layers):
-        sspec = head.target_layout[f"{prefix}.W{i}"]
-        block = ad.narrow(flat, 1, offset, sspec.size)
-        b = ad.val(flat).shape[0]
-        out.append(ad.reshape(block, (b, *sspec.shape)))
-        offset += sspec.size
+        size = head.target_layout[f"{prefix}.W{i}"].size
+        out.append((ad.narrow(u, 0, offset, size), s))
+        offset += size
     if offset != head.total:
         raise ContractViolation("MLP layers do not match the head's targets")
     return out

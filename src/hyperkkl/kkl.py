@@ -292,27 +292,34 @@ def dynamic_pde_residual_batch(
 ):
     """Dynamic residual over a batch with per-sample window conditioning.
 
-    ``deltas_pre``/``deltas_post`` are per-layer (B, out, in) encoder
-    weight perturbations for the windows ending at t and t + dt; the
-    spatial terms are evaluated at the pre-window parameters. The time
-    derivative is the finite difference of the encoder output between
-    the two conditions, divided by the window step.
+    ``deltas_pre``/``deltas_post`` are per-layer encoder weight-delta
+    factors (see mlp_forward) for the windows ending at t and t + dt;
+    the spatial terms are evaluated at the pre-window parameters. The
+    time derivative is the finite difference of the encoder output
+    between the two conditions, divided by the window step.
+
+    Returns (loss, t_pre): t_pre is the encoder output at the pre-window
+    parameters, which the reconstruction term can reuse.
     """
     x = _state_batch(x_batch)
     t_pre, cols = encode_with_jacobian(maps, theta, x, weight_deltas=deltas_pre)
     t_post = encode(maps, theta, x, weight_deltas=deltas_post)
     fd = ad.mul(ad.sub(t_post, t_pre), 1.0 / dt)
     r = _stationary_residual_vec(obs, system, x, u_now, f_scale, t_pre, cols, fd)
-    return _mean_sq(r, len(x))
+    return _mean_sq(r, len(x)), t_pre
 
 
 def reconstruction_loss(maps, theta, phi, x_batch, enc_deltas=None,
-                        dec_deltas=None):
-    """Mean squared round-trip error |x - decode(encode(x))|^2."""
+                        dec_deltas=None, z=None):
+    """Mean squared round-trip error |x - decode(encode(x))|^2.
+
+    ``z``, when given, is encode(x) at ``enc_deltas`` already computed.
+    """
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2:
         raise ContractViolation("reconstruction expects a (B, n_x) batch")
-    z = encode(maps, theta, x, weight_deltas=enc_deltas)
+    if z is None:
+        z = encode(maps, theta, x, weight_deltas=enc_deltas)
     xhat = decode(maps, phi, z, weight_deltas=dec_deltas)
     r = ad.sub(x, xhat)
     return _mean_sq(r, len(x))

@@ -11,6 +11,11 @@ from directional-derivative passes built out of the same tape primitives,
 so the Jacobian is itself differentiable with respect to the parameters
 (needed by the physics residuals, n_x <= 3 columns for the shipped
 systems).
+
+Per-sample weights come as rank factors: layer l of sample b uses
+W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
+and s (B, r) per sample. ``lowrank_linear`` applies that as two GEMMs
+with a hand-written backward, so no (B, n_out, n_in) weight is formed.
 """
 
 from __future__ import annotations
@@ -103,13 +108,6 @@ def _act(spec: MlpSpec, pre):
     return ad.tanh(pre) if spec.activation == "tanh" else pre
 
 
-def _layer_weight(params, prefix, i, deltas):
-    w = params.get(f"{prefix}.W{i}")
-    if deltas is not None and deltas[i] is not None:
-        w = ad.add(w, deltas[i])  # (o,i) + (B,o,i) broadcasts per sample
-    return w
-
-
 def transpose2d(x):
     xv = ad.val(x)
     out = xv.T
@@ -122,11 +120,69 @@ def _maybe_t(w):
     return transpose2d(w) if ad.is_var(w) else w.T
 
 
+def lowrank_linear(x, w, u, s):
+    """x Wᵀ with sample b's weight W + reshape(u s[b], (o, i)), unformed.
+
+    x is (B, i), W (o, i), u (o·i, r) the readout rows that map onto W's
+    entries in C order, and s (B, r) the per-sample coordinates. Computed
+    as two GEMMs, x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r)
+    and u_r the (o, i·r) view of u; no (B, o, i) weight exists. One tape
+    node: its backward rebuilds P from x and s instead of keeping it, and
+    on plain inputs nothing is kept.
+    """
+    xv, wv, uv, sv = (ad.val(a) for a in (x, w, u, s))
+    batch, n_in = xv.shape
+    n_out, rank = wv.shape[0], sv.shape[1]
+    if uv.shape != (n_out * n_in, rank) or sv.shape[0] != batch:
+        raise ContractViolation(
+            f"low-rank factors {uv.shape} and {sv.shape} do not fit a "
+            f"({n_out}, {n_in}) weight on {batch} samples"
+        )
+    u_r = uv.reshape(n_out, n_in * rank)
+
+    def outer(a):
+        return (a[:, :, None] * sv[:, None, :]).reshape(batch, n_in * rank)
+
+    out = xv @ wv.T + outer(xv) @ u_r.T
+    inputs = (x, w, u, s)
+    if not any(ad.is_var(a) for a in inputs):
+        return out
+
+    def vjp(g):
+        grads = []
+        if ad.is_var(x) or ad.is_var(s):
+            gp = (g @ u_r).reshape(batch, n_in, rank)
+        if ad.is_var(x):
+            grads.append(g @ wv + np.einsum("bir,br->bi", gp, sv))
+        if ad.is_var(w):
+            grads.append(g.T @ xv)
+        if ad.is_var(u):
+            grads.append((g.T @ outer(xv)).reshape(uv.shape))
+        if ad.is_var(s):
+            grads.append(np.einsum("bir,bi->br", gp, xv))
+        return tuple(grads)
+
+    return ad.Var(out, tuple(a for a in inputs if ad.is_var(a)), vjp)
+
+
+def _layer_map(params, prefix, i, weight_deltas):
+    """v -> v Wᵀ of layer i, per-sample low-rank when it has factors."""
+    w = params.get(f"{prefix}.W{i}")
+    factors = None if weight_deltas is None else weight_deltas[i]
+    if factors is None:
+        wt = _maybe_t(w)
+        return lambda v: ad.matmul(v, wt)
+    u, s = factors
+    return lambda v: lowrank_linear(v, w, u, s)
+
+
 def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
     """Forward pass; x is (B, n_in) or (n_in,).
 
-    ``weight_deltas`` is an optional per-layer list of (B, n_out, n_in)
-    per-sample weight perturbations (biases stay shared).
+    ``weight_deltas`` is an optional per-layer list of ``(U_l, s)``
+    factors or None: layer l of sample b then uses the weight
+    W_l + reshape(U_l s[b], (n_out, n_in)), applied by lowrank_linear
+    without forming it (biases stay shared).
     """
     xv = ad.val(x)
     single = xv.ndim == 1
@@ -136,12 +192,8 @@ def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
             f"MLP expects input width {spec.widths[0]}, got {ad.val(a).shape[-1]}"
         )
     for i in range(spec.n_layers):
-        w = _layer_weight(params, prefix, i, weight_deltas)
-        b = params.get(f"{prefix}.b{i}")
-        if ad.val(w).ndim == 3:
-            pre = ad.add(ad.bmatvec(w, a), b)
-        else:
-            pre = ad.add(ad.matmul(a, _maybe_t(w)), b)
+        linear = _layer_map(params, prefix, i, weight_deltas)
+        pre = ad.add(linear(a), params.get(f"{prefix}.b{i}"))
         a = _act(spec, pre) if i < spec.n_layers - 1 else pre
     if single:
         a = ad.reshape(a, (spec.widths[-1],))
@@ -154,7 +206,9 @@ def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str,
 
     Returns (out, cols) with out (B, n_out) and cols a list of n_in
     tensors of shape (B, n_out); cols[j][s] = d out[s] / d x[s, j]. Both
-    stay differentiable w.r.t. the parameters.
+    stay differentiable w.r.t. the parameters. ``weight_deltas`` is as in
+    mlp_forward: the columns go through each layer's weights with the
+    same per-sample factors.
     """
     xv = ad.val(x)
     if xv.ndim != 2:
@@ -172,16 +226,9 @@ def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str,
         seed[:, j] = 1.0
         cols.append(seed)
     for i in range(spec.n_layers):
-        w = _layer_weight(params, prefix, i, weight_deltas)
-        b = params.get(f"{prefix}.b{i}")
-        batched = ad.val(w).ndim == 3
-        if batched:
-            pre = ad.add(ad.bmatvec(w, a), b)
-            cols = [ad.bmatvec(w, c) for c in cols]
-        else:
-            wt = _maybe_t(w)
-            pre = ad.add(ad.matmul(a, wt), b)
-            cols = [ad.matmul(c, wt) for c in cols]
+        linear = _layer_map(params, prefix, i, weight_deltas)
+        pre = ad.add(linear(a), params.get(f"{prefix}.b{i}"))
+        cols = [linear(c) for c in cols]
         if i < spec.n_layers - 1 and spec.activation == "tanh":
             a = ad.tanh(pre)
             dact = ad.sub(1.0, ad.mul(a, a))

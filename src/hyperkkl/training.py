@@ -31,13 +31,14 @@ from .hypernet import (
     encode_context,
     gate_values,
     generate_deltas,
-    head_deltas,
     head_layer_deltas,
     init_hypernet_params,
     init_injection_params,
     make_step_injection,
 )
 from .kkl import (
+    DEC,
+    ENC,
     KklMaps,
     ObserverMatrices,
     autonomous_pde_residual,
@@ -193,33 +194,40 @@ def total_loss(
     dt: float | None = None,
     f_scale: float | None = None,
 ):
-    """Reconstruction plus weighted physics residual; returns (total, rec, pde)."""
+    """Reconstruction plus weighted physics residual; returns (total, rec, pde).
+
+    In dynamic mode the reconstruction decodes the encoder output of the
+    residual's Jacobian pass, so x is encoded once at the pre-window
+    parameters.
+    """
     if mode not in ("autonomous", "dynamic"):
         raise ContractViolation(f"unknown loss mode {mode!r}")
+    pde = z = None
+    if lam != 0.0:
+        try:
+            if mode == "autonomous":
+                pde = autonomous_pde_residual(
+                    maps, theta, obs, system, x_batch, u_batch=u_now,
+                    f_scale=f_scale, weight_deltas=enc_deltas_pre,
+                )
+            else:
+                if dt is None:
+                    raise ContractViolation("dynamic mode needs dt")
+                pde, z = dynamic_pde_residual_batch(
+                    maps, theta, obs, system, x_batch, u_now,
+                    enc_deltas_pre, enc_deltas_post, dt, f_scale=f_scale,
+                )
+        except NumericError as e:
+            raise NumericError(f"physics component: {e}") from e
     try:
         rec = reconstruction_loss(
             maps, theta, phi, x_batch,
-            enc_deltas=enc_deltas_pre, dec_deltas=dec_deltas,
+            enc_deltas=enc_deltas_pre, dec_deltas=dec_deltas, z=z,
         )
     except NumericError as e:
         raise NumericError(f"reconstruction component: {e}") from e
     if lam == 0.0:
         return rec, rec, 0.0
-    try:
-        if mode == "autonomous":
-            pde = autonomous_pde_residual(
-                maps, theta, obs, system, x_batch, u_batch=u_now,
-                f_scale=f_scale, weight_deltas=enc_deltas_pre,
-            )
-        else:
-            if dt is None:
-                raise ContractViolation("dynamic mode needs dt")
-            pde = dynamic_pde_residual_batch(
-                maps, theta, obs, system, x_batch, u_now,
-                enc_deltas_pre, enc_deltas_post, dt, f_scale=f_scale,
-            )
-    except NumericError as e:
-        raise NumericError(f"physics component: {e}") from e
     return ad.add(rec, ad.mul(pde, lam)), rec, pde
 
 
@@ -425,19 +433,13 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
             context = encode_context(pv, spec, windows)
             gates = gate_values(windows, spec.tau)
             pre, post = ad.narrow(context, 0, 0, b), ad.narrow(context, 0, b, b)
-            enc_pre = head_layer_deltas(
-                spec.enc_head, maps.enc, "enc",
-                head_deltas(pv, spec.enc_head, pre, gates[:b]),
-            )
-            enc_post = head_layer_deltas(
-                spec.enc_head, maps.enc, "enc",
-                head_deltas(pv, spec.enc_head, post, gates[b:]),
-            )
+            enc_pre = head_layer_deltas(pv, spec.enc_head, maps.enc, ENC,
+                                        pre, gates[:b])
+            enc_post = head_layer_deltas(pv, spec.enc_head, maps.enc, ENC,
+                                         post, gates[b:])
             # the decoder head reads only the pre-windows
-            dec_pre = head_layer_deltas(
-                spec.dec_head, maps.dec, "dec",
-                head_deltas(pv, spec.dec_head, pre, gates[:b]),
-            )
+            dec_pre = head_layer_deltas(pv, spec.dec_head, maps.dec, DEC,
+                                        pre, gates[:b])
             loss, rec, pde = total_loss(
                 maps, theta_base, phi_base, obs, system, x, config.lam,
                 mode="dynamic", u_now=u_now, enc_deltas_pre=enc_pre,

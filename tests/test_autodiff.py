@@ -65,16 +65,6 @@ class TestMatmul:
         check(lambda v: ad.sum_all(ad.matmul(v, b)), a)
         check(lambda v: ad.sum_all(ad.matmul(a, v)), b)
 
-    def test_bmatvec(self, rng):
-        w = rng.normal(size=(5, 3, 2))
-        x = rng.normal(size=(5, 2))
-        out = ad.bmatvec(w, x)
-        assert out.shape == (5, 3)
-        for i in range(5):
-            assert np.allclose(out[i], w[i] @ x[i])
-        check(lambda v: ad.sum_all(ad.mul(ad.bmatvec(v, x), ad.bmatvec(v, x))), w)
-        check(lambda v: ad.sum_all(ad.mul(ad.bmatvec(w, v), ad.bmatvec(w, v))), x)
-
 
 class TestStructural:
     def test_concat_narrow_reshape(self, rng):
@@ -87,6 +77,16 @@ class TestStructural:
             return ad.sum_all(ad.mul(flat, flat))
 
         check(fn, a)
+
+    def test_narrows_add_into_their_slices_only(self, rng):
+        # overlapping blocks of one leaf, plus a direct use of the leaf
+        x = rng.normal(size=(5, 3))
+        g = tape_grad(lambda v: ad.add(
+            ad.add(ad.sum_all(ad.mul(ad.narrow(v, 0, 0, 3), 2.0)),
+                   ad.sum_all(ad.mul(ad.narrow(v, 0, 2, 2), 3.0))),
+            ad.sum_all(v)), x)
+        assert np.array_equal(g, [[3.0] * 3] * 2 + [[6.0] * 3] + [[4.0] * 3]
+                              + [[1.0] * 3])
 
     def test_shared_subexpression_accumulates(self, rng):
         x = rng.normal(size=4)

@@ -274,6 +274,26 @@ class TestTrainConditioned:
         assert "(0.05, 40)" in err and "(0.05, 60)" in err
         assert not out.exists()
 
+    def test_phase2_refuses_data_at_another_dt(self, trained, tmp_path,
+                                               capsys):
+        finer = tmp_path / "finer"
+        assert run(
+            "gen", "--system", "duffing", "--regime", "sinusoid", "--n", "2",
+            "--seed", "41", "--horizon", "2.0", "--dt", "0.025",
+            "--out", str(finer),
+        ) == 0
+        capsys.readouterr()
+        code = run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            "dynamic", "--base", str(trained["base"]), "--data",
+            str(finer / "duffing_sinusoid_n2_s41.hkkl"), "--epochs", "1",
+            "--batch", "8", "--window", "6",
+            "--out", str(trained["root"] / "finer_out"),
+        )
+        assert code == 2
+        assert ("base checkpoint was trained at dt 0.05, the data has dt 0.025"
+                in capsys.readouterr().err)
+
     def test_curriculum_orders_levels(self, trained, tmp_path):
         levels_dir = tmp_path / "levels"
         assert run(
@@ -315,7 +335,8 @@ class TestEvalPlotReport:
         )
         assert code == 0
         csv = (out / "duffing_report.csv").read_text().splitlines()
-        assert csv[0] == "system,variant,regime,rmse,smape,n,seed_lo,seed_hi"
+        assert csv[0] == ("system,variant,regime,rmse,smape,rmse_std,n,"
+                          "seed_lo,seed_hi")
         assert len(csv) == 3
         assert csv[1].startswith("duffing,autonomous,zero,")
 
@@ -345,6 +366,22 @@ class TestEvalPlotReport:
             "--seed", "2", "--horizon", "2.0", "--out", str(out),
         )
         assert code == 2
+
+    def test_eval_refuses_another_dt(self, trained, capsys):
+        assert read_checkpoint(trained["base"]).dt == 0.05
+        out = trained["root"] / "dt"
+        capsys.readouterr()
+        code = run(
+            "eval", "--system", "duffing", "--checkpoint",
+            f"autonomous={trained['base']}", "--regimes", "zero", "--n", "1",
+            "--seed", "9000", "--horizon", "2.0", "--dt", "0.01",
+            "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ")
+        assert "trained at dt 0.05, not at dt 0.01" in err
+        assert not out.exists()
 
     def test_eval_needs_checkpoints(self, trained):
         assert run("eval", "--system", "duffing") == 2

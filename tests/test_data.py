@@ -27,12 +27,21 @@ from hyperkkl.evaluation import run_observer
 from hyperkkl.hypernet import (
     build_hypernet_spec,
     build_injection_spec,
+    delta_store,
+    gate_values,
+    generate_deltas,
     hypernet_layout,
     init_hypernet_params,
     init_injection_params,
 )
-from hyperkkl.kkl import build_observer_matrices, init_map_params, make_maps
-from hyperkkl.signals import sample_signal
+from hyperkkl.kkl import (
+    build_observer_matrices,
+    decode,
+    init_map_params,
+    make_maps,
+    simulate_latent,
+)
+from hyperkkl.signals import sample_signal, window_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -143,7 +152,8 @@ class TestCheckpointFormat:
             kw = {"injection_spec": spec, "xi": xi}
         return CheckpointBundle(
             variant=variant, system_name="duffing", maps=maps, obs=obs,
-            theta=theta, phi=phi, f_scale=2.5, train_seed_range=(1, 100), **kw,
+            theta=theta, phi=phi, f_scale=2.5, train_seed_range=(1, 100),
+            dt=0.05, **kw,
         )
 
     @pytest.mark.parametrize("variant", ["autonomous", "dynamic", "static"])
@@ -156,6 +166,7 @@ class TestCheckpointFormat:
         assert back.system_name == "duffing"
         assert back.f_scale == 2.5
         assert back.train_seed_range == (1, 100)
+        assert back.dt == 0.05
         assert np.array_equal(back.theta.data, bundle.theta.data)
         assert np.array_equal(back.phi.data, bundle.phi.data)
         assert np.array_equal(back.obs.A, bundle.obs.A)
@@ -187,6 +198,7 @@ class TestCheckpointFormat:
         # as 7-row slices hyper.*_head.U0000, U0001, ... (tiny maps, rank
         # 2), with the run_observer estimate it gave on one trajectory.
         bundle = read_checkpoint(DATA / "dynamic_rank2_chunk7.hkkp")
+        assert bundle.dt is None  # written before checkpoints recorded dt
         spec = bundle.hyper_spec
         assert bundle.psi.layout == hypernet_layout(spec)
         assert bundle.psi.get("hyper.dec_head.U").shape == (
@@ -200,7 +212,21 @@ class TestCheckpointFormat:
             states=np.zeros((n, 2)), inputs=u, outputs=y, x0=np.zeros(2),
             noise_sigma=0.0, seed=0,
         )
-        assert np.array_equal(run_observer(bundle, tr), xhat)
+        # the stored estimate is the dense decode, row by row through a
+        # delta ParamStore, and reproduces bitwise
+        zs = simulate_latent(bundle.obs, y, float(dt))
+        windows = window_matrix(u, spec.window)
+        live = gate_values(windows, spec.tau)[:, 0] != 0.0
+        _, d_phi = generate_deltas(bundle.psi, spec, windows[live])
+        dense = decode(bundle.maps, bundle.phi, zs)
+        for row, flat in zip(np.flatnonzero(live), d_phi):
+            eff = bundle.phi + delta_store(spec.dec_head, flat)
+            dense[row] = decode(bundle.maps, eff, zs[row])
+        assert np.array_equal(dense, xhat)
+        # run_observer applies the same deltas as rank factors
+        est = run_observer(bundle, tr)
+        assert np.array_equal(est[~live], xhat[~live])
+        assert np.max(np.abs(est - xhat)) <= 1e-12 * np.max(np.abs(xhat))
 
     def test_hypernet_value_count_must_match_spec(self, tmp_path):
         path = tmp_path / "ck.hkkp"

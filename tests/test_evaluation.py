@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -199,6 +200,19 @@ class TestBenchmark:
         a.to_csv(p1)
         b.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_csv_carries_the_rmse_spread(self, tmp_path):
+        bundles = duffing_bundles(["autonomous"])
+        report = benchmark(bundles, "duffing", regimes=("sinusoid",),
+                           n_test=3, seed=800, horizon=2.0)
+        path = tmp_path / "r.csv"
+        report.to_csv(path)
+        with open(path, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        cell = report.cells[0]
+        assert cell.rmse_std > 0.0
+        assert float(row["rmse_std"]) == cell.rmse_std
+        assert float(row["rmse"]) == cell.rmse
 
     def test_missing_checkpoint_listed(self):
         with pytest.raises(ContractViolation) as exc:

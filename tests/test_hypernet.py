@@ -52,15 +52,28 @@ class TestHeadSpec:
             assert psi.get(f"{head.name}.U").shape == (head.total, head.rank)
 
     def test_scatter_matches_delta_store(self):
+        # layer l's (U_l, s) factor gives the enc.W{l} slice that
+        # delta_store cuts from the flat row U s[b]
         maps, spec, psi = small_hyper()
         rng = np.random.default_rng(0)
-        flat = rng.normal(size=(1, spec.enc_head.total))
-        layers = head_layer_deltas(spec.enc_head, maps.enc, "enc", flat)
-        store = delta_store(spec.enc_head, flat[0])
-        for i, block in enumerate(layers):
-            assert np.array_equal(ad.val(block)[0], store.get(f"enc.W{i}"))
-        for i in range(maps.enc.n_layers):
-            assert np.all(store.get(f"enc.b{i}") == 0.0)
+        psi.data[:] = rng.normal(size=psi.data.shape)
+        win = rng.normal(size=(2, spec.window, 1))
+        ctx = encode_context(psi, spec, win)
+        g = gate_values(win, spec.tau)
+        factors = head_layer_deltas(psi, spec.enc_head, maps.enc, "enc", ctx, g)
+        assert len(factors) == maps.enc.n_layers
+        s = factors[0][1]
+        assert np.array_equal(s, (ctx @ psi.get("hyper.enc_head.V").T) * g)
+        u = psi.get("hyper.enc_head.U")
+        for b in range(2):
+            store = delta_store(spec.enc_head, u @ s[b])
+            for i, (u_l, s_l) in enumerate(factors):
+                assert s_l is s
+                w = store.get(f"enc.W{i}")
+                assert np.allclose((u_l @ s[b]).reshape(w.shape), w,
+                                   rtol=0.0, atol=1e-14)
+            for i in range(maps.enc.n_layers):
+                assert np.all(store.get(f"enc.b{i}") == 0.0)
 
 
 class TestGate:

@@ -57,11 +57,12 @@ from conftest import (
 )
 
 
-def random_weight_deltas(maps, batch, seed):
-    """Per-sample (B, out, in) encoder weight deltas."""
+def random_weight_deltas(maps, batch, seed, rank=2):
+    """Per-layer (U_l, s) encoder weight-delta factors."""
     rng = np.random.default_rng(seed)
     w = maps.enc.widths
-    return [rng.normal(size=(batch, w[i + 1], w[i])) * 0.1
+    s = rng.normal(size=(batch, rank)) * 0.1
+    return [(rng.normal(size=(w[i + 1] * w[i], rank)), s)
             for i in range(maps.enc.n_layers)]
 
 
@@ -253,7 +254,7 @@ class TestResiduals:
         x = np.array([[0.4, -0.2]])
         # equal windows before and after the step give equal deltas
         deltas = random_weight_deltas(maps, 1, seed=60)
-        dyn = dynamic_pde_residual_batch(
+        dyn, _ = dynamic_pde_residual_batch(
             maps, theta, obs, sys, x, np.zeros((1, 1)), deltas, deltas,
             dt=0.05,
         )
@@ -270,12 +271,28 @@ class TestResiduals:
         u = np.array([[0.6]])
         # a constant input's windows agree, and so do their deltas
         deltas = random_weight_deltas(maps, 1, seed=70)
-        dyn = dynamic_pde_residual_batch(
+        dyn, _ = dynamic_pde_residual_batch(
             maps, theta, obs, sys, x, u, deltas, deltas, dt=0.05,
         )
         forced = autonomous_pde_residual(maps, theta, obs, sys, x, u_batch=u,
                                          weight_deltas=deltas)
         assert float(ad.val(dyn)) == float(ad.val(forced))
+
+    def test_dynamic_residual_returns_the_pre_window_encoding(self):
+        # the loss decodes this output instead of encoding x a second time
+        sys = duffing()
+        obs = build_observer_matrices(2, 1)
+        maps = make_maps(2, 5, hidden=(6,))
+        theta, phi = init_map_params(maps, seed=8)
+        x = np.random.default_rng(80).uniform(-1, 1, size=(4, 2))
+        pre = random_weight_deltas(maps, 4, seed=81)
+        post = random_weight_deltas(maps, 4, seed=82)
+        _, t_pre = dynamic_pde_residual_batch(
+            maps, theta, obs, sys, x, np.zeros((4, 1)), pre, post, dt=0.05,
+        )
+        assert np.array_equal(t_pre, encode(maps, theta, x, weight_deltas=pre))
+        assert (reconstruction_loss(maps, theta, phi, x, z=t_pre)
+                == reconstruction_loss(maps, theta, phi, x, enc_deltas=pre))
 
     def test_finite_difference_matches_linear_parameter_drift(self):
         # theta(t) = theta0 + t*d: the window finite difference must match

@@ -13,6 +13,7 @@ from hyperkkl.nets import (
     init_lstm,
     init_mlp,
     lstm_forward,
+    lowrank_linear,
     lstm_layout_entries,
     mlp_forward,
     mlp_forward_with_jacobian,
@@ -110,14 +111,36 @@ class TestMlp:
         spec, store = fresh_mlp([2, 4, 3], seed=6)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 2))
-        deltas = [rng.normal(size=(3, 4, 2)) * 0.1, rng.normal(size=(3, 3, 4)) * 0.1]
+        s = rng.normal(size=(3, 2)) * 0.3
+        deltas = [(rng.normal(size=(8, 2)), s), (rng.normal(size=(12, 2)), s)]
         out = mlp_forward(store, spec, x, "net", weight_deltas=deltas)
         for i in range(3):
             shifted = store.copy()
-            shifted.set("net.W0", store.get("net.W0") + deltas[0][i])
-            shifted.set("net.W1", store.get("net.W1") + deltas[1][i])
+            for layer, (u, _) in enumerate(deltas):
+                w = store.get(f"net.W{layer}")
+                shifted.set(f"net.W{layer}", w + (u @ s[i]).reshape(w.shape))
             single = mlp_forward(shifted, spec, x[i], "net")
             assert np.allclose(out[i], single, atol=1e-13)
+
+    def test_jacobian_columns_take_the_same_deltas(self):
+        spec, store = fresh_mlp([3, 7, 4], seed=8)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, 3))
+        s = rng.normal(size=(5, 2)) * 0.3
+        deltas = [(rng.normal(size=(21, 2)), s), (rng.normal(size=(28, 2)), s)]
+        out, cols = mlp_forward_with_jacobian(store, spec, x, "net",
+                                              weight_deltas=deltas)
+        assert np.array_equal(
+            out, mlp_forward(store, spec, x, "net", weight_deltas=deltas))
+        h = 1e-6
+        for j in range(3):
+            xp, xm = x.copy(), x.copy()
+            xp[:, j] += h
+            xm[:, j] -= h
+            fd = (mlp_forward(store, spec, xp, "net", weight_deltas=deltas)
+                  - mlp_forward(store, spec, xm, "net", weight_deltas=deltas)
+                  ) / (2 * h)
+            assert np.allclose(cols[j], fd, atol=1e-8)
 
     def test_width_contracts(self):
         with pytest.raises(ContractViolation):
@@ -125,6 +148,85 @@ class TestMlp:
         spec, store = fresh_mlp([2, 3, 2])
         with pytest.raises(ContractViolation):
             mlp_forward(store, spec, np.zeros(3), "net")
+
+
+def oracle_bmatvec(w, x):
+    """(B, o, i) x (B, i) -> (B, o): the per-sample product of the dense form."""
+    wv, xv = ad.val(w), ad.val(x)
+
+    def vjp(g):
+        return np.einsum("bo,bi->boi", g, xv), np.einsum("boi,bo->bi", wv, g)
+
+    return ad._binary(w, x, np.einsum("boi,bi->bo", wv, xv), vjp)
+
+
+def dense_lowrank_linear(x, w, u, s):
+    """x_b (W + reshape(s_b uᵀ)): every sample's weight formed in full."""
+    batch, (n_out, n_in) = ad.val(x).shape[0], ad.val(w).shape
+    delta = ad.reshape(ad.matmul(s, transpose2d(u)), (batch, n_out, n_in))
+    return oracle_bmatvec(ad.add(w, delta), x)
+
+
+def lowrank_inputs(rng, batch=4, n_in=3, n_out=5, rank=2):
+    return {"x": rng.normal(size=(batch, n_in)),
+            "w": rng.normal(size=(n_out, n_in)),
+            "u": rng.normal(size=(n_out * n_in, rank)),
+            "s": rng.normal(size=(batch, rank))}
+
+
+class TestLowRankLinear:
+    NAMES = ("x", "w", "u", "s")
+
+    def test_gradients_of_all_four_inputs(self):
+        vals = lowrank_inputs(np.random.default_rng(20))
+        store = ParamStore(Layout([(n, vals[n].shape) for n in self.NAMES]))
+        for n in self.NAMES:
+            store.set(n, vals[n])
+        weights = np.random.default_rng(21).normal(size=(4, 5))
+
+        def loss(p):
+            out = lowrank_linear(*(p.get(n) for n in self.NAMES))
+            return ad.sum_all(ad.mul(ad.tanh(out), weights))
+
+        assert grad_check(loss, store, eps=1e-6) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 2), (7, 6, 6, 4), (1, 2, 3, 1)])
+    def test_matches_dense_per_sample_weights(self, shape):
+        batch, n_in, n_out, rank = shape
+        rng = np.random.default_rng(22)
+        vals = lowrank_inputs(rng, batch, n_in, n_out, rank)
+        weights = rng.normal(size=(batch, n_out))
+        results = []
+        for fn in (lowrank_linear, dense_lowrank_linear):
+            leaves = [ad.Var(vals[n]) for n in self.NAMES]
+            out = fn(*leaves)
+            ad.backward(ad.sum_all(ad.mul(out, weights)))
+            results.append([out.value] + [v.grad for v in leaves])
+        for fused, dense in zip(*results):
+            assert np.max(np.abs(fused - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_plain_inputs_record_nothing(self):
+        vals = lowrank_inputs(np.random.default_rng(23))
+        out = lowrank_linear(*(vals[n] for n in self.NAMES))
+        assert isinstance(out, np.ndarray) and out.shape == (4, 5)
+
+    def test_zero_coordinates_give_the_plain_rows_bitwise(self):
+        spec, store = fresh_mlp([3, 6, 6, 2], seed=24)
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(5, 3))
+        s = rng.normal(size=(5, 2))
+        s[[0, 3]] = 0.0
+        deltas = [(rng.normal(size=(18, 2)), s), (rng.normal(size=(36, 2)), s),
+                  (rng.normal(size=(12, 2)), s)]
+        plain = mlp_forward(store, spec, x, "net")
+        out = mlp_forward(store, spec, x, "net", weight_deltas=deltas)
+        assert np.array_equal(out[[0, 3]], plain[[0, 3]])
+        assert not np.array_equal(out[1], plain[1])
+
+    def test_factor_shapes_are_checked(self):
+        vals = lowrank_inputs(np.random.default_rng(25))
+        with pytest.raises(ContractViolation, match="low-rank factors"):
+            lowrank_linear(vals["x"], vals["w"], vals["u"][:-1], vals["s"])
 
 
 def oracle_lstm(wx, wh, b, seq):
