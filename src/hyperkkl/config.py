@@ -1,12 +1,21 @@
-"""Key-value run configuration.
+"""Run settings: one table declares every setting a command reads.
+
+Each row of SETTINGS gives a setting's name, the commands that read it,
+its type, its default, and its config-file key ([section] key) and
+command-line flag where it has them. The CLI adds each command's setting
+flags, with their help lines, from the table; ``settings`` resolves a
+command's rows in one pass into {name: value}, which the command reads
+and the run manifest records. A row is named after its config key, except
+[system] name, which is ``system``.
 
 Config files are INI-style with the sections [system], [data], [train],
 [curriculum], and [hypernet]; values are parsed as bool/int/float/str or
-comma-separated integer lists (for layer widths). A key its section
-does not know is an error, so a misspelt setting cannot silently fall
-back to its default. A value present both in the config file and as an
-explicit command-line flag must agree — silent precedence is a
-reproducibility hazard, so conflicts are errors.
+comma-separated lists, then checked against their row's type. A key no
+row declares is an error, so a misspelt setting cannot silently fall back
+to its default, and so is a value of the wrong type (a word for a number,
+2.7 or 3.0 for an integer, 1 for a boolean). A value present both in the
+config file and as an explicit command-line flag must agree — silent
+precedence is a reproducibility hazard, so conflicts are errors.
 
 Per-system architecture defaults follow the benchmark split: 150-unit
 3-layer maps with rank-32 heads for the planar oscillators, 350-unit
@@ -17,10 +26,12 @@ from __future__ import annotations
 
 import configparser
 from pathlib import Path
+from typing import Callable, NamedTuple
 
+from .dynamics import SYSTEM_NAMES
 from .errors import ConfigError
-
-SECTIONS = ("system", "data", "train", "curriculum", "hypernet")
+from .evaluation import REGIMES, TRANSIENT_FRACTION
+from .signals import KINDS
 
 OSCILLATORS = ("duffing", "vanderpol")
 CHAOTIC = ("rossler", "lorenz")
@@ -32,60 +43,121 @@ def system_defaults(name: str) -> dict:
     return {"hidden": [150, 150, 150], "rank": 32}
 
 
-DEFAULTS = {
-    "data": {
-        "dt": 0.05,
-        "horizon": 50.0,
-        "sigma": 0.01,
-        "n_train": 100,
-        "n_test": 20,
-        "regime": "zero",
-        "seed": 1,
-        "test_seed": 10_000,
-    },
-    "train": {
-        "epochs": 2000,
-        "batch": 256,
-        "lr": 1e-3,
-        "lambda": 0.1,
-        "clip": 1.0,
-        "collocation": 256,
-        "normalize": True,
-        "seed": 7,
-        "segment_steps": 120,
-        "segment_discard": 40,
-        "segment_batch": 2,
-    },
-    "curriculum": {
-        "epsilon": 0.01,
-        "patience": 10,
-        "level_epochs": 500,
-    },
-    "hypernet": {
-        "window": 100,
-        "lstm_hidden": 64,
-        "tau": 0.01,
-        "inj_hidden": 64,
-    },
-}
+# Types: each takes a parsed value and returns it as the setting holds
+# it, or raises ValueError naming what it expected.
+def integer(v):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError("an integer")
+    return v
 
 
-# Keys a config file may set that have no entry in DEFAULTS: the system
-# name, and the widths and rank whose defaults depend on the system.
-SYSTEM_DEPENDENT_KEYS = {
-    "system": ("name",),
-    "train": ("hidden",),
-    "hypernet": ("rank",),
-}
+def real(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError("a number")
+    return float(v)
 
 
-def _known_keys(section: str) -> set:
-    return set(DEFAULTS.get(section, ())) | set(
-        SYSTEM_DEPENDENT_KEYS.get(section, ())
-    )
+def boolean(v):
+    if not isinstance(v, bool):
+        raise ValueError("true or false")
+    return v
 
 
-def _parse_value(raw: str):
+def int_list(v):
+    items = v if isinstance(v, list) else [v]
+    if not items or not all(isinstance(x, int) and not isinstance(x, bool)
+                            for x in items):
+        raise ValueError("comma-separated integers")
+    return items
+
+
+class Choice(NamedTuple):
+    """One of ``options``, or with ``many`` a comma list of them."""
+
+    options: tuple
+    many: bool = False
+
+    def __call__(self, v):
+        items = v if isinstance(v, list) and self.many else [v]
+        if not items or not all(isinstance(x, str) and x in self.options
+                                for x in items):
+            raise ValueError(("a comma list of " if self.many else "one of ")
+                             + ", ".join(self.options))
+        return items if self.many else v
+
+
+REQUIRED = object()  # default of a setting the command cannot run without
+BY_SYSTEM = object()  # default taken from system_defaults
+
+
+class Setting(NamedTuple):
+    name: str
+    commands: tuple
+    kind: Callable
+    default: object
+    key: tuple | None = None   # (section, key) in a config file
+    flag: str | None = None
+    help: str = ""
+
+
+SIMULATE = ("gen", "eval", "plot")
+
+SETTINGS = (
+    Setting("system", ("gen", "train", "eval", "plot"), Choice(SYSTEM_NAMES),
+            REQUIRED, ("system", "name"), "--system"),
+    Setting("regime", ("gen",), Choice(KINDS), "zero", ("data", "regime"),
+            "--regime"),
+    Setting("n_train", ("gen",), integer, 100, ("data", "n_train"), "--n"),
+    Setting("seed", ("gen",), integer, 1, ("data", "seed"), "--seed"),
+    Setting("n_test", ("eval",), integer, 20, ("data", "n_test"), "--n"),
+    Setting("test_seed", ("eval", "plot"), integer, 10_000,
+            ("data", "test_seed"), "--seed"),
+    Setting("dt", SIMULATE, real, 0.05, ("data", "dt"), "--dt"),
+    Setting("horizon", SIMULATE, real, 50.0, ("data", "horizon"), "--horizon"),
+    Setting("sigma", SIMULATE, real, 0.01, ("data", "sigma"), "--sigma"),
+    Setting("regimes", ("eval", "plot"), Choice(KINDS, many=True),
+            list(REGIMES), flag="--regimes", help="comma list"),
+    Setting("transient", ("eval",), real, TRANSIENT_FRACTION,
+            flag="--transient", help="fraction of each run not scored"),
+    Setting("seed", ("train",), integer, 7, ("train", "seed"), "--seed"),
+    Setting("epochs", ("train",), integer, 2000, ("train", "epochs"),
+            "--epochs"),
+    Setting("batch", ("train",), integer, 256, ("train", "batch"), "--batch"),
+    Setting("lr", ("train",), real, 1e-3, ("train", "lr"), "--lr"),
+    Setting("lambda", ("train",), real, 0.1, ("train", "lambda"),
+            "--pde-weight", help="physics residual weight"),
+    Setting("hidden", ("train",), int_list, BY_SYSTEM, ("train", "hidden"),
+            "--hidden", help="map hidden widths"),
+    Setting("clip", ("train",), real, 1.0, ("train", "clip")),
+    Setting("collocation", ("train",), integer, 256, ("train", "collocation")),
+    Setting("normalize", ("train",), boolean, True, ("train", "normalize")),
+    Setting("segment_steps", ("train",), integer, 120,
+            ("train", "segment_steps")),
+    Setting("segment_discard", ("train",), integer, 40,
+            ("train", "segment_discard")),
+    Setting("segment_batch", ("train",), integer, 2,
+            ("train", "segment_batch")),
+    Setting("latent_dim", ("train",), integer, None, flag="--latent-dim",
+            help="override n_z (experiments only; still verified)"),
+    Setting("window", ("train",), integer, 100, ("hypernet", "window"),
+            "--window"),
+    Setting("lstm_hidden", ("train",), integer, 64,
+            ("hypernet", "lstm_hidden")),
+    Setting("tau", ("train",), real, 0.01, ("hypernet", "tau")),
+    Setting("inj_hidden", ("train",), int_list, [64],
+            ("hypernet", "inj_hidden")),
+    Setting("rank", ("train",), integer, BY_SYSTEM, ("hypernet", "rank"),
+            "--rank"),
+    Setting("epsilon", ("train",), real, 0.01, ("curriculum", "epsilon")),
+    Setting("patience", ("train",), integer, 10, ("curriculum", "patience")),
+    Setting("level_epochs", ("train",), integer, 500,
+            ("curriculum", "level_epochs")),
+)
+
+SECTIONS = tuple(dict.fromkeys(row.key[0] for row in SETTINGS if row.key))
+
+
+def parse_value(raw: str):
     raw = raw.strip()
     low = raw.lower()
     if low in ("true", "yes", "on"):
@@ -121,22 +193,57 @@ def load_config(path) -> dict:
             raise ConfigError(
                 f"unknown config section [{section}]; expected one of {SECTIONS}"
             )
-        unknown = sorted(set(parser[section]) - _known_keys(section))
+        known = sorted(row.key[1] for row in SETTINGS
+                       if row.key and row.key[0] == section)
+        unknown = sorted(set(parser[section]) - set(known))
         if unknown:
             raise ConfigError(
                 f"unknown key {unknown[0]!r} in config section [{section}]; "
-                f"expected one of {sorted(_known_keys(section))}"
+                f"expected one of {known}"
             )
         out[section] = {
-            key: _parse_value(val) for key, val in parser.items(section)
+            key: parse_value(val) for key, val in parser.items(section)
         }
+    return out
+
+
+def settings(command: str, flags: dict, conf: dict) -> dict:
+    """Resolve every setting ``command`` reads from its flags and config.
+
+    ``flags`` maps setting names to parsed flag values (None when not
+    given); ``conf`` is a ``load_config`` result.
+    """
+    out = {}
+    for row in SETTINGS:
+        if command not in row.commands:
+            continue
+        in_file = None
+        if row.key:
+            section, key = row.key
+            raw = conf.get(section, {}).get(key)
+            if raw is not None:
+                try:
+                    in_file = row.kind(raw)
+                except ValueError as e:
+                    raise ConfigError(
+                        f"[{section}] {key} must be {e}, got {raw!r}"
+                    ) from None
+        default = row.default
+        if default is BY_SYSTEM:
+            default = system_defaults(out["system"])[row.name]
+        given = flags.get(row.name) if row.flag else None
+        value = resolve(row.name, given, in_file, default)
+        if value is REQUIRED:
+            raise ConfigError(
+                f"{command} needs {row.flag} or [{row.key[0]}] {row.key[1]}")
+        out[row.name] = value
     return out
 
 
 def resolve(name: str, flag_value, config_value, default=None):
     """Merge one setting from flag and config; disagreement is an error."""
     if flag_value is not None and config_value is not None:
-        if _normalize(flag_value) != _normalize(config_value):
+        if flag_value != config_value:
             raise ConfigError(
                 f"conflicting values for {name}: flag gives {flag_value!r}, "
                 f"config gives {config_value!r}"
@@ -148,12 +255,3 @@ def resolve(name: str, flag_value, config_value, default=None):
         return flag_value
     return default
 
-
-def _normalize(v):
-    if isinstance(v, (list, tuple)):
-        return tuple(_normalize(x) for x in v)
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, (int, float)):
-        return float(v)
-    return v

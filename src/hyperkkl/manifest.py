@@ -1,17 +1,21 @@
 """Run manifests: every command records what it did, next to its outputs.
 
 A manifest file (JSON lines, append-only, one per output directory)
-carries the exact argv, the fully resolved configuration, the seeds, the
-content hashes of every input file, and the package version. Re-running
-the recorded argv reproduces the outputs byte for byte; the manifest is
-the only file in an output directory whose bytes may differ between
-identical runs (it carries wall-clock metadata).
+holds one record per command run. A record carries the exact argv, the
+resolved configuration (every setting the command reads, as
+``config.settings`` returns it), the seeds, the content hashes of every
+input and output file, the package version, and what the run cost: its
+wall time from the start of ``cli.main`` and the process's peak RSS.
+Re-running the recorded argv reproduces the outputs byte for byte; the
+manifest is the only file in an output directory whose bytes may differ
+between identical runs (it carries the clock time and these costs).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import time
 from pathlib import Path
 
@@ -36,7 +40,9 @@ def append_manifest(
     seeds: dict,
     input_files: list,
     outputs: list,
+    started: float,
 ) -> Path:
+    """Append one record; ``started`` is the run's ``time.perf_counter()``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {
@@ -48,14 +54,11 @@ def append_manifest(
         "output_hashes": {str(p): file_sha256(p) for p in outputs},
         "version": __version__,
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "wall_s": time.perf_counter() - started,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     path = out_dir / MANIFEST_NAME
     with open(path, "a") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
     return path
-
-
-def read_manifest(out_dir) -> list:
-    path = Path(out_dir) / MANIFEST_NAME
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]

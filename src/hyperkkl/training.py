@@ -30,7 +30,6 @@ from .hypernet import (
     InjectionSpec,
     encode_context,
     gate_values,
-    generate_deltas,
     head_layer_deltas,
     init_hypernet_params,
     init_injection_params,
@@ -358,10 +357,15 @@ def _gather_windows(trajectories, picks, w: int, shift: int = 0):
 
 
 def _check_zero_input_gating(maps, spec, psi):
+    """Zero windows must give the exact zero s factors training applies."""
     zero_win = np.zeros((2, spec.window, spec.lstm.input_size))
-    d_theta, d_phi = generate_deltas(psi, spec, zero_win)
-    if np.any(ad.val(d_theta) != 0.0) or np.any(ad.val(d_phi) != 0.0):
-        raise NumericError("zero-input gating violated: deltas not exactly 0")
+    context = encode_context(psi, spec, zero_win)
+    gates = gate_values(zero_win, spec.tau)
+    for head, mlp, prefix in ((spec.enc_head, maps.enc, ENC),
+                              (spec.dec_head, maps.dec, DEC)):
+        factors = head_layer_deltas(psi, head, mlp, prefix, context, gates)
+        if any(np.any(ad.val(s) != 0.0) for _, s in factors):
+            raise NumericError("zero-input gating violated: deltas not exactly 0")
 
 
 def phase2_train(

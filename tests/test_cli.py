@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -6,15 +7,20 @@ import numpy as np
 import pytest
 
 from hyperkkl.checkpoints import read_checkpoint
-from hyperkkl.cli import main
+from hyperkkl.cli import build_parser, main
 from hyperkkl.config import load_config, resolve, system_defaults
 from hyperkkl.data import read_dataset
 from hyperkkl.errors import ConfigError
-from hyperkkl.manifest import read_manifest
+from hyperkkl.manifest import MANIFEST_NAME
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_manifest(out_dir):
+    with open(out_dir / MANIFEST_NAME) as fh:
+        return [json.loads(line) for line in fh]
 
 
 @pytest.fixture
@@ -82,6 +88,8 @@ class TestGen:
         assert len(records) == 1
         assert records[0]["command"] == "gen"
         assert records[0]["seeds"] == {"seed": 1}
+        assert records[0]["wall_s"] > 0
+        assert records[0]["peak_rss_mb"] > 0
 
     def test_repeat_invocation_bitwise_identical(self, tmp_path):
         outs = []
@@ -106,8 +114,9 @@ class TestGen:
     def test_bad_flags_exit_2(self, tmp_path):
         assert run(
             "gen", "--system", "duffing", "--regime", "zero", "--n", "0",
-            "--out", str(tmp_path),
+            "--out", str(tmp_path / "x"),
         ) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestTrain:
@@ -164,6 +173,35 @@ class TestTrain:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, ini, where", [
+        pytest.param("train", "[train]\nlr = abc\n", "[train] lr", id="word"),
+        pytest.param("train", "[train]\nepochs = 2.7\n", "[train] epochs",
+                     id="fraction"),
+        pytest.param("train", "[train]\nhidden = 8.9\n", "[train] hidden",
+                     id="fractional-width"),
+        pytest.param("train", "[train]\nnormalize = maybe\n",
+                     "[train] normalize", id="not-boolean"),
+        pytest.param("gen", "[data]\nn_train = 3.0\n", "[data] n_train",
+                     id="float-count"),
+    ])
+    def test_bad_config_value_is_error(self, gen_dir, tmp_path, capsys,
+                                       command, ini, where):
+        conf = tmp_path / "run.ini"
+        conf.write_text(ini)
+        out = tmp_path / "x"
+        argv = {
+            "train": ("train", "--system", "duffing", "--phase", "1", "--data",
+                      str(gen_dir / "duffing_zero_n4_s1.hkkl"),
+                      "--epochs", "1"),
+            "gen": ("gen", "--system", "duffing"),
+        }[command]
+        capsys.readouterr()
+        assert run(*argv, "--config", str(conf), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where} must be ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     # a numpy RuntimeWarning would raise here and fail the test
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_abort_writes_no_checkpoint(self, gen_dir, tmp_path, capsys):
@@ -195,6 +233,42 @@ class TestTrain:
         assert code == 0
         records = read_manifest(out)
         assert records[0]["resolved_config"]["epochs"] == 4
+
+
+def test_help_shows_config_key_and_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--epochs EPOCHS [train] epochs; default 2000" in text
+    assert "--pde-weight LAMBDA physics residual weight; [train] lambda; " \
+        "default 0.1" in text
+    assert "[hypernet] rank; default 32 for duffing/vanderpol or 128 for " \
+        "rossler/lorenz" in text
+
+
+FLAGS = {
+    "gen": {"--config", "--out", "--seed", "--system", "--regime", "--n",
+            "--dt", "--horizon", "--sigma", "--csv"},
+    "train": {"--config", "--out", "--seed", "--system", "--phase",
+              "--variant", "--data", "--base", "--epochs", "--batch", "--lr",
+              "--pde-weight", "--hidden", "--window", "--rank",
+              "--latent-dim"},
+    "eval": {"--config", "--out", "--seed", "--system", "--checkpoint",
+             "--regimes", "--n", "--transient", "--dt", "--horizon",
+             "--sigma"},
+    "plot": {"--config", "--out", "--seed", "--system", "--checkpoint",
+             "--regimes", "--dt", "--horizon", "--sigma"},
+    "report": {"--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_flag_set_is_pinned(command):
+    """Scripts pass these flags; none may vanish or appear unnoticed."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {o for a in sub.choices[command]._actions for o in a.option_strings}
+    assert flags - {"-h", "--help"} == FLAGS[command]
 
 
 @pytest.fixture
@@ -234,6 +308,26 @@ class TestTrainConditioned:
         assert bundle.hyper_spec.window == 6
         # training seeds now span base + forced data
         assert bundle.train_seed_range == (1, 32)
+
+    def test_manifest_records_every_train_setting(self, trained):
+        out = trained["root"] / "dyn1"
+        assert run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            "dynamic", "--base", str(trained["base"]), "--data",
+            str(trained["forced"]), "--epochs", "1", "--batch", "8",
+            "--window", "6", "--seed", "4", "--out", str(out),
+        ) == 0
+        (record,) = read_manifest(out)
+        assert record["resolved_config"] == {
+            "system": "duffing", "phase": "2", "variant": "dynamic",
+            "seed": 4, "epochs": 1, "batch": 8, "lr": 1e-3, "lambda": 0.1,
+            "hidden": [150, 150, 150], "clip": 1.0, "collocation": 256,
+            "normalize": True, "segment_steps": 120, "segment_discard": 40,
+            "segment_batch": 2, "latent_dim": None, "window": 6,
+            "lstm_hidden": 64, "tau": 0.01, "inj_hidden": [64], "rank": 32,
+            "epsilon": 0.01, "patience": 10, "level_epochs": 500,
+        }
+        assert record["seeds"] == {"seed": 4, "data_seed_range": [30, 32]}
 
     def test_static_smoke(self, trained):
         out = trained["root"] / "stat"

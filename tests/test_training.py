@@ -11,8 +11,12 @@ import hyperkkl.autodiff as ad
 from hyperkkl import seeding
 from hyperkkl.data import generate_dataset
 from hyperkkl.dynamics import duffing, van_der_pol
-from hyperkkl.errors import ContractViolation
-from hyperkkl.hypernet import build_hypernet_spec, build_injection_spec
+from hyperkkl.errors import ContractViolation, NumericError
+from hyperkkl.hypernet import (
+    build_hypernet_spec,
+    build_injection_spec,
+    init_hypernet_params,
+)
 from hyperkkl.kkl import (
     build_observer_matrices,
     decode,
@@ -25,6 +29,7 @@ from hyperkkl.optim import AdamState, adam_step, clip_grad_norm, global_norm
 from hyperkkl.params import ParamVars
 from hyperkkl.training import (
     CurriculumConfig,
+    _check_zero_input_gating,
     TrainConfig,
     curriculum_train,
     latent_targets,
@@ -218,6 +223,16 @@ class TestPhase2Dynamic:
     def test_training_moves_parameters(self):
         result, *_ = self.make_run()
         assert np.any(result.params.data != 0.0)
+
+    def test_zero_input_check_refuses_a_nan_context(self):
+        _, maps, *_ = tiny_setup(van_der_pol(), hidden=(10,))
+        spec = build_hypernet_spec(maps, window=8, lstm_hidden=6, rank=3)
+        psi = init_hypernet_params(spec, 7)
+        _check_zero_input_gating(maps, spec, psi)
+        # gate 0 times a NaN context is NaN, not the exact zero training needs
+        psi.set("hyper.lstm.b", np.full(4 * 6, np.nan))
+        with pytest.raises(NumericError, match="zero-input gating"):
+            _check_zero_input_gating(maps, spec, psi)
 
     def test_spec_variant_mismatch(self):
         sys = van_der_pol()
