@@ -17,6 +17,11 @@ the activations the closure saved) and its parent links, so the tape
 shrinks while the backward pass runs. Leaves (nodes without a VJP) keep
 their ``.grad``; every value stays readable. A second ``backward`` over
 a consumed node raises ContractViolation.
+
+A leaf may arrive with ``.grad`` already set, for example to a view of
+a flat gradient buffer (``params.ParamVars``): ``backward`` only ever
+adds into an existing ``.grad`` in place, so the gradient lands in that
+buffer and no per-leaf array is made.
 """
 
 from __future__ import annotations

@@ -4,8 +4,11 @@ A manifest file (JSON lines, append-only, one per output directory)
 holds one record per command run. A record carries the exact argv, the
 resolved configuration (every setting the command reads, as
 ``config.settings`` returns it), the seeds, the content hashes of every
-input and output file, the package version, and what the run cost: its
-wall time from the start of ``cli.main`` and the process's peak RSS.
+input and output file, the package version, the numeric environment
+(numpy version, BLAS library and version, BLAS thread count), and what
+the run cost: its wall time from the start of ``cli.main`` and the
+process's peak RSS. Output bytes can depend on the BLAS thread count,
+so a record names it.
 Re-running the recorded argv reproduces the outputs byte for byte; the
 manifest is the only file in an output directory whose bytes may differ
 between identical runs (it carries the clock time and these costs).
@@ -13,15 +16,48 @@ between identical runs (it carries the clock time and these costs).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import resource
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 
 MANIFEST_NAME = "run_manifest.jsonl"
+
+# OpenBLAS's thread-count getter, under the names its builds export.
+_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _blas_info() -> dict:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    return {"name": blas.get("name", "unknown"),
+            "version": blas.get("version", "unknown")}
+
+
+def _blas_threads() -> int | None:
+    """OpenBLAS's thread count, read from the library numpy loads, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for sym in _THREAD_SYMBOLS:
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
 
 
 def file_sha256(path) -> str:
@@ -53,6 +89,9 @@ def append_manifest(
         "input_hashes": {str(p): file_sha256(p) for p in input_files},
         "output_hashes": {str(p): file_sha256(p) for p in outputs},
         "version": __version__,
+        "numpy": np.__version__,
+        "blas": _blas_info(),
+        "blas_threads": _blas_threads(),
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "wall_s": time.perf_counter() - started,
         # ru_maxrss is in KiB on Linux

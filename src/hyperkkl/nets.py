@@ -238,14 +238,32 @@ def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str,
     return a, cols
 
 
+def _lstm_step(x_t, h, c, wx, wh, b, hsz):
+    """One cell step: (i, f, g, o) gate activations, tanh(c_t), c_t, h_t.
+
+    The forward and the backward of ``lstm_forward`` both call this, so
+    the gates the backward recomputes are the forward's, bit for bit.
+    """
+    gates = x_t @ wx.T + h @ wh.T + b
+    gi = ad.sigmoid(gates[:, :hsz])
+    gf = ad.sigmoid(gates[:, hsz : 2 * hsz])
+    gc = np.tanh(gates[:, 2 * hsz : 3 * hsz])
+    go = ad.sigmoid(gates[:, 3 * hsz :])
+    c = gf * c + gi * gc
+    tanh_c = np.tanh(c)
+    return gi, gf, gc, go, tanh_c, c, go * tanh_c
+
+
 def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     """Final hidden state of the LSTM over (B, w, m) input windows.
 
     Zero initial hidden and cell state; returns (B, hidden_size). The
     whole window is one tape node: when the weights are tape leaves, the
-    forward keeps each step's gate activations, tanh(c) and c, and a
-    hand-written backward-through-time pass reads them back. On plain
-    parameters nothing is kept.
+    forward keeps only each step's incoming h_{t-1} and c_{t-1}
+    (2·w·B·h floats), and the hand-written backward-through-time pass
+    recomputes that step's gates, their activations and tanh(c_t) from
+    them with the forward's own step. On plain parameters nothing is
+    kept.
     """
     seq = np.asarray(ad.val(sequence), dtype=np.float64)
     if seq.ndim == 2:
@@ -261,36 +279,25 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     weights = [params.get(f"{prefix}.{n}") for n in ("Wx", "Wh", "b")]
     wx, wh, b = (ad.val(p) for p in weights)
     taped = any(ad.is_var(p) for p in weights)
-    acts, tanh_cs, c_prevs = [], [], []
+    h_prevs, c_prevs = [], []
     h = np.zeros((batch, hsz))
     c = np.zeros((batch, hsz))
     for t in range(w):
-        gates = seq[:, t, :] @ wx.T + h @ wh.T + b
-        gi = ad.sigmoid(gates[:, :hsz])
-        gf = ad.sigmoid(gates[:, hsz : 2 * hsz])
-        gc = np.tanh(gates[:, 2 * hsz : 3 * hsz])
-        go = ad.sigmoid(gates[:, 3 * hsz :])
         if taped:
+            h_prevs.append(h)
             c_prevs.append(c)
-        c = gf * c + gi * gc
-        tanh_c = np.tanh(c)
-        h = go * tanh_c
-        if taped:
-            acts.append(np.concatenate([gi, gf, gc, go], axis=1))
-            tanh_cs.append(tanh_c)
+        *_, c, h = _lstm_step(seq[:, t, :], h, c, wx, wh, b, hsz)
     if not taped:
         return h
 
     def vjp(g):
-        # Pops the saved steps as it goes, so they are freed step by step.
+        # Pops the saved states as it goes, so they are freed step by step.
         gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
         dh, dc = g, np.zeros_like(g)
         for t in reversed(range(w)):
-            gi, gf, gc, go = np.split(acts.pop(), 4, axis=1)
-            tanh_c, c_prev = tanh_cs.pop(), c_prevs.pop()
-            # h_{t-1} = o_{t-1} tanh(c_{t-1}), bit for bit as in the forward
-            h_prev = (acts[-1][:, 3 * hsz :] * tanh_cs[-1] if t
-                      else np.zeros_like(g))
+            h_prev, c_prev = h_prevs.pop(), c_prevs.pop()
+            gi, gf, gc, go, tanh_c, _, _ = _lstm_step(
+                seq[:, t, :], h_prev, c_prev, wx, wh, b, hsz)
             dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
             dz = np.concatenate([
                 dc * gc * gi * (1.0 - gi),

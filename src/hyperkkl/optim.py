@@ -1,8 +1,16 @@
-"""Adam with bias correction, global-norm gradient clipping, grad checking."""
+"""Adam with bias correction, global-norm gradient clipping, grad checking.
+
+``adam_step`` works in place: m, v and the parameters are updated
+block by block over fixed slices of ADAM_BLOCK entries, and each block
+runs the textbook expressions in their usual order, so the result is
+bitwise the out-of-place update's while the temporaries stay
+block-sized. ``AdamState`` also owns the run's one gradient buffer,
+which every step's ``ParamVars`` fills.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,16 +18,20 @@ from .errors import ContractViolation, NumericError
 from .params import ParamStore, ParamVars
 from . import autodiff as ad
 
+ADAM_BLOCK = 1 << 16  # entries per in-place update block
+
 
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    grad: ParamStore
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ParamStore) -> "AdamState":
-        return cls(m=np.zeros_like(params.data), v=np.zeros_like(params.data))
+        return cls(m=np.zeros_like(params.data), v=np.zeros_like(params.data),
+                   grad=ParamStore(params.layout))
 
 
 def adam_step(
@@ -37,12 +49,17 @@ def adam_step(
     if state.m.shape != params.data.shape:
         raise ContractViolation("optimizer state does not match params")
     state.step += 1
-    g = grads.data
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = state.m / (1.0 - beta1**state.step)
-    v_hat = state.v / (1.0 - beta2**state.step)
-    params.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m_scale = 1.0 - beta1**state.step
+    v_scale = 1.0 - beta2**state.step
+    for lo in range(0, params.data.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        g, m, v, p = (a[block] for a in (grads.data, state.m, state.v,
+                                         params.data))
+        m[:] = beta1 * m + (1.0 - beta1) * g
+        v[:] = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / m_scale
+        v_hat = v / v_scale
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return params
 
 
@@ -51,10 +68,16 @@ def global_norm(grads: ParamStore) -> float:
 
 
 def clip_grad_norm(grads: ParamStore, max_norm: float) -> ParamStore:
-    """Scale grads so the global L2 norm is at most max_norm (in place)."""
+    """Scale grads so the global L2 norm is at most max_norm (in place).
+
+    A non-finite norm (an inf or NaN entry) raises NumericError: Adam
+    would write it into every parameter.
+    """
     if max_norm <= 0:
         raise ContractViolation("max_norm must be positive")
     norm = global_norm(grads)
+    if not np.isfinite(norm):
+        raise NumericError("gradient norm is non-finite")
     if norm > max_norm:
         grads.data *= max_norm / norm
     return grads

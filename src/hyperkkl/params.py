@@ -116,23 +116,33 @@ class ParamVars:
     ``get`` returns the leaf Var for a slice, so forward code written
     against ``.get`` runs identically on a ParamStore (plain arrays) and
     on ParamVars (recorded graph).
+
+    Leaf gradients live in one flat ``grad`` store of the same layout:
+    the constructor zeroes it, each leaf's ``.grad`` is a view of its
+    slice, ``backward`` adds into those views, and ``grads`` returns the
+    store itself, so a training run that passes the same buffer every
+    step holds one gradient vector and copies none. Without ``grad`` a
+    fresh zero store is used.
     """
 
-    def __init__(self, store: ParamStore):
+    def __init__(self, store: ParamStore, grad: ParamStore | None = None):
+        if grad is None:
+            grad = ParamStore(store.layout)
+        else:
+            _check_same_layout(store, grad)
+            grad.data.fill(0.0)
         self.store = store
         self.layout = store.layout
+        self._grad = grad
         self._vars: dict[str, Var] = {}
 
     def get(self, name: str) -> Var:
         if name not in self._vars:
-            self._vars[name] = Var(self.store.get(name))
+            var = Var(self.store.get(name))
+            var.grad = self._grad.get(name)
+            self._vars[name] = var
         return self._vars[name]
 
     def grads(self) -> ParamStore:
-        """Collect leaf gradients into a flat store; untouched slices are 0."""
-        out = ParamStore(self.layout)
-        for name, var in self._vars.items():
-            if var.grad is not None:
-                s = self.layout[name]
-                out.data[s.offset : s.offset + s.size] += var.grad.ravel()
-        return out
+        """The gradient buffer; slices no leaf reached are 0."""
+        return self._grad

@@ -299,7 +299,7 @@ def phase1_train(
         idx = batch_rng.integers(0, len(x_data), size=config.batch)
         colloc = _sample_box(colloc_rng, system, config.collocation)
         try:
-            pv = ParamVars(theta)
+            pv = ParamVars(theta, state.grad)
             fit = _mse(ad.sub(encode(maps, pv, x_data[idx]), z_data[idx]),
                        config.batch)
             pde = autonomous_pde_residual(
@@ -307,12 +307,12 @@ def phase1_train(
             )
             loss = ad.add(fit, ad.mul(pde, config.lam))
             ad.backward(loss)
+            grads = clip_grad_norm(pv.grads(), config.clip_norm)
         except NumericError as e:
             theta.data[:] = snapshot
             abort = Abort(epoch, str(e))
             break
         snapshot[:] = theta.data
-        grads = clip_grad_norm(pv.grads(), config.clip_norm)
         adam_step(state, theta, grads, lr=config.lr)
         log.append(LogRow(epoch, float(ad.val(fit)), float(ad.val(pde)),
                           global_norm(grads), 0))
@@ -328,15 +328,15 @@ def phase1_train(
         x_rec = np.concatenate([x_data[idx], colloc])
         z_rec = encode(maps, theta, x_rec)  # frozen encoder, plain arrays
         try:
-            pv = ParamVars(phi)
+            pv = ParamVars(phi, state.grad)
             rec = _mse(ad.sub(decode(maps, pv, z_rec), x_rec), len(x_rec))
             ad.backward(rec)
+            grads = clip_grad_norm(pv.grads(), config.clip_norm)
         except NumericError as e:
             phi.data[:] = snapshot
             abort = Abort(epoch, str(e))
             break
         snapshot[:] = phi.data
-        grads = clip_grad_norm(pv.grads(), config.clip_norm)
         adam_step(state, phi, grads, lr=config.lr)
         log.append(LogRow(epoch, float(ad.val(rec)), 0.0, global_norm(grads), 0))
 
@@ -432,7 +432,7 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
         windows = np.concatenate([win_pre, win_post])
 
         try:
-            pv = ParamVars(psi)
+            pv = ParamVars(psi, state.grad)
             b = config.batch
             context = encode_context(pv, spec, windows)
             gates = gate_values(windows, spec.tau)
@@ -451,12 +451,12 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
                 f_scale=f_scale,
             )
             ad.backward(loss)
+            grads = clip_grad_norm(pv.grads(), config.clip_norm)
         except NumericError as e:
             psi.data[:] = snapshot
             abort = Abort(epoch, str(e))
             break
         snapshot[:] = psi.data
-        grads = clip_grad_norm(pv.grads(), config.clip_norm)
         adam_step(state, psi, grads, lr=config.lr)
         log.append(LogRow(epoch, float(ad.val(rec)), float(ad.val(pde)),
                           global_norm(grads), 0))
@@ -488,7 +488,7 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
         t_idx = batch_rng.integers(0, len(trajectories), size=config.segment_batch)
         k_idx = batch_rng.integers(0, n_steps - seg + 1, size=config.segment_batch)
         try:
-            pv = ParamVars(xi)
+            pv = ParamVars(xi, state.grad)
             total = None
             count = 0
             for t, k0 in zip(t_idx, k_idx):
@@ -512,12 +512,12 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
             if not np.isfinite(ad.val(loss)):
                 raise NumericError("segment loss is non-finite")
             ad.backward(loss)
+            grads = clip_grad_norm(pv.grads(), config.clip_norm)
         except NumericError as e:
             xi.data[:] = snapshot
             abort = Abort(epoch, str(e))
             break
         snapshot[:] = xi.data
-        grads = clip_grad_norm(pv.grads(), config.clip_norm)
         adam_step(state, xi, grads, lr=config.lr)
         log.append(LogRow(epoch, float(ad.val(loss)), 0.0, global_norm(grads), 0))
 
@@ -585,16 +585,16 @@ def curriculum_train(
             epoch += 1
             idx = batch_rng.integers(0, len(x_data), size=config.batch)
             try:
-                pv = ParamVars(phi)
+                pv = ParamVars(phi, state.grad)
                 rec = _mse(ad.sub(decode(maps, pv, z_data[idx]), x_data[idx]),
                            config.batch)
                 ad.backward(rec)
+                grads = clip_grad_norm(pv.grads(), config.clip_norm)
             except NumericError as e:
                 phi.data[:] = snapshot
                 abort = Abort(epoch, str(e))
                 break
             snapshot[:] = phi.data
-            grads = clip_grad_norm(pv.grads(), config.clip_norm)
             adam_step(state, phi, grads, lr=config.lr)
             history.append(float(ad.val(rec)))
             log.append(LogRow(epoch, history[-1], 0.0, global_norm(grads),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hyperkkl.autodiff as ad
 from hyperkkl.dynamics import SystemSpec
 from hyperkkl.kkl import (
     KklMaps,
@@ -76,3 +77,31 @@ def central_diff(fn, x, eps=1e-6):
         flat[i] = orig
         gflat[i] = (up - down) / (2 * eps)
     return g
+
+
+def poison_backward(monkeypatch, at_call):
+    """Make the ``at_call``-th backward leave an inf in one leaf gradient.
+
+    The loss stays finite, so only the gradient check can catch it.
+    """
+    real = ad.backward
+    calls = []
+
+    def backward(root):
+        leaves, seen, stack = [], {id(root)}, [root]
+        while stack:
+            node = stack.pop()
+            if node._vjp is None:
+                leaves.append(node)
+            for p in node._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        real(root)
+        calls.append(None)
+        if len(calls) == at_call:
+            leaf = next(n for n in leaves if n.grad is not None)
+            leaf.grad.flat[0] = np.inf
+
+    monkeypatch.setattr(ad, "backward", backward)
+

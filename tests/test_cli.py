@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from conftest import poison_backward
+
 from hyperkkl.checkpoints import read_checkpoint
 from hyperkkl.cli import build_parser, main
 from hyperkkl.config import load_config, resolve, system_defaults
@@ -90,6 +92,11 @@ class TestGen:
         assert records[0]["seeds"] == {"seed": 1}
         assert records[0]["wall_s"] > 0
         assert records[0]["peak_rss_mb"] > 0
+        assert records[0]["numpy"] == np.__version__
+        assert set(records[0]["blas"]) == {"name", "version"}
+        assert all(isinstance(v, str) for v in records[0]["blas"].values())
+        threads = records[0]["blas_threads"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
 
     def test_repeat_invocation_bitwise_identical(self, tmp_path):
         outs = []
@@ -217,6 +224,21 @@ class TestTrain:
         assert len(err) == 1
         assert err[0].startswith("numeric failure: epoch ")
         assert "non-finite" in err[0]
+        assert not out.exists()
+
+    def test_non_finite_gradient_writes_no_checkpoint(
+            self, gen_dir, tmp_path, capsys, monkeypatch):
+        # the last epoch's gradient: no later loss would catch it
+        poison_backward(monkeypatch, at_call=4)
+        out = tmp_path / "inf"
+        code = run(
+            "train", "--system", "duffing", "--phase", "1", "--data",
+            str(gen_dir / "duffing_zero_n4_s1.hkkl"), "--epochs", "2",
+            "--batch", "16", "--hidden", "8,8", "--out", str(out),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: epoch 4: gradient norm is non-finite\n")
         assert not out.exists()
 
     def test_config_supplies_values(self, gen_dir, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,24 @@ class TestLstm:
             grads.append(pv.grads().data)
         fused, oracle = grads
         assert np.max(np.abs(fused - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_taped_window_keeps_only_h_and_c_per_step(self):
+        # the backward recomputes the gates, so the forward holds the
+        # 2·w·B·h floats of h_{t-1} and c_{t-1} plus O(B·h) for the output
+        # and the bookkeeping (the gates and tanh(c) would be 6·w·B·h)
+        batch, w, h = 64, 100, 16
+        spec, store = fresh_lstm(1, h, seed=3)
+        seq = np.random.default_rng(3).normal(size=(batch, w, 1))
+        pv = ParamVars(store)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = lstm_forward(pv, spec, seq, "lstm")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= (2 * w + 8) * batch * h * 8
+        ad.backward(ad.sum_all(out))
 
     def test_window_is_one_tape_node(self):
         spec, store = fresh_lstm(2, 3, seed=4)

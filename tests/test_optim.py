@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_store
 
-from hyperkkl.errors import ContractViolation
-from hyperkkl.optim import AdamState, adam_step, clip_grad_norm, global_norm
+from hyperkkl.errors import ContractViolation, NumericError
+from hyperkkl.optim import (
+    ADAM_BLOCK,
+    AdamState,
+    adam_step,
+    clip_grad_norm,
+    global_norm,
+)
 from hyperkkl.params import Layout, ParamStore
 
 
@@ -77,3 +85,68 @@ def test_clip_contract():
     grads = make_store([("g", np.ones(2))])
     with pytest.raises(ContractViolation):
         clip_grad_norm(grads, 0.0)
+
+
+def oracle_adam_step(state, params, grads, lr=1e-3, beta1=0.9, beta2=0.999,
+                     eps=1e-8):
+    """The out-of-place update, whole-vector temporaries and all."""
+    state.step += 1
+    g = grads.data
+    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = state.m / (1.0 - beta1**state.step)
+    v_hat = state.v / (1.0 - beta2**state.step)
+    params.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_blockwise_step_bitwise_equals_out_of_place_oracle():
+    n = 2 * ADAM_BLOCK + 12345  # a partial last block
+    rng = np.random.default_rng(11)
+    layout = Layout([("w", (n,))])
+    params = ParamStore(layout, rng.normal(size=n))
+    expect = params.copy()
+    state, oracle = AdamState.for_params(params), AdamState.for_params(expect)
+    for _ in range(5):
+        scale = 10.0 ** rng.integers(-8, 3, n)
+        grads = ParamStore(layout, rng.normal(size=n) * scale)
+        adam_step(state, params, grads, lr=0.01)
+        oracle_adam_step(oracle, expect, grads, lr=0.01)
+        assert np.array_equal(params.data, expect.data)
+        assert np.array_equal(state.m, oracle.m)
+        assert np.array_equal(state.v, oracle.v)
+    assert state.step == oracle.step == 5
+
+
+def test_step_adds_at_most_one_vector_of_transient_memory():
+    # global_norm's square is the one full-size transient; Adam's own
+    # temporaries are block-sized, and nothing outlives the step
+    n = 1 << 20
+    rng = np.random.default_rng(12)
+    params = ParamStore(Layout([("w", (n,))]), rng.normal(size=n))
+    state = AdamState.for_params(params)
+    state.grad.data[:] = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        clip_grad_norm(state.grad, 1.0)
+        adam_step(state, params, state.grad)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 8 * n + 8 * n // 8
+    assert current - base <= 64 * 1024
+
+
+def test_for_params_allocates_the_gradient_buffer():
+    params = make_store([("w", np.ones((2, 3))), ("b", np.ones(2))])
+    state = AdamState.for_params(params)
+    assert state.grad.layout == params.layout
+    assert np.all(state.grad.data == 0.0)
+    assert not np.shares_memory(state.grad.data, params.data)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_clip_refuses_a_non_finite_gradient(bad):
+    grads = make_store([("g", np.array([0.1, bad, 0.2]))])
+    with pytest.raises(NumericError, match="gradient norm is non-finite"):
+        clip_grad_norm(grads, 1.0)

@@ -63,3 +63,34 @@ def test_paramvars_grads_cover_untouched_with_zeros():
     assert np.array_equal(g.get("w"), 2 * store.get("w"))
     assert np.all(g.get("b") == 0.0)
 
+
+
+def test_paramvars_leaf_grads_are_views_of_the_buffer():
+    store = make_store([("w", np.full((2, 2), 0.5)), ("b", np.ones(2))])
+    buf = ParamStore(store.layout, np.full(store.layout.total, 7.0))
+    pv = ParamVars(store, buf)
+    assert np.all(buf.data == 0.0)  # the constructor zeroes it
+    w, b = pv.get("w"), pv.get("b")
+    assert np.shares_memory(w.grad, buf.data)
+    assert np.shares_memory(b.grad, buf.data)
+    # narrow's gradient lands in its slice of b's view, in place
+    ad.backward(ad.add(ad.sum_all(ad.mul(w, w)),
+                       ad.sum_all(ad.narrow(b, 0, 0, 1))))
+    assert pv.grads() is buf
+    assert np.array_equal(buf.get("w"), 2 * store.get("w"))
+    assert np.array_equal(buf.get("b"), [1.0, 0.0])
+
+
+def test_paramvars_reuse_zeroes_the_buffer():
+    store = make_store([("w", np.full(3, 2.0))])
+    buf = ParamStore(store.layout)
+    for _ in range(2):
+        pv = ParamVars(store, buf)
+        ad.backward(ad.sum_all(ad.mul(pv.get("w"), pv.get("w"))))
+        assert np.array_equal(pv.grads().data, [4.0, 4.0, 4.0])
+
+
+def test_paramvars_buffer_must_share_the_layout():
+    store = make_store([("w", np.ones(3))])
+    with pytest.raises(ContractViolation):
+        ParamVars(store, make_store([("v", np.ones(3))]))

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     analytic_linear_maps,
+    poison_backward,
     analytic_linear_observer,
     linear_test_system,
 )
@@ -347,3 +348,47 @@ class TestCurriculum:
         with pytest.raises(ContractViolation):
             curriculum_train(sys, obs, maps, theta, phi, [],
                              TrainConfig(epochs=1), CurriculumConfig())
+
+
+class TestNonFiniteGradient:
+    """An inf gradient aborts the run at its epoch; nothing is stepped."""
+
+    def run(self, loop):
+        sys = van_der_pol()
+        obs, maps, theta, phi = tiny_setup(sys, hidden=(6,), seed=4)
+        config = TrainConfig(epochs=3, batch=8, collocation=8, seed=3,
+                             segment_steps=12, segment_discard=4,
+                             segment_batch=1)
+        if loop == "phase1":
+            ds = tiny_dataset(sys, "zero", count=2, horizon=2.0)
+            result = phase1_train(sys, obs, maps, theta, phi,
+                                  ds.trajectories, config)
+            return result, (result.theta, result.phi)
+        if loop == "curriculum":
+            levels = [tiny_dataset(sys, "constant", count=2, seed=10,
+                                   horizon=2.0).trajectories]
+            result = curriculum_train(
+                sys, obs, maps, theta, phi, levels, config,
+                CurriculumConfig(level_epochs=6))
+            return result, (result.phi,)
+        ds = tiny_dataset(sys, "sinusoid", count=2, horizon=2.0)
+        spec = (build_hypernet_spec(maps, window=4, lstm_hidden=3, rank=2)
+                if loop == "dynamic" else
+                build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
+                                     mlp_hidden=(4,)))
+        result = phase2_train(sys, obs, maps, theta, phi, spec,
+                              ds.trajectories, config, loop)
+        return result, (result.params,)
+
+    @pytest.mark.parametrize("loop, at_call", [
+        ("phase1", 2), ("phase1", 5), ("static", 2), ("dynamic", 2),
+        ("curriculum", 2),
+    ])
+    def test_aborts_at_the_epoch(self, monkeypatch, loop, at_call):
+        poison_backward(monkeypatch, at_call)
+        result, stores = self.run(loop)
+        assert result.abort is not None
+        assert result.abort.epoch == at_call
+        assert result.abort.reason == "gradient norm is non-finite"
+        assert [r.epoch for r in result.log] == list(range(1, at_call))
+        assert all(np.all(np.isfinite(s.data)) for s in stores)
