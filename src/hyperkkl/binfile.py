@@ -1,8 +1,11 @@
 """Length-checked sequential reads for the HKKL and HKKP binary formats.
 
-Every read states how many bytes it needs; a file that ends early or
-carries bytes past its last field is refused with the byte offset, so a
-damaged file never reaches a parser as a short buffer.
+Every read states how many bytes it needs and is checked against the
+file size before anything is allocated, so a corrupt count never sizes
+a buffer; a file that ends early or carries bytes past its last field is
+refused with the byte offset. A block of f64 values is one read into one
+preallocated array, so the data is never held twice, and a read that
+comes back short is refused the same way.
 """
 
 from __future__ import annotations
@@ -23,15 +26,25 @@ class Reader:
         self.path = path
         self.size = os.fstat(fh.fileno()).st_size
 
-    def take(self, n: int) -> bytes:
-        # Checked before reading, so a corrupt count never sizes a buffer.
+    def _truncated(self, end: int, n: int, offset: int) -> ContractViolation:
+        return ContractViolation(
+            f"{self.path}: truncated at byte {end}: "
+            f"{n} bytes needed from byte offset {offset}"
+        )
+
+    def need(self, n: int) -> int:
+        """The current offset, once the file is known to hold n more bytes."""
         offset = self.fh.tell()
         if offset + n > self.size:
-            raise ContractViolation(
-                f"{self.path}: truncated at byte {self.size}: "
-                f"{n} bytes needed from byte offset {offset}"
-            )
-        return self.fh.read(n)
+            raise self._truncated(self.size, n, offset)
+        return offset
+
+    def take(self, n: int) -> bytes:
+        offset = self.need(n)
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise self._truncated(offset + len(data), n, offset)
+        return data
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
@@ -46,7 +59,13 @@ class Reader:
             ) from None
 
     def f64(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8")
+        """``count`` little-endian f64 values, read into a fresh array."""
+        offset = self.need(8 * count)
+        out = np.empty(count, dtype="<f8")
+        got = self.fh.readinto(out)
+        if got != out.nbytes:
+            raise self._truncated(offset + got, out.nbytes, offset)
+        return out
 
     def finish(self) -> None:
         """Refuse bytes past the last field."""

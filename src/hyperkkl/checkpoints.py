@@ -23,6 +23,10 @@ its value count has to match; files that split each head's U readout
 into several slices load unchanged, since the values sit in the same
 order. A file that ends early or has bytes past the data is refused
 with the byte offset.
+
+Each store's buffer is written in place, after the total count, and the
+data block is read into one array that the loaded stores are views of,
+so neither direction holds a second full-size copy.
 """
 
 from __future__ import annotations
@@ -157,9 +161,9 @@ def write_checkpoint(bundle: CheckpointBundle, path) -> None:
             for d in shape:
                 fh.write(struct.pack("<I", d))
             fh.write(struct.pack("<Q", off))
-        data = np.concatenate([s.data for s in stores])
-        fh.write(struct.pack("<Q", data.size))
-        fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        fh.write(struct.pack("<Q", offset))  # the total value count
+        for store in stores:
+            fh.write(np.ascontiguousarray(store.data, dtype="<f8"))
 
 
 def read_checkpoint(path) -> CheckpointBundle:
@@ -188,7 +192,7 @@ def read_checkpoint(path) -> CheckpointBundle:
             (off,) = r.unpack("<Q")
             entries.append((name, shape, off))
         (total,) = r.unpack("<Q")
-        data = r.f64(total).astype(np.float64)
+        data = r.f64(total)
         r.finish()
 
     def take(prefix, layout=None):

@@ -129,6 +129,7 @@ def cmd_train(args, s):
         if not args.base:
             raise ConfigError(f"--phase {args.phase} requires --base CHECKPOINT")
         base = read_checkpoint(args.base)
+        _refuse_other_system(base, args.base, system_name)
         inputs.append(args.base)
         if base.train_seed_range:
             lo = min(lo, base.train_seed_range[0])
@@ -215,7 +216,15 @@ def cmd_train(args, s):
                inputs, [ckpt_path, loss_path])
 
 
-def _parse_checkpoint_args(pairs, dt: float) -> dict:
+def _refuse_other_system(bundle, path, system_name: str) -> None:
+    if bundle.system_name != system_name:
+        raise ConfigError(
+            f"checkpoint {path} was trained on {bundle.system_name}, "
+            f"not {system_name}"
+        )
+
+
+def _parse_checkpoint_args(pairs, s) -> dict:
     bundles = {}
     for spec in pairs or []:
         if "=" not in spec:
@@ -233,10 +242,11 @@ def _parse_checkpoint_args(pairs, dt: float) -> dict:
                 f"checkpoint {path} holds variant {bundle.variant!r}, "
                 f"requested {variant!r}"
             )
-        if bundle.dt is not None and bundle.dt != dt:
+        _refuse_other_system(bundle, path, s["system"])
+        if bundle.dt is not None and bundle.dt != s["dt"]:
             raise ConfigError(
                 f"checkpoint {path} was trained at dt {bundle.dt!r}, "
-                f"not at dt {dt!r}"
+                f"not at dt {s['dt']!r}"
             )
         bundles[variant] = (bundle, path)
     if not bundles:
@@ -245,7 +255,7 @@ def _parse_checkpoint_args(pairs, dt: float) -> dict:
 
 
 def cmd_eval(args, s):
-    named = _parse_checkpoint_args(args.checkpoint, s["dt"])
+    named = _parse_checkpoint_args(args.checkpoint, s)
     bundles = {v: b for v, (b, _) in named.items()}
     report = benchmark(
         bundles, s["system"], regimes=s["regimes"], n_test=s["n_test"],
@@ -262,7 +272,7 @@ def cmd_eval(args, s):
 
 
 def cmd_plot(args, s):
-    named = _parse_checkpoint_args(args.checkpoint, s["dt"])
+    named = _parse_checkpoint_args(args.checkpoint, s)
     system = get_system(s["system"])
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,8 @@ File layout (all little-endian):
     per trajectory: f64 arrays in (states, inputs, outputs) order
 
 Readers refuse a file that ends early or has bytes past the last
-trajectory, naming the byte offset.
+trajectory, naming the byte offset, before they allocate the arrays. A
+loaded trajectory's arrays are read-only.
 
 CSV export mirrors the columns t, x1..x_{n_x}, u1..u_{m}, y1..y_{n_y}.
 """
@@ -146,9 +147,8 @@ def write_dataset(dataset: Dataset, path) -> None:
         for tr in dataset.trajectories:
             fh.write(_pack_signal(tr.signal))
         for tr in dataset.trajectories:
-            fh.write(np.ascontiguousarray(tr.states, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(tr.inputs, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(tr.outputs, dtype="<f8").tobytes())
+            for values in (tr.states, tr.inputs, tr.outputs):
+                fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def read_dataset(path) -> Dataset:
@@ -171,12 +171,17 @@ def read_dataset(path) -> Dataset:
         if (system.n_x, system.n_y, system.m) != (n_x, n_y, m):
             raise ContractViolation(f"{path}: dimension header mismatch")
         n = n_steps_for(horizon, dt)
+        r.need(8 * count * (n + 1) * (n_x + m + n_y))
         times = np.arange(n + 1) * dt
+
+        def samples(width):
+            values = r.f64((n + 1) * width).reshape(n + 1, width)
+            values.flags.writeable = False
+            return values
+
         trajectories = []
         for i in range(count):
-            states = r.f64((n + 1) * n_x).reshape(n + 1, n_x)
-            inputs = r.f64((n + 1) * m).reshape(n + 1, m)
-            outputs = r.f64((n + 1) * n_y).reshape(n + 1, n_y)
+            states, inputs, outputs = samples(n_x), samples(m), samples(n_y)
             sig = (
                 dataclasses.replace(signals[i], seed=seed + i)
                 if regime != "zero"

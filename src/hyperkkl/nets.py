@@ -16,6 +16,9 @@ Per-sample weights come as rank factors: layer l of sample b uses
 W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
 and s (B, r) per sample. ``lowrank_linear`` applies that as two GEMMs
 with a hand-written backward, so no (B, n_out, n_in) weight is formed.
+On plain inputs the second GEMM runs over fixed blocks of ROW_BLOCK
+rows, so inference memory does not grow with the number of samples;
+taped calls stay one block (see ``lowrank_linear`` for why).
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from . import autodiff as ad
 from . import seeding
 from .errors import ContractViolation
 from .params import Layout, ParamStore
+
+# Rows per block of a plain lowrank_linear call (see there).
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -126,9 +132,15 @@ def lowrank_linear(x, w, u, s):
     x is (B, i), W (o, i), u (o·i, r) the readout rows that map onto W's
     entries in C order, and s (B, r) the per-sample coordinates. Computed
     as two GEMMs, x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r)
-    and u_r the (o, i·r) view of u; no (B, o, i) weight exists. One tape
-    node: its backward rebuilds P from x and s instead of keeping it, and
-    on plain inputs nothing is kept.
+    and u_r the (o, i·r) view of u; no (B, o, i) weight exists.
+
+    On plain inputs (inference) P is built and applied ROW_BLOCK rows at
+    a time, so the transient is ROW_BLOCK·i·r floats whatever B is, and
+    nothing is kept. Taped, it is one node over one block of all B rows:
+    its backward rebuilds the whole P from x and s for gᵀP, so blocking
+    the forward would lower no training peak, and since a BLAS GEMM's
+    rows need not keep their bits when M changes, it could change the
+    training bytes.
     """
     xv, wv, uv, sv = (ad.val(a) for a in (x, w, u, s))
     batch, n_in = xv.shape
@@ -140,12 +152,18 @@ def lowrank_linear(x, w, u, s):
         )
     u_r = uv.reshape(n_out, n_in * rank)
 
-    def outer(a):
-        return (a[:, :, None] * sv[:, None, :]).reshape(batch, n_in * rank)
+    def outer(a, lo=0, hi=batch):
+        return (a[lo:hi, :, None] * sv[lo:hi, None, :]).reshape(
+            hi - lo, n_in * rank)
 
-    out = xv @ wv.T + outer(xv) @ u_r.T
     inputs = (x, w, u, s)
-    if not any(ad.is_var(a) for a in inputs):
+    taped = any(ad.is_var(a) for a in inputs)
+    out = xv @ wv.T
+    block = max(batch, 1) if taped else ROW_BLOCK
+    for lo in range(0, batch, block):
+        hi = min(lo + block, batch)
+        out[lo:hi] += outer(xv, lo, hi) @ u_r.T
+    if not taped:
         return out
 
     def vjp(g):

@@ -135,7 +135,7 @@ class CurriculumResult:
 
 
 def store_hash(store: ParamStore) -> str:
-    return hashlib.sha256(store.data.tobytes()).hexdigest()
+    return hashlib.sha256(store.data).hexdigest()
 
 
 def normalize_vector_field(f_values) -> tuple[np.ndarray, float]:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -410,6 +411,27 @@ class TestTrainConditioned:
         assert ("base checkpoint was trained at dt 0.05, the data has dt 0.025"
                 in capsys.readouterr().err)
 
+    def test_phase2_refuses_a_base_of_another_system(self, trained,
+                                                     tmp_path, capsys):
+        vdp = tmp_path / "vdp"
+        assert run(
+            "gen", "--system", "vanderpol", "--regime", "sinusoid", "--n", "2",
+            "--seed", "42", "--horizon", "2.0", "--out", str(vdp),
+        ) == 0
+        out = trained["root"] / "vdp_out"
+        capsys.readouterr()
+        code = run(
+            "train", "--system", "vanderpol", "--phase", "2", "--variant",
+            "dynamic", "--base", str(trained["base"]), "--data",
+            str(vdp / "vanderpol_sinusoid_n2_s42.hkkl"), "--epochs", "1",
+            "--batch", "8", "--window", "6", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {trained['base']} was trained on duffing, "
+            "not vanderpol\n")
+        assert not out.exists()
+
     def test_curriculum_orders_levels(self, trained, tmp_path):
         levels_dir = tmp_path / "levels"
         assert run(
@@ -499,6 +521,20 @@ class TestEvalPlotReport:
         assert "trained at dt 0.05, not at dt 0.01" in err
         assert not out.exists()
 
+    def test_eval_refuses_another_system(self, trained, capsys):
+        out = trained["root"] / "vdp"
+        capsys.readouterr()
+        code = run(
+            "eval", "--system", "vanderpol", "--checkpoint",
+            f"autonomous={trained['base']}", "--regimes", "zero", "--n", "1",
+            "--seed", "9000", "--horizon", "2.0", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {trained['base']} was trained on duffing, "
+            "not vanderpol\n")
+        assert not out.exists()
+
     def test_eval_needs_checkpoints(self, trained):
         assert run("eval", "--system", "duffing") == 2
 
@@ -547,3 +583,21 @@ class TestDamagedFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert str(bad) in err and offset in err
+
+    def test_checkpoint_count_past_the_end(self, trained, capsys):
+        # the u64 value count just before the data, set to 2^60
+        bundle = read_checkpoint(trained["base"])
+        total = sum(a.size for a in (bundle.theta.data, bundle.phi.data,
+                                     bundle.obs.A, bundle.obs.B))
+        blob = bytearray(trained["base"].read_bytes())
+        struct.pack_into("<Q", blob, len(blob) - 8 * total - 8, 2**60)
+        bad = trained["root"] / "huge.hkkp"
+        bad.write_bytes(bytes(blob))
+        code = run(
+            "eval", "--system", "duffing", "--checkpoint", f"autonomous={bad}",
+            "--regimes", "zero", "--n", "1", "--seed", "9000", "--horizon",
+            "1.0", "--out", str(trained["root"] / "ev"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"truncated at byte {len(blob)}: {8 * 2**60} bytes needed" in err

@@ -1,8 +1,11 @@
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hyperkkl.binfile import Reader
 from hyperkkl.checkpoints import (
     CheckpointBundle,
     read_checkpoint,
@@ -112,6 +115,27 @@ class TestDatasetFormat:
         write_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "set.hkkl"
+        write_dataset(generate_dataset(duffing(), "sinusoid", 1, 5,
+                                       horizon=1.0), path)
+        tr = read_dataset(path).trajectories[0]
+        for values in (tr.states, tr.inputs, tr.outputs):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 1.0
+
+    def test_huge_step_count_is_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "set.hkkl"
+        write_dataset(generate_dataset(duffing(), "zero", 1, 5, horizon=1.0),
+                      path)
+        blob = bytearray(path.read_bytes())
+        at = 4 + 2 + 2 + len("duffing") + 3 * 2 + 8  # the f64 horizon
+        assert struct.unpack_from("<d", blob, at) == (1.0,)
+        struct.pack_into("<d", blob, at, 1e12)  # 2e13 steps at dt 0.05
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractViolation, match="truncated at byte"):
+            read_dataset(path)
+
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hkkl"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -133,15 +157,61 @@ class TestDatasetFormat:
         assert row[4] == tr.outputs[0, 0]
 
 
+class ShortReads:
+    """An open file whose reads return only the first half of a request."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def fileno(self):
+        return self.fh.fileno()
+
+    def tell(self):
+        return self.fh.tell()
+
+    def read(self, n):
+        return self.fh.read(n // 2)
+
+    def readinto(self, buf):
+        view = memoryview(buf).cast("B")
+        return self.fh.readinto(view[: len(view) // 2])
+
+
+class TestReader:
+    def test_f64_reads_values_into_a_writable_array(self, tmp_path):
+        path = tmp_path / "v.bin"
+        values = np.random.default_rng(1).normal(size=9)
+        path.write_bytes(values.astype("<f8").tobytes())
+        with open(path, "rb") as fh:
+            r = Reader(fh, path)
+            out = r.f64(9)
+            r.finish()
+        assert np.array_equal(out, values) and out.flags.writeable
+
+    def test_short_read_is_refused_with_the_offset(self, tmp_path):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"\x00" * 80)
+        with open(path, "rb") as fh:
+            r = Reader(ShortReads(fh), path)
+            with pytest.raises(ContractViolation,
+                               match="truncated at byte 40: 80 bytes needed "
+                                     "from byte offset 0"):
+                r.f64(10)
+            with pytest.raises(ContractViolation,
+                               match="truncated at byte 44: 8 bytes needed "
+                                     "from byte offset 40"):
+                r.unpack("<Q")
+
+
 class TestCheckpointFormat:
-    def build_bundle(self, variant="dynamic"):
+    def build_bundle(self, variant="dynamic", hidden=(9,), rank=2):
         obs = build_observer_matrices(2, 1)
-        maps = make_maps(2, 5, hidden=(9,))
+        maps = make_maps(2, 5, hidden=hidden)
         theta, phi = init_map_params(maps, 3)
         kw = {}
         if variant == "dynamic":
-            spec = build_hypernet_spec(maps, window=7, lstm_hidden=5, rank=2,
-                                       tau=0.02)
+            spec = build_hypernet_spec(maps, window=7, lstm_hidden=5,
+                                       rank=rank, tau=0.02)
             psi = init_hypernet_params(spec, 4)
             psi.data[:] = np.random.default_rng(5).normal(size=psi.data.shape)
             kw = {"hyper_spec": spec, "psi": psi}
@@ -236,6 +306,49 @@ class TestCheckpointFormat:
         path.write_bytes(blob.replace(b'"rank": 2', b'"rank": 3'))
         with pytest.raises(ContractViolation, match="hyper. block"):
             read_checkpoint(path)
+
+    def test_io_holds_no_second_copy_of_the_data(self, tmp_path):
+        bundle = self.build_bundle("dynamic", hidden=(100, 100), rank=48)
+        assert bundle.psi.data.nbytes >= 8_000_000
+        data_bytes = 8 * sum(s.data.size for s in (bundle.theta, bundle.phi,
+                                                   bundle.psi))
+        path = tmp_path / "ck.hkkp"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_checkpoint(bundle, path)
+            write_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = read_checkpoint(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert write_peak <= 2**20
+        assert read_peak <= 1.1 * data_bytes
+        assert np.array_equal(back.psi.data, bundle.psi.data)
+
+    def test_huge_value_count_is_refused_before_allocating(self, tmp_path):
+        bundle = self.build_bundle("autonomous")
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(bundle, path)
+        blob = bytearray(path.read_bytes())
+        total = sum(a.size for a in (bundle.theta.data, bundle.phi.data,
+                                     bundle.obs.A, bundle.obs.B))
+        at = len(blob) - 8 * total - 8  # the u64 count before the data
+        assert struct.unpack_from("<Q", blob, at) == (total,)
+        struct.pack_into("<Q", blob, at, 2**60)
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolation,
+                               match=f"truncated at byte {len(blob)}: "
+                                     f"{8 * 2**60} bytes needed"):
+                read_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hkkp"

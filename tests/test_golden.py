@@ -2,10 +2,12 @@
 
 Phase 1, static and dynamic phase 2 and the curriculum run through the
 CLI at small widths (hidden 8×2, rank 2, window 6, LSTM width 4, 3
-epochs per stage). The sha256 of every loss CSV and of every parameter
-vector the checkpoints store is compared with the values below, so a
-refactor of the tape, the LSTM, the optimizer or the training loops
-that changes a single output bit fails here. Each run is a child
+epochs per stage), and one ``eval`` scores the four checkpoints over the
+four regimes (2 trajectories of 20 s each). The sha256 of every loss
+CSV, of every parameter vector the checkpoints store and of the eval
+CSV is compared with the values below, so a refactor of the tape, the
+LSTM, the optimizer, the training loops or conditioned inference that
+changes a single output bit fails here. Each run is a child
 process with a fixed OpenBLAS thread count; at these shapes the bytes
 are the same at 1 and 2 threads.
 """
@@ -56,6 +58,10 @@ GOLDEN = {
         "528871076072e834e27a3b46f392fab39550fff19571d0353ea16453d74d015f",
     "curriculum.phi":
         "b928cbe5bfb17c48e459461666461ff288d3cb1a4ea17758a9cc3af52412e078",
+    # Recorded before conditioned inference applied its low-rank products
+    # in row blocks; 401 rows per trajectory, so the decode takes 2 blocks.
+    "duffing_report.csv":
+        "471757fc9fb8ea08e7d35948af4bfcc7faa698e823939b932335219624048ad7",
 }
 
 
@@ -97,7 +103,17 @@ def pipeline_hashes(root) -> dict:
            str(constant), "--data", str(forced), "--config", str(ini),
            "--epochs", "1", "--batch", "16", "--seed", "5")
 
+    ev = root / "eval"
+    assert main([
+        "eval", "--system", "duffing", "--checkpoint", f"autonomous={base}",
+        *(f"--checkpoint={v}={ck / f'duffing_{v}.hkkp'}"
+          for v in ("static", "dynamic", "curriculum")),
+        "--horizon", "20", "--n", "2", "--out", str(ev),
+    ]) == 0
+
     hashes = {}
+    report = ev / "duffing_report.csv"
+    hashes[report.name] = hashlib.sha256(report.read_bytes()).hexdigest()
     for stem in ("phase1", "static", "dynamic", "curriculum"):
         path = ck / f"duffing_{stem}_loss.csv"
         hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()

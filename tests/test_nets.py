@@ -9,6 +9,7 @@ from conftest import make_store
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
 from hyperkkl.nets import (
+    ROW_BLOCK,
     LstmSpec,
     MlpSpec,
     init_lstm,
@@ -223,6 +224,56 @@ class TestLowRankLinear:
         out = mlp_forward(store, spec, x, "net", weight_deltas=deltas)
         assert np.array_equal(out[[0, 3]], plain[[0, 3]])
         assert not np.array_equal(out[1], plain[1])
+
+    @staticmethod
+    def rank_term(x, u, s, n_out):
+        """P u_rᵀ with P[b] = x[b] ⊗ s[b], formed for all rows at once."""
+        p = (x[:, :, None] * s[:, None, :]).reshape(len(x), -1)
+        return p @ u.reshape(n_out, -1).T
+
+    def formula(self, x, w, u, s):
+        return x @ w.T + self.rank_term(x, u, s, len(w))
+
+    def test_plain_call_within_one_block_is_the_formula_bitwise(self):
+        vals = lowrank_inputs(np.random.default_rng(26), ROW_BLOCK, 12, 10, 3)
+        out = lowrank_linear(*(vals[n] for n in self.NAMES))
+        assert np.array_equal(out, self.formula(*(vals[n] for n in self.NAMES)))
+
+    def test_plain_call_is_the_formula_block_by_block(self):
+        # x Wᵀ is one GEMM over all rows; P u_rᵀ is formed per row block
+        batch = 2 * ROW_BLOCK + 17
+        x, w, u, s = (lowrank_inputs(np.random.default_rng(27), batch, 12,
+                                     10, 3)[n] for n in self.NAMES)
+        out = lowrank_linear(x, w, u, s)
+        plain = x @ w.T
+        for lo in range(0, batch, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            block = self.rank_term(x[rows], u, s[rows], len(w))
+            assert np.array_equal(out[rows], plain[rows] + block)
+        whole = self.formula(x, w, u, s)
+        assert np.max(np.abs(out - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_taped_call_stays_one_block(self):
+        vals = lowrank_inputs(np.random.default_rng(28), ROW_BLOCK + 44, 12,
+                              10, 3)
+        leaves = [ad.Var(vals[n]) for n in self.NAMES]
+        out = lowrank_linear(*leaves)
+        assert np.array_equal(out.value,
+                              self.formula(*(vals[n] for n in self.NAMES)))
+
+    def test_plain_call_holds_one_block_of_outer_products(self):
+        batch, width, rank = 1000, 150, 32
+        x, w, u, s = (lowrank_inputs(np.random.default_rng(29), batch, width,
+                                     width, rank)[n] for n in self.NAMES)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = lowrank_linear(x, w, u, s)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the whole P would be batch·width·rank·8 = 38.4 MB
+        assert peak <= out.nbytes + ROW_BLOCK * width * rank * 8 + 512 * 1024
 
     def test_factor_shapes_are_checked(self):
         vals = lowrank_inputs(np.random.default_rng(25))

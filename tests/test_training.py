@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import (
     poison_backward,
     analytic_linear_observer,
     linear_test_system,
+    make_store,
 )
 
 import hyperkkl.autodiff as ad
@@ -195,6 +198,12 @@ class TestPhase1:
         assert store_hash(a.phi) == store_hash(b.phi)
         c, *_ = self.make_run(seed=6)
         assert store_hash(a.theta) != store_hash(c.theta)
+
+
+def test_store_hash_is_the_sha256_of_the_values():
+    store = make_store([("w", np.random.default_rng(8).normal(size=(7, 3))),
+                        ("b", np.array([-0.0, np.pi]))])
+    assert store_hash(store) == hashlib.sha256(store.data.tobytes()).hexdigest()
 
 
 class TestPhase2Dynamic:
