@@ -167,8 +167,6 @@ def cmd_train(args, s):
             system, base.obs, base.maps, base.theta, base.phi, spec,
             trajectories, train_config, args.variant, f_scale=base.f_scale,
         )
-        if result.base_hash_before != result.base_hash_after:
-            raise NumericError("frozen base parameters changed during phase 2")
         bundle = CheckpointBundle(
             variant=args.variant, system_name=system_name, maps=base.maps,
             obs=base.obs, theta=base.theta, phi=base.phi, f_scale=base.f_scale,

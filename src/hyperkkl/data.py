@@ -170,7 +170,10 @@ def read_dataset(path) -> Dataset:
         system = get_system(sysname)
         if (system.n_x, system.n_y, system.m) != (n_x, n_y, m):
             raise ContractViolation(f"{path}: dimension header mismatch")
-        n = n_steps_for(horizon, dt)
+        try:
+            n = n_steps_for(horizon, dt)
+        except ContractViolation as e:
+            raise ContractViolation(f"{path}: {e}") from None
         r.need(8 * count * (n + 1) * (n_x + m + n_y))
         times = np.arange(n + 1) * dt
 

@@ -248,6 +248,12 @@ def rk4_step(system: SystemSpec, x, u_of_t, t: float, dt: float) -> np.ndarray:
 
 def n_steps_for(horizon: float, dt: float) -> int:
     """horizon/dt as an exact positive integer, else a contract violation."""
+    if not (dt > 0 and horizon > 0 and math.isfinite(dt)
+            and math.isfinite(horizon / dt)):
+        raise ContractViolation(
+            f"dt and horizon must be finite and positive, got dt {dt!r}, "
+            f"horizon {horizon!r}"
+        )
     n = horizon / dt
     n_round = round(n)
     if n_round <= 0 or abs(n - n_round) > 1e-9 * max(1.0, abs(n)):

@@ -12,11 +12,22 @@ Pretraining is sequential to keep the encoder and decoder objectives
 from fighting each other: the encoder is fitted first against simulated
 latent targets plus the stationary residual, then frozen while the
 decoder learns the inverse on reconstruction alone.
+
+Every loop hands its epochs to one ``_Fit``, which holds the policy they
+share: tape the loss, backpropagate, clip, take an Adam step and log a
+row. It keeps a single rollback copy of the parameters as they were
+before the last completed step. A ``NumericError`` while taping the
+loss or clipping the gradient ends the run with an ``Abort`` at that
+epoch and restores the copy, so neither the failed epoch nor the step
+that led to it reaches the result. The stores a run declares frozen are
+hashed when it starts and checked when it ends; a changed one raises
+``NumericError``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,12 +80,19 @@ class TrainConfig:
     segment_batch: int = 2
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ContractViolation("lambda must be >= 0")
-        if self.clip_norm <= 0:
-            raise ContractViolation("clip norm must be positive")
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ContractViolation("lambda must be finite and >= 0")
+        if not self.clip_norm > 0:  # also refuses NaN, which never clips
+            raise ContractViolation("clip must be positive")
         if self.epochs < 1 or self.batch < 1:
             raise ContractViolation("epochs and batch must be >= 1")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ContractViolation("lr must be positive and finite")
+        for name in ("collocation", "segment_steps", "segment_batch"):
+            if getattr(self, name) < 1:
+                raise ContractViolation(f"{name} must be >= 1")
+        if self.segment_discard < 0:
+            raise ContractViolation("segment_discard must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,6 +106,8 @@ class CurriculumConfig:
             raise ContractViolation("epsilon must lie in (0, 1)")
         if self.patience < 1:
             raise ContractViolation("patience must be >= 1")
+        if self.level_epochs < 1:
+            raise ContractViolation("level_epochs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -121,8 +141,6 @@ class Phase2Result:
     params: ParamStore
     variant: str
     log: list
-    base_hash_before: str = ""
-    base_hash_after: str = ""
     abort: Abort | None = None
 
 
@@ -175,6 +193,44 @@ def _mse(diff, batch):
     if not np.isfinite(ad.val(loss)):
         raise NumericError("loss is non-finite")
     return loss
+
+
+class _Fit:
+    """One Adam run over ``params`` (see the module docstring)."""
+
+    def __init__(self, params: ParamStore, config: TrainConfig, frozen=()):
+        self.params = params
+        self.config = config
+        self.state = AdamState.for_params(params)
+        self.snapshot = params.data.copy()
+        self.frozen = [(store, store_hash(store)) for store in frozen]
+        self.log: list[LogRow] = []
+        self.abort: Abort | None = None
+
+    def epoch(self, epoch: int, step, level: int = 0) -> LogRow | None:
+        """Step on the loss ``step(pv)`` tapes; the row, or None on abort.
+
+        ``step`` returns ``(loss, rec, pde)``: the loss to differentiate
+        and the two components the row records.
+        """
+        try:
+            pv = ParamVars(self.params, self.state.grad)
+            loss, rec, pde = step(pv)
+            ad.backward(loss)
+            grads = clip_grad_norm(pv.grads(), self.config.clip_norm)
+        except NumericError as e:
+            self.params.data[:] = self.snapshot
+            self.abort = Abort(epoch, str(e))
+            return None
+        self.snapshot[:] = self.params.data
+        adam_step(self.state, self.params, grads, lr=self.config.lr)
+        self.log.append(LogRow(epoch, float(ad.val(rec)), float(ad.val(pde)),
+                               global_norm(grads), level))
+        return self.log[-1]
+
+    def check_frozen(self) -> None:
+        if any(store_hash(store) != digest for store, digest in self.frozen):
+            raise NumericError("a frozen parameter store changed in training")
 
 
 def total_loss(
@@ -239,22 +295,18 @@ def latent_targets(
     """(states, latents) pairs for the autonomous data-fit term.
 
     Each trajectory is re-integrated without noise from its recorded
-    initial condition, the latent filter is run along the clean outputs
-    from z(0) = 0, and the first ``discard`` fraction (the filter
-    transient) is dropped.
+    initial condition; the pairs are ``observer_pairs`` of those clean
+    trajectories, in (state, latent) order.
     """
-    xs, zs = [], []
+    clean = []
     for tr in trajectories:
         if not np.all(tr.inputs == 0.0):
             raise ContractViolation("autonomous pretraining needs u == 0 data")
-        clean = simulate(
+        clean.append(simulate(
             system, tr.x0, None, tr.dt, tr.n_steps * tr.dt, 0.0, tr.seed
-        )
-        z = simulate_latent(obs, clean.outputs, tr.dt)
-        k0 = int(np.ceil(discard * len(z)))
-        xs.append(clean.states[k0:])
-        zs.append(z[k0:])
-    return np.concatenate(xs), np.concatenate(zs)
+        ))
+    zs, xs = observer_pairs(obs, clean, discard)
+    return xs, zs
 
 
 def compute_f_scale(system: SystemSpec, states: np.ndarray) -> float:
@@ -289,61 +341,41 @@ def phase1_train(
 
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
     colloc_rng = seeding.stream(config.seed, seeding.STREAM_COLLOCATION)
-    log: list[LogRow] = []
 
-    theta_hash_after_stage_a = None
-    state = AdamState.for_params(theta)
-    snapshot = theta.data.copy()
-    abort = None
+    run = _Fit(theta, config)
     for epoch in range(1, config.epochs + 1):
         idx = batch_rng.integers(0, len(x_data), size=config.batch)
         colloc = _sample_box(colloc_rng, system, config.collocation)
-        try:
-            pv = ParamVars(theta, state.grad)
+
+        def step(pv):
             fit = _mse(ad.sub(encode(maps, pv, x_data[idx]), z_data[idx]),
                        config.batch)
             pde = autonomous_pde_residual(
                 maps, pv, obs, system, colloc, f_scale=f_scale
             )
-            loss = ad.add(fit, ad.mul(pde, config.lam))
-            ad.backward(loss)
-            grads = clip_grad_norm(pv.grads(), config.clip_norm)
-        except NumericError as e:
-            theta.data[:] = snapshot
-            abort = Abort(epoch, str(e))
-            break
-        snapshot[:] = theta.data
-        adam_step(state, theta, grads, lr=config.lr)
-        log.append(LogRow(epoch, float(ad.val(fit)), float(ad.val(pde)),
-                          global_norm(grads), 0))
+            return ad.add(fit, ad.mul(pde, config.lam)), fit, pde
 
-    theta_hash_after_stage_a = store_hash(theta)
-    state = AdamState.for_params(phi)
-    snapshot = phi.data.copy()
+        if run.epoch(epoch, step) is None:
+            return Phase1Result(theta=theta, phi=phi, f_scale=f_scale,
+                                log=run.log, abort=run.abort)
+
+    encoder_log = run.log
+    run = _Fit(phi, config, frozen=(theta,))
     for epoch in range(config.epochs + 1, 2 * config.epochs + 1):
-        if abort is not None:
-            break
         idx = batch_rng.integers(0, len(x_data), size=config.batch)
         colloc = _sample_box(colloc_rng, system, config.collocation)
         x_rec = np.concatenate([x_data[idx], colloc])
         z_rec = encode(maps, theta, x_rec)  # frozen encoder, plain arrays
-        try:
-            pv = ParamVars(phi, state.grad)
-            rec = _mse(ad.sub(decode(maps, pv, z_rec), x_rec), len(x_rec))
-            ad.backward(rec)
-            grads = clip_grad_norm(pv.grads(), config.clip_norm)
-        except NumericError as e:
-            phi.data[:] = snapshot
-            abort = Abort(epoch, str(e))
-            break
-        snapshot[:] = phi.data
-        adam_step(state, phi, grads, lr=config.lr)
-        log.append(LogRow(epoch, float(ad.val(rec)), 0.0, global_norm(grads), 0))
 
-    if store_hash(theta) != theta_hash_after_stage_a:
-        raise NumericError("encoder changed during the decoder stage")
-    return Phase1Result(theta=theta, phi=phi, f_scale=f_scale, log=log,
-                        abort=abort)
+        def step(pv):
+            rec = _mse(ad.sub(decode(maps, pv, z_rec), x_rec), len(x_rec))
+            return rec, rec, 0.0
+
+        if run.epoch(epoch, step) is None:
+            break
+    run.check_frozen()
+    return Phase1Result(theta=theta, phi=phi, f_scale=f_scale,
+                        log=encoder_log + run.log, abort=run.abort)
 
 
 def _gather_windows(trajectories, picks, w: int, shift: int = 0):
@@ -409,18 +441,13 @@ def phase2_train(
 
 def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
                    config, f_scale):
-    base_hash = store_hash(theta_base) + store_hash(phi_base)
     psi = init_hypernet_params(spec, config.seed)
     _check_zero_input_gating(maps, spec, psi)
 
     dt = trajectories[0].dt
     n_steps = trajectories[0].n_steps
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
-    state = AdamState.for_params(psi)
-    snapshot = psi.data.copy()
-    log: list[LogRow] = []
-    abort = None
-
+    run = _Fit(psi, config, frozen=(theta_base, phi_base))
     for epoch in range(1, config.epochs + 1):
         t_idx = batch_rng.integers(0, len(trajectories), size=config.batch)
         k_idx = batch_rng.integers(0, n_steps, size=config.batch)
@@ -431,8 +458,7 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
         win_post = _gather_windows(trajectories, picks, spec.window, 1)
         windows = np.concatenate([win_pre, win_post])
 
-        try:
-            pv = ParamVars(psi, state.grad)
+        def step(pv):
             b = config.batch
             context = encode_context(pv, spec, windows)
             gates = gate_values(windows, spec.tau)
@@ -444,34 +470,22 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
             # the decoder head reads only the pre-windows
             dec_pre = head_layer_deltas(pv, spec.dec_head, maps.dec, DEC,
                                         pre, gates[:b])
-            loss, rec, pde = total_loss(
+            return total_loss(
                 maps, theta_base, phi_base, obs, system, x, config.lam,
                 mode="dynamic", u_now=u_now, enc_deltas_pre=enc_pre,
                 enc_deltas_post=enc_post, dec_deltas=dec_pre, dt=dt,
                 f_scale=f_scale,
             )
-            ad.backward(loss)
-            grads = clip_grad_norm(pv.grads(), config.clip_norm)
-        except NumericError as e:
-            psi.data[:] = snapshot
-            abort = Abort(epoch, str(e))
-            break
-        snapshot[:] = psi.data
-        adam_step(state, psi, grads, lr=config.lr)
-        log.append(LogRow(epoch, float(ad.val(rec)), float(ad.val(pde)),
-                          global_norm(grads), 0))
 
-    return Phase2Result(
-        params=psi, variant="dynamic", log=log,
-        base_hash_before=base_hash,
-        base_hash_after=store_hash(theta_base) + store_hash(phi_base),
-        abort=abort,
-    )
+        if run.epoch(epoch, step) is None:
+            break
+    run.check_frozen()
+    return Phase2Result(params=psi, variant="dynamic", log=run.log,
+                        abort=run.abort)
 
 
 def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
                   config):
-    base_hash = store_hash(theta_base) + store_hash(phi_base)
     xi = init_injection_params(spec, config.seed)
 
     dt = trajectories[0].dt
@@ -479,16 +493,12 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
     seg = min(config.segment_steps, n_steps)
     discard = min(config.segment_discard, seg - 1)
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
-    state = AdamState.for_params(xi)
-    snapshot = xi.data.copy()
-    log: list[LogRow] = []
-    abort = None
-
+    run = _Fit(xi, config, frozen=(theta_base, phi_base))
     for epoch in range(1, config.epochs + 1):
         t_idx = batch_rng.integers(0, len(trajectories), size=config.segment_batch)
         k_idx = batch_rng.integers(0, n_steps - seg + 1, size=config.segment_batch)
-        try:
-            pv = ParamVars(xi, state.grad)
+
+        def step(pv):
             total = None
             count = 0
             for t, k0 in zip(t_idx, k_idx):
@@ -511,22 +521,13 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
             loss = ad.mul(total, 1.0 / count)
             if not np.isfinite(ad.val(loss)):
                 raise NumericError("segment loss is non-finite")
-            ad.backward(loss)
-            grads = clip_grad_norm(pv.grads(), config.clip_norm)
-        except NumericError as e:
-            xi.data[:] = snapshot
-            abort = Abort(epoch, str(e))
-            break
-        snapshot[:] = xi.data
-        adam_step(state, xi, grads, lr=config.lr)
-        log.append(LogRow(epoch, float(ad.val(loss)), 0.0, global_norm(grads), 0))
+            return loss, loss, 0.0
 
-    return Phase2Result(
-        params=xi, variant="static", log=log,
-        base_hash_before=base_hash,
-        base_hash_after=store_hash(theta_base) + store_hash(phi_base),
-        abort=abort,
-    )
+        if run.epoch(epoch, step) is None:
+            break
+    run.check_frozen()
+    return Phase2Result(params=xi, variant="static", log=run.log,
+                        abort=run.abort)
 
 
 def observer_pairs(obs: ObserverMatrices, trajectories,
@@ -568,14 +569,10 @@ def curriculum_train(
     """
     if len(level_datasets) < 1:
         raise ContractViolation("need at least one curriculum level")
-    theta_hash = store_hash(theta_frozen)
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
-    state = AdamState.for_params(phi)
-    snapshot = phi.data.copy()
-    log: list[LogRow] = []
+    run = _Fit(phi, config, frozen=(theta_frozen,))
     transitions = []
     epoch = 0
-    abort = None
 
     for level_idx, trajectories in enumerate(level_datasets, start=1):
         z_data, x_data = observer_pairs(obs, trajectories)
@@ -584,29 +581,22 @@ def curriculum_train(
         for _ in range(schedule.level_epochs):
             epoch += 1
             idx = batch_rng.integers(0, len(x_data), size=config.batch)
-            try:
-                pv = ParamVars(phi, state.grad)
+
+            def step(pv):
                 rec = _mse(ad.sub(decode(maps, pv, z_data[idx]), x_data[idx]),
                            config.batch)
-                ad.backward(rec)
-                grads = clip_grad_norm(pv.grads(), config.clip_norm)
-            except NumericError as e:
-                phi.data[:] = snapshot
-                abort = Abort(epoch, str(e))
+                return rec, rec, 0.0
+
+            row = run.epoch(epoch, step, level_idx)
+            if row is None:
                 break
-            snapshot[:] = phi.data
-            adam_step(state, phi, grads, lr=config.lr)
-            history.append(float(ad.val(rec)))
-            log.append(LogRow(epoch, history[-1], 0.0, global_norm(grads),
-                              level_idx))
+            history.append(row.loss_rec)
             if len(history) >= schedule.patience + 1 and plateau_detect(
                 history, schedule.epsilon, schedule.patience
             ):
                 break
-        if abort is not None:
+        if run.abort is not None:
             break
-
-    if store_hash(theta_frozen) != theta_hash:
-        raise NumericError("encoder changed during curriculum training")
-    return CurriculumResult(phi=phi, log=log, transitions=transitions,
-                            abort=abort)
+    run.check_frozen()
+    return CurriculumResult(phi=phi, log=run.log, transitions=transitions,
+                            abort=run.abort)

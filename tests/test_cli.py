@@ -9,6 +9,7 @@ import pytest
 
 from conftest import poison_backward
 
+from hyperkkl import training
 from hyperkkl.checkpoints import read_checkpoint
 from hyperkkl.cli import build_parser, main
 from hyperkkl.config import load_config, resolve, system_defaults
@@ -191,6 +192,8 @@ class TestTrain:
                      "[train] normalize", id="not-boolean"),
         pytest.param("gen", "[data]\nn_train = 3.0\n", "[data] n_train",
                      id="float-count"),
+        pytest.param("train", "[train]\ncollocation = 0\n", "collocation",
+                     id="no-collocation"),
     ])
     def test_bad_config_value_is_error(self, gen_dir, tmp_path, capsys,
                                        command, ini, where):
@@ -369,6 +372,42 @@ class TestTrainConditioned:
         bundle = read_checkpoint(out / "duffing_static.hkkp")
         assert bundle.variant == "static"
         assert bundle.xi is not None
+
+    def test_static_refuses_an_empty_segment_batch(self, trained, capsys):
+        ini = trained["root"] / "empty.ini"
+        ini.write_text("[train]\nsegment_batch = 0\n")
+        out = trained["root"] / "empty"
+        code = run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            "static", "--base", str(trained["base"]), "--data",
+            str(trained["forced"]), "--epochs", "1", "--config", str(ini),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: segment_batch must be >= 1\n"
+        assert not out.exists()
+
+    def test_a_changed_frozen_base_writes_nothing(self, trained, capsys,
+                                                  monkeypatch):
+        real = training.total_loss
+
+        def total_loss(maps, theta, *args, **kwargs):
+            theta.data[0] += 1.0  # a loss that writes into the frozen base
+            return real(maps, theta, *args, **kwargs)
+
+        monkeypatch.setattr(training, "total_loss", total_loss)
+        out = trained["root"] / "moved"
+        code = run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            "dynamic", "--base", str(trained["base"]), "--data",
+            str(trained["forced"]), "--epochs", "2", "--batch", "8",
+            "--window", "6", "--out", str(out),
+        )
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numeric failure: ") and "frozen" in err[0]
+        assert not out.exists()
 
     def test_phase2_refuses_mixed_time_grids(self, trained, tmp_path, capsys):
         longer = tmp_path / "longer"
@@ -567,6 +606,24 @@ class TestDamagedFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert str(bad) in err and offset in err
+
+    @pytest.mark.parametrize("dt", [0.0, float("nan")])
+    def test_dataset_header_dt(self, gen_dir, tmp_path, capsys, dt):
+        blob = bytearray((gen_dir / "duffing_zero_n4_s1.hkkl").read_bytes())
+        # after the magic, the version, the name length, "duffing" and n_x,
+        # n_y, m
+        struct.pack_into("<d", blob, 4 + 2 + 2 + 7 + 6, dt)
+        bad = tmp_path / "bad.hkkl"
+        bad.write_bytes(bytes(blob))
+        code = run(
+            "train", "--system", "duffing", "--phase", "1", "--data",
+            str(bad), "--epochs", "1", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}: dt and horizon must be finite and "
+                       f"positive, got dt {dt!r}, horizon 2.0\n")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("cut, extra, offset", [
         pytest.param(100, b"", "byte 100", id="truncated"),

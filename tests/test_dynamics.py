@@ -155,6 +155,14 @@ class TestSimulate:
         with pytest.raises(ContractViolation):
             simulate(duffing(), np.zeros(2), None, 0.05, 0.0, 0.0, seed=0)
 
+    @pytest.mark.parametrize("horizon, dt", [
+        (50.0, 0.0), (50.0, -0.05), (50.0, math.nan), (50.0, math.inf),
+        (math.nan, 0.05), (math.inf, 0.05), (-1.0, 0.05), (1e300, 1e-300),
+    ])
+    def test_step_count_refuses_a_bad_dt_or_horizon(self, horizon, dt):
+        with pytest.raises(ContractViolation, match="finite and positive"):
+            dynamics.n_steps_for(horizon, dt)
+
     def test_divergence_guard_names_step(self):
         blow = SystemSpec(
             name="blowup", n_x=1, n_y=1, m=0,

@@ -12,7 +12,7 @@ from conftest import (
 )
 
 import hyperkkl.autodiff as ad
-from hyperkkl import seeding
+from hyperkkl import seeding, training
 from hyperkkl.data import generate_dataset
 from hyperkkl.dynamics import duffing, van_der_pol
 from hyperkkl.errors import ContractViolation, NumericError
@@ -20,6 +20,7 @@ from hyperkkl.hypernet import (
     build_hypernet_spec,
     build_injection_spec,
     init_hypernet_params,
+    init_injection_params,
 )
 from hyperkkl.kkl import (
     build_observer_matrices,
@@ -68,6 +69,17 @@ class TestConfigs:
             CurriculumConfig(epsilon=1.5)
         with pytest.raises(ContractViolation):
             CurriculumConfig(patience=0)
+        for setting, value in [
+            ("lam", np.nan), ("lam", np.inf), ("clip_norm", np.nan),
+            ("lr", -1.0), ("lr", 0.0), ("lr", np.nan), ("lr", np.inf),
+            ("collocation", 0), ("segment_steps", 0), ("segment_batch", 0),
+            ("segment_discard", -5),
+        ]:
+            name = {"lam": "lambda", "clip_norm": "clip"}.get(setting, setting)
+            with pytest.raises(ContractViolation, match=f"^{name} must be "):
+                TrainConfig(**{setting: value})
+        with pytest.raises(ContractViolation, match="^level_epochs must be "):
+            CurriculumConfig(level_epochs=0)
 
 
 class TestNormalization:
@@ -213,15 +225,16 @@ class TestPhase2Dynamic:
         ds = tiny_dataset(sys, "sinusoid", count=3, horizon=5.0, sigma=0.0)
         spec = build_hypernet_spec(maps, window=8, lstm_hidden=6, rank=3)
         config = TrainConfig(epochs=15, batch=16, seed=seed, lam=0.1)
+        before = [store_hash(s) for s in (theta, phi)]
         result = phase2_train(
             sys, obs, maps, theta, phi, spec, ds.trajectories, config,
             "dynamic", f_scale=2.0,
         )
-        return result, theta, phi
+        return result, before, [store_hash(s) for s in (theta, phi)]
 
     def test_base_stays_frozen(self):
-        result, theta, phi = self.make_run()
-        assert result.base_hash_before == result.base_hash_after
+        result, before, after = self.make_run()
+        assert before == after
         assert result.abort is None
         assert len(result.log) == 15
 
@@ -263,25 +276,24 @@ class TestPhase2Static:
                                     mlp_hidden=(8,))
         config = TrainConfig(epochs=8, seed=seed, segment_steps=30,
                              segment_discard=10, segment_batch=2)
+        before = [store_hash(s) for s in (theta, phi)]
         result = phase2_train(
             sys, obs, maps, theta, phi, spec, ds.trajectories, config, "static"
         )
-        return result
+        return result, before, [store_hash(s) for s in (theta, phi)]
 
     def test_runs_frozen_and_deterministic(self):
-        a = self.make_run()
-        assert a.base_hash_before == a.base_hash_after
+        a, before, after = self.make_run()
+        assert before == after
         assert a.abort is None
         assert len(a.log) == 8
-        b = self.make_run()
+        b, *_ = self.make_run()
         assert store_hash(a.params) == store_hash(b.params)
 
     def test_training_moves_parameters(self):
         spec = build_injection_spec(5, window=6, lstm_hidden=4, mlp_hidden=(8,))
-        from hyperkkl.hypernet import init_injection_params
-
         fresh = init_injection_params(spec, 8)
-        result = self.make_run()
+        result, *_ = self.make_run()
         assert store_hash(result.params) != store_hash(fresh)
 
 
@@ -295,6 +307,7 @@ class TestCurriculum:
     def test_levels_advance_in_order(self):
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=6)
+        encoder = store_hash(theta)
         result = curriculum_train(
             sys, obs, maps, theta, phi.copy(), self.make_levels(sys),
             TrainConfig(epochs=1, batch=32, seed=9),
@@ -305,7 +318,7 @@ class TestCurriculum:
         assert starts == sorted(starts)
         levels_seen = [r.level for r in result.log]
         assert levels_seen == sorted(levels_seen)  # never skips back
-        assert store_hash(theta) == store_hash(theta)  # encoder untouched
+        assert store_hash(theta) == encoder
 
     def test_single_level_equals_plain_fine_tuning(self):
         sys = van_der_pol()
@@ -360,44 +373,87 @@ class TestCurriculum:
 
 
 class TestNonFiniteGradient:
-    """An inf gradient aborts the run at its epoch; nothing is stepped."""
+    """The epoch policy every loop shares.
 
-    def run(self, loop):
+    An inf gradient aborts the run at its epoch; nothing is stepped. The
+    run keeps one copy of its parameters from before the last completed
+    step, so an abort at epoch k leaves the stores of a clean run of
+    k - 2 epochs. A store the run holds frozen must not change.
+    """
+
+    def run(self, loop, epochs=3, levels=2):
+        """A tiny run of ``loop``; curriculum runs ``epochs`` per level."""
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(6,), seed=4)
-        config = TrainConfig(epochs=3, batch=8, collocation=8, seed=3,
+        self.theta = theta
+        config = TrainConfig(epochs=epochs, batch=8, collocation=8, seed=3,
                              segment_steps=12, segment_discard=4,
                              segment_batch=1)
         if loop == "phase1":
             ds = tiny_dataset(sys, "zero", count=2, horizon=2.0)
+            start = (theta.copy(), phi.copy())
             result = phase1_train(sys, obs, maps, theta, phi,
                                   ds.trajectories, config)
-            return result, (result.theta, result.phi)
+            return result, (result.theta, result.phi), start
         if loop == "curriculum":
-            levels = [tiny_dataset(sys, "constant", count=2, seed=10,
-                                   horizon=2.0).trajectories]
+            levels = [tiny_dataset(sys, regime, count=2, seed=seed,
+                                   horizon=2.0).trajectories
+                      for regime, seed in (("constant", 10),
+                                           ("sinusoid", 20))[:levels]]
+            start = (phi.copy(),)
             result = curriculum_train(
                 sys, obs, maps, theta, phi, levels, config,
-                CurriculumConfig(level_epochs=6))
-            return result, (result.phi,)
+                CurriculumConfig(level_epochs=epochs))
+            return result, (result.phi,), start
         ds = tiny_dataset(sys, "sinusoid", count=2, horizon=2.0)
-        spec = (build_hypernet_spec(maps, window=4, lstm_hidden=3, rank=2)
-                if loop == "dynamic" else
-                build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
-                                     mlp_hidden=(4,)))
+        if loop == "dynamic":
+            spec = build_hypernet_spec(maps, window=4, lstm_hidden=3, rank=2)
+            start = (init_hypernet_params(spec, config.seed),)
+        else:
+            spec = build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
+                                        mlp_hidden=(4,))
+            start = (init_injection_params(spec, config.seed),)
         result = phase2_train(sys, obs, maps, theta, phi, spec,
                               ds.trajectories, config, loop)
-        return result, (result.params,)
+        return result, (result.params,), start
+
+    def clean_stores(self, loop, epochs):
+        """The stores of a clean run stopped after ``epochs`` epochs."""
+        if epochs == 0:
+            return self.run(loop)[2]
+        _, stores, start = self.run(loop, epochs=epochs, levels=1)
+        if loop == "phase1":  # all in the encoder stage: phi is untouched
+            return stores[0], start[1]
+        return stores
 
     @pytest.mark.parametrize("loop, at_call", [
         ("phase1", 2), ("phase1", 5), ("static", 2), ("dynamic", 2),
         ("curriculum", 2),
+        # the first epoch of level 2 rolls back into level 1
+        ("curriculum", 4),
     ])
     def test_aborts_at_the_epoch(self, monkeypatch, loop, at_call):
+        expected = self.clean_stores(loop, at_call - 2)
         poison_backward(monkeypatch, at_call)
-        result, stores = self.run(loop)
+        result, stores, _ = self.run(loop)
         assert result.abort is not None
         assert result.abort.epoch == at_call
         assert result.abort.reason == "gradient norm is non-finite"
         assert [r.epoch for r in result.log] == list(range(1, at_call))
         assert all(np.all(np.isfinite(s.data)) for s in stores)
+        assert [s.data.tobytes() for s in stores] == [
+            s.data.tobytes() for s in expected]
+
+    @pytest.mark.parametrize("loop", ["phase1", "static", "dynamic",
+                                      "curriculum"])
+    def test_a_changed_frozen_store_raises(self, monkeypatch, loop):
+        # phase 1 trains the encoder first; every later run holds it frozen
+        real = training.adam_step
+
+        def adam_step(state, params, grads, **kw):
+            self.theta.data[0] += 1.0
+            return real(state, params, grads, **kw)
+
+        monkeypatch.setattr(training, "adam_step", adam_step)
+        with pytest.raises(NumericError, match="frozen"):
+            self.run(loop)
