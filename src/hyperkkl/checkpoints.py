@@ -22,7 +22,8 @@ hypernetwork block is laid out from the spec in the metadata, so only
 its value count has to match; files that split each head's U readout
 into several slices load unchanged, since the values sit in the same
 order. A file that ends early or has bytes past the data is refused
-with the byte offset.
+with the byte offset, and metadata that lacks a key the reader uses or
+gives it the wrong type is refused with the key (see META_KEYS).
 
 Each store's buffer is written in place, after the total count, and the
 data block is read into one array that the loaded stores are views of,
@@ -81,6 +82,61 @@ class CheckpointBundle:
             self.injection_spec is None or self.xi is None
         ):
             raise ContractViolation("static checkpoint needs injection params")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+INTEGER = (_is_int, "an integer")
+INTEGERS = (_is_ints, "a list of integers")
+NUMBER = (_is_number, "a number")
+STRING = (lambda v: isinstance(v, str), "a string")
+OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
+
+# Every metadata key read_checkpoint reads, with the check its value must
+# pass; a nested table is an object whose keys are checked in turn.
+META_KEYS = {
+    "variant": (lambda v: v in VARIANTS, f"one of {', '.join(VARIANTS)}"),
+    "system": STRING,
+    "activation": STRING,
+    "n_x": INTEGER,
+    "n_y": INTEGER,
+    "n_z": INTEGER,
+    "enc_hidden": INTEGERS,
+    "f_scale": NUMBER,
+    "dt": (lambda v: v is None or _is_number(v), "a number or null"),
+    "train_seed_range": (lambda v: v is None or (_is_ints(v) and len(v) == 2),
+                         "null or two integers"),
+    "hyper": {"window": INTEGER, "lstm_hidden": INTEGER, "rank": INTEGER,
+              "tau": NUMBER, "input_size": INTEGER},
+    "injection": {"window": INTEGER, "lstm_hidden": INTEGER,
+                  "mlp_hidden": INTEGERS, "tau": NUMBER, "input_size": INTEGER},
+}
+# files written before dt was stored lack it; only the conditioned
+# variants carry hyper or injection
+OPTIONAL_META_KEYS = ("dt", "hyper", "injection")
+
+
+def _check_meta(meta, path, keys=META_KEYS, prefix="") -> None:
+    """Refuse metadata that lacks a key read_checkpoint reads or mistypes it."""
+    for key, check in keys.items():
+        if key not in meta and key in OPTIONAL_META_KEYS:
+            continue
+        ok, what = OBJECT if isinstance(check, dict) else check
+        if key not in meta or not ok(meta[key]):
+            raise ContractViolation(
+                f"{path}: metadata key {prefix + key!r} must be {what}")
+        if isinstance(check, dict):
+            _check_meta(meta[key], path, check, f"{prefix}{key}.")
 
 
 def _meta_for(bundle: CheckpointBundle) -> dict:
@@ -182,6 +238,9 @@ def read_checkpoint(path) -> CheckpointBundle:
             raise ContractViolation(
                 f"{path}: bad metadata at byte offset {meta_offset}: {e}"
             ) from None
+        if not isinstance(meta, dict):
+            raise ContractViolation(f"{path}: metadata must be a JSON object")
+        _check_meta(meta, path)
         (n_entries,) = r.unpack("<I")
         entries = []
         for _ in range(n_entries):
@@ -249,7 +308,7 @@ def read_checkpoint(path) -> CheckpointBundle:
         f_scale=meta["f_scale"],
         dt=meta.get("dt"),
         train_seed_range=tuple(meta["train_seed_range"])
-        if meta.get("train_seed_range")
+        if meta["train_seed_range"]
         else None,
         hyper_spec=hyper_spec,
         psi=psi,

@@ -8,6 +8,8 @@ returns next to its outputs; re-running the argv recorded there
 reproduces every output byte for byte.
 
 Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure.
+A request too large for memory (say ``gen --horizon 1e12``) is a user
+error: it exits 2 with one ``error: out of memory: ...`` line.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def cmd_train(args, s):
             )
         result = training.phase2_train(
             system, base.obs, base.maps, base.theta, base.phi, spec,
-            trajectories, train_config, args.variant, f_scale=base.f_scale,
+            trajectories, train_config, f_scale=base.f_scale,
         )
         bundle = CheckpointBundle(
             variant=args.variant, system_name=system_name, maps=base.maps,
@@ -449,6 +451,9 @@ def main(argv=None) -> int:
         )
     except (ConfigError, ContractViolation) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)

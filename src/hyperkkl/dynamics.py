@@ -280,8 +280,8 @@ def simulate(
     reproduce bit-identical arrays. A trajectory that strays farther than
     1e3 domain-box diameters from the box center aborts with the step index.
     """
-    if sigma < 0:
-        raise ContractViolation("sigma must be nonnegative")
+    if not (sigma >= 0 and math.isfinite(sigma)):
+        raise ContractViolation(f"sigma must be finite and >= 0, got {sigma!r}")
     n = n_steps_for(horizon, dt)
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (system.n_x,):

@@ -36,35 +36,32 @@ REGIMES = ("zero", "constant", "sinusoid", "square")
 TRANSIENT_FRACTION = 0.05
 
 
-def _transient_steps(n: int, frac: float) -> int:
-    if not 0.0 <= frac < 1.0:
-        raise ContractViolation("transient fraction must lie in [0, 1)")
-    k0 = int(np.ceil(frac * n))
-    if k0 >= n:
-        raise ContractViolation("transient discard leaves no samples")
-    return k0
-
-
-def rmse(x_seq, xhat_seq, transient_frac: float = TRANSIENT_FRACTION) -> float:
-    """Root mean squared Euclidean error after the transient discard."""
+def _past_transient(x_seq, xhat_seq, frac: float):
+    """Both aligned sequences as float arrays, the transient dropped."""
     x = np.asarray(x_seq, dtype=np.float64)
     xh = np.asarray(xhat_seq, dtype=np.float64)
     if x.shape != xh.shape:
         raise ContractViolation("sequences must be aligned")
-    k0 = _transient_steps(len(x), transient_frac)
-    err = x[k0:] - xh[k0:]
+    if not 0.0 <= frac < 1.0:
+        raise ContractViolation("transient fraction must lie in [0, 1)")
+    k0 = int(np.ceil(frac * len(x)))
+    if k0 >= len(x):
+        raise ContractViolation("transient discard leaves no samples")
+    return x[k0:], xh[k0:]
+
+
+def rmse(x_seq, xhat_seq, transient_frac: float = TRANSIENT_FRACTION) -> float:
+    """Root mean squared Euclidean error after the transient discard."""
+    x, xh = _past_transient(x_seq, xhat_seq, transient_frac)
+    err = x - xh
     return float(np.sqrt(np.mean(np.sum(err.reshape(len(err), -1) ** 2, axis=1))))
 
 
 def smape(x_seq, xhat_seq, transient_frac: float = TRANSIENT_FRACTION) -> float:
     """Symmetric mean absolute percentage error, bounded in [0, 200]."""
-    x = np.asarray(x_seq, dtype=np.float64)
-    xh = np.asarray(xhat_seq, dtype=np.float64)
-    if x.shape != xh.shape:
-        raise ContractViolation("sequences must be aligned")
-    k0 = _transient_steps(len(x), transient_frac)
-    num = 2.0 * np.abs(x[k0:] - xh[k0:])
-    den = np.abs(x[k0:]) + np.abs(xh[k0:]) + 1e-8
+    x, xh = _past_transient(x_seq, xhat_seq, transient_frac)
+    num = 2.0 * np.abs(x - xh)
+    den = np.abs(x) + np.abs(xh) + 1e-8
     return float(100.0 * np.mean(num / den))
 
 
@@ -73,8 +70,10 @@ def run_observer(bundle: CheckpointBundle, trajectory: Trajectory) -> np.ndarray
 
     The latent filter starts at z = 0 and is driven by the recorded
     outputs (and inputs, per variant). Estimates are causal: they depend
-    only on samples up to each step. On identically zero input the
-    conditioned variants short-circuit to the exact autonomous pipeline.
+    only on samples up to each step. A conditioned variant acts only on
+    steps whose input window is nonzero: elsewhere the injection returns
+    None and the decoder takes no delta, so those rows are the
+    autonomous estimates, bit for bit.
     """
     obs = bundle.obs
     maps = bundle.maps
@@ -83,14 +82,10 @@ def run_observer(bundle: CheckpointBundle, trajectory: Trajectory) -> np.ndarray
         raise ContractViolation("trajectory output width does not match observer")
 
     if bundle.variant == "static":
-        u = trajectory.inputs
-        if np.all(u == 0.0):
-            zs = simulate_latent(obs, y, trajectory.dt)
-        else:
-            inject = make_step_injection(
-                bundle.xi, bundle.injection_spec, u, trajectory.dt
-            )
-            zs = simulate_latent(obs, y, trajectory.dt, injection=inject)
+        inject = make_step_injection(
+            bundle.xi, bundle.injection_spec, trajectory.inputs, trajectory.dt
+        )
+        zs = simulate_latent(obs, y, trajectory.dt, injection=inject)
         xhat = decode(maps, bundle.phi, zs)
     elif bundle.variant == "dynamic":
         zs = simulate_latent(obs, y, trajectory.dt)

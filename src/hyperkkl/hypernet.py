@@ -77,6 +77,8 @@ class HyperNetSpec:
             raise ContractViolation("window must be >= 1")
         if self.tau <= 0:
             raise ContractViolation("tau must be positive")
+        if min(self.enc_head.rank, self.dec_head.rank) < 1:
+            raise ContractViolation("rank must be >= 1")
 
 
 def _head(name, target_layout, weight_names, rank):
@@ -266,24 +268,15 @@ def init_injection_params(spec: InjectionSpec, seed: int) -> ParamStore:
     return xi
 
 
-def injection_context(xi, spec: InjectionSpec, windows):
-    w = np.asarray(ad.val(windows), dtype=np.float64)
-    if w.ndim == 2:
-        w = w[None]
-    if w.shape[1] != spec.window:
-        raise ContractViolation(
-            f"window length {w.shape[1]} does not match spec window {spec.window}"
-        )
-    return lstm_forward(xi, spec.lstm, w, "inj.lstm")
-
-
 def make_step_injection(xi, spec: InjectionSpec, u_seq, dt: float):
     """Per-step injection callable for simulate_latent.
 
-    Precomputes the window contexts for every sample in u_seq; the
-    returned callable evaluates the injection MLP at (z, context_k).
-    Steps whose window is identically zero short-circuit to None, so the
-    latent update is the autonomous one, bit for bit.
+    Encodes the ``window_matrix`` rows of u_seq, one spec.window-long
+    window per sample, through the injection LSTM; the returned callable
+    evaluates the injection MLP at (z, context_k). Steps whose window is
+    identically zero short-circuit to None, so the latent update is the
+    autonomous one, bit for bit; on an all-zero input nothing is encoded
+    and every step is autonomous.
     """
     from .signals import window_matrix
 
@@ -292,7 +285,7 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq, dt: float):
     nonzero = gates != 0.0
     contexts = None
     if np.any(nonzero):
-        contexts = injection_context(xi, spec, windows)
+        contexts = lstm_forward(xi, spec.lstm, windows, "inj.lstm")
 
     def inject(z, k):
         if not nonzero[k]:

@@ -258,7 +258,7 @@ def _stationary_residual_vec(
 def _state_batch(x_batch):
     x = np.asarray(x_batch, dtype=np.float64)
     if x.ndim != 2:
-        raise ContractViolation("residual expects a (B, n_x) state batch")
+        raise ContractViolation("expected a (B, n_x) state batch")
     return x
 
 
@@ -315,9 +315,7 @@ def reconstruction_loss(maps, theta, phi, x_batch, enc_deltas=None,
 
     ``z``, when given, is encode(x) at ``enc_deltas`` already computed.
     """
-    x = np.asarray(x_batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ContractViolation("reconstruction expects a (B, n_x) batch")
+    x = _state_batch(x_batch)
     if z is None:
         z = encode(maps, theta, x, weight_deltas=enc_deltas)
     xhat = decode(maps, phi, z, weight_deltas=dec_deltas)

@@ -10,7 +10,8 @@ The MLP Jacobian with respect to its input is assembled column-by-column
 from directional-derivative passes built out of the same tape primitives,
 so the Jacobian is itself differentiable with respect to the parameters
 (needed by the physics residuals, n_x <= 3 columns for the shipped
-systems).
+systems). Both forwards run one layer loop; the columns ride along only
+when asked, so a plain forward tapes no derivative node.
 
 Per-sample weights come as rank factors: layer l of sample b uses
 W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
@@ -110,20 +111,12 @@ def init_lstm(params: ParamStore, spec: LstmSpec, prefix: str, seed: int) -> Non
     params.set(f"{prefix}.b", np.zeros(4 * h))
 
 
-def _act(spec: MlpSpec, pre):
-    return ad.tanh(pre) if spec.activation == "tanh" else pre
-
-
 def transpose2d(x):
     xv = ad.val(x)
     out = xv.T
     if not ad.is_var(x):
         return out
     return ad.Var(out, (x,), lambda g: (g.T,))
-
-
-def _maybe_t(w):
-    return transpose2d(w) if ad.is_var(w) else w.T
 
 
 def lowrank_linear(x, w, u, s):
@@ -188,10 +181,36 @@ def _layer_map(params, prefix, i, weight_deltas):
     w = params.get(f"{prefix}.W{i}")
     factors = None if weight_deltas is None else weight_deltas[i]
     if factors is None:
-        wt = _maybe_t(w)
+        wt = transpose2d(w)
         return lambda v: ad.matmul(v, wt)
     u, s = factors
     return lambda v: lowrank_linear(v, w, u, s)
+
+
+def _mlp_layers(params, spec: MlpSpec, a, prefix: str, weight_deltas,
+                cols=()):
+    """The layer loop of both MLP forwards over a (B, n_in) batch ``a``.
+
+    ``cols`` are directional-derivative columns pushed through each
+    layer's linear map and tanh derivative next to ``a``; with none, no
+    derivative node is built. Returns (out, cols).
+    """
+    if ad.val(a).shape[-1] != spec.widths[0]:
+        raise ContractViolation(
+            f"MLP expects input width {spec.widths[0]}, got {ad.val(a).shape[-1]}"
+        )
+    for i in range(spec.n_layers):
+        linear = _layer_map(params, prefix, i, weight_deltas)
+        pre = ad.add(linear(a), params.get(f"{prefix}.b{i}"))
+        cols = [linear(c) for c in cols]
+        if i < spec.n_layers - 1 and spec.activation == "tanh":
+            a = ad.tanh(pre)
+            if cols:
+                dact = ad.sub(1.0, ad.mul(a, a))
+                cols = [ad.mul(c, dact) for c in cols]
+        else:
+            a = pre
+    return a, cols
 
 
 def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
@@ -205,17 +224,8 @@ def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
     xv = ad.val(x)
     single = xv.ndim == 1
     a = ad.reshape(x, (1, xv.shape[0])) if single else x
-    if ad.val(a).shape[-1] != spec.widths[0]:
-        raise ContractViolation(
-            f"MLP expects input width {spec.widths[0]}, got {ad.val(a).shape[-1]}"
-        )
-    for i in range(spec.n_layers):
-        linear = _layer_map(params, prefix, i, weight_deltas)
-        pre = ad.add(linear(a), params.get(f"{prefix}.b{i}"))
-        a = _act(spec, pre) if i < spec.n_layers - 1 else pre
-    if single:
-        a = ad.reshape(a, (spec.widths[-1],))
-    return a
+    a, _ = _mlp_layers(params, spec, a, prefix, weight_deltas)
+    return ad.reshape(a, (spec.widths[-1],)) if single else a
 
 
 def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str,
@@ -231,29 +241,8 @@ def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str,
     xv = ad.val(x)
     if xv.ndim != 2:
         raise ContractViolation("jacobian forward expects a (B, n_in) batch")
-    n_in = spec.widths[0]
-    if xv.shape[1] != n_in:
-        raise ContractViolation(
-            f"MLP expects input width {n_in}, got {xv.shape[1]}"
-        )
-    batch = xv.shape[0]
-    a = x
-    cols = []
-    for j in range(n_in):
-        seed = np.zeros((batch, n_in))
-        seed[:, j] = 1.0
-        cols.append(seed)
-    for i in range(spec.n_layers):
-        linear = _layer_map(params, prefix, i, weight_deltas)
-        pre = ad.add(linear(a), params.get(f"{prefix}.b{i}"))
-        cols = [linear(c) for c in cols]
-        if i < spec.n_layers - 1 and spec.activation == "tanh":
-            a = ad.tanh(pre)
-            dact = ad.sub(1.0, ad.mul(a, a))
-            cols = [ad.mul(c, dact) for c in cols]
-        else:
-            a = pre
-    return a, cols
+    seeds = [np.tile(e, (len(xv), 1)) for e in np.eye(xv.shape[1])]
+    return _mlp_layers(params, spec, x, prefix, weight_deltas, seeds)
 
 
 def _lstm_step(x_t, h, c, wx, wh, b, hsz):

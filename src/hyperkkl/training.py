@@ -139,7 +139,6 @@ class Phase1Result:
 @dataclass
 class Phase2Result:
     params: ParamStore
-    variant: str
     log: list
     abort: Abort | None = None
 
@@ -241,37 +240,28 @@ def total_loss(
     system: SystemSpec,
     x_batch,
     lam: float,
-    mode: str = "autonomous",
+    dt: float,
     u_now=None,
     enc_deltas_pre=None,
     enc_deltas_post=None,
     dec_deltas=None,
-    dt: float | None = None,
     f_scale: float | None = None,
 ):
-    """Reconstruction plus weighted physics residual; returns (total, rec, pde).
+    """Reconstruction plus weighted dynamic residual; returns (total, rec, pde).
 
-    In dynamic mode the reconstruction decodes the encoder output of the
-    residual's Jacobian pass, so x is encoded once at the pre-window
-    parameters.
+    The residual is ``dynamic_pde_residual_batch`` over the window step
+    ``dt``; without deltas its finite-difference term is exactly zero.
+    The reconstruction decodes the encoder output of the residual's
+    Jacobian pass, so x is encoded once at the pre-window parameters.
+    At ``lam`` 0 no residual is taped.
     """
-    if mode not in ("autonomous", "dynamic"):
-        raise ContractViolation(f"unknown loss mode {mode!r}")
     pde = z = None
     if lam != 0.0:
         try:
-            if mode == "autonomous":
-                pde = autonomous_pde_residual(
-                    maps, theta, obs, system, x_batch, u_batch=u_now,
-                    f_scale=f_scale, weight_deltas=enc_deltas_pre,
-                )
-            else:
-                if dt is None:
-                    raise ContractViolation("dynamic mode needs dt")
-                pde, z = dynamic_pde_residual_batch(
-                    maps, theta, obs, system, x_batch, u_now,
-                    enc_deltas_pre, enc_deltas_post, dt, f_scale=f_scale,
-                )
+            pde, z = dynamic_pde_residual_batch(
+                maps, theta, obs, system, x_batch, u_now,
+                enc_deltas_pre, enc_deltas_post, dt, f_scale=f_scale,
+            )
         except NumericError as e:
             raise NumericError(f"physics component: {e}") from e
     try:
@@ -409,13 +399,14 @@ def phase2_train(
     spec,
     trajectories,
     config: TrainConfig,
-    variant: str,
     f_scale: float = 1.0,
 ) -> Phase2Result:
     """Train the conditioning parameters on forced data; bases stay frozen.
 
-    Every trajectory must share one dt and one length: both variants
-    take them from the first trajectory.
+    The spec's type names the variant: a HyperNetSpec trains the dynamic
+    hypernetwork, an InjectionSpec the static injection network. Every
+    trajectory must share one dt and one length: both variants take them
+    from the first trajectory.
     """
     grids = sorted({(tr.dt, tr.n_steps) for tr in trajectories})
     if len(grids) > 1:
@@ -423,20 +414,19 @@ def phase2_train(
             "phase 2 needs trajectories on one time grid, got (dt, n_steps) "
             f"{grids}"
         )
-    if variant == "dynamic":
-        if not isinstance(spec, HyperNetSpec):
-            raise ContractViolation("dynamic variant needs a HyperNetSpec")
+    if isinstance(spec, HyperNetSpec):
         return _train_dynamic(
             system, obs, maps, theta_base, phi_base, spec, trajectories,
             config, f_scale,
         )
-    if variant == "static":
-        if not isinstance(spec, InjectionSpec):
-            raise ContractViolation("static variant needs an InjectionSpec")
+    if isinstance(spec, InjectionSpec):
         return _train_static(
             system, obs, maps, theta_base, phi_base, spec, trajectories, config
         )
-    raise ContractViolation(f"unknown variant {variant!r}")
+    raise ContractViolation(
+        f"phase 2 needs a HyperNetSpec or an InjectionSpec, got "
+        f"{type(spec).__name__}"
+    )
 
 
 def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
@@ -471,17 +461,15 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
             dec_pre = head_layer_deltas(pv, spec.dec_head, maps.dec, DEC,
                                         pre, gates[:b])
             return total_loss(
-                maps, theta_base, phi_base, obs, system, x, config.lam,
-                mode="dynamic", u_now=u_now, enc_deltas_pre=enc_pre,
-                enc_deltas_post=enc_post, dec_deltas=dec_pre, dt=dt,
-                f_scale=f_scale,
+                maps, theta_base, phi_base, obs, system, x, config.lam, dt,
+                u_now=u_now, enc_deltas_pre=enc_pre, enc_deltas_post=enc_post,
+                dec_deltas=dec_pre, f_scale=f_scale,
             )
 
         if run.epoch(epoch, step) is None:
             break
     run.check_frozen()
-    return Phase2Result(params=psi, variant="dynamic", log=run.log,
-                        abort=run.abort)
+    return Phase2Result(params=psi, log=run.log, abort=run.abort)
 
 
 def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
@@ -526,8 +514,7 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
         if run.epoch(epoch, step) is None:
             break
     run.check_frozen()
-    return Phase2Result(params=xi, variant="static", log=run.log,
-                        abort=run.abort)
+    return Phase2Result(params=xi, log=run.log, abort=run.abort)
 
 
 def observer_pairs(obs: ObserverMatrices, trajectories,

@@ -120,6 +120,18 @@ class TestGen:
         ds = read_dataset(out / "duffing_mixture_n10_s3.hkkl")
         assert all(len(tr.signal.components) >= 2 for tr in ds.trajectories)
 
+    def test_a_request_too_large_for_memory_is_a_user_error(self, tmp_path,
+                                                           capsys):
+        # 2e13 steps: the first array asked for is 146 TiB, which malloc
+        # refuses at once, so the test allocates nothing
+        out = tmp_path / "x"
+        assert run("gen", "--system", "duffing", "--horizon", "1e12",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: out of memory: ")
+        assert not out.exists()
+
     def test_bad_flags_exit_2(self, tmp_path):
         assert run(
             "gen", "--system", "duffing", "--regime", "zero", "--n", "0",
@@ -194,6 +206,10 @@ class TestTrain:
                      id="float-count"),
         pytest.param("train", "[train]\ncollocation = 0\n", "collocation",
                      id="no-collocation"),
+        pytest.param("gen", "[data]\nsigma = nan\n", "sigma", id="nan-sigma"),
+        pytest.param("gen", "[data]\nsigma = inf\n", "sigma", id="inf-sigma"),
+        pytest.param("gen", "[data]\nsigma = -0.1\n", "sigma",
+                     id="negative-sigma"),
     ])
     def test_bad_config_value_is_error(self, gen_dir, tmp_path, capsys,
                                        command, ini, where):
@@ -385,6 +401,18 @@ class TestTrainConditioned:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: segment_batch must be >= 1\n"
+        assert not out.exists()
+
+    def test_dynamic_refuses_rank_zero(self, trained, capsys):
+        out = trained["root"] / "rank0"
+        code = run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            "dynamic", "--base", str(trained["base"]), "--data",
+            str(trained["forced"]), "--epochs", "1", "--batch", "8",
+            "--window", "6", "--rank", "0", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: rank must be >= 1\n"
         assert not out.exists()
 
     def test_a_changed_frozen_base_writes_nothing(self, trained, capsys,
@@ -640,6 +668,52 @@ class TestDamagedFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert str(bad) in err and offset in err
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: {k: v for k, v in m.items() if k != "n_x"},
+                     "key 'n_x' must be an integer", id="no-n_x"),
+        pytest.param(lambda m: {**m, "enc_hidden": "abc"},
+                     "key 'enc_hidden' must be a list of integers",
+                     id="enc_hidden-word"),
+        pytest.param(lambda m: {**m, "n_z": True},
+                     "key 'n_z' must be an integer", id="n_z-boolean"),
+        pytest.param(lambda m: {**m, "activation": 3},
+                     "key 'activation' must be a string",
+                     id="activation-number"),
+        pytest.param(lambda m: {**m, "variant": "fancy"},
+                     "key 'variant' must be one of autonomous, curriculum, "
+                     "static, dynamic", id="unknown-variant"),
+        pytest.param(lambda m: {**m, "f_scale": "1"},
+                     "key 'f_scale' must be a number", id="f_scale-string"),
+        pytest.param(lambda m: {**m, "dt": [0.05]},
+                     "key 'dt' must be a number or null", id="dt-list"),
+        pytest.param(lambda m: {**m, "train_seed_range": [1, 2, 3]},
+                     "key 'train_seed_range' must be null or two integers",
+                     id="three-seeds"),
+        pytest.param(lambda m: {**m, "hyper": {"window": 6}},
+                     "key 'hyper.lstm_hidden' must be an integer",
+                     id="hyper-incomplete"),
+        pytest.param(lambda m: {**m, "injection": []},
+                     "key 'injection' must be a JSON object",
+                     id="injection-list"),
+        pytest.param(lambda m: [m], "must be a JSON object", id="a-list"),
+    ])
+    def test_checkpoint_metadata(self, trained, capsys, edit, message):
+        blob = trained["base"].read_bytes()
+        (size,) = struct.unpack_from("<I", blob, 6)
+        text = json.dumps(edit(json.loads(blob[10 : 10 + size]))).encode()
+        bad = trained["root"] / "meta.hkkp"
+        bad.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text
+                        + blob[10 + size :])
+        out = trained["root"] / "ev"
+        code = run(
+            "eval", "--system", "duffing", "--checkpoint", f"autonomous={bad}",
+            "--regimes", "zero", "--n", "1", "--seed", "9000", "--horizon",
+            "1.0", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: metadata {message}\n"
+        assert not out.exists()
 
     def test_checkpoint_count_past_the_end(self, trained, capsys):
         # the u64 value count just before the data, set to 2^60

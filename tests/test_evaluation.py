@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -78,10 +79,10 @@ def manufactured_bundle():
     )
 
 
-def duffing_bundles(variant_list, seed=0):
+def duffing_bundles(variant_list, seed=0, hidden=(10,)):
     """Bundles around one shared random base (fresh conditioning params)."""
     obs = build_observer_matrices(2, 1)
-    maps = make_maps(2, 5, hidden=(10,))
+    maps = make_maps(2, 5, hidden=hidden)
     theta, phi = init_map_params(maps, seed)
     out = {}
     for variant in variant_list:
@@ -144,6 +145,23 @@ class TestRunObserver:
             a = run_observer(bundles["autonomous"], tr)
             b = run_observer(bundles[variant], tr)
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["dynamic", "static"])
+    def test_rows_of_zero_windows_stay_autonomous_bitwise(self, variant):
+        # At 32x32 maps a decode of only the rows before the cut (a GEMM
+        # with fewer rows M) differs in its bits from the full decode at
+        # each of these cuts, at 1 and at 2 BLAS threads.
+        bundles = duffing_bundles(["autonomous", variant], hidden=(32, 32))
+        tr = generate_dataset(duffing(), "sinusoid", 1, seed=11, horizon=5.0,
+                              sigma=0.0).trajectories[0]
+        a = run_observer(bundles["autonomous"], tr)
+        for cut in (3, 10, 37, 61):
+            inputs = tr.inputs.copy()
+            inputs[:cut] = 0.0
+            b = run_observer(bundles[variant],
+                             dataclasses.replace(tr, inputs=inputs))
+            assert np.array_equal(a[:cut], b[:cut])
+            assert not np.array_equal(a[cut:], b[cut:])
 
     @pytest.mark.parametrize("variant", ["dynamic", "static"])
     def test_forced_input_changes_estimates(self, variant):

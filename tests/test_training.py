@@ -23,6 +23,7 @@ from hyperkkl.hypernet import (
     init_injection_params,
 )
 from hyperkkl.kkl import (
+    autonomous_pde_residual,
     build_observer_matrices,
     decode,
     encode,
@@ -121,12 +122,27 @@ class TestPlateau:
             plateau_detect([1.0, 0.9], 0.01, 3)
 
 
+DT = 0.05  # the window step total_loss divides the encoder change by
+
+
 class TestTotalLoss:
+    def test_without_deltas_the_residual_is_the_stationary_one(self):
+        sys = duffing()
+        obs, maps, theta, phi = tiny_setup(sys)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, (8, 2))
+        u = rng.uniform(-1, 1, (8, 1))
+        _, _, pde = total_loss(maps, theta, phi, obs, sys, x, 0.1, DT,
+                               u_now=u, f_scale=2.0)
+        stationary = autonomous_pde_residual(maps, theta, obs, sys, x,
+                                             u_batch=u, f_scale=2.0)
+        assert float(ad.val(pde)) == float(ad.val(stationary))
+
     def test_lambda_zero_is_pure_reconstruction(self):
         sys = duffing()
         obs, maps, theta, phi = tiny_setup(sys)
         x = np.random.default_rng(1).uniform(-1, 1, (8, 2))
-        total, rec, pde = total_loss(maps, theta, phi, obs, sys, x, 0.0)
+        total, rec, pde = total_loss(maps, theta, phi, obs, sys, x, 0.0, DT)
         assert float(ad.val(total)) == float(ad.val(rec))
         assert pde == 0.0
         assert float(ad.val(rec)) == float(
@@ -138,7 +154,7 @@ class TestTotalLoss:
         obs, c = analytic_linear_observer()
         maps, theta, phi = analytic_linear_maps(c)
         x = np.linspace(-1, 1, 32)[:, None]
-        total, rec, pde = total_loss(maps, theta, phi, obs, sys, x, lam=0.1)
+        total, rec, pde = total_loss(maps, theta, phi, obs, sys, x, 0.1, DT)
         assert float(ad.val(total)) < 1e-10
 
     def test_batch_permutation_invariance(self):
@@ -147,8 +163,9 @@ class TestTotalLoss:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, (16, 2))
         perm = rng.permutation(16)
-        a = float(ad.val(total_loss(maps, theta, phi, obs, sys, x, 0.1)[0]))
-        b = float(ad.val(total_loss(maps, theta, phi, obs, sys, x[perm], 0.1)[0]))
+        a = float(ad.val(total_loss(maps, theta, phi, obs, sys, x, 0.1, DT)[0]))
+        b = float(ad.val(
+            total_loss(maps, theta, phi, obs, sys, x[perm], 0.1, DT)[0]))
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_decomposition_identity(self):
@@ -156,7 +173,7 @@ class TestTotalLoss:
         obs, maps, theta, phi = tiny_setup(sys)
         x = np.random.default_rng(3).uniform(-1, 1, (8, 2))
         lam = 0.37
-        total, rec, pde = total_loss(maps, theta, phi, obs, sys, x, lam)
+        total, rec, pde = total_loss(maps, theta, phi, obs, sys, x, lam, DT)
         assert float(ad.val(total)) == float(ad.val(rec)) + lam * float(ad.val(pde))
 
 
@@ -228,7 +245,7 @@ class TestPhase2Dynamic:
         before = [store_hash(s) for s in (theta, phi)]
         result = phase2_train(
             sys, obs, maps, theta, phi, spec, ds.trajectories, config,
-            "dynamic", f_scale=2.0,
+            f_scale=2.0,
         )
         return result, before, [store_hash(s) for s in (theta, phi)]
 
@@ -257,14 +274,13 @@ class TestPhase2Dynamic:
         with pytest.raises(NumericError, match="zero-input gating"):
             _check_zero_input_gating(maps, spec, psi)
 
-    def test_spec_variant_mismatch(self):
+    def test_refuses_a_non_spec(self):
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys)
-        spec = build_injection_spec(obs.n_z, 8, 4, (6,))
         ds = tiny_dataset(sys, "sinusoid", count=1, horizon=2.0)
-        with pytest.raises(ContractViolation):
-            phase2_train(sys, obs, maps, theta, phi, spec, ds.trajectories,
-                         TrainConfig(epochs=1), "dynamic")
+        with pytest.raises(ContractViolation, match="got str"):
+            phase2_train(sys, obs, maps, theta, phi, "dynamic",
+                         ds.trajectories, TrainConfig(epochs=1))
 
 
 class TestPhase2Static:
@@ -278,7 +294,7 @@ class TestPhase2Static:
                              segment_discard=10, segment_batch=2)
         before = [store_hash(s) for s in (theta, phi)]
         result = phase2_train(
-            sys, obs, maps, theta, phi, spec, ds.trajectories, config, "static"
+            sys, obs, maps, theta, phi, spec, ds.trajectories, config
         )
         return result, before, [store_hash(s) for s in (theta, phi)]
 
@@ -414,7 +430,7 @@ class TestNonFiniteGradient:
                                         mlp_hidden=(4,))
             start = (init_injection_params(spec, config.seed),)
         result = phase2_train(sys, obs, maps, theta, phi, spec,
-                              ds.trajectories, config, loop)
+                              ds.trajectories, config)
         return result, (result.params,), start
 
     def clean_stores(self, loop, epochs):
