@@ -128,14 +128,6 @@ def tanh(x):
     return Var(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
-def sigmoid(x):
-    xv = val(x)
-    out = 1.0 / (1.0 + np.exp(-xv))
-    if not is_var(x):
-        return out
-    return Var(out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
 def exp(x):
     out = np.exp(val(x))
     if not is_var(x):

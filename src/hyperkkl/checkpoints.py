@@ -18,12 +18,14 @@ File layout (little-endian):
 
 Parameter slices are tagged by component through their name prefixes
 (enc., dec., hyper., inj., obs.). Files round-trip bitwise. The
-hypernetwork block is laid out from the spec in the metadata, so only
-its value count has to match; files that split each head's U readout
-into several slices load unchanged, since the values sit in the same
-order. A file that ends early or has bytes past the data is refused
-with the byte offset, and metadata that lacks a key the reader uses or
-gives it the wrong type is refused with the key (see META_KEYS).
+encoder and decoder slices must have the names and shapes the metadata
+implies, slice by slice. The hypernetwork and injection blocks are laid
+out from the spec in the metadata, so only their value counts have to
+match; files that split each head's U readout into several slices load
+unchanged, since the values sit in the same order. A file that ends
+early or has bytes past the data is refused with the byte offset, and
+metadata that lacks a key the reader uses or gives it the wrong type is
+refused with the key (see META_KEYS).
 
 Each store's buffer is written in place, after the total count, and the
 data block is read into one array that the loaded stores are views of,
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -46,8 +49,16 @@ from .hypernet import (
     build_hypernet_spec,
     build_injection_spec,
     hypernet_layout,
+    injection_layout,
 )
-from .kkl import KklMaps, ObserverMatrices, make_maps, verify_observer
+from .kkl import (
+    KklMaps,
+    ObserverMatrices,
+    decoder_layout,
+    encoder_layout,
+    make_maps,
+    verify_observer,
+)
 from .params import Layout, ParamStore
 
 MAGIC = b"HKKP"
@@ -222,6 +233,10 @@ def write_checkpoint(bundle: CheckpointBundle, path) -> None:
             fh.write(np.ascontiguousarray(store.data, dtype="<f8"))
 
 
+def _slice_text(s) -> str:
+    return "none" if s is None else f"{s.name} {s.shape}"
+
+
 def read_checkpoint(path) -> CheckpointBundle:
     with open(path, "rb") as fh:
         r = Reader(fh, path)
@@ -254,18 +269,30 @@ def read_checkpoint(path) -> CheckpointBundle:
         data = r.f64(total)
         r.finish()
 
-    def take(prefix, layout=None):
+    def take(prefix, layout=None, by_slice=False):
+        """The stored ``prefix`` block as a store of ``layout`` (default:
+        the stored slices). It must hold the layout's value count, and
+        with ``by_slice`` its slice names and shapes as well."""
         named = [(n, sh) for n, sh, _ in entries if n.startswith(prefix)]
-        if not named:
-            return None
         stored = Layout(named)
         if layout is None:
             layout = stored
+        elif by_slice:
+            pairs = zip_longest(stored.slices, layout.slices)
+            for k, (got, want) in enumerate(pairs):
+                if _slice_text(got) != _slice_text(want):
+                    raise ContractViolation(
+                        f"{path}: stored {prefix} slice {k} is "
+                        f"{_slice_text(got)}, the metadata implies "
+                        f"{_slice_text(want)}"
+                    )
         elif stored.total != layout.total:
             raise ContractViolation(
                 f"{path}: stored {prefix} block holds {stored.total} values, "
                 f"its spec needs {layout.total}"
             )
+        if not named:
+            return None
         first_off = next(off for n, _, off in entries if n.startswith(prefix))
         return ParamStore(layout, data[first_off : first_off + layout.total])
 
@@ -296,15 +323,15 @@ def read_checkpoint(path) -> CheckpointBundle:
             mlp_hidden=i["mlp_hidden"], tau=i["tau"],
             input_size=i["input_size"],
         )
-        xi = take("inj.")
+        xi = take("inj.", injection_layout(injection_spec))
 
     return CheckpointBundle(
         variant=meta["variant"],
         system_name=meta["system"],
         maps=maps,
         obs=obs,
-        theta=take("enc."),
-        phi=take("dec."),
+        theta=take("enc.", encoder_layout(maps), by_slice=True),
+        phi=take("dec.", decoder_layout(maps), by_slice=True),
         f_scale=meta["f_scale"],
         dt=meta.get("dt"),
         train_seed_range=tuple(meta["train_seed_range"])

@@ -24,6 +24,7 @@ taped calls stay one block (see ``lowrank_linear`` for why).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,32 +246,94 @@ def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str,
     return _mlp_layers(params, spec, x, prefix, weight_deltas, seeds)
 
 
-def _lstm_step(x_t, h, c, wx, wh, b, hsz):
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)), written into ``out``."""
+    return np.divide(1.0, 1.0 + np.exp(-z), out=out)
+
+
+def _lstm_step(x_t, h, c, wx, wh, b, hsz, out=(None,) * 7):
     """One cell step: (i, f, g, o) gate activations, tanh(c_t), c_t, h_t.
 
-    The forward and the backward of ``lstm_forward`` both call this, so
-    the gates the backward recomputes are the forward's, bit for bit.
+    ``out`` names seven (B, h) arrays to write these into; by default
+    they are fresh. The forward of ``lstm_forward`` and the replay in its
+    backward both run this step on the same inputs, and where a ufunc
+    writes its result does not change the result's bits, so every
+    replayed state and gate is the forward's, bit for bit.
     """
+    gi, gf, gc, go, tanh_c, c_t, h_t = out
     gates = x_t @ wx.T + h @ wh.T + b
-    gi = ad.sigmoid(gates[:, :hsz])
-    gf = ad.sigmoid(gates[:, hsz : 2 * hsz])
-    gc = np.tanh(gates[:, 2 * hsz : 3 * hsz])
-    go = ad.sigmoid(gates[:, 3 * hsz :])
-    c = gf * c + gi * gc
-    tanh_c = np.tanh(c)
-    return gi, gf, gc, go, tanh_c, c, go * tanh_c
+    gi = _sigmoid(gates[:, :hsz], gi)
+    gf = _sigmoid(gates[:, hsz : 2 * hsz], gf)
+    gc = np.tanh(gates[:, 2 * hsz : 3 * hsz], out=gc)
+    go = _sigmoid(gates[:, 3 * hsz :], go)
+    c_t = np.multiply(gf, c, out=c_t)
+    c_t += gi * gc
+    tanh_c = np.tanh(c_t, out=tanh_c)
+    return gi, gf, gc, go, tanh_c, c_t, np.multiply(go, tanh_c, out=h_t)
+
+
+def _lstm_span(w: int) -> int:
+    """Steps per checkpointed segment of a w-step taped window.
+
+    Between forward and backward the window holds the (h, c) entering
+    each segment but the first, 2·(⌈w/span⌉ − 1) arrays, and one
+    segment's replay holds 7·span; ⌈√(2w/7)⌉ balances the two (Chen et
+    al., arXiv 1604.06174). It is 6 at w = 100.
+    """
+    return math.ceil(math.sqrt(2 * w / 7))
+
+
+def _lstm_replay(seq, t0, t1, h, c, wx, wh, b, hsz, spare):
+    """Steps t0..t1-1 again from their checkpoint (h, c), as the forward
+    ran them; returns each step's x_t, h_{t-1}, c_{t-1}, (i, f, g, o) and
+    tanh(c_t) for ``_lstm_step_back``. The results are written into the
+    (B, h) arrays of ``spare`` while it has any."""
+    steps = []
+    for t in range(t0, t1):
+        x_t = seq[:, t, :]
+        out = [spare.pop() if spare else None for _ in range(7)]
+        *acts, c_t, h_t = _lstm_step(x_t, h, c, wx, wh, b, hsz, out)
+        steps.append((x_t, h, c, *acts))
+        h, c = h_t, c_t
+    return steps
+
+
+def _lstm_step_back(dh, dc, step, wh, grads):
+    """One reverse step from dL/dh_t and the running dL/dc_t.
+
+    Adds the step's terms to the (Wx, Wh, b) gradients in ``grads`` and
+    returns dL/dh_{t-1} and the running dL/dc_{t-1}.
+    """
+    x_t, h_prev, c_prev, gi, gf, gc, go, tanh_c = step
+    dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
+    dz = np.concatenate([
+        dc * gc * gi * (1.0 - gi),
+        dc * c_prev * gf * (1.0 - gf),
+        dc * gi * (1.0 - gc * gc),
+        dh * tanh_c * go * (1.0 - go),
+    ], axis=1)
+    gwx, gwh, gb = grads
+    gwx += dz.T @ x_t
+    gwh += dz.T @ h_prev
+    gb += dz.sum(axis=0)
+    return dz @ wh, dc * gf
 
 
 def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     """Final hidden state of the LSTM over (B, w, m) input windows.
 
     Zero initial hidden and cell state; returns (B, hidden_size). The
-    whole window is one tape node: when the weights are tape leaves, the
-    forward keeps only each step's incoming h_{t-1} and c_{t-1}
-    (2·w·B·h floats), and the hand-written backward-through-time pass
-    recomputes that step's gates, their activations and tanh(c_t) from
-    them with the forward's own step. On plain parameters nothing is
-    kept.
+    whole window is one tape node. When the weights are tape leaves, the
+    forward keeps only the (h, c) entering each segment of
+    ``_lstm_span(w)`` steps (the first segment starts from zeros). The
+    hand-written backward-through-time pass takes the segments from last
+    to first: it replays one segment's forward from its checkpoint,
+    keeping each step's h_{t-1}, c_{t-1}, gates and tanh(c_t), then runs
+    that segment's reverse steps. Every gate is thus computed twice, once
+    in the forward and once in the replay, and since the replay is the
+    forward's own step on the same inputs, the gradients are those of
+    keeping every step, bit for bit, whatever the span. On plain
+    parameters nothing is kept.
     """
     seq = np.asarray(ad.val(sequence), dtype=np.float64)
     if seq.ndim == 2:
@@ -286,38 +349,33 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     weights = [params.get(f"{prefix}.{n}") for n in ("Wx", "Wh", "b")]
     wx, wh, b = (ad.val(p) for p in weights)
     taped = any(ad.is_var(p) for p in weights)
-    h_prevs, c_prevs = [], []
+    span = _lstm_span(w)
+    checkpoints = []
     h = np.zeros((batch, hsz))
     c = np.zeros((batch, hsz))
     for t in range(w):
-        if taped:
-            h_prevs.append(h)
-            c_prevs.append(c)
+        if taped and t and t % span == 0:
+            checkpoints.append((h, c))
         *_, c, h = _lstm_step(seq[:, t, :], h, c, wx, wh, b, hsz)
     if not taped:
         return h
 
     def vjp(g):
-        # Pops the saved states as it goes, so they are freed step by step.
-        gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+        # A reversed step's arrays are spare: the next segment's replay
+        # writes into them, so the backward does not allocate each step's
+        # arrays anew. Popping the checkpoints frees them segment by segment.
+        grads = (np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b))
+        spare = []
         dh, dc = g, np.zeros_like(g)
-        for t in reversed(range(w)):
-            h_prev, c_prev = h_prevs.pop(), c_prevs.pop()
-            gi, gf, gc, go, tanh_c, _, _ = _lstm_step(
-                seq[:, t, :], h_prev, c_prev, wx, wh, b, hsz)
-            dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
-            dz = np.concatenate([
-                dc * gc * gi * (1.0 - gi),
-                dc * c_prev * gf * (1.0 - gf),
-                dc * gi * (1.0 - gc * gc),
-                dh * tanh_c * go * (1.0 - go),
-            ], axis=1)
-            gwx += dz.T @ seq[:, t, :]
-            gwh += dz.T @ h_prev
-            gb += dz.sum(axis=0)
-            dh = dz @ wh
-            dc = dc * gf
-        return tuple(gr for p, gr in zip(weights, (gwx, gwh, gb))
-                     if ad.is_var(p))
+        for t0 in reversed(range(0, w, span)):
+            h0, c0 = (checkpoints.pop() if t0 else
+                      (np.zeros((batch, hsz)), np.zeros((batch, hsz))))
+            steps = _lstm_replay(seq, t0, min(t0 + span, w), h0, c0,
+                                 wx, wh, b, hsz, spare)
+            while steps:
+                step = steps.pop()
+                dh, dc = _lstm_step_back(dh, dc, step, wh, grads)
+                spare.extend(step[1:])
+        return tuple(gr for p, gr in zip(weights, grads) if ad.is_var(p))
 
     return ad.Var(h, tuple(p for p in weights if ad.is_var(p)), vjp)

@@ -699,20 +699,73 @@ class TestDamagedFiles:
         pytest.param(lambda m: [m], "must be a JSON object", id="a-list"),
     ])
     def test_checkpoint_metadata(self, trained, capsys, edit, message):
-        blob = trained["base"].read_bytes()
+        bad = self.edit_meta(trained["base"], trained["root"] / "meta.hkkp",
+                             edit)
+        out = trained["root"] / "ev"
+        assert self.evaluate("autonomous", bad, out) == 2
+        assert capsys.readouterr().err == f"error: {bad}: metadata {message}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def edit_meta(src, dst, edit):
+        blob = src.read_bytes()
         (size,) = struct.unpack_from("<I", blob, 6)
         text = json.dumps(edit(json.loads(blob[10 : 10 + size]))).encode()
-        bad = trained["root"] / "meta.hkkp"
-        bad.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text
+        dst.write_bytes(blob[:6] + struct.pack("<I", len(text)) + text
                         + blob[10 + size :])
-        out = trained["root"] / "ev"
-        code = run(
-            "eval", "--system", "duffing", "--checkpoint", f"autonomous={bad}",
-            "--regimes", "zero", "--n", "1", "--seed", "9000", "--horizon",
-            "1.0", "--out", str(out),
+        return dst
+
+    @staticmethod
+    def evaluate(variant, checkpoint, out):
+        return run(
+            "eval", "--system", "duffing", "--checkpoint",
+            f"{variant}={checkpoint}", "--regimes", "zero", "--n", "1",
+            "--seed", "9000", "--horizon", "1.0", "--out", str(out),
         )
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {bad}: metadata {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: {**m, "n_x": 3},
+                     "stored enc. slice 0 is enc.W0 (8, 2), the metadata "
+                     "implies enc.W0 (8, 3)", id="n_x-over-other-weights"),
+        pytest.param(lambda m: {**m, "enc_hidden": [8, 8, 8]},
+                     "stored enc. slice 4 is enc.W2 (5, 8), the metadata "
+                     "implies enc.W2 (8, 8)", id="extra-hidden-layer"),
+        pytest.param(lambda m: {**m, "enc_hidden": [8]},
+                     "stored enc. slice 2 is enc.W1 (8, 8), the metadata "
+                     "implies enc.W1 (5, 8)", id="missing-hidden-layer"),
+    ])
+    def test_checkpoint_weights_follow_the_metadata(self, trained, capsys,
+                                                    edit, message):
+        # the weights are for n_x 2, enc_hidden [8, 8] and n_z 5
+        bad = self.edit_meta(trained["base"], trained["root"] / "meta.hkkp",
+                             edit)
+        out = trained["root"] / "ev"
+        assert self.evaluate("autonomous", bad, out) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    def test_injection_block_follows_the_metadata(self, trained, capsys):
+        ini = trained["root"] / "stat.ini"
+        ini.write_text(
+            "[train]\nsegment_steps = 20\nsegment_discard = 5\n"
+            "[hypernet]\nwindow = 6\nlstm_hidden = 4\ninj_hidden = 8\n"
+        )
+        assert run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            "static", "--base", str(trained["base"]), "--data",
+            str(trained["forced"]), "--epochs", "1", "--config", str(ini),
+            "--seed", "4", "--out", str(trained["root"] / "st"),
+        ) == 0
+        bad = self.edit_meta(
+            trained["root"] / "st" / "duffing_static.hkkp",
+            trained["root"] / "inj.hkkp",
+            lambda m: {**m, "injection": {**m["injection"], "mlp_hidden": [9]}},
+        )
+        out = trained["root"] / "ev"
+        assert self.evaluate("static", bad, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: stored inj. block holds 221 values, its spec "
+            f"needs 236\n")
         assert not out.exists()
 
     def test_checkpoint_count_past_the_end(self, trained, capsys):

@@ -12,6 +12,7 @@ from hyperkkl.nets import (
     ROW_BLOCK,
     LstmSpec,
     MlpSpec,
+    _lstm_span,
     init_lstm,
     init_mlp,
     lstm_forward,
@@ -297,6 +298,14 @@ def oracle_lstm(wx, wh, b, seq):
     return h
 
 
+def taped_sigmoid(x):
+    """1 / (1 + exp(-x)) as one tape node, for the taped LSTM oracle."""
+    out = 1.0 / (1.0 + np.exp(-ad.val(x)))
+    if not ad.is_var(x):
+        return out
+    return ad.Var(out, (x,), lambda g: (g * out * (1.0 - out),))
+
+
 def taped_lstm(params, spec, sequence, prefix):
     """The LSTM as about 15 tape nodes per step: the reference for the fused
     one-node forward and its hand-written backward-through-time pass."""
@@ -309,17 +318,65 @@ def taped_lstm(params, spec, sequence, prefix):
     c = np.zeros((batch, hsz))
     for t in range(w):
         gates = ad.add(ad.add(ad.matmul(seq[:, t, :], wxt), ad.matmul(h, wht)), b)
-        gi = ad.sigmoid(ad.narrow(gates, 1, 0, hsz))
-        gf = ad.sigmoid(ad.narrow(gates, 1, hsz, hsz))
+        gi = taped_sigmoid(ad.narrow(gates, 1, 0, hsz))
+        gf = taped_sigmoid(ad.narrow(gates, 1, hsz, hsz))
         gc = ad.tanh(ad.narrow(gates, 1, 2 * hsz, hsz))
-        go = ad.sigmoid(ad.narrow(gates, 1, 3 * hsz, hsz))
+        go = taped_sigmoid(ad.narrow(gates, 1, 3 * hsz, hsz))
         c = ad.add(ad.mul(gf, c), ad.mul(gi, gc))
         h = ad.mul(go, ad.tanh(c))
     return h
 
 
+def stored_state_bptt(wx, wh, b, seq, dh):
+    """Gradients of sum(h_w * dh) by the stored-state BPTT that the fused
+    window used before it kept checkpoints: every step's h_{t-1} and c_{t-1}
+    are kept, and each reverse step recomputes its gates from them. The
+    reference for bitwise gradient checks across segment edges."""
+    batch, w, _ = seq.shape
+    hsz = wh.shape[1]
+
+    def step(x_t, h, c):
+        gates = x_t @ wx.T + h @ wh.T + b
+        gi = 1.0 / (1.0 + np.exp(-gates[:, :hsz]))
+        gf = 1.0 / (1.0 + np.exp(-gates[:, hsz : 2 * hsz]))
+        gc = np.tanh(gates[:, 2 * hsz : 3 * hsz])
+        go = 1.0 / (1.0 + np.exp(-gates[:, 3 * hsz :]))
+        c = gf * c + gi * gc
+        tanh_c = np.tanh(c)
+        return gi, gf, gc, go, tanh_c, c, go * tanh_c
+
+    h_prevs, c_prevs = [], []
+    h = np.zeros((batch, hsz))
+    c = np.zeros((batch, hsz))
+    for t in range(w):
+        h_prevs.append(h)
+        c_prevs.append(c)
+        *_, c, h = step(seq[:, t, :], h, c)
+    gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+    dc = np.zeros_like(dh)
+    for t in reversed(range(w)):
+        h_prev, c_prev = h_prevs[t], c_prevs[t]
+        gi, gf, gc, go, tanh_c, _, _ = step(seq[:, t, :], h_prev, c_prev)
+        dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate([
+            dc * gc * gi * (1.0 - gi),
+            dc * c_prev * gf * (1.0 - gf),
+            dc * gi * (1.0 - gc * gc),
+            dh * tanh_c * go * (1.0 - go),
+        ], axis=1)
+        gwx += dz.T @ seq[:, t, :]
+        gwh += dz.T @ h_prev
+        gb += dz.sum(axis=0)
+        dh = dz @ wh
+        dc = dc * gf
+    return h, (gwx, gwh, gb)
+
+
 # (input size, hidden size, batch, window length)
 FUSED_CASES = [(1, 4, 3, 7), (2, 5, 4, 30), (1, 16, 9, 100)]
+# windows around the segment edges of the w = 100 span, and w = 100
+SPAN_EDGE_WINDOWS = [1, _lstm_span(100) - 1, _lstm_span(100),
+                     _lstm_span(100) + 1, 2 * _lstm_span(100) + 1, 100]
 
 
 class TestLstm:
@@ -397,11 +454,39 @@ class TestLstm:
         fused, oracle = grads
         assert np.max(np.abs(fused - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
-    def test_taped_window_keeps_only_h_and_c_per_step(self):
-        # the backward recomputes the gates, so the forward holds the
-        # 2·w·B·h floats of h_{t-1} and c_{t-1} plus O(B·h) for the output
-        # and the bookkeeping (the gates and tanh(c) would be 6·w·B·h)
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("w", SPAN_EDGE_WINDOWS)
+    def test_checkpointed_gradients_equal_stored_state_bptt_bitwise(
+            self, m, batch, w):
+        # the replay runs the forward's own step on the same arrays, so the
+        # segment edges leave no trace in the bits
+        spec, store = fresh_lstm(m, 5, seed=w + m)
+        rng = np.random.default_rng(10 * w + batch)
+        seq = rng.normal(size=(batch, w, m))
+        weight = rng.normal(size=(batch, 5))
+        pv = ParamVars(store)
+        out = lstm_forward(pv, spec, seq, "lstm")
+        ad.backward(ad.sum_all(ad.mul(out, weight)))
+        h, expect = stored_state_bptt(
+            *(store.get(f"lstm.{n}") for n in ("Wx", "Wh", "b")), seq, weight)
+        assert np.array_equal(out.value, h)
+        for name, gr in zip(("Wx", "Wh", "b"), expect):
+            assert np.array_equal(pv.get(f"lstm.{name}").grad, gr), name
+
+    def test_span_edge_windows_include_ragged_segments(self):
+        assert any(w % _lstm_span(w) for w in SPAN_EDGE_WINDOWS)
+        assert _lstm_span(100) == 6
+
+    def test_taped_window_keeps_h_and_c_per_span(self):
+        # between forward and backward the window holds the (h, c) entering
+        # its ceil(w/span) segments at most, plus O(B·h) for the output and
+        # the bookkeeping; the backward replays one segment at a time, so
+        # its peak adds at most the 7 arrays of each of span steps and
+        # O(B·h) transients (keeping every step's h and c would be 2·w·B·h)
         batch, w, h = 64, 100, 16
+        span = _lstm_span(w)
+        segments = math.ceil(w / span)
         spec, store = fresh_lstm(1, h, seed=3)
         seq = np.random.default_rng(3).normal(size=(batch, w, 1))
         pv = ParamVars(store)
@@ -410,10 +495,13 @@ class TestLstm:
             before = tracemalloc.get_traced_memory()[0]
             out = lstm_forward(pv, spec, seq, "lstm")
             held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            ad.backward(ad.sum_all(out))
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert held <= (2 * w + 8) * batch * h * 8
-        ad.backward(ad.sum_all(out))
+        assert held <= (2 * segments + 8) * batch * h * 8
+        assert peak <= (2 * segments + 7 * span + 16) * batch * h * 8
 
     def test_window_is_one_tape_node(self):
         spec, store = fresh_lstm(2, 3, seed=4)
