@@ -172,9 +172,10 @@ def decode(maps: KklMaps, phi, z, weight_deltas=None):
     return mlp_forward(phi, maps.dec, z, DEC, weight_deltas=weight_deltas)
 
 
-def encode_with_jacobian(maps: KklMaps, theta, x, weight_deltas=None):
+def encode_with_jacobian(maps: KklMaps, theta, x, tangent, weight_deltas=None):
+    """(encode(x), dT/dx · tangent) from one forward-mode pass."""
     return mlp_forward_with_jacobian(
-        theta, maps.enc, x, ENC, weight_deltas=weight_deltas
+        theta, maps.enc, x, ENC, tangent, weight_deltas=weight_deltas
     )
 
 
@@ -237,14 +238,9 @@ def simulate_latent(obs, y_seq, dt, **kwargs) -> np.ndarray:
     return np.stack([np.asarray(ad.val(z)) for z in nodes])
 
 
-def _stationary_residual_vec(
-    obs, system, x, u_batch, f_scale, t_out, cols, fd_term
-):
-    """dT/dx f (+ fd_term) - A T - B h from the encoder output and Jacobian."""
-    f = eval_vector_field(system, x, u_batch)
-    jf = ad.mul(cols[0], f[:, 0:1])
-    for j in range(1, system.n_x):
-        jf = ad.add(jf, ad.mul(cols[j], f[:, j : j + 1]))
+def _stationary_residual_vec(obs, system, x, f_scale, t_out, jf, fd_term):
+    """dT/dx f (+ fd_term) - A T - B h from the encoder output and its
+    Jacobian product ``jf`` along the drift f."""
     if fd_term is not None:
         jf = ad.add(jf, fd_term)
     at = ad.matmul(t_out, obs.A.T)
@@ -280,9 +276,9 @@ def autonomous_pde_residual(
     reduces to it when consecutive windows coincide).
     """
     x = _state_batch(x_batch)
-    t_out, cols = encode_with_jacobian(maps, theta, x, weight_deltas=weight_deltas)
-    r = _stationary_residual_vec(obs, system, x, u_batch, f_scale, t_out, cols,
-                                 None)
+    f = eval_vector_field(system, x, u_batch)
+    t_out, jf = encode_with_jacobian(maps, theta, x, f, weight_deltas)
+    r = _stationary_residual_vec(obs, system, x, f_scale, t_out, jf, None)
     return _mean_sq(r, len(x))
 
 
@@ -302,10 +298,11 @@ def dynamic_pde_residual_batch(
     parameters, which the reconstruction term can reuse.
     """
     x = _state_batch(x_batch)
-    t_pre, cols = encode_with_jacobian(maps, theta, x, weight_deltas=deltas_pre)
+    f = eval_vector_field(system, x, u_now)
+    t_pre, jf = encode_with_jacobian(maps, theta, x, f, weight_deltas=deltas_pre)
     t_post = encode(maps, theta, x, weight_deltas=deltas_post)
     fd = ad.mul(ad.sub(t_post, t_pre), 1.0 / dt)
-    r = _stationary_residual_vec(obs, system, x, u_now, f_scale, t_pre, cols, fd)
+    r = _stationary_residual_vec(obs, system, x, f_scale, t_pre, jf, fd)
     return _mean_sq(r, len(x)), t_pre
 
 

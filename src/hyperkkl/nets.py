@@ -6,12 +6,12 @@ are tanh by default; an "identity" activation is also supported, which
 turns an MLP into an exact affine map (used to plant closed-form
 immersion maps in tests and diagnostics).
 
-The MLP Jacobian with respect to its input is assembled column-by-column
-from directional-derivative passes built out of the same tape primitives,
-so the Jacobian is itself differentiable with respect to the parameters
-(needed by the physics residuals, n_x <= 3 columns for the shipped
-systems). Both forwards run one layer loop; the columns ride along only
-when asked, so a plain forward tapes no derivative node.
+The physics residuals need the encoder's input Jacobian only along the
+drift, J·f(x, u). ``mlp_forward_with_jacobian`` pushes that one tangent
+through each layer's linear map and tanh derivative next to the value
+(forward-mode AD): one extra row per sample whatever n_x is, built from
+tape primitives, so it stays differentiable w.r.t. the parameters. Both
+forwards run one layer loop; a plain forward tapes no derivative node.
 
 Per-sample weights come as rank factors: layer l of sample b uses
 W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
@@ -189,12 +189,12 @@ def _layer_map(params, prefix, i, weight_deltas):
 
 
 def _mlp_layers(params, spec: MlpSpec, a, prefix: str, weight_deltas,
-                cols=()):
+                tangent=None):
     """The layer loop of both MLP forwards over a (B, n_in) batch ``a``.
 
-    ``cols`` are directional-derivative columns pushed through each
-    layer's linear map and tanh derivative next to ``a``; with none, no
-    derivative node is built. Returns (out, cols).
+    ``tangent``, a (B, n_in) batch, is pushed through each layer's linear
+    map and tanh derivative next to ``a``; without it no derivative node
+    is built. Returns (out, tangent).
     """
     if ad.val(a).shape[-1] != spec.widths[0]:
         raise ContractViolation(
@@ -203,15 +203,14 @@ def _mlp_layers(params, spec: MlpSpec, a, prefix: str, weight_deltas,
     for i in range(spec.n_layers):
         linear = _layer_map(params, prefix, i, weight_deltas)
         pre = ad.add(linear(a), params.get(f"{prefix}.b{i}"))
-        cols = [linear(c) for c in cols]
+        tangent = None if tangent is None else linear(tangent)
         if i < spec.n_layers - 1 and spec.activation == "tanh":
             a = ad.tanh(pre)
-            if cols:
-                dact = ad.sub(1.0, ad.mul(a, a))
-                cols = [ad.mul(c, dact) for c in cols]
+            if tangent is not None:
+                tangent = ad.mul(tangent, ad.sub(1.0, ad.mul(a, a)))
         else:
             a = pre
-    return a, cols
+    return a, tangent
 
 
 def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
@@ -229,21 +228,19 @@ def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
     return ad.reshape(a, (spec.widths[-1],)) if single else a
 
 
-def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str,
+def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str, tangent,
                               weight_deltas=None):
-    """Forward pass plus input-Jacobian columns.
+    """Forward pass plus the input-Jacobian product along ``tangent``.
 
-    Returns (out, cols) with out (B, n_out) and cols a list of n_in
-    tensors of shape (B, n_out); cols[j][s] = d out[s] / d x[s, j]. Both
-    stay differentiable w.r.t. the parameters. ``weight_deltas`` is as in
-    mlp_forward: the columns go through each layer's weights with the
+    x and tangent are (B, n_in) batches. Returns (out, jvp), both
+    (B, n_out), with jvp[s] = d out[s] / d x[s] · tangent[s]; both stay
+    differentiable w.r.t. the parameters. ``weight_deltas`` is as in
+    mlp_forward: the tangent goes through each layer's weights with the
     same per-sample factors.
     """
-    xv = ad.val(x)
-    if xv.ndim != 2:
-        raise ContractViolation("jacobian forward expects a (B, n_in) batch")
-    seeds = [np.tile(e, (len(xv), 1)) for e in np.eye(xv.shape[1])]
-    return _mlp_layers(params, spec, x, prefix, weight_deltas, seeds)
+    if ad.val(x).ndim != 2 or np.shape(tangent) != ad.val(x).shape:
+        raise ContractViolation("jacobian forward expects (B, n_in) batches")
+    return _mlp_layers(params, spec, x, prefix, weight_deltas, tangent)
 
 
 def _sigmoid(z, out=None):

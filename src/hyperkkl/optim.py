@@ -4,8 +4,10 @@
 block by block over fixed slices of ADAM_BLOCK entries, and each block
 runs the textbook expressions in their usual order, so the result is
 bitwise the out-of-place update's while the temporaries stay
-block-sized. ``AdamState`` also owns the run's one gradient buffer,
-which every step's ``ParamVars`` fills.
+block-sized. ``clip_grad_norm`` walks the same slices to find the norm
+and rescales in place, so no step of an epoch holds a second
+parameter-sized array. ``AdamState`` also owns the run's one gradient
+buffer, which every step's ``ParamVars`` fills.
 """
 
 from __future__ import annotations
@@ -63,24 +65,29 @@ def adam_step(
     return params
 
 
-def global_norm(grads: ParamStore) -> float:
-    return float(np.sqrt(np.sum(grads.data**2)))
-
-
-def clip_grad_norm(grads: ParamStore, max_norm: float) -> ParamStore:
+def clip_grad_norm(grads: ParamStore, max_norm: float) -> float:
     """Scale grads so the global L2 norm is at most max_norm (in place).
 
-    A non-finite norm (an inf or NaN entry) raises NumericError: Adam
-    would write it into every parameter.
+    Returns the norm before clipping: the square root of ``np.sum(g * g)``
+    over fixed slices of ADAM_BLOCK entries, added in slice order. The
+    temporaries are block-sized, no BLAS reduction (whose order may follow
+    the thread count) is used, and a single block's norm is the one-pass
+    numpy value bit for bit. A non-finite norm (an inf or NaN entry)
+    raises NumericError: Adam would write it into every parameter.
     """
     if max_norm <= 0:
         raise ContractViolation("max_norm must be positive")
-    norm = global_norm(grads)
+    g = grads.data
+    total = 0.0
+    for lo in range(0, g.size, ADAM_BLOCK):
+        block = g[lo:lo + ADAM_BLOCK]
+        total += np.sum(block * block)
+    norm = float(np.sqrt(total))
     if not np.isfinite(norm):
         raise NumericError("gradient norm is non-finite")
     if norm > max_norm:
-        grads.data *= max_norm / norm
-    return grads
+        g *= max_norm / norm
+    return norm
 
 
 def grad_check(loss_fn, params: ParamStore, eps: float = 1e-6) -> float:

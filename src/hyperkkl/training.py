@@ -15,13 +15,13 @@ decoder learns the inverse on reconstruction alone.
 
 Every loop hands its epochs to one ``_Fit``, which holds the policy they
 share: tape the loss, backpropagate, clip, take an Adam step and log a
-row. It keeps a single rollback copy of the parameters as they were
-before the last completed step. A ``NumericError`` while taping the
-loss or clipping the gradient ends the run with an ``Abort`` at that
-epoch and restores the copy, so neither the failed epoch nor the step
-that led to it reaches the result. The stores a run declares frozen are
-hashed when it starts and checked when it ends; a changed one raises
-``NumericError``.
+row with the gradient norm found before clipping. A ``NumericError``
+while taping the loss or clipping the gradient ends the run with an
+``Abort`` at that epoch k, before its Adam step, so no rollback copy is
+needed: the stores are those of the k - 1 completed steps, each taken on
+a finite, clipped gradient (the CLI writes nothing for an aborted run).
+The stores a run declares frozen are hashed when it starts and checked
+when it ends; a changed one raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .kkl import (
     simulate_latent,
     simulate_latent_nodes,
 )
-from .optim import AdamState, adam_step, clip_grad_norm, global_norm
+from .optim import AdamState, adam_step, clip_grad_norm
 from .params import ParamStore, ParamVars
 
 LATENT_TARGET_DISCARD = 0.2  # transient fraction dropped from z labels
@@ -195,13 +195,13 @@ def _mse(diff, batch):
 
 
 class _Fit:
-    """One Adam run over ``params`` (see the module docstring)."""
+    """One Adam run over ``params`` in place: m, v and one gradient buffer,
+    and no copy of the parameters (see the module docstring)."""
 
     def __init__(self, params: ParamStore, config: TrainConfig, frozen=()):
         self.params = params
         self.config = config
         self.state = AdamState.for_params(params)
-        self.snapshot = params.data.copy()
         self.frozen = [(store, store_hash(store)) for store in frozen]
         self.log: list[LogRow] = []
         self.abort: Abort | None = None
@@ -216,15 +216,13 @@ class _Fit:
             pv = ParamVars(self.params, self.state.grad)
             loss, rec, pde = step(pv)
             ad.backward(loss)
-            grads = clip_grad_norm(pv.grads(), self.config.clip_norm)
+            norm = clip_grad_norm(pv.grads(), self.config.clip_norm)
         except NumericError as e:
-            self.params.data[:] = self.snapshot
             self.abort = Abort(epoch, str(e))
             return None
-        self.snapshot[:] = self.params.data
-        adam_step(self.state, self.params, grads, lr=self.config.lr)
+        adam_step(self.state, self.params, self.state.grad, lr=self.config.lr)
         self.log.append(LogRow(epoch, float(ad.val(rec)), float(ad.val(pde)),
-                               global_norm(grads), level))
+                               norm, level))
         return self.log[-1]
 
     def check_frozen(self) -> None:

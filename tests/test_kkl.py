@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import hyperkkl.autodiff as ad
-from hyperkkl.dynamics import SystemSpec, duffing, simulate, van_der_pol
+from hyperkkl import nets
+from hyperkkl.dynamics import SystemSpec, duffing, lorenz, simulate, van_der_pol
 from hyperkkl.errors import ContractViolation
 from hyperkkl.kkl import (
     KklMaps,
@@ -245,6 +246,25 @@ class TestResiduals:
             return autonomous_pde_residual(maps, p, obs, sys, x)
 
         assert grad_check(loss, theta, eps=1e-6) < 1e-5
+
+    def test_residual_makes_two_row_passes_per_layer(self, monkeypatch):
+        # the value and one tangent, not the value and n_x = 3 columns
+        sys = lorenz()
+        obs = build_observer_matrices(3, 1)
+        maps = make_maps(3, obs.n_z, hidden=(6, 5))
+        theta, _ = init_map_params(maps, seed=2)
+        x = np.random.default_rng(20).uniform(-1, 1, size=(4, 3))
+        deltas = random_weight_deltas(maps, 4, seed=21)
+        rows = []
+        real = nets.lowrank_linear
+
+        def lowrank_linear(v, *args):
+            rows.append(len(ad.val(v)))
+            return real(v, *args)
+
+        monkeypatch.setattr(nets, "lowrank_linear", lowrank_linear)
+        autonomous_pde_residual(maps, theta, obs, sys, x, weight_deltas=deltas)
+        assert rows == [4] * (2 * maps.enc.n_layers)
 
     def test_dynamic_reduces_to_autonomous_at_zero_input(self):
         sys = duffing()

@@ -76,31 +76,46 @@ class TestMlp:
 
         assert grad_check(loss, store, eps=1e-6) < 1e-5
 
-    def test_jacobian_columns_match_finite_differences(self):
+    def test_jvp_matches_central_differences_along_the_tangent(self):
         spec, store = fresh_mlp([3, 7, 4], seed=9)
-        x = np.random.default_rng(3).normal(size=(5, 3))
-        out, cols = mlp_forward_with_jacobian(store, spec, x, "net")
-        base = mlp_forward(store, spec, x, "net")
-        assert np.allclose(ad.val(out), base, atol=1e-14)
+        rng = np.random.default_rng(3)
+        x, v = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        out, jvp = mlp_forward_with_jacobian(store, spec, x, "net", v)
+        assert np.array_equal(out, mlp_forward(store, spec, x, "net"))
         h = 1e-6
-        for j in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[:, j] += h
-            xm[:, j] -= h
-            fd = (mlp_forward(store, spec, xp, "net")
-                  - mlp_forward(store, spec, xm, "net")) / (2 * h)
-            assert np.allclose(ad.val(cols[j]), fd, atol=1e-8)
+        fd = (mlp_forward(store, spec, x + h * v, "net")
+              - mlp_forward(store, spec, x - h * v, "net")) / (2 * h)
+        assert np.allclose(jvp, fd, atol=1e-8)
 
     def test_jacobian_stays_differentiable(self):
         spec, store = fresh_mlp([2, 5, 3], seed=11)
-        x = np.random.default_rng(4).normal(size=(3, 2))
+        rng = np.random.default_rng(4)
+        x, v = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
 
         def loss(p):
-            _, cols = mlp_forward_with_jacobian(p, spec, x, "net")
-            acc = ad.sum_all(ad.mul(cols[0], cols[0]))
-            return ad.add(acc, ad.sum_all(ad.mul(cols[1], cols[1])))
+            _, jvp = mlp_forward_with_jacobian(p, spec, x, "net", v)
+            return ad.sum_all(ad.mul(jvp, jvp))
 
         assert grad_check(loss, store, eps=1e-6) < 1e-5
+
+    def test_jvp_equals_the_sum_of_jacobian_columns(self):
+        spec, store = fresh_mlp([3, 9, 6, 4], seed=12)
+        rng = np.random.default_rng(12)
+        x, v = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        s = rng.normal(size=(6, 2)) * 0.3
+        deltas = [(rng.normal(size=(27, 2)), s), None,
+                  (rng.normal(size=(24, 2)), s)]
+        _, jvp = mlp_forward_with_jacobian(store, spec, x, "net", v,
+                                           weight_deltas=deltas)
+        cols = jacobian_columns(store, spec, x, deltas)
+        expect = sum(cols[j] * v[:, j:j + 1] for j in range(3))
+        assert np.allclose(jvp, expect, rtol=1e-13, atol=0.0)
+
+    def test_jvp_needs_a_matching_tangent(self):
+        spec, store = fresh_mlp([3, 7, 4])
+        with pytest.raises(ContractViolation):
+            mlp_forward_with_jacobian(store, spec, np.zeros((5, 3)), "net",
+                                      np.zeros((5, 2)))
 
     def test_identity_activation_is_affine(self):
         spec, store = fresh_mlp([2, 3, 2], seed=5, activation="identity")
@@ -125,25 +140,23 @@ class TestMlp:
             single = mlp_forward(shifted, spec, x[i], "net")
             assert np.allclose(out[i], single, atol=1e-13)
 
-    def test_jacobian_columns_take_the_same_deltas(self):
+    def test_jvp_takes_the_same_deltas(self):
         spec, store = fresh_mlp([3, 7, 4], seed=8)
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(5, 3))
+        x, v = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         s = rng.normal(size=(5, 2)) * 0.3
         deltas = [(rng.normal(size=(21, 2)), s), (rng.normal(size=(28, 2)), s)]
-        out, cols = mlp_forward_with_jacobian(store, spec, x, "net",
-                                              weight_deltas=deltas)
+        out, jvp = mlp_forward_with_jacobian(store, spec, x, "net", v,
+                                             weight_deltas=deltas)
         assert np.array_equal(
             out, mlp_forward(store, spec, x, "net", weight_deltas=deltas))
         h = 1e-6
-        for j in range(3):
-            xp, xm = x.copy(), x.copy()
-            xp[:, j] += h
-            xm[:, j] -= h
-            fd = (mlp_forward(store, spec, xp, "net", weight_deltas=deltas)
-                  - mlp_forward(store, spec, xm, "net", weight_deltas=deltas)
-                  ) / (2 * h)
-            assert np.allclose(cols[j], fd, atol=1e-8)
+        fd = (mlp_forward(store, spec, x + h * v, "net", weight_deltas=deltas)
+              - mlp_forward(store, spec, x - h * v, "net",
+                            weight_deltas=deltas)) / (2 * h)
+        assert np.allclose(jvp, fd, atol=1e-8)
+        plain = mlp_forward_with_jacobian(store, spec, x, "net", v)[1]
+        assert not np.allclose(jvp, plain, atol=1e-3)
 
     def test_width_contracts(self):
         with pytest.raises(ContractViolation):
@@ -151,6 +164,24 @@ class TestMlp:
         spec, store = fresh_mlp([2, 3, 2])
         with pytest.raises(ContractViolation):
             mlp_forward(store, spec, np.zeros(3), "net")
+
+
+def jacobian_columns(store, spec, x, deltas):
+    """d out[b] / d x[b, j] for each j, from each sample's dense weights."""
+    cols = []
+    for b in range(len(x)):
+        a, jac = x[b], np.eye(len(x[b]))
+        for i in range(spec.n_layers):
+            w = store.get(f"net.W{i}")
+            if deltas[i] is not None:
+                u, s = deltas[i]
+                w = w + (u @ s[b]).reshape(w.shape)
+            a, jac = w @ a + store.get(f"net.b{i}"), w @ jac
+            if i < spec.n_layers - 1:
+                a = np.tanh(a)
+                jac = (1.0 - a * a)[:, None] * jac
+        cols.append(jac)
+    return [np.stack([c[:, j] for c in cols]) for j in range(x.shape[1])]
 
 
 def oracle_bmatvec(w, x):

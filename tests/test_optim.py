@@ -14,9 +14,13 @@ from hyperkkl.optim import (
     AdamState,
     adam_step,
     clip_grad_norm,
-    global_norm,
 )
 from hyperkkl.params import Layout, ParamStore
+
+
+def whole_norm(grads):
+    """The L2 norm in one numpy pass over the whole vector (the oracle)."""
+    return float(np.sqrt(np.sum(grads.data * grads.data)))
 
 
 def test_zero_gradient_leaves_params_unchanged():
@@ -59,13 +63,13 @@ def test_layout_mismatch():
 def test_clip_below_threshold_unchanged():
     grads = make_store([("g", np.array([0.3, 0.4]))])
     before = grads.data.copy()
-    clip_grad_norm(grads, 1.0)
+    assert clip_grad_norm(grads, 1.0) == 0.5
     assert np.array_equal(grads.data, before)
 
 
 def test_clip_rescales():
     grads = make_store([("g", np.array([3.0, 4.0]))])
-    clip_grad_norm(grads, 1.0)
+    assert clip_grad_norm(grads, 1.0) == 5.0  # the norm before clipping
     assert np.allclose(grads.data, [0.6, 0.8])
 
 
@@ -78,7 +82,7 @@ def test_clip_rescales():
 def test_clip_postcondition(values, max_norm):
     grads = ParamStore(Layout([("g", values.shape)]), values.copy())
     clip_grad_norm(grads, max_norm)
-    assert global_norm(grads) <= max_norm + 1e-12 or global_norm(grads) <= max_norm * (1 + 1e-12)
+    assert whole_norm(grads) <= max_norm + 1e-12 or whole_norm(grads) <= max_norm * (1 + 1e-12)
 
 
 def test_clip_contract():
@@ -118,8 +122,8 @@ def test_blockwise_step_bitwise_equals_out_of_place_oracle():
 
 
 def test_step_adds_at_most_one_vector_of_transient_memory():
-    # global_norm's square is the one full-size transient; Adam's own
-    # temporaries are block-sized, and nothing outlives the step
+    # the norm and Adam both walk ADAM_BLOCK slices, so every temporary is
+    # block-sized, and nothing outlives the step
     n = 1 << 20
     rng = np.random.default_rng(12)
     params = ParamStore(Layout([("w", (n,))]), rng.normal(size=n))
@@ -133,8 +137,43 @@ def test_step_adds_at_most_one_vector_of_transient_memory():
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base <= 8 * n + 8 * n // 8
+    assert peak - base <= 8 * ADAM_BLOCK * 8
     assert current - base <= 64 * 1024
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, ADAM_BLOCK - 1, ADAM_BLOCK])
+def test_norm_of_one_block_is_the_whole_vector_norm_bitwise(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-6, 4, n)
+    grads = ParamStore(Layout([("g", (n,))]), values)
+    assert clip_grad_norm(grads, 1e300) == whole_norm(grads)
+
+
+def test_norm_sums_the_blocks_in_order():
+    n = 3 * ADAM_BLOCK + 1234  # a partial last block
+    rng = np.random.default_rng(13)
+    grads = ParamStore(Layout([("g", (n,))]), rng.normal(size=n))
+    g = grads.data
+    total = 0.0
+    for lo in range(0, n, ADAM_BLOCK):
+        total += np.sum(g[lo:lo + ADAM_BLOCK] ** 2)
+    norm = clip_grad_norm(grads, 1e300)
+    assert norm == float(np.sqrt(total))
+    assert norm == pytest.approx(np.linalg.norm(g), rel=1e-13)
+
+
+def test_clip_holds_one_block_of_temporaries():
+    n = 10 * ADAM_BLOCK
+    grads = ParamStore(Layout([("g", (n,))]),
+                       np.random.default_rng(14).normal(size=n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        clip_grad_norm(grads, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2 * ADAM_BLOCK * 8
 
 
 def test_for_params_allocates_the_gradient_buffer():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hyperkkl.kkl import (
     make_maps,
     reconstruction_loss,
 )
-from hyperkkl.optim import AdamState, adam_step, clip_grad_norm, global_norm
+from hyperkkl.optim import AdamState, adam_step, clip_grad_norm
 from hyperkkl.params import ParamVars
 from hyperkkl.training import (
     CurriculumConfig,
@@ -212,7 +213,8 @@ class TestPhase1:
         assert result.abort is None
         assert result.f_scale >= 1.0
         assert all(np.isfinite(r.loss_rec) for r in result.log)
-        assert all(r.grad_norm <= 1.0 + 1e-12 for r in result.log)
+        assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0.0
+                   for r in result.log)
 
     def test_loss_decreases(self):
         result, *_ = self.make_run()
@@ -227,6 +229,39 @@ class TestPhase1:
         assert store_hash(a.phi) == store_hash(b.phi)
         c, *_ = self.make_run(seed=6)
         assert store_hash(a.theta) != store_hash(c.theta)
+
+
+class TestEpochStep:
+    def test_logs_the_gradient_norm_before_clipping(self):
+        sys = duffing()
+        obs, maps, theta, _ = tiny_setup(sys, hidden=(10,), seed=3)
+        x = np.random.default_rng(30).uniform(-1, 1, size=(16, 2))
+
+        def step(pv):
+            loss = autonomous_pde_residual(maps, pv, obs, sys, x)
+            return loss, loss, loss
+
+        pv = ParamVars(theta.copy())
+        ad.backward(step(pv)[0])
+        expect = float(np.sqrt(np.sum(pv.grads().data ** 2)))
+        clip = 1e-3
+        assert expect > clip  # so the clip fires
+        row = training._Fit(theta, TrainConfig(clip_norm=clip)).epoch(1, step)
+        assert row.grad_norm == expect
+
+    def test_a_run_holds_three_copies_of_the_parameters(self):
+        # Adam's m and v and the gradient buffer; no rollback copy
+        n = 1 << 18
+        store = make_store([("w", np.ones(n))])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run = training._Fit(store, TrainConfig())
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert run.state.m.size == n
+        assert grown <= 3 * n * 8 + 64 * 1024
 
 
 def test_store_hash_is_the_sha256_of_the_values():
@@ -365,8 +400,8 @@ class TestCurriculum:
             diff = ad.sub(decode(maps, pv, z_data[idx]), x_data[idx])
             loss = ad.mul(ad.sum_all(ad.mul(diff, diff)), 1.0 / 32)
             ad.backward(loss)
-            grads = clip_grad_norm(pv.grads(), config.clip_norm)
-            adam_step(state, phi, grads, lr=config.lr)
+            clip_grad_norm(pv.grads(), config.clip_norm)
+            adam_step(state, phi, pv.grads(), lr=config.lr)
         assert store_hash(result.phi) == store_hash(phi)
 
     def test_plateau_cuts_level_short(self):
@@ -391,74 +426,76 @@ class TestCurriculum:
 class TestNonFiniteGradient:
     """The epoch policy every loop shares.
 
-    An inf gradient aborts the run at its epoch; nothing is stepped. The
-    run keeps one copy of its parameters from before the last completed
-    step, so an abort at epoch k leaves the stores of a clean run of
-    k - 2 epochs. A store the run holds frozen must not change.
+    An inf gradient aborts the run at its epoch, before its Adam step, so
+    an abort at epoch k leaves the stores of a clean run stopped after
+    k - 1 steps. A store the run holds frozen must not change.
     """
 
-    def run(self, loop, epochs=3, levels=2):
-        """A tiny run of ``loop``; curriculum runs ``epochs`` per level."""
+    def run(self, loop):
+        """A tiny run of ``loop``: 3 epochs, or 3 per curriculum level."""
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(6,), seed=4)
         self.theta = theta
-        config = TrainConfig(epochs=epochs, batch=8, collocation=8, seed=3,
+        config = TrainConfig(epochs=3, batch=8, collocation=8, seed=3,
                              segment_steps=12, segment_discard=4,
                              segment_batch=1)
         if loop == "phase1":
             ds = tiny_dataset(sys, "zero", count=2, horizon=2.0)
-            start = (theta.copy(), phi.copy())
             result = phase1_train(sys, obs, maps, theta, phi,
                                   ds.trajectories, config)
-            return result, (result.theta, result.phi), start
+            return result, (result.theta, result.phi)
         if loop == "curriculum":
             levels = [tiny_dataset(sys, regime, count=2, seed=seed,
                                    horizon=2.0).trajectories
                       for regime, seed in (("constant", 10),
-                                           ("sinusoid", 20))[:levels]]
-            start = (phi.copy(),)
+                                           ("sinusoid", 20))]
             result = curriculum_train(
                 sys, obs, maps, theta, phi, levels, config,
-                CurriculumConfig(level_epochs=epochs))
-            return result, (result.phi,), start
+                CurriculumConfig(level_epochs=3))
+            return result, (result.phi,)
         ds = tiny_dataset(sys, "sinusoid", count=2, horizon=2.0)
         if loop == "dynamic":
             spec = build_hypernet_spec(maps, window=4, lstm_hidden=3, rank=2)
-            start = (init_hypernet_params(spec, config.seed),)
         else:
             spec = build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
                                         mlp_hidden=(4,))
-            start = (init_injection_params(spec, config.seed),)
         result = phase2_train(sys, obs, maps, theta, phi, spec,
                               ds.trajectories, config)
-        return result, (result.params,), start
+        return result, (result.params,)
 
-    def clean_stores(self, loop, epochs):
-        """The stores of a clean run stopped after ``epochs`` epochs."""
-        if epochs == 0:
-            return self.run(loop)[2]
-        _, stores, start = self.run(loop, epochs=epochs, levels=1)
-        if loop == "phase1":  # all in the encoder stage: phi is untouched
-            return stores[0], start[1]
-        return stores
+    def clean_bytes(self, monkeypatch, loop, steps):
+        """The store bytes of a clean run whose Adam stops after ``steps``."""
+        real = training.adam_step
+        taken = []
+
+        def adam_step(state, params, grads, **kw):
+            taken.append(None)
+            if len(taken) > steps:
+                return params
+            return real(state, params, grads, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(training, "adam_step", adam_step)
+            return [s.data.tobytes() for s in self.run(loop)[1]]
 
     @pytest.mark.parametrize("loop, at_call", [
         ("phase1", 2), ("phase1", 5), ("static", 2), ("dynamic", 2),
         ("curriculum", 2),
-        # the first epoch of level 2 rolls back into level 1
+        # the first epoch of level 2 keeps the last step of level 1
         ("curriculum", 4),
     ])
     def test_aborts_at_the_epoch(self, monkeypatch, loop, at_call):
-        expected = self.clean_stores(loop, at_call - 2)
+        expected = self.clean_bytes(monkeypatch, loop, at_call - 1)
+        one_step_back = self.clean_bytes(monkeypatch, loop, at_call - 2)
         poison_backward(monkeypatch, at_call)
-        result, stores, _ = self.run(loop)
+        result, stores = self.run(loop)
         assert result.abort is not None
         assert result.abort.epoch == at_call
         assert result.abort.reason == "gradient norm is non-finite"
         assert [r.epoch for r in result.log] == list(range(1, at_call))
         assert all(np.all(np.isfinite(s.data)) for s in stores)
-        assert [s.data.tobytes() for s in stores] == [
-            s.data.tobytes() for s in expected]
+        assert [s.data.tobytes() for s in stores] == expected
+        assert expected != one_step_back
 
     @pytest.mark.parametrize("loop", ["phase1", "static", "dynamic",
                                       "curriculum"])
