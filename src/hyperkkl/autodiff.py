@@ -7,9 +7,13 @@ forward-only evaluation pays no tape overhead and training/inference
 share one code path.
 
 Gradients of untouched leaves are exact zeros; all values are float64.
-A ``narrow`` passes back only its slice's gradient, which ``backward``
-adds into that slice of the parent's, so a small block of a large
-matrix costs no matrix-sized array in the backward pass.
+A VJP may hand back an ``AddInto`` instead of an array: a gradient that
+adds itself into its parent's ``.grad`` in place, so it need not exist
+as one parent-sized array. A ``narrow`` of an interior node passes back
+its slice's gradient that way; a ``narrow`` of a leaf whose ``.grad`` is
+preset is itself a leaf whose ``.grad`` is that slice of the parent's,
+so the slice's gradient lands in the parent's array with no array of
+its own held until the walk ends.
 
 ``backward`` consumes the graph it walks: once a node has passed its
 gradient on, the node drops that gradient, its VJP closure (and with it
@@ -180,26 +184,46 @@ def concat(parts, axis=0):
     return Var(out, var_parents, vjp)
 
 
-class _Part:
-    """A gradient that is zero outside ``index`` of its parent."""
+class AddInto:
+    """A gradient that adds itself into its parent's gradient array.
 
-    __slots__ = ("index", "value")
+    ``backward`` calls ``add(acc)`` with the parent's ``.grad`` (zeros if
+    it had none yet); ``add`` adds the gradient into ``acc`` in place.
+    """
 
-    def __init__(self, index, value):
-        self.index = index
-        self.value = value
+    __slots__ = ("add",)
+
+    def __init__(self, add):
+        self.add = add
 
 
 def narrow(x, axis, start, length):
-    """Contiguous slice along one axis."""
+    """Contiguous slice along one axis.
+
+    On a leaf whose ``.grad`` is preset (a ``params.ParamVars`` leaf) the
+    slice is a new leaf whose ``.grad`` is the same slice of that array,
+    so whatever reaches it is added straight into the parent's gradient.
+    Otherwise it is a node whose gradient adds into its parent's slice.
+    """
     xv = val(x)
     sl = [slice(None)] * xv.ndim
     sl[axis] = slice(start, start + length)
-    out = xv[tuple(sl)]
+    sl = tuple(sl)
+    out = xv[sl]
     if not is_var(x):
         return out
+    if x._vjp is None and x.grad is not None:
+        leaf = Var(out)
+        leaf.grad = x.grad[sl]
+        return leaf
 
-    return Var(out, (x,), lambda g: (_Part(tuple(sl), g),))
+    def vjp(g):
+        def add(acc):
+            acc[sl] += g
+
+        return (AddInto(add),)
+
+    return Var(out, (x,), vjp)
 
 
 def reshape(x, shape):
@@ -245,8 +269,8 @@ def backward(root: Var) -> None:
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
-            if isinstance(g, _Part):
-                parent.grad[g.index] += g.value
+            if isinstance(g, AddInto):
+                g.add(parent.grad)
             else:
                 parent.grad += g
         node.grad = node._vjp = node._parents = None

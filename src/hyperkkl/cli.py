@@ -202,8 +202,8 @@ def cmd_train(args, s):
         stem = f"{system_name}_curriculum"
 
     if result.abort is not None:
-        # The parameters were rolled back, but they are not a trained
-        # model: write nothing.
+        # The stores hold the k - 1 steps that completed before the
+        # failing epoch k, but they are not a trained model: write nothing.
         raise NumericError(f"epoch {result.abort.epoch}: {result.abort.reason}")
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{stem}.hkkp"

@@ -17,9 +17,9 @@ Per-sample weights come as rank factors: layer l of sample b uses
 W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
 and s (B, r) per sample. ``lowrank_linear`` applies that as two GEMMs
 with a hand-written backward, so no (B, n_out, n_in) weight is formed.
-On plain inputs the second GEMM runs over fixed blocks of ROW_BLOCK
-rows, so inference memory does not grow with the number of samples;
-taped calls stay one block (see ``lowrank_linear`` for why).
+Its forward runs the second GEMM over fixed blocks of ROW_BLOCK rows and
+its backward over fixed chunks of IN_BLOCK input columns, so neither
+holds an array that grows with both the batch and the weight's size.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ from . import seeding
 from .errors import ContractViolation
 from .params import Layout, ParamStore
 
-# Rows per block of a plain lowrank_linear call (see there).
+# Rows per forward block and input columns per backward chunk of
+# lowrank_linear (see there).
 ROW_BLOCK = 256
+IN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,14 @@ def lowrank_linear(x, w, u, s):
     as two GEMMs, x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r)
     and u_r the (o, i·r) view of u; no (B, o, i) weight exists.
 
-    On plain inputs (inference) P is built and applied ROW_BLOCK rows at
-    a time, so the transient is ROW_BLOCK·i·r floats whatever B is, and
-    nothing is kept. Taped, it is one node over one block of all B rows:
-    its backward rebuilds the whole P from x and s for gᵀP, so blocking
-    the forward would lower no training peak, and since a BLAS GEMM's
-    rows need not keep their bits when M changes, it could change the
-    training bytes.
+    The forward builds and applies P ROW_BLOCK rows at a time, taped or
+    not, so its transient is ROW_BLOCK·i·r floats whatever B is. The
+    backward walks the inputs IN_BLOCK columns at a time: columns
+    [i0, i1) of x own columns [i0·r, i1·r) of P and of u_r, a strided
+    view that BLAS takes as it is. Per chunk it forms g u_r's columns for
+    the x and s gradients, and P's columns for u's gradient gᵀP, which
+    it adds into u's gradient array in place (``autodiff.AddInto``). So
+    no (B, i·r) array and no second u-sized array is formed.
     """
     xv, wv, uv, sv = (ad.val(a) for a in (x, w, u, s))
     batch, n_in = xv.shape
@@ -146,32 +149,53 @@ def lowrank_linear(x, w, u, s):
         )
     u_r = uv.reshape(n_out, n_in * rank)
 
-    def outer(a, lo=0, hi=batch):
-        return (a[lo:hi, :, None] * sv[lo:hi, None, :]).reshape(
-            hi - lo, n_in * rank)
+    def outer(a, b):
+        """Row-wise a[k] ⊗ b[k], flattened to (rows, a_cols · b_cols)."""
+        return (a[:, :, None] * b[:, None, :]).reshape(
+            a.shape[0], a.shape[1] * b.shape[1])
 
-    inputs = (x, w, u, s)
-    taped = any(ad.is_var(a) for a in inputs)
+    def chunks():
+        for i0 in range(0, n_in, IN_BLOCK):
+            i1 = min(i0 + IN_BLOCK, n_in)
+            yield slice(i0, i1), slice(i0 * rank, i1 * rank)
+
     out = xv @ wv.T
-    block = max(batch, 1) if taped else ROW_BLOCK
-    for lo in range(0, batch, block):
-        hi = min(lo + block, batch)
-        out[lo:hi] += outer(xv, lo, hi) @ u_r.T
-    if not taped:
+    for lo in range(0, batch, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        out[rows] += outer(xv[rows], sv[rows]) @ u_r.T
+    inputs = (x, w, u, s)
+    if not any(ad.is_var(a) for a in inputs):
         return out
 
     def vjp(g):
-        grads = []
-        if ad.is_var(x) or ad.is_var(s):
-            gp = (g @ u_r).reshape(batch, n_in, rank)
+        def add_u_grad(acc):
+            acc_r = acc.reshape(n_out, n_in * rank)
+            for cols, cols_r in chunks():
+                acc_r[:, cols_r] += g.T @ outer(xv[:, cols], sv)
+            if not np.may_share_memory(acc_r, acc):  # reshape had to copy
+                acc[...] = acc_r.reshape(acc.shape)
+
         if ad.is_var(x):
-            grads.append(g @ wv + np.einsum("bir,br->bi", gp, sv))
+            gx = g @ wv
+        if ad.is_var(s):
+            gs = np.zeros_like(sv)
+        if ad.is_var(x) or ad.is_var(s):
+            for cols, cols_r in chunks():
+                gp = (g @ u_r[:, cols_r]).reshape(
+                    batch, cols.stop - cols.start, rank)
+                if ad.is_var(x):
+                    gx[:, cols] += np.einsum("bir,br->bi", gp, sv)
+                if ad.is_var(s):
+                    gs += np.einsum("bir,bi->br", gp, xv[:, cols])
+        grads = []
+        if ad.is_var(x):
+            grads.append(gx)
         if ad.is_var(w):
             grads.append(g.T @ xv)
         if ad.is_var(u):
-            grads.append((g.T @ outer(xv)).reshape(uv.shape))
+            grads.append(ad.AddInto(add_u_grad))
         if ad.is_var(s):
-            grads.append(np.einsum("bir,bi->br", gp, xv))
+            grads.append(gs)
         return tuple(grads)
 
     return ad.Var(out, tuple(a for a in inputs if ad.is_var(a)), vjp)

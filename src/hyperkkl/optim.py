@@ -1,4 +1,4 @@
-"""Adam with bias correction, global-norm gradient clipping, grad checking.
+"""Adam with bias correction and global-norm gradient clipping.
 
 ``adam_step`` works in place: m, v and the parameters are updated
 block by block over fixed slices of ADAM_BLOCK entries, and each block
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericError
-from .params import ParamStore, ParamVars
-from . import autodiff as ad
+from .params import ParamStore
 
 ADAM_BLOCK = 1 << 16  # entries per in-place update block
 
@@ -88,46 +87,3 @@ def clip_grad_norm(grads: ParamStore, max_norm: float) -> float:
     if norm > max_norm:
         g *= max_norm / norm
     return norm
-
-
-def grad_check(loss_fn, params: ParamStore, eps: float = 1e-6) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``loss_fn`` is called once with ParamVars (recorded) and then with the
-    plain ParamStore while each coordinate is perturbed by +-eps. The
-    relative error per coordinate is |fd - g| / (|fd| + |g| + 1e-12).
-    """
-    if eps <= 0:
-        raise ContractViolation("eps must be positive")
-
-    pv = ParamVars(params)
-    out = loss_fn(pv)
-    if not ad.is_var(out):
-        raise ContractViolation("loss must depend on the parameters")
-    if not np.isfinite(out.value):
-        raise NumericError("loss is non-finite")
-    ad.backward(out)
-    analytic = pv.grads().data
-
-    def scalar_loss():
-        v = loss_fn(params)
-        v = float(ad.val(v))
-        if not np.isfinite(v):
-            raise NumericError("loss is non-finite during finite differences")
-        return v
-
-    worst = 0.0
-    flat = params.data
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        up = scalar_loss()
-        flat[i] = orig - eps
-        down = scalar_loss()
-        flat[i] = orig
-        fd = (up - down) / (2.0 * eps)
-        g = analytic[i]
-        err = abs(fd - g) / (abs(fd) + abs(g) + 1e-12)
-        if err > worst:
-            worst = err
-    return worst

@@ -103,21 +103,12 @@ def sample_signal(regime: str, rng_seed: int) -> InputSignal:
     return InputSignal(kind="mixture", components=tuple(comps), seed=rng_seed)
 
 
-def signal_window(signal: InputSignal, t: float, w: int, dt: float) -> np.ndarray:
-    """The w samples u(t-(w-1)dt) .. u(t), oldest first; t<0 clamps to u(0)."""
-    if w <= 0:
-        raise ContractViolation("window length must be >= 1")
-    ts = t + dt * (np.arange(w) - (w - 1))
-    ts = np.maximum(ts, 0.0)
-    return eval_signal(signal, ts)
-
-
 def window_matrix(u_seq: np.ndarray, w: int) -> np.ndarray:
     """All sliding windows over a sampled sequence.
 
     Row k holds the w samples ending at index k, left-padded by repeating
-    u[0] (the same clamping rule as signal_window). Input (N+1, m) or
-    (N+1,); output (N+1, w, m).
+    u[0], so a window that reaches before the first sample reads u[0]
+    there. Input (N+1, m) or (N+1,); output (N+1, w, m).
     """
     if w <= 0:
         raise ContractViolation("window length must be >= 1")

@@ -3,6 +3,7 @@ import pytest
 
 import hyperkkl.autodiff as ad
 from hyperkkl.dynamics import SystemSpec
+from hyperkkl.errors import ContractViolation, NumericError
 from hyperkkl.kkl import (
     KklMaps,
     ObserverMatrices,
@@ -11,7 +12,8 @@ from hyperkkl.kkl import (
     verify_observer,
 )
 from hyperkkl.nets import MlpSpec
-from hyperkkl.params import Layout, ParamStore
+from hyperkkl.params import Layout, ParamStore, ParamVars
+from hyperkkl.signals import InputSignal, eval_signal
 
 
 @pytest.fixture
@@ -77,6 +79,61 @@ def central_diff(fn, x, eps=1e-6):
         flat[i] = orig
         gflat[i] = (up - down) / (2 * eps)
     return g
+
+
+def grad_check(loss_fn, params: ParamStore, eps: float = 1e-6) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    ``loss_fn`` is called once with ParamVars (recorded) and then with the
+    plain ParamStore while each coordinate is perturbed by +-eps. The
+    relative error per coordinate is |fd - g| / (|fd| + |g| + 1e-12).
+    """
+    if eps <= 0:
+        raise ContractViolation("eps must be positive")
+
+    pv = ParamVars(params)
+    out = loss_fn(pv)
+    if not ad.is_var(out):
+        raise ContractViolation("loss must depend on the parameters")
+    if not np.isfinite(out.value):
+        raise NumericError("loss is non-finite")
+    ad.backward(out)
+    analytic = pv.grads().data
+
+    def scalar_loss():
+        v = loss_fn(params)
+        v = float(ad.val(v))
+        if not np.isfinite(v):
+            raise NumericError("loss is non-finite during finite differences")
+        return v
+
+    worst = 0.0
+    flat = params.data
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        up = scalar_loss()
+        flat[i] = orig - eps
+        down = scalar_loss()
+        flat[i] = orig
+        fd = (up - down) / (2.0 * eps)
+        g = analytic[i]
+        err = abs(fd - g) / (abs(fd) + abs(g) + 1e-12)
+        if err > worst:
+            worst = err
+    return worst
+
+
+def signal_window(signal: InputSignal, t: float, w: int, dt: float) -> np.ndarray:
+    """The w samples u(t-(w-1)dt) .. u(t), oldest first; t<0 clamps to u(0).
+
+    The pointwise oracle of ``signals.window_matrix``.
+    """
+    if w <= 0:
+        raise ContractViolation("window length must be >= 1")
+    ts = t + dt * (np.arange(w) - (w - 1))
+    ts = np.maximum(ts, 0.0)
+    return eval_signal(signal, ts)
 
 
 def poison_backward(monkeypatch, at_call):

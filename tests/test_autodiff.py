@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,51 @@ class TestStructural:
             ad.sum_all(v)), x)
         assert np.array_equal(g, [[3.0] * 3] * 2 + [[6.0] * 3] + [[4.0] * 3]
                               + [[1.0] * 3])
+
+    @staticmethod
+    def total(x):
+        """Sum of all entries; its gradient adds itself into the parent's."""
+        def vjp(g):
+            return (ad.AddInto(lambda acc: np.add(acc, g, out=acc)),)
+
+        return ad.Var(np.sum(x.value), (x,), vjp)
+
+    def test_narrow_of_a_preset_leaf_adds_into_the_buffer(self):
+        n = 1 << 20
+        buffer = np.zeros(2 * n)
+        leaf = ad.Var(np.ones((2, n)))
+        leaf.grad = buffer.reshape(2, n)
+        part = ad.narrow(leaf, 0, 1, 1)
+        assert part._parents == () and part._vjp is None
+        assert np.shares_memory(part.grad, buffer)
+        loss = self.total(ad.mul(ad.narrow(leaf, 1, 0, 3), 2.0))
+        loss = ad.add(loss, self.total(part))
+        tracemalloc.start()
+        try:
+            ad.backward(ad.add(loss, self.total(part)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expect = np.zeros((2, n))
+        expect[:, :3] = 2.0
+        expect[1] += 2.0
+        assert np.array_equal(buffer.reshape(2, n), expect)
+        # the slice is 8 MiB; no array of that size was made
+        assert peak < n * 8 // 16
+
+    def test_narrow_of_a_node_or_a_bare_leaf_is_a_node(self):
+        x = np.arange(6.0).reshape(3, 2)
+        bare = ad.Var(x)
+        part = ad.narrow(bare, 0, 1, 2)
+        assert part._parents == (bare,)
+        ad.backward(self.total(part))
+        assert np.array_equal(bare.grad, [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        leaf = ad.Var(x)
+        node = ad.mul(leaf, 3.0)
+        part = ad.narrow(node, 1, 1, 1)
+        assert part._parents == (node,)
+        ad.backward(self.total(part))
+        assert np.array_equal(leaf.grad, [[0.0, 3.0]] * 3)
 
     def test_shared_subexpression_accumulates(self, rng):
         x = rng.normal(size=4)

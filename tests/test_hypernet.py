@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import grad_check
+
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
 from hyperkkl.hypernet import (
@@ -24,7 +26,6 @@ from hyperkkl.kkl import (
     make_maps,
     simulate_latent,
 )
-from hyperkkl.optim import grad_check
 from hyperkkl.params import ParamStore
 
 

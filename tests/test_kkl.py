@@ -27,7 +27,6 @@ from hyperkkl.kkl import (
     verify_observer,
 )
 from hyperkkl.nets import MlpSpec
-from hyperkkl.optim import grad_check
 from hyperkkl.params import ParamStore, ParamVars
 
 
@@ -54,6 +53,7 @@ def elimination_rank(mat, tol=1e-9):
 from conftest import (
     analytic_linear_maps,
     analytic_linear_observer,
+    grad_check,
     linear_test_system,
 )
 

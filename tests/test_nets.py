@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_store
+from conftest import grad_check, make_store
 
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
 from hyperkkl.nets import (
+    IN_BLOCK,
     ROW_BLOCK,
     LstmSpec,
     MlpSpec,
@@ -23,7 +24,6 @@ from hyperkkl.nets import (
     mlp_layout_entries,
     transpose2d,
 )
-from hyperkkl.optim import grad_check
 from hyperkkl.params import Layout, ParamStore, ParamVars
 
 
@@ -285,13 +285,81 @@ class TestLowRankLinear:
         whole = self.formula(x, w, u, s)
         assert np.max(np.abs(out - whole)) <= 1e-13 * np.max(np.abs(whole))
 
-    def test_taped_call_stays_one_block(self):
+    def test_taped_call_is_the_plain_call_bitwise(self):
+        # one row-block rule: a taped forward blocks its rows as a plain one
         vals = lowrank_inputs(np.random.default_rng(28), ROW_BLOCK + 44, 12,
                               10, 3)
         leaves = [ad.Var(vals[n]) for n in self.NAMES]
         out = lowrank_linear(*leaves)
         assert np.array_equal(out.value,
-                              self.formula(*(vals[n] for n in self.NAMES)))
+                              lowrank_linear(*(vals[n] for n in self.NAMES)))
+
+    @staticmethod
+    def one_chunk_grads(g, x, w, u, s):
+        """The gradients as one formula over all input columns at once."""
+        batch, n_in = x.shape
+        rank = s.shape[1]
+        u_r = u.reshape(len(w), n_in * rank)
+        p = (x[:, :, None] * s[:, None, :]).reshape(batch, n_in * rank)
+        gp = (g @ u_r).reshape(batch, n_in, rank)
+        return {"x": g @ w + np.einsum("bir,br->bi", gp, s),
+                "w": g.T @ x,
+                "u": (g.T @ p).reshape(u.shape),
+                "s": np.einsum("bir,bi->br", gp, x)}
+
+    @pytest.mark.parametrize("u_kind", ["leaf", "narrowed", "transposed"])
+    def test_chunked_backward_is_the_one_chunk_formula(self, u_kind):
+        # 2 full chunks of input columns and a ragged one of 5
+        batch, n_in, n_out, rank = 9, 2 * IN_BLOCK + 5, 7, 3
+        rng = np.random.default_rng(30)
+        vals = lowrank_inputs(rng, batch, n_in, n_out, rank)
+        weights = rng.normal(size=(batch, n_out))
+        leaves = {n: ad.Var(vals[n]) for n in ("x", "w", "s")}
+        if u_kind == "leaf":
+            leaves["u"] = ad.Var(vals["u"])
+            u_grad = lambda: leaves["u"].grad
+        elif u_kind == "narrowed":
+            # a slice of a ParamVars leaf: its gradient lands in the buffer
+            pv = ParamVars(make_store(
+                [("U", np.vstack([np.ones((4, rank)), vals["u"]]))]))
+            leaves["u"] = ad.narrow(pv.get("U"), 0, 4, n_out * n_in)
+            u_grad = lambda: pv.grads().get("U")[4:]
+        else:
+            # u's gradient array is column-major, so no view of it is u_r
+            base = ad.Var(np.ascontiguousarray(vals["u"].T))
+            leaves["u"] = transpose2d(base)
+            u_grad = lambda: base.grad.T
+        out = lowrank_linear(*(leaves[n] for n in self.NAMES))
+        ad.backward(ad.sum_all(ad.mul(out, weights)))
+        expect = self.one_chunk_grads(weights, *(vals[n] for n in self.NAMES))
+        got = {n: leaves[n].grad for n in ("x", "w", "s")}
+        got["u"] = u_grad()
+        if u_kind == "narrowed":
+            assert np.all(pv.grads().get("U")[:4] == 0.0)
+        for n in self.NAMES:
+            scale = np.max(np.abs(expect[n]))
+            assert np.max(np.abs(got[n] - expect[n])) <= 1e-13 * scale, n
+
+    def test_taped_backward_holds_no_batch_by_factor_array(self):
+        batch, width, rank = 256, 150, 32
+        vals = lowrank_inputs(np.random.default_rng(31), batch, width, width,
+                              rank)
+        store = make_store([("W", vals["w"]),
+                            ("U", np.vstack([vals["u"], vals["u"][:10]]))])
+        pv = ParamVars(store)
+        x, s = ad.Var(vals["x"]), ad.Var(vals["s"])
+        u = ad.narrow(pv.get("U"), 0, 0, width * width)
+        loss = ad.sum_all(lowrank_linear(x, pv.get("W"), u, s))
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (B, i·r) array is 9.8 MB; u's gradient went into the buffer
+        assert peak < batch * width * rank * 8
+        assert np.any(pv.grads().get("U")[:width * width] != 0.0)
+        assert np.all(pv.grads().get("U")[width * width:] == 0.0)
 
     def test_plain_call_holds_one_block_of_outer_products(self):
         batch, width, rank = 1000, 150, 32

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import signal_window
+
 from hyperkkl.errors import ContractViolation
 from hyperkkl.signals import (
     InputSignal,
     difficulty_level,
     eval_signal,
     sample_signal,
-    signal_window,
     window_matrix,
 )
 

@@ -13,8 +13,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperkkl"
 
 ALLOWED = {
-    ("optim", "grad_check"): "the finite-difference gradient oracle",
-    ("signals", "signal_window"): "the oracle of window_matrix",
     ("hypernet", "generate_deltas"):
         "a traced-benchmark target (pipebench/trace.py TARGETS)",
     ("hypernet", "delta_store"):
