@@ -8,6 +8,9 @@ returns next to its outputs; re-running the argv recorded there
 reproduces every output byte for byte.
 
 Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure.
+A training run that ends in a numeric abort writes no checkpoint, but
+its manifest record (``status`` "aborted", with the epoch and the
+reason) still goes to the output directory.
 A request too large for memory (say ``gen --horizon 1e12``) is a user
 error: it exits 2 with one ``error: out of memory: ...`` line.
 """
@@ -51,6 +54,7 @@ class Run(NamedTuple):
     seeds: dict
     input_files: list
     outputs: list
+    abort: training.Abort | None = None
 
 
 def _write_loss_csv(path, rows) -> None:
@@ -201,19 +205,21 @@ def cmd_train(args, s):
         )
         stem = f"{system_name}_curriculum"
 
+    run = Run(out_dir, {**s, "phase": args.phase, "variant": args.variant},
+              {"seed": s["seed"], "data_seed_range": [seed_lo, seed_hi]},
+              inputs, [])
     if result.abort is not None:
         # The stores hold the k - 1 steps that completed before the
-        # failing epoch k, but they are not a trained model: write nothing.
-        raise NumericError(f"epoch {result.abort.epoch}: {result.abort.reason}")
+        # failing epoch k, but they are not a trained model: write no
+        # output, only the manifest record of the abort.
+        return run._replace(abort=result.abort)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{stem}.hkkp"
     write_checkpoint(bundle, ckpt_path)
     loss_path = out_dir / f"{stem}_loss.csv"
     _write_loss_csv(loss_path, result.log)
     print(f"wrote {ckpt_path}")
-    return Run(out_dir, {**s, "phase": args.phase, "variant": args.variant},
-               {"seed": s["seed"], "data_seed_range": [seed_lo, seed_hi]},
-               inputs, [ckpt_path, loss_path])
+    return run._replace(outputs=[ckpt_path, loss_path])
 
 
 def _refuse_other_system(bundle, path, system_name: str) -> None:
@@ -447,8 +453,10 @@ def main(argv=None) -> int:
         append_manifest(
             run.out_dir, args.command, argv, run.resolved_config, run.seeds,
             run.input_files + ([config_path] if config_path else []),
-            run.outputs, started,
+            run.outputs, started, run.abort,
         )
+        if run.abort is not None:
+            raise NumericError(f"epoch {run.abort.epoch}: {run.abort.reason}")
     except (ConfigError, ContractViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

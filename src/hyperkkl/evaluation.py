@@ -95,7 +95,8 @@ def run_observer(bundle: CheckpointBundle, trajectory: Trajectory) -> np.ndarray
         live = gates[:, 0] != 0.0
         xhat = decode(maps, bundle.phi, zs)
         if np.any(live):
-            # only the decoder head is read, and all live rows in one pass
+            # only the decoder head is read; all live rows go in one call,
+            # which the LSTM and lowrank_linear run ROW_BLOCK rows at a time
             context = encode_context(bundle.psi, spec, windows[live])
             factors = head_layer_deltas(bundle.psi, spec.dec_head, maps.dec,
                                         DEC, context, gates[live])

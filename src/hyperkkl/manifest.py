@@ -8,7 +8,9 @@ input and output file, the package version, the numeric environment
 (numpy version, BLAS library and version, BLAS thread count), and what
 the run cost: its wall time from the start of ``cli.main`` and the
 process's peak RSS. Output bytes can depend on the BLAS thread count,
-so a record names it.
+so a record names it. ``status`` is "ok", or "aborted" for a training
+run that a numeric failure stopped: that record adds ``abort`` (the
+epoch and the reason) and hashes no output, since none was written.
 Re-running the recorded argv reproduces the outputs byte for byte; the
 manifest is the only file in an output directory whose bytes may differ
 between identical runs (it carries the clock time and these costs).
@@ -77,12 +79,16 @@ def append_manifest(
     input_files: list,
     outputs: list,
     started: float,
+    abort=None,
 ) -> Path:
-    """Append one record; ``started`` is the run's ``time.perf_counter()``."""
+    """Append one record; ``started`` is the run's ``time.perf_counter()``
+    and ``abort``, if given, has the ``epoch`` and ``reason`` of the
+    numeric failure that stopped the run."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {
         "command": command,
+        "status": "ok" if abort is None else "aborted",
         "argv": list(argv),
         "resolved_config": resolved_config,
         "seeds": seeds,
@@ -97,6 +103,8 @@ def append_manifest(
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    if abort is not None:
+        record["abort"] = {"epoch": abort.epoch, "reason": abort.reason}
     path = out_dir / MANIFEST_NAME
     with open(path, "a") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -17,9 +17,11 @@ Per-sample weights come as rank factors: layer l of sample b uses
 W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
 and s (B, r) per sample. ``lowrank_linear`` applies that as two GEMMs
 with a hand-written backward, so no (B, n_out, n_in) weight is formed.
-Its forward runs the second GEMM over fixed blocks of ROW_BLOCK rows and
-its backward over fixed chunks of IN_BLOCK input columns, so neither
-holds an array that grows with both the batch and the weight's size.
+Forward and backward walk the same fixed chunks of IN_BLOCK input
+columns, the forward within fixed blocks of ROW_BLOCK rows: the
+forward's transients grow with neither the batch nor the weight's size,
+the backward's only with the batch. The LSTM on plain parameters runs
+ROW_BLOCK windows at a time for the same reason.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from . import seeding
 from .errors import ContractViolation
 from .params import Layout, ParamStore
 
-# Rows per forward block and input columns per backward chunk of
-# lowrank_linear (see there).
+# Rows per forward block of lowrank_linear and of the plain LSTM, and
+# input columns per chunk of lowrank_linear (see there).
 ROW_BLOCK = 256
 IN_BLOCK = 16
 
@@ -130,14 +132,16 @@ def lowrank_linear(x, w, u, s):
     as two GEMMs, x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r)
     and u_r the (o, i·r) view of u; no (B, o, i) weight exists.
 
-    The forward builds and applies P ROW_BLOCK rows at a time, taped or
-    not, so its transient is ROW_BLOCK·i·r floats whatever B is. The
-    backward walks the inputs IN_BLOCK columns at a time: columns
+    Both passes walk the inputs IN_BLOCK columns at a time: columns
     [i0, i1) of x own columns [i0·r, i1·r) of P and of u_r, a strided
-    view that BLAS takes as it is. Per chunk it forms g u_r's columns for
-    the x and s gradients, and P's columns for u's gradient gᵀP, which
-    it adds into u's gradient array in place (``autodiff.AddInto``). So
-    no (B, i·r) array and no second u-sized array is formed.
+    view that BLAS takes as it is. The forward, taped or not, adds
+    P[rows, chunk] u_r[:, chunk]ᵀ into out[rows] chunk by chunk within
+    each block of ROW_BLOCK rows, so its transient is ROW_BLOCK·IN_BLOCK·r
+    floats whatever B and i are. Per chunk the backward forms g u_r's
+    columns for the x and s gradients, and P's columns for u's gradient
+    gᵀP, which it adds into u's gradient array in place
+    (``autodiff.AddInto``). So no (B, i·r) array and no second u-sized
+    array is formed.
     """
     xv, wv, uv, sv = (ad.val(a) for a in (x, w, u, s))
     batch, n_in = xv.shape
@@ -162,7 +166,8 @@ def lowrank_linear(x, w, u, s):
     out = xv @ wv.T
     for lo in range(0, batch, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        out[rows] += outer(xv[rows], sv[rows]) @ u_r.T
+        for cols, cols_r in chunks():
+            out[rows] += outer(xv[rows, cols], sv[rows]) @ u_r[:, cols_r].T
     inputs = (x, w, u, s)
     if not any(ad.is_var(a) for a in inputs):
         return out
@@ -282,7 +287,9 @@ def _lstm_step(x_t, h, c, wx, wh, b, hsz, out=(None,) * 7):
     replayed state and gate is the forward's, bit for bit.
     """
     gi, gf, gc, go, tanh_c, c_t, h_t = out
-    gates = x_t @ wx.T + h @ wh.T + b
+    gates = x_t @ wx.T
+    gates += h @ wh.T
+    gates += b
     gi = _sigmoid(gates[:, :hsz], gi)
     gf = _sigmoid(gates[:, hsz : 2 * hsz], gf)
     gc = np.tanh(gates[:, 2 * hsz : 3 * hsz], out=gc)
@@ -302,6 +309,24 @@ def _lstm_span(w: int) -> int:
     al., arXiv 1604.06174). It is 6 at w = 100.
     """
     return math.ceil(math.sqrt(2 * w / 7))
+
+
+def _lstm_run(seq, wx, wh, b, hsz, checkpoints=None):
+    """Final h of the LSTM run over the (B, w, m) windows ``seq`` from
+    zero state.
+
+    With a ``checkpoints`` list, the (h, c) entering each segment of
+    ``_lstm_span(w)`` steps but the first is appended to it.
+    """
+    batch, w, _ = seq.shape
+    span = _lstm_span(w)
+    h = np.zeros((batch, hsz))
+    c = np.zeros((batch, hsz))
+    for t in range(w):
+        if checkpoints is not None and t and t % span == 0:
+            checkpoints.append((h, c))
+        *_, c, h = _lstm_step(seq[:, t, :], h, c, wx, wh, b, hsz)
+    return h
 
 
 def _lstm_replay(seq, t0, t1, h, c, wx, wh, b, hsz, spare):
@@ -343,18 +368,21 @@ def _lstm_step_back(dh, dc, step, wh, grads):
 def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     """Final hidden state of the LSTM over (B, w, m) input windows.
 
-    Zero initial hidden and cell state; returns (B, hidden_size). The
-    whole window is one tape node. When the weights are tape leaves, the
-    forward keeps only the (h, c) entering each segment of
-    ``_lstm_span(w)`` steps (the first segment starts from zeros). The
-    hand-written backward-through-time pass takes the segments from last
-    to first: it replays one segment's forward from its checkpoint,
-    keeping each step's h_{t-1}, c_{t-1}, gates and tanh(c_t), then runs
-    that segment's reverse steps. Every gate is thus computed twice, once
-    in the forward and once in the replay, and since the replay is the
-    forward's own step on the same inputs, the gradients are those of
-    keeping every step, bit for bit, whatever the span. On plain
-    parameters nothing is kept.
+    Zero initial hidden and cell state; returns (B, hidden_size). On
+    plain parameters nothing is kept and the windows run ROW_BLOCK at a
+    time into the output, so a step's transients grow with ROW_BLOCK, not
+    with B; rows are independent, and each block's rows are the whole
+    batch's, bit for bit. When the weights are tape leaves the whole
+    batch is one tape node, and the forward keeps only the (h, c)
+    entering each segment of ``_lstm_span(w)`` steps (the first segment
+    starts from zeros). The hand-written backward-through-time pass
+    takes the segments from last to first: it replays one segment's
+    forward from its checkpoint, keeping each step's h_{t-1}, c_{t-1},
+    gates and tanh(c_t), then runs that segment's reverse steps. Every
+    gate is thus computed twice, once in the forward and once in the
+    replay, and since the replay is the forward's own step on the same
+    inputs, the gradients are those of keeping every step, bit for bit,
+    whatever the span.
     """
     seq = np.asarray(ad.val(sequence), dtype=np.float64)
     if seq.ndim == 2:
@@ -369,17 +397,15 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     hsz = spec.hidden_size
     weights = [params.get(f"{prefix}.{n}") for n in ("Wx", "Wh", "b")]
     wx, wh, b = (ad.val(p) for p in weights)
-    taped = any(ad.is_var(p) for p in weights)
+    if not any(ad.is_var(p) for p in weights):
+        h = np.empty((batch, hsz))
+        for lo in range(0, batch, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            h[rows] = _lstm_run(seq[rows], wx, wh, b, hsz)
+        return h
     span = _lstm_span(w)
     checkpoints = []
-    h = np.zeros((batch, hsz))
-    c = np.zeros((batch, hsz))
-    for t in range(w):
-        if taped and t and t % span == 0:
-            checkpoints.append((h, c))
-        *_, c, h = _lstm_step(seq[:, t, :], h, c, wx, wh, b, hsz)
-    if not taped:
-        return h
+    h = _lstm_run(seq, wx, wh, b, hsz, checkpoints)
 
     def vjp(g):
         # A reversed step's arrays are spare: the next segment's replay

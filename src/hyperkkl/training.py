@@ -19,7 +19,8 @@ row with the gradient norm found before clipping. A ``NumericError``
 while taping the loss or clipping the gradient ends the run with an
 ``Abort`` at that epoch k, before its Adam step, so no rollback copy is
 needed: the stores are those of the k - 1 completed steps, each taken on
-a finite, clipped gradient (the CLI writes nothing for an aborted run).
+a finite, clipped gradient (the CLI writes no output for an aborted
+run, only its manifest record).
 The stores a run declares frozen are hashed when it starts and checked
 when it ends; a changed one raises ``NumericError``.
 """

@@ -244,7 +244,33 @@ class TestTrain:
         assert len(err) == 1
         assert err[0].startswith("numeric failure: epoch ")
         assert "non-finite" in err[0]
-        assert not out.exists()
+        assert [f.name for f in out.iterdir()] == [MANIFEST_NAME]
+
+    def test_numeric_abort_appends_an_aborted_record(self, gen_dir, tmp_path,
+                                                      capsys):
+        # the record of an abort, then that of a run that completes
+        out = tmp_path / "abort"
+        data = str(gen_dir / "duffing_zero_n4_s1.hkkl")
+        argv = ("train", "--system", "duffing", "--phase", "1", "--data", data,
+                "--epochs", "5", "--batch", "16", "--hidden", "8,8",
+                "--out", str(out))
+        assert run(*argv, "--lr", "1e300") == 3
+        err = capsys.readouterr().err
+        assert not list(out.glob("*.hkkp")) and not list(out.glob("*.csv"))
+        assert run(*argv) == 0
+        aborted, ok = read_manifest(out)
+        assert aborted["status"] == "aborted"
+        assert aborted["command"] == "train"
+        assert aborted["resolved_config"]["lr"] == 1e300
+        assert aborted["output_hashes"] == {}
+        assert err == (f"numeric failure: epoch {aborted['abort']['epoch']}: "
+                       f"{aborted['abort']['reason']}\n")
+        assert 1 <= aborted["abort"]["epoch"] <= 5
+        assert "non-finite" in aborted["abort"]["reason"]
+        assert ok["status"] == "ok" and "abort" not in ok
+        assert sorted(ok["output_hashes"]) == [
+            str(out / "duffing_phase1.hkkp"),
+            str(out / "duffing_phase1_loss.csv")]
 
     def test_non_finite_gradient_writes_no_checkpoint(
             self, gen_dir, tmp_path, capsys, monkeypatch):
@@ -259,7 +285,7 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr().err == (
             "numeric failure: epoch 4: gradient norm is non-finite\n")
-        assert not out.exists()
+        assert [f.name for f in out.iterdir()] == [MANIFEST_NAME]
 
     def test_config_supplies_values(self, gen_dir, tmp_path):
         ini = tmp_path / "run.ini"

@@ -14,6 +14,7 @@ from hyperkkl.nets import (
     LstmSpec,
     MlpSpec,
     _lstm_span,
+    _lstm_step,
     init_lstm,
     init_mlp,
     lstm_forward,
@@ -263,26 +264,47 @@ class TestLowRankLinear:
         p = (x[:, :, None] * s[:, None, :]).reshape(len(x), -1)
         return p @ u.reshape(n_out, -1).T
 
-    def formula(self, x, w, u, s):
+    def one_gemm(self, x, w, u, s):
         return x @ w.T + self.rank_term(x, u, s, len(w))
 
+    def add_rank_chunks(self, out, x, u, s):
+        """Adds the rank term of each IN_BLOCK chunk of inputs into ``out``
+        in turn: columns [i0, i1) of x meet columns [i0·r, i1·r) of u_r."""
+        rank = s.shape[1]
+        u_r = u.reshape(out.shape[1], -1)
+        for i0 in range(0, x.shape[1], IN_BLOCK):
+            i1 = i0 + IN_BLOCK
+            out += self.rank_term(x[:, i0:i1], u_r[:, i0 * rank:i1 * rank],
+                                  s, out.shape[1])
+        return out
+
+    def formula(self, x, w, u, s):
+        return self.add_rank_chunks(x @ w.T, x, u, s)
+
     def test_plain_call_within_one_block_is_the_formula_bitwise(self):
-        vals = lowrank_inputs(np.random.default_rng(26), ROW_BLOCK, 12, 10, 3)
-        out = lowrank_linear(*(vals[n] for n in self.NAMES))
-        assert np.array_equal(out, self.formula(*(vals[n] for n in self.NAMES)))
+        # 2 full chunks of input columns and a ragged one of 5
+        vals = lowrank_inputs(np.random.default_rng(26), ROW_BLOCK,
+                              2 * IN_BLOCK + 5, 10, 3)
+        args = [vals[n] for n in self.NAMES]
+        out = lowrank_linear(*args)
+        assert np.array_equal(out, self.formula(*args))
+        whole = self.one_gemm(*args)
+        assert np.max(np.abs(out - whole)) <= 1e-13 * np.max(np.abs(whole))
 
     def test_plain_call_is_the_formula_block_by_block(self):
         # x Wᵀ is one GEMM over all rows; P u_rᵀ is formed per row block
+        # and per chunk of input columns
         batch = 2 * ROW_BLOCK + 17
-        x, w, u, s = (lowrank_inputs(np.random.default_rng(27), batch, 12,
-                                     10, 3)[n] for n in self.NAMES)
+        x, w, u, s = (lowrank_inputs(np.random.default_rng(27), batch,
+                                     2 * IN_BLOCK + 5, 10, 3)[n]
+                      for n in self.NAMES)
         out = lowrank_linear(x, w, u, s)
         plain = x @ w.T
         for lo in range(0, batch, ROW_BLOCK):
             rows = slice(lo, lo + ROW_BLOCK)
-            block = self.rank_term(x[rows], u, s[rows], len(w))
-            assert np.array_equal(out[rows], plain[rows] + block)
-        whole = self.formula(x, w, u, s)
+            block = self.add_rank_chunks(plain[rows], x[rows], u, s[rows])
+            assert np.array_equal(out[rows], block)
+        whole = self.one_gemm(x, w, u, s)
         assert np.max(np.abs(out - whole)) <= 1e-13 * np.max(np.abs(whole))
 
     def test_taped_call_is_the_plain_call_bitwise(self):
@@ -372,8 +394,9 @@ class TestLowRankLinear:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the whole P would be batch·width·rank·8 = 38.4 MB
-        assert peak <= out.nbytes + ROW_BLOCK * width * rank * 8 + 512 * 1024
+        # the whole P would be batch·width·rank·8 = 38.4 MB, one row
+        # block's 9.8 MB, one block's chunk of IN_BLOCK inputs 1 MiB
+        assert peak <= out.nbytes + ROW_BLOCK * IN_BLOCK * rank * 8 + 512 * 1024
 
     def test_factor_shapes_are_checked(self):
         vals = lowrank_inputs(np.random.default_rng(25))
@@ -601,6 +624,37 @@ class TestLstm:
             tracemalloc.stop()
         assert held <= (2 * segments + 8) * batch * h * 8
         assert peak <= (2 * segments + 7 * span + 16) * batch * h * 8
+
+    def test_plain_forward_in_row_blocks_is_one_whole_batch_pass_bitwise(self):
+        # 2 full blocks of windows and a ragged one of 17
+        batch, w, m, h = 2 * ROW_BLOCK + 17, 9, 2, 6
+        spec, store = fresh_lstm(m, h, seed=11)
+        seq = np.random.default_rng(11).normal(size=(batch, w, m))
+        wx, wh, b = (store.get(f"lstm.{n}") for n in ("Wx", "Wh", "b"))
+        hs = np.zeros((batch, h))
+        cs = np.zeros((batch, h))
+        for t in range(w):
+            *_, cs, hs = _lstm_step(seq[:, t, :], hs, cs, wx, wh, b, h)
+        plain = lstm_forward(store, spec, seq, "lstm")
+        taped = lstm_forward(ParamVars(store), spec, seq, "lstm")
+        assert np.array_equal(plain, hs)
+        assert np.array_equal(plain, taped.value)
+
+    def test_plain_forward_holds_one_block_of_state(self):
+        # a step of one block holds its 4h-wide gates and h Whᵀ term, the
+        # seven (rows, h) results and the entering (h, c): 18 arrays of
+        # ROW_BLOCK·h floats; the whole batch at once would hold 18 of B·h
+        batch, w, h = 1001, 100, 64
+        spec, store = fresh_lstm(1, h, seed=12)
+        seq = np.random.default_rng(12).normal(size=(batch, w, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = lstm_forward(store, spec, seq, "lstm")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 20 * ROW_BLOCK * h * 8
 
     def test_window_is_one_tape_node(self):
         spec, store = fresh_lstm(2, 3, seed=4)
