@@ -1,7 +1,9 @@
 """A small reverse-mode tape over numpy float64 arrays.
 
-Every differentiable computation in the package is built from the
-primitives in this module. Primitives dispatch on their argument types:
+A differentiable computation is built from the primitives in this
+module or is one node with a hand-written VJP (a ``Var`` made with its
+parents and a VJP, as ``nets`` does for an MLP layer, the low-rank
+linear map and the LSTM window). Both dispatch on their argument types:
 called on plain ndarrays they return plain ndarrays (no recording), so
 forward-only evaluation pays no tape overhead and training/inference
 share one code path.
@@ -123,20 +125,6 @@ def sub(a, b):
 def mul(a, b):
     av, bv = val(a), val(b)
     return _binary(a, b, av * bv, lambda g: (g * bv, g * av))
-
-
-def tanh(x):
-    out = np.tanh(val(x))
-    if not is_var(x):
-        return out
-    return Var(out, (x,), lambda g: (g * (1.0 - out * out),))
-
-
-def exp(x):
-    out = np.exp(val(x))
-    if not is_var(x):
-        return out
-    return Var(out, (x,), lambda g: (g * out,))
 
 
 def matmul(a, b):

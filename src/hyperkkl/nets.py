@@ -9,9 +9,12 @@ immersion maps in tests and diagnostics).
 The physics residuals need the encoder's input Jacobian only along the
 drift, J·f(x, u). ``mlp_forward_with_jacobian`` pushes that one tangent
 through each layer's linear map and tanh derivative next to the value
-(forward-mode AD): one extra row per sample whatever n_x is, built from
-tape primitives, so it stays differentiable w.r.t. the parameters. Both
-forwards run one layer loop; a plain forward tapes no derivative node.
+(forward-mode AD): one extra row per sample whatever n_x is. The value
+and tangent rows are stacked into one array, and each layer is one tape
+node with a hand-written VJP (``_mlp_layer``) that keeps only its
+output, so the tangent stays differentiable w.r.t. the parameters at
+one stacked array per layer. Both forwards run one layer loop; a plain
+forward tapes nothing.
 
 Per-sample weights come as rank factors: layer l of sample b uses
 W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
@@ -124,24 +127,34 @@ def transpose2d(x):
     return ad.Var(out, (x,), lambda g: (g.T,))
 
 
-def lowrank_linear(x, w, u, s):
+def _outer(a, b):
+    """Row-wise a[k] ⊗ b[k], flattened to (rows, a_cols · b_cols)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(
+        a.shape[0], a.shape[1] * b.shape[1])
+
+
+def _in_chunks(n_in, rank):
+    """Slices of IN_BLOCK input columns and of their columns of P and u_r."""
+    for i0 in range(0, n_in, IN_BLOCK):
+        i1 = min(i0 + IN_BLOCK, n_in)
+        yield slice(i0, i1), slice(i0 * rank, i1 * rank)
+
+
+def lowrank_linear(x, w, u, s, out=None):
     """x Wᵀ with sample b's weight W + reshape(u s[b], (o, i)), unformed.
 
     x is (B, i), W (o, i), u (o·i, r) the readout rows that map onto W's
     entries in C order, and s (B, r) the per-sample coordinates. Computed
     as two GEMMs, x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r)
-    and u_r the (o, i·r) view of u; no (B, o, i) weight exists.
+    and u_r the (o, i·r) view of u; no (B, o, i) weight exists. The
+    result is written into ``out`` when one is given.
 
     Both passes walk the inputs IN_BLOCK columns at a time: columns
     [i0, i1) of x own columns [i0·r, i1·r) of P and of u_r, a strided
     view that BLAS takes as it is. The forward, taped or not, adds
     P[rows, chunk] u_r[:, chunk]ᵀ into out[rows] chunk by chunk within
     each block of ROW_BLOCK rows, so its transient is ROW_BLOCK·IN_BLOCK·r
-    floats whatever B and i are. Per chunk the backward forms g u_r's
-    columns for the x and s gradients, and P's columns for u's gradient
-    gᵀP, which it adds into u's gradient array in place
-    (``autodiff.AddInto``). So no (B, i·r) array and no second u-sized
-    array is formed.
+    floats whatever B and i are. The backward is ``_linear_grads``.
     """
     xv, wv, uv, sv = (ad.val(a) for a in (x, w, u, s))
     batch, n_in = xv.shape
@@ -152,94 +165,170 @@ def lowrank_linear(x, w, u, s):
             f"({n_out}, {n_in}) weight on {batch} samples"
         )
     u_r = uv.reshape(n_out, n_in * rank)
-
-    def outer(a, b):
-        """Row-wise a[k] ⊗ b[k], flattened to (rows, a_cols · b_cols)."""
-        return (a[:, :, None] * b[:, None, :]).reshape(
-            a.shape[0], a.shape[1] * b.shape[1])
-
-    def chunks():
-        for i0 in range(0, n_in, IN_BLOCK):
-            i1 = min(i0 + IN_BLOCK, n_in)
-            yield slice(i0, i1), slice(i0 * rank, i1 * rank)
-
-    out = xv @ wv.T
+    out = np.matmul(xv, wv.T, out=out)
     for lo in range(0, batch, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        for cols, cols_r in chunks():
-            out[rows] += outer(xv[rows, cols], sv[rows]) @ u_r[:, cols_r].T
+        for cols, cols_r in _in_chunks(n_in, rank):
+            out[rows] += _outer(xv[rows, cols], sv[rows]) @ u_r[:, cols_r].T
     inputs = (x, w, u, s)
-    if not any(ad.is_var(a) for a in inputs):
+    taped = [ad.is_var(a) for a in inputs]
+    if not any(taped):
         return out
 
     def vjp(g):
-        def add_u_grad(acc):
-            acc_r = acc.reshape(n_out, n_in * rank)
-            for cols, cols_r in chunks():
-                acc_r[:, cols_r] += g.T @ outer(xv[:, cols], sv)
-            if not np.may_share_memory(acc_r, acc):  # reshape had to copy
-                acc[...] = acc_r.reshape(acc.shape)
-
-        if ad.is_var(x):
-            gx = g @ wv
-        if ad.is_var(s):
-            gs = np.zeros_like(sv)
-        if ad.is_var(x) or ad.is_var(s):
-            for cols, cols_r in chunks():
-                gp = (g @ u_r[:, cols_r]).reshape(
-                    batch, cols.stop - cols.start, rank)
-                if ad.is_var(x):
-                    gx[:, cols] += np.einsum("bir,br->bi", gp, sv)
-                if ad.is_var(s):
-                    gs += np.einsum("bir,bi->br", gp, xv[:, cols])
-        grads = []
-        if ad.is_var(x):
-            grads.append(gx)
-        if ad.is_var(w):
-            grads.append(g.T @ xv)
-        if ad.is_var(u):
-            grads.append(ad.AddInto(add_u_grad))
-        if ad.is_var(s):
-            grads.append(gs)
-        return tuple(grads)
+        grads = _linear_grads(g, xv, wv, (uv, sv), taped)
+        return tuple(gr for t, gr in zip(taped, grads) if t)
 
     return ad.Var(out, tuple(a for a in inputs if ad.is_var(a)), vjp)
 
 
-def _layer_map(params, prefix, i, weight_deltas):
-    """v -> v Wᵀ of layer i, per-sample low-rank when it has factors."""
-    w = params.get(f"{prefix}.W{i}")
-    factors = None if weight_deltas is None else weight_deltas[i]
-    if factors is None:
-        wt = transpose2d(w)
-        return lambda v: ad.matmul(v, wt)
-    u, s = factors
-    return lambda v: lowrank_linear(v, w, u, s)
+def _linear_grads(g, xv, wv, factors, taped):
+    """Gradients of the rows x Wᵀ (+ P u_rᵀ) for the output gradient g.
 
-
-def _mlp_layers(params, spec: MlpSpec, a, prefix: str, weight_deltas,
-                tangent=None):
-    """The layer loop of both MLP forwards over a (B, n_in) batch ``a``.
-
-    ``tangent``, a (B, n_in) batch, is pushed through each layer's linear
-    map and tanh derivative next to ``a``; without it no derivative node
-    is built. Returns (out, tangent).
+    ``factors`` is (u, s) as arrays, one s row per row of x, or None;
+    ``taped`` flags which of x, W, u and s want a gradient. Returns their
+    four gradients in that order, None where not wanted: x's and s's as
+    arrays, W's and u's as ``autodiff.AddInto``. Per IN_BLOCK chunk of
+    inputs the x and s terms come from g u_r's columns and u's from P's
+    columns gᵀP, added into u's gradient array in place, so no
+    (rows, i·r) array and no second u-sized array is formed.
     """
-    if ad.val(a).shape[-1] != spec.widths[0]:
+    want_x, want_w, want_u, want_s = taped
+    gx = g @ wv if want_x else None
+    gw = gu = gs = None
+    if want_w:
+        gw = ad.AddInto(lambda acc: np.add(acc, g.T @ xv, out=acc))
+    if factors is None:
+        return gx, gw, gu, gs
+    uv, sv = factors
+    (rows, n_in), rank = xv.shape, sv.shape[1]
+    u_r = uv.reshape(len(wv), n_in * rank)
+
+    def add_u_grad(acc):
+        acc_r = acc.reshape(u_r.shape)
+        for cols, cols_r in _in_chunks(n_in, rank):
+            acc_r[:, cols_r] += g.T @ _outer(xv[:, cols], sv)
+        if not np.may_share_memory(acc_r, acc):  # reshape had to copy
+            acc[...] = acc_r.reshape(acc.shape)
+
+    if want_u:
+        gu = ad.AddInto(add_u_grad)
+    if want_s:
+        gs = np.zeros_like(sv)
+    if want_x or want_s:
+        for cols, cols_r in _in_chunks(n_in, rank):
+            gp = (g @ u_r[:, cols_r]).reshape(rows, cols.stop - cols.start,
+                                               rank)
+            if want_x:
+                gx[:, cols] += np.einsum("bir,br->bi", gp, sv)
+            if want_s:
+                gs += np.einsum("bir,bi->br", gp, xv[:, cols])
+    return gx, gw, gu, gs
+
+
+def _tanh_grad(g, y, tangent_lin=None):
+    """The gradient at a tanh layer's linear outputs, from g at its outputs.
+
+    The first len(y) rows of the output are y = tanh(v); the rest, when
+    ``tangent_lin`` t is given, are the tangent t ⊙ (1 − y²), whose
+    factor depends on y as well: dL/dv = (g_y − 2 y t g_t)(1 − y²).
+    ``tangent_lin`` is overwritten.
+    """
+    n = len(y)
+    gl = np.empty_like(g)
+    d = np.multiply(y, y, out=gl[:n])
+    np.subtract(1.0, d, out=d)
+    if tangent_lin is None:
+        d *= g
+        return gl
+    np.multiply(g[n:], d, out=gl[n:])
+    tangent_lin *= y
+    tangent_lin *= g[n:]
+    tangent_lin *= 2.0
+    d *= np.subtract(g[:n], tangent_lin, out=tangent_lin)
+    return gl
+
+
+def _mlp_layer(x, n, w, b, factors, squash):
+    """One MLP layer over stacked rows, as one tape node.
+
+    x is (R, n_in): rows [:n] hold the values and rows [n:], if R > n,
+    the tangent. Rows [:n] of the (R, n_out) result are x[:n] Wᵀ + b,
+    through tanh when ``squash``; rows [n:] are x[n:] Wᵀ, times tanh's
+    derivative 1 − y² at the value rows when ``squash``. ``factors``, a
+    (u, s) pair or None, gives every row block its sample's low-rank
+    weight through ``lowrank_linear``, run once on the value rows and
+    once on the tangent rows.
+
+    The result is written in place in the order x[:n] Wᵀ, + b, tanh,
+    x[n:] Wᵀ, · (1 − y²): the operations of the chain of tape primitives
+    this node replaces, on the same row blocks, so the values and the
+    tangent are that chain's, bit for bit. The node keeps only its
+    result. Its VJP recomputes x[n:] Wᵀ for the tangent's second-order
+    term, takes the linear map's gradients over all R rows at once (s
+    repeated per row block) and adds W's, b's and u's gradients into
+    their arrays (``autodiff.AddInto``).
+    """
+    u, s = factors or (None, None)
+    xv, wv, bv = (ad.val(a) for a in (x, w, b))
+    uv, sv = (None, None) if factors is None else (ad.val(u), ad.val(s))
+    rows = len(xv)
+    values, tangent = slice(0, n), slice(n, rows)
+
+    def linear(part, out=None):
+        if factors is None:
+            return np.matmul(xv[part], wv.T, out=out)
+        return lowrank_linear(xv[part], wv, uv, sv, out)
+
+    out = np.empty((rows, len(wv)))
+    y = linear(values, out[values])
+    y += bv
+    if squash:
+        np.tanh(y, out=y)
+    if rows > n:
+        linear(tangent, out[tangent])
+        if squash:
+            out[tangent] *= 1.0 - y * y
+    inputs = (x, w, b, u, s)
+    if not any(ad.is_var(a) for a in inputs):
+        return out
+
+    def vjp(g):
+        if squash:
+            g = _tanh_grad(g, y, linear(tangent) if rows > n else None)
+        stacked = None if factors is None else (
+            uv, np.concatenate([sv] * (rows // n)))
+        gx, gw, gu, gs = _linear_grads(
+            g, xv, wv, stacked, [ad.is_var(a) for a in (x, w, u, s)])
+        if gs is not None:
+            gs = gs.reshape(rows // n, n, -1).sum(axis=0)
+        gb = ad.AddInto(lambda acc: np.add(acc, g[values].sum(axis=0),
+                                           out=acc))
+        grads = (gx, gw, gb, gu, gs)
+        return tuple(gr for a, gr in zip(inputs, grads) if ad.is_var(a))
+
+    return ad.Var(out, tuple(a for a in inputs if ad.is_var(a)), vjp)
+
+
+def _mlp_layers(params, spec: MlpSpec, x, n, prefix: str, weight_deltas):
+    """The layer loop of both MLP forwards, one ``_mlp_layer`` node each.
+
+    x is (R, n_in) stacked rows: the n value rows, then the tangent rows
+    if R > n. Returns the last layer's (R, n_out) result in the same
+    layout. Hidden layers squash with tanh unless the activation is
+    "identity"; the last layer is affine.
+    """
+    if ad.val(x).shape[-1] != spec.widths[0]:
         raise ContractViolation(
-            f"MLP expects input width {spec.widths[0]}, got {ad.val(a).shape[-1]}"
+            f"MLP expects input width {spec.widths[0]}, got {ad.val(x).shape[-1]}"
         )
+    squash_hidden = spec.activation == "tanh"
     for i in range(spec.n_layers):
-        linear = _layer_map(params, prefix, i, weight_deltas)
-        pre = ad.add(linear(a), params.get(f"{prefix}.b{i}"))
-        tangent = None if tangent is None else linear(tangent)
-        if i < spec.n_layers - 1 and spec.activation == "tanh":
-            a = ad.tanh(pre)
-            if tangent is not None:
-                tangent = ad.mul(tangent, ad.sub(1.0, ad.mul(a, a)))
-        else:
-            a = pre
-    return a, tangent
+        x = _mlp_layer(
+            x, n, params.get(f"{prefix}.W{i}"), params.get(f"{prefix}.b{i}"),
+            None if weight_deltas is None else weight_deltas[i],
+            squash_hidden and i < spec.n_layers - 1)
+    return x
 
 
 def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
@@ -253,7 +342,7 @@ def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
     xv = ad.val(x)
     single = xv.ndim == 1
     a = ad.reshape(x, (1, xv.shape[0])) if single else x
-    a, _ = _mlp_layers(params, spec, a, prefix, weight_deltas)
+    a = _mlp_layers(params, spec, a, len(ad.val(a)), prefix, weight_deltas)
     return ad.reshape(a, (spec.widths[-1],)) if single else a
 
 
@@ -263,13 +352,19 @@ def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str, tangent,
 
     x and tangent are (B, n_in) batches. Returns (out, jvp), both
     (B, n_out), with jvp[s] = d out[s] / d x[s] · tangent[s]; both stay
-    differentiable w.r.t. the parameters. ``weight_deltas`` is as in
-    mlp_forward: the tangent goes through each layer's weights with the
-    same per-sample factors.
+    differentiable w.r.t. the parameters. The layers run on x and tangent
+    stacked into (2B, n_in) rows, and out and jvp are the two halves
+    (``autodiff.narrow``) of the last layer's (2B, n_out) result.
+    ``weight_deltas`` is as in mlp_forward: the tangent goes through each
+    layer's weights with the same per-sample factors.
     """
-    if ad.val(x).ndim != 2 or np.shape(tangent) != ad.val(x).shape:
+    xv = ad.val(x)
+    if xv.ndim != 2 or ad.val(tangent).shape != xv.shape:
         raise ContractViolation("jacobian forward expects (B, n_in) batches")
-    return _mlp_layers(params, spec, x, prefix, weight_deltas, tangent)
+    n = len(xv)
+    out = _mlp_layers(params, spec, ad.concat([x, tangent]), n, prefix,
+                      weight_deltas)
+    return ad.narrow(out, 0, 0, n), ad.narrow(out, 0, n, n)
 
 
 def _sigmoid(z, out=None):

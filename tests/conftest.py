@@ -81,6 +81,22 @@ def central_diff(fn, x, eps=1e-6):
     return g
 
 
+def tanh(x):
+    """tanh as one tape node: the oracle primitive of the fused MLP layer."""
+    out = np.tanh(ad.val(x))
+    if not ad.is_var(x):
+        return out
+    return ad.Var(out, (x,), lambda g: (g * (1.0 - out * out),))
+
+
+def exp(x):
+    """exp as one tape node, for tape tests."""
+    out = np.exp(ad.val(x))
+    if not ad.is_var(x):
+        return out
+    return ad.Var(out, (x,), lambda g: (g * out,))
+
+
 def grad_check(loss_fn, params: ParamStore, eps: float = 1e-6) -> float:
     """Max relative error between tape gradients and central differences.
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grad_check, make_store
+from conftest import grad_check, make_store, tanh
 
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
@@ -15,6 +15,7 @@ from hyperkkl.nets import (
     MlpSpec,
     _lstm_span,
     _lstm_step,
+    _mlp_layer,
     init_lstm,
     init_mlp,
     lstm_forward,
@@ -167,6 +168,131 @@ class TestMlp:
             mlp_forward(store, spec, np.zeros(3), "net")
 
 
+def chain_layer(x, n, w, b, factors, squash):
+    """One MLP layer as a chain of tape primitives on separate value and
+    tangent rows, about seven arrays each: the oracle of ``_mlp_layer``."""
+    if factors is None:
+        wt = transpose2d(w)
+        linear = lambda v: ad.matmul(v, wt)
+    else:
+        linear = lambda v: lowrank_linear(v, w, *factors)
+    rows = len(ad.val(x))
+    a = ad.narrow(x, 0, 0, n)
+    tangent = ad.narrow(x, 0, n, n) if rows > n else None
+    pre = ad.add(linear(a), b)
+    tangent = None if tangent is None else linear(tangent)
+    if not squash:
+        return pre, tangent
+    a = tanh(pre)
+    if tangent is not None:
+        tangent = ad.mul(tangent, ad.sub(1.0, ad.mul(a, a)))
+    return a, tangent
+
+
+def layer_inputs(batch, tangent, conditioned, seed, n_in=IN_BLOCK + 4,
+                 n_out=6, rank=3):
+    """Stacked x, one parameter store (W, b and, if conditioned, U and S)
+    and output-gradient weights for the stacked rows."""
+    rng = np.random.default_rng(seed)
+    rows = 2 * batch if tangent else batch
+    named = [("W", rng.normal(size=(n_out, n_in)) / np.sqrt(n_in)),
+             ("b", rng.normal(size=n_out))]
+    if conditioned:
+        named += [("U", 0.1 * rng.normal(size=(n_out * n_in, rank))),
+                  ("S", rng.normal(size=(batch, rank)))]
+    return (rng.normal(size=(rows, n_in)), make_store(named),
+            rng.normal(size=(rows, n_out)))
+
+
+def layer_args(p, conditioned):
+    factors = (p.get("U"), p.get("S")) if conditioned else None
+    return p.get("W"), p.get("b"), factors
+
+
+# (squash, tangent, conditioned, taped x, batch)
+LAYER_CASES = [
+    (squash, tangent, conditioned, taped, batch)
+    for squash in (True, False) for tangent in (True, False)
+    for conditioned in (False, True) for taped in (False, True)
+    for batch in (1, ROW_BLOCK + 3)
+]
+
+
+class TestFusedLayer:
+    @pytest.mark.parametrize("squash, tangent, conditioned, taped, batch",
+                             LAYER_CASES)
+    def test_rows_bitwise_and_gradients_match_the_primitive_chain(
+            self, squash, tangent, conditioned, taped, batch):
+        # stated tolerance for the gradients: 1e-13 of the largest entry
+        xv, store, weights = layer_inputs(batch, tangent, conditioned,
+                                          seed=batch + 2 * conditioned)
+        results = []
+        for fused in (True, False):
+            pv = ParamVars(store)
+            x = ad.Var(xv) if taped else xv
+            w, b, factors = layer_args(pv, conditioned)
+            if fused:
+                out = _mlp_layer(x, batch, w, b, factors, squash)
+                value = ad.val(out)[:batch]
+                jvp = ad.val(out)[batch:] if tangent else None
+                loss = ad.sum_all(ad.mul(out, weights))
+            else:
+                a, t = chain_layer(x, batch, w, b, factors, squash)
+                value, jvp = ad.val(a), None if t is None else ad.val(t)
+                loss = ad.sum_all(ad.mul(a, weights[:batch]))
+                if t is not None:
+                    loss = ad.add(loss, ad.sum_all(ad.mul(t, weights[batch:])))
+            ad.backward(loss)
+            grads = {"params": pv.grads().data.copy()}
+            if taped:
+                grads["x"] = x.grad
+            results.append((value, jvp, grads))
+        (value, jvp, grads), (value_o, jvp_o, grads_o) = results
+        assert np.array_equal(value, value_o)
+        if tangent:
+            assert np.array_equal(jvp, jvp_o)
+        for name in grads_o:
+            scale = np.max(np.abs(grads_o[name]))
+            assert np.max(np.abs(grads[name] - grads_o[name])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_gradient_through_the_tangent_rows(self, conditioned):
+        batch = 4
+        xv, store, weights = layer_inputs(batch, True, conditioned, seed=40)
+
+        def loss(p):
+            out = _mlp_layer(xv, batch, *layer_args(p, conditioned), True)
+            jvp = ad.narrow(out, 0, batch, batch)
+            return ad.sum_all(ad.mul(jvp, ad.mul(jvp, weights[batch:])))
+
+        assert grad_check(loss, store, eps=1e-6) < 1e-5
+
+    def test_plain_inputs_record_nothing(self):
+        xv, store, _ = layer_inputs(3, True, True, seed=41)
+        out = _mlp_layer(xv, 3, *layer_args(store, True), True)
+        assert isinstance(out, np.ndarray) and out.shape == (6, 6)
+
+    def test_taped_jacobian_forward_holds_one_stacked_array_per_layer(self):
+        # three 350-wide tanh layers at B = 256: each layer keeps its
+        # (2B, 350) result and nothing else, where ``chain_layer`` keeps
+        # about seven (B, 350) arrays per layer
+        batch, width = 256, 350
+        spec, store = fresh_mlp([3, width, width, width, 7], seed=42)
+        rng = np.random.default_rng(42)
+        x, v = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3))
+        pv = ParamVars(store)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, jvp = mlp_forward_with_jacobian(pv, spec, x, "net", v)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 3 * 2 * batch * width * 8 + 256 * 1024
+        ad.backward(ad.sum_all(ad.add(out, jvp)))
+        assert np.any(pv.grads().data != 0.0)
+
+
 def jacobian_columns(store, spec, x, deltas):
     """d out[b] / d x[b, j] for each j, from each sample's dense weights."""
     cols = []
@@ -221,7 +347,7 @@ class TestLowRankLinear:
 
         def loss(p):
             out = lowrank_linear(*(p.get(n) for n in self.NAMES))
-            return ad.sum_all(ad.mul(ad.tanh(out), weights))
+            return ad.sum_all(ad.mul(tanh(out), weights))
 
         assert grad_check(loss, store, eps=1e-6) < 1e-6
 
@@ -442,10 +568,10 @@ def taped_lstm(params, spec, sequence, prefix):
         gates = ad.add(ad.add(ad.matmul(seq[:, t, :], wxt), ad.matmul(h, wht)), b)
         gi = taped_sigmoid(ad.narrow(gates, 1, 0, hsz))
         gf = taped_sigmoid(ad.narrow(gates, 1, hsz, hsz))
-        gc = ad.tanh(ad.narrow(gates, 1, 2 * hsz, hsz))
+        gc = tanh(ad.narrow(gates, 1, 2 * hsz, hsz))
         go = taped_sigmoid(ad.narrow(gates, 1, 3 * hsz, hsz))
         c = ad.add(ad.mul(gf, c), ad.mul(gi, gc))
-        h = ad.mul(go, ad.tanh(c))
+        h = ad.mul(go, tanh(c))
     return h
 
 
