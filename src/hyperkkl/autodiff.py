@@ -28,6 +28,17 @@ A leaf may arrive with ``.grad`` already set, for example to a view of
 a flat gradient buffer (``params.ParamVars``): ``backward`` only ever
 adds into an existing ``.grad`` in place, so the gradient lands in that
 buffer and no per-leaf array is made.
+
+A VJP hands over the arrays it returns. Where a parent has no ``.grad``
+yet, ``backward`` takes a returned array as that ``.grad`` when it is a
+fresh float64 array of the parent's shape (owns its memory, writable,
+once in the VJP's result) and adds later gradients into it in place, so
+a VJP must not return an array it or anything else still reads; a view
+(``g.T``, a slice) is never taken. Taking g instead of adding it into
+zeros can only turn a +0.0 into -0.0. Gradients then equal the
+zero-filled walk's as numbers, and a preset buffer, which starts at
++0.0 and so never holds -0.0, gets the same bytes; a bare leaf's
+``.grad`` may show -0.0 where that walk gave +0.0.
 """
 
 from __future__ import annotations
@@ -254,11 +265,23 @@ def backward(root: Var) -> None:
         node = topo.pop()
         if node._vjp is None:
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
+        grads = node._vjp(node.grad)
+        for parent, g in zip(node._parents, grads):
             if parent.grad is None:
+                if _adoptable(g, parent, grads):
+                    parent.grad = g
+                    continue
                 parent.grad = np.zeros_like(parent.value)
             if isinstance(g, AddInto):
                 g.add(parent.grad)
             else:
                 parent.grad += g
         node.grad = node._vjp = node._parents = None
+
+
+def _adoptable(g, parent, grads) -> bool:
+    """Whether g can be parent's first .grad as it is (module docstring)."""
+    return (isinstance(g, np.ndarray) and g.base is None
+            and g.flags.writeable and g.dtype == np.float64
+            and g.shape == parent.value.shape
+            and sum(x is g for x in grads) == 1)

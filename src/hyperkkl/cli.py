@@ -7,7 +7,17 @@ command's settings once, runs it, and appends the manifest record it
 returns next to its outputs; re-running the argv recorded there
 reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure.
+What loads when: importing this module loads only the standard library,
+``config`` and ``errors``. ``main`` parses the arguments, reads the
+config file and resolves the settings first, so ``--help``, a bad flag
+and a settings error exit without numpy. Only then does it import numpy
+(for ``np.errstate``) and ``manifest``, and each handler imports the
+modules it runs: ``gen`` only ``data`` and ``dynamics``; ``train`` the
+training stack and ``checkpoints``; ``eval`` and ``plot`` ``evaluation``
+(and ``plot`` also ``plots``); ``report`` nothing more.
+
+Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure,
+whether the error is raised by a handler or by one of its imports.
 A training run that ends in a numeric abort writes no checkpoint, but
 its manifest record (``status`` "aborted", with the epoch and the
 reason) still goes to the output directory.
@@ -21,29 +31,13 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-# training before config: compiled last, on the heap config's imports grew,
-# training.py raises peak RSS by 1 MB when no bytecode cache is written
-from . import training
 from . import config as cfg
-from .checkpoints import (
-    VARIANTS,
-    CheckpointBundle,
-    read_checkpoint,
-    write_checkpoint,
-)
-from .data import generate_dataset, read_dataset, trajectory_to_csv, write_dataset
-from .dynamics import get_system
 from .errors import ConfigError, ContractViolation, NumericError
-from .evaluation import benchmark, run_observer
-from .hypernet import build_hypernet_spec, build_injection_spec
-from .kkl import build_observer_matrices, init_map_params, make_maps
-from .manifest import append_manifest
-from .plots import plot_name, svg_timeseries
-from .signals import difficulty_level
+
+if TYPE_CHECKING:
+    from .training import Abort
 
 
 class Run(NamedTuple):
@@ -54,7 +48,7 @@ class Run(NamedTuple):
     seeds: dict
     input_files: list
     outputs: list
-    abort: training.Abort | None = None
+    abort: Abort | None = None
 
 
 def _write_loss_csv(path, rows) -> None:
@@ -68,6 +62,9 @@ def _write_loss_csv(path, rows) -> None:
 
 
 def cmd_gen(args, s):
+    from .data import generate_dataset, trajectory_to_csv, write_dataset
+    from .dynamics import get_system
+
     dataset = generate_dataset(
         get_system(s["system"]), s["regime"], s["n_train"], s["seed"],
         dt=s["dt"], horizon=s["horizon"], sigma=s["sigma"],
@@ -100,11 +97,20 @@ def _training_dt(datasets, base=None) -> float:
 
 
 def _dataset_level(dataset) -> int:
+    from .signals import difficulty_level
+
     return max(0 if tr.signal is None else difficulty_level(tr.signal)
                for tr in dataset.trajectories)
 
 
 def cmd_train(args, s):
+    from . import training
+    from .checkpoints import CheckpointBundle, read_checkpoint, write_checkpoint
+    from .data import read_dataset
+    from .dynamics import get_system
+    from .hypernet import build_hypernet_spec, build_injection_spec
+    from .kkl import build_observer_matrices, init_map_params, make_maps
+
     system_name = s["system"]
     system = get_system(system_name)
     train_config = training.TrainConfig(
@@ -231,6 +237,8 @@ def _refuse_other_system(bundle, path, system_name: str) -> None:
 
 
 def _parse_checkpoint_args(pairs, s) -> dict:
+    from .checkpoints import VARIANTS, read_checkpoint
+
     bundles = {}
     for spec in pairs or []:
         if "=" not in spec:
@@ -261,6 +269,8 @@ def _parse_checkpoint_args(pairs, s) -> dict:
 
 
 def cmd_eval(args, s):
+    from .evaluation import benchmark
+
     named = _parse_checkpoint_args(args.checkpoint, s)
     bundles = {v: b for v, (b, _) in named.items()}
     report = benchmark(
@@ -278,6 +288,11 @@ def cmd_eval(args, s):
 
 
 def cmd_plot(args, s):
+    from .data import generate_dataset
+    from .dynamics import get_system
+    from .evaluation import run_observer
+    from .plots import plot_name, svg_timeseries
+
     named = _parse_checkpoint_args(args.checkpoint, s)
     system = get_system(s["system"])
     out_dir = Path(args.out or ".")
@@ -443,12 +458,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config_path = getattr(args, "config", None)
     try:
+        conf = cfg.load_config(config_path) if config_path else {}
+        s = cfg.settings(args.command, vars(args), conf)
+        import numpy as np
+
+        from .manifest import append_manifest
+
         # Explicit finite checks turn overflow and NaN into a NumericError
         # (exit 3); numpy's own warnings would only repeat them as raw
         # stderr lines.
         with np.errstate(all="ignore"):
-            conf = cfg.load_config(config_path) if config_path else {}
-            s = cfg.settings(args.command, vars(args), conf)
             run = HANDLERS[args.command](args, s)
         append_manifest(
             run.out_dir, args.command, argv, run.resolved_config, run.seeds,

@@ -20,6 +20,13 @@ precedence is a reproducibility hazard, so conflicts are errors.
 Per-system architecture defaults follow the benchmark split: 150-unit
 3-layer maps with rank-32 heads for the planar oscillators, 350-unit
 maps with rank-128 heads for the chaotic systems.
+
+This module imports only the standard library and ``errors``, so the CLI
+parses its flags and resolves a command's settings without numpy. It
+owns the names the flags offer, each defined once: the systems
+(``dynamics`` checks its registry against SYSTEM_NAMES), the signal
+KINDS (``signals``), and the eval REGIMES and TRANSIENT_FRACTION
+(``evaluation``).
 """
 
 from __future__ import annotations
@@ -28,13 +35,14 @@ import configparser
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .dynamics import SYSTEM_NAMES
 from .errors import ConfigError
-from .evaluation import REGIMES, TRANSIENT_FRACTION
-from .signals import KINDS
 
 OSCILLATORS = ("duffing", "vanderpol")
 CHAOTIC = ("rossler", "lorenz")
+SYSTEM_NAMES = OSCILLATORS + CHAOTIC
+KINDS = ("zero", "constant", "sinusoid", "square", "mixture")
+REGIMES = ("zero", "constant", "sinusoid", "square")  # eval's default grid
+TRANSIENT_FRACTION = 0.05  # share of each eval run not scored
 
 
 def system_defaults(name: str) -> dict:

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import Reader
+from .config import KINDS
 from .dynamics import SystemSpec, Trajectory, get_system, n_steps_for, simulate
 from .dynamics import sample_initial_conditions
 from .errors import ContractViolation
-from .signals import KINDS, InputSignal, sample_signal
+from .signals import InputSignal, sample_signal
 
 MAGIC = b"HKKL"
 VERSION = 1

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import seeding
+from .config import SYSTEM_NAMES
 from .errors import ContractViolation, DivergenceError, NumericError
 from .signals import InputSignal, eval_signal
 
@@ -185,7 +186,11 @@ _REGISTRY = {
     "lorenz": lorenz,
 }
 
-SYSTEM_NAMES = tuple(_REGISTRY)
+if tuple(_REGISTRY) != SYSTEM_NAMES:  # the CLI offers config's names
+    raise ContractViolation(
+        f"system registry {tuple(_REGISTRY)} does not match "
+        f"config.SYSTEM_NAMES {SYSTEM_NAMES}"
+    )
 
 
 def get_system(name: str) -> SystemSpec:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoints import CheckpointBundle
+from .config import REGIMES, TRANSIENT_FRACTION
 from .data import Dataset, generate_dataset, seed_ranges_overlap
 from .dynamics import Trajectory, get_system
 from .errors import ContractViolation, NumericError
@@ -31,9 +32,6 @@ from .hypernet import (
 )
 from .kkl import DEC, decode, simulate_latent
 from .signals import window_matrix
-
-REGIMES = ("zero", "constant", "sinusoid", "square")
-TRANSIENT_FRACTION = 0.05
 
 
 def _past_transient(x_seq, xhat_seq, frac: float):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
+from .config import KINDS
 from .errors import ContractViolation
-
-KINDS = ("zero", "constant", "sinusoid", "square", "mixture")
 
 # Sampling ranges. The slowest sampled angular frequency (0.2 rad/s) has a
 # ~31 s period, so one full period fits the default 50 s horizon.

@@ -97,6 +97,34 @@ def exp(x):
     return ad.Var(out, (x,), lambda g: (g * out,))
 
 
+def zero_fill_backward(root) -> None:
+    """``autodiff.backward`` as it was before it adopted VJP arrays: a
+    parent without ``.grad`` gets zeros, and every gradient is added in."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if id(p) not in seen)
+    root.grad = np.ones(())
+    while topo:
+        node = topo.pop()
+        if node._vjp is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.value)
+            if isinstance(g, ad.AddInto):
+                g.add(parent.grad)
+            else:
+                parent.grad += g
+        node.grad = node._vjp = node._parents = None
+
+
 def grad_check(loss_fn, params: ParamStore, eps: float = 1e-6) -> float:
     """Max relative error between tape gradients and central differences.
 

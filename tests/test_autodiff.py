@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import central_diff, exp, tanh
+from conftest import central_diff, exp, tanh, zero_fill_backward
 
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation, NumericError
@@ -195,3 +195,59 @@ class TestBackwardContract:
         with pytest.raises(ContractViolation, match="consumed"):
             ad.backward(ad.sum_all(ad.add(mid, a)))
         assert np.array_equal(a.grad, 2 * np.ones(2))
+
+
+def handing_back(x, arrays):
+    """A node over x whose VJP returns ``arrays``, one per parent slot."""
+    return ad.Var(np.sum(x.value), (x,) * len(arrays), lambda g: arrays)
+
+
+class TestAdoptedGradients:
+    def test_a_fresh_array_becomes_the_parents_grad(self):
+        x = ad.Var(np.zeros(3))
+        fresh = np.arange(3.0)
+        ad.backward(handing_back(x, (fresh,)))
+        assert x.grad is fresh
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda a: (a, a), id="returned-twice"),
+        pytest.param(lambda a: (a[::-1],), id="view"),
+        pytest.param(lambda a: (a.astype(np.float32),), id="float32"),
+        pytest.param(lambda a: (np.broadcast_to(a, (3,)),), id="read-only"),
+    ])
+    def test_other_arrays_are_added_into_zeros(self, make):
+        x = ad.Var(np.zeros(3))
+        arrays = make(np.arange(3.0))
+        ad.backward(handing_back(x, arrays))
+        assert not any(np.shares_memory(x.grad, a) for a in arrays)
+        assert np.array_equal(x.grad, sum(arrays))
+
+    def test_a_broadcast_gradient_is_added_into_zeros(self):
+        x = ad.Var(np.zeros((2, 3)))
+        row = np.arange(3.0)
+        ad.backward(handing_back(x, (row,)))
+        assert np.array_equal(x.grad, [row, row])
+
+    def test_later_children_add_into_an_adopted_array(self, rng):
+        xv = rng.normal(size=(4, 3))
+        grads = []
+        for walk in (ad.backward, zero_fill_backward):
+            x = ad.Var(xv)
+            mid = ad.mul(x, 2.0)
+            loss = ad.sum_all(ad.add(ad.mul(mid, mid), ad.sub(mid, mid)))
+            walk(ad.add(loss, ad.sum_all(ad.mul(mid, 3.0))))
+            grads.append(x.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert np.allclose(grads[0], 8.0 * xv + 6.0, rtol=1e-15, atol=0)
+
+    def test_a_negative_zero_does_not_reach_a_preset_buffer(self):
+        # mid's gradient is -0.0 where the zero-filled walk had +0.0; the
+        # leaf's preset buffer starts at +0.0 and stays +0.0 either way
+        buffers = []
+        for walk in (ad.backward, zero_fill_backward):
+            leaf = ad.Var(np.array([1.0, -2.0]))
+            leaf.grad = np.zeros(2)
+            mid = ad.mul(leaf, 1.0)
+            walk(ad.sum_all(ad.mul(mid, -0.0)))
+            buffers.append(leaf.grad.tobytes())
+        assert buffers[0] == buffers[1] == np.zeros(2).tobytes()

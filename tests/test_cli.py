@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import json
 import os
 import struct
@@ -9,12 +10,12 @@ import pytest
 
 from conftest import poison_backward
 
-from hyperkkl import training
+from hyperkkl import cli, training
 from hyperkkl.checkpoints import read_checkpoint
 from hyperkkl.cli import build_parser, main
 from hyperkkl.config import load_config, resolve, system_defaults
 from hyperkkl.data import read_dataset
-from hyperkkl.errors import ConfigError
+from hyperkkl.errors import ConfigError, NumericError
 from hyperkkl.manifest import MANIFEST_NAME
 
 
@@ -25,6 +26,46 @@ def run(*argv):
 def read_manifest(out_dir):
     with open(out_dir / MANIFEST_NAME) as fh:
         return [json.loads(line) for line in fh]
+
+
+def exit_code(*argv):
+    """main's exit code, also where argparse exits on a bad flag."""
+    try:
+        return run(*argv)
+    except SystemExit as e:
+        return e.code
+
+
+def fail_imports(monkeypatch, wanted, error):
+    """Make every later import that ``wanted(name)`` picks raise ``error``.
+
+    Relative imports are named by their module (``from .data import x``
+    is "data", ``from . import training`` is "training").
+    """
+    real = builtins.__import__
+
+    def guarded(name, globals=None, locals=None, fromlist=(), level=0):
+        names = fromlist if level and not name else (name,)
+        if any(wanted(n) for n in names):
+            raise error
+        return real(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr(builtins, "__import__", guarded)
+
+
+# the src modules that import numpy: everything but config and errors
+NUMERIC_MODULES = {
+    "autodiff", "binfile", "checkpoints", "data", "dynamics", "evaluation",
+    "hypernet", "kkl", "manifest", "nets", "optim", "params", "plots",
+    "seeding", "signals", "training",
+}
+
+
+def forbid_numeric_imports(monkeypatch):
+    """Fail the test if main imports numpy or a numeric src module."""
+    fail_imports(
+        monkeypatch, lambda n: n == "numpy" or n in NUMERIC_MODULES,
+        AssertionError("a numeric import ran before the settings resolved"))
 
 
 @pytest.fixture
@@ -132,12 +173,57 @@ class TestGen:
         assert err[0].startswith("error: out of memory: ")
         assert not out.exists()
 
-    def test_bad_flags_exit_2(self, tmp_path):
-        assert run(
-            "gen", "--system", "duffing", "--regime", "zero", "--n", "0",
-            "--out", str(tmp_path / "x"),
-        ) == 2
+    @pytest.mark.parametrize("flags, early", [
+        pytest.param(("--system", "duffing", "--n", "0"), False,
+                     id="handler"),
+        pytest.param(("--system", "duffing", "--n", "abc"), True,
+                     id="flag-type"),
+        pytest.param(("--system", "duffing", "--bogus"), True,
+                     id="unknown-flag"),
+        pytest.param(("--regime", "zero"), True, id="no-system"),
+    ])
+    def test_bad_flags_exit_2(self, tmp_path, monkeypatch, flags, early):
+        # a flag or settings error exits before any numeric import; one
+        # found by the handler exits 2 all the same
+        if early:
+            forbid_numeric_imports(monkeypatch)
+        assert exit_code("gen", *flags, "--out", str(tmp_path / "x")) == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("where", ["handler", "import"])
+    @pytest.mark.parametrize("error, code, prefix", [
+        pytest.param(MemoryError("no room"), 2, "error: out of memory: ",
+                     id="memory"),
+        pytest.param(NumericError("overflow"), 3, "numeric failure: ",
+                     id="numeric"),
+        pytest.param(OSError("disk gone"), 4, "i/o failure: ", id="io"),
+    ])
+    def test_errors_keep_their_exit_codes(self, tmp_path, monkeypatch, capsys,
+                                          where, error, code, prefix):
+        if where == "import":
+            fail_imports(monkeypatch, lambda n: n == "data", error)
+        else:
+            def handler(args, s):
+                raise error
+
+            monkeypatch.setitem(cli.HANDLERS, "gen", handler)
+        out = tmp_path / "x"
+        assert run("gen", "--system", "duffing", "--out", str(out)) == code
+        assert capsys.readouterr().err == f"{prefix}{error}\n"
+        assert not out.exists()
+
+    def test_handlers_run_with_numpy_warnings_off(self, tmp_path,
+                                                  monkeypatch):
+        seen = {}
+
+        def handler(args, s):
+            seen.update(np.geterr())
+            return cli.Run(tmp_path, s, {}, [], [])
+
+        monkeypatch.setitem(cli.HANDLERS, "report", handler)
+        assert run("report", "none.csv") == 0
+        assert set(seen.values()) == {"ignore"}
+        assert read_manifest(tmp_path)[0]["command"] == "report"
 
 
 class TestTrain:
@@ -166,9 +252,11 @@ class TestTrain:
         assert loss[0] == "epoch,loss_rec,loss_pde,grad_norm,level"
         assert len(loss) == 11  # header + 2 stages x 5 epochs
 
-    def test_config_flag_conflict_is_error(self, gen_dir, tmp_path):
+    def test_config_flag_conflict_is_error(self, gen_dir, tmp_path,
+                                           monkeypatch):
         ini = tmp_path / "run.ini"
         ini.write_text("[train]\nepochs = 7\n")
+        forbid_numeric_imports(monkeypatch)
         code = run(
             "train", "--system", "duffing", "--phase", "1", "--data",
             str(gen_dir / "duffing_zero_n4_s1.hkkl"), "--epochs", "5",
@@ -181,10 +269,11 @@ class TestTrain:
         pytest.param("hypernet", "chunk_size", id="removed"),
     ])
     def test_unknown_config_key_is_error(self, gen_dir, tmp_path, capsys,
-                                         section, key):
+                                         monkeypatch, section, key):
         ini = tmp_path / "run.ini"
         ini.write_text(f"[{section}]\n{key} = 1\n")
         out = tmp_path / "x"
+        forbid_numeric_imports(monkeypatch)
         code = run(
             "train", "--system", "duffing", "--phase", "1", "--data",
             str(gen_dir / "duffing_zero_n4_s1.hkkl"), "--epochs", "1",
@@ -212,7 +301,7 @@ class TestTrain:
                      id="negative-sigma"),
     ])
     def test_bad_config_value_is_error(self, gen_dir, tmp_path, capsys,
-                                       command, ini, where):
+                                       monkeypatch, command, ini, where):
         conf = tmp_path / "run.ini"
         conf.write_text(ini)
         out = tmp_path / "x"
@@ -223,6 +312,8 @@ class TestTrain:
             "gen": ("gen", "--system", "duffing"),
         }[command]
         capsys.readouterr()
+        if where.startswith("["):  # a type error, found in the settings
+            forbid_numeric_imports(monkeypatch)
         assert run(*argv, "--config", str(conf), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where} must be ")

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grad_check, make_store, tanh
+from conftest import grad_check, make_store, tanh, zero_fill_backward
 
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
@@ -291,6 +291,33 @@ class TestFusedLayer:
         assert held <= 3 * 2 * batch * width * 8 + 256 * 1024
         ad.backward(ad.sum_all(ad.add(out, jvp)))
         assert np.any(pv.grads().data != 0.0)
+
+
+    def test_taped_jacobian_backward_adopts_each_layer_gradient(self):
+        # the lorenz encoder's shape: the backward of three 350-wide tanh
+        # layers at B = 256 over their (2B, 350) results holds each
+        # layer's x gradient once, as the next layer down's .grad, and
+        # gives the bytes of the zero-filled walk
+        batch, width = 256, 350
+        spec, store = fresh_mlp([3, width, width, width, 7], seed=43)
+        rng = np.random.default_rng(43)
+        x, v = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3))
+        grads = []
+        for walk in (ad.backward, zero_fill_backward):
+            pv = ParamVars(store)
+            out, jvp = mlp_forward_with_jacobian(pv, spec, x, "net", v)
+            loss = ad.sum_all(ad.add(ad.mul(out, out), ad.mul(jvp, jvp)))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                walk(loss)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            grads.append((pv.grads().data.tobytes(), peak))
+        stacked = 2 * batch * width * 8
+        assert grads[0][0] == grads[1][0]
+        assert grads[0][1] <= 4 * stacked + 256 * 1024 < grads[1][1]
 
 
 def jacobian_columns(store, spec, x, deltas):
