@@ -83,16 +83,12 @@ def generate_dataset(
     """Sample ``count`` seeded trajectories under the given input regime."""
     if count < 1:
         raise ContractViolation("count must be >= 1")
-    n_steps_for(horizon, dt)  # validate early
     x0s = sample_initial_conditions(system, count, seed)
-
-    def one(i: int) -> Trajectory:
-        sig = None if regime == "zero" else sample_signal(regime, seed + i)
-        return simulate(system, x0s[i], sig, dt, horizon, sigma, seed + i)
-
-    trajectories = [one(i) for i in range(count)]
+    signals = [None if regime == "zero" else sample_signal(regime, seed + i)
+               for i in range(count)]
+    runs = simulate(system, x0s, signals, dt, horizon, sigma, seed).runs()
     return Dataset(
-        system=system, trajectories=trajectories, dt=dt, horizon=horizon,
+        system=system, trajectories=runs, dt=dt, horizon=horizon,
         sigma=sigma, seed=seed, regime=regime,
     )
 
@@ -186,18 +182,10 @@ def read_dataset(path) -> Dataset:
         trajectories = []
         for i in range(count):
             states, inputs, outputs = samples(n_x), samples(m), samples(n_y)
-            sig = (
-                dataclasses.replace(signals[i], seed=seed + i)
-                if regime != "zero"
-                else None
-            )
+            sig = (None if regime == "zero"
+                   else dataclasses.replace(signals[i], seed=seed + i))
             trajectories.append(
-                Trajectory(
-                    dt=dt, times=times, states=states, inputs=inputs,
-                    outputs=outputs, x0=states[0].copy(), noise_sigma=sigma,
-                    seed=seed + i, signal=sig,
-                )
-            )
+                Trajectory(dt, times, states, inputs, outputs, sig))
         r.finish()
     return Dataset(
         system=system, trajectories=trajectories, dt=dt, horizon=horizon,

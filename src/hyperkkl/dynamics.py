@@ -6,16 +6,20 @@ chaotic systems. A scalar drive enters additively on the second state
 equation of each system (the forced-oscillator convention); the output
 map is untouched by the input.
 
-Integration is classical fixed-step RK4. Process noise, when requested,
-is added after each deterministic step as sigma*sqrt(dt)*xi; measurement
-noise is sigma*eta on the outputs only, so the integrator itself stays
-exactly testable.
+Integration is classical fixed-step RK4 over a whole trajectory set:
+``simulate`` steps its runs as one (count, n_x) array, each run's input
+read on the grids t_k, t_k + dt/2 and t_k + dt, and returns run-major
+(count, N+1, ·) arrays. Every operation acts on each run's row alone, so
+a run's bits do not depend on the others; the first step where any run
+fails raises for the whole set, naming that run. Process noise is added
+after each step as sigma*sqrt(dt)*xi, measurement noise as sigma*eta on
+the outputs only, so the integrator itself stays exactly testable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,8 +34,8 @@ from .signals import InputSignal, eval_signal
 class SystemSpec:
     """A benchmark system: dimensions, vector field, output map, domain box.
 
-    ``f(x, u)`` and ``h(x)`` must be vectorized over leading axes; ``domain``
-    is an (n_x, 2) array of per-coordinate sampling intervals.
+    ``f(x, u)``, with u an (..., m) array, and ``h(x)`` must be vectorized
+    over leading axes; ``domain`` is an (n_x, 2) array of sampling intervals.
     """
 
     name: str
@@ -41,7 +45,6 @@ class SystemSpec:
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
     domain: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1 or self.m < 0:
@@ -57,26 +60,16 @@ class SystemSpec:
             raise ContractViolation(f"system {self.name!r}: inverted domain interval")
         object.__setattr__(self, "domain", dom)
 
-    def box_diameter(self) -> float:
-        span = self.domain[:, 1] - self.domain[:, 0]
-        return float(np.sqrt(np.sum(span**2)))
-
-    def box_center(self) -> np.ndarray:
-        return 0.5 * (self.domain[:, 0] + self.domain[:, 1])
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A simulated time series at fixed step dt, with its noise metadata."""
+    """One run's time series at fixed step dt."""
 
     dt: float
     times: np.ndarray        # (N+1,)
     states: np.ndarray       # (N+1, n_x)
     inputs: np.ndarray       # (N+1, m)
     outputs: np.ndarray      # (N+1, n_y)
-    x0: np.ndarray
-    noise_sigma: float
-    seed: int
     signal: InputSignal | None = None
 
     def __post_init__(self):
@@ -89,15 +82,32 @@ class Trajectory:
         return len(self.times) - 1
 
 
-def _forced(drift, idx, m):
-    """Wrap a drift so a scalar input adds onto coordinate ``idx``."""
+@dataclass(frozen=True)
+class TrajectorySet:
+    """Runs on one time grid, run-major: the arrays are Trajectory's with
+    a leading run axis, states (count, N+1, n_x) and so on."""
+
+    dt: float
+    times: np.ndarray        # (N+1,)
+    states: np.ndarray
+    inputs: np.ndarray
+    outputs: np.ndarray
+    signals: tuple
+
+    def runs(self) -> list[Trajectory]:
+        """One Trajectory per run, over views of the set's arrays."""
+        return [Trajectory(self.dt, self.times, *arrays, signal)
+                for *arrays, signal in zip(self.states, self.inputs,
+                                           self.outputs, self.signals)]
+
+
+def _forced(drift):
+    """Wrap a drift, which returns a new array, so that the scalar input
+    adds onto the second coordinate."""
 
     def f(x, u):
         dx = drift(x)
-        if m and u is not None:
-            u = np.asarray(u, dtype=np.float64)
-            dx = np.array(dx, copy=True)
-            dx[..., idx] = dx[..., idx] + u[..., 0]
+        dx[..., 1] += u[..., 0]
         return dx
 
     return f
@@ -111,7 +121,7 @@ def duffing() -> SystemSpec:
 
     return SystemSpec(
         name="duffing", n_x=2, n_y=1, m=1,
-        f=_forced(drift, 1, 1),
+        f=_forced(drift),
         h=lambda x: x[..., 0:1],
         domain=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
     )
@@ -128,10 +138,9 @@ def van_der_pol(mu: float = 3.0) -> SystemSpec:
 
     return SystemSpec(
         name="vanderpol", n_x=2, n_y=1, m=1,
-        f=_forced(drift, 1, 1),
+        f=_forced(drift),
         h=lambda x: x[..., 0:1],
         domain=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
-        params={"mu": mu},
     )
 
 
@@ -150,10 +159,9 @@ def rossler(a: float = 0.1, b: float = 0.1, c: float = 14.0) -> SystemSpec:
 
     return SystemSpec(
         name="rossler", n_x=3, n_y=1, m=1,
-        f=_forced(drift, 1, 1),
+        f=_forced(drift),
         h=lambda x: x[..., 1:2],
         domain=np.array([[-10.0, 10.0], [-10.0, 10.0], [0.0, 20.0]]),
-        params={"a": a, "b": b, "c": c},
     )
 
 
@@ -172,10 +180,9 @@ def lorenz(p: float = 10.0, q: float = 28.0, r: float = 8.0 / 3.0) -> SystemSpec
 
     return SystemSpec(
         name="lorenz", n_x=3, n_y=1, m=1,
-        f=_forced(drift, 1, 1),
+        f=_forced(drift),
         h=lambda x: x[..., 1:2],
         domain=np.array([[-20.0, 20.0], [-20.0, 20.0], [0.0, 50.0]]),
-        params={"p": p, "q": q, "r": r},
     )
 
 
@@ -211,9 +218,7 @@ def eval_vector_field(system: SystemSpec, x, u=None) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite component in state")
-    if system.m == 0:
-        u = None
-    elif u is None:
+    if u is None:
         u = np.zeros(x.shape[:-1] + (system.m,))
     else:
         u = np.atleast_1d(np.asarray(u, dtype=np.float64))
@@ -224,31 +229,23 @@ def eval_vector_field(system: SystemSpec, x, u=None) -> np.ndarray:
     return np.asarray(system.f(x, u), dtype=np.float64)
 
 
-def rk4_step(system: SystemSpec, x, u_of_t, t: float, dt: float) -> np.ndarray:
-    """One classical 4-stage Runge-Kutta update from t to t+dt."""
-    if dt <= 0:
-        raise ContractViolation("dt must be positive")
-    x = np.asarray(x, dtype=np.float64)
+def rk4_step(system: SystemSpec, x, u, t: float, dt: float) -> np.ndarray:
+    """One classical 4-stage Runge-Kutta update of a (count, n_x) batch.
 
-    def u_at(tt):
-        if system.m == 0 or u_of_t is None:
-            return None
-        return np.atleast_1d(np.asarray(u_of_t(tt), dtype=np.float64))
-
-    u0, um, u1 = u_at(t), u_at(t + 0.5 * dt), u_at(t + dt)
-    stages = []
-    k = eval_vector_field(system, x, u0)
-    stages.append(k)
-    k = eval_vector_field(system, x + 0.5 * dt * stages[0], um)
-    stages.append(k)
-    k = eval_vector_field(system, x + 0.5 * dt * stages[1], um)
-    stages.append(k)
-    k = eval_vector_field(system, x + dt * stages[2], u1)
-    stages.append(k)
-    for i, s in enumerate(stages):
-        if not np.all(np.isfinite(s)):
-            raise NumericError(f"non-finite RK4 stage {i + 1} at t={t}")
-    return x + (dt / 6.0) * (stages[0] + 2 * stages[1] + 2 * stages[2] + stages[3])
+    ``u`` stacks each run's input at t, t + dt/2 and t + dt, shape
+    (3, count, m). A non-finite stage raises ``NumericError`` naming the
+    first run it hit; ``simulate`` has validated dt.
+    """
+    u0, um, u1 = u
+    k1 = system.f(x, u0)
+    k2 = system.f(x + 0.5 * dt * k1, um)
+    k3 = system.f(x + 0.5 * dt * k2, um)
+    k4 = system.f(x + dt * k3, u1)
+    incr = k1 + 2 * k2 + 2 * k3 + k4
+    if not np.isfinite(incr).all():
+        run = int(np.argmin(np.isfinite(incr).all(axis=1)))
+        raise NumericError(f"non-finite RK4 stage in run {run} at t={t}")
+    return x + (dt / 6.0) * incr
 
 
 def n_steps_for(horizon: float, dt: float) -> int:
@@ -271,72 +268,73 @@ def n_steps_for(horizon: float, dt: float) -> int:
 def simulate(
     system: SystemSpec,
     x0,
-    signal: InputSignal | None,
+    signals,
     dt: float,
     horizon: float,
     sigma: float,
     seed: int,
-) -> Trajectory:
-    """Integrate the system from x0 under ``signal`` and add seeded noise.
+) -> TrajectorySet:
+    """Integrate the runs x0[i] (x0 is (count, n_x)) under ``signals[i]``.
 
-    States follow noiseless RK4 plus per-step additive process noise
-    sigma*sqrt(dt)*xi_k; outputs are h(x_k) + sigma*eta_k. All randomness
-    comes from Philox streams keyed by ``seed``, so identical arguments
-    reproduce bit-identical arrays. A trajectory that strays farther than
-    1e3 domain-box diameters from the box center aborts with the step index.
+    A signal of None (or ``signals`` None) is zero input; the grids
+    ``times[k]`` (the recorded inputs), ``times[k] + 0.5*dt`` and
+    ``times[k] + dt`` are evaluated before the loop, which makes one
+    ``rk4_step`` per step. Run i draws its noise from the Philox streams
+    of ``seed + i``, so it is bit for bit the run simulated alone; the
+    result is run-major. At the first step where a run strays farther
+    than 1e3 domain-box diameters from the box center, a
+    ``DivergenceError`` names it and the step.
     """
     if not (sigma >= 0 and math.isfinite(sigma)):
         raise ContractViolation(f"sigma must be finite and >= 0, got {sigma!r}")
     n = n_steps_for(horizon, dt)
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (system.n_x,):
-        raise ContractViolation(f"x0 must have shape ({system.n_x},)")
+    if x0.ndim != 2 or x0.shape[1] != system.n_x:
+        raise ContractViolation(f"x0 must have shape (count, {system.n_x})")
+    count = len(x0)
+    signals = (None,) * count if signals is None else tuple(signals)
+    if len(signals) != count:
+        raise ContractViolation(f"{len(signals)} signals for {count} runs")
 
     times = np.arange(n + 1) * dt
-    m = system.m
-    if m == 0 or signal is None:
-        inputs = np.zeros((n + 1, m))
-        u_of_t = None
-    else:
-        inputs = eval_signal(signal, times).reshape(n + 1, 1)
-        if m != 1:
-            raise ContractViolation("shipped signals are scalar (m=1)")
-        u_of_t = lambda tt: np.array([eval_signal(signal, tt)])
+    u = np.zeros((n + 1, 3, count, system.m))  # step, grid, run, channel
+    for i, signal in enumerate(signals):
+        if signal is not None and system.m:
+            if system.m != 1:
+                raise ContractViolation("shipped signals are scalar (m=1)")
+            for g, grid in enumerate((times, times + 0.5 * dt, times + dt)):
+                u[:, g, i, 0] = eval_signal(signal, grid)
 
-    if sigma > 0:
-        proc = seeding.stream(seed, seeding.STREAM_PROCESS_NOISE)
-        meas = seeding.stream(seed, seeding.STREAM_MEASUREMENT_NOISE)
-        xi = proc.standard_normal((n, system.n_x))
-        eta = meas.standard_normal((n + 1, system.n_y))
-    else:
-        xi = None
-        eta = None
-
-    limit = 1e3 * system.box_diameter()
-    center = system.box_center()
-    states = np.empty((n + 1, system.n_x))
-    states[0] = x0
+    lo, hi = system.domain.T
+    limit = 1e3 * np.sqrt(np.sum((hi - lo) ** 2))
+    center = 0.5 * (lo + hi)
+    states = np.empty((count, n + 1, system.n_x))
+    states[:, 0] = x0
     x = x0
-    root_dt = math.sqrt(dt)
+    if sigma > 0:
+        kick = sigma * math.sqrt(dt) * np.stack([
+            seeding.stream(seed + i, seeding.STREAM_PROCESS_NOISE)
+            .standard_normal((n, system.n_x)) for i in range(count)], axis=1)
     for k in range(n):
-        x = rk4_step(system, x, u_of_t, times[k], dt)
-        if xi is not None:
-            x = x + sigma * root_dt * xi[k]
-        if np.sqrt(np.sum((x - center) ** 2)) > limit:
+        x = rk4_step(system, x, u[k], times[k], dt)
+        if sigma > 0:
+            x = x + kick[k]
+        escaped = np.sqrt(np.sum((x - center) ** 2, axis=1)) > limit
+        if escaped.any():
             raise DivergenceError(
-                f"trajectory escaped beyond {limit:.3g} at step {k + 1}", step=k + 1
+                f"run {int(np.argmax(escaped))} escaped beyond {limit:.3g} at "
+                f"step {k + 1}", step=k + 1,
             )
-        states[k + 1] = x
+        states[:, k + 1] = x
 
     outputs = np.asarray(system.h(states), dtype=np.float64).reshape(
-        n + 1, system.n_y
-    )
-    if eta is not None:
-        outputs = outputs + sigma * eta
-    return Trajectory(
-        dt=dt, times=times, states=states, inputs=inputs, outputs=outputs,
-        x0=x0, noise_sigma=sigma, seed=seed, signal=signal,
-    )
+        count, n + 1, system.n_y)
+    if sigma > 0:
+        outputs = outputs + sigma * np.stack([
+            seeding.stream(seed + i, seeding.STREAM_MEASUREMENT_NOISE)
+            .standard_normal((n + 1, system.n_y)) for i in range(count)])
+    inputs = np.ascontiguousarray(u[:, 0].transpose(1, 0, 2))
+    return TrajectorySet(dt, times, states, inputs, outputs, signals)
 
 
 def sample_initial_conditions(

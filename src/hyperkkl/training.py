@@ -28,6 +28,7 @@ when it ends; a changed one raises ``NumericError``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeding
-from .dynamics import SystemSpec, Trajectory, simulate
+from .dynamics import SystemSpec, Trajectory, eval_vector_field, simulate
 from .errors import ContractViolation, NumericError
 from .hypernet import (
     HyperNetSpec,
@@ -284,24 +285,28 @@ def latent_targets(
     """(states, latents) pairs for the autonomous data-fit term.
 
     Each trajectory is re-integrated without noise from its recorded
-    initial condition; the pairs are ``observer_pairs`` of those clean
-    trajectories, in (state, latent) order.
+    initial condition, one ``simulate`` call per time grid; the pairs are
+    ``observer_pairs`` of those, in (state, latent) order.
     """
+    if not all(np.all(tr.inputs == 0.0) for tr in trajectories):
+        raise ContractViolation("autonomous pretraining needs u == 0 data")
     clean = []
-    for tr in trajectories:
-        if not np.all(tr.inputs == 0.0):
-            raise ContractViolation("autonomous pretraining needs u == 0 data")
-        clean.append(simulate(
-            system, tr.x0, None, tr.dt, tr.n_steps * tr.dt, 0.0, tr.seed
-        ))
+    for grid in _grids(trajectories):
+        x0 = np.stack([tr.states[0] for tr in grid])
+        dt, n = grid[0].dt, grid[0].n_steps
+        clean += simulate(system, x0, None, dt, n * dt, 0.0, 0).runs()
     zs, xs = observer_pairs(obs, clean, discard)
     return xs, zs
 
 
+def _grids(trajectories) -> list[list[Trajectory]]:
+    """Consecutive trajectories that share one time grid, in order."""
+    return [list(g) for _, g in
+            itertools.groupby(trajectories, lambda tr: (tr.dt, tr.n_steps))]
+
+
 def compute_f_scale(system: SystemSpec, states: np.ndarray) -> float:
-    u = np.zeros((len(states), system.m)) if system.m else None
-    f = system.f(np.asarray(states, dtype=np.float64), u)
-    return normalize_vector_field(f)[1]
+    return normalize_vector_field(eval_vector_field(system, states))[1]
 
 
 def _sample_box(rng, system: SystemSpec, count: int) -> np.ndarray:
@@ -520,18 +525,20 @@ def observer_pairs(obs: ObserverMatrices, trajectories,
                    discard: float = LATENT_TARGET_DISCARD):
     """(latent, state) pairs seen by the inverse map at estimation time.
 
-    Runs the latent filter along each trajectory's recorded outputs and
-    pairs it with the true states, dropping the filter transient. Under
-    forcing this relation is one-to-many: the same filtered latent can
-    correspond to different states depending on the input history, which
-    is exactly the gap the training-only baseline attempts to close.
+    Runs the latent filter along each trajectory's recorded outputs, one
+    time-major block per time grid, and pairs it with the true states,
+    dropping the filter transient. Under forcing this relation is
+    one-to-many: the same filtered latent can correspond to different
+    states depending on the input history, which is exactly the gap the
+    training-only baseline attempts to close.
     """
     zs, xs = [], []
-    for tr in trajectories:
-        z = simulate_latent(obs, tr.outputs, tr.dt)
+    for grid in _grids(trajectories):
+        y = np.stack([tr.outputs for tr in grid], axis=1)  # time-major
+        z = simulate_latent(obs, y, grid[0].dt)
         k0 = int(np.ceil(discard * len(z)))
-        zs.append(z[k0:])
-        xs.append(tr.states[k0:])
+        zs += [z[k0:, i] for i in range(len(grid))]
+        xs += [tr.states[k0:] for tr in grid]
     return np.concatenate(zs), np.concatenate(xs)
 
 

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 import hyperkkl.autodiff as ad
-from hyperkkl.dynamics import SystemSpec
-from hyperkkl.errors import ContractViolation, NumericError
+from hyperkkl import seeding
+from hyperkkl.dynamics import (
+    SystemSpec,
+    Trajectory,
+    eval_vector_field,
+    n_steps_for,
+)
+from hyperkkl.errors import ContractViolation, DivergenceError, NumericError
 from hyperkkl.kkl import (
     KklMaps,
     ObserverMatrices,
@@ -206,3 +214,115 @@ def poison_backward(monkeypatch, at_call):
 
     monkeypatch.setattr(ad, "backward", backward)
 
+
+
+def oracle_rk4_step(system, x, u_of_t, t: float, dt: float) -> np.ndarray:
+    """One scalar RK4 step of one state, the input read from ``u_of_t``.
+
+    The oracle of the batched ``dynamics.rk4_step``: each stage goes
+    through ``eval_vector_field`` and its checks.
+    """
+    if dt <= 0:
+        raise ContractViolation("dt must be positive")
+    x = np.asarray(x, dtype=np.float64)
+
+    def u_at(tt):
+        if system.m == 0 or u_of_t is None:
+            return None
+        return np.atleast_1d(np.asarray(u_of_t(tt), dtype=np.float64))
+
+    u0, um, u1 = u_at(t), u_at(t + 0.5 * dt), u_at(t + dt)
+    k1 = eval_vector_field(system, x, u0)
+    k2 = eval_vector_field(system, x + 0.5 * dt * k1, um)
+    k3 = eval_vector_field(system, x + 0.5 * dt * k2, um)
+    k4 = eval_vector_field(system, x + dt * k3, u1)
+    for i, k in enumerate((k1, k2, k3, k4)):
+        if not np.all(np.isfinite(k)):
+            raise NumericError(f"non-finite RK4 stage {i + 1} at t={t}")
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def oracle_simulate(system, x0, signal, dt, horizon, sigma, seed) -> Trajectory:
+    """One run integrated alone, step by step with ``oracle_rk4_step``.
+
+    The oracle of the batched ``dynamics.simulate``: the input is the
+    signal evaluated at each stage's own time, the noise is drawn from
+    the Philox streams of ``seed``.
+    """
+    n = n_steps_for(horizon, dt)
+    x = np.asarray(x0, dtype=np.float64)
+    times = np.arange(n + 1) * dt
+    if system.m == 0 or signal is None:
+        inputs = np.zeros((n + 1, system.m))
+        u_of_t = None
+    else:
+        inputs = eval_signal(signal, times).reshape(n + 1, 1)
+
+        def u_of_t(tt):
+            return np.array([eval_signal(signal, tt)])
+
+    if sigma > 0:
+        proc = seeding.stream(seed, seeding.STREAM_PROCESS_NOISE)
+        meas = seeding.stream(seed, seeding.STREAM_MEASUREMENT_NOISE)
+        xi = proc.standard_normal((n, system.n_x))
+        eta = meas.standard_normal((n + 1, system.n_y))
+    span = system.domain[:, 1] - system.domain[:, 0]
+    limit = 1e3 * float(np.sqrt(np.sum(span**2)))
+    center = 0.5 * (system.domain[:, 0] + system.domain[:, 1])
+    states = np.empty((n + 1, system.n_x))
+    states[0] = x
+    for k in range(n):
+        x = oracle_rk4_step(system, x, u_of_t, times[k], dt)
+        if sigma > 0:
+            x = x + sigma * math.sqrt(dt) * xi[k]
+        if np.sqrt(np.sum((x - center) ** 2)) > limit:
+            raise DivergenceError(f"escaped at step {k + 1}", step=k + 1)
+        states[k + 1] = x
+    outputs = np.asarray(system.h(states)).reshape(n + 1, system.n_y)
+    if sigma > 0:
+        outputs = outputs + sigma * eta
+    return Trajectory(dt=dt, times=times, states=states, inputs=inputs,
+                      outputs=outputs, signal=signal)
+
+
+def oracle_latent(obs, y, dt: float) -> np.ndarray:
+    """The plain latent filter on one run's (N+1, n_y) outputs, (N+1, n_z).
+
+    The oracle of ``kkl.simulate_latent`` on a time-major block: the same
+    RK4 operations, one trajectory at a time.
+    """
+    by = np.asarray(y, dtype=np.float64) @ obs.B.T
+    z = np.zeros(obs.n_z)
+    zs = [z]
+    for k in range(len(by) - 1):
+
+        def deriv(zz):
+            return zz @ obs.A.T + by[k]
+
+        k1 = deriv(z)
+        k2 = deriv(z + k1 * (0.5 * dt))
+        k3 = deriv(z + k2 * (0.5 * dt))
+        k4 = deriv(z + k3 * dt)
+        z = z + (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0)
+        zs.append(z)
+    return np.stack(zs)
+
+
+def oracle_observer_pairs(obs, trajectories, discard: float = 0.2):
+    """``training.observer_pairs`` one trajectory at a time."""
+    zs, xs = [], []
+    for tr in trajectories:
+        z = oracle_latent(obs, tr.outputs, tr.dt)
+        k0 = int(np.ceil(discard * len(z)))
+        zs.append(z[k0:])
+        xs.append(tr.states[k0:])
+    return np.concatenate(zs), np.concatenate(xs)
+
+
+def oracle_latent_targets(system, obs, trajectories):
+    """``training.latent_targets`` one trajectory at a time."""
+    clean = [oracle_simulate(system, tr.states[0], None, tr.dt,
+                             tr.n_steps * tr.dt, 0.0, 0)
+             for tr in trajectories]
+    zs, xs = oracle_observer_pairs(obs, clean)
+    return xs, zs

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import poison_backward
 
-from hyperkkl import cli, training
+from hyperkkl import cli, dynamics, training
 from hyperkkl.checkpoints import read_checkpoint
 from hyperkkl.cli import build_parser, main
 from hyperkkl.config import load_config, resolve, system_defaults
@@ -171,6 +171,22 @@ class TestGen:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: out of memory: ")
+        assert not out.exists()
+
+    def test_a_non_finite_stage_is_a_numeric_failure(self, tmp_path,
+                                                     monkeypatch, capsys):
+        real = dynamics.get_system("duffing")
+        poisoned = dynamics.SystemSpec(
+            name="duffing", n_x=2, n_y=1, m=1,
+            f=lambda x, u: np.full_like(x, np.nan), h=real.h,
+            domain=real.domain,
+        )
+        monkeypatch.setattr(dynamics, "get_system", lambda name: poisoned)
+        out = tmp_path / "x"
+        assert run("gen", "--system", "duffing", "--n", "3", "--horizon",
+                   "1.0", "--out", str(out)) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite RK4 stage in run 0 at t=0.0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, early", [

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import oracle_simulate
+
 from hyperkkl.binfile import Reader
 from hyperkkl.checkpoints import (
     CheckpointBundle,
@@ -22,7 +24,6 @@ from hyperkkl.dynamics import (
     Trajectory,
     duffing,
     sample_initial_conditions,
-    simulate,
     van_der_pol,
 )
 from hyperkkl.errors import ContractViolation
@@ -51,9 +52,10 @@ DATA = Path(__file__).parent / "data"
 
 class TestGeneration:
     def test_seed_range_is_contiguous(self):
-        ds = generate_dataset(duffing(), "zero", 5, 100, horizon=1.0)
+        ds = generate_dataset(duffing(), "constant", 5, 100, horizon=1.0)
         assert ds.seed_range == (100, 104)
-        assert [tr.seed for tr in ds.trajectories] == [100, 101, 102, 103, 104]
+        assert [tr.signal.seed for tr in ds.trajectories] == [
+            100, 101, 102, 103, 104]
 
     def test_overlap_predicate(self):
         assert seed_ranges_overlap((0, 10), (10, 20))
@@ -65,8 +67,9 @@ class TestGeneration:
                               sigma=0.01)
         x0s = sample_initial_conditions(system, 6, 7)
         for i, tr in enumerate(ds.trajectories):
-            one = simulate(system, x0s[i], sample_signal("mixture", 7 + i),
-                           0.05, 2.0, 0.01, 7 + i)
+            one = oracle_simulate(system, x0s[i],
+                                  sample_signal("mixture", 7 + i), 0.05, 2.0,
+                                  0.01, 7 + i)
             assert np.array_equal(tr.states, one.states)
             assert np.array_equal(tr.inputs, one.inputs)
             assert np.array_equal(tr.outputs, one.outputs)
@@ -279,8 +282,7 @@ class TestCheckpointFormat:
         n = len(y)
         tr = Trajectory(
             dt=float(dt), times=np.arange(n) * float(dt),
-            states=np.zeros((n, 2)), inputs=u, outputs=y, x0=np.zeros(2),
-            noise_sigma=0.0, seed=0,
+            states=np.zeros((n, 2)), inputs=u, outputs=y,
         )
         # the stored estimate is the dense decode, row by row through a
         # delta ParamStore, and reproduces bitwise

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import oracle_rk4_step, oracle_simulate
+
 from hyperkkl import dynamics
+from hyperkkl.config import KINDS, SYSTEM_NAMES
 from hyperkkl.dynamics import (
     SystemSpec,
     duffing,
@@ -17,7 +20,7 @@ from hyperkkl.dynamics import (
     van_der_pol,
 )
 from hyperkkl.errors import ContractViolation, DivergenceError, NumericError
-from hyperkkl.signals import InputSignal
+from hyperkkl.signals import InputSignal, sample_signal
 
 
 def scalar_decay():
@@ -25,6 +28,15 @@ def scalar_decay():
     return SystemSpec(
         name="decay", n_x=1, n_y=1, m=0,
         f=lambda x, u: -x, h=lambda x: x,
+        domain=np.array([[-1.0, 1.0]]),
+    )
+
+
+def blowup():
+    # x' = x^2 escapes to infinity at t = 1/x0
+    return SystemSpec(
+        name="blowup", n_x=1, n_y=1, m=0,
+        f=lambda x, u: x**2, h=lambda x: x,
         domain=np.array([[-1.0, 1.0]]),
     )
 
@@ -73,14 +85,16 @@ class TestVectorField:
 class TestRk4:
     def test_scalar_decay_matches_taylor4(self):
         # RK4 on x' = -x reproduces the degree-4 Taylor polynomial of e^{-dt}
-        out = rk4_step(scalar_decay(), np.array([1.0]), None, 0.0, 0.1)
+        out = rk4_step(scalar_decay(), np.array([[1.0]]), np.zeros((3, 1, 0)),
+                       0.0, 0.1)[0]
         taylor4 = sum((-0.1) ** k / math.factorial(k) for k in range(5))
         assert out[0] == pytest.approx(taylor4, abs=1e-15)
         assert out[0] == pytest.approx(0.9048375, abs=1e-9)
         assert abs(out[0] - math.exp(-0.1)) < 1e-7  # O(dt^5)
 
     def test_lorenz_fixed_point_preserved(self):
-        out = rk4_step(lorenz(), np.zeros(3), lambda t: [0.0], 0.0, 0.05)
+        out = rk4_step(lorenz(), np.zeros((1, 3)), np.zeros((3, 1, 1)), 0.0,
+                       0.05)
         assert np.all(out == 0.0)
 
     def test_convergence_order_forced_vdp(self):
@@ -90,8 +104,8 @@ class TestRk4:
         horizon = 4.0
 
         def run(dt):
-            tr = simulate(sys, x0, sig, dt, horizon, sigma=0.0, seed=0)
-            return tr.states[-1]
+            tr = simulate(sys, x0[None], [sig], dt, horizon, sigma=0.0, seed=0)
+            return tr.states[0, -1]
 
         ref = run(0.04 / 64)
         e1 = np.linalg.norm(run(0.04) - ref)
@@ -99,32 +113,28 @@ class TestRk4:
         order = math.log2(e1 / e2)
         assert 3.5 <= order <= 4.5
 
-    def test_bad_dt(self):
-        with pytest.raises(ContractViolation):
-            rk4_step(duffing(), np.zeros(2), None, 0.0, 0.0)
-
 
 class TestSimulate:
     def test_zero_noise_determinism(self):
         sys = duffing()
-        a = simulate(sys, np.array([0.5, 0.5]), None, 0.05, 5.0, 0.0, seed=1)
-        b = simulate(sys, np.array([0.5, 0.5]), None, 0.05, 5.0, 0.0, seed=99)
+        a = simulate(sys, np.array([[0.5, 0.5]]), None, 0.05, 5.0, 0.0, seed=1)
+        b = simulate(sys, np.array([[0.5, 0.5]]), None, 0.05, 5.0, 0.0, seed=99)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.outputs, b.outputs)
 
     def test_seeded_reproducibility_with_noise(self):
         sys = duffing()
-        a = simulate(sys, np.array([0.5, 0.5]), None, 0.05, 5.0, 0.01, seed=7)
-        b = simulate(sys, np.array([0.5, 0.5]), None, 0.05, 5.0, 0.01, seed=7)
+        a = simulate(sys, np.array([[0.5, 0.5]]), None, 0.05, 5.0, 0.01, seed=7)
+        b = simulate(sys, np.array([[0.5, 0.5]]), None, 0.05, 5.0, 0.01, seed=7)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.outputs, b.outputs)
-        c = simulate(sys, np.array([0.5, 0.5]), None, 0.05, 5.0, 0.01, seed=8)
+        c = simulate(sys, np.array([[0.5, 0.5]]), None, 0.05, 5.0, 0.01, seed=8)
         assert not np.array_equal(a.states, c.states)
 
     def test_noise_actually_enters(self):
         sys = duffing()
-        a = simulate(sys, np.array([0.5, 0.5]), None, 0.05, 5.0, 0.0, seed=7)
-        b = simulate(sys, np.array([0.5, 0.5]), None, 0.05, 5.0, 0.01, seed=7)
+        a = simulate(sys, np.array([[0.5, 0.5]]), None, 0.05, 5.0, 0.0, seed=7)
+        b = simulate(sys, np.array([[0.5, 0.5]]), None, 0.05, 5.0, 0.01, seed=7)
         assert not np.array_equal(a.states, b.states)
         assert not np.array_equal(a.outputs, b.outputs)
 
@@ -133,27 +143,32 @@ class TestSimulate:
         # confirms the amplitude never exceeds 2x the initial one over 50 s.
         sys = duffing()
         x0 = np.array([math.cos(0.7), math.sin(0.7)])
-        ref = simulate(sys, x0, None, 0.05 / 64, 50.0, 0.0, seed=0)
+        ref = simulate(sys, x0[None], None, 0.05 / 64, 50.0, 0.0, seed=0)
         bound = 2.0 * np.linalg.norm(x0)
-        assert np.max(np.linalg.norm(ref.states, axis=1)) <= bound
-        traj = simulate(sys, x0, None, 0.05, 50.0, 0.0, seed=0)
-        assert np.max(np.linalg.norm(traj.states, axis=1)) <= bound
+        assert np.max(np.linalg.norm(ref.states[0], axis=1)) <= bound
+        traj = simulate(sys, x0[None], None, 0.05, 50.0, 0.0, seed=0)
+        assert np.max(np.linalg.norm(traj.states[0], axis=1)) <= bound
 
     def test_lorenz_origin_stays_fixed(self):
-        tr = simulate(lorenz(), np.zeros(3), None, 0.05, 2.0, 0.0, seed=0)
+        tr = simulate(lorenz(), np.zeros((1, 3)), None, 0.05, 2.0, 0.0, seed=0)
         assert np.all(tr.states == 0.0)
 
     def test_inputs_column_records_signal(self):
         sig = InputSignal(kind="constant", offset=0.25)
-        tr = simulate(duffing(), np.zeros(2), sig, 0.05, 1.0, 0.0, seed=0)
+        tr = simulate(duffing(), np.zeros((1, 2)), [sig], 0.05, 1.0, 0.0,
+                      seed=0).runs()[0]
         assert np.all(tr.inputs == 0.25)
         assert tr.inputs.shape == (21, 1)
 
+    def test_bad_dt(self):
+        with pytest.raises(ContractViolation):
+            simulate(duffing(), np.zeros((1, 2)), None, 0.0, 1.0, 0.0, seed=0)
+
     def test_bad_horizon(self):
         with pytest.raises(ContractViolation):
-            simulate(duffing(), np.zeros(2), None, 0.05, 0.07, 0.0, seed=0)
+            simulate(duffing(), np.zeros((1, 2)), None, 0.05, 0.07, 0.0, seed=0)
         with pytest.raises(ContractViolation):
-            simulate(duffing(), np.zeros(2), None, 0.05, 0.0, 0.0, seed=0)
+            simulate(duffing(), np.zeros((1, 2)), None, 0.05, 0.0, 0.0, seed=0)
 
     @pytest.mark.parametrize("horizon, dt", [
         (50.0, 0.0), (50.0, -0.05), (50.0, math.nan), (50.0, math.inf),
@@ -164,14 +179,72 @@ class TestSimulate:
             dynamics.n_steps_for(horizon, dt)
 
     def test_divergence_guard_names_step(self):
-        blow = SystemSpec(
-            name="blowup", n_x=1, n_y=1, m=0,
-            f=lambda x, u: x**2, h=lambda x: x,
+        with pytest.raises(DivergenceError) as exc:
+            simulate(blowup(), np.array([[3.0]]), None, 0.1, 10.0, 0.0, seed=0)
+        assert exc.value.step > 0
+
+
+class TestBatch:
+    @pytest.mark.parametrize("regime", KINDS)
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_runs_match_the_oracle_bitwise(self, name, regime):
+        # 7 runs, a count no SIMD width divides; every run must be the
+        # one the scalar RK4 integrates alone from its own seed
+        system = get_system(name)
+        x0 = sample_initial_conditions(system, 7, seed=5)
+        signals = [None if regime == "zero" else sample_signal(regime, 5 + i)
+                   for i in range(7)]
+        batch = simulate(system, x0, signals, 0.05, 10.0, 0.01, seed=5)
+        assert batch.times.shape == (201,)
+        assert batch.states.shape == (7, 201, system.n_x)
+        for i, tr in enumerate(batch.runs()):
+            one = oracle_simulate(system, x0[i], signals[i], 0.05, 10.0, 0.01,
+                                  5 + i)
+            assert np.array_equal(tr.times, one.times)
+            assert np.array_equal(tr.states, one.states)
+            assert np.array_equal(tr.inputs, one.inputs)
+            assert np.array_equal(tr.outputs, one.outputs)
+            assert tr.signal == signals[i]
+
+    def test_one_step_matches_the_scalar_step(self):
+        # run 0 at zero input, run 1 under 0.8 sin(1.3 t + 0.4)
+        sys = van_der_pol()
+        x = np.array([[1.0, 0.5], [-0.3, 1.7]])
+        t, dt = 0.35, 0.05
+        u = np.array([[[0.0], [0.8 * math.sin(1.3 * tt + 0.4)]]
+                      for tt in (t, t + 0.5 * dt, t + dt)])
+        out = rk4_step(sys, x, u, t, dt)
+        for i, drive in enumerate((lambda tt: [0.0],
+                                   lambda tt: [0.8 * math.sin(1.3 * tt + 0.4)])):
+            assert np.array_equal(out[i], oracle_rk4_step(sys, x[i], drive, t, dt))
+
+    def test_divergence_names_the_first_run_to_escape(self):
+        # run 2 (x0 = 3) escapes before run 0 (x0 = 2); run 1 never does
+        x0 = np.array([[2.0], [0.5], [3.0]])
+        with pytest.raises(DivergenceError) as alone:
+            oracle_simulate(blowup(), x0[2], None, 0.01, 1.0, 0.0, 0)
+        with pytest.raises(DivergenceError) as first:
+            oracle_simulate(blowup(), x0[0], None, 0.01, 1.0, 0.0, 0)
+        assert alone.value.step < first.value.step
+        with pytest.raises(DivergenceError, match=r"^run 2 escaped") as exc:
+            simulate(blowup(), x0, None, 0.01, 1.0, 0.0, seed=0)
+        assert exc.value.step == alone.value.step
+        assert str(exc.value).endswith(f"at step {alone.value.step}")
+
+    def test_a_non_finite_stage_names_its_run(self):
+        poisoned = SystemSpec(
+            name="poisoned", n_x=1, n_y=1, m=0,
+            f=lambda x, u: np.where(x < 0.0, np.nan, -x), h=lambda x: x,
             domain=np.array([[-1.0, 1.0]]),
         )
-        with pytest.raises(DivergenceError) as exc:
-            simulate(blow, np.array([3.0]), None, 0.1, 10.0, 0.0, seed=0)
-        assert exc.value.step > 0
+        x0 = np.array([[0.5], [0.2], [-0.5]])
+        with pytest.raises(NumericError, match="stage in run 2 at t=0.0"):
+            simulate(poisoned, x0, None, 0.05, 1.0, 0.0, seed=0)
+
+    def test_one_signal_per_run(self):
+        with pytest.raises(ContractViolation, match="2 signals for 3 runs"):
+            simulate(duffing(), np.zeros((3, 2)), [None, None], 0.05, 1.0,
+                     0.0, seed=0)
 
 
 class TestInitialConditions:

@@ -113,7 +113,8 @@ class TestRunObserver:
     def test_manufactured_error_decays(self):
         bundle = manufactured_bundle()
         sys = linear_test_system()
-        tr = simulate(sys, np.array([0.9]), None, 0.005, 8.0, 0.0, seed=0)
+        tr = simulate(sys, np.array([[0.9]]), None, 0.005, 8.0, 0.0,
+                      seed=0).runs()[0]
         xhat = run_observer(bundle, tr)
         err = np.abs(tr.states - xhat)[:, 0]
         k0 = int(0.5 / 0.005)
@@ -130,8 +131,8 @@ class TestRunObserver:
         cut = 60
         short = Trajectory(
             dt=tr.dt, times=tr.times[:cut], states=tr.states[:cut],
-            inputs=tr.inputs[:cut], outputs=tr.outputs[:cut], x0=tr.x0,
-            noise_sigma=tr.noise_sigma, seed=tr.seed, signal=tr.signal,
+            inputs=tr.inputs[:cut], outputs=tr.outputs[:cut],
+            signal=tr.signal,
         )
         prefix = run_observer(bundles["dynamic"], short)
         assert np.array_equal(full[:cut], prefix)

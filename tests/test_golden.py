@@ -3,11 +3,12 @@
 Phase 1, static and dynamic phase 2 and the curriculum run through the
 CLI at small widths (hidden 8×2, rank 2, window 6, LSTM width 4, 3
 epochs per stage), and one ``eval`` scores the four checkpoints over the
-four regimes (2 trajectories of 20 s each). The sha256 of every loss
-CSV, of every parameter vector the checkpoints store and of the eval
-CSV is compared with the values below, so a refactor of the tape, the
-LSTM, the optimizer, the training loops or conditioned inference that
-changes a single output bit fails here. Each run is a child
+four regimes (2 trajectories of 20 s each). The sha256 of the three
+generated datasets, of every loss CSV, of every parameter vector the
+checkpoints store and of the eval CSV is compared with the values below,
+so a refactor of the state simulation, the tape, the LSTM, the
+optimizer, the training loops or conditioned inference that changes a
+single output bit fails here. Each run is a child
 process with a fixed OpenBLAS thread count; at these shapes the bytes
 are the same at 1 and 2 threads.
 """
@@ -48,7 +49,16 @@ SRC = TESTS.parent / "src"
 # gradients are summed in another order (one GEMM over both row blocks,
 # tanh's second-order term as one product). The static and curriculum
 # loss CSVs and the eval report kept their bytes.
+#
+# The three generated datasets were recorded before the runs of a set
+# were integrated as one batch, at 1 and 2 threads; the batch kept them.
 GOLDEN = {
+    "duffing_zero_n4_s1.hkkl":
+        "0568179659091d7456e806f0b1b3640ccfb27dd208c72fe2dc679382f9434a53",
+    "duffing_constant_n2_s60.hkkl":
+        "104a1adbd4c496eadf3375a5b5661e940bd2eafea8b7baf983e56c4b8174854e",
+    "duffing_sinusoid_n3_s30.hkkl":
+        "7e938e6ac1a302c3504f469fef20b72bc6520df286ceeb07f8768a17fc8675d4",
     "duffing_phase1_loss.csv":
         "1f3ae14b4bd786d0572f21a2e12202d18e2e30fcbf7500ea0a59bb149c55ff97",
     "phase1.theta":
@@ -130,7 +140,8 @@ def pipeline_hashes(root) -> dict:
         "--horizon", "20", "--n", "2", "--out", str(ev),
     ]) == 0
 
-    hashes = {}
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in (zero, constant, forced)}
     report = ev / "duffing_report.csv"
     hashes[report.name] = hashlib.sha256(report.read_bytes()).hexdigest()
     for stem in ("phase1", "static", "dynamic", "curriculum"):

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import oracle_latent
+
 import hyperkkl.autodiff as ad
 from hyperkkl import nets
+from hyperkkl.data import generate_dataset
 from hyperkkl.dynamics import SystemSpec, duffing, lorenz, simulate, van_der_pol
-from hyperkkl.errors import ContractViolation
+from hyperkkl.errors import ContractViolation, NumericError
 from hyperkkl.kkl import (
     KklMaps,
     ObserverMatrices,
@@ -181,10 +184,35 @@ class TestSimulateLatent:
             z = z + (0.05 / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             assert np.allclose(zs[k + 1], z, atol=1e-13)
 
+    @pytest.mark.parametrize("system", [duffing(), lorenz()])
+    def test_a_time_major_block_filters_each_run_alone(self, system):
+        # 7 noisy mixture runs as one (N+1, 7, n_y) block: column i is the
+        # filter of run i alone, bit for bit
+        obs = build_observer_matrices(system.n_x, system.n_y)
+        ds = generate_dataset(system, "mixture", 7, seed=8, horizon=10.0)
+        y = np.stack([tr.outputs for tr in ds.trajectories], axis=1)
+        zs = simulate_latent(obs, y, ds.dt)
+        assert zs.shape == (201, 7, obs.n_z)
+        for i, tr in enumerate(ds.trajectories):
+            assert np.array_equal(zs[:, i], oracle_latent(obs, tr.outputs,
+                                                          ds.dt))
+            assert np.array_equal(zs[:, i], simulate_latent(obs, tr.outputs,
+                                                            ds.dt))
+
+    def test_a_non_finite_run_stops_the_block(self):
+        obs = build_observer_matrices(2, 1)
+        y = np.zeros((11, 3, 1))
+        y[4, 1, 0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match="non-finite at step 5"):
+            simulate_latent(obs, y, 0.05)
+
     def test_contracts(self):
         obs = build_observer_matrices(2, 1)
         with pytest.raises(ContractViolation):
             simulate_latent(obs, np.zeros((10, 2)), 0.05)
+        with pytest.raises(ContractViolation):
+            simulate_latent(obs, np.zeros((10, 3, 2)), 0.05)
         with pytest.raises(ContractViolation):
             simulate_latent(obs, np.zeros((10, 1)), -0.1)
 
@@ -368,7 +396,8 @@ class TestManufacturedObserver:
         obs, c = analytic_linear_observer()
         maps, theta, phi = analytic_linear_maps(c)
         dt = 0.005
-        traj = simulate(sys, np.array([0.8]), None, dt, 10.0, 0.0, seed=0)
+        traj = simulate(sys, np.array([[0.8]]), None, dt, 10.0, 0.0,
+                        seed=0).runs()[0]
         zs = simulate_latent(obs, traj.outputs, dt)
         xhat = np.array([decode(maps, phi, z) for z in zs])
         err = np.abs(traj.states[:, 0] - xhat[:, 0])

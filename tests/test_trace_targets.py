@@ -35,3 +35,31 @@ def test_every_trace_target_resolves(monkeypatch):
                 f"hyperkkl.{mod_name}.{fn_name} no longer starts with "
                 f"{wanted}"
             )
+
+
+def test_tracer_counts_one_kernel_call_per_step(monkeypatch):
+    # the traced benchmark checks rk4_step calls == simulate steps; both
+    # must hold with one simulate call per trajectory set
+    monkeypatch.syspath_prepend(str(ROOT))
+    trace = importlib.import_module("pipebench.trace")
+    from hyperkkl import data, dynamics, kkl, training
+
+    tracer = trace.Tracer("test")
+    tracer.install()
+    try:
+        ds = data.generate_dataset(dynamics.duffing(), "zero", 3, 4,
+                                   horizon=2.0, sigma=0.01)
+        obs = kkl.build_observer_matrices(2, 1)
+        training.latent_targets(ds.system, obs, ds.trajectories)
+    finally:
+        tracer.remove()
+    counts = tracer.counts
+    assert (counts["dynamics.rk4_step.calls"]
+            == counts["dynamics.simulate.steps"] == 2 * 40)
+    spans = tracer.spans
+    simulate = [s for s in spans if s[0] == "dynamics.simulate"]
+    assert [spans[s[3]][0] for s in simulate] == [
+        "data.generate_dataset", "training.latent_targets"]
+    latent = [s for s in spans if s[0] == "kkl.simulate_latent_nodes"]
+    assert len(latent) == 1
+    assert counts["kkl.simulate_latent_nodes.steps"] == 40 * len(latent)

@@ -10,6 +10,7 @@ from conftest import (
     analytic_linear_observer,
     linear_test_system,
     make_store,
+    oracle_latent_targets,
 )
 
 import hyperkkl.autodiff as ad
@@ -195,6 +196,32 @@ class TestLatentTargets:
         with pytest.raises(ContractViolation):
             latent_targets(sys, obs, ds.trajectories)
 
+    def test_one_simulate_call_per_time_grid(self, monkeypatch):
+        # two zero datasets of different horizons, as phase 1 takes them:
+        # each grid is re-simulated in one call, in order, and the pairs are
+        # those of one trajectory at a time
+        sys = duffing()
+        obs = build_observer_matrices(2, 1)
+        trajectories = (
+            tiny_dataset(sys, "zero", count=2, seed=1, horizon=2.0,
+                         sigma=0.01).trajectories
+            + tiny_dataset(sys, "zero", count=3, seed=3, horizon=3.0,
+                           sigma=0.01).trajectories)
+        grids = []
+        real = training.simulate
+
+        def spy(system, x0, *args):
+            out = real(system, x0, *args)
+            grids.append((len(x0), len(out.times)))
+            return out
+
+        monkeypatch.setattr(training, "simulate", spy)
+        xs, zs = latent_targets(sys, obs, trajectories)
+        assert grids == [(2, 41), (3, 61)]
+        want_xs, want_zs = oracle_latent_targets(sys, obs, trajectories)
+        assert np.array_equal(xs, want_xs)
+        assert np.array_equal(zs, want_zs)
+
 
 class TestPhase1:
     def make_run(self, seed=5):
@@ -221,6 +248,17 @@ class TestPhase1:
         first = result.log[0].loss_rec
         last = result.log[24].loss_rec
         assert last < first
+
+    def test_trains_on_two_time_grids(self):
+        sys = duffing()
+        obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=3)
+        trajectories = (
+            tiny_dataset(sys, "zero", count=2, seed=1, horizon=2.0).trajectories
+            + tiny_dataset(sys, "zero", count=2, seed=3,
+                           horizon=3.0).trajectories)
+        config = TrainConfig(epochs=5, batch=32, collocation=32, seed=5)
+        result = phase1_train(sys, obs, maps, theta, phi, trajectories, config)
+        assert len(result.log) == 10 and result.abort is None
 
     def test_bitwise_determinism(self):
         a, *_ = self.make_run(seed=5)
