@@ -3,9 +3,12 @@
 Phase 1, static and dynamic phase 2 and the curriculum run through the
 CLI at small widths (hidden 8×2, rank 2, window 6, LSTM width 4, 3
 epochs per stage), and one ``eval`` scores the four checkpoints over the
-four regimes (2 trajectories of 20 s each). The sha256 of the three
-generated datasets, of every loss CSV, of every parameter vector the
-checkpoints store and of the eval CSV is compared with the values below,
+four regimes (2 trajectories of 20 s each); phase 1 and both phase-2
+variants also train once on two datasets of one time grid, and ``plot``
+draws the four checkpoints over the four regimes. The sha256 of the
+five generated datasets, of the ``gen --csv`` export, of every loss
+CSV, of every parameter vector the checkpoints store, of the eval CSV
+and of the plot SVGs is compared with the values below,
 so a refactor of the state simulation, the tape, the LSTM, the
 optimizer, the training loops or conditioned inference that changes a
 single output bit fails here. Each run is a child
@@ -91,15 +94,54 @@ GOLDEN = {
     # in row blocks; 401 rows per trajectory, so the decode takes 2 blocks.
     "duffing_report.csv":
         "471757fc9fb8ea08e7d35948af4bfcc7faa698e823939b932335219624048ad7",
+    # Recorded before a trajectory set became the one container from
+    # simulate to eval, at 1 and 2 threads: a dataset with another
+    # regime, the --csv export, the plot SVG set (one hash over the 16
+    # files, each named), and phase 1, static and dynamic phase 2 each
+    # trained on two datasets that share a time grid.
+    "duffing_square_n2_s40.hkkl":
+        "ef83c0c1ddc32497c928f67ec9c3cc3a2eea24ba9a74cbab324af27e08a5cfbf",
+    "duffing_zero_n2_s80.hkkl":
+        "36780ac4f9a2fc2aab22a70e421c2d6df8690674a922daa368f1153f7da52bf6",
+    "duffing_sinusoid_n3_s30_traj0.csv":
+        "03a6de3a02c2a4a31cd744655ff6fa2e3f59f78e4041428b0803cd5784d3beff",
+    "plots":
+        "e991e18caf8a6c54ec4c20fcba25301c23f8307901cca412932c5d0cd7517860",
+    "duffing_phase1_two_loss.csv":
+        "1d1c4682124ab3b9e1294ba442ff4173ea17d429ce563f2d49947ed80a9e3978",
+    "phase1_two.theta":
+        "7f4cfec60fc3bcb6111f942c0d5392a5373757f76c2938e9b1684c02246a7fcb",
+    "phase1_two.phi":
+        "c8ef7be1c41d7cc08c3e39a8153de7922a426d1df21513a496d3bd6cb8ff6e7e",
+    "duffing_static_two_loss.csv":
+        "e759756a9ddd28b2160e9d0c3a252066cea59d6f88d58ffeda92e70265425809",
+    "static_two.theta":
+        "5653528f8be99538e27099e768e330089e44fbfa41ce1eef69dd1556108a0e44",
+    "static_two.phi":
+        "d544a1c5c2dc06ac87d57d5ee67db6125aedb02d91babef544c7bc57b110dbe6",
+    "static_two.xi":
+        "66eb9ac181585db1dacdf3d8d86c376645b28c92d2c5b5997e899d61503fb7f7",
+    "duffing_dynamic_two_loss.csv":
+        "08276dbadd8019fd9976514fbd691931807a960ef5d606f9f03bcf1504fcc5b7",
+    "dynamic_two.theta":
+        "5653528f8be99538e27099e768e330089e44fbfa41ce1eef69dd1556108a0e44",
+    "dynamic_two.phi":
+        "d544a1c5c2dc06ac87d57d5ee67db6125aedb02d91babef544c7bc57b110dbe6",
+    "dynamic_two.psi":
+        "138d0af0dec163a98fdc8dda2d4803f7a7537c47e5f31f6379ecf01625cf4701",
 }
 
 
-def _gen(out, regime, n, seed):
+def _gen(out, regime, n, seed, *argv):
     assert main([
         "gen", "--system", "duffing", "--regime", regime, "--n", str(n),
-        "--seed", str(seed), "--horizon", "2.0", "--out", str(out),
+        "--seed", str(seed), "--horizon", "2.0", "--out", str(out), *argv,
     ]) == 0
     return out / f"duffing_{regime}_n{n}_s{seed}.hkkl"
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _train(out, *argv):
@@ -112,7 +154,8 @@ def pipeline_hashes(root) -> dict:
     root = Path(root)
     zero = _gen(root / "data", "zero", 4, 1)
     constant = _gen(root / "data", "constant", 2, 60)
-    forced = _gen(root / "data", "sinusoid", 3, 30)
+    forced = _gen(root / "data", "sinusoid", 3, 30, "--csv")
+    square = _gen(root / "data", "square", 2, 40)
     ck = root / "ck"
     _train(ck, "--phase", "1", "--data", str(zero), "--epochs", "3",
            "--batch", "16", "--hidden", "8,8", "--seed", "3")
@@ -128,6 +171,16 @@ def pipeline_hashes(root) -> dict:
     _train(ck, "--phase", "2", "--variant", "static", *phase2)
     _train(ck, "--phase", "2", "--variant", "dynamic", "--batch", "8",
            "--rank", "2", *phase2)
+    # two datasets on one time grid go into one run of each training
+    # path that concatenates them
+    zero2 = _gen(root / "data", "zero", 2, 80)
+    _train(ck / "two", "--phase", "1", "--data", str(zero), "--data",
+           str(zero2), "--epochs", "3", "--batch", "16", "--hidden", "8,8",
+           "--seed", "3")
+    _train(ck / "two", "--phase", "2", "--variant", "static", *phase2,
+           "--data", str(square))
+    _train(ck / "two", "--phase", "2", "--variant", "dynamic", "--batch",
+           "8", "--rank", "2", *phase2, "--data", str(square))
     _train(ck, "--phase", "curriculum", "--base", base, "--data",
            str(constant), "--data", str(forced), "--config", str(ini),
            "--epochs", "1", "--batch", "16", "--seed", "5")
@@ -139,15 +192,29 @@ def pipeline_hashes(root) -> dict:
           for v in ("static", "dynamic", "curriculum")),
         "--horizon", "20", "--n", "2", "--out", str(ev),
     ]) == 0
+    plots = root / "plots"
+    assert main([
+        "plot", "--system", "duffing", "--checkpoint", f"autonomous={base}",
+        *(f"--checkpoint={v}={ck / f'duffing_{v}.hkkp'}"
+          for v in ("static", "dynamic", "curriculum")),
+        "--horizon", "10", "--out", str(plots),
+    ]) == 0
 
-    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-              for path in (zero, constant, forced)}
-    report = ev / "duffing_report.csv"
-    hashes[report.name] = hashlib.sha256(report.read_bytes()).hexdigest()
-    for stem in ("phase1", "static", "dynamic", "curriculum"):
-        path = ck / f"duffing_{stem}_loss.csv"
-        hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        bundle = read_checkpoint(ck / f"duffing_{stem}.hkkp")
+    csv = root / "data" / f"{forced.stem}_traj0.csv"
+    hashes = {path.name: _sha(path)
+              for path in (zero, constant, forced, square, zero2, csv,
+                           ev / "duffing_report.csv")}
+    svgs = sorted(plots.glob("*.svg"))
+    assert len(svgs) == 16
+    hashes["plots"] = hashlib.sha256(b"".join(
+        path.name.encode() + bytes.fromhex(_sha(path))
+        for path in svgs)).hexdigest()
+    for stem, path in (*((s, ck / f"duffing_{s}") for s in
+                         ("phase1", "static", "dynamic", "curriculum")),
+                       *((f"{s}_two", ck / "two" / f"duffing_{s}")
+                         for s in ("phase1", "static", "dynamic"))):
+        hashes[f"duffing_{stem}_loss.csv"] = _sha(f"{path}_loss.csv")
+        bundle = read_checkpoint(f"{path}.hkkp")
         for field in ("theta", "phi", "psi", "xi"):
             store = getattr(bundle, field)
             if store is not None:
