@@ -77,7 +77,7 @@ def cmd_gen(args, s):
     outputs = [path]
     if args.csv:
         csv_path = out_dir / (path.stem + "_traj0.csv")
-        trajectory_to_csv(dataset.trajectories[0], csv_path)
+        trajectory_to_csv(dataset.trajectories, csv_path)
         outputs.append(csv_path)
     print(f"wrote {path}")
     return Run(out_dir, s, {"seed": s["seed"]}, [], outputs)
@@ -99,8 +99,8 @@ def _training_dt(datasets, base=None) -> float:
 def _dataset_level(dataset) -> int:
     from .signals import difficulty_level
 
-    return max(0 if tr.signal is None else difficulty_level(tr.signal)
-               for tr in dataset.trajectories)
+    return max(0 if sig is None else difficulty_level(sig)
+               for sig in dataset.trajectories.signals)
 
 
 def cmd_train(args, s):
@@ -134,7 +134,7 @@ def cmd_train(args, s):
 
     out_dir = Path(args.out or ".")
     inputs = list(args.data)
-    trajectories = [tr for ds in datasets for tr in ds.trajectories]
+    sets = [ds.trajectories for ds in datasets]
     base = None
     lo, hi = seed_lo, seed_hi  # the seeds the checkpoint was trained on
     if args.phase != "1":
@@ -153,7 +153,7 @@ def cmd_train(args, s):
         maps = make_maps(system.n_x, obs.n_z, hidden=s["hidden"])
         theta, phi = init_map_params(maps, s["seed"])
         result = training.phase1_train(
-            system, obs, maps, theta, phi, trajectories, train_config
+            system, obs, maps, theta, phi, sets, train_config
         )
         bundle = CheckpointBundle(
             variant="autonomous", system_name=system_name, maps=maps, obs=obs,
@@ -177,7 +177,7 @@ def cmd_train(args, s):
             )
         result = training.phase2_train(
             system, base.obs, base.maps, base.theta, base.phi, spec,
-            trajectories, train_config, f_scale=base.f_scale,
+            sets, train_config, f_scale=base.f_scale,
         )
         bundle = CheckpointBundle(
             variant=args.variant, system_name=system_name, maps=base.maps,
@@ -201,7 +201,7 @@ def cmd_train(args, s):
         )
         result = training.curriculum_train(
             system, base.obs, base.maps, base.theta, base.phi.copy(),
-            [ds.trajectories for ds in datasets], train_config, schedule,
+            sets, train_config, schedule,
         )
         bundle = CheckpointBundle(
             variant="curriculum", system_name=system_name, maps=base.maps,
@@ -303,12 +303,12 @@ def cmd_plot(args, s):
             system, regime, 1, s["test_seed"] + r_idx, dt=s["dt"],
             horizon=s["horizon"], sigma=s["sigma"],
         )
-        tr = dataset.trajectories[0]
+        runs = dataset.trajectories
         for variant, (bundle, _) in named.items():
-            xhat = run_observer(bundle, tr)
+            xhat = run_observer(bundle, runs)[0]
             path = out_dir / plot_name(s["system"], variant, regime)
             svg_timeseries(
-                path, tr.times, tr.states, xhat, tr.inputs,
+                path, runs.times, runs.states[0], xhat, runs.inputs[0],
                 title=f"{s['system']} / {variant} / {regime}",
             )
             outputs.append(path)

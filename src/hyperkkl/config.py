@@ -165,6 +165,12 @@ SETTINGS = (
 SECTIONS = tuple(dict.fromkeys(row.key[0] for row in SETTINGS if row.key))
 
 
+def defaults(command: str) -> dict:
+    """{name: default} of the rows ``command`` reads."""
+    return {row.name: row.default for row in SETTINGS
+            if command in row.commands}
+
+
 def parse_value(raw: str):
     raw = raw.strip()
     low = raw.lower()

@@ -1,9 +1,10 @@
 """Dataset generation and the HKKL binary trajectory-set format.
 
-A dataset owns a contiguous per-trajectory seed range [seed, seed+count):
-trajectory i draws its noise, its input-signal parameters, and (jointly,
-through one stream on the base seed) its initial condition from streams
-keyed by seed+i.
+A dataset is one ``TrajectorySet`` with the header that made it. It owns
+a contiguous per-trajectory seed range [seed, seed+count): trajectory i
+draws its noise, its input-signal parameters, and (jointly, through one
+stream on the base seed) its initial condition from streams keyed by
+seed+i.
 
 File layout (all little-endian):
 
@@ -19,8 +20,9 @@ File layout (all little-endian):
     per trajectory: f64 arrays in (states, inputs, outputs) order
 
 Readers refuse a file that ends early or has bytes past the last
-trajectory, naming the byte offset, before they allocate the arrays. A
-loaded trajectory's arrays are read-only.
+trajectory, naming the byte offset, before they allocate the arrays.
+``read_dataset`` takes every trajectory's samples in one f64 read; the
+set's states, inputs and outputs are read-only run-major views of it.
 
 CSV export mirrors the columns t, x1..x_{n_x}, u1..u_{m}, y1..y_{n_y}.
 """
@@ -35,8 +37,8 @@ import numpy as np
 
 from .binfile import Reader
 from .config import KINDS
-from .dynamics import SystemSpec, Trajectory, get_system, n_steps_for, simulate
-from .dynamics import sample_initial_conditions
+from .dynamics import SystemSpec, TrajectorySet, get_system, n_steps_for
+from .dynamics import sample_initial_conditions, simulate
 from .errors import ContractViolation
 from .signals import InputSignal, sample_signal
 
@@ -50,7 +52,7 @@ _CODE_KIND = {i: k for k, i in _KIND_CODE.items()}
 @dataclass
 class Dataset:
     system: SystemSpec
-    trajectories: list
+    trajectories: TrajectorySet
     dt: float
     horizon: float
     sigma: float
@@ -59,7 +61,7 @@ class Dataset:
 
     @property
     def count(self) -> int:
-        return len(self.trajectories)
+        return self.trajectories.count
 
     @property
     def seed_range(self) -> tuple[int, int]:
@@ -86,7 +88,7 @@ def generate_dataset(
     x0s = sample_initial_conditions(system, count, seed)
     signals = [None if regime == "zero" else sample_signal(regime, seed + i)
                for i in range(count)]
-    runs = simulate(system, x0s, signals, dt, horizon, sigma, seed).runs()
+    runs = simulate(system, x0s, signals, dt, horizon, sigma, seed)
     return Dataset(
         system=system, trajectories=runs, dt=dt, horizon=horizon,
         sigma=sigma, seed=seed, regime=regime,
@@ -141,10 +143,11 @@ def write_dataset(dataset: Dataset, path) -> None:
         fh.write(struct.pack("<IQ", dataset.count, dataset.seed))
         fh.write(struct.pack("<H", len(regime)))
         fh.write(regime)
-        for tr in dataset.trajectories:
-            fh.write(_pack_signal(tr.signal))
-        for tr in dataset.trajectories:
-            for values in (tr.states, tr.inputs, tr.outputs):
+        runs = dataset.trajectories
+        for sig in runs.signals:
+            fh.write(_pack_signal(sig))
+        for run in zip(runs.states, runs.inputs, runs.outputs):
+            for values in run:
                 fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
@@ -171,33 +174,33 @@ def read_dataset(path) -> Dataset:
             n = n_steps_for(horizon, dt)
         except ContractViolation as e:
             raise ContractViolation(f"{path}: {e}") from None
-        r.need(8 * count * (n + 1) * (n_x + m + n_y))
-        times = np.arange(n + 1) * dt
-
-        def samples(width):
-            values = r.f64((n + 1) * width).reshape(n + 1, width)
-            values.flags.writeable = False
-            return values
-
-        trajectories = []
-        for i in range(count):
-            states, inputs, outputs = samples(n_x), samples(m), samples(n_y)
-            sig = (None if regime == "zero"
-                   else dataclasses.replace(signals[i], seed=seed + i))
-            trajectories.append(
-                Trajectory(dt, times, states, inputs, outputs, sig))
+        width = (n + 1) * (n_x + m + n_y)
+        values = r.f64(count * width).reshape(count, width)
+        values.flags.writeable = False
         r.finish()
+    # run i's row holds its states, inputs and outputs in turn
+    widths = (n_x, m, n_y)
+    blocks = np.split(values, np.cumsum(widths[:-1]) * (n + 1), axis=1)
+    states, inputs, outputs = (block.reshape(count, n + 1, w)
+                               for block, w in zip(blocks, widths))
+    signals = tuple(
+        None if regime == "zero" else dataclasses.replace(sig, seed=seed + i)
+        for i, sig in enumerate(signals))
+    runs = TrajectorySet(dt, np.arange(n + 1) * dt, states, inputs, outputs,
+                         signals)
     return Dataset(
-        system=system, trajectories=trajectories, dt=dt, horizon=horizon,
+        system=system, trajectories=runs, dt=dt, horizon=horizon,
         sigma=sigma, seed=seed, regime=regime,
     )
 
 
-def trajectory_to_csv(tr: Trajectory, path) -> None:
-    """Columns t, x1..x_{n_x}, u1..u_m, y1..y_{n_y} with full precision."""
-    n_x = tr.states.shape[1]
-    m = tr.inputs.shape[1]
-    n_y = tr.outputs.shape[1]
+def trajectory_to_csv(runs: TrajectorySet, path) -> None:
+    """The first run as columns t, x1..x_{n_x}, u1..u_m, y1..y_{n_y} with
+    full precision."""
+    states, inputs, outputs = runs.states[0], runs.inputs[0], runs.outputs[0]
+    n_x = states.shape[1]
+    m = inputs.shape[1]
+    n_y = outputs.shape[1]
     header = (
         ["t"]
         + [f"x{i + 1}" for i in range(n_x)]
@@ -206,11 +209,11 @@ def trajectory_to_csv(tr: Trajectory, path) -> None:
     )
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(tr.times)):
+        for k in range(len(runs.times)):
             row = (
-                [tr.times[k]]
-                + list(tr.states[k])
-                + list(tr.inputs[k])
-                + list(tr.outputs[k])
+                [runs.times[k]]
+                + list(states[k])
+                + list(inputs[k])
+                + list(outputs[k])
             )
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -8,12 +8,15 @@ map is untouched by the input.
 
 Integration is classical fixed-step RK4 over a whole trajectory set:
 ``simulate`` steps its runs as one (count, n_x) array, each run's input
-read on the grids t_k, t_k + dt/2 and t_k + dt, and returns run-major
-(count, N+1, ·) arrays. Every operation acts on each run's row alone, so
-a run's bits do not depend on the others; the first step where any run
-fails raises for the whole set, naming that run. Process noise is added
-after each step as sigma*sqrt(dt)*xi, measurement noise as sigma*eta on
-the outputs only, so the integrator itself stays exactly testable.
+read on the grids t_k, t_k + dt/2 and t_k + dt, and returns a
+``TrajectorySet`` of run-major (count, N+1, ·) arrays. That set is the
+one trajectory container of the package: a dataset holds one, and
+training and evaluation index its arrays directly. Every operation acts
+on each run's row alone, so a run's bits do not depend on the others;
+the first step where any run fails raises for the whole set, naming
+that run. Process noise is added after each step as sigma*sqrt(dt)*xi,
+measurement noise as sigma*eta on the outputs only, so the integrator
+itself stays exactly testable.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import seeding
 from .config import SYSTEM_NAMES
 from .errors import ContractViolation, DivergenceError, NumericError
-from .signals import InputSignal, eval_signal
+from .signals import eval_signal
 
 
 @dataclass(frozen=True)
@@ -62,30 +65,10 @@ class SystemSpec:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One run's time series at fixed step dt."""
-
-    dt: float
-    times: np.ndarray        # (N+1,)
-    states: np.ndarray       # (N+1, n_x)
-    inputs: np.ndarray       # (N+1, m)
-    outputs: np.ndarray      # (N+1, n_y)
-    signal: InputSignal | None = None
-
-    def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.states) == len(self.inputs) == len(self.outputs) == n):
-            raise ContractViolation("trajectory arrays disagree in length")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-
-@dataclass(frozen=True)
 class TrajectorySet:
-    """Runs on one time grid, run-major: the arrays are Trajectory's with
-    a leading run axis, states (count, N+1, n_x) and so on."""
+    """Runs on one time grid at fixed step dt, run-major: states
+    (count, N+1, n_x), inputs (count, N+1, m), outputs (count, N+1, n_y),
+    and one signal per run (None for zero input)."""
 
     dt: float
     times: np.ndarray        # (N+1,)
@@ -94,19 +77,29 @@ class TrajectorySet:
     outputs: np.ndarray
     signals: tuple
 
-    def runs(self) -> list[Trajectory]:
-        """One Trajectory per run, over views of the set's arrays."""
-        return [Trajectory(self.dt, self.times, *arrays, signal)
-                for *arrays, signal in zip(self.states, self.inputs,
-                                           self.outputs, self.signals)]
+    def __post_init__(self):
+        shape = (len(self.signals), len(self.times))
+        if not (self.states.shape[:2] == self.inputs.shape[:2]
+                == self.outputs.shape[:2] == shape):
+            raise ContractViolation("trajectory set arrays disagree in shape")
+
+    @property
+    def count(self) -> int:
+        return len(self.signals)
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.times) - 1
 
 
 def _forced(drift):
-    """Wrap a drift, which returns a new array, so that the scalar input
-    adds onto the second coordinate."""
+    """Wrap a drift, which returns the coordinates of x', so that they
+    fill one fresh array and the scalar input adds onto the second."""
 
     def f(x, u):
-        dx = drift(x)
+        dx = np.empty(x.shape)
+        for i, coordinate in enumerate(drift(x)):
+            dx[..., i] = coordinate
         dx[..., 1] += u[..., 0]
         return dx
 
@@ -117,7 +110,7 @@ def duffing() -> SystemSpec:
     """Reverse Duffing oscillator: x1' = x2^3, x2' = -x1 + u, y = x1."""
 
     def drift(x):
-        return np.stack([x[..., 1] ** 3, -x[..., 0]], axis=-1)
+        return x[..., 1] ** 3, -x[..., 0]
 
     return SystemSpec(
         name="duffing", n_x=2, n_y=1, m=1,
@@ -131,10 +124,7 @@ def van_der_pol(mu: float = 3.0) -> SystemSpec:
     """Van der Pol oscillator with nonlinear damping mu (default 3)."""
 
     def drift(x):
-        return np.stack(
-            [x[..., 1], mu * (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]],
-            axis=-1,
-        )
+        return x[..., 1], mu * (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]
 
     return SystemSpec(
         name="vanderpol", n_x=2, n_y=1, m=1,
@@ -148,14 +138,8 @@ def rossler(a: float = 0.1, b: float = 0.1, c: float = 14.0) -> SystemSpec:
     """Rossler attractor in its chaotic parameter regime, y = x2."""
 
     def drift(x):
-        return np.stack(
-            [
-                -x[..., 1] - x[..., 2],
-                x[..., 0] + a * x[..., 1],
-                b + x[..., 2] * (x[..., 0] - c),
-            ],
-            axis=-1,
-        )
+        return (-x[..., 1] - x[..., 2], x[..., 0] + a * x[..., 1],
+                b + x[..., 2] * (x[..., 0] - c))
 
     return SystemSpec(
         name="rossler", n_x=3, n_y=1, m=1,
@@ -169,14 +153,9 @@ def lorenz(p: float = 10.0, q: float = 28.0, r: float = 8.0 / 3.0) -> SystemSpec
     """Lorenz system with the classic chaotic parameters, y = x2."""
 
     def drift(x):
-        return np.stack(
-            [
-                p * (x[..., 1] - x[..., 0]),
+        return (p * (x[..., 1] - x[..., 0]),
                 x[..., 0] * (q - x[..., 2]) - x[..., 1],
-                x[..., 0] * x[..., 1] - r * x[..., 2],
-            ],
-            axis=-1,
-        )
+                x[..., 0] * x[..., 1] - r * x[..., 2])
 
     return SystemSpec(
         name="lorenz", n_x=3, n_y=1, m=1,
@@ -338,14 +317,14 @@ def simulate(
 
 
 def sample_initial_conditions(
-    system: SystemSpec, count: int, seed: int, allow_degenerate: bool = False
+    system: SystemSpec, count: int, seed: int
 ) -> np.ndarray:
     """Uniform i.i.d. draws from the domain box, shape (count, n_x)."""
     if count < 1:
         raise ContractViolation("count must be >= 1")
     lo = system.domain[:, 0]
     hi = system.domain[:, 1]
-    if not allow_degenerate and np.any(hi <= lo):
+    if np.any(hi <= lo):
         raise ContractViolation(
             f"system {system.name!r} has a degenerate domain interval"
         )

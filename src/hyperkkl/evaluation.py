@@ -9,6 +9,10 @@ dynamics carry an input-conditioned drive:
     static:  latent filter plus gated injection, fixed decoder
     dynamic: plain latent filter, window-conditioned decoder
 
+A test set is one ``TrajectorySet``: ``run_observer`` estimates all its
+runs into one run-major (count, N+1, n_x) array, filtering and decoding
+run by run, since a decode batched across runs could move the last bits
+of the estimates (OpenBLAS results depend on a GEMM's row count).
 Metrics discard the first 5% of each trajectory by default and average
 per-trajectory values across the test set.
 """
@@ -22,7 +26,7 @@ import numpy as np
 from .checkpoints import CheckpointBundle
 from .config import REGIMES, TRANSIENT_FRACTION
 from .data import Dataset, generate_dataset, seed_ranges_overlap
-from .dynamics import Trajectory, get_system
+from .dynamics import TrajectorySet, get_system
 from .errors import ContractViolation, NumericError
 from .hypernet import (
     encode_context,
@@ -63,8 +67,8 @@ def smape(x_seq, xhat_seq, transient_frac: float = TRANSIENT_FRACTION) -> float:
     return float(100.0 * np.mean(num / den))
 
 
-def run_observer(bundle: CheckpointBundle, trajectory: Trajectory) -> np.ndarray:
-    """Estimated state sequence for one measured trajectory.
+def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
+    """Estimated state sequences of a measured set, (count, N+1, n_x).
 
     The latent filter starts at z = 0 and is driven by the recorded
     outputs (and inputs, per variant). Estimates are causal: they depend
@@ -73,25 +77,34 @@ def run_observer(bundle: CheckpointBundle, trajectory: Trajectory) -> np.ndarray
     None and the decoder takes no delta, so those rows are the
     autonomous estimates, bit for bit.
     """
+    if runs.outputs.shape[2] != bundle.obs.n_y:
+        raise ContractViolation("trajectory output width does not match observer")
+    xhat = np.empty(runs.states.shape)
+    for i, (y, u) in enumerate(zip(runs.outputs, runs.inputs)):
+        xhat[i] = _estimate(bundle, y, u, runs.dt)
+        finite = np.all(np.isfinite(xhat[i]), axis=1)
+        if not finite.all():
+            raise NumericError(f"non-finite estimate in run {i} at step "
+                               f"{int(np.argmin(finite))}")
+    return xhat
+
+
+def _estimate(bundle: CheckpointBundle, y, u, dt: float) -> np.ndarray:
+    """One run's estimates from its outputs y and inputs u (the bundle's
+    variant is one of ``checkpoints.VARIANTS``)."""
     obs = bundle.obs
     maps = bundle.maps
-    y = trajectory.outputs
-    if y.shape[1] != obs.n_y:
-        raise ContractViolation("trajectory output width does not match observer")
-
     if bundle.variant == "static":
-        inject = make_step_injection(
-            bundle.xi, bundle.injection_spec, trajectory.inputs, trajectory.dt
-        )
-        zs = simulate_latent(obs, y, trajectory.dt, injection=inject)
-        xhat = decode(maps, bundle.phi, zs)
-    elif bundle.variant == "dynamic":
-        zs = simulate_latent(obs, y, trajectory.dt)
+        inject = make_step_injection(bundle.xi, bundle.injection_spec, u, dt)
+        zs = simulate_latent(obs, y, dt, injection=inject)
+        return decode(maps, bundle.phi, zs)
+    zs = simulate_latent(obs, y, dt)
+    xhat = decode(maps, bundle.phi, zs)
+    if bundle.variant == "dynamic":
         spec = bundle.hyper_spec
-        windows = window_matrix(trajectory.inputs, spec.window)
+        windows = window_matrix(u, spec.window)
         gates = gate_values(windows, spec.tau)
         live = gates[:, 0] != 0.0
-        xhat = decode(maps, bundle.phi, zs)
         if np.any(live):
             # only the decoder head is read; all live rows go in one call,
             # which the LSTM and lowrank_linear run ROW_BLOCK rows at a time
@@ -100,15 +113,6 @@ def run_observer(bundle: CheckpointBundle, trajectory: Trajectory) -> np.ndarray
                                         DEC, context, gates[live])
             xhat[live] = decode(maps, bundle.phi, zs[live],
                                 weight_deltas=factors)
-    elif bundle.variant in ("autonomous", "curriculum"):
-        zs = simulate_latent(obs, y, trajectory.dt)
-        xhat = decode(maps, bundle.phi, zs)
-    else:
-        raise ContractViolation(f"unknown variant {bundle.variant!r}")
-
-    if not np.all(np.isfinite(xhat)):
-        bad = int(np.argmax(~np.all(np.isfinite(xhat), axis=1)))
-        raise NumericError(f"non-finite estimate at step {bad}")
     return xhat
 
 
@@ -154,11 +158,10 @@ def evaluate_cell(
             f"test seeds {dataset.seed_range} overlap training seeds "
             f"{bundle.train_seed_range}"
         )
-    rmses, smapes = [], []
-    for tr in dataset.trajectories:
-        xhat = run_observer(bundle, tr)
-        rmses.append(rmse(tr.states, xhat, transient_frac))
-        smapes.append(smape(tr.states, xhat, transient_frac))
+    runs = dataset.trajectories
+    xhat = run_observer(bundle, runs)
+    rmses = [rmse(x, xh, transient_frac) for x, xh in zip(runs.states, xhat)]
+    smapes = [smape(x, xh, transient_frac) for x, xh in zip(runs.states, xhat)]
     lo, hi = dataset.seed_range
     return EvalCell(
         system=dataset.system.name,

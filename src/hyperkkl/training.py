@@ -8,6 +8,11 @@ box. All draws come from fixed streams of the configured seed, so a
 training run is a pure function of (data, config) down to the checkpoint
 bits.
 
+The data of each dataset arrive as one ``TrajectorySet``. Phase 1 and
+the curriculum take their (state, latent) pairs from each set in turn;
+phase 2 indexes one set with (run, step) arrays, the sets of several
+datasets joined into one copy first.
+
 Pretraining is sequential to keep the encoder and decoder objectives
 from fighting each other: the encoder is fitted first against simulated
 latent targets plus the stationary residual, then frozen while the
@@ -28,7 +33,6 @@ when it ends; a changed one raises ``NumericError``.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +40,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeding
-from .dynamics import SystemSpec, Trajectory, eval_vector_field, simulate
+from .config import defaults
+from .dynamics import SystemSpec, TrajectorySet, eval_vector_field, simulate
 from .errors import ContractViolation, NumericError
 from .hypernet import (
     HyperNetSpec,
@@ -65,21 +70,23 @@ from .optim import AdamState, adam_step, clip_grad_norm
 from .params import ParamStore, ParamVars
 
 LATENT_TARGET_DISCARD = 0.2  # transient fraction dropped from z labels
+_DEFAULT = defaults("train")  # each default is its config.SETTINGS row's
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 2000
-    batch: int = 256
-    lr: float = 1e-3
-    lam: float = 0.1            # physics-residual weight
-    clip_norm: float = 1.0
-    seed: int = 0
-    collocation: int = 256
-    normalize: bool = True
-    segment_steps: int = 120    # latent BPTT segment (injection training)
-    segment_discard: int = 40   # latent transient dropped from segment loss
-    segment_batch: int = 2
+    epochs: int = _DEFAULT["epochs"]
+    batch: int = _DEFAULT["batch"]
+    lr: float = _DEFAULT["lr"]
+    lam: float = _DEFAULT["lambda"]          # physics-residual weight
+    clip_norm: float = _DEFAULT["clip"]
+    seed: int = _DEFAULT["seed"]
+    collocation: int = _DEFAULT["collocation"]
+    normalize: bool = _DEFAULT["normalize"]
+    # latent BPTT segment (injection training) and its dropped transient
+    segment_steps: int = _DEFAULT["segment_steps"]
+    segment_discard: int = _DEFAULT["segment_discard"]
+    segment_batch: int = _DEFAULT["segment_batch"]
 
     def __post_init__(self):
         if not (self.lam >= 0 and math.isfinite(self.lam)):
@@ -99,9 +106,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class CurriculumConfig:
-    epsilon: float = 0.01
-    patience: int = 10
-    level_epochs: int = 500
+    epsilon: float = _DEFAULT["epsilon"]
+    patience: int = _DEFAULT["patience"]
+    level_epochs: int = _DEFAULT["level_epochs"]
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -276,33 +283,19 @@ def total_loss(
     return ad.add(rec, ad.mul(pde, lam)), rec, pde
 
 
-def latent_targets(
-    system: SystemSpec,
-    obs: ObserverMatrices,
-    trajectories,
-    discard: float = LATENT_TARGET_DISCARD,
-):
+def latent_targets(system: SystemSpec, obs: ObserverMatrices, sets):
     """(states, latents) pairs for the autonomous data-fit term.
 
-    Each trajectory is re-integrated without noise from its recorded
-    initial condition, one ``simulate`` call per time grid; the pairs are
+    Each trajectory set is re-integrated without noise from its recorded
+    initial conditions in one ``simulate`` call; the pairs are
     ``observer_pairs`` of those, in (state, latent) order.
     """
-    if not all(np.all(tr.inputs == 0.0) for tr in trajectories):
+    if not all(np.all(runs.inputs == 0.0) for runs in sets):
         raise ContractViolation("autonomous pretraining needs u == 0 data")
-    clean = []
-    for grid in _grids(trajectories):
-        x0 = np.stack([tr.states[0] for tr in grid])
-        dt, n = grid[0].dt, grid[0].n_steps
-        clean += simulate(system, x0, None, dt, n * dt, 0.0, 0).runs()
-    zs, xs = observer_pairs(obs, clean, discard)
+    clean = [simulate(system, runs.states[:, 0], None, runs.dt,
+                      runs.n_steps * runs.dt, 0.0, 0) for runs in sets]
+    zs, xs = observer_pairs(obs, clean)
     return xs, zs
-
-
-def _grids(trajectories) -> list[list[Trajectory]]:
-    """Consecutive trajectories that share one time grid, in order."""
-    return [list(g) for _, g in
-            itertools.groupby(trajectories, lambda tr: (tr.dt, tr.n_steps))]
 
 
 def compute_f_scale(system: SystemSpec, states: np.ndarray) -> float:
@@ -320,7 +313,7 @@ def phase1_train(
     maps: KklMaps,
     theta: ParamStore,
     phi: ParamStore,
-    trajectories,
+    sets,
     config: TrainConfig,
 ) -> Phase1Result:
     """Sequential autonomous pretraining of the base maps (in place).
@@ -330,7 +323,7 @@ def phase1_train(
     encoder, reconstruction on data states plus collocation points,
     another ``config.epochs`` steps.
     """
-    x_data, z_data = latent_targets(system, obs, trajectories)
+    x_data, z_data = latent_targets(system, obs, sets)
     f_scale = compute_f_scale(system, x_data) if config.normalize else 1.0
 
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
@@ -372,16 +365,6 @@ def phase1_train(
                         log=encoder_log + run.log, abort=run.abort)
 
 
-def _gather_windows(trajectories, picks, w: int, shift: int = 0):
-    """Stack input windows ending at step k+shift for each (traj, k) pick."""
-    rows = []
-    for t_idx, k in picks:
-        u = trajectories[t_idx].inputs
-        idx = np.clip(k + shift + np.arange(w) - (w - 1), 0, len(u) - 1)
-        rows.append(u[idx])
-    return np.stack(rows)
-
-
 def _check_zero_input_gating(maps, spec, psi):
     """Zero windows must give the exact zero s factors training applies."""
     zero_win = np.zeros((2, spec.window, spec.lstm.input_size))
@@ -401,7 +384,7 @@ def phase2_train(
     theta_base: ParamStore,
     phi_base: ParamStore,
     spec,
-    trajectories,
+    sets,
     config: TrainConfig,
     f_scale: float = 1.0,
 ) -> Phase2Result:
@@ -409,23 +392,29 @@ def phase2_train(
 
     The spec's type names the variant: a HyperNetSpec trains the dynamic
     hypernetwork, an InjectionSpec the static injection network. Every
-    trajectory must share one dt and one length: both variants take them
-    from the first trajectory.
+    trajectory set must share one dt and one length; several sets are
+    joined into one before training.
     """
-    grids = sorted({(tr.dt, tr.n_steps) for tr in trajectories})
+    grids = sorted({(runs.dt, runs.n_steps) for runs in sets})
     if len(grids) > 1:
         raise ContractViolation(
             "phase 2 needs trajectories on one time grid, got (dt, n_steps) "
             f"{grids}"
         )
+    # one set is used as it is; several are joined into one copy
+    runs = sets[0] if len(sets) == 1 else TrajectorySet(
+        sets[0].dt, sets[0].times,
+        *(np.concatenate([getattr(s, name) for s in sets])
+          for name in ("states", "inputs", "outputs")),
+        sum((s.signals for s in sets), ()))
     if isinstance(spec, HyperNetSpec):
         return _train_dynamic(
-            system, obs, maps, theta_base, phi_base, spec, trajectories,
-            config, f_scale,
+            system, obs, maps, theta_base, phi_base, spec, runs, config,
+            f_scale,
         )
     if isinstance(spec, InjectionSpec):
         return _train_static(
-            system, obs, maps, theta_base, phi_base, spec, trajectories, config
+            system, obs, maps, theta_base, phi_base, spec, runs, config
         )
     raise ContractViolation(
         f"phase 2 needs a HyperNetSpec or an InjectionSpec, got "
@@ -433,24 +422,25 @@ def phase2_train(
     )
 
 
-def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
+def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, runs,
                    config, f_scale):
     psi = init_hypernet_params(spec, config.seed)
     _check_zero_input_gating(maps, spec, psi)
 
-    dt = trajectories[0].dt
-    n_steps = trajectories[0].n_steps
+    dt, n_steps = runs.dt, runs.n_steps
+    taps = np.arange(spec.window) - (spec.window - 1)
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
     run = _Fit(psi, config, frozen=(theta_base, phi_base))
     for epoch in range(1, config.epochs + 1):
-        t_idx = batch_rng.integers(0, len(trajectories), size=config.batch)
+        t_idx = batch_rng.integers(0, runs.count, size=config.batch)
         k_idx = batch_rng.integers(0, n_steps, size=config.batch)
-        picks = list(zip(t_idx, k_idx))
-        x = np.stack([trajectories[t].states[k] for t, k in picks])
-        u_now = np.stack([trajectories[t].inputs[k] for t, k in picks])
-        win_pre = _gather_windows(trajectories, picks, spec.window, 0)
-        win_post = _gather_windows(trajectories, picks, spec.window, 1)
-        windows = np.concatenate([win_pre, win_post])
+        x = runs.states[t_idx, k_idx]
+        u_now = runs.inputs[t_idx, k_idx]
+        # the input windows ending at steps k (pre) and k + 1 (post),
+        # clipped to the run
+        ends = np.concatenate([k_idx, k_idx + 1])
+        windows = runs.inputs[np.tile(t_idx, 2)[:, None],
+                              np.clip(ends[:, None] + taps, 0, n_steps)]
 
         def step(pv):
             b = config.batch
@@ -476,28 +466,26 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, trajectories,
     return Phase2Result(params=psi, log=run.log, abort=run.abort)
 
 
-def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
+def _train_static(system, obs, maps, theta_base, phi_base, spec, runs,
                   config):
     xi = init_injection_params(spec, config.seed)
 
-    dt = trajectories[0].dt
-    n_steps = trajectories[0].n_steps
+    dt, n_steps = runs.dt, runs.n_steps
     seg = min(config.segment_steps, n_steps)
     discard = min(config.segment_discard, seg - 1)
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
     run = _Fit(xi, config, frozen=(theta_base, phi_base))
     for epoch in range(1, config.epochs + 1):
-        t_idx = batch_rng.integers(0, len(trajectories), size=config.segment_batch)
+        t_idx = batch_rng.integers(0, runs.count, size=config.segment_batch)
         k_idx = batch_rng.integers(0, n_steps - seg + 1, size=config.segment_batch)
 
         def step(pv):
             total = None
             count = 0
             for t, k0 in zip(t_idx, k_idx):
-                tr = trajectories[t]
-                inject_full = make_step_injection(pv, spec, tr.inputs, dt)
+                inject_full = make_step_injection(pv, spec, runs.inputs[t], dt)
                 nodes = simulate_latent_nodes(
-                    obs, tr.outputs[k0 : k0 + seg + 1], dt,
+                    obs, runs.outputs[t, k0 : k0 + seg + 1], dt,
                     injection=lambda z, k: inject_full(z, k0 + k),
                 )
                 kept = nodes[discard:]
@@ -505,7 +493,7 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
                     [ad.reshape(z, (1, obs.n_z)) for z in kept], axis=0
                 )
                 xhat = decode(maps, phi_base, zmat)
-                target = tr.states[k0 + discard : k0 + seg + 1]
+                target = runs.states[t, k0 + discard : k0 + seg + 1]
                 diff = ad.sub(xhat, target)
                 part = ad.sum_all(ad.mul(diff, diff))
                 total = part if total is None else ad.add(total, part)
@@ -521,24 +509,23 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, trajectories,
     return Phase2Result(params=xi, log=run.log, abort=run.abort)
 
 
-def observer_pairs(obs: ObserverMatrices, trajectories,
-                   discard: float = LATENT_TARGET_DISCARD):
+def observer_pairs(obs: ObserverMatrices, sets):
     """(latent, state) pairs seen by the inverse map at estimation time.
 
     Runs the latent filter along each trajectory's recorded outputs, one
-    time-major block per time grid, and pairs it with the true states,
-    dropping the filter transient. Under forcing this relation is
-    one-to-many: the same filtered latent can correspond to different
-    states depending on the input history, which is exactly the gap the
-    training-only baseline attempts to close.
+    time-major block per trajectory set, and pairs it with the true
+    states, dropping the filter transient; the pairs are run-major, set
+    after set. Under forcing this relation is one-to-many: the same
+    filtered latent can correspond to different states depending on the
+    input history, which is exactly the gap the training-only baseline
+    attempts to close.
     """
     zs, xs = [], []
-    for grid in _grids(trajectories):
-        y = np.stack([tr.outputs for tr in grid], axis=1)  # time-major
-        z = simulate_latent(obs, y, grid[0].dt)
-        k0 = int(np.ceil(discard * len(z)))
-        zs += [z[k0:, i] for i in range(len(grid))]
-        xs += [tr.states[k0:] for tr in grid]
+    for runs in sets:
+        z = simulate_latent(obs, runs.outputs.swapaxes(0, 1), runs.dt)
+        k0 = int(np.ceil(LATENT_TARGET_DISCARD * len(z)))
+        zs.append(z[k0:].swapaxes(0, 1).reshape(-1, obs.n_z))
+        xs.append(runs.states[:, k0:].reshape(-1, runs.states.shape[2]))
     return np.concatenate(zs), np.concatenate(xs)
 
 
@@ -548,7 +535,7 @@ def curriculum_train(
     maps: KklMaps,
     theta_frozen: ParamStore,
     phi: ParamStore,
-    level_datasets,
+    level_sets,
     config: TrainConfig,
     schedule: CurriculumConfig,
 ) -> CurriculumResult:
@@ -560,15 +547,15 @@ def curriculum_train(
     epochs) or the per-level budget runs out, then the next level starts.
     The encoder and the latent pair are untouched.
     """
-    if len(level_datasets) < 1:
+    if len(level_sets) < 1:
         raise ContractViolation("need at least one curriculum level")
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
     run = _Fit(phi, config, frozen=(theta_frozen,))
     transitions = []
     epoch = 0
 
-    for level_idx, trajectories in enumerate(level_datasets, start=1):
-        z_data, x_data = observer_pairs(obs, trajectories)
+    for level_idx, runs in enumerate(level_sets, start=1):
+        z_data, x_data = observer_pairs(obs, [runs])
         transitions.append((level_idx, epoch + 1))
         history: list[float] = []
         for _ in range(schedule.level_epochs):

@@ -7,7 +7,7 @@ import hyperkkl.autodiff as ad
 from hyperkkl import seeding
 from hyperkkl.dynamics import (
     SystemSpec,
-    Trajectory,
+    TrajectorySet,
     eval_vector_field,
     n_steps_for,
 )
@@ -242,8 +242,9 @@ def oracle_rk4_step(system, x, u_of_t, t: float, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def oracle_simulate(system, x0, signal, dt, horizon, sigma, seed) -> Trajectory:
-    """One run integrated alone, step by step with ``oracle_rk4_step``.
+def oracle_simulate(system, x0, signal, dt, horizon, sigma, seed):
+    """One run integrated alone, step by step with ``oracle_rk4_step``,
+    as a one-run ``TrajectorySet``.
 
     The oracle of the batched ``dynamics.simulate``: the input is the
     signal evaluated at each stage's own time, the noise is drawn from
@@ -281,8 +282,8 @@ def oracle_simulate(system, x0, signal, dt, horizon, sigma, seed) -> Trajectory:
     outputs = np.asarray(system.h(states)).reshape(n + 1, system.n_y)
     if sigma > 0:
         outputs = outputs + sigma * eta
-    return Trajectory(dt=dt, times=times, states=states, inputs=inputs,
-                      outputs=outputs, signal=signal)
+    return TrajectorySet(dt, times, states[None], inputs[None], outputs[None],
+                         (signal,))
 
 
 def oracle_latent(obs, y, dt: float) -> np.ndarray:
@@ -308,21 +309,22 @@ def oracle_latent(obs, y, dt: float) -> np.ndarray:
     return np.stack(zs)
 
 
-def oracle_observer_pairs(obs, trajectories, discard: float = 0.2):
+def oracle_observer_pairs(obs, sets, discard: float = 0.2):
     """``training.observer_pairs`` one trajectory at a time."""
     zs, xs = [], []
-    for tr in trajectories:
-        z = oracle_latent(obs, tr.outputs, tr.dt)
-        k0 = int(np.ceil(discard * len(z)))
-        zs.append(z[k0:])
-        xs.append(tr.states[k0:])
+    for runs in sets:
+        for y, states in zip(runs.outputs, runs.states):
+            z = oracle_latent(obs, y, runs.dt)
+            k0 = int(np.ceil(discard * len(z)))
+            zs.append(z[k0:])
+            xs.append(states[k0:])
     return np.concatenate(zs), np.concatenate(xs)
 
 
-def oracle_latent_targets(system, obs, trajectories):
+def oracle_latent_targets(system, obs, sets):
     """``training.latent_targets`` one trajectory at a time."""
-    clean = [oracle_simulate(system, tr.states[0], None, tr.dt,
-                             tr.n_steps * tr.dt, 0.0, 0)
-             for tr in trajectories]
+    clean = [oracle_simulate(system, states[0], None, runs.dt,
+                             runs.n_steps * runs.dt, 0.0, 0)
+             for runs in sets for states in runs.states]
     zs, xs = oracle_observer_pairs(obs, clean)
     return xs, zs

@@ -127,8 +127,7 @@ class TestGen:
         assert "run_manifest.jsonl" in files
         ds = read_dataset(gen_dir / "duffing_zero_n4_s1.hkkl")
         assert ds.count == 4
-        for tr in ds.trajectories:
-            assert np.all(tr.inputs == 0.0)
+        assert np.all(ds.trajectories.inputs == 0.0)
         records = read_manifest(gen_dir)
         assert len(records) == 1
         assert records[0]["command"] == "gen"
@@ -159,7 +158,7 @@ class TestGen:
             "--seed", "3", "--horizon", "2.0", "--out", str(out),
         ) == 0
         ds = read_dataset(out / "duffing_mixture_n10_s3.hkkl")
-        assert all(len(tr.signal.components) >= 2 for tr in ds.trajectories)
+        assert all(len(sig.components) >= 2 for sig in ds.trajectories.signals)
 
     def test_a_request_too_large_for_memory_is_a_user_error(self, tmp_path,
                                                            capsys):

@@ -21,7 +21,7 @@ from hyperkkl.data import (
     write_dataset,
 )
 from hyperkkl.dynamics import (
-    Trajectory,
+    TrajectorySet,
     duffing,
     sample_initial_conditions,
     van_der_pol,
@@ -54,7 +54,7 @@ class TestGeneration:
     def test_seed_range_is_contiguous(self):
         ds = generate_dataset(duffing(), "constant", 5, 100, horizon=1.0)
         assert ds.seed_range == (100, 104)
-        assert [tr.signal.seed for tr in ds.trajectories] == [
+        assert [sig.seed for sig in ds.trajectories.signals] == [
             100, 101, 102, 103, 104]
 
     def test_overlap_predicate(self):
@@ -66,25 +66,26 @@ class TestGeneration:
         ds = generate_dataset(system, "mixture", 6, 7, dt=0.05, horizon=2.0,
                               sigma=0.01)
         x0s = sample_initial_conditions(system, 6, 7)
-        for i, tr in enumerate(ds.trajectories):
+        runs = ds.trajectories
+        for i in range(6):
             one = oracle_simulate(system, x0s[i],
                                   sample_signal("mixture", 7 + i), 0.05, 2.0,
                                   0.01, 7 + i)
-            assert np.array_equal(tr.states, one.states)
-            assert np.array_equal(tr.inputs, one.inputs)
-            assert np.array_equal(tr.outputs, one.outputs)
-            assert tr.signal == one.signal
+            assert np.array_equal(runs.states[i], one.states[0])
+            assert np.array_equal(runs.inputs[i], one.inputs[0])
+            assert np.array_equal(runs.outputs[i], one.outputs[0])
+            assert runs.signals[i] == one.signals[0]
 
     def test_regimes_record_signals(self):
         ds = generate_dataset(duffing(), "mixture", 4, 3, horizon=2.0)
-        for tr in ds.trajectories:
-            assert tr.signal.kind == "mixture"
-            assert len(tr.signal.components) >= 2
+        for sig in ds.trajectories.signals:
+            assert sig.kind == "mixture"
+            assert len(sig.components) >= 2
 
     def test_zero_regime_zero_inputs(self):
         ds = generate_dataset(duffing(), "zero", 2, 3, horizon=1.0)
-        for tr in ds.trajectories:
-            assert np.all(tr.inputs == 0.0)
+        assert np.all(ds.trajectories.inputs == 0.0)
+        assert ds.trajectories.signals == (None, None)
 
 
 class TestDatasetFormat:
@@ -102,14 +103,15 @@ class TestDatasetFormat:
         assert back.seed == 11
         assert back.dt == ds.dt and back.horizon == ds.horizon
         assert back.sigma == ds.sigma
-        for a, b in zip(ds.trajectories, back.trajectories):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.inputs, b.inputs)
-            assert np.array_equal(a.outputs, b.outputs)
-            if regime == "zero":
-                assert b.signal is None
-            else:
-                assert a.signal == b.signal
+        a, b = ds.trajectories, back.trajectories
+        assert np.array_equal(a.times, b.times)
+        for name in ("states", "inputs", "outputs"):
+            assert getattr(b, name).shape == getattr(a, name).shape
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        if regime == "zero":
+            assert b.signals == (None,) * 3
+        else:
+            assert a.signals == b.signals
 
     def test_write_is_deterministic(self, tmp_path):
         ds = generate_dataset(duffing(), "sinusoid", 2, 5, horizon=1.0)
@@ -122,10 +124,25 @@ class TestDatasetFormat:
         path = tmp_path / "set.hkkl"
         write_dataset(generate_dataset(duffing(), "sinusoid", 1, 5,
                                        horizon=1.0), path)
-        tr = read_dataset(path).trajectories[0]
-        for values in (tr.states, tr.inputs, tr.outputs):
+        runs = read_dataset(path).trajectories
+        for values in (runs.states, runs.inputs, runs.outputs):
             with pytest.raises(ValueError, match="read-only"):
-                values[0, 0] = 1.0
+                values[0, 0, 0] = 1.0
+
+    def test_read_holds_no_second_copy_of_the_data(self, tmp_path):
+        path = tmp_path / "set.hkkl"
+        write_dataset(generate_dataset(duffing(), "sinusoid", 80, 5), path)
+        data_bytes = 8 * 80 * 1001 * 4
+        tracemalloc.start()
+        try:
+            runs = read_dataset(path).trajectories
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * data_bytes
+        # the states, inputs and outputs are views of one buffer
+        base = runs.states.base
+        assert runs.inputs.base is base and runs.outputs.base is base
 
     def test_huge_step_count_is_refused_before_allocating(self, tmp_path):
         path = tmp_path / "set.hkkl"
@@ -148,16 +165,16 @@ class TestDatasetFormat:
     def test_csv_export(self, tmp_path):
         ds = generate_dataset(duffing(), "constant", 1, 5, horizon=1.0)
         path = tmp_path / "traj.csv"
-        trajectory_to_csv(ds.trajectories[0], path)
+        trajectory_to_csv(ds.trajectories, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,x1,x2,u1,y1"
         assert len(lines) == 22  # header + 21 samples
         row = [float(v) for v in lines[1].split(",")]
-        tr = ds.trajectories[0]
-        assert row[0] == tr.times[0]
-        assert row[1:3] == list(tr.states[0])
-        assert row[3] == tr.inputs[0, 0]
-        assert row[4] == tr.outputs[0, 0]
+        runs = ds.trajectories
+        assert row[0] == runs.times[0]
+        assert row[1:3] == list(runs.states[0, 0])
+        assert row[3] == runs.inputs[0, 0, 0]
+        assert row[4] == runs.outputs[0, 0, 0]
 
 
 class ShortReads:
@@ -280,10 +297,8 @@ class TestCheckpointFormat:
             dt, u, y, xhat = (ref[k] for k in ("dt", "inputs", "outputs",
                                                "xhat"))
         n = len(y)
-        tr = Trajectory(
-            dt=float(dt), times=np.arange(n) * float(dt),
-            states=np.zeros((n, 2)), inputs=u, outputs=y,
-        )
+        runs = TrajectorySet(float(dt), np.arange(n) * float(dt),
+                             np.zeros((1, n, 2)), u[None], y[None], (None,))
         # the stored estimate is the dense decode, row by row through a
         # delta ParamStore, and reproduces bitwise
         zs = simulate_latent(bundle.obs, y, float(dt))
@@ -296,7 +311,7 @@ class TestCheckpointFormat:
             dense[row] = decode(bundle.maps, eff, zs[row])
         assert np.array_equal(dense, xhat)
         # run_observer applies the same deltas as rank factors
-        est = run_observer(bundle, tr)
+        est = run_observer(bundle, runs)[0]
         assert np.array_equal(est[~live], xhat[~live])
         assert np.max(np.abs(est - xhat)) <= 1e-12 * np.max(np.abs(xhat))
 

@@ -71,6 +71,28 @@ class TestVectorField:
             expected[1] = 0.7
             assert np.allclose(du, expected)
 
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_drift_is_the_stacked_formula_bitwise(self, name, rng):
+        # each drift writes its coordinates into one array; the values
+        # must be those of stacking the per-coordinate expressions
+        formulas = {
+            "duffing": lambda x: [x[:, 1] ** 3, -x[:, 0]],
+            "vanderpol": lambda x: [
+                x[:, 1], 3.0 * (1.0 - x[:, 0] ** 2) * x[:, 1] - x[:, 0]],
+            "rossler": lambda x: [
+                -x[:, 1] - x[:, 2], x[:, 0] + 0.1 * x[:, 1],
+                0.1 + x[:, 2] * (x[:, 0] - 14.0)],
+            "lorenz": lambda x: [
+                10.0 * (x[:, 1] - x[:, 0]), x[:, 0] * (28.0 - x[:, 2]) - x[:, 1],
+                x[:, 0] * x[:, 1] - 8.0 / 3.0 * x[:, 2]],
+        }
+        system = get_system(name)
+        x = 5.0 * rng.normal(size=(7, system.n_x))
+        u = rng.normal(size=(7, 1))
+        want = np.stack(formulas[name](x), axis=-1)
+        want[:, 1] += u[:, 0]
+        assert np.array_equal(system.f(x, u), want)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
             eval_vector_field(duffing(), np.zeros(3), np.array([0.0]))
@@ -155,10 +177,11 @@ class TestSimulate:
 
     def test_inputs_column_records_signal(self):
         sig = InputSignal(kind="constant", offset=0.25)
-        tr = simulate(duffing(), np.zeros((1, 2)), [sig], 0.05, 1.0, 0.0,
-                      seed=0).runs()[0]
-        assert np.all(tr.inputs == 0.25)
-        assert tr.inputs.shape == (21, 1)
+        runs = simulate(duffing(), np.zeros((1, 2)), [sig], 0.05, 1.0, 0.0,
+                        seed=0)
+        assert np.all(runs.inputs == 0.25)
+        assert runs.inputs.shape == (1, 21, 1)
+        assert runs.signals == (sig,)
 
     def test_bad_dt(self):
         with pytest.raises(ContractViolation):
@@ -197,14 +220,14 @@ class TestBatch:
         batch = simulate(system, x0, signals, 0.05, 10.0, 0.01, seed=5)
         assert batch.times.shape == (201,)
         assert batch.states.shape == (7, 201, system.n_x)
-        for i, tr in enumerate(batch.runs()):
+        for i in range(7):
             one = oracle_simulate(system, x0[i], signals[i], 0.05, 10.0, 0.01,
                                   5 + i)
-            assert np.array_equal(tr.times, one.times)
-            assert np.array_equal(tr.states, one.states)
-            assert np.array_equal(tr.inputs, one.inputs)
-            assert np.array_equal(tr.outputs, one.outputs)
-            assert tr.signal == signals[i]
+            assert np.array_equal(batch.times, one.times)
+            assert np.array_equal(batch.states[i], one.states[0])
+            assert np.array_equal(batch.inputs[i], one.inputs[0])
+            assert np.array_equal(batch.outputs[i], one.outputs[0])
+            assert batch.signals[i] == signals[i]
 
     def test_one_step_matches_the_scalar_step(self):
         # run 0 at zero input, run 1 under 0.8 sin(1.3 t + 0.4)
@@ -265,10 +288,8 @@ class TestInitialConditions:
             f=lambda x, u: x, h=lambda x: x[..., :1],
             domain=np.array([[0.0, 0.0], [0.0, 0.0]]),
         )
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="degenerate domain"):
             sample_initial_conditions(point, 1, seed=0)
-        pts = sample_initial_conditions(point, 1, seed=0, allow_degenerate=True)
-        assert np.all(pts == 0.0)
 
     def test_seeded(self):
         sys = van_der_pol()

@@ -13,7 +13,7 @@ from conftest import (
 
 from hyperkkl.checkpoints import CheckpointBundle
 from hyperkkl.data import Dataset, generate_dataset
-from hyperkkl.dynamics import Trajectory, duffing, simulate
+from hyperkkl.dynamics import TrajectorySet, duffing, simulate
 from hyperkkl.errors import ContractViolation
 from hyperkkl.evaluation import (
     EvalReport,
@@ -113,39 +113,50 @@ class TestRunObserver:
     def test_manufactured_error_decays(self):
         bundle = manufactured_bundle()
         sys = linear_test_system()
-        tr = simulate(sys, np.array([[0.9]]), None, 0.005, 8.0, 0.0,
-                      seed=0).runs()[0]
-        xhat = run_observer(bundle, tr)
-        err = np.abs(tr.states - xhat)[:, 0]
+        runs = simulate(sys, np.array([[0.9]]), None, 0.005, 8.0, 0.0, seed=0)
+        xhat = run_observer(bundle, runs)
+        assert xhat.shape == runs.states.shape
+        err = np.abs(runs.states - xhat)[0, :, 0]
         k0 = int(0.5 / 0.005)
-        c0 = err[k0] * math.exp(tr.times[k0])
+        c0 = err[k0] * math.exp(runs.times[k0])
         sl = slice(k0, len(err))
-        assert np.all(err[sl] <= 1.05 * c0 * np.exp(-tr.times[sl]) + 1e-12)
+        assert np.all(err[sl] <= 1.05 * c0 * np.exp(-runs.times[sl]) + 1e-12)
+
+    @pytest.mark.parametrize("variant", ["autonomous", "dynamic", "static"])
+    def test_each_run_is_its_estimate_alone_bitwise(self, variant):
+        bundle = duffing_bundles([variant])[variant]
+        runs = generate_dataset(duffing(), "sinusoid", 3, seed=5,
+                                horizon=5.0).trajectories
+        xhat = run_observer(bundle, runs)
+        assert xhat.shape == (3, 101, 2)
+        for i in range(3):
+            alone = TrajectorySet(runs.dt, runs.times, runs.states[i:i + 1],
+                                  runs.inputs[i:i + 1], runs.outputs[i:i + 1],
+                                  runs.signals[i:i + 1])
+            assert np.array_equal(xhat[i], run_observer(bundle, alone)[0])
 
     def test_estimates_are_causal(self):
         bundles = duffing_bundles(["dynamic"])
         sys = duffing()
         ds = generate_dataset(sys, "sinusoid", 1, seed=5, horizon=5.0, sigma=0.01)
-        tr = ds.trajectories[0]
-        full = run_observer(bundles["dynamic"], tr)
+        runs = ds.trajectories
+        full = run_observer(bundles["dynamic"], runs)
         cut = 60
-        short = Trajectory(
-            dt=tr.dt, times=tr.times[:cut], states=tr.states[:cut],
-            inputs=tr.inputs[:cut], outputs=tr.outputs[:cut],
-            signal=tr.signal,
+        short = TrajectorySet(
+            runs.dt, runs.times[:cut], runs.states[:, :cut],
+            runs.inputs[:, :cut], runs.outputs[:, :cut], runs.signals,
         )
         prefix = run_observer(bundles["dynamic"], short)
-        assert np.array_equal(full[:cut], prefix)
+        assert np.array_equal(full[:, :cut], prefix)
 
     @pytest.mark.parametrize("variant", ["dynamic", "static"])
     def test_zero_input_recovery_bitwise(self, variant):
         bundles = duffing_bundles(["autonomous", variant])
         sys = duffing()
         ds = generate_dataset(sys, "zero", 3, seed=9, horizon=5.0, sigma=0.01)
-        for tr in ds.trajectories:
-            a = run_observer(bundles["autonomous"], tr)
-            b = run_observer(bundles[variant], tr)
-            assert np.array_equal(a, b)
+        a = run_observer(bundles["autonomous"], ds.trajectories)
+        b = run_observer(bundles[variant], ds.trajectories)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("variant", ["dynamic", "static"])
     def test_rows_of_zero_windows_stay_autonomous_bitwise(self, variant):
@@ -153,14 +164,14 @@ class TestRunObserver:
         # with fewer rows M) differs in its bits from the full decode at
         # each of these cuts, at 1 and at 2 BLAS threads.
         bundles = duffing_bundles(["autonomous", variant], hidden=(32, 32))
-        tr = generate_dataset(duffing(), "sinusoid", 1, seed=11, horizon=5.0,
-                              sigma=0.0).trajectories[0]
-        a = run_observer(bundles["autonomous"], tr)
+        runs = generate_dataset(duffing(), "sinusoid", 1, seed=11,
+                                horizon=5.0, sigma=0.0).trajectories
+        a = run_observer(bundles["autonomous"], runs)[0]
         for cut in (3, 10, 37, 61):
-            inputs = tr.inputs.copy()
-            inputs[:cut] = 0.0
+            inputs = runs.inputs.copy()
+            inputs[:, :cut] = 0.0
             b = run_observer(bundles[variant],
-                             dataclasses.replace(tr, inputs=inputs))
+                             dataclasses.replace(runs, inputs=inputs))[0]
             assert np.array_equal(a[:cut], b[:cut])
             assert not np.array_equal(a[cut:], b[cut:])
 
@@ -170,9 +181,8 @@ class TestRunObserver:
         sys = duffing()
         ds = generate_dataset(sys, "sinusoid", 1, seed=11, horizon=5.0,
                               sigma=0.0)
-        tr = ds.trajectories[0]
-        a = run_observer(bundles["autonomous"], tr)
-        b = run_observer(bundles[variant], tr)
+        a = run_observer(bundles["autonomous"], ds.trajectories)
+        b = run_observer(bundles[variant], ds.trajectories)
         assert not np.array_equal(a, b)
 
 

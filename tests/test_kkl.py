@@ -190,14 +190,12 @@ class TestSimulateLatent:
         # filter of run i alone, bit for bit
         obs = build_observer_matrices(system.n_x, system.n_y)
         ds = generate_dataset(system, "mixture", 7, seed=8, horizon=10.0)
-        y = np.stack([tr.outputs for tr in ds.trajectories], axis=1)
-        zs = simulate_latent(obs, y, ds.dt)
+        outputs = ds.trajectories.outputs
+        zs = simulate_latent(obs, outputs.swapaxes(0, 1), ds.dt)
         assert zs.shape == (201, 7, obs.n_z)
-        for i, tr in enumerate(ds.trajectories):
-            assert np.array_equal(zs[:, i], oracle_latent(obs, tr.outputs,
-                                                          ds.dt))
-            assert np.array_equal(zs[:, i], simulate_latent(obs, tr.outputs,
-                                                            ds.dt))
+        for i, y in enumerate(outputs):
+            assert np.array_equal(zs[:, i], oracle_latent(obs, y, ds.dt))
+            assert np.array_equal(zs[:, i], simulate_latent(obs, y, ds.dt))
 
     def test_a_non_finite_run_stops_the_block(self):
         obs = build_observer_matrices(2, 1)
@@ -396,12 +394,11 @@ class TestManufacturedObserver:
         obs, c = analytic_linear_observer()
         maps, theta, phi = analytic_linear_maps(c)
         dt = 0.005
-        traj = simulate(sys, np.array([[0.8]]), None, dt, 10.0, 0.0,
-                        seed=0).runs()[0]
-        zs = simulate_latent(obs, traj.outputs, dt)
+        runs = simulate(sys, np.array([[0.8]]), None, dt, 10.0, 0.0, seed=0)
+        zs = simulate_latent(obs, runs.outputs[0], dt)
         xhat = np.array([decode(maps, phi, z) for z in zs])
-        err = np.abs(traj.states[:, 0] - xhat[:, 0])
-        ts = traj.times
+        err = np.abs(runs.states[0, :, 0] - xhat[:, 0])
+        ts = runs.times
         k0 = int(0.5 / dt)
         c0 = err[k0] * math.exp(ts[k0])
         later = slice(k0, int(8.0 / dt))

@@ -50,7 +50,7 @@ def test_tracer_counts_one_kernel_call_per_step(monkeypatch):
         ds = data.generate_dataset(dynamics.duffing(), "zero", 3, 4,
                                    horizon=2.0, sigma=0.01)
         obs = kkl.build_observer_matrices(2, 1)
-        training.latent_targets(ds.system, obs, ds.trajectories)
+        training.latent_targets(ds.system, obs, [ds.trajectories])
     finally:
         tracer.remove()
     counts = tracer.counts
@@ -63,3 +63,31 @@ def test_tracer_counts_one_kernel_call_per_step(monkeypatch):
     latent = [s for s in spans if s[0] == "kkl.simulate_latent_nodes"]
     assert len(latent) == 1
     assert counts["kkl.simulate_latent_nodes.steps"] == 40 * len(latent)
+
+
+def test_traced_eval_names_one_span_per_cell_and_counts_steps(monkeypatch):
+    # run_observer takes a cell's whole test set: its span is named after
+    # the variant, and the latent filter still counts each run's steps
+    monkeypatch.syspath_prepend(str(ROOT))
+    trace = importlib.import_module("pipebench.trace")
+    from hyperkkl import data, dynamics, evaluation, kkl
+    from hyperkkl.checkpoints import CheckpointBundle
+
+    obs = kkl.build_observer_matrices(2, 1)
+    maps = kkl.make_maps(2, obs.n_z, hidden=(6,))
+    theta, phi = kkl.init_map_params(maps, 0)
+    bundle = CheckpointBundle(variant="autonomous", system_name="duffing",
+                              maps=maps, obs=obs, theta=theta, phi=phi)
+    ds = data.generate_dataset(dynamics.duffing(), "sinusoid", 3, 4,
+                               horizon=2.0)
+    tracer = trace.Tracer("test")
+    tracer.install()
+    try:
+        cell = evaluation.evaluate_cell(bundle, ds)
+    finally:
+        tracer.remove()
+    assert cell.n == 3
+    names = [s[0] for s in tracer.spans]
+    assert [n for n in names if n.startswith("evaluation.run_observer")] == [
+        "evaluation.run_observer.autonomous"]
+    assert tracer.counts["kkl.simulate_latent_nodes.steps"] == 3 * 40

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -15,6 +16,7 @@ from conftest import (
 
 import hyperkkl.autodiff as ad
 from hyperkkl import seeding, training
+from hyperkkl.config import SETTINGS
 from hyperkkl.data import generate_dataset
 from hyperkkl.dynamics import duffing, van_der_pol
 from hyperkkl.errors import ContractViolation, NumericError
@@ -83,6 +85,15 @@ class TestConfigs:
                 TrainConfig(**{setting: value})
         with pytest.raises(ContractViolation, match="^level_epochs must be "):
             CurriculumConfig(level_epochs=0)
+
+    def test_defaults_are_the_settings_table(self):
+        table = {row.name: row.default for row in SETTINGS
+                 if "train" in row.commands}
+        names = {"lam": "lambda", "clip_norm": "clip"}
+        for cls in (TrainConfig, CurriculumConfig):
+            for f in dataclasses.fields(cls):
+                assert f.default == table[names.get(f.name, f.name)], f.name
+        assert TrainConfig().seed == 7  # the CLI's train seed
 
 
 class TestNormalization:
@@ -184,7 +195,7 @@ class TestLatentTargets:
         sys = duffing()
         obs = build_observer_matrices(2, 1)
         ds = tiny_dataset(sys, "zero", count=2, horizon=5.0, sigma=0.01)
-        xs, zs = latent_targets(sys, obs, ds.trajectories)
+        xs, zs = latent_targets(sys, obs, [ds.trajectories])
         n_keep = 101 - int(np.ceil(0.2 * 101))
         assert xs.shape == (2 * n_keep, 2)
         assert zs.shape == (2 * n_keep, 5)
@@ -194,19 +205,19 @@ class TestLatentTargets:
         obs = build_observer_matrices(2, 1)
         ds = tiny_dataset(sys, "constant", count=1)
         with pytest.raises(ContractViolation):
-            latent_targets(sys, obs, ds.trajectories)
+            latent_targets(sys, obs, [ds.trajectories])
 
     def test_one_simulate_call_per_time_grid(self, monkeypatch):
         # two zero datasets of different horizons, as phase 1 takes them:
-        # each grid is re-simulated in one call, in order, and the pairs are
+        # each set is re-simulated in one call, in order, and the pairs are
         # those of one trajectory at a time
         sys = duffing()
         obs = build_observer_matrices(2, 1)
-        trajectories = (
+        sets = [
             tiny_dataset(sys, "zero", count=2, seed=1, horizon=2.0,
-                         sigma=0.01).trajectories
-            + tiny_dataset(sys, "zero", count=3, seed=3, horizon=3.0,
-                           sigma=0.01).trajectories)
+                         sigma=0.01).trajectories,
+            tiny_dataset(sys, "zero", count=3, seed=3, horizon=3.0,
+                         sigma=0.01).trajectories]
         grids = []
         real = training.simulate
 
@@ -216,9 +227,9 @@ class TestLatentTargets:
             return out
 
         monkeypatch.setattr(training, "simulate", spy)
-        xs, zs = latent_targets(sys, obs, trajectories)
+        xs, zs = latent_targets(sys, obs, sets)
         assert grids == [(2, 41), (3, 61)]
-        want_xs, want_zs = oracle_latent_targets(sys, obs, trajectories)
+        want_xs, want_zs = oracle_latent_targets(sys, obs, sets)
         assert np.array_equal(xs, want_xs)
         assert np.array_equal(zs, want_zs)
 
@@ -230,7 +241,7 @@ class TestPhase1:
         ds = tiny_dataset(sys, "zero", count=3, horizon=5.0, sigma=0.0)
         config = TrainConfig(epochs=25, batch=32, collocation=32, seed=seed)
         result = phase1_train(
-            sys, obs, maps, theta, phi, ds.trajectories, config
+            sys, obs, maps, theta, phi, [ds.trajectories], config
         )
         return result, maps, obs, sys
 
@@ -252,12 +263,12 @@ class TestPhase1:
     def test_trains_on_two_time_grids(self):
         sys = duffing()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=3)
-        trajectories = (
-            tiny_dataset(sys, "zero", count=2, seed=1, horizon=2.0).trajectories
-            + tiny_dataset(sys, "zero", count=2, seed=3,
-                           horizon=3.0).trajectories)
+        sets = [
+            tiny_dataset(sys, "zero", count=2, seed=1, horizon=2.0).trajectories,
+            tiny_dataset(sys, "zero", count=2, seed=3,
+                         horizon=3.0).trajectories]
         config = TrainConfig(epochs=5, batch=32, collocation=32, seed=5)
-        result = phase1_train(sys, obs, maps, theta, phi, trajectories, config)
+        result = phase1_train(sys, obs, maps, theta, phi, sets, config)
         assert len(result.log) == 10 and result.abort is None
 
     def test_bitwise_determinism(self):
@@ -317,7 +328,7 @@ class TestPhase2Dynamic:
         config = TrainConfig(epochs=15, batch=16, seed=seed, lam=0.1)
         before = [store_hash(s) for s in (theta, phi)]
         result = phase2_train(
-            sys, obs, maps, theta, phi, spec, ds.trajectories, config,
+            sys, obs, maps, theta, phi, spec, [ds.trajectories], config,
             f_scale=2.0,
         )
         return result, before, [store_hash(s) for s in (theta, phi)]
@@ -353,7 +364,7 @@ class TestPhase2Dynamic:
         ds = tiny_dataset(sys, "sinusoid", count=1, horizon=2.0)
         with pytest.raises(ContractViolation, match="got str"):
             phase2_train(sys, obs, maps, theta, phi, "dynamic",
-                         ds.trajectories, TrainConfig(epochs=1))
+                         [ds.trajectories], TrainConfig(epochs=1))
 
 
 class TestPhase2Static:
@@ -367,7 +378,7 @@ class TestPhase2Static:
                              segment_discard=10, segment_batch=2)
         before = [store_hash(s) for s in (theta, phi)]
         result = phase2_train(
-            sys, obs, maps, theta, phi, spec, ds.trajectories, config
+            sys, obs, maps, theta, phi, spec, [ds.trajectories], config
         )
         return result, before, [store_hash(s) for s in (theta, phi)]
 
@@ -426,11 +437,11 @@ class TestCurriculum:
         batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
         state = AdamState.for_params(phi)
         zs, xs = [], []
-        for tr in level:
-            z = simulate_latent(obs, tr.outputs, tr.dt)
+        for y, states in zip(level.outputs, level.states):
+            z = simulate_latent(obs, y, level.dt)
             k0 = int(np.ceil(0.2 * len(z)))
             zs.append(z[k0:])
-            xs.append(tr.states[k0:])
+            xs.append(states[k0:])
         z_data, x_data = np.concatenate(zs), np.concatenate(xs)
         for _ in range(15):
             idx = batch_rng.integers(0, len(x_data), size=32)
@@ -480,7 +491,7 @@ class TestNonFiniteGradient:
         if loop == "phase1":
             ds = tiny_dataset(sys, "zero", count=2, horizon=2.0)
             result = phase1_train(sys, obs, maps, theta, phi,
-                                  ds.trajectories, config)
+                                  [ds.trajectories], config)
             return result, (result.theta, result.phi)
         if loop == "curriculum":
             levels = [tiny_dataset(sys, regime, count=2, seed=seed,
@@ -498,7 +509,7 @@ class TestNonFiniteGradient:
             spec = build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
                                         mlp_hidden=(4,))
         result = phase2_train(sys, obs, maps, theta, phi, spec,
-                              ds.trajectories, config)
+                              [ds.trajectories], config)
         return result, (result.params,)
 
     def clean_bytes(self, monkeypatch, loop, steps):
