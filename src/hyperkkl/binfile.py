@@ -5,7 +5,9 @@ file size before anything is allocated, so a corrupt count never sizes
 a buffer; a file that ends early or carries bytes past its last field is
 refused with the byte offset. A block of f64 values is one read into one
 preallocated array, so the data is never held twice, and a read that
-comes back short is refused the same way.
+comes back short is refused the same way. ``skip`` steps over bytes
+without reading them, and ``f64_at`` reads chosen spans of a file into
+one array, each span checked against the file size before it allocates.
 """
 
 from __future__ import annotations
@@ -60,11 +62,26 @@ class Reader:
 
     def f64(self, count: int) -> np.ndarray:
         """``count`` little-endian f64 values, read into a fresh array."""
-        offset = self.need(8 * count)
-        out = np.empty(count, dtype="<f8")
-        got = self.fh.readinto(out)
-        if got != out.nbytes:
-            raise self._truncated(offset + got, out.nbytes, offset)
+        return self.f64_at([(self.fh.tell(), count)])
+
+    def skip(self, n: int) -> None:
+        """Step over n bytes that the file is known to hold, reading none."""
+        self.fh.seek(self.need(n) + n)
+
+    def f64_at(self, spans) -> np.ndarray:
+        """The f64 values of each (byte offset, count) span in turn, read
+        into one fresh array once the file is known to hold every span."""
+        for offset, count in spans:
+            if offset + 8 * count > self.size:
+                raise self._truncated(self.size, 8 * count, offset)
+        out = np.empty(sum(count for _, count in spans), dtype="<f8")
+        at = 0
+        for offset, count in spans:
+            self.fh.seek(offset)
+            got = self.fh.readinto(out[at : at + count])
+            if got != 8 * count:
+                raise self._truncated(offset + got, 8 * count, offset)
+            at += count
         return out
 
     def finish(self) -> None:

@@ -27,9 +27,21 @@ early or has bytes past the data is refused with the byte offset, and
 metadata that lacks a key the reader uses or gives it the wrong type is
 refused with the key (see META_KEYS).
 
-Each store's buffer is written in place, after the total count, and the
-data block is read into one array that the loaded stores are views of,
-so neither direction holds a second full-size copy.
+Each store's buffer is written in place, after the total count, so a
+write holds no second copy. Two reads check the same header, metadata,
+slices and value counts, and refuse the same files with the same
+messages:
+
+    full read (the default; ``train --base``): the data block is one
+        f64 read into one array, and the loaded stores are views of it;
+    observer read (``observer=True``; ``eval`` and ``plot``): only the
+        blocks an observer runs are read, each store into its own array:
+        obs.*, dec.*, and inj.* (static) or hyper.lstm.* and
+        hyper.dec_head.* (dynamic). The encoder T (enc.*) and the
+        hypernetwork's encoder head (hyper.enc_head.*) feed only the
+        training residual; their bytes are stepped over, never read.
+        The bundle has theta None and a psi without hyper.enc_head.*
+        slices, and write_checkpoint refuses it.
 """
 
 from __future__ import annotations
@@ -65,6 +77,8 @@ MAGIC = b"HKKP"
 VERSION = 1
 
 VARIANTS = ("autonomous", "curriculum", "static", "dynamic")
+# the blocks an observer read steps over: they feed only the training residual
+OBSERVER_SKIPS = ("enc.", "hyper.enc_head.")
 
 
 @dataclass
@@ -73,7 +87,7 @@ class CheckpointBundle:
     system_name: str
     maps: KklMaps
     obs: ObserverMatrices
-    theta: ParamStore
+    theta: ParamStore | None    # None in an observer read
     phi: ParamStore
     f_scale: float = 1.0
     train_seed_range: tuple[int, int] | None = None
@@ -206,6 +220,9 @@ def _stores_of(bundle: CheckpointBundle):
 
 
 def write_checkpoint(bundle: CheckpointBundle, path) -> None:
+    if bundle.theta is None:
+        raise ContractViolation(
+            "an observer read holds no encoder and cannot be written")
     meta_bytes = json.dumps(_meta_for(bundle), sort_keys=True).encode()
     stores = _stores_of(bundle)
     with open(path, "wb") as fh:
@@ -237,7 +254,9 @@ def _slice_text(s) -> str:
     return "none" if s is None else f"{s.name} {s.shape}"
 
 
-def read_checkpoint(path) -> CheckpointBundle:
+def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
+    """The bundle in the checkpoint at ``path``; with ``observer``, only
+    the blocks an observer runs (see the module docstring)."""
     with open(path, "rb") as fh:
         r = Reader(fh, path)
         if fh.read(4) != MAGIC:
@@ -266,72 +285,95 @@ def read_checkpoint(path) -> CheckpointBundle:
             (off,) = r.unpack("<Q")
             entries.append((name, shape, off))
         (total,) = r.unpack("<Q")
-        data = r.f64(total)
+        data_offset = fh.tell()
+        if observer:
+            r.skip(8 * total)
+        else:
+            data = r.f64(total)
         r.finish()
 
-    def take(prefix, layout=None, by_slice=False):
-        """The stored ``prefix`` block as a store of ``layout`` (default:
-        the stored slices). It must hold the layout's value count, and
-        with ``by_slice`` its slice names and shapes as well."""
-        named = [(n, sh) for n, sh, _ in entries if n.startswith(prefix)]
-        stored = Layout(named)
-        if layout is None:
-            layout = stored
-        elif by_slice:
-            pairs = zip_longest(stored.slices, layout.slices)
-            for k, (got, want) in enumerate(pairs):
-                if _slice_text(got) != _slice_text(want):
-                    raise ContractViolation(
-                        f"{path}: stored {prefix} slice {k} is "
-                        f"{_slice_text(got)}, the metadata implies "
-                        f"{_slice_text(want)}"
-                    )
-        elif stored.total != layout.total:
-            raise ContractViolation(
-                f"{path}: stored {prefix} block holds {stored.total} values, "
-                f"its spec needs {layout.total}"
+        def take(prefix, layout=None, by_slice=False):
+            """The stored ``prefix`` block as a store of ``layout``
+            (default: the stored slices), or None if no slice is read. It
+            must hold the layout's value count, and with ``by_slice`` its
+            slice names and shapes as well."""
+            named = [(n, sh) for n, sh, _ in entries if n.startswith(prefix)]
+            stored = Layout(named)
+            if layout is None:
+                layout = stored
+            elif by_slice:
+                pairs = zip_longest(stored.slices, layout.slices)
+                for k, (got, want) in enumerate(pairs):
+                    if _slice_text(got) != _slice_text(want):
+                        raise ContractViolation(
+                            f"{path}: stored {prefix} slice {k} is "
+                            f"{_slice_text(got)}, the metadata implies "
+                            f"{_slice_text(want)}"
+                        )
+            elif stored.total != layout.total:
+                raise ContractViolation(
+                    f"{path}: stored {prefix} block holds {stored.total} "
+                    f"values, its spec needs {layout.total}"
+                )
+            if not named:
+                return None
+            first = next(off for n, _, off in entries if n.startswith(prefix))
+            # the refusal ParamStore gives the full read's short view
+            held = max(0, min(first + layout.total, total) - first)
+            if held != layout.total:
+                raise ContractViolation(
+                    f"data length ({held},) does not match layout total "
+                    f"{layout.total}"
+                )
+            if not observer:
+                return ParamStore(layout, data[first : first + layout.total])
+            kept = [s for s in layout.slices
+                    if not s.name.startswith(OBSERVER_SKIPS)]
+            if not kept:
+                return None
+            spans = [(data_offset + 8 * (first + s.offset), s.size)
+                     for s in kept]
+            return ParamStore(Layout((s.name, s.shape) for s in kept),
+                              r.f64_at(spans))
+
+        maps = make_maps(
+            meta["n_x"], meta["n_z"], hidden=meta["enc_hidden"],
+            activation=meta["activation"],
+        )
+        obs_store = take("obs.")
+        n_z = meta["n_z"]
+        obs = ObserverMatrices(
+            A=obs_store.get("obs.A"), B=obs_store.get("obs.B"), n_z=n_z
+        )
+        verify_observer(obs)
+
+        hyper_spec = psi = None
+        if "hyper" in meta:
+            h = meta["hyper"]
+            hyper_spec = build_hypernet_spec(
+                maps, window=h["window"], lstm_hidden=h["lstm_hidden"],
+                rank=h["rank"], tau=h["tau"], input_size=h["input_size"],
             )
-        if not named:
-            return None
-        first_off = next(off for n, _, off in entries if n.startswith(prefix))
-        return ParamStore(layout, data[first_off : first_off + layout.total])
-
-    maps = make_maps(
-        meta["n_x"], meta["n_z"], hidden=meta["enc_hidden"],
-        activation=meta["activation"],
-    )
-    obs_store = take("obs.")
-    n_z = meta["n_z"]
-    obs = ObserverMatrices(
-        A=obs_store.get("obs.A"), B=obs_store.get("obs.B"), n_z=n_z
-    )
-    verify_observer(obs)
-
-    hyper_spec = psi = None
-    if "hyper" in meta:
-        h = meta["hyper"]
-        hyper_spec = build_hypernet_spec(
-            maps, window=h["window"], lstm_hidden=h["lstm_hidden"],
-            rank=h["rank"], tau=h["tau"], input_size=h["input_size"],
-        )
-        psi = take("hyper.", hypernet_layout(hyper_spec))
-    injection_spec = xi = None
-    if "injection" in meta:
-        i = meta["injection"]
-        injection_spec = build_injection_spec(
-            n_z=n_z, window=i["window"], lstm_hidden=i["lstm_hidden"],
-            mlp_hidden=i["mlp_hidden"], tau=i["tau"],
-            input_size=i["input_size"],
-        )
-        xi = take("inj.", injection_layout(injection_spec))
+            psi = take("hyper.", hypernet_layout(hyper_spec))
+        injection_spec = xi = None
+        if "injection" in meta:
+            i = meta["injection"]
+            injection_spec = build_injection_spec(
+                n_z=n_z, window=i["window"], lstm_hidden=i["lstm_hidden"],
+                mlp_hidden=i["mlp_hidden"], tau=i["tau"],
+                input_size=i["input_size"],
+            )
+            xi = take("inj.", injection_layout(injection_spec))
+        theta = take("enc.", encoder_layout(maps), by_slice=True)
+        phi = take("dec.", decoder_layout(maps), by_slice=True)
 
     return CheckpointBundle(
         variant=meta["variant"],
         system_name=meta["system"],
         maps=maps,
         obs=obs,
-        theta=take("enc.", encoder_layout(maps), by_slice=True),
-        phi=take("dec.", decoder_layout(maps), by_slice=True),
+        theta=theta,
+        phi=phi,
         f_scale=meta["f_scale"],
         dt=meta.get("dt"),
         train_seed_range=tuple(meta["train_seed_range"])

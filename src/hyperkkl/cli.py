@@ -250,7 +250,7 @@ def _parse_checkpoint_args(pairs, s) -> dict:
             raise ConfigError(f"unknown variant {variant!r} in --checkpoint")
         if not Path(path).exists():
             raise ConfigError(f"checkpoint not found: {path}")
-        bundle = read_checkpoint(path)
+        bundle = read_checkpoint(path, observer=True)
         if bundle.variant != variant:
             raise ConfigError(
                 f"checkpoint {path} holds variant {bundle.variant!r}, "

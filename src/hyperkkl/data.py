@@ -53,11 +53,22 @@ _CODE_KIND = {i: k for k, i in _KIND_CODE.items()}
 class Dataset:
     system: SystemSpec
     trajectories: TrajectorySet
-    dt: float
     horizon: float
     sigma: float
     seed: int
     regime: str
+
+    def __post_init__(self):
+        n = n_steps_for(self.horizon, self.dt)
+        if n != self.trajectories.n_steps:
+            raise ContractViolation(
+                f"horizon {self.horizon!r} at dt {self.dt!r} gives {n} steps, "
+                f"the trajectory set has {self.trajectories.n_steps}")
+
+    @property
+    def dt(self) -> float:
+        """The time step, stated once: the trajectory set's."""
+        return self.trajectories.dt
 
     @property
     def count(self) -> int:
@@ -90,8 +101,8 @@ def generate_dataset(
                for i in range(count)]
     runs = simulate(system, x0s, signals, dt, horizon, sigma, seed)
     return Dataset(
-        system=system, trajectories=runs, dt=dt, horizon=horizon,
-        sigma=sigma, seed=seed, regime=regime,
+        system=system, trajectories=runs, horizon=horizon, sigma=sigma,
+        seed=seed, regime=regime,
     )
 
 
@@ -189,8 +200,8 @@ def read_dataset(path) -> Dataset:
     runs = TrajectorySet(dt, np.arange(n + 1) * dt, states, inputs, outputs,
                          signals)
     return Dataset(
-        system=system, trajectories=runs, dt=dt, horizon=horizon,
-        sigma=sigma, seed=seed, regime=regime,
+        system=system, trajectories=runs, horizon=horizon, sigma=sigma,
+        seed=seed, regime=regime,
     )
 
 

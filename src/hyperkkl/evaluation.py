@@ -9,12 +9,25 @@ dynamics carry an input-conditioned drive:
     static:  latent filter plus gated injection, fixed decoder
     dynamic: plain latent filter, window-conditioned decoder
 
+What each variant reads from a checkpoint (``read_checkpoint`` with
+``observer=True`` reads only these):
+
+    every variant: the latent pair obs.A, obs.B and the decoder dec.*
+    static:  the injection network inj.* (LSTM and MLP)
+    dynamic: the hypernetwork's LSTM hyper.lstm.* and decoder head
+             hyper.dec_head.*
+
+The encoder T and the encoder head only feed the training residual.
+
 A test set is one ``TrajectorySet``: ``run_observer`` estimates all its
-runs into one run-major (count, N+1, n_x) array, filtering and decoding
-run by run, since a decode batched across runs could move the last bits
-of the estimates (OpenBLAS results depend on a GEMM's row count).
-Metrics discard the first 5% of each trajectory by default and average
-per-trajectory values across the test set.
+runs into one run-major (count, N+1, n_x) array. The plain filter takes
+the set's runs as one time-major block, each run's column bit for bit
+its run filtered alone; the static filter, which calls the injection at
+every step, runs run by run. The decode is run by run, since a decode
+batched across runs could move the last bits of the estimates (OpenBLAS
+results depend on a GEMM's row count). Metrics discard the first 5% of
+each trajectory by default and average per-trajectory values across the
+test set.
 """
 
 from __future__ import annotations
@@ -79,9 +92,19 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     """
     if runs.outputs.shape[2] != bundle.obs.n_y:
         raise ContractViolation("trajectory output width does not match observer")
+    obs, dt = bundle.obs, runs.dt
+    plain = None
+    if bundle.variant != "static":
+        plain = simulate_latent(obs, runs.outputs.swapaxes(0, 1), dt)
     xhat = np.empty(runs.states.shape)
     for i, (y, u) in enumerate(zip(runs.outputs, runs.inputs)):
-        xhat[i] = _estimate(bundle, y, u, runs.dt)
+        if plain is None:
+            inject = make_step_injection(bundle.xi, bundle.injection_spec,
+                                         u, dt)
+            zs = simulate_latent(obs, y, dt, injection=inject)
+        else:
+            zs = np.ascontiguousarray(plain[:, i])
+        xhat[i] = _decode(bundle, zs, u)
         finite = np.all(np.isfinite(xhat[i]), axis=1)
         if not finite.all():
             raise NumericError(f"non-finite estimate in run {i} at step "
@@ -89,16 +112,10 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     return xhat
 
 
-def _estimate(bundle: CheckpointBundle, y, u, dt: float) -> np.ndarray:
-    """One run's estimates from its outputs y and inputs u (the bundle's
-    variant is one of ``checkpoints.VARIANTS``)."""
-    obs = bundle.obs
+def _decode(bundle: CheckpointBundle, zs, u) -> np.ndarray:
+    """One run's estimates from its latent states zs and inputs u (the
+    bundle's variant is one of ``checkpoints.VARIANTS``)."""
     maps = bundle.maps
-    if bundle.variant == "static":
-        inject = make_step_injection(bundle.xi, bundle.injection_spec, u, dt)
-        zs = simulate_latent(obs, y, dt, injection=inject)
-        return decode(maps, bundle.phi, zs)
-    zs = simulate_latent(obs, y, dt)
     xhat = decode(maps, bundle.phi, zs)
     if bundle.variant == "dynamic":
         spec = bundle.hyper_spec

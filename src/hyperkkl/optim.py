@@ -31,7 +31,9 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ParamStore) -> "AdamState":
-        return cls(m=np.zeros_like(params.data), v=np.zeros_like(params.data),
+        # np.zeros maps zero pages without writing them; zeros_like fills
+        shape = params.data.shape
+        return cls(m=np.zeros(shape), v=np.zeros(shape),
                    grad=ParamStore(params.layout))
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import struct
 import tracemalloc
 from pathlib import Path
@@ -9,11 +11,13 @@ from conftest import oracle_simulate
 
 from hyperkkl.binfile import Reader
 from hyperkkl.checkpoints import (
+    OBSERVER_SKIPS,
     CheckpointBundle,
     read_checkpoint,
     write_checkpoint,
 )
 from hyperkkl.data import (
+    Dataset,
     generate_dataset,
     read_dataset,
     seed_ranges_overlap,
@@ -48,6 +52,18 @@ from hyperkkl.kkl import (
 from hyperkkl.signals import sample_signal, window_matrix
 
 DATA = Path(__file__).parent / "data"
+CHUNKED = DATA / "dynamic_rank2_chunk7.hkkp"
+
+
+def chunked_reference():
+    """The one-run set and the run_observer estimate stored with CHUNKED."""
+    with np.load(DATA / "dynamic_rank2_chunk7_estimate.npz") as ref:
+        dt, u, y, xhat = (ref[k] for k in ("dt", "inputs", "outputs",
+                                           "xhat"))
+    n = len(y)
+    runs = TrajectorySet(float(dt), np.arange(n) * float(dt),
+                         np.zeros((1, n, 2)), u[None], y[None], (None,))
+    return runs, xhat
 
 
 class TestGeneration:
@@ -86,6 +102,21 @@ class TestGeneration:
         ds = generate_dataset(duffing(), "zero", 2, 3, horizon=1.0)
         assert np.all(ds.trajectories.inputs == 0.0)
         assert ds.trajectories.signals == (None, None)
+
+    def test_time_grid_is_stated_once(self):
+        ds = generate_dataset(duffing(), "zero", 2, 3, horizon=2.0)
+        assert ds.dt == ds.trajectories.dt == 0.05
+        with pytest.raises(ContractViolation,
+                           match="horizon 3.0 at dt 0.05 gives 60 steps, "
+                                 "the trajectory set has 40"):
+            Dataset(system=ds.system, trajectories=ds.trajectories,
+                    horizon=3.0, sigma=ds.sigma, seed=ds.seed,
+                    regime=ds.regime)
+        coarse = dataclasses.replace(ds.trajectories, dt=0.1)
+        with pytest.raises(ContractViolation,
+                           match="horizon 2.0 at dt 0.1 gives 20 steps, "
+                                 "the trajectory set has 40"):
+            dataclasses.replace(ds, trajectories=coarse)
 
 
 class TestDatasetFormat:
@@ -189,6 +220,9 @@ class ShortReads:
     def tell(self):
         return self.fh.tell()
 
+    def seek(self, offset):
+        return self.fh.seek(offset)
+
     def read(self, n):
         return self.fh.read(n // 2)
 
@@ -287,21 +321,17 @@ class TestCheckpointFormat:
         # Written by an earlier release that stored each head's U readout
         # as 7-row slices hyper.*_head.U0000, U0001, ... (tiny maps, rank
         # 2), with the run_observer estimate it gave on one trajectory.
-        bundle = read_checkpoint(DATA / "dynamic_rank2_chunk7.hkkp")
+        bundle = read_checkpoint(CHUNKED)
         assert bundle.dt is None  # written before checkpoints recorded dt
         spec = bundle.hyper_spec
         assert bundle.psi.layout == hypernet_layout(spec)
         assert bundle.psi.get("hyper.dec_head.U").shape == (
             spec.dec_head.total, 2)
-        with np.load(DATA / "dynamic_rank2_chunk7_estimate.npz") as ref:
-            dt, u, y, xhat = (ref[k] for k in ("dt", "inputs", "outputs",
-                                               "xhat"))
-        n = len(y)
-        runs = TrajectorySet(float(dt), np.arange(n) * float(dt),
-                             np.zeros((1, n, 2)), u[None], y[None], (None,))
+        runs, xhat = chunked_reference()
+        dt, u, y = runs.dt, runs.inputs[0], runs.outputs[0]
         # the stored estimate is the dense decode, row by row through a
         # delta ParamStore, and reproduces bitwise
-        zs = simulate_latent(bundle.obs, y, float(dt))
+        zs = simulate_latent(bundle.obs, y, dt)
         windows = window_matrix(u, spec.window)
         live = gate_values(windows, spec.tau)[:, 0] != 0.0
         _, d_phi = generate_deltas(bundle.psi, spec, windows[live])
@@ -372,3 +402,153 @@ class TestCheckpointFormat:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(ContractViolation):
             read_checkpoint(path)
+
+
+def slice_positions(blob):
+    """Byte position of each slice's stored u64 offset, and of the total
+    value count under the key None."""
+    (size,) = struct.unpack_from("<I", blob, 6)
+    at = 10 + size
+    (count,) = struct.unpack_from("<I", blob, at)
+    at += 4
+    positions = {}
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", blob, at)
+        name = blob[at + 2 : at + 2 + n].decode()
+        (ndim,) = struct.unpack_from("<B", blob, at + 2 + n)
+        at += 2 + n + 1 + 4 * ndim
+        positions[name] = at
+        at += 8
+    positions[None] = at
+    return positions
+
+
+def set_u64(key, value):
+    def damage(blob):
+        out = bytearray(blob)
+        struct.pack_into("<Q", out, slice_positions(blob)[key], value)
+        return bytes(out)
+    return damage
+
+
+def edit_meta(edit):
+    def damage(blob):
+        (size,) = struct.unpack_from("<I", blob, 6)
+        text = json.dumps(edit(json.loads(blob[10 : 10 + size]))).encode()
+        return blob[:6] + struct.pack("<I", len(text)) + text + blob[10 + size :]
+    return damage
+
+
+def build_bundle(variant):
+    return TestCheckpointFormat().build_bundle(variant)
+
+
+class TestObserverRead:
+    @pytest.mark.parametrize("variant, damage", [
+        pytest.param("dynamic", lambda b: b"XXXX" + b[4:], id="magic"),
+        pytest.param("dynamic", lambda b: b[:4] + b"\x02\x00" + b[6:],
+                     id="version"),
+        pytest.param("dynamic", lambda b: b[:40], id="cut-in-header"),
+        pytest.param("dynamic", lambda b: b[:-12], id="cut-in-data"),
+        pytest.param("dynamic", lambda b: b + b"\x00" * 4, id="trailing"),
+        pytest.param("dynamic", set_u64(None, 2**60), id="huge-count"),
+        pytest.param("static", set_u64(None, 3), id="small-count"),
+        pytest.param("dynamic", edit_meta(lambda m: {
+            **m, "hyper": {**m["hyper"], "rank": 3}}), id="hyper-count"),
+        pytest.param("static", edit_meta(lambda m: {
+            **m, "injection": {**m["injection"], "mlp_hidden": [9]}}),
+            id="injection-count"),
+        pytest.param("autonomous", edit_meta(lambda m: {
+            **m, "enc_hidden": [9, 9]}), id="enc-slices"),
+        pytest.param("autonomous", edit_meta(lambda m: {
+            k: v for k, v in m.items() if k != "n_x"}), id="no-n_x"),
+        pytest.param("dynamic", set_u64("enc.W0", 10**6), id="enc-past-data"),
+        pytest.param("dynamic", set_u64("dec.W0", 10**6), id="dec-past-data"),
+        pytest.param("dynamic", set_u64("hyper.lstm.Wx", 10**6),
+                     id="hyper-past-data"),
+    ])
+    def test_refuses_what_the_full_read_refuses_alike(self, tmp_path, variant,
+                                                      damage):
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(build_bundle(variant), path)
+        path.write_bytes(damage(path.read_bytes()))
+        messages = []
+        for observer in (False, True):
+            with pytest.raises(ContractViolation) as exc:
+                read_checkpoint(path, observer=observer)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("variant", ["autonomous", "static", "dynamic"])
+    def test_holds_only_what_an_observer_runs(self, tmp_path, variant):
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(build_bundle(variant), path)
+        full = read_checkpoint(path)
+        lean = read_checkpoint(path, observer=True)
+        assert lean.theta is None
+        stores = [s for s in (lean.phi, lean.psi, lean.xi) if s is not None]
+        names = [s.name for store in stores for s in store.layout.slices]
+        assert not [n for n in names if n.startswith(OBSERVER_SKIPS)]
+        kept = [s for store in (full.theta, full.phi, full.psi, full.xi)
+                if store is not None for s in store.layout.slices
+                if not s.name.startswith(OBSERVER_SKIPS)]
+        assert names == [s.name for s in kept]
+        sources = {"dec.": full.phi, "hyper.": full.psi, "inj.": full.xi}
+        for store in stores:
+            for s in store.layout.slices:
+                source = sources[s.name[: s.name.index(".") + 1]]
+                assert np.array_equal(store.get(s.name), source.get(s.name))
+        held = (sum(store.data.nbytes for store in stores)
+                + lean.obs.A.nbytes + lean.obs.B.nbytes)
+        assert held == 8 * (sum(s.size for s in kept)
+                            + full.obs.A.size + full.obs.B.size)
+        if variant == "dynamic":
+            with pytest.raises(ContractViolation,
+                               match="no slice named 'hyper.enc_head.U'"):
+                lean.psi.get("hyper.enc_head.U")
+
+    def test_bundle_cannot_be_written(self, tmp_path):
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(build_bundle("dynamic"), path)
+        lean = read_checkpoint(path, observer=True)
+        with pytest.raises(ContractViolation,
+                           match="observer read holds no encoder"):
+            write_checkpoint(lean, tmp_path / "again.hkkp")
+        assert not (tmp_path / "again.hkkp").exists()
+
+    def test_skipped_bytes_are_never_read(self, tmp_path):
+        bundle = TestCheckpointFormat().build_bundle("dynamic",
+                                                     hidden=(100, 100),
+                                                     rank=48)
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(bundle, path)
+        head = bundle.psi.get("hyper.enc_head.U").nbytes
+        assert head >= 0.45 * bundle.psi.data.nbytes
+        kept_bytes = 8 * (bundle.phi.data.size + bundle.psi.data.size) - head
+        tracemalloc.start()
+        try:
+            lean = read_checkpoint(path, observer=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * kept_bytes
+        assert np.array_equal(lean.psi.get("hyper.dec_head.U"),
+                              bundle.psi.get("hyper.dec_head.U"))
+
+    def test_reads_file_with_chunked_readout_slices(self):
+        full = read_checkpoint(CHUNKED)
+        lean = read_checkpoint(CHUNKED, observer=True)
+        kept = [s for s in hypernet_layout(lean.hyper_spec).slices
+                if not s.name.startswith(OBSERVER_SKIPS)]
+        assert lean.psi.layout.slices[-1].name == "hyper.dec_head.U"
+        assert [(s.name, s.shape) for s in lean.psi.layout.slices] == [
+            (s.name, s.shape) for s in kept]
+        for s in kept:
+            assert np.array_equal(lean.psi.get(s.name), full.psi.get(s.name))
+        runs, xhat = chunked_reference()
+        est = run_observer(lean, runs)[0]
+        assert np.array_equal(est, run_observer(full, runs)[0])
+        windows = window_matrix(runs.inputs[0], lean.hyper_spec.window)
+        live = gate_values(windows, lean.hyper_spec.tau)[:, 0] != 0.0
+        assert np.array_equal(est[~live], xhat[~live])
+        assert np.max(np.abs(est - xhat)) <= 1e-12 * np.max(np.abs(xhat))

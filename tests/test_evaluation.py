@@ -9,9 +9,15 @@ from conftest import (
     analytic_linear_maps,
     analytic_linear_observer,
     linear_test_system,
+    oracle_latent,
 )
 
-from hyperkkl.checkpoints import CheckpointBundle
+from hyperkkl.checkpoints import (
+    VARIANTS,
+    CheckpointBundle,
+    read_checkpoint,
+    write_checkpoint,
+)
 from hyperkkl.data import Dataset, generate_dataset
 from hyperkkl.dynamics import TrajectorySet, duffing, simulate
 from hyperkkl.errors import ContractViolation
@@ -29,7 +35,12 @@ from hyperkkl.hypernet import (
     init_hypernet_params,
     init_injection_params,
 )
-from hyperkkl.kkl import build_observer_matrices, init_map_params, make_maps
+from hyperkkl.kkl import (
+    build_observer_matrices,
+    decode,
+    init_map_params,
+    make_maps,
+)
 
 
 class TestMetrics:
@@ -134,6 +145,31 @@ class TestRunObserver:
                                   runs.inputs[i:i + 1], runs.outputs[i:i + 1],
                                   runs.signals[i:i + 1])
             assert np.array_equal(xhat[i], run_observer(bundle, alone)[0])
+
+    @pytest.mark.parametrize("variant", ["autonomous", "curriculum"])
+    def test_plain_filter_block_is_each_run_filtered_alone_bitwise(self,
+                                                                   variant):
+        # the set's runs go through the latent filter as one block; each
+        # run's estimate is its own filter and decode, bit for bit
+        bundle = duffing_bundles([variant], hidden=(32, 32))[variant]
+        runs = generate_dataset(duffing(), "mixture", 4, seed=5,
+                                horizon=5.0).trajectories
+        xhat = run_observer(bundle, runs)
+        for i in range(4):
+            zs = oracle_latent(bundle.obs, runs.outputs[i], runs.dt)
+            assert np.array_equal(xhat[i], decode(bundle.maps, bundle.phi, zs))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_observer_read_estimates_bitwise(self, tmp_path, variant):
+        bundle = duffing_bundles([variant])[variant]
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(bundle, path)
+        runs = generate_dataset(duffing(), "sinusoid", 2, seed=5,
+                                horizon=5.0).trajectories
+        full = run_observer(read_checkpoint(path), runs)
+        assert np.array_equal(full, run_observer(bundle, runs))
+        lean = run_observer(read_checkpoint(path, observer=True), runs)
+        assert np.array_equal(lean, full)
 
     def test_estimates_are_causal(self):
         bundles = duffing_bundles(["dynamic"])

@@ -67,7 +67,7 @@ def test_tracer_counts_one_kernel_call_per_step(monkeypatch):
 
 def test_traced_eval_names_one_span_per_cell_and_counts_steps(monkeypatch):
     # run_observer takes a cell's whole test set: its span is named after
-    # the variant, and the latent filter still counts each run's steps
+    # the variant, and the plain filter steps the set's runs as one block
     monkeypatch.syspath_prepend(str(ROOT))
     trace = importlib.import_module("pipebench.trace")
     from hyperkkl import data, dynamics, evaluation, kkl
@@ -90,4 +90,6 @@ def test_traced_eval_names_one_span_per_cell_and_counts_steps(monkeypatch):
     names = [s[0] for s in tracer.spans]
     assert [n for n in names if n.startswith("evaluation.run_observer")] == [
         "evaluation.run_observer.autonomous"]
-    assert tracer.counts["kkl.simulate_latent_nodes.steps"] == 3 * 40
+    latent = [n for n in names if n == "kkl.simulate_latent_nodes"]
+    assert len(latent) == 1
+    assert tracer.counts["kkl.simulate_latent_nodes.steps"] == 40
