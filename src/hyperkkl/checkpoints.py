@@ -28,20 +28,23 @@ metadata that lacks a key the reader uses or gives it the wrong type is
 refused with the key (see META_KEYS).
 
 Each store's buffer is written in place, after the total count, so a
-write holds no second copy. Two reads check the same header, metadata,
-slices and value counts, and refuse the same files with the same
-messages:
+write holds no second copy. A read checks the header, metadata, slices
+and value counts, and the data block's size against the file size,
+then reads each store's slices into that store's own array, so a read
+holds no second copy either. Two reads differ only in what they skip:
 
-    full read (the default; ``train --base``): the data block is one
-        f64 read into one array, and the loaded stores are views of it;
-    observer read (``observer=True``; ``eval`` and ``plot``): only the
-        blocks an observer runs are read, each store into its own array:
-        obs.*, dec.*, and inj.* (static) or hyper.lstm.* and
-        hyper.dec_head.* (dynamic). The encoder T (enc.*) and the
+    full read (the default; ``train --base``): nothing; every store is
+        read whole;
+    observer read (``observer=True``; ``eval`` and ``plot``): the
+        blocks an observer does not run. The encoder T (enc.*) and the
         hypernetwork's encoder head (hyper.enc_head.*) feed only the
-        training residual; their bytes are stepped over, never read.
-        The bundle has theta None and a psi without hyper.enc_head.*
-        slices, and write_checkpoint refuses it.
+        training residual; their bytes are stepped over, never read, so
+        the bundle holds obs.*, dec.*, and inj.* (static) or
+        hyper.lstm.* and hyper.dec_head.* (dynamic). It has theta None
+        and a psi without hyper.enc_head.* slices, and write_checkpoint
+        refuses it.
+
+Both reads refuse the same files with the same messages.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from .kkl import (
     make_maps,
     verify_observer,
 )
-from .params import Layout, ParamStore
+from .params import Layout, ParamStore, check_length
 
 MAGIC = b"HKKP"
 VERSION = 1
@@ -286,17 +289,15 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             entries.append((name, shape, off))
         (total,) = r.unpack("<Q")
         data_offset = fh.tell()
-        if observer:
-            r.skip(8 * total)
-        else:
-            data = r.f64(total)
+        r.skip(8 * total)
         r.finish()
+        skips = OBSERVER_SKIPS if observer else ()
 
         def take(prefix, layout=None, by_slice=False):
             """The stored ``prefix`` block as a store of ``layout``
-            (default: the stored slices), or None if no slice is read. It
-            must hold the layout's value count, and with ``by_slice`` its
-            slice names and shapes as well."""
+            (default: the stored slices) less the skipped slices, or None
+            if no slice is read. It must hold the layout's value count,
+            and with ``by_slice`` its slice names and shapes as well."""
             named = [(n, sh) for n, sh, _ in entries if n.startswith(prefix)]
             stored = Layout(named)
             if layout is None:
@@ -318,21 +319,19 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             if not named:
                 return None
             first = next(off for n, _, off in entries if n.startswith(prefix))
-            # the refusal ParamStore gives the full read's short view
+            # how many of the layout's values the data block holds
             held = max(0, min(first + layout.total, total) - first)
-            if held != layout.total:
-                raise ContractViolation(
-                    f"data length ({held},) does not match layout total "
-                    f"{layout.total}"
-                )
-            if not observer:
-                return ParamStore(layout, data[first : first + layout.total])
-            kept = [s for s in layout.slices
-                    if not s.name.startswith(OBSERVER_SKIPS)]
+            check_length(layout, (held,))
+            kept = [s for s in layout.slices if not s.name.startswith(skips)]
             if not kept:
                 return None
-            spans = [(data_offset + 8 * (first + s.offset), s.size)
-                     for s in kept]
+            spans = []  # adjacent kept slices are read as one span
+            for s in kept:
+                at = data_offset + 8 * (first + s.offset)
+                if spans and spans[-1][0] + 8 * spans[-1][1] == at:
+                    spans[-1] = (spans[-1][0], spans[-1][1] + s.size)
+                else:
+                    spans.append((at, s.size))
             return ParamStore(Layout((s.name, s.shape) for s in kept),
                               r.f64_at(spans))
 

@@ -70,6 +70,14 @@ def _check_same_layout(a, b):
         raise ContractViolation("param stores have different layouts")
 
 
+def check_length(layout: Layout, shape: tuple) -> None:
+    """Refuse data of ``shape`` for ``layout`` unless it is (layout.total,)."""
+    if shape != (layout.total,):
+        raise ContractViolation(
+            f"data length {shape} does not match layout total {layout.total}"
+        )
+
+
 class ParamStore:
     """Flat float64 parameter vector addressed through a Layout."""
 
@@ -79,11 +87,7 @@ class ParamStore:
             data = np.zeros(layout.total)
         else:
             data = np.asarray(data, dtype=np.float64)
-            if data.shape != (layout.total,):
-                raise ContractViolation(
-                    f"data length {data.shape} does not match layout total "
-                    f"{layout.total}"
-                )
+            check_length(layout, data.shape)
         self.data = data
 
     def get(self, name: str) -> np.ndarray:
