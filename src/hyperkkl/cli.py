@@ -10,11 +10,22 @@ reproduces every output byte for byte.
 What loads when: importing this module loads only the standard library,
 ``config`` and ``errors``. ``main`` parses the arguments, reads the
 config file and resolves the settings first, so ``--help``, a bad flag
-and a settings error exit without numpy. Only then does it import numpy
-(for ``np.errstate``) and ``manifest``, and each handler imports the
-modules it runs: ``gen`` only ``data`` and ``dynamics``; ``train`` the
-training stack and ``checkpoints``; ``eval`` and ``plot`` ``evaluation``
-(and ``plot`` also ``plots``); ``report`` nothing more.
+and a settings error exit without numpy and leave ``os.environ`` and
+``sys.modules`` as they were. Then, still before numpy, it acts on the
+whole process. It blocks OpenSSL's ``_hashlib`` with a ``None`` entry in
+``sys.modules``: ``numpy.random`` imports ``secrets``, hence ``hmac`` and
+``_hashlib``, which maps about 3.3 MB of libcrypto that nothing here
+uses, and ``hashlib`` falls back to its builtin SHA-256 (same digests,
+slower). And it writes the ``blas_threads`` setting (default 1) to
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` over any inherited
+value, since output bytes can depend on the thread count. A process that
+loaded ``_hashlib`` or numpy before ``main`` keeps them, and with numpy
+its thread count; the manifest records the count in effect.
+Only then does ``main`` import numpy (for ``np.errstate``) and
+``manifest``, and each handler imports the modules it runs: ``gen`` only
+``data`` and ``dynamics``; ``train`` the training stack and
+``checkpoints``; ``eval`` and ``plot`` ``evaluation`` (and ``plot`` also
+``plots``); ``report`` nothing more.
 
 Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure,
 whether the error is raised by a handler or by one of its imports.
@@ -28,6 +39,7 @@ error: it exits 2 with one ``error: out of memory: ...`` line.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -460,6 +472,10 @@ def main(argv=None) -> int:
     try:
         conf = cfg.load_config(config_path) if config_path else {}
         s = cfg.settings(args.command, vars(args), conf)
+        sys.modules.setdefault("_hashlib", None)
+        if "blas_threads" in s and "numpy" not in sys.modules:
+            os.environ["OPENBLAS_NUM_THREADS"] = str(s["blas_threads"])
+            os.environ["OMP_NUM_THREADS"] = str(s["blas_threads"])
         import numpy as np
 
         from .manifest import append_manifest

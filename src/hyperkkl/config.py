@@ -71,6 +71,12 @@ def boolean(v):
     return v
 
 
+def positive(v):
+    if integer(v) < 1:
+        raise ValueError("an integer >= 1")
+    return v
+
+
 def int_list(v):
     items = v if isinstance(v, list) else [v]
     if not items or not all(isinstance(x, int) and not isinstance(x, bool)
@@ -109,10 +115,11 @@ class Setting(NamedTuple):
 
 
 SIMULATE = ("gen", "eval", "plot")
+NUMERIC = ("gen", "train", "eval", "plot")
 
 SETTINGS = (
-    Setting("system", ("gen", "train", "eval", "plot"), Choice(SYSTEM_NAMES),
-            REQUIRED, ("system", "name"), "--system"),
+    Setting("system", NUMERIC, Choice(SYSTEM_NAMES), REQUIRED,
+            ("system", "name"), "--system"),
     Setting("regime", ("gen",), Choice(KINDS), "zero", ("data", "regime"),
             "--regime"),
     Setting("n_train", ("gen",), integer, 100, ("data", "n_train"), "--n"),
@@ -160,6 +167,8 @@ SETTINGS = (
     Setting("patience", ("train",), integer, 10, ("curriculum", "patience")),
     Setting("level_epochs", ("train",), integer, 500,
             ("curriculum", "level_epochs")),
+    Setting("blas_threads", NUMERIC, positive, 1, flag="--blas-threads",
+            help="OpenBLAS threads; output bytes can depend on them"),
 )
 
 SECTIONS = tuple(dict.fromkeys(row.key[0] for row in SETTINGS if row.key))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import Reader
-from .config import KINDS
+from .config import KINDS, defaults
 from .dynamics import SystemSpec, TrajectorySet, get_system, n_steps_for
 from .dynamics import sample_initial_conditions, simulate
 from .errors import ContractViolation
@@ -47,6 +47,7 @@ VERSION = 1
 
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 _CODE_KIND = {i: k for k, i in _KIND_CODE.items()}
+_DEFAULT = defaults("gen")  # each default is its config.SETTINGS row's
 
 
 @dataclass
@@ -89,9 +90,9 @@ def generate_dataset(
     regime: str,
     count: int,
     seed: int,
-    dt: float = 0.05,
-    horizon: float = 50.0,
-    sigma: float = 0.01,
+    dt: float = _DEFAULT["dt"],
+    horizon: float = _DEFAULT["horizon"],
+    sigma: float = _DEFAULT["sigma"],
 ) -> Dataset:
     """Sample ``count`` seeded trajectories under the given input regime."""
     if count < 1:

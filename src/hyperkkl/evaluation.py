@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoints import CheckpointBundle
-from .config import REGIMES, TRANSIENT_FRACTION
+from .config import REGIMES, TRANSIENT_FRACTION, defaults
 from .data import Dataset, generate_dataset, seed_ranges_overlap
 from .dynamics import TrajectorySet, get_system
 from .errors import ContractViolation, NumericError
@@ -49,6 +49,8 @@ from .hypernet import (
 )
 from .kkl import DEC, decode, simulate_latent
 from .signals import window_matrix
+
+_DEFAULT = defaults("eval")  # each default is its config.SETTINGS row's
 
 
 def _past_transient(x_seq, xhat_seq, frac: float):
@@ -197,11 +199,11 @@ def benchmark(
     bundles: dict,
     system_name: str,
     regimes=REGIMES,
-    n_test: int = 20,
-    seed: int = 10_000,
-    dt: float = 0.05,
-    horizon: float = 50.0,
-    sigma: float = 0.01,
+    n_test: int = _DEFAULT["n_test"],
+    seed: int = _DEFAULT["test_seed"],
+    dt: float = _DEFAULT["dt"],
+    horizon: float = _DEFAULT["horizon"],
+    sigma: float = _DEFAULT["sigma"],
     transient_frac: float = TRANSIENT_FRACTION,
 ) -> EvalReport:
     """The variants x regimes grid for one system.

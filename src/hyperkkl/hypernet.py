@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .config import defaults
 from .errors import ContractViolation
 from .kkl import DEC, ENC, KklMaps, decoder_layout, encoder_layout
 from .nets import (
@@ -50,7 +51,7 @@ from .nets import (
 from .params import Layout, ParamStore
 from .seeding import STREAM_PARAM_INIT, stream
 
-DEFAULT_TAU = 1e-2
+DEFAULT_TAU = defaults("train")["tau"]  # its config.SETTINGS row's
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,16 @@ input and output file, the package version, the numeric environment
 (numpy version, BLAS library and version, BLAS thread count), and what
 the run cost: its wall time from the start of ``cli.main`` and the
 process's peak RSS. Output bytes can depend on the BLAS thread count,
-so a record names it. ``status`` is "ok", or "aborted" for a training
-run that a numeric failure stopped: that record adds ``abort`` (the
-epoch and the reason) and hashes no output, since none was written.
-Re-running the recorded argv reproduces the outputs byte for byte; the
-manifest is the only file in an output directory whose bytes may differ
-between identical runs (it carries the clock time and these costs).
+so the count is a setting (``blas_threads``, default 1, in the resolved
+configuration) that ``cli.main`` applies before numpy loads, and the
+record also names the count OpenBLAS reports, the one in effect: in a
+process that loaded numpy before ``main``, the count it loaded it at.
+``status`` is "ok", or "aborted" for a training run that a numeric
+failure stopped: that record adds ``abort`` (the epoch and the reason)
+and hashes no output, since none was written. Re-running the recorded
+argv reproduces the outputs byte for byte; the manifest is the only file
+in an output directory whose bytes may differ between identical runs (it
+carries the clock time and these costs).
 """
 
 from __future__ import annotations

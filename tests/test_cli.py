@@ -422,16 +422,16 @@ def test_help_shows_config_key_and_default(capsys):
 
 FLAGS = {
     "gen": {"--config", "--out", "--seed", "--system", "--regime", "--n",
-            "--dt", "--horizon", "--sigma", "--csv"},
+            "--dt", "--horizon", "--sigma", "--csv", "--blas-threads"},
     "train": {"--config", "--out", "--seed", "--system", "--phase",
               "--variant", "--data", "--base", "--epochs", "--batch", "--lr",
               "--pde-weight", "--hidden", "--window", "--rank",
-              "--latent-dim"},
+              "--latent-dim", "--blas-threads"},
     "eval": {"--config", "--out", "--seed", "--system", "--checkpoint",
              "--regimes", "--n", "--transient", "--dt", "--horizon",
-             "--sigma"},
+             "--sigma", "--blas-threads"},
     "plot": {"--config", "--out", "--seed", "--system", "--checkpoint",
-             "--regimes", "--dt", "--horizon", "--sigma"},
+             "--regimes", "--dt", "--horizon", "--sigma", "--blas-threads"},
     "report": {"--out"},
 }
 
@@ -500,6 +500,7 @@ class TestTrainConditioned:
             "segment_batch": 2, "latent_dim": None, "window": 6,
             "lstm_hidden": 64, "tau": 0.01, "inj_hidden": [64], "rank": 32,
             "epsilon": 0.01, "patience": 10, "level_epochs": 500,
+            "blas_threads": 1,
         }
         assert record["seeds"] == {"seed": 4, "data_seed_range": [30, 32]}
 

@@ -13,7 +13,10 @@ so a refactor of the state simulation, the tape, the LSTM, the
 optimizer, the training loops or conditioned inference that changes a
 single output bit fails here. Each run is a child
 process with a fixed OpenBLAS thread count; at these shapes the bytes
-are the same at 1 and 2 threads.
+are the same at 1 and 2 threads. The child imports numpy (through this
+module) before it calls ``cli.main``, so main's ``blas_threads`` setting
+does not apply there: the child's environment still sets the thread
+count, and the 1- and 2-thread cases keep their meaning.
 """
 
 import hashlib
