@@ -27,7 +27,13 @@ a consumed node raises ContractViolation.
 A leaf may arrive with ``.grad`` already set, for example to a view of
 a flat gradient buffer (``params.ParamVars``): ``backward`` only ever
 adds into an existing ``.grad`` in place, so the gradient lands in that
-buffer and no per-leaf array is made.
+buffer and no per-leaf array is made. A preset ``FactoredGrad`` goes
+further: it takes only ``AddInto`` gradients that carry their factors
+and keeps those factors, so the leaf's gradient is never formed at all
+(the hypernetwork readouts U, whose gradients are sums of rank-one
+terms as large as U itself). ``optim`` forms their entries bit for bit
+as the dense path would, but sums their norm from the factors in
+another order, so the norm's last bits can differ.
 
 A VJP hands over the arrays it returns. Where a parent has no ``.grad``
 yet, ``backward`` takes a returned array as that ``.grad`` when it is a
@@ -188,12 +194,41 @@ class AddInto:
 
     ``backward`` calls ``add(acc)`` with the parent's ``.grad`` (zeros if
     it had none yet); ``add`` adds the gradient into ``acc`` in place.
+    ``factors``, when given, are what the gradient is made of (for
+    ``nets.lowrank_linear``'s u, the (g, x, s) of Σ_b g_b ⊗ x_b ⊗ s_b);
+    a leaf whose ``.grad`` is a ``FactoredGrad`` keeps them instead.
     """
 
-    __slots__ = ("add",)
+    __slots__ = ("add", "factors")
 
-    def __init__(self, add):
+    def __init__(self, add, factors=None):
         self.add = add
+        self.factors = factors
+
+
+class FactoredGrad:
+    """A leaf's gradient kept as the factors of its terms, never formed.
+
+    ``blocks`` maps each row block (start, length) a gradient reached to
+    the ``AddInto.factors`` delivered there, in arrival order. A row
+    ``narrow`` of the leaf gets a FactoredGrad that shares ``blocks`` at
+    its offset, so every use of one block appends to one list.
+    """
+
+    __slots__ = ("rows", "start", "blocks")
+
+    def __init__(self, rows, start=0, blocks=None):
+        self.rows = rows
+        self.start = start
+        self.blocks = {} if blocks is None else blocks
+
+    def narrow(self, start, length) -> "FactoredGrad":
+        return FactoredGrad(length, self.start + start, self.blocks)
+
+    def append(self, g) -> None:
+        if not isinstance(g, AddInto) or g.factors is None:
+            raise ContractViolation("a factored gradient takes only factors")
+        self.blocks.setdefault((self.start, self.rows), []).append(g.factors)
 
 
 def narrow(x, axis, start, length):
@@ -201,8 +236,9 @@ def narrow(x, axis, start, length):
 
     On a leaf whose ``.grad`` is preset (a ``params.ParamVars`` leaf) the
     slice is a new leaf whose ``.grad`` is the same slice of that array,
-    so whatever reaches it is added straight into the parent's gradient.
-    Otherwise it is a node whose gradient adds into its parent's slice.
+    so whatever reaches it is added straight into the parent's gradient;
+    of a ``FactoredGrad``, the row block's share of it. Otherwise it is
+    a node whose gradient adds into its parent's slice.
     """
     xv = val(x)
     sl = [slice(None)] * xv.ndim
@@ -213,7 +249,12 @@ def narrow(x, axis, start, length):
         return out
     if x._vjp is None and x.grad is not None:
         leaf = Var(out)
-        leaf.grad = x.grad[sl]
+        if isinstance(x.grad, FactoredGrad):
+            if axis != 0:
+                raise ContractViolation("a factored leaf narrows along rows")
+            leaf.grad = x.grad.narrow(start, length)
+        else:
+            leaf.grad = x.grad[sl]
         return leaf
 
     def vjp(g):
@@ -272,7 +313,9 @@ def backward(root: Var) -> None:
                     parent.grad = g
                     continue
                 parent.grad = np.zeros_like(parent.value)
-            if isinstance(g, AddInto):
+            if isinstance(parent.grad, FactoredGrad):
+                parent.grad.append(g)
+            elif isinstance(g, AddInto):
                 g.add(parent.grad)
             else:
                 parent.grad += g

@@ -211,8 +211,9 @@ def cmd_train(args, s):
             epsilon=s["epsilon"], patience=s["patience"],
             level_epochs=s["level_epochs"],
         )
+        # trains base.phi in place: nothing reads the base decoder after
         result = training.curriculum_train(
-            system, base.obs, base.maps, base.theta, base.phi.copy(),
+            system, base.obs, base.maps, base.theta, base.phi,
             sets, train_config, schedule,
         )
         bundle = CheckpointBundle(

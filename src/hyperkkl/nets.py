@@ -24,7 +24,10 @@ Forward and backward walk the same fixed chunks of IN_BLOCK input
 columns, the forward within fixed blocks of ROW_BLOCK rows: the
 forward's transients grow with neither the batch nor the weight's size,
 the backward's only with the batch. The LSTM on plain parameters runs
-ROW_BLOCK windows at a time for the same reason.
+ROW_BLOCK windows at a time for the same reason. U's gradient is a sum
+of rank-one terms g_b ⊗ x_b ⊗ s_b; ``u_grad_chunks`` and
+``u_grad_sq_norm`` give its chunks and its norm from those factors, so
+a training run need never hold it whole (``optim``).
 """
 
 from __future__ import annotations
@@ -191,7 +194,10 @@ def _linear_grads(g, xv, wv, factors, taped):
     arrays, W's and u's as ``autodiff.AddInto``. Per IN_BLOCK chunk of
     inputs the x and s terms come from g u_r's columns and u's from P's
     columns gᵀP, added into u's gradient array in place, so no
-    (rows, i·r) array and no second u-sized array is formed.
+    (rows, i·r) array and no second u-sized array is formed. u's
+    ``AddInto`` also carries its factors (g, x, s): a factored leaf
+    (``autodiff.FactoredGrad``) keeps those instead, and
+    ``u_grad_chunks`` later forms the same chunks from them.
     """
     want_x, want_w, want_u, want_s = taped
     gx = g @ wv if want_x else None
@@ -207,12 +213,12 @@ def _linear_grads(g, xv, wv, factors, taped):
     def add_u_grad(acc):
         acc_r = acc.reshape(u_r.shape)
         for cols, cols_r in _in_chunks(n_in, rank):
-            acc_r[:, cols_r] += g.T @ _outer(xv[:, cols], sv)
+            _add_u_chunk(acc_r[:, cols_r], [(g, xv, sv)], cols)
         if not np.may_share_memory(acc_r, acc):  # reshape had to copy
             acc[...] = acc_r.reshape(acc.shape)
 
     if want_u:
-        gu = ad.AddInto(add_u_grad)
+        gu = ad.AddInto(add_u_grad, factors=(g, xv, sv))
     if want_s:
         gs = np.zeros_like(sv)
     if want_x or want_s:
@@ -224,6 +230,53 @@ def _linear_grads(g, xv, wv, factors, taped):
             if want_s:
                 gs += np.einsum("bir,bi->br", gp, xv[:, cols])
     return gx, gw, gu, gs
+
+
+def _add_u_chunk(acc, terms, cols):
+    """Add input columns ``cols`` of u's gradient into the (o, |cols|·r)
+    ``acc``: gᵀ (x[:, cols] ⊗ s) for each (g, x, s) of ``terms``, in order."""
+    for g, xv, sv in terms:
+        acc += g.T @ _outer(xv[:, cols], sv)
+
+
+def u_grad_chunks(terms):
+    """u's gradient from the factors of its terms, one input chunk at a time.
+
+    ``terms`` are the ``AddInto.factors`` (g, x, s) that ``_linear_grads``
+    hands one (o·i, r) u, in the order they arrived. Yields
+    ``(cols_r, chunk)``: the (o, |cols|·r) columns ``cols_r`` of u's
+    (o, i·r) view, each summed from zeros term by term with the GEMMs
+    the dense ``AddInto`` runs, so every entry is the dense gradient's,
+    bit for bit. One chunk exists at a time.
+    """
+    g, xv, sv = terms[0]
+    n_out, n_in, rank = g.shape[1], xv.shape[1], sv.shape[1]
+    for cols, cols_r in _in_chunks(n_in, rank):
+        chunk = np.zeros((n_out, cols_r.stop - cols_r.start))
+        _add_u_chunk(chunk, terms, cols)
+        yield cols_r, chunk
+
+
+def u_grad_sq_norm(terms) -> float:
+    """The squared Frobenius norm of u's gradient from its factors.
+
+    With G, X and S the terms' g, x and s stacked row-wise, the gradient
+    is Σ_b g_b ⊗ x_b ⊗ s_b, so its squared norm is
+    Σ_ab (G Gᵀ)_ab (X Xᵀ)_ab (S Sᵀ)_ab (the Gram form of per-example
+    gradient norms, Goodfellow, arXiv:1510.01799). Taken ROW_BLOCK rows
+    of a at a time, so the transient is ROW_BLOCK rows of the Gram
+    matrices. Equal to the formed gradient's norm up to rounding: the
+    sum runs in another order.
+    """
+    g, xv, sv = (np.concatenate(f) for f in zip(*terms))
+    total = 0.0
+    for lo in range(0, len(g), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        gram = g[rows] @ g.T
+        gram *= xv[rows] @ xv.T
+        gram *= sv[rows] @ sv.T
+        total += np.sum(gram)
+    return total
 
 
 def _tanh_grad(g, y, tangent_lin=None):

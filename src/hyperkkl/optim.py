@@ -8,6 +8,18 @@ block-sized. ``clip_grad_norm`` walks the same slices to find the norm
 and rescales in place, so no step of an epoch holds a second
 parameter-sized array. ``AdamState`` also owns the run's one gradient
 buffer, which every step's ``ParamVars`` fills.
+
+Factored slices. The hypernetwork readouts U have gradients as large as
+U, each a sum of rank-one terms; a run may keep them as the terms'
+factors (``autodiff.FactoredGrad``) and give them no room in the
+buffer. ``clip_grad_norm`` then adds their squared norm from the
+factors' Gram matrices, and ``adam_step`` forms them one chunk at a
+time with the GEMMs of the dense path, in its order, scales the chunk
+by the clip factor it is handed (``clip_factor``) and updates m, v and
+U on strided views of at most ADAM_BLOCK entries. So every gradient
+entry Adam sees is the dense one, bit for bit; only the norm is summed
+in another order, so it, and a clip factor, can differ in the last bits
+(within 1e-13 relative).
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericError
+from .nets import u_grad_chunks, u_grad_sq_norm
 from .params import ParamStore
 
 ADAM_BLOCK = 1 << 16  # entries per in-place update block
@@ -30,11 +43,61 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: ParamStore) -> "AdamState":
+    def for_params(cls, params: ParamStore, factored=()) -> "AdamState":
+        """Zero m and v, and a gradient buffer with no room for the
+        ``factored`` slices: its layout is the one record of which
+        slices those are (``params.ParamVars`` reads them from it)."""
         # np.zeros maps zero pages without writing them; zeros_like fills
         shape = params.data.shape
         return cls(m=np.zeros(shape), v=np.zeros(shape),
-                   grad=ParamStore(params.layout))
+                   grad=ParamStore(params.layout.without(factored)))
+
+
+def clip_factor(norm: float, max_norm: float) -> float | None:
+    """The factor ``clip_grad_norm`` scales a gradient of ``norm`` by,
+    None if it leaves it as it is."""
+    return max_norm / norm if norm > max_norm else None
+
+
+def _spans(lo, hi, size=ADAM_BLOCK):
+    for a in range(lo, hi, size):
+        yield slice(a, min(a + size, hi))
+
+
+def _dense_runs(params_layout, grads_layout):
+    """[lo, hi, glo] for each stretch [lo, hi) of the parameters that
+    ``grads`` holds contiguously from glo, in grads' order: one run of
+    everything when the layouts are equal."""
+    runs = []
+    for s in grads_layout.slices:
+        p = params_layout[s.name]
+        if p.shape != s.shape:
+            raise ContractViolation("params and grads have different layouts")
+        if runs and runs[-1][1] == p.offset:
+            runs[-1][1] += s.size
+        else:
+            runs.append([p.offset, p.offset + s.size, s.offset])
+    return runs
+
+
+def _blocks(name, spec, fg, data):
+    """``fg``'s (start, length, terms) in row order, each checked to fit
+    the rows of ``spec``, a (rows, r) slice, none overlapping and no
+    factor sharing memory with the parameters ``data``."""
+    out, row = [], 0
+    for (start, length), terms in sorted(fg.blocks.items()):
+        g, xv, sv = terms[0]
+        if start < row:
+            raise ContractViolation(f"factored blocks of {name} overlap")
+        if g.shape[1] * xv.shape[1] != length or sv.shape[1] != spec.shape[1]:
+            raise ContractViolation(
+                f"factors do not fit rows {start}:{start + length} of {name}")
+        if any(np.may_share_memory(f, data) for t in terms for f in t):
+            raise ContractViolation(
+                f"factors of {name} share memory with the parameters")
+        out.append((start, length, terms))
+        row = start + length
+    return out
 
 
 def adam_step(
@@ -45,28 +108,77 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    factored=None,
+    grad_scale: float | None = None,
 ) -> ParamStore:
-    """One Adam update, in place on ``params``; advances the step count."""
-    if params.layout != grads.layout:
+    """One Adam update, in place on ``params``; advances the step count.
+
+    ``grads`` has the layout of ``state.grad``: every slice but those
+    ``factored`` maps to their ``autodiff.FactoredGrad`` (module
+    docstring). Each chunk formed from those is scaled by ``grad_scale``,
+    the ``clip_factor`` that ``clip_grad_norm`` applied to ``grads``, if
+    any. Rows of a factored slice that no term reached step with a zero
+    gradient, as the dense path's zeros would.
+
+    The dense stretches are updated first, the factored slices after, so
+    the factors must not share memory with the parameters: one that did
+    would be read after its update. Such a factor, like blocks that do not
+    fit, is refused before anything changes.
+    """
+    factored = factored or {}
+    if grads.layout != state.grad.layout:
         raise ContractViolation("params and grads have different layouts")
     if state.m.shape != params.data.shape:
         raise ContractViolation("optimizer state does not match params")
+    runs = _dense_runs(params.layout, grads.layout)
+    if {s.name for s in params.layout.slices
+            if s.name not in grads.layout} != set(factored):
+        raise ContractViolation("factored gradients are not the slices "
+                                "grads has no room for")
+    blocks = {name: _blocks(name, params.layout[name], fg, params.data)
+              for name, fg in factored.items()}
     state.step += 1
     m_scale = 1.0 - beta1**state.step
     v_scale = 1.0 - beta2**state.step
-    for lo in range(0, params.data.size, ADAM_BLOCK):
-        block = slice(lo, lo + ADAM_BLOCK)
-        g, m, v, p = (a[block] for a in (grads.data, state.m, state.v,
-                                         params.data))
+
+    def update(g, m, v, p):
         m[:] = beta1 * m + (1.0 - beta1) * g
         v[:] = beta2 * v + (1.0 - beta2) * g * g
         m_hat = m / m_scale
         v_hat = v / v_scale
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    def update_flat(lo, hi, g=None):
+        """Entries [lo, hi) with gradient g, or a zero one if g is None."""
+        for block in _spans(lo, hi):
+            gb = 0.0 if g is None else g[block.start - lo:block.stop - lo]
+            update(gb, state.m[block], state.v[block], params.data[block])
+
+    for lo, hi, glo in runs:
+        update_flat(lo, hi, grads.data[glo:glo + hi - lo])
+    for name in factored:
+        spec = params.layout[name]
+        rank = spec.shape[1]
+        row = 0
+        for start, length, terms in blocks[name]:
+            update_flat(spec.offset + row * rank, spec.offset + start * rank)
+            lo = spec.offset + start * rank
+            n_out = terms[0][0].shape[1]
+            m_r, v_r, p_r = (a[lo:lo + length * rank].reshape(n_out, -1)
+                             for a in (state.m, state.v, params.data))
+            for cols, chunk in u_grad_chunks(terms):
+                if grad_scale is not None:
+                    chunk *= grad_scale
+                rows_per = max(1, ADAM_BLOCK // chunk.shape[1])
+                for rows in _spans(0, n_out, rows_per):
+                    update(chunk[rows], m_r[rows, cols], v_r[rows, cols],
+                           p_r[rows, cols])
+            row = start + length
+        update_flat(spec.offset + row * rank, spec.offset + spec.size)
     return params
 
 
-def clip_grad_norm(grads: ParamStore, max_norm: float) -> float:
+def clip_grad_norm(grads: ParamStore, max_norm: float, factored=None) -> float:
     """Scale grads so the global L2 norm is at most max_norm (in place).
 
     Returns the norm before clipping: the square root of ``np.sum(g * g)``
@@ -75,17 +187,27 @@ def clip_grad_norm(grads: ParamStore, max_norm: float) -> float:
     the thread count) is used, and a single block's norm is the one-pass
     numpy value bit for bit. A non-finite norm (an inf or NaN entry)
     raises NumericError: Adam would write it into every parameter.
+
+    Each block of each ``factored`` gradient then adds its squared norm
+    from the factors (``nets.u_grad_sq_norm``, GEMMs whose sums may follow
+    the thread count; a rounded value below 0 counts as 0), in slice and
+    row order. They are not scaled here: ``adam_step`` scales each chunk
+    it forms by the ``grad_scale`` it is handed.
     """
     if max_norm <= 0:
         raise ContractViolation("max_norm must be positive")
+    factored = factored or {}
     g = grads.data
     total = 0.0
-    for lo in range(0, g.size, ADAM_BLOCK):
-        block = g[lo:lo + ADAM_BLOCK]
-        total += np.sum(block * block)
+    for block in _spans(0, g.size):
+        total += np.sum(g[block] * g[block])
+    for fg in factored.values():
+        for _, terms in sorted(fg.blocks.items()):
+            total += max(u_grad_sq_norm(terms), 0.0)
     norm = float(np.sqrt(total))
     if not np.isfinite(norm):
         raise NumericError("gradient norm is non-finite")
-    if norm > max_norm:
-        g *= max_norm / norm
+    scale = clip_factor(norm, max_norm)
+    if scale is not None:
+        g *= scale
     return norm

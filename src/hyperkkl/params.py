@@ -8,11 +8,12 @@ onto base weights without any reshaping ambiguity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Var
+from .autodiff import FactoredGrad, Var
 from .errors import ContractViolation
 
 
@@ -21,10 +22,7 @@ class SliceSpec:
     name: str
     shape: tuple[int, ...]
     offset: int
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+    size: int  # entries, math.prod(shape): stored once, read on every get
 
 
 class Layout:
@@ -39,12 +37,22 @@ class Layout:
                 raise ContractViolation(f"duplicate slice name {name!r}")
             seen.add(name)
             shape = tuple(int(s) for s in shape)
-            spec = SliceSpec(name=name, shape=shape, offset=offset)
+            spec = SliceSpec(name=name, shape=shape, offset=offset,
+                             size=math.prod(shape))
             slices.append(spec)
             offset += spec.size
         self.slices = tuple(slices)
         self.total = offset
         self._by_name = {s.name: s for s in self.slices}
+
+    def without(self, names) -> "Layout":
+        """The layout of every other slice, in order; ``self`` if none."""
+        if not names:
+            return self
+        for name in names:
+            self[name]  # refuses an unknown name
+        return Layout((s.name, s.shape) for s in self.slices
+                      if s.name not in names)
 
     def __contains__(self, name):
         return name in self._by_name
@@ -121,19 +129,37 @@ class ParamVars:
     against ``.get`` runs identically on a ParamStore (plain arrays) and
     on ParamVars (recorded graph).
 
-    Leaf gradients live in one flat ``grad`` store of the same layout:
-    the constructor zeroes it, each leaf's ``.grad`` is a view of its
-    slice, ``backward`` adds into those views, and ``grads`` returns the
-    store itself, so a training run that passes the same buffer every
-    step holds one gradient vector and copies none. Without ``grad`` a
-    fresh zero store is used.
+    Leaf gradients live in one flat ``grad`` store: the constructor
+    zeroes it, each leaf's ``.grad`` is a view of its slice, ``backward``
+    adds into those views, and ``grads`` returns the store itself, so a
+    training run that passes the same buffer every step holds one
+    gradient vector and copies none. Without ``grad`` a fresh zero store
+    is used.
+
+    A ``grad`` store may lack some of the slices (the hypernetwork
+    readouts U; ``optim.AdamState.for_params``) and hold the others in
+    order, as ``Layout.without`` makes it. Those slices' leaves get an
+    ``autodiff.FactoredGrad`` each, which keeps the factors of the
+    rank-one terms that reach it and is never formed; ``factored`` maps
+    each such name to its own. ``optim`` takes their norm from the
+    factors, in another summation order, so its last bits can differ
+    from a formed gradient's.
     """
 
     def __init__(self, store: ParamStore, grad: ParamStore | None = None):
+        self.factored: dict[str, FactoredGrad] = {}
         if grad is None:
             grad = ParamStore(store.layout)
         else:
-            _check_same_layout(store, grad)
+            if grad.layout != store.layout:
+                kept = [(s.name, s.shape) for s in store.layout.slices
+                        if s.name in grad.layout]
+                if kept != [(s.name, s.shape) for s in grad.layout.slices]:
+                    raise ContractViolation(
+                        "param stores have different layouts")
+                self.factored = {s.name: FactoredGrad(s.shape[0])
+                                 for s in store.layout.slices
+                                 if s.name not in grad.layout}
             grad.data.fill(0.0)
         self.store = store
         self.layout = store.layout
@@ -143,7 +169,8 @@ class ParamVars:
     def get(self, name: str) -> Var:
         if name not in self._vars:
             var = Var(self.store.get(name))
-            var.grad = self._grad.get(name)
+            var.grad = (self.factored[name] if name in self.factored
+                        else self._grad.get(name))
             self._vars[name] = var
         return self._vars[name]
 

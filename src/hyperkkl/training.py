@@ -66,7 +66,7 @@ from .kkl import (
     simulate_latent,
     simulate_latent_nodes,
 )
-from .optim import AdamState, adam_step, clip_grad_norm
+from .optim import AdamState, adam_step, clip_factor, clip_grad_norm
 from .params import ParamStore, ParamVars
 
 LATENT_TARGET_DISCARD = 0.2  # transient fraction dropped from z labels
@@ -205,12 +205,22 @@ def _mse(diff, batch):
 
 class _Fit:
     """One Adam run over ``params`` in place: m, v and one gradient buffer,
-    and no copy of the parameters (see the module docstring)."""
+    and no copy of the parameters (see the module docstring).
 
-    def __init__(self, params: ParamStore, config: TrainConfig, frozen=()):
+    The dynamic run names its readouts U ``factored``: the gradient
+    buffer has no room for them, so ``ParamVars`` keeps their gradients
+    as factors, never formed (``optim``), and the run holds ψ, m and v
+    and no fourth ψ-sized array. Its gradient entries are the dense
+    path's bit for bit; its norm is summed in another order, so the norm
+    and the clip factor handed to ``adam_step`` can differ in the last
+    bits.
+    """
+
+    def __init__(self, params: ParamStore, config: TrainConfig, frozen=(),
+                 factored=()):
         self.params = params
         self.config = config
-        self.state = AdamState.for_params(params)
+        self.state = AdamState.for_params(params, factored)
         self.frozen = [(store, store_hash(store)) for store in frozen]
         self.log: list[LogRow] = []
         self.abort: Abort | None = None
@@ -225,11 +235,14 @@ class _Fit:
             pv = ParamVars(self.params, self.state.grad)
             loss, rec, pde = step(pv)
             ad.backward(loss)
-            norm = clip_grad_norm(pv.grads(), self.config.clip_norm)
+            norm = clip_grad_norm(pv.grads(), self.config.clip_norm,
+                                  pv.factored)
         except NumericError as e:
             self.abort = Abort(epoch, str(e))
             return None
-        adam_step(self.state, self.params, self.state.grad, lr=self.config.lr)
+        adam_step(self.state, self.params, self.state.grad, lr=self.config.lr,
+                  factored=pv.factored,
+                  grad_scale=clip_factor(norm, self.config.clip_norm))
         self.log.append(LogRow(epoch, float(ad.val(rec)), float(ad.val(pde)),
                                norm, level))
         return self.log[-1]
@@ -430,7 +443,8 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, runs,
     dt, n_steps = runs.dt, runs.n_steps
     taps = np.arange(spec.window) - (spec.window - 1)
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
-    run = _Fit(psi, config, frozen=(theta_base, phi_base))
+    run = _Fit(psi, config, frozen=(theta_base, phi_base),
+               factored=(f"{spec.enc_head.name}.U", f"{spec.dec_head.name}.U"))
     for epoch in range(1, config.epochs + 1):
         t_idx = batch_rng.integers(0, runs.count, size=config.batch)
         k_idx = batch_rng.integers(0, n_steps, size=config.batch)

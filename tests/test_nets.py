@@ -25,6 +25,8 @@ from hyperkkl.nets import (
     mlp_forward_with_jacobian,
     mlp_layout_entries,
     transpose2d,
+    u_grad_chunks,
+    u_grad_sq_norm,
 )
 from hyperkkl.params import Layout, ParamStore, ParamVars
 
@@ -555,6 +557,109 @@ class TestLowRankLinear:
         vals = lowrank_inputs(np.random.default_rng(25))
         with pytest.raises(ContractViolation, match="low-rank factors"):
             lowrank_linear(vals["x"], vals["w"], vals["u"][:-1], vals["s"])
+
+
+def without_u(store):
+    """A gradient buffer with no room for U, so U's leaf keeps factors."""
+    return ParamStore(store.layout.without(("U",)))
+
+
+def readout_uses(factored, seed=40, batch=6, rank=3):
+    """A readout U shared by two layers' deltas and used twice, as in the
+    dynamic step: once through the Jacobian forward (value and tangent
+    rows stacked, s repeated) and once through a plain forward at other
+    coordinates. Returns the ParamVars after backward and the layout of
+    the U rows (start, n_out, n_in) per layer. The hidden width spans
+    two IN_BLOCK chunks and a ragged one."""
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec((3, 2 * IN_BLOCK + 5, 4))
+    shapes = [(2 * IN_BLOCK + 5, 3), (4, 2 * IN_BLOCK + 5)]
+    total = sum(o * i for o, i in shapes)
+    entries = [(n, rng.normal(size=shape) * 0.3)
+               for n, shape in mlp_layout_entries(spec, "m")]
+    store = make_store(entries + [("U", rng.normal(size=(total, rank)))])
+    pv = ParamVars(store, without_u(store) if factored else None)
+    u = pv.get("U")
+    blocks, start = [], 0
+    for o, i in shapes:
+        blocks.append((start, o, i))
+        start += o * i
+
+    def deltas(s):
+        return [(ad.narrow(u, 0, b0, o * i), s) for b0, o, i in blocks]
+
+    x, tangent = (rng.normal(size=(batch, 3)) for _ in range(2))
+    s_pre, s_post = (ad.Var(rng.normal(size=(batch, rank))) for _ in range(2))
+    out, jvp = mlp_forward_with_jacobian(pv, spec, x, "m", tangent,
+                                         deltas(s_pre))
+    post = mlp_forward(pv, spec, x, "m", deltas(s_post))
+    weights = [rng.normal(size=(batch, 4)) for _ in range(3)]
+    loss = ad.sum_all(ad.mul(out, weights[0]))
+    for part, w in ((jvp, weights[1]), (post, weights[2])):
+        loss = ad.add(loss, ad.sum_all(ad.mul(part, w)))
+    ad.backward(loss)
+    return pv, blocks
+
+
+def formed_u_grad(pv, rank=3):
+    """U's gradient formed from the factored leaf's blocks, chunk by chunk."""
+    fg = pv.factored["U"]
+    out = np.zeros((fg.rows, rank))
+    for (start, length), terms in fg.blocks.items():
+        block = out[start:start + length].reshape(terms[0][0].shape[1], -1)
+        for cols, chunk in u_grad_chunks(terms):
+            block[:, cols] = chunk
+    return out
+
+
+class TestFactoredReadoutGradient:
+    """U's gradient kept as the factors of its terms (autodiff.FactoredGrad)."""
+
+    def test_forming_from_factors_is_the_dense_buffer_bitwise(self):
+        dense, _ = readout_uses(factored=False)
+        factored, blocks = readout_uses(factored=True)
+        fg = factored.factored["U"]
+        # one shared list per narrowed block, in the order backward
+        # delivered the uses: the 12 stacked Jacobian rows, then the post
+        # forward's 6
+        assert sorted(fg.blocks) == [(b0, o * i) for b0, o, i in blocks]
+        for terms in fg.blocks.values():
+            assert [len(g) for g, _, _ in terms] == [12, 6]
+        got = formed_u_grad(factored)
+        assert got.tobytes() == dense.grads().get("U").tobytes()
+        # every other slice is the dense buffer's, and U has no room there
+        assert "U" not in factored.grads().layout
+        for spec in factored.grads().layout.slices:
+            assert np.array_equal(factored.grads().get(spec.name),
+                                  dense.grads().get(spec.name))
+
+    def test_gram_norm_matches_the_formed_gradient(self):
+        pv, _ = readout_uses(factored=True, seed=41)
+        dense = formed_u_grad(pv)
+        gram = sum(u_grad_sq_norm(terms)
+                   for terms in pv.factored["U"].blocks.values())
+        expect = np.sum(dense * dense)
+        assert abs(gram - expect) <= 1e-13 * expect
+
+    def test_gram_norm_in_row_blocks_of_many_rows(self):
+        # more stacked rows than ROW_BLOCK, over three terms
+        rng = np.random.default_rng(42)
+        terms = [(rng.normal(size=(rows, 5)), rng.normal(size=(rows, 7)),
+                  rng.normal(size=(rows, 2))) for rows in (200, 150, 30)]
+        dense = np.zeros((5, 7 * 2))
+        for cols, chunk in u_grad_chunks(terms):
+            dense[:, cols] = chunk
+        expect = np.sum(dense * dense)
+        assert abs(u_grad_sq_norm(terms) - expect) <= 1e-13 * expect
+
+    def test_a_factored_leaf_refuses_a_formed_gradient(self):
+        store = make_store([("U", np.ones((4, 2)))])
+        pv = ParamVars(store, without_u(store))
+        loss = ad.sum_all(transpose2d(pv.get("U")))
+        with pytest.raises(ContractViolation, match="only factors"):
+            ad.backward(loss)
+        with pytest.raises(ContractViolation, match="along rows"):
+            ad.narrow(pv.get("U"), 1, 0, 1)
 
 
 def oracle_lstm(wx, wh, b, seq):

@@ -8,11 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_store
 
+from hyperkkl.autodiff import AddInto, FactoredGrad
 from hyperkkl.errors import ContractViolation, NumericError
+from hyperkkl.nets import IN_BLOCK, u_grad_chunks
 from hyperkkl.optim import (
     ADAM_BLOCK,
     AdamState,
     adam_step,
+    clip_factor,
     clip_grad_norm,
 )
 from hyperkkl.params import Layout, ParamStore
@@ -189,3 +192,145 @@ def test_clip_refuses_a_non_finite_gradient(bad):
     grads = make_store([("g", np.array([0.1, bad, 0.2]))])
     with pytest.raises(NumericError, match="gradient norm is non-finite"):
         clip_grad_norm(grads, 1.0)
+
+
+def factored_case(seed, n_out=5, n_in=2 * IN_BLOCK + 3, rank=3):
+    """A layout with a readout U between two dense slices; U's rows
+    [2, 2 + n_out·n_in) get three factored terms, the rows around them
+    none. Returns params, the dense gradient store, the factored one and
+    the FactoredGrad, with U's dense gradient formed from the same terms."""
+    rng = np.random.default_rng(seed)
+    rows = 2 + n_out * n_in + 3
+    layout = Layout([("a", (7,)), ("U", (rows, rank)), ("b", (4,))])
+    params = ParamStore(layout, rng.normal(size=layout.total))
+    dense = ParamStore(layout)
+    dense.set("a", rng.normal(size=7))
+    dense.set("b", rng.normal(size=4))
+    fg = FactoredGrad(rows)
+    block = fg.narrow(2, n_out * n_in)
+    u_grad = dense.get("U")[2:2 + n_out * n_in].reshape(n_out, -1)
+    terms = [(rng.normal(size=(m, n_out)), rng.normal(size=(m, n_in)),
+              rng.normal(size=(m, rank))) for m in (4, 9, 4)]
+    for factors in terms:
+        block.append(AddInto(None, factors))
+    for cols, chunk in u_grad_chunks(terms):
+        u_grad[:, cols] = chunk
+    compact = ParamStore(layout.without(("U",)))
+    for name in ("a", "b"):
+        compact.set(name, dense.get(name))
+    return params, dense, compact, fg
+
+
+def test_factored_step_is_the_dense_step_bitwise_without_a_clip():
+    params, dense, compact, fg = factored_case(50)
+    expect = params.copy()
+    state = AdamState.for_params(params, ("U",))
+    oracle = AdamState.for_params(expect)
+    assert state.grad.layout == compact.layout
+    for _ in range(3):
+        # the norm matches; no clip fires, so nothing is scaled
+        norm = clip_grad_norm(compact, 1e300, {"U": fg})
+        assert norm == pytest.approx(whole_norm(dense), rel=1e-13)
+        assert clip_factor(norm, 1e300) is None
+        adam_step(state, params, compact, lr=0.01, factored={"U": fg})
+        adam_step(oracle, expect, dense, lr=0.01)
+        for got, want in ((params.data, expect.data), (state.m, oracle.m),
+                          (state.v, oracle.v)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_factored_clip_scales_each_formed_chunk():
+    # with the clip firing, the factored and dense norms differ only in
+    # their last bits, and so do the scaled gradients Adam sees
+    params, dense, compact, fg = factored_case(51)
+    expect = params.copy()
+    raw = compact.data.copy()
+    norm_d = clip_grad_norm(dense, 0.5)
+    norm_f = clip_grad_norm(compact, 0.5, {"U": fg})
+    assert norm_f == pytest.approx(norm_d, rel=1e-13) and norm_f > 0.5
+    scale = clip_factor(norm_f, 0.5)
+    assert scale == 0.5 / norm_f
+    assert np.array_equal(compact.data, raw * scale)
+    state = AdamState.for_params(params, ("U",))
+    oracle = AdamState.for_params(expect)
+    adam_step(state, params, compact, lr=0.01, factored={"U": fg},
+              grad_scale=scale)
+    adam_step(oracle, expect, dense, lr=0.01)
+    for got, want in ((params.data, expect.data), (state.m, oracle.m),
+                      (state.v, oracle.v)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_factored_step_forms_no_u_sized_array():
+    # U is 20 MB; the step holds one chunk of IN_BLOCK input columns
+    n_out, n_in, rank = 200, 320, 40
+    rng = np.random.default_rng(52)
+    layout = Layout([("U", (n_out * n_in, rank)), ("b", (3,))])
+    params = ParamStore(layout, np.zeros(layout.total))
+    state = AdamState.for_params(params, ("U",))
+    assert state.grad.data.size == 3
+    fg = FactoredGrad(n_out * n_in)
+    fg.append(AddInto(None, (rng.normal(size=(8, n_out)),
+                             rng.normal(size=(8, n_in)),
+                             rng.normal(size=(8, rank)))))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        norm = clip_grad_norm(state.grad, 1.0, {"U": fg})
+        adam_step(state, params, state.grad, factored={"U": fg},
+                  grad_scale=clip_factor(norm, 1.0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    chunk = n_out * IN_BLOCK * rank * 8
+    assert peak <= 2 * chunk + 8 * ADAM_BLOCK * 8
+    assert peak < params.data.nbytes / 4
+    assert np.any(params.data[:-3] != 0.0)
+
+
+def test_factored_gradient_contracts():
+    params, _, compact, fg = factored_case(53)
+    (terms,) = fg.blocks.values()
+    fg.narrow(4, 6).append(AddInto(None, terms[0]))
+    state = AdamState.for_params(params, ("U",))
+    before = params.data.copy()
+    with pytest.raises(ContractViolation, match="overlap"):
+        adam_step(state, params, compact, factored={"U": fg})
+    # refused before any update
+    assert state.step == 0 and np.array_equal(params.data, before)
+    misfit = FactoredGrad(fg.rows)
+    misfit.narrow(0, 7).append(AddInto(None, terms[0]))
+    with pytest.raises(ContractViolation, match="do not fit rows 0:7"):
+        adam_step(state, params, compact, factored={"U": misfit})
+    with pytest.raises(ContractViolation, match="different layouts"):
+        adam_step(AdamState.for_params(params), params, compact)
+    with pytest.raises(ContractViolation, match="no room for"):
+        adam_step(state, params, compact)
+    with pytest.raises(ContractViolation, match="only factors"):
+        fg.append(AddInto(None))
+    assert state.step == 0 and np.array_equal(params.data, before)
+
+
+def test_factored_step_refuses_a_factor_that_views_the_parameters():
+    # the dense stretches step before U's chunks are formed, so a factor
+    # that is a view of ψ would be read after its update
+    params, _, compact, fg = factored_case(55)
+    ((g, xv, sv),) = next(iter(fg.blocks.values()))[:1]
+    aliased = FactoredGrad(fg.rows)
+    view = params.data[:sv.size].reshape(sv.shape)
+    aliased.narrow(2, g.shape[1] * xv.shape[1]).append(
+        AddInto(None, (g, xv, view)))
+    state = AdamState.for_params(params, ("U",))
+    before = params.data.copy()
+    with pytest.raises(ContractViolation, match="share memory"):
+        adam_step(state, params, compact, factored={"U": aliased})
+    assert state.step == 0 and np.array_equal(params.data, before)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_clip_refuses_a_non_finite_factor(bad):
+    _, _, compact, fg = factored_case(54)
+    next(iter(fg.blocks.values()))[1][0][0, 0] = bad
+    with pytest.raises(NumericError, match="gradient norm is non-finite"), \
+            np.errstate(invalid="ignore"):  # inf · 0 in the Gram products
+        clip_grad_norm(compact, 1.0, {"U": fg})

@@ -94,3 +94,34 @@ def test_paramvars_buffer_must_share_the_layout():
     store = make_store([("w", np.ones(3))])
     with pytest.raises(ContractViolation):
         ParamVars(store, make_store([("v", np.ones(3))]))
+
+
+def test_layout_without_drops_named_slices_in_order():
+    layout = Layout([("a", (2, 3)), ("U", (4, 2)), ("b", (4,)), ("c", ())])
+    assert layout.without(()) is layout
+    rest = layout.without(("U",))
+    assert [(s.name, s.shape, s.offset, s.size) for s in rest.slices] == [
+        ("a", (2, 3), 0, 6), ("b", (4,), 6, 4), ("c", (), 10, 1)]
+    with pytest.raises(ContractViolation):
+        layout.without(("nope",))
+
+
+def test_paramvars_factored_slices_keep_factors_not_buffer_room():
+    store = make_store([("w", np.ones(2)), ("U", np.ones((6, 2)))])
+    # the buffer's layout alone says which slices keep factors
+    buf = ParamStore(store.layout.without(("U",)), np.full(2, 7.0))
+    pv = ParamVars(store, buf)
+    assert np.all(buf.data == 0.0)
+    assert list(pv.factored) == ["U"]
+    fg = pv.factored["U"]
+    assert isinstance(fg, ad.FactoredGrad) and pv.get("U").grad is fg
+    # narrowed blocks share the leaf's blocks at their offsets
+    assert ad.narrow(pv.get("U"), 0, 2, 4).grad.start == 2
+    assert ad.narrow(pv.get("U"), 0, 2, 4).grad.blocks is fg.blocks
+    assert ParamVars(store, ParamStore(store.layout)).factored == {}
+    # the buffer's slices must be the store's others, with their shapes
+    with pytest.raises(ContractViolation, match="different layouts"):
+        ParamVars(store, make_store([("w", np.ones(3))]))
+    with pytest.raises(ContractViolation, match="different layouts"):
+        ParamVars(store, make_store([("U", np.ones((6, 2))),
+                                     ("w", np.ones(2))]))

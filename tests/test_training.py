@@ -348,6 +348,48 @@ class TestPhase2Dynamic:
         result, *_ = self.make_run()
         assert np.any(result.params.data != 0.0)
 
+    def run_readouts(self, monkeypatch, keep_factors, clip):
+        """A 2-epoch run whose readouts U keep factored gradients or, with
+        ``keep_factors`` False, dense ones; its result and Adam state."""
+        real, fits = training._Fit, []
+
+        def fit(params, config, frozen=(), factored=()):
+            fits.append(real(params, config, frozen,
+                             factored if keep_factors else ()))
+            return fits[-1]
+
+        sys = van_der_pol()
+        obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=4)
+        ds = tiny_dataset(sys, "sinusoid", count=3, horizon=5.0, sigma=0.0)
+        spec = build_hypernet_spec(maps, window=8, lstm_hidden=6, rank=3)
+        config = TrainConfig(epochs=2, batch=16, seed=7, clip_norm=clip)
+        with monkeypatch.context() as m:
+            m.setattr(training, "_Fit", fit)
+            result = phase2_train(sys, obs, maps, theta, phi, spec,
+                                  [ds.trajectories], config, f_scale=2.0)
+        return result, fits[0].state
+
+    @pytest.mark.parametrize("clip", [1e300, 1e-3])
+    def test_factored_readouts_step_as_the_dense_ones(self, monkeypatch,
+                                                      clip):
+        dense, dense_state = self.run_readouts(monkeypatch, False, clip)
+        got, state = self.run_readouts(monkeypatch, True, clip)
+        # the buffer has no room for U; only ψ, m and v are ψ-sized
+        size = sum(got.params.layout[f"hyper.{h}_head.U"].size
+                   for h in ("enc", "dec"))
+        assert state.grad.data.size == got.params.data.size - size
+        assert len(got.log) == len(dense.log) == 2
+        for row, want in zip(got.log, dense.log):
+            assert row.grad_norm == pytest.approx(want.grad_norm, rel=1e-13)
+            assert (row.grad_norm > clip) == (clip < 1.0)
+        pairs = ((got.params.data, dense.params.data),
+                 (state.m, dense_state.m), (state.v, dense_state.v))
+        for a, b in pairs:
+            if clip > 1.0:  # no clip: every U gradient entry is the dense one
+                assert a.tobytes() == b.tobytes()
+            else:  # the clip factor differs in its last bits
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
     def test_zero_input_check_refuses_a_nan_context(self):
         _, maps, *_ = tiny_setup(van_der_pol(), hidden=(10,))
         spec = build_hypernet_spec(maps, window=8, lstm_hidden=6, rank=3)
