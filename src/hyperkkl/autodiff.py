@@ -6,7 +6,8 @@ parents and a VJP, as ``nets`` does for an MLP layer, the low-rank
 linear map and the LSTM window). Both dispatch on their argument types:
 called on plain ndarrays they return plain ndarrays (no recording), so
 forward-only evaluation pays no tape overhead and training/inference
-share one code path.
+share one code path. A sample is a row of a 2-D block: nothing reshapes
+a node, and a ``Var`` has no operators; the functions are the API.
 
 Gradients of untouched leaves are exact zeros; all values are float64.
 A VJP may hand back an ``AddInto`` instead of an array: a gradient that
@@ -65,33 +66,6 @@ class Var:
         self._parents = parents
         self._vjp = vjp
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape})"
-
-    # light sugar; the functional forms below are the primary API
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def is_var(x) -> bool:
     return isinstance(x, Var)
@@ -145,18 +119,11 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    """a @ b for (n,k)@(k,m), (B,n)@(n,m), (n,)@(n,m) and (B,n)@(n,)."""
+    """a @ b for (n, k) @ (k, m) operands."""
     av, bv = val(a), val(b)
-    out = av @ bv
-
-    def vjp(g):
-        if av.ndim == 1 and bv.ndim == 2:
-            return bv @ g, np.outer(av, g)
-        if av.ndim == 2 and bv.ndim == 1:
-            return g[:, None] * bv[None, :], av.T @ g
-        return g @ bv.swapaxes(-1, -2), av.swapaxes(-1, -2) @ g
-
-    return _binary(a, b, out, vjp)
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ContractViolation("matmul takes 2-D operands")
+    return _binary(a, b, av @ bv, lambda g: (g @ bv.T, av.T @ g))
 
 
 def sum_all(x):
@@ -264,14 +231,6 @@ def narrow(x, axis, start, length):
         return (AddInto(add),)
 
     return Var(out, (x,), vjp)
-
-
-def reshape(x, shape):
-    xv = val(x)
-    out = xv.reshape(shape)
-    if not is_var(x):
-        return out
-    return Var(out, (x,), lambda g: (g.reshape(xv.shape),))
 
 
 def backward(root: Var) -> None:

@@ -116,6 +116,11 @@ def _dataset_level(dataset) -> int:
 
 
 def cmd_train(args, s):
+    if args.variant is not None and args.phase != "2":
+        raise ConfigError(f"--variant applies only to --phase 2, "
+                          f"not to --phase {args.phase}")
+    if args.base is not None and args.phase == "1":
+        raise ConfigError("--phase 1 trains from scratch and takes no --base")
     from . import training
     from .checkpoints import CheckpointBundle, read_checkpoint, write_checkpoint
     from .data import read_dataset
@@ -261,6 +266,8 @@ def _parse_checkpoint_args(pairs, s) -> dict:
         variant, path = spec.split("=", 1)
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r} in --checkpoint")
+        if variant in bundles:
+            raise ConfigError(f"--checkpoint names variant {variant!r} twice")
         if not Path(path).exists():
             raise ConfigError(f"checkpoint not found: {path}")
         bundle = read_checkpoint(path, observer=True)

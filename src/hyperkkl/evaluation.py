@@ -23,11 +23,12 @@ A test set is one ``TrajectorySet``: ``run_observer`` estimates all its
 runs into one run-major (count, N+1, n_x) array. The plain filter takes
 the set's runs as one time-major block, each run's column bit for bit
 its run filtered alone; the static filter, which calls the injection at
-every step, runs run by run. The decode is run by run, since a decode
-batched across runs could move the last bits of the estimates (OpenBLAS
-results depend on a GEMM's row count). Metrics discard the first 5% of
-each trajectory by default and average per-trajectory values across the
-test set.
+every step, steps each run alone as a count-1 block of one (1, n_z) row,
+as training does. The decode is run by run, since a decode batched
+across runs could move the last bits of the estimates (OpenBLAS results
+depend on a GEMM's row count). Metrics discard the first 5% of each
+trajectory by default and average per-trajectory values across the test
+set.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
         if plain is None:
             inject = make_step_injection(bundle.xi, bundle.injection_spec,
                                          u, dt)
-            zs = simulate_latent(obs, y, dt, injection=inject)
+            zs = simulate_latent(obs, y[:, None], dt, injection=inject)[:, 0]
         else:
             zs = np.ascontiguousarray(plain[:, i])
         xhat[i] = _decode(bundle, zs, u)

@@ -142,8 +142,8 @@ def init_hypernet_params(spec: HyperNetSpec, seed: int) -> ParamStore:
 def window_energy(windows) -> np.ndarray:
     """Per-sample squared L2 norm of (B, w, m) input windows."""
     w = np.asarray(windows, dtype=np.float64)
-    if w.ndim == 2:
-        w = w[None]
+    if w.ndim != 3:
+        raise ContractViolation(f"expected (B, w, m) windows, got {w.ndim}-D")
     return np.sum(w * w, axis=(1, 2), keepdims=False).reshape(-1, 1)
 
 
@@ -154,13 +154,10 @@ def gate_values(windows, tau: float) -> np.ndarray:
 
 def encode_context(psi, spec: HyperNetSpec, windows):
     """Shared LSTM summary of (B, w, m) input windows -> (B, d_h)."""
-    w = np.asarray(ad.val(windows), dtype=np.float64)
-    if w.ndim == 2:
-        w = w[None]
-    if w.shape[1] != spec.window:
+    w = np.asarray(windows, dtype=np.float64)
+    if w.ndim != 3 or w.shape[1] != spec.window:
         raise ContractViolation(
-            f"window length {w.shape[1]} does not match spec window {spec.window}"
-        )
+            f"expected (B, {spec.window}, m) windows, got shape {w.shape}")
     return lstm_forward(psi, spec.lstm, w, "hyper.lstm")
 
 
@@ -274,10 +271,11 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq, dt: float):
 
     Encodes the ``window_matrix`` rows of u_seq, one spec.window-long
     window per sample, through the injection LSTM; the returned callable
-    evaluates the injection MLP at (z, context_k). Steps whose window is
-    identically zero short-circuit to None, so the latent update is the
-    autonomous one, bit for bit; on an all-zero input nothing is encoded
-    and every step is autonomous.
+    evaluates the injection MLP at the (1, n_z + d_h) row [z, context_k]
+    for a (1, n_z) latent row z. Steps whose window is identically zero
+    short-circuit to None, so the latent update is the autonomous one,
+    bit for bit; on an all-zero input nothing is encoded and every step
+    is autonomous.
     """
     from .signals import window_matrix
 
@@ -291,8 +289,7 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq, dt: float):
     def inject(z, k):
         if not nonzero[k]:
             return None
-        ctx = ad.reshape(ad.narrow(contexts, 0, k, 1), (spec.lstm.hidden_size,))
-        inp = ad.concat([z, ctx], axis=0)
+        inp = ad.concat([z, ad.narrow(contexts, 0, k, 1)], axis=1)
         out = mlp_forward(xi, spec.mlp, inp, "inj.mlp")
         return ad.mul(out, float(gates[k]))
 

@@ -190,10 +190,9 @@ def simulate_latent_nodes(
 
     z' = A z + B y_k (+ injection(z, k)), with y held constant over each
     step (zero-order hold); an injection returning None adds nothing.
-    ``y_seq`` is one run's (N+1, n_y) outputs or a time-major
-    (N+1, count, n_y) block of runs on one grid, stepped as one
-    (count, n_z) array (time-major, so ``len(y_seq) - 1`` counts the
-    steps either way). The shipped A is diagonal and n_y is 1, so each
+    ``y_seq`` is a time-major (N+1, count, n_y) block of runs on one
+    grid, stepped as one (count, n_z) array; one run is a count-1 block
+    (``y[:, None]``). The shipped A is diagonal and n_y is 1, so each
     column is bit for bit its run filtered alone; a non-finite state in
     any run raises at that step. Elements are Vars when the injection
     closes over tape leaves, plain arrays otherwise.
@@ -201,15 +200,12 @@ def simulate_latent_nodes(
     if dt <= 0:
         raise ContractViolation("dt must be positive")
     y = np.asarray(y_seq, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.shape[-1] != obs.n_y:
+    if y.ndim != 3 or y.shape[2] != obs.n_y:
         raise ContractViolation(
-            f"y has {y.shape[-1]} channels, observer expects {obs.n_y}"
-        )
+            f"y must be an (N+1, count, {obs.n_y}) block, got shape {y.shape}")
     n_steps = len(y) - 1
     a_t = obs.A.T
-    by = y @ obs.B.T  # (N+1, [count,] n_z)
+    by = y @ obs.B.T  # (N+1, count, n_z)
 
     z = np.zeros(by.shape[1:]) if z0 is None else np.asarray(z0, dtype=np.float64)
     zs = [z]
@@ -238,7 +234,7 @@ def simulate_latent_nodes(
 
 
 def simulate_latent(obs, y_seq, dt, **kwargs) -> np.ndarray:
-    """Like simulate_latent_nodes but stacked into an (N+1, [count,] n_z)
+    """Like simulate_latent_nodes but stacked into an (N+1, count, n_z)
     array."""
     nodes = simulate_latent_nodes(obs, y_seq, dt, **kwargs)
     return np.stack([np.asarray(ad.val(z)) for z in nodes])

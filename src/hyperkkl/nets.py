@@ -385,7 +385,7 @@ def _mlp_layers(params, spec: MlpSpec, x, n, prefix: str, weight_deltas):
 
 
 def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
-    """Forward pass; x is (B, n_in) or (n_in,).
+    """Forward pass over a (B, n_in) batch; one sample is a (1, n_in) row.
 
     ``weight_deltas`` is an optional per-layer list of ``(U_l, s)``
     factors or None: layer l of sample b then uses the weight
@@ -393,10 +393,9 @@ def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
     without forming it (biases stay shared).
     """
     xv = ad.val(x)
-    single = xv.ndim == 1
-    a = ad.reshape(x, (1, xv.shape[0])) if single else x
-    a = _mlp_layers(params, spec, a, len(ad.val(a)), prefix, weight_deltas)
-    return ad.reshape(a, (spec.widths[-1],)) if single else a
+    if xv.ndim != 2:
+        raise ContractViolation(f"MLP expects a (B, n_in) batch, got {xv.ndim}-D")
+    return _mlp_layers(params, spec, x, len(xv), prefix, weight_deltas)
 
 
 def mlp_forward_with_jacobian(params, spec: MlpSpec, x, prefix: str, tangent,
@@ -533,8 +532,6 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     whatever the span.
     """
     seq = np.asarray(ad.val(sequence), dtype=np.float64)
-    if seq.ndim == 2:
-        seq = seq[None]
     if seq.ndim != 3 or seq.shape[1] < 1:
         raise ContractViolation("LSTM needs a non-empty (B, w, m) sequence")
     if seq.shape[2] != spec.input_size:

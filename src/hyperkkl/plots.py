@@ -52,19 +52,11 @@ def svg_timeseries(path, times, truth, estimate, inputs=None, title="") -> None:
     t = np.asarray(times, dtype=np.float64)
     x = np.asarray(truth, dtype=np.float64)
     xh = np.asarray(estimate, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if xh.ndim == 1:
-        xh = xh[:, None]
-    if x.shape != xh.shape or len(t) != len(x):
-        raise ContractViolation("truth/estimate/time shapes disagree")
-    u = None
-    if inputs is not None:
-        u = np.asarray(inputs, dtype=np.float64)
-        if u.ndim == 1:
-            u = u[:, None]
-        if len(u) != len(t):
-            raise ContractViolation("inputs length disagrees with times")
+    u = None if inputs is None else np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape != xh.shape or len(t) != len(x):
+        raise ContractViolation("truth and estimate must be (N+1, n_x) on the times")
+    if u is not None and (u.ndim != 2 or len(u) != len(t)):
+        raise ContractViolation("inputs must be (N+1, m) on the times")
 
     n_x = x.shape[1]
     n_panels = n_x + (1 if u is not None else 0)

@@ -107,14 +107,14 @@ def window_matrix(u_seq: np.ndarray, w: int) -> np.ndarray:
 
     Row k holds the w samples ending at index k, left-padded by repeating
     u[0], so a window that reaches before the first sample reads u[0]
-    there. Input (N+1, m) or (N+1,); output (N+1, w, m).
+    there. Input (N+1, m); output (N+1, w, m).
     """
     if w <= 0:
         raise ContractViolation("window length must be >= 1")
     u = np.asarray(u_seq, dtype=np.float64)
-    if u.ndim == 1:
-        u = u[:, None]
-    n1, m = u.shape
+    if u.ndim != 2:
+        raise ContractViolation(f"expected an (N+1, m) sequence, got {u.ndim}-D")
+    n1 = len(u)
     padded = np.concatenate([np.repeat(u[:1], w - 1, axis=0), u], axis=0)
     idx = np.arange(n1)[:, None] + np.arange(w)[None, :]
     return padded[idx]

@@ -499,14 +499,10 @@ def _train_static(system, obs, maps, theta_base, phi_base, spec, runs,
             for t, k0 in zip(t_idx, k_idx):
                 inject_full = make_step_injection(pv, spec, runs.inputs[t], dt)
                 nodes = simulate_latent_nodes(
-                    obs, runs.outputs[t, k0 : k0 + seg + 1], dt,
+                    obs, runs.outputs[t, k0 : k0 + seg + 1, None], dt,
                     injection=lambda z, k: inject_full(z, k0 + k),
                 )
-                kept = nodes[discard:]
-                zmat = ad.concat(
-                    [ad.reshape(z, (1, obs.n_z)) for z in kept], axis=0
-                )
-                xhat = decode(maps, phi_base, zmat)
+                xhat = decode(maps, phi_base, ad.concat(nodes[discard:]))
                 target = runs.states[t, k0 + discard : k0 + seg + 1]
                 diff = ad.sub(xhat, target)
                 part = ad.sum_all(ad.mul(diff, diff))

@@ -105,6 +105,15 @@ def exp(x):
     return ad.Var(out, (x,), lambda g: (g * out,))
 
 
+def reshape(x, shape):
+    """reshape as one tape node, for oracles that form a dense weight."""
+    xv = ad.val(x)
+    out = xv.reshape(shape)
+    if not ad.is_var(x):
+        return out
+    return ad.Var(out, (x,), lambda g: (g.reshape(xv.shape),))
+
+
 def zero_fill_backward(root) -> None:
     """``autodiff.backward`` as it was before it adopted VJP arrays: a
     parent without ``.grad`` gets zeros, and every gradient is added in."""

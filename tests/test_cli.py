@@ -250,6 +250,35 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("phase", ["1", "curriculum"])
+    def test_variant_outside_phase2_is_refused(self, gen_dir, tmp_path,
+                                               capsys, phase):
+        out = tmp_path / "t"
+        capsys.readouterr()
+        code = run(
+            "train", "--system", "duffing", "--phase", phase, "--variant",
+            "static", "--data", str(gen_dir / "duffing_zero_n4_s1.hkkl"),
+            "--base", str(tmp_path / "unread.hkkp"), "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --variant applies only to --phase 2, not to --phase "
+            f"{phase}\n")
+        assert not out.exists()
+
+    def test_phase1_refuses_a_base(self, gen_dir, tmp_path, capsys):
+        out = tmp_path / "t"
+        capsys.readouterr()
+        code = run(
+            "train", "--system", "duffing", "--phase", "1", "--data",
+            str(gen_dir / "duffing_zero_n4_s1.hkkl"), "--base",
+            str(tmp_path / "unread.hkkp"), "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --phase 1 trains from scratch and takes no --base\n")
+        assert not out.exists()
+
     def test_phase1_smoke_writes_checkpoint(self, gen_dir, tmp_path):
         out = tmp_path / "ck"
         code = run(
@@ -733,6 +762,22 @@ class TestEvalPlotReport:
         assert capsys.readouterr().err == (
             f"error: checkpoint {trained['base']} was trained on duffing, "
             "not vanderpol\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_a_repeated_variant_is_refused(self, trained, capsys, command):
+        # two checkpoints of one variant would score only the last one
+        out = trained["root"] / "twice"
+        capsys.readouterr()
+        code = run(
+            command, "--system", "duffing",
+            "--checkpoint", f"autonomous={trained['base']}",
+            "--checkpoint", f"autonomous={trained['base']}",
+            "--regimes", "zero", "--horizon", "2.0", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --checkpoint names variant 'autonomous' twice\n")
         assert not out.exists()
 
     def test_eval_needs_checkpoints(self, trained):

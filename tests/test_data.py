@@ -331,14 +331,14 @@ class TestCheckpointFormat:
         dt, u, y = runs.dt, runs.inputs[0], runs.outputs[0]
         # the stored estimate is the dense decode, row by row through a
         # delta ParamStore, and reproduces bitwise
-        zs = simulate_latent(bundle.obs, y, dt)
+        zs = simulate_latent(bundle.obs, y[:, None], dt)[:, 0]
         windows = window_matrix(u, spec.window)
         live = gate_values(windows, spec.tau)[:, 0] != 0.0
         _, d_phi = generate_deltas(bundle.psi, spec, windows[live])
         dense = decode(bundle.maps, bundle.phi, zs)
         for row, flat in zip(np.flatnonzero(live), d_phi):
             eff = bundle.phi + delta_store(spec.dec_head, flat)
-            dense[row] = decode(bundle.maps, eff, zs[row])
+            dense[row] = decode(bundle.maps, eff, zs[row : row + 1])[0]
         assert np.array_equal(dense, xhat)
         # run_observer applies the same deltas as rank factors
         est = run_observer(bundle, runs)[0]

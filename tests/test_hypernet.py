@@ -198,6 +198,12 @@ class TestContext:
         with pytest.raises(ContractViolation):
             encode_context(psi, spec, np.zeros((1, spec.window + 1, 1)))
 
+    def test_refuses_a_single_unbatched_window(self):
+        # one window is a (1, w, m) batch; a bare (w, m) window is refused
+        maps, spec, psi = small_hyper()
+        with pytest.raises(ContractViolation, match="got shape"):
+            encode_context(psi, spec, np.zeros((spec.window, 1)))
+
     def test_context_gradient(self):
         maps, spec, psi = small_hyper(window=4, hidden=3)
         win = np.random.default_rng(8).normal(size=(2, 4, 1))
@@ -226,20 +232,21 @@ class TestInjection:
     def test_zero_window_injection_exactly_zero(self):
         spec, xi = self.spec_and_params()
         xi.data[:] = np.random.default_rng(9).normal(size=xi.data.shape)
-        out = self.inject_once(xi, spec, np.ones(5), np.zeros((spec.window, 1)))
+        out = self.inject_once(xi, spec, np.ones((1, 5)),
+                               np.zeros((spec.window, 1)))
         assert out is None  # the latent step adds nothing
 
     def test_zero_params_injection_zero_for_any_input(self):
         spec, xi = self.spec_and_params()
         xi.data[:] = 0.0
         win = np.random.default_rng(10).normal(size=(spec.window, 1))
-        out = self.inject_once(xi, spec, np.ones(5), win)
-        assert np.all(ad.val(out) == 0.0)
+        out = self.inject_once(xi, spec, np.ones((1, 5)), win)
+        assert ad.val(out).shape == (1, 5) and np.all(ad.val(out) == 0.0)
 
     def test_zero_final_layer_init_starts_at_zero(self):
         spec, xi = self.spec_and_params(seed=3)
         win = np.random.default_rng(11).normal(size=(spec.window, 1))
-        out = self.inject_once(xi, spec, np.full(5, 0.3), win)
+        out = self.inject_once(xi, spec, np.full((1, 5), 0.3), win)
         assert np.all(ad.val(out) == 0.0)
 
     def test_gradient_wrt_xi(self):
@@ -250,7 +257,7 @@ class TestInjection:
         rng = np.random.default_rng(12)
         xi.data[:] = rng.normal(size=xi.data.shape) * 0.3
         win = rng.normal(size=(4, 1))
-        z = rng.normal(size=3)
+        z = rng.normal(size=(1, 3))
 
         def loss(p):
             out = self.inject_once(p, spec, z, win)
@@ -262,7 +269,7 @@ class TestInjection:
         spec, xi = self.spec_and_params()
         xi.data[:] = np.random.default_rng(13).normal(size=xi.data.shape)
         obs = build_observer_matrices(2, 1)
-        y = np.random.default_rng(14).normal(size=(60, 1))
+        y = np.random.default_rng(14).normal(size=(60, 1, 1))
         u = np.zeros((60, 1))
         inject = make_step_injection(xi, spec, u, 0.05)
         with_inj = simulate_latent(obs, y, 0.05, injection=inject)
@@ -274,7 +281,7 @@ class TestInjection:
         rng = np.random.default_rng(15)
         xi.data[:] = rng.normal(size=xi.data.shape)
         obs = build_observer_matrices(2, 1)
-        y = rng.normal(size=(60, 1))
+        y = rng.normal(size=(60, 1, 1))
         u = np.full((60, 1), 0.8)
         inject = make_step_injection(xi, spec, u, 0.05)
         with_inj = simulate_latent(obs, y, 0.05, injection=inject)
@@ -285,4 +292,4 @@ class TestInjection:
         spec, xi = self.spec_and_params()
         win = np.random.default_rng(16).normal(size=(spec.window, 1))
         with pytest.raises(ContractViolation):
-            self.inject_once(xi, spec, np.ones(4), win)
+            self.inject_once(xi, spec, np.ones((1, 4)), win)

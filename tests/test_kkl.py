@@ -121,20 +121,20 @@ class TestObserverMatrices:
 class TestSimulateLatent:
     def test_hurwitz_decay_from_nonzero_start(self):
         obs = build_observer_matrices(2, 1)
-        y = np.zeros((201, 1))
-        z0 = np.array([1.0, -0.5, 0.2, 0.8, -0.1])
-        zs = simulate_latent(obs, y, 0.05, z0=z0)
+        y = np.zeros((201, 1, 1))
+        z0 = np.array([[1.0, -0.5, 0.2, 0.8, -0.1]])
+        zs = simulate_latent(obs, y, 0.05, z0=z0)[:, 0]
         n1 = np.linalg.norm(zs[20])  # t = 1
         assert n1 <= math.exp(-1.0) * np.linalg.norm(z0) * (1 + 1e-6)
 
     def test_superposition_matches_closed_form(self):
         obs = build_observer_matrices(2, 1)
         rng = np.random.default_rng(0)
-        y = rng.normal(size=(101, 1))
+        y = rng.normal(size=(101, 1, 1))
         dz0 = rng.normal(size=5)
-        za = simulate_latent(obs, y, 0.05, z0=np.zeros(5))
-        zb = simulate_latent(obs, y, 0.05, z0=dz0)
-        diff = zb - za
+        za = simulate_latent(obs, y, 0.05, z0=np.zeros((1, 5)))
+        zb = simulate_latent(obs, y, 0.05, z0=dz0[None])
+        diff = (zb - za)[:, 0]
         # RK4 on a diagonal linear system applies the degree-4 Taylor factor
         lam = np.diag(obs.A)
         factor = sum((lam * 0.05) ** k / math.factorial(k) for k in range(5))
@@ -144,25 +144,25 @@ class TestSimulateLatent:
 
     def test_contraction_envelope_within_one_percent(self):
         obs = build_observer_matrices(2, 1)
-        y = np.random.default_rng(1).normal(size=(201, 1))
+        y = np.random.default_rng(1).normal(size=(201, 1, 1))
         dz0 = np.zeros(5)
         dz0[0] = 1.0  # slowest mode
-        za = simulate_latent(obs, y, 0.05, z0=np.zeros(5))
-        zb = simulate_latent(obs, y, 0.05, z0=dz0)
+        za = simulate_latent(obs, y, 0.05, z0=np.zeros((1, 5)))
+        zb = simulate_latent(obs, y, 0.05, z0=dz0[None])
         ts = np.arange(201) * 0.05
-        norms = np.linalg.norm(zb - za, axis=1)
+        norms = np.linalg.norm((zb - za)[:, 0], axis=1)
         envelope = np.exp(-ts) * np.linalg.norm(dz0)
         assert np.all(norms <= envelope * 1.01)
         assert np.all(norms >= envelope * 0.99)
 
     def test_general_offset_decays_below_envelope(self):
         obs = build_observer_matrices(2, 1)
-        y = np.random.default_rng(2).normal(size=(201, 1))
+        y = np.random.default_rng(2).normal(size=(201, 1, 1))
         dz0 = np.array([0.5, -1.0, 2.0, 0.3, -0.7])
-        za = simulate_latent(obs, y, 0.05, z0=np.zeros(5))
-        zb = simulate_latent(obs, y, 0.05, z0=dz0)
+        za = simulate_latent(obs, y, 0.05, z0=np.zeros((1, 5)))
+        zb = simulate_latent(obs, y, 0.05, z0=dz0[None])
         ts = np.arange(201) * 0.05
-        norms = np.linalg.norm(zb - za, axis=1)
+        norms = np.linalg.norm((zb - za)[:, 0], axis=1)
         assert np.all(norms <= np.exp(-ts) * np.linalg.norm(dz0) * 1.01)
 
     def test_plain_injection_against_rk4_oracle(self):
@@ -172,7 +172,8 @@ class TestSimulateLatent:
         u = rng.normal(size=(41, 1))
         gain = rng.normal(size=(5, 1))
         # a state-independent injection is held over each step like y
-        zs = simulate_latent(obs, y, 0.05, injection=lambda z, k: gain @ u[k])
+        zs = simulate_latent(obs, y[:, None], 0.05,
+                             injection=lambda z, k: u[k : k + 1] @ gain.T)[:, 0]
         z = np.zeros(5)
         for k in range(40):
             c = obs.B @ y[k] + gain @ u[k]
@@ -195,7 +196,8 @@ class TestSimulateLatent:
         assert zs.shape == (201, 7, obs.n_z)
         for i, y in enumerate(outputs):
             assert np.array_equal(zs[:, i], oracle_latent(obs, y, ds.dt))
-            assert np.array_equal(zs[:, i], simulate_latent(obs, y, ds.dt))
+            assert np.array_equal(zs[:, i],
+                                  simulate_latent(obs, y[:, None], ds.dt)[:, 0])
 
     def test_a_non_finite_run_stops_the_block(self):
         obs = build_observer_matrices(2, 1)
@@ -207,12 +209,14 @@ class TestSimulateLatent:
 
     def test_contracts(self):
         obs = build_observer_matrices(2, 1)
-        with pytest.raises(ContractViolation):
-            simulate_latent(obs, np.zeros((10, 2)), 0.05)
-        with pytest.raises(ContractViolation):
+        # one run is a count-1 block; its bare (N+1, n_y) outputs are refused
+        for y in (np.zeros((10, 1)), np.zeros(10)):
+            with pytest.raises(ContractViolation, match="block"):
+                simulate_latent(obs, y, 0.05)
+        with pytest.raises(ContractViolation, match=r"got shape \(10, 3, 2\)"):
             simulate_latent(obs, np.zeros((10, 3, 2)), 0.05)
         with pytest.raises(ContractViolation):
-            simulate_latent(obs, np.zeros((10, 1)), -0.1)
+            simulate_latent(obs, np.zeros((10, 1, 1)), -0.1)
 
 
 class TestMaps:
@@ -395,8 +399,8 @@ class TestManufacturedObserver:
         maps, theta, phi = analytic_linear_maps(c)
         dt = 0.005
         runs = simulate(sys, np.array([[0.8]]), None, dt, 10.0, 0.0, seed=0)
-        zs = simulate_latent(obs, runs.outputs[0], dt)
-        xhat = np.array([decode(maps, phi, z) for z in zs])
+        zs = simulate_latent(obs, runs.outputs[0][:, None], dt)[:, 0]
+        xhat = decode(maps, phi, zs)
         err = np.abs(runs.states[0, :, 0] - xhat[:, 0])
         ts = runs.times
         k0 = int(0.5 / dt)

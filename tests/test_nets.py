@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grad_check, make_store, tanh, zero_fill_backward
+from conftest import grad_check, make_store, reshape, tanh, zero_fill_backward
 
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
@@ -49,8 +49,8 @@ class TestMlp:
     def test_zero_params_zero_output(self):
         spec, store = fresh_mlp([2, 5, 3])
         store.data[:] = 0.0
-        out = mlp_forward(store, spec, np.array([0.7, -1.2]), "net")
-        assert np.all(out == 0.0)
+        out = mlp_forward(store, spec, np.array([[0.7, -1.2]]), "net")
+        assert out.shape == (1, 3) and np.all(out == 0.0)
 
     def test_scalar_hand_computation(self):
         spec, store = fresh_mlp([1, 1, 1])
@@ -58,7 +58,7 @@ class TestMlp:
         store.set("net.W1", [[1.0]])
         store.set("net.b0", [0.0])
         store.set("net.b1", [0.0])
-        out = mlp_forward(store, spec, np.array([0.5]), "net")
+        out = mlp_forward(store, spec, np.array([[0.5]]), "net")[0]
         assert out[0] == pytest.approx(math.tanh(0.5), abs=1e-15)
         assert out[0] == pytest.approx(0.46212, abs=1e-5)
 
@@ -67,8 +67,8 @@ class TestMlp:
         xs = np.random.default_rng(1).normal(size=(6, 3))
         batch = mlp_forward(store, spec, xs, "net")
         for i in range(6):
-            single = mlp_forward(store, spec, xs[i], "net")
-            assert np.allclose(batch[i], single, atol=1e-14)
+            single = mlp_forward(store, spec, xs[i : i + 1], "net")
+            assert np.allclose(batch[i], single[0], atol=1e-14)
 
     def test_gradient_against_central_differences(self):
         spec, store = fresh_mlp([2, 6, 3], seed=7)
@@ -141,8 +141,8 @@ class TestMlp:
             for layer, (u, _) in enumerate(deltas):
                 w = store.get(f"net.W{layer}")
                 shifted.set(f"net.W{layer}", w + (u @ s[i]).reshape(w.shape))
-            single = mlp_forward(shifted, spec, x[i], "net")
-            assert np.allclose(out[i], single, atol=1e-13)
+            single = mlp_forward(shifted, spec, x[i : i + 1], "net")
+            assert np.allclose(out[i], single[0], atol=1e-13)
 
     def test_jvp_takes_the_same_deltas(self):
         spec, store = fresh_mlp([3, 7, 4], seed=8)
@@ -166,8 +166,15 @@ class TestMlp:
         with pytest.raises(ContractViolation):
             MlpSpec(widths=(2, 3))
         spec, store = fresh_mlp([2, 3, 2])
-        with pytest.raises(ContractViolation):
-            mlp_forward(store, spec, np.zeros(3), "net")
+        with pytest.raises(ContractViolation, match="input width"):
+            mlp_forward(store, spec, np.zeros((1, 3)), "net")
+
+    def test_refuses_anything_but_a_row_batch(self):
+        # one sample is a (1, n_in) row; a bare (n_in,) vector is refused
+        spec, store = fresh_mlp([2, 3, 2])
+        for x in (np.zeros(2), np.zeros((1, 1, 2))):
+            with pytest.raises(ContractViolation, match=r"\(B, n_in\) batch"):
+                mlp_forward(store, spec, x, "net")
 
 
 def chain_layer(x, n, w, b, factors, squash):
@@ -353,7 +360,7 @@ def oracle_bmatvec(w, x):
 def dense_lowrank_linear(x, w, u, s):
     """x_b (W + reshape(s_b uᵀ)): every sample's weight formed in full."""
     batch, (n_out, n_in) = ad.val(x).shape[0], ad.val(w).shape
-    delta = ad.reshape(ad.matmul(s, transpose2d(u)), (batch, n_out, n_in))
+    delta = reshape(ad.matmul(s, transpose2d(u)), (batch, n_out, n_in))
     return oracle_bmatvec(ad.add(w, delta), x)
 
 
@@ -925,3 +932,9 @@ class TestLstm:
         spec, store = fresh_lstm(1, 3)
         with pytest.raises(ContractViolation):
             lstm_forward(store, spec, np.zeros((1, 0, 1)), "lstm")
+
+    def test_refuses_a_single_unbatched_window(self):
+        # one window is a (1, w, m) batch; a bare (w, m) window is refused
+        spec, store = fresh_lstm(1, 3)
+        with pytest.raises(ContractViolation, match=r"\(B, w, m\)"):
+            lstm_forward(store, spec, np.zeros((10, 1)), "lstm")

@@ -54,5 +54,13 @@ def test_shape_contract(tmp_path):
                        np.zeros((4, 2)))
 
 
+def test_a_single_coordinate_is_a_column(tmp_path):
+    # truth, estimate and inputs are (N+1, width); bare vectors are refused
+    t, col = np.arange(5), np.zeros((5, 1))
+    for args in ((np.zeros(5), np.zeros(5)), (col, col, np.zeros(5))):
+        with pytest.raises(ContractViolation, match=r"\(N\+1, "):
+            svg_timeseries(tmp_path / "x.svg", t, *args)
+
+
 def test_plot_name():
     assert plot_name("duffing", "dynamic", "square") == "duffing_dynamic_square.svg"

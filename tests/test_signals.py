@@ -107,12 +107,17 @@ class TestWindow:
         sig = InputSignal(kind="sinusoid", amplitude=0.5, frequency=0.8)
         dt, w, n = 0.05, 7, 40
         ts = np.arange(n + 1) * dt
-        u = eval_signal(sig, ts)
+        u = eval_signal(sig, ts)[:, None]
         mat = window_matrix(u, w)
         assert mat.shape == (n + 1, w, 1)
         for k in (0, 1, 5, n):
             expect = signal_window(sig, ts[k], w, dt)
             assert np.allclose(mat[k, :, 0], expect, atol=1e-15)
+
+    def test_window_matrix_takes_an_n_by_m_sequence(self):
+        # a single channel is an (N+1, 1) column; a bare vector is refused
+        with pytest.raises(ContractViolation, match=r"\(N\+1, m\)"):
+            window_matrix(np.zeros(5), 3)
 
 
 class TestDifficulty:

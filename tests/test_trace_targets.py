@@ -8,6 +8,7 @@ other test.
 
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,3 +94,40 @@ def test_traced_eval_names_one_span_per_cell_and_counts_steps(monkeypatch):
     latent = [n for n in names if n == "kkl.simulate_latent_nodes"]
     assert len(latent) == 1
     assert tracer.counts["kkl.simulate_latent_nodes.steps"] == 40
+
+
+def test_traced_static_phase2_encodes_each_run_once_per_segment(
+        monkeypatch, tmp_path):
+    # the traced benchmark requires context_use_ratio.static to be
+    # segment_steps / (N + 1): each segment makes one step injection,
+    # which encodes its run's N + 1 windows, and steps segment_steps of them
+    monkeypatch.syspath_prepend(str(ROOT))
+    trace = importlib.import_module("pipebench.trace")
+    from hyperkkl import data, dynamics, hypernet, kkl, training
+
+    system = dynamics.van_der_pol()
+    obs = kkl.build_observer_matrices(2, 1)
+    maps = kkl.make_maps(2, obs.n_z, hidden=(6,))
+    theta, phi = kkl.init_map_params(maps, 5)
+    runs = data.generate_dataset(system, "sinusoid", 2, 3,
+                                 horizon=2.0).trajectories
+    spec = hypernet.build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
+                                         mlp_hidden=(5,))
+    config = training.TrainConfig(epochs=1, seed=1, segment_steps=10,
+                                  segment_discard=2, segment_batch=3)
+    tracer = trace.Tracer("static")
+    tracer.install()
+    try:
+        training.phase2_train(system, obs, maps, theta, phi, spec, [runs],
+                              config)
+    finally:
+        tracer.remove()
+    names = [s[0] for s in tracer.spans]
+    assert names.count("hypernet.make_step_injection") == 3
+    tracer.dump(tmp_path / "static.json")
+    counts = json.loads((tmp_path / "static.json").read_text())["counts"]
+    assert (counts["hypernet.make_step_injection.windows_encoded.static"]
+            == 3 * (runs.n_steps + 1))
+    # a segment reaches at most segment_steps distinct steps, so the sum
+    # is 3 * 10 only if every segment steps all of them
+    assert counts["hypernet.make_step_injection.windows_used.static"] == 3 * 10

@@ -438,6 +438,38 @@ class TestPhase2Static:
         result, *_ = self.make_run()
         assert store_hash(result.params) != store_hash(fresh)
 
+    @pytest.mark.parametrize("seg", [6, 10])
+    def test_tape_holds_44_nodes_per_latent_step(self, monkeypatch, seg):
+        # A live RK4 step tapes 4 derivatives of 8 nodes each (z Aᵀ, + B y,
+        # concat [z, context row], narrow, 2 MLP layers, gate, + injection)
+        # and 12 for the stage sums. The other 13 are the LSTM node, its 7
+        # parameter leaves and 7 loss nodes (concat of the kept rows, 2
+        # decoder layers, sub, mul, sum, mean), less the 2 plain arrays of
+        # the first derivative at z0 = 0. A reshape per row would show here.
+        sizes, backward = [], ad.backward
+
+        def counted(root):
+            seen, stack = {id(root)}, [root]
+            while stack:
+                for p in stack.pop()._parents:
+                    if id(p) not in seen:
+                        seen.add(id(p))
+                        stack.append(p)
+            sizes.append(len(seen))
+            backward(root)
+
+        monkeypatch.setattr(ad, "backward", counted)
+        sys = van_der_pol()
+        obs, maps, theta, phi = tiny_setup(sys, hidden=(6,), seed=5)
+        ds = tiny_dataset(sys, "constant", count=1, horizon=2.0, sigma=0.0)
+        spec = build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
+                                    mlp_hidden=(5,))
+        config = TrainConfig(epochs=1, seed=1, segment_steps=seg,
+                             segment_discard=2, segment_batch=1)
+        phase2_train(sys, obs, maps, theta, phi, spec, [ds.trajectories],
+                     config)
+        assert sizes == [13 + 44 * seg]
+
 
 class TestCurriculum:
     def make_levels(self, sys):
@@ -480,7 +512,7 @@ class TestCurriculum:
         state = AdamState.for_params(phi)
         zs, xs = [], []
         for y, states in zip(level.outputs, level.states):
-            z = simulate_latent(obs, y, level.dt)
+            z = simulate_latent(obs, y[:, None], level.dt)[:, 0]
             k0 = int(np.ceil(0.2 * len(z)))
             zs.append(z[k0:])
             xs.append(states[k0:])
