@@ -33,16 +33,25 @@ and value counts, and the data block's size against the file size,
 then reads each store's slices into that store's own array, so a read
 holds no second copy either. Two reads differ only in what they skip:
 
-    full read (the default; ``train --base``): nothing; every store is
-        read whole;
-    observer read (``observer=True``; ``eval`` and ``plot``): the
-        blocks an observer does not run. The encoder T (enc.*) and the
-        hypernetwork's encoder head (hyper.enc_head.*) feed only the
-        training residual; their bytes are stepped over, never read, so
-        the bundle holds obs.*, dec.*, and inj.* (static) or
-        hyper.lstm.* and hyper.dec_head.* (dynamic). It has theta None
-        and a psi without hyper.enc_head.* slices, and write_checkpoint
-        refuses it.
+    full read (the default): nothing; every store is read whole;
+    observer read (``observer=True``): the blocks an observer does not
+        run. The encoder T (enc.*) and the hypernetwork's encoder head
+        (hyper.enc_head.*) feed only the training residual; their bytes
+        are stepped over, never read, so the bundle holds obs.*, dec.*,
+        and inj.* (static) or hyper.lstm.* and hyper.dec_head.*
+        (dynamic). It has theta None and a psi without hyper.enc_head.*
+        slices, and write_checkpoint refuses it.
+
+Which command makes which read:
+
+    eval, plot: an observer read of each checkpoint;
+    train --phase 2 --variant dynamic: one full read of the base, whose
+        encoder its residual runs;
+    train --phase curriculum, train --phase 2 --variant static: an
+        observer read of the base to train from (neither runs T), then,
+        after a run that did not abort, a full read for the θ the output
+        checkpoint stores. The base must keep its size and modification
+        time between the two reads.
 
 Both reads refuse the same files with the same messages.
 """

@@ -32,6 +32,11 @@ whether the error is raised by a handler or by one of its imports.
 A training run that ends in a numeric abort writes no checkpoint, but
 its manifest record (``status`` "aborted", with the epoch and the
 reason) still goes to the output directory.
+Curriculum and static training hold no base encoder while they train:
+they read the base without it and read its θ only to write the
+checkpoint (the ``checkpoints`` docstring). If the base's size or
+modification time changed in between, the run exits 2 and writes
+nothing.
 A request too large for memory (say ``gen --horizon 1e12``) is a user
 error: it exits 2 with one ``error: out of memory: ...`` line.
 """
@@ -116,6 +121,9 @@ def _dataset_level(dataset) -> int:
 
 
 def cmd_train(args, s):
+    """Train one phase into ``{system}_{phase or variant}.hkkp`` and its
+    loss CSV. Only dynamic phase 2 reads the base in full before training;
+    curriculum and static read its θ after (module docstring)."""
     if args.variant is not None and args.phase != "2":
         raise ConfigError(f"--variant applies only to --phase 2, "
                           f"not to --phase {args.phase}")
@@ -152,12 +160,15 @@ def cmd_train(args, s):
     out_dir = Path(args.out or ".")
     inputs = list(args.data)
     sets = [ds.trajectories for ds in datasets]
-    base = None
+    base = stamp = None
     lo, hi = seed_lo, seed_hi  # the seeds the checkpoint was trained on
     if args.phase != "1":
         if not args.base:
             raise ConfigError(f"--phase {args.phase} requires --base CHECKPOINT")
-        base = read_checkpoint(args.base)
+        # only dynamic phase 2 runs the base encoder T; curriculum and
+        # static train without it and read its θ afterwards (_base_theta)
+        stamp = _stamp(args.base)
+        base = read_checkpoint(args.base, observer=args.variant != "dynamic")
         _refuse_other_system(base, args.base, system_name)
         inputs.append(args.base)
         if base.train_seed_range:
@@ -218,8 +229,8 @@ def cmd_train(args, s):
         )
         # trains base.phi in place: nothing reads the base decoder after
         result = training.curriculum_train(
-            system, base.obs, base.maps, base.theta, base.phi,
-            sets, train_config, schedule,
+            system, base.obs, base.maps, base.phi, sets, train_config,
+            schedule,
         )
         bundle = CheckpointBundle(
             variant="curriculum", system_name=system_name, maps=base.maps,
@@ -237,6 +248,8 @@ def cmd_train(args, s):
         # failing epoch k, but they are not a trained model: write no
         # output, only the manifest record of the abort.
         return run._replace(abort=result.abort)
+    if bundle.theta is None:  # trained from an observer read of the base
+        bundle.theta = _base_theta(args.base, stamp)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{stem}.hkkp"
     write_checkpoint(bundle, ckpt_path)
@@ -244,6 +257,29 @@ def cmd_train(args, s):
     _write_loss_csv(loss_path, result.log)
     print(f"wrote {ckpt_path}")
     return run._replace(outputs=[ckpt_path, loss_path])
+
+
+def _stamp(path) -> tuple:
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns
+
+
+def _base_theta(path, stamp):
+    """The base encoder θ that the output checkpoint stores, from a full
+    read of the base after training. The base must still be the file the
+    run trained from: the same size and modification time (``stamp``)
+    before and after this read."""
+    from .checkpoints import read_checkpoint
+
+    def check():
+        if _stamp(path) != stamp:
+            raise ConfigError(f"base checkpoint {path} changed during "
+                              "training; no checkpoint written")
+
+    check()
+    theta = read_checkpoint(path).theta
+    check()
+    return theta
 
 
 def _refuse_other_system(bundle, path, system_name: str) -> None:

@@ -189,22 +189,22 @@ def get_system(name: str) -> SystemSpec:
 
 
 def eval_vector_field(system: SystemSpec, x, u=None) -> np.ndarray:
-    """f(x, u) with dimension and finiteness checks."""
+    """f(x, u) of a (B, n_x) state batch and its (B, m) inputs (zero
+    inputs if u is None), with shape and finiteness checks."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != system.n_x:
+    if x.ndim != 2 or x.shape[1] != system.n_x:
         raise ContractViolation(
-            f"state has {x.shape[-1]} coordinates, system has n_x={system.n_x}"
-        )
+            f"state must be a (B, {system.n_x}) batch, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite component in state")
     if u is None:
-        u = np.zeros(x.shape[:-1] + (system.m,))
+        u = np.zeros((len(x), system.m))
     else:
-        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        if u.shape[-1] != system.m:
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape != (len(x), system.m):
             raise ContractViolation(
-                f"input has {u.shape[-1]} channels, system has m={system.m}"
-            )
+                f"input must be a ({len(x)}, {system.m}) batch, got shape "
+                f"{u.shape}")
     return np.asarray(system.f(x, u), dtype=np.float64)
 
 

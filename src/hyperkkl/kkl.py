@@ -184,9 +184,9 @@ def simulate_latent_nodes(
     y_seq,
     dt: float,
     injection=None,
-    z0=None,
 ):
-    """RK4 integration of the latent observer, returning per-step nodes.
+    """RK4 integration of the latent observer from z = 0, returning
+    per-step nodes.
 
     z' = A z + B y_k (+ injection(z, k)), with y held constant over each
     step (zero-order hold); an injection returning None adds nothing.
@@ -207,7 +207,7 @@ def simulate_latent_nodes(
     a_t = obs.A.T
     by = y @ obs.B.T  # (N+1, count, n_z)
 
-    z = np.zeros(by.shape[1:]) if z0 is None else np.asarray(z0, dtype=np.float64)
+    z = np.zeros(by.shape[1:])
     zs = [z]
 
     for k in range(n_steps):

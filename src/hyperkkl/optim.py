@@ -3,8 +3,8 @@
 ``adam_step`` works in place: m, v and the parameters are updated
 block by block over fixed slices of ADAM_BLOCK entries, and each block
 runs the textbook expressions in their usual order, so the result is
-bitwise the out-of-place update's while the temporaries stay
-block-sized. ``clip_grad_norm`` walks the same slices to find the norm
+bitwise the out-of-place update's. Their temporaries are written into
+two work blocks made once per step, so no block allocates. ``clip_grad_norm`` walks the same slices to find the norm
 and rescales in place, so no step of an epoch holds a second
 parameter-sized array. ``AdamState`` also owns the run's one gradient
 buffer, which every step's ``ParamVars`` fills.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericError
-from .nets import u_grad_chunks, u_grad_sq_norm
+from .nets import IN_BLOCK, u_grad_chunks, u_grad_sq_norm
 from .params import ParamStore
 
 ADAM_BLOCK = 1 << 16  # entries per in-place update block
@@ -140,13 +140,23 @@ def adam_step(
     state.step += 1
     m_scale = 1.0 - beta1**state.step
     v_scale = 1.0 - beta2**state.step
+    # update's two temporaries: every operand it gets is at most
+    # ADAM_BLOCK entries or one row of a factored chunk (IN_BLOCK·r wide)
+    widest = max((IN_BLOCK * params.layout[name].shape[1]
+                  for name in factored), default=0)
+    work = np.empty((2, min(params.data.size, max(ADAM_BLOCK, widest))))
 
     def update(g, m, v, p):
-        m[:] = beta1 * m + (1.0 - beta1) * g
-        v[:] = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / m_scale
-        v_hat = v / v_scale
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        """The textbook update, each expression in its usual order,
+        written into m, v, p and the two work blocks."""
+        a, b = (w[:m.size].reshape(m.shape) for w in work)
+        np.add(np.multiply(beta1, m, out=a),
+               np.multiply(1.0 - beta1, g, out=b), out=m)
+        np.multiply(np.multiply(1.0 - beta2, g, out=b), g, out=b)
+        np.add(np.multiply(beta2, v, out=a), b, out=v)
+        np.multiply(lr, np.divide(m, m_scale, out=a), out=a)  # lr · m̂
+        np.add(np.sqrt(np.divide(v, v_scale, out=b), out=b), eps, out=b)
+        p -= np.divide(a, b, out=a)
 
     def update_flat(lo, hi, g=None):
         """Entries [lo, hi) with gradient g, or a zero one if g is None."""

@@ -394,7 +394,7 @@ def phase2_train(
     system: SystemSpec,
     obs: ObserverMatrices,
     maps: KklMaps,
-    theta_base: ParamStore,
+    theta_base: ParamStore | None,
     phi_base: ParamStore,
     spec,
     sets,
@@ -404,9 +404,11 @@ def phase2_train(
     """Train the conditioning parameters on forced data; bases stay frozen.
 
     The spec's type names the variant: a HyperNetSpec trains the dynamic
-    hypernetwork, an InjectionSpec the static injection network. Every
-    trajectory set must share one dt and one length; several sets are
-    joined into one before training.
+    hypernetwork, an InjectionSpec the static injection network. Only the
+    dynamic variant runs the base encoder ``theta_base``: the static one
+    never receives it, so it may be None there (the CLI passes an
+    observer read's None). Every trajectory set must share one dt and one
+    length; several sets are joined into one before training.
     """
     grids = sorted({(runs.dt, runs.n_steps) for runs in sets})
     if len(grids) > 1:
@@ -421,14 +423,14 @@ def phase2_train(
           for name in ("states", "inputs", "outputs")),
         sum((s.signals for s in sets), ()))
     if isinstance(spec, HyperNetSpec):
+        if theta_base is None:
+            raise ContractViolation("dynamic phase 2 needs the base encoder")
         return _train_dynamic(
             system, obs, maps, theta_base, phi_base, spec, runs, config,
             f_scale,
         )
     if isinstance(spec, InjectionSpec):
-        return _train_static(
-            system, obs, maps, theta_base, phi_base, spec, runs, config
-        )
+        return _train_static(obs, maps, phi_base, spec, runs, config)
     raise ContractViolation(
         f"phase 2 needs a HyperNetSpec or an InjectionSpec, got "
         f"{type(spec).__name__}"
@@ -480,15 +482,16 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, runs,
     return Phase2Result(params=psi, log=run.log, abort=run.abort)
 
 
-def _train_static(system, obs, maps, theta_base, phi_base, spec, runs,
-                  config):
+def _train_static(obs, maps, phi_base, spec, runs, config):
+    """The injection network on latent rollouts decoded by the frozen
+    ``phi_base``; the loss never reaches the encoder, so θ is not taken."""
     xi = init_injection_params(spec, config.seed)
 
     dt, n_steps = runs.dt, runs.n_steps
     seg = min(config.segment_steps, n_steps)
     discard = min(config.segment_discard, seg - 1)
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
-    run = _Fit(xi, config, frozen=(theta_base, phi_base))
+    run = _Fit(xi, config, frozen=(phi_base,))
     for epoch in range(1, config.epochs + 1):
         t_idx = batch_rng.integers(0, runs.count, size=config.segment_batch)
         k_idx = batch_rng.integers(0, n_steps - seg + 1, size=config.segment_batch)
@@ -543,7 +546,6 @@ def curriculum_train(
     system: SystemSpec,
     obs: ObserverMatrices,
     maps: KklMaps,
-    theta_frozen: ParamStore,
     phi: ParamStore,
     level_sets,
     config: TrainConfig,
@@ -555,12 +557,13 @@ def curriculum_train(
     (observer_pairs) on each level until the loss plateaus (relative
     improvement below ``schedule.epsilon`` over ``schedule.patience``
     epochs) or the per-level budget runs out, then the next level starts.
-    The encoder and the latent pair are untouched.
+    The loss never reaches the encoder, so θ is not taken; the latent
+    pair is untouched.
     """
     if len(level_sets) < 1:
         raise ContractViolation("need at least one curriculum level")
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
-    run = _Fit(phi, config, frozen=(theta_frozen,))
+    run = _Fit(phi, config)
     transitions = []
     epoch = 0
 
@@ -587,6 +590,5 @@ def curriculum_train(
                 break
         if run.abort is not None:
             break
-    run.check_frozen()
     return CurriculumResult(phi=phi, log=run.log, transitions=transitions,
                             abort=run.abort)

@@ -240,11 +240,15 @@ def oracle_rk4_step(system, x, u_of_t, t: float, dt: float) -> np.ndarray:
             return None
         return np.atleast_1d(np.asarray(u_of_t(tt), dtype=np.float64))
 
+    def f(xx, uu):  # the state as a one-row batch
+        return eval_vector_field(
+            system, xx[None], None if uu is None else uu[None])[0]
+
     u0, um, u1 = u_at(t), u_at(t + 0.5 * dt), u_at(t + dt)
-    k1 = eval_vector_field(system, x, u0)
-    k2 = eval_vector_field(system, x + 0.5 * dt * k1, um)
-    k3 = eval_vector_field(system, x + 0.5 * dt * k2, um)
-    k4 = eval_vector_field(system, x + dt * k3, u1)
+    k1 = f(x, u0)
+    k2 = f(x + 0.5 * dt * k1, um)
+    k3 = f(x + 0.5 * dt * k2, um)
+    k4 = f(x + dt * k3, u1)
     for i, k in enumerate((k1, k2, k3, k4)):
         if not np.all(np.isfinite(k)):
             raise NumericError(f"non-finite RK4 stage {i + 1} at t={t}")
@@ -295,14 +299,15 @@ def oracle_simulate(system, x0, signal, dt, horizon, sigma, seed):
                          (signal,))
 
 
-def oracle_latent(obs, y, dt: float) -> np.ndarray:
+def oracle_latent(obs, y, dt: float, z0=None) -> np.ndarray:
     """The plain latent filter on one run's (N+1, n_y) outputs, (N+1, n_z).
 
     The oracle of ``kkl.simulate_latent`` on a time-major block: the same
-    RK4 operations, one trajectory at a time.
+    RK4 operations, one trajectory at a time. The filter starts at z = 0,
+    the oracle at ``z0`` if one is given.
     """
     by = np.asarray(y, dtype=np.float64) @ obs.B.T
-    z = np.zeros(obs.n_z)
+    z = np.zeros(obs.n_z) if z0 is None else np.asarray(z0, dtype=np.float64)
     zs = [z]
     for k in range(len(by) - 1):
 

@@ -599,6 +599,83 @@ class TestTrainConditioned:
         assert err[0].startswith("numeric failure: ") and "frozen" in err[0]
         assert not out.exists()
 
+    # the training call of each stage that reads the base, by its argv
+    STAGES = {
+        "curriculum": ("curriculum_train", ("--phase", "curriculum")),
+        "static": ("phase2_train", ("--phase", "2", "--variant", "static")),
+        "dynamic": ("phase2_train", ("--phase", "2", "--variant", "dynamic")),
+    }
+
+    def train_from_base(self, trained, stage, out):
+        """Train ``stage`` for 2 tiny epochs from the base; the exit code."""
+        ini = trained["root"] / "tiny.ini"
+        ini.write_text(
+            "[train]\nsegment_steps = 20\nsegment_discard = 5\n"
+            "[hypernet]\nwindow = 6\nlstm_hidden = 4\ninj_hidden = 8\n"
+            "[curriculum]\nlevel_epochs = 2\n")
+        return run(
+            "train", "--system", "duffing", *self.STAGES[stage][1],
+            "--base", str(trained["base"]), "--data", str(trained["forced"]),
+            "--epochs", "2", "--batch", "8", "--config", str(ini),
+            "--out", str(out))
+
+    @pytest.mark.parametrize("stage", ["curriculum", "static", "dynamic"])
+    def test_only_dynamic_trains_with_the_base_encoder(self, trained,
+                                                       monkeypatch, stage):
+        # curriculum and static train from an observer read, which holds
+        # no enc.* array, and read θ in full only once training returned
+        from hyperkkl import checkpoints
+
+        events, real_read = [], checkpoints.read_checkpoint
+        name = self.STAGES[stage][0]
+        real_train = getattr(training, name)
+
+        def read(path, observer=False):
+            events.append(("read", observer))
+            return real_read(path, observer=observer)
+
+        def train(*args, **kwargs):
+            events.append("train")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoints, "read_checkpoint", read)
+        monkeypatch.setattr(training, name, train)
+        out = trained["root"] / stage
+        assert self.train_from_base(trained, stage, out) == 0
+        if stage == "dynamic":
+            assert events == [("read", False), "train"]
+        else:
+            assert events == [("read", True), "train", ("read", False)]
+        ckpt = real_read(next(out.glob("*.hkkp")))
+        assert ckpt.theta.data.tobytes() == (
+            real_read(trained["base"]).theta.data.tobytes())
+
+    @pytest.mark.parametrize("stage", ["curriculum", "static"])
+    def test_a_base_rewritten_during_training_writes_nothing(
+            self, trained, monkeypatch, capsys, stage):
+        # the θ written would not be the one the run trained beside
+        base = trained["base"]
+        name = self.STAGES[stage][0]
+        real_train = getattr(training, name)
+
+        def train(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            data = bytearray(base.read_bytes())
+            data[-1] ^= 1  # same size; a later modification time
+            st = base.stat()
+            base.write_bytes(bytes(data))
+            os.utime(base, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            return result
+
+        monkeypatch.setattr(training, name, train)
+        out = trained["root"] / stage
+        capsys.readouterr()
+        assert self.train_from_base(trained, stage, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: base checkpoint {base} changed during training; "
+            "no checkpoint written\n")
+        assert not out.exists()
+
     def test_phase2_refuses_mixed_time_grids(self, trained, tmp_path, capsys):
         longer = tmp_path / "longer"
         assert run(

@@ -43,32 +43,35 @@ def blowup():
 
 class TestVectorField:
     def test_duffing_substitution(self):
-        dx = eval_vector_field(duffing(), np.array([1.0, 2.0]), np.array([0.0]))
-        assert np.allclose(dx, [8.0, -1.0], atol=0, rtol=0)
+        dx = eval_vector_field(duffing(), np.array([[1.0, 2.0]]),
+                               np.array([[0.0]]))
+        assert np.allclose(dx, [[8.0, -1.0]], atol=0, rtol=0)
 
     def test_lorenz_origin_equilibrium(self):
-        dx = eval_vector_field(lorenz(), np.zeros(3), np.array([0.0]))
-        assert np.all(dx == 0.0)
+        dx = eval_vector_field(lorenz(), np.zeros((1, 3)), np.array([[0.0]]))
+        assert dx.shape == (1, 3) and np.all(dx == 0.0)
 
     def test_vanderpol_substitution(self):
-        dx = eval_vector_field(van_der_pol(), np.array([0.0, 1.0]), np.array([0.0]))
-        assert np.allclose(dx, [1.0, 3.0], atol=0, rtol=0)
+        dx = eval_vector_field(van_der_pol(), np.array([[0.0, 1.0]]),
+                               np.array([[0.0]]))
+        assert np.allclose(dx, [[1.0, 3.0]], atol=0, rtol=0)
 
     def test_rossler_parameters(self):
         sys = rossler()
-        dx = eval_vector_field(sys, np.array([1.0, 1.0, 1.0]), np.array([0.0]))
+        dx = eval_vector_field(sys, np.array([[1.0, 1.0, 1.0]]),
+                               np.array([[0.0]]))
         # (-x2 - x3, x1 + 0.1 x2, 0.1 + x3(x1 - 14))
-        assert np.allclose(dx, [-2.0, 1.1, 0.1 + (1.0 - 14.0)])
+        assert np.allclose(dx, [[-2.0, 1.1, 0.1 + (1.0 - 14.0)]])
 
     def test_input_enters_second_equation(self):
         for name in dynamics.SYSTEM_NAMES:
             sys = get_system(name)
-            x = np.full(sys.n_x, 0.3)
-            du = eval_vector_field(sys, x, np.array([0.7])) - eval_vector_field(
-                sys, x, np.array([0.0])
+            x = np.full((1, sys.n_x), 0.3)
+            du = eval_vector_field(sys, x, np.array([[0.7]])) - eval_vector_field(
+                sys, x, np.array([[0.0]])
             )
-            expected = np.zeros(sys.n_x)
-            expected[1] = 0.7
+            expected = np.zeros((1, sys.n_x))
+            expected[0, 1] = 0.7
             assert np.allclose(du, expected)
 
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
@@ -94,14 +97,27 @@ class TestVectorField:
         assert np.array_equal(system.f(x, u), want)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            eval_vector_field(duffing(), np.zeros(3), np.array([0.0]))
-        with pytest.raises(ContractViolation):
-            eval_vector_field(duffing(), np.zeros(2), np.array([0.0, 1.0]))
+        with pytest.raises(ContractViolation, match=r"\(B, 2\) batch"):
+            eval_vector_field(duffing(), np.zeros((1, 3)), np.array([[0.0]]))
+        with pytest.raises(ContractViolation, match=r"\(1, 1\) batch"):
+            eval_vector_field(duffing(), np.zeros((1, 2)),
+                              np.array([[0.0, 1.0]]))
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros((1, 1, 2))])
+    def test_refuses_a_state_that_is_not_rows(self, x):
+        with pytest.raises(ContractViolation, match="state must be"):
+            eval_vector_field(duffing(), x)
+
+    @pytest.mark.parametrize("u", [np.zeros(1), np.zeros((1, 1, 1)),
+                                   np.zeros((2, 1)), 0.0])
+    def test_refuses_an_input_that_is_not_one_row_per_state(self, u):
+        with pytest.raises(ContractViolation, match="input must be"):
+            eval_vector_field(duffing(), np.zeros((1, 2)), u)
 
     def test_nonfinite_state(self):
         with pytest.raises(NumericError):
-            eval_vector_field(duffing(), np.array([np.nan, 0.0]), np.array([0.0]))
+            eval_vector_field(duffing(), np.array([[np.nan, 0.0]]),
+                              np.array([[0.0]]))
 
 
 class TestRk4:

@@ -108,7 +108,7 @@ def test_traced_static_phase2_encodes_each_run_once_per_segment(
     system = dynamics.van_der_pol()
     obs = kkl.build_observer_matrices(2, 1)
     maps = kkl.make_maps(2, obs.n_z, hidden=(6,))
-    theta, phi = kkl.init_map_params(maps, 5)
+    _, phi = kkl.init_map_params(maps, 5)
     runs = data.generate_dataset(system, "sinusoid", 2, 3,
                                  horizon=2.0).trajectories
     spec = hypernet.build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
@@ -118,7 +118,7 @@ def test_traced_static_phase2_encodes_each_run_once_per_segment(
     tracer = trace.Tracer("static")
     tracer.install()
     try:
-        training.phase2_train(system, obs, maps, theta, phi, spec, [runs],
+        training.phase2_train(system, obs, maps, None, phi, spec, [runs],
                               config)
     finally:
         tracer.remove()

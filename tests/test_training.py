@@ -408,6 +408,16 @@ class TestPhase2Dynamic:
             phase2_train(sys, obs, maps, theta, phi, "dynamic",
                          [ds.trajectories], TrainConfig(epochs=1))
 
+    def test_refuses_to_run_without_the_base_encoder(self):
+        # only static phase 2 trains without θ
+        sys = van_der_pol()
+        obs, maps, _, phi = tiny_setup(sys, hidden=(10,))
+        ds = tiny_dataset(sys, "sinusoid", count=1, horizon=2.0)
+        spec = build_hypernet_spec(maps, window=8, lstm_hidden=6, rank=3)
+        with pytest.raises(ContractViolation, match="base encoder"):
+            phase2_train(sys, obs, maps, None, phi, spec,
+                         [ds.trajectories], TrainConfig(epochs=1))
+
 
 class TestPhase2Static:
     def make_run(self, seed=8):
@@ -418,11 +428,12 @@ class TestPhase2Static:
                                     mlp_hidden=(8,))
         config = TrainConfig(epochs=8, seed=seed, segment_steps=30,
                              segment_discard=10, segment_batch=2)
-        before = [store_hash(s) for s in (theta, phi)]
+        before = store_hash(phi)
+        # the static variant never runs the encoder: no θ is passed
         result = phase2_train(
-            sys, obs, maps, theta, phi, spec, [ds.trajectories], config
+            sys, obs, maps, None, phi, spec, [ds.trajectories], config
         )
-        return result, before, [store_hash(s) for s in (theta, phi)]
+        return result, before, store_hash(phi)
 
     def test_runs_frozen_and_deterministic(self):
         a, before, after = self.make_run()
@@ -466,7 +477,7 @@ class TestPhase2Static:
                                     mlp_hidden=(5,))
         config = TrainConfig(epochs=1, seed=1, segment_steps=seg,
                              segment_discard=2, segment_batch=1)
-        phase2_train(sys, obs, maps, theta, phi, spec, [ds.trajectories],
+        phase2_train(sys, obs, maps, None, phi, spec, [ds.trajectories],
                      config)
         assert sizes == [13 + 44 * seg]
 
@@ -481,9 +492,8 @@ class TestCurriculum:
     def test_levels_advance_in_order(self):
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=6)
-        encoder = store_hash(theta)
         result = curriculum_train(
-            sys, obs, maps, theta, phi.copy(), self.make_levels(sys),
+            sys, obs, maps, phi.copy(), self.make_levels(sys),
             TrainConfig(epochs=1, batch=32, seed=9),
             CurriculumConfig(epsilon=0.01, patience=5, level_epochs=20),
         )
@@ -492,7 +502,6 @@ class TestCurriculum:
         assert starts == sorted(starts)
         levels_seen = [r.level for r in result.log]
         assert levels_seen == sorted(levels_seen)  # never skips back
-        assert store_hash(theta) == encoder
 
     def test_single_level_equals_plain_fine_tuning(self):
         sys = van_der_pol()
@@ -501,7 +510,7 @@ class TestCurriculum:
         config = TrainConfig(epochs=1, batch=32, seed=12)
         schedule = CurriculumConfig(epsilon=1e-9, patience=10, level_epochs=15)
         result = curriculum_train(
-            sys, obs, maps, theta, phi0.copy(), [level], config, schedule
+            sys, obs, maps, phi0.copy(), [level], config, schedule
         )
 
         # independent plain loop with the same draws and update rule
@@ -531,7 +540,7 @@ class TestCurriculum:
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=8)
         result = curriculum_train(
-            sys, obs, maps, theta, phi.copy(), self.make_levels(sys),
+            sys, obs, maps, phi.copy(), self.make_levels(sys),
             TrainConfig(epochs=1, batch=32, seed=13, lr=1e-9),  # frozen loss
             CurriculumConfig(epsilon=0.5, patience=3, level_epochs=50),
         )
@@ -542,7 +551,7 @@ class TestCurriculum:
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys)
         with pytest.raises(ContractViolation):
-            curriculum_train(sys, obs, maps, theta, phi, [],
+            curriculum_train(sys, obs, maps, phi, [],
                              TrainConfig(epochs=1), CurriculumConfig())
 
 
@@ -558,7 +567,8 @@ class TestNonFiniteGradient:
         """A tiny run of ``loop``: 3 epochs, or 3 per curriculum level."""
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(6,), seed=4)
-        self.theta = theta
+        # a store the run holds frozen: static runs without θ
+        self.frozen = phi if loop == "static" else theta
         config = TrainConfig(epochs=3, batch=8, collocation=8, seed=3,
                              segment_steps=12, segment_discard=4,
                              segment_batch=1)
@@ -573,7 +583,7 @@ class TestNonFiniteGradient:
                       for regime, seed in (("constant", 10),
                                            ("sinusoid", 20))]
             result = curriculum_train(
-                sys, obs, maps, theta, phi, levels, config,
+                sys, obs, maps, phi, levels, config,
                 CurriculumConfig(level_epochs=3))
             return result, (result.phi,)
         ds = tiny_dataset(sys, "sinusoid", count=2, horizon=2.0)
@@ -582,6 +592,7 @@ class TestNonFiniteGradient:
         else:
             spec = build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
                                         mlp_hidden=(4,))
+            theta = None
         result = phase2_train(sys, obs, maps, theta, phi, spec,
                               [ds.trajectories], config)
         return result, (result.params,)
@@ -620,14 +631,15 @@ class TestNonFiniteGradient:
         assert [s.data.tobytes() for s in stores] == expected
         assert expected != one_step_back
 
-    @pytest.mark.parametrize("loop", ["phase1", "static", "dynamic",
-                                      "curriculum"])
+    @pytest.mark.parametrize("loop", ["phase1", "static", "dynamic"])
     def test_a_changed_frozen_store_raises(self, monkeypatch, loop):
-        # phase 1 trains the encoder first; every later run holds it frozen
+        # phase 1 trains the encoder first and then holds it frozen, as
+        # dynamic phase 2 does; static holds the decoder frozen. The
+        # curriculum trains the decoder and holds no store frozen.
         real = training.adam_step
 
         def adam_step(state, params, grads, **kw):
-            self.theta.data[0] += 1.0
+            self.frozen.data[0] += 1.0
             return real(state, params, grads, **kw)
 
         monkeypatch.setattr(training, "adam_step", adam_step)
