@@ -22,7 +22,9 @@ encoder and decoder slices must have the names and shapes the metadata
 implies, slice by slice. The hypernetwork and injection blocks are laid
 out from the spec in the metadata, so only their value counts have to
 match; files that split each head's U readout into several slices load
-unchanged, since the values sit in the same order. A file that ends
+unchanged, since the values sit in the same order. The slice offsets
+must tile the data block in table order, each block's slices in one
+run; a slice that does not is refused by name. A file that ends
 early or has bytes past the data is refused with the byte offset, and
 metadata that lacks a key the reader uses or gives it the wrong type is
 refused with the key (see META_KEYS).
@@ -59,6 +61,7 @@ Both reads refuse the same files with the same messages.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -83,7 +86,7 @@ from .kkl import (
     make_maps,
     verify_observer,
 )
-from .params import Layout, ParamStore, check_length
+from .params import Layout, ParamStore
 
 MAGIC = b"HKKP"
 VERSION = 1
@@ -289,17 +292,25 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
         _check_meta(meta, path)
         (n_entries,) = r.unpack("<I")
         entries = []
+        end = 0  # the slices must tile [0, total) in table order
         for _ in range(n_entries):
             (name_len,) = r.unpack("<H")
             name = r.text(name_len)
             (ndim,) = r.unpack("<B")
             shape = r.unpack(f"<{ndim}I")
             (off,) = r.unpack("<Q")
+            if off != end:
+                raise ContractViolation(f"{path}: stored slice {name} starts "
+                                        f"at value {off}, not at {end}")
             entries.append((name, shape, off))
+            end += math.prod(shape)
         (total,) = r.unpack("<Q")
         data_offset = fh.tell()
         r.skip(8 * total)
         r.finish()
+        if end != total:
+            raise ContractViolation(f"{path}: the stored slices hold {end} "
+                                    f"values, the data block {total}")
         skips = OBSERVER_SKIPS if observer else ()
 
         def take(prefix, layout=None, by_slice=False):
@@ -307,8 +318,8 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             (default: the stored slices) less the skipped slices, or None
             if no slice is read. It must hold the layout's value count,
             and with ``by_slice`` its slice names and shapes as well."""
-            named = [(n, sh) for n, sh, _ in entries if n.startswith(prefix)]
-            stored = Layout(named)
+            block = [e for e in entries if e[0].startswith(prefix)]
+            stored = Layout((n, sh) for n, sh, _ in block)
             if layout is None:
                 layout = stored
             elif by_slice:
@@ -325,12 +336,13 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
                     f"{path}: stored {prefix} block holds {stored.total} "
                     f"values, its spec needs {layout.total}"
                 )
-            if not named:
+            if not block:
                 return None
-            first = next(off for n, _, off in entries if n.startswith(prefix))
-            # how many of the layout's values the data block holds
-            held = max(0, min(first + layout.total, total) - first)
-            check_length(layout, (held,))
+            # tiled slices: the block is one run unless its last starts late
+            first = block[0][2]
+            if block[-1][2] - first != stored.slices[-1].offset:
+                raise ContractViolation(f"{path}: stored slice {block[-1][0]} "
+                                        f"is apart from its {prefix} block")
             kept = [s for s in layout.slices if not s.name.startswith(skips)]
             if not kept:
                 return None

@@ -229,9 +229,7 @@ def cmd_train(args, s):
         )
         # trains base.phi in place: nothing reads the base decoder after
         result = training.curriculum_train(
-            system, base.obs, base.maps, base.phi, sets, train_config,
-            schedule,
-        )
+            base.obs, base.maps, base.phi, sets, train_config, schedule)
         bundle = CheckpointBundle(
             variant="curriculum", system_name=system_name, maps=base.maps,
             obs=base.obs, theta=base.theta, phi=result.phi,
@@ -373,43 +371,55 @@ def cmd_plot(args, s):
                [p for _, p in named.values()], outputs)
 
 
+def _report_rows(path) -> list:
+    """An eval report CSV's rows as dicts, rmse and smape as floats; a
+    missing column, a row with another field count than the header or a
+    score that is not a number is refused with its line number."""
+    if not Path(path).exists():
+        raise ConfigError(f"report CSV not found: {path}")
+    with open(path) as fh:
+        lines = [line.strip().split(",") for line in fh] or [[]]
+
+    def refuse(n, why):
+        raise ConfigError(f"report CSV {path} line {n}: {why}")
+
+    header, rows = lines[0], []
+    for column in ("system", "variant", "regime", "rmse", "smape"):
+        if column not in header:
+            refuse(1, f"no {column} column")
+    for n, fields in enumerate(lines[1:], start=2):
+        if len(fields) != len(header):
+            refuse(n, f"{len(fields)} fields, the header has {len(header)}")
+        row = dict(zip(header, fields))
+        for key in ("rmse", "smape"):
+            try:
+                row[key] = float(row[key])
+            except ValueError:
+                refuse(n, f"{key} {row[key]!r} is not a number")
+        rows.append(row)
+    return rows
+
+
 def cmd_report(args, s):
-    rows = []
-    for path in args.reports:
-        if not Path(path).exists():
-            raise ConfigError(f"report CSV not found: {path}")
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            for line in fh:
-                rows.append(dict(zip(header, line.strip().split(","))))
+    rows = [row for path in args.reports for row in _report_rows(path)]
     if not rows:
         raise ConfigError("no report rows found")
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    systems = sorted({r["system"] for r in rows})
     lines = ["# State-estimation benchmark", ""]
-    for system in systems:
+    for system in sorted({r["system"] for r in rows}):
         sys_rows = [r for r in rows if r["system"] == system]
         regimes = sorted({r["regime"] for r in sys_rows})
-        variants = sorted({r["variant"] for r in sys_rows})
-        lines.append(f"## {system}")
-        lines.append("")
-        lines.append("| method | " + " | ".join(regimes) + " |")
-        lines.append("|" + "---|" * (len(regimes) + 1))
-        for variant in variants:
-            cells = []
-            for regime in regimes:
-                match = [
-                    r for r in sys_rows
-                    if r["variant"] == variant and r["regime"] == regime
-                ]
-                if match:
-                    cells.append(
-                        f"{float(match[0]['rmse']):.3g} "
-                        f"({float(match[0]['smape']):.3g}%)"
-                    )
-                else:
-                    cells.append("-")
+        first = {}  # a (variant, regime) cell shows its first row
+        for r in sys_rows:
+            first.setdefault((r["variant"], r["regime"]), r)
+        lines += [f"## {system}", "",
+                  "| method | " + " | ".join(regimes) + " |",
+                  "|" + "---|" * (len(regimes) + 1)]
+        for variant in sorted({r["variant"] for r in sys_rows}):
+            cells = [f"{c['rmse']:.3g} ({c['smape']:.3g}%)"
+                     if (c := first.get((variant, regime))) else "-"
+                     for regime in regimes]
             lines.append(f"| {variant} | " + " | ".join(cells) + " |")
         lines.append("")
     path = out_dir / "report.md"

@@ -86,7 +86,7 @@ def int_list(v):
 
 
 class Choice(NamedTuple):
-    """One of ``options``, or with ``many`` a comma list of them."""
+    """One of ``options``, or with ``many`` a comma list of distinct ones."""
 
     options: tuple
     many: bool = False
@@ -97,6 +97,8 @@ class Choice(NamedTuple):
                                 for x in items):
             raise ValueError(("a comma list of " if self.many else "one of ")
                              + ", ".join(self.options))
+        if len(set(items)) < len(items):
+            raise ValueError("a comma list that repeats no name")
         return items if self.many else v
 
 

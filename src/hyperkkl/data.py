@@ -17,6 +17,7 @@ File layout (all little-endian):
     u16    regime-name length, then that many UTF-8 bytes
     per trajectory: signal descriptor
         u8  kind, u8 component count K, f64 offset, K * (f64 A, f64 w, f64 phi)
+        (K 0 for zero and constant, 1 for sinusoid and square, 2+ mixture)
     per trajectory: f64 arrays in (states, inputs, outputs) order
 
 Readers refuse a file that ends early or has bytes past the last
@@ -126,10 +127,16 @@ def _pack_signal(sig: InputSignal | None) -> bytes:
 
 
 def _unpack_signal(r: Reader) -> InputSignal:
+    at = r.fh.tell()
     code, k, offset = r.unpack("<BBd")
     if code not in _CODE_KIND:
         raise ContractViolation(f"{r.path}: unknown signal kind code {code}")
     kind = _CODE_KIND[code]
+    need = {"sinusoid": 1, "square": 1, "mixture": 2}.get(kind, 0)
+    if k < need or (k > need and kind != "mixture"):
+        more = " or more" if kind == "mixture" else ""
+        raise ContractViolation(f"{r.path}: {kind} signal at byte offset "
+                                f"{at} has {k} components, needs {need}{more}")
     comps = tuple(r.unpack("<ddd") for _ in range(k))
     if kind == "mixture":
         return InputSignal(kind=kind, components=comps)

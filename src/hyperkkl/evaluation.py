@@ -102,8 +102,7 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     xhat = np.empty(runs.states.shape)
     for i, (y, u) in enumerate(zip(runs.outputs, runs.inputs)):
         if plain is None:
-            inject = make_step_injection(bundle.xi, bundle.injection_spec,
-                                         u, dt)
+            inject = make_step_injection(bundle.xi, bundle.injection_spec, u)
             zs = simulate_latent(obs, y[:, None], dt, injection=inject)[:, 0]
         else:
             zs = np.ascontiguousarray(plain[:, i])

@@ -50,6 +50,7 @@ from .nets import (
 )
 from .params import Layout, ParamStore
 from .seeding import STREAM_PARAM_INIT, stream
+from .signals import window_matrix
 
 DEFAULT_TAU = defaults("train")["tau"]  # its config.SETTINGS row's
 
@@ -232,10 +233,6 @@ class InjectionSpec:
         if self.tau <= 0:
             raise ContractViolation("tau must be positive")
 
-    @property
-    def n_z(self) -> int:
-        return self.mlp.widths[-1]
-
 
 def build_injection_spec(
     n_z: int, window: int, lstm_hidden: int, mlp_hidden,
@@ -266,8 +263,10 @@ def init_injection_params(spec: InjectionSpec, seed: int) -> ParamStore:
     return xi
 
 
-def make_step_injection(xi, spec: InjectionSpec, u_seq, dt: float):
-    """Per-step injection callable for simulate_latent.
+def make_step_injection(xi, spec: InjectionSpec, u_seq):
+    """Per-step injection callable for simulate_latent: step k reads
+    sample k of the (N+1, m) input sequence ``u_seq``, and the step size
+    is the filter's own, so none is taken here.
 
     Encodes the ``window_matrix`` rows of u_seq, one spec.window-long
     window per sample, through the injection LSTM; the returned callable
@@ -277,9 +276,7 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq, dt: float):
     bit for bit; on an all-zero input nothing is encoded and every step
     is autonomous.
     """
-    from .signals import window_matrix
-
-    windows = window_matrix(np.asarray(u_seq, dtype=np.float64), spec.window)
+    windows = window_matrix(u_seq, spec.window)
     gates = gate_values(windows, spec.tau)[:, 0]
     nonzero = gates != 0.0
     contexts = None

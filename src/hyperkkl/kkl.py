@@ -260,10 +260,11 @@ def _state_batch(x_batch):
     return x
 
 
-def _mean_sq(r, batch):
+def mean_square(r, batch):
+    """sum(r²) / batch; a non-finite value raises ``NumericError``."""
     loss = ad.mul(ad.sum_all(ad.mul(r, r)), 1.0 / batch)
     if not np.isfinite(ad.val(loss)):
-        raise NumericError("residual loss is non-finite")
+        raise NumericError("loss is non-finite")
     return loss
 
 
@@ -281,7 +282,7 @@ def autonomous_pde_residual(
     f = eval_vector_field(system, x, u_batch)
     t_out, jf = encode_with_jacobian(maps, theta, x, f, weight_deltas)
     r = _stationary_residual_vec(obs, system, x, f_scale, t_out, jf, None)
-    return _mean_sq(r, len(x))
+    return mean_square(r, len(x))
 
 
 def dynamic_pde_residual_batch(
@@ -305,7 +306,7 @@ def dynamic_pde_residual_batch(
     t_post = encode(maps, theta, x, weight_deltas=deltas_post)
     fd = ad.mul(ad.sub(t_post, t_pre), 1.0 / dt)
     r = _stationary_residual_vec(obs, system, x, f_scale, t_pre, jf, fd)
-    return _mean_sq(r, len(x)), t_pre
+    return mean_square(r, len(x)), t_pre
 
 
 def reconstruction_loss(maps, theta, phi, x_batch, enc_deltas=None,
@@ -319,4 +320,4 @@ def reconstruction_loss(maps, theta, phi, x_batch, enc_deltas=None,
         z = encode(maps, theta, x, weight_deltas=enc_deltas)
     xhat = decode(maps, phi, z, weight_deltas=dec_deltas)
     r = ad.sub(x, xhat)
-    return _mean_sq(r, len(x))
+    return mean_square(r, len(x))

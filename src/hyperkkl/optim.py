@@ -1,13 +1,16 @@
 """Adam with bias correction and global-norm gradient clipping.
 
-``adam_step`` works in place: m, v and the parameters are updated
-block by block over fixed slices of ADAM_BLOCK entries, and each block
-runs the textbook expressions in their usual order, so the result is
-bitwise the out-of-place update's. Their temporaries are written into
-two work blocks made once per step, so no block allocates. ``clip_grad_norm`` walks the same slices to find the norm
-and rescales in place, so no step of an epoch holds a second
-parameter-sized array. ``AdamState`` also owns the run's one gradient
-buffer, which every step's ``ParamVars`` fills.
+``adam_step`` works in place: it walks the parameter slices in layout
+order and updates m, v and each slice in blocks of at most ADAM_BLOCK
+entries, and each block runs the textbook expressions in their usual
+order. Adam is elementwise, so where the block boundaries fall changes
+no bit: the result is bitwise the out-of-place update's. The
+temporaries are written into two work blocks made once per step, so no
+block allocates. ``clip_grad_norm`` walks the gradient buffer in blocks
+of ADAM_BLOCK entries to find the norm and rescales in place, so no
+step of an epoch holds a second parameter-sized array. ``AdamState``
+also owns the run's one gradient buffer, which every step's
+``ParamVars`` fills.
 
 Factored slices. The hypernetwork readouts U have gradients as large as
 U, each a sum of rank-one terms; a run may keep them as the terms'
@@ -64,27 +67,11 @@ def _spans(lo, hi, size=ADAM_BLOCK):
         yield slice(a, min(a + size, hi))
 
 
-def _dense_runs(params_layout, grads_layout):
-    """[lo, hi, glo] for each stretch [lo, hi) of the parameters that
-    ``grads`` holds contiguously from glo, in grads' order: one run of
-    everything when the layouts are equal."""
-    runs = []
-    for s in grads_layout.slices:
-        p = params_layout[s.name]
-        if p.shape != s.shape:
-            raise ContractViolation("params and grads have different layouts")
-        if runs and runs[-1][1] == p.offset:
-            runs[-1][1] += s.size
-        else:
-            runs.append([p.offset, p.offset + s.size, s.offset])
-    return runs
-
-
-def _blocks(name, spec, fg, data):
-    """``fg``'s (start, length, terms) in row order, each checked to fit
-    the rows of ``spec``, a (rows, r) slice, none overlapping and no
-    factor sharing memory with the parameters ``data``."""
-    out, row = [], 0
+def _check_blocks(name, spec, fg, data):
+    """Refuse ``fg``'s blocks unless each fits the rows of ``spec``, a
+    (rows, r) slice, none overlaps another and no factor shares memory
+    with the parameters ``data``."""
+    row = 0
     for (start, length), terms in sorted(fg.blocks.items()):
         g, xv, sv = terms[0]
         if start < row:
@@ -95,9 +82,7 @@ def _blocks(name, spec, fg, data):
         if any(np.may_share_memory(f, data) for t in terms for f in t):
             raise ContractViolation(
                 f"factors of {name} share memory with the parameters")
-        out.append((start, length, terms))
         row = start + length
-    return out
 
 
 def adam_step(
@@ -120,23 +105,26 @@ def adam_step(
     any. Rows of a factored slice that no term reached step with a zero
     gradient, as the dense path's zeros would.
 
-    The dense stretches are updated first, the factored slices after, so
-    the factors must not share memory with the parameters: one that did
-    would be read after its update. Such a factor, like blocks that do not
-    fit, is refused before anything changes.
+    One walk over the slices in layout order updates each in turn: a
+    dense slice from its stretch of ``grads``, a factored one from the
+    chunks formed from its factors. So a factor must not share memory
+    with the parameters: one that did could be read after its update.
+    Such a factor, like a layout that does not match or blocks that do
+    not fit, is refused before anything changes.
     """
     factored = factored or {}
     if grads.layout != state.grad.layout:
         raise ContractViolation("params and grads have different layouts")
     if state.m.shape != params.data.shape:
         raise ContractViolation("optimizer state does not match params")
-    runs = _dense_runs(params.layout, grads.layout)
-    if {s.name for s in params.layout.slices
-            if s.name not in grads.layout} != set(factored):
+    if set(factored) != {s.name for s in params.layout.slices
+                         if s.name not in grads.layout}:
         raise ContractViolation("factored gradients are not the slices "
                                 "grads has no room for")
-    blocks = {name: _blocks(name, params.layout[name], fg, params.data)
-              for name, fg in factored.items()}
+    if grads.layout != params.layout.without(factored):
+        raise ContractViolation("params and grads have different layouts")
+    for name, fg in factored.items():
+        _check_blocks(name, params.layout[name], fg, params.data)
     state.step += 1
     m_scale = 1.0 - beta1**state.step
     v_scale = 1.0 - beta2**state.step
@@ -164,13 +152,15 @@ def adam_step(
             gb = 0.0 if g is None else g[block.start - lo:block.stop - lo]
             update(gb, state.m[block], state.v[block], params.data[block])
 
-    for lo, hi, glo in runs:
-        update_flat(lo, hi, grads.data[glo:glo + hi - lo])
-    for name in factored:
-        spec = params.layout[name]
-        rank = spec.shape[1]
-        row = 0
-        for start, length, terms in blocks[name]:
+    for spec in params.layout.slices:
+        if spec.name not in factored:
+            g = grads.layout[spec.name]
+            update_flat(spec.offset, spec.offset + spec.size,
+                        grads.data[g.offset:g.offset + g.size])
+            continue
+        rank, row = spec.shape[1], 0
+        blocks = sorted(factored[spec.name].blocks.items())
+        for (start, length), terms in blocks:
             update_flat(spec.offset + row * rank, spec.offset + start * rank)
             lo = spec.offset + start * rank
             n_out = terms[0][0].shape[1]

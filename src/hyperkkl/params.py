@@ -78,14 +78,6 @@ def _check_same_layout(a, b):
         raise ContractViolation("param stores have different layouts")
 
 
-def check_length(layout: Layout, shape: tuple) -> None:
-    """Refuse data of ``shape`` for ``layout`` unless it is (layout.total,)."""
-    if shape != (layout.total,):
-        raise ContractViolation(
-            f"data length {shape} does not match layout total {layout.total}"
-        )
-
-
 class ParamStore:
     """Flat float64 parameter vector addressed through a Layout."""
 
@@ -95,7 +87,9 @@ class ParamStore:
             data = np.zeros(layout.total)
         else:
             data = np.asarray(data, dtype=np.float64)
-            check_length(layout, data.shape)
+            if data.shape != (layout.total,):
+                raise ContractViolation(f"data length {data.shape} does not "
+                                        f"match layout total {layout.total}")
         self.data = data
 
     def get(self, name: str) -> np.ndarray:
@@ -136,9 +130,9 @@ class ParamVars:
     gradient vector and copies none. Without ``grad`` a fresh zero store
     is used.
 
-    A ``grad`` store may lack some of the slices (the hypernetwork
-    readouts U; ``optim.AdamState.for_params``) and hold the others in
-    order, as ``Layout.without`` makes it. Those slices' leaves get an
+    The factored slices are the slices a ``grad`` store lacks (the
+    hypernetwork readouts U; ``optim.AdamState.for_params``): its layout
+    must be the store's ``Layout.without`` them. Their leaves get an
     ``autodiff.FactoredGrad`` each, which keeps the factors of the
     rank-one terms that reach it and is never formed; ``factored`` maps
     each such name to its own. ``optim`` takes their norm from the
@@ -151,15 +145,11 @@ class ParamVars:
         if grad is None:
             grad = ParamStore(store.layout)
         else:
-            if grad.layout != store.layout:
-                kept = [(s.name, s.shape) for s in store.layout.slices
-                        if s.name in grad.layout]
-                if kept != [(s.name, s.shape) for s in grad.layout.slices]:
-                    raise ContractViolation(
-                        "param stores have different layouts")
-                self.factored = {s.name: FactoredGrad(s.shape[0])
-                                 for s in store.layout.slices
-                                 if s.name not in grad.layout}
+            self.factored = {s.name: FactoredGrad(s.shape[0])
+                             for s in store.layout.slices
+                             if s.name not in grad.layout}
+            if grad.layout != store.layout.without(self.factored):
+                raise ContractViolation("param stores have different layouts")
             grad.data.fill(0.0)
         self.store = store
         self.layout = store.layout

@@ -20,7 +20,9 @@ decoder learns the inverse on reconstruction alone.
 
 Every loop hands its epochs to one ``_Fit``, which holds the policy they
 share: tape the loss, backpropagate, clip, take an Adam step and log a
-row with the gradient norm found before clipping. A ``NumericError``
+row with the gradient norm found before clipping. A loss that reaches no
+parameter (a static epoch of unforced runs) is not taped: its epoch steps
+on a zero gradient and logs a norm of 0.0. A ``NumericError``
 while taping the loss or clipping the gradient ends the run with an
 ``Abort`` at that epoch k, before its Adam step, so no rollback copy is
 needed: the stores are those of the k - 1 completed steps, each taken on
@@ -62,6 +64,7 @@ from .kkl import (
     decode,
     dynamic_pde_residual_batch,
     encode,
+    mean_square,
     reconstruction_loss,
     simulate_latent,
     simulate_latent_nodes,
@@ -164,21 +167,6 @@ def store_hash(store: ParamStore) -> str:
     return hashlib.sha256(store.data).hexdigest()
 
 
-def normalize_vector_field(f_values) -> tuple[np.ndarray, float]:
-    """Scale drift samples by s = max(1, 95th percentile of |f|).
-
-    The residuals divide every term by the same s, which leaves the
-    minimizer unchanged while keeping the loss magnitude tame on
-    large-drift systems.
-    """
-    f = np.asarray(f_values, dtype=np.float64)
-    if f.size == 0:
-        raise ContractViolation("empty drift batch")
-    norms = np.sqrt(np.sum(f.reshape(len(f), -1) ** 2, axis=1))
-    s = max(1.0, float(np.percentile(norms, 95)))
-    return f / s, s
-
-
 def plateau_detect(loss_history, epsilon: float, patience: int) -> bool:
     """True when the best loss stopped improving relative to the window.
 
@@ -194,13 +182,6 @@ def plateau_detect(loss_history, epsilon: float, patience: int) -> bool:
     best_before = min(hist[:-patience])
     best_in = min(hist[-patience:])
     return (best_before - best_in) / max(best_before, 1e-12) < epsilon
-
-
-def _mse(diff, batch):
-    loss = ad.mul(ad.sum_all(ad.mul(diff, diff)), 1.0 / batch)
-    if not np.isfinite(ad.val(loss)):
-        raise NumericError("loss is non-finite")
-    return loss
 
 
 class _Fit:
@@ -234,7 +215,8 @@ class _Fit:
         try:
             pv = ParamVars(self.params, self.state.grad)
             loss, rec, pde = step(pv)
-            ad.backward(loss)
+            if ad.is_var(loss):  # an untaped loss leaves the gradient 0
+                ad.backward(loss)
             norm = clip_grad_norm(pv.grads(), self.config.clip_norm,
                                   pv.factored)
         except NumericError as e:
@@ -312,7 +294,14 @@ def latent_targets(system: SystemSpec, obs: ObserverMatrices, sets):
 
 
 def compute_f_scale(system: SystemSpec, states: np.ndarray) -> float:
-    return normalize_vector_field(eval_vector_field(system, states))[1]
+    """s = max(1, 95th percentile of |f|) over ``states``: the residuals
+    divide every term by s, which leaves their minimizer unchanged and
+    keeps the loss tame on large-drift systems."""
+    f = eval_vector_field(system, states)
+    if len(f) == 0:
+        raise ContractViolation("empty drift batch")
+    norms = np.sqrt(np.sum(f.reshape(len(f), -1) ** 2, axis=1))
+    return max(1.0, float(np.percentile(norms, 95)))
 
 
 def _sample_box(rng, system: SystemSpec, count: int) -> np.ndarray:
@@ -348,8 +337,8 @@ def phase1_train(
         colloc = _sample_box(colloc_rng, system, config.collocation)
 
         def step(pv):
-            fit = _mse(ad.sub(encode(maps, pv, x_data[idx]), z_data[idx]),
-                       config.batch)
+            fit = mean_square(ad.sub(encode(maps, pv, x_data[idx]),
+                                     z_data[idx]), config.batch)
             pde = autonomous_pde_residual(
                 maps, pv, obs, system, colloc, f_scale=f_scale
             )
@@ -368,7 +357,8 @@ def phase1_train(
         z_rec = encode(maps, theta, x_rec)  # frozen encoder, plain arrays
 
         def step(pv):
-            rec = _mse(ad.sub(decode(maps, pv, z_rec), x_rec), len(x_rec))
+            rec = mean_square(ad.sub(decode(maps, pv, z_rec), x_rec),
+                              len(x_rec))
             return rec, rec, 0.0
 
         if run.epoch(epoch, step) is None:
@@ -500,7 +490,7 @@ def _train_static(obs, maps, phi_base, spec, runs, config):
             total = None
             count = 0
             for t, k0 in zip(t_idx, k_idx):
-                inject_full = make_step_injection(pv, spec, runs.inputs[t], dt)
+                inject_full = make_step_injection(pv, spec, runs.inputs[t])
                 nodes = simulate_latent_nodes(
                     obs, runs.outputs[t, k0 : k0 + seg + 1, None], dt,
                     injection=lambda z, k: inject_full(z, k0 + k),
@@ -543,7 +533,6 @@ def observer_pairs(obs: ObserverMatrices, sets):
 
 
 def curriculum_train(
-    system: SystemSpec,
     obs: ObserverMatrices,
     maps: KklMaps,
     phi: ParamStore,
@@ -576,8 +565,8 @@ def curriculum_train(
             idx = batch_rng.integers(0, len(x_data), size=config.batch)
 
             def step(pv):
-                rec = _mse(ad.sub(decode(maps, pv, z_data[idx]), x_data[idx]),
-                           config.batch)
+                rec = mean_square(ad.sub(decode(maps, pv, z_data[idx]),
+                                         x_data[idx]), config.batch)
                 return rec, rec, 0.0
 
             row = run.epoch(epoch, step, level_idx)

@@ -16,6 +16,7 @@ from hyperkkl.cli import build_parser, main
 from hyperkkl.config import load_config, resolve, system_defaults
 from hyperkkl.data import read_dataset
 from hyperkkl.errors import ConfigError, NumericError
+from hyperkkl.hypernet import init_injection_params
 from hyperkkl.manifest import MANIFEST_NAME
 
 
@@ -551,6 +552,37 @@ class TestTrainConditioned:
         assert bundle.variant == "static"
         assert bundle.xi is not None
 
+    def test_static_trains_on_unforced_runs(self, trained, capsys):
+        # an epoch whose segments all come from zero-input runs tapes no
+        # loss: it steps on a zero gradient and logs a norm of 0.0
+        ini = trained["root"] / "zero.ini"
+        ini.write_text("[train]\nsegment_batch = 1\n[hypernet]\nwindow = 6\n"
+                       "lstm_hidden = 4\ninj_hidden = 8\n")
+        zero = trained["root"] / "data" / "duffing_zero_n4_s1.hkkl"
+
+        def train(out, *data):
+            return run(
+                "train", "--system", "duffing", "--phase", "2", "--variant",
+                "static", "--base", str(trained["base"]),
+                *(a for d in data for a in ("--data", str(d))),
+                "--epochs", "6", "--config", str(ini), "--seed", "4",
+                "--out", str(out))
+
+        mixed = trained["root"] / "mixed"
+        assert train(mixed, zero, trained["forced"]) == 0
+        rows = (mixed / "duffing_static_loss.csv").read_text().splitlines()
+        norms = [float(row.split(",")[3]) for row in rows[1:]]
+        assert len(norms) == 6
+        assert 0.0 in norms and any(n > 0.0 for n in norms)
+        # on all-zero data no epoch reaches ξ: Adam's first step on a zero
+        # gradient is 0, and so is every later one
+        only = trained["root"] / "only"
+        assert train(only, zero) == 0
+        bundle = read_checkpoint(only / "duffing_static.hkkp")
+        init = init_injection_params(bundle.injection_spec, 4)
+        assert np.array_equal(bundle.xi.data, init.data)
+        assert "error" not in capsys.readouterr().err
+
     def test_static_refuses_an_empty_segment_batch(self, trained, capsys):
         ini = trained["root"] / "empty.ini"
         ini.write_text("[train]\nsegment_batch = 0\n")
@@ -857,6 +889,53 @@ class TestEvalPlotReport:
             "error: --checkpoint names variant 'autonomous' twice\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, line, why", [
+        pytest.param("system,variant,regime,rmse\nduffing,autonomous,zero,1\n",
+                     1, "no smape column", id="no-smape"),
+        pytest.param("system,variant,regime,rmse,smape\n"
+                     "duffing,autonomous,zero,1,2\nduffing,static,zero,1\n",
+                     3, "4 fields, the header has 5", id="short-row"),
+        pytest.param("system,variant,regime,rmse,smape\n"
+                     "duffing,autonomous,zero,low,2\n",
+                     2, "rmse 'low' is not a number", id="word-rmse"),
+        pytest.param("system,variant,regime,rmse,smape\n"
+                     "duffing,autonomous,zero,1,\n",
+                     2, "smape '' is not a number", id="empty-smape"),
+    ])
+    def test_report_refuses_a_bad_csv(self, tmp_path, capsys, text, line,
+                                      why):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "rep"
+        assert run("report", str(bad), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: report CSV {bad} line {line}: {why}\n")
+        assert not out.exists()
+
+    def test_report_shows_the_first_row_of_a_cell(self, tmp_path):
+        csv = tmp_path / "r.csv"
+        csv.write_text("system,variant,regime,rmse,smape\n"
+                       "duffing,static,zero,0.5,1\n"
+                       "duffing,autonomous,sinusoid,0.25,2\n"
+                       "duffing,static,zero,9,9\n")
+        assert run("report", str(csv), "--out", str(tmp_path)) == 0
+        assert (tmp_path / "report.md").read_text() == (
+            "# State-estimation benchmark\n\n## duffing\n\n"
+            "| method | sinusoid | zero |\n|---|---|---|\n"
+            "| autonomous | 0.25 (2%) | - |\n| static | - | 0.5 (1%) |\n\n")
+
+    def test_eval_refuses_a_repeated_regime(self, trained, capsys):
+        # two cells of one regime would be scored twice and reported once
+        out = trained["root"] / "twice"
+        code = exit_code(
+            "eval", "--system", "duffing", "--checkpoint",
+            f"autonomous={trained['base']}", "--regimes", "zero,zero",
+            "--out", str(out))
+        assert code == 2
+        assert ("--regimes: must be a comma list that repeats no name, got "
+                "'zero,zero'") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_needs_checkpoints(self, trained):
         assert run("eval", "--system", "duffing") == 2
 
@@ -889,6 +968,26 @@ class TestDamagedFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert str(bad) in err and offset in err
+
+    def test_dataset_signal_component_count(self, trained, capsys):
+        # the first sinusoid descriptor says K = 0, the file length to match
+        blob = trained["forced"].read_bytes()
+        at = 4 + 2 + 2 + 7 + 6 + 24 + 12 + 2 + len("sinusoid")
+        assert blob[at + 1] == 1
+        bad = trained["root"] / "k0.hkkl"
+        bad.write_bytes(blob[:at + 1] + b"\x00" + blob[at + 2 : at + 10]
+                        + blob[at + 34 :])
+        out = trained["root"] / "k0"
+        code = run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            "static", "--base", str(trained["base"]), "--data", str(bad),
+            "--epochs", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: sinusoid signal at byte offset {at} has 0 "
+            "components, needs 1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("dt", [0.0, float("nan")])
     def test_dataset_header_dt(self, gen_dir, tmp_path, capsys, dt):

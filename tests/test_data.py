@@ -187,6 +187,31 @@ class TestDatasetFormat:
         with pytest.raises(ContractViolation, match="truncated at byte"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("regime, k", [
+        ("sinusoid", 0), ("sinusoid", 2), ("square", 0), ("constant", 1),
+        ("zero", 1), ("mixture", 1), ("mixture", 0),
+    ])
+    def test_component_count_must_fit_the_kind(self, tmp_path, regime, k):
+        # the first descriptor's count K edited, and the file length with
+        # it, so only the count is wrong
+        path = tmp_path / "set.hkkl"
+        write_dataset(generate_dataset(duffing(), regime, 2, 5, horizon=1.0),
+                      path)
+        blob = path.read_bytes()
+        at = 4 + 2 + 2 + len("duffing") + 3 * 2 + 3 * 8 + 4 + 8 + 2 + len(
+            regime)  # the first signal descriptor
+        old = blob[at + 1]
+        comps = at + 10  # its K (f64 A, f64 w, f64 phi) components
+        blob = (blob[:at + 1] + bytes([k]) + blob[at + 2:comps]
+                + b"\x00" * 24 * k + blob[comps + 24 * old:])
+        path.write_bytes(blob)
+        need = {"sinusoid": "1", "square": "1", "mixture": "2 or more"}
+        with pytest.raises(ContractViolation) as exc:
+            read_dataset(path)
+        assert str(exc.value) == (
+            f"{path}: {regime} signal at byte offset {at} has {k} "
+            f"components, needs {need.get(regime, '0')}")
+
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hkkl"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -397,11 +422,63 @@ class TestCheckpointFormat:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_slice_offsets_must_tile_the_data(self, tmp_path):
+        # each stored offset is read, not only the first of each block
+        bundle = self.build_bundle("autonomous")
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(bundle, path)
+        assert bundle.theta.layout["enc.b0"].offset == 18
+        path.write_bytes(set_u64("enc.b0", 0)(path.read_bytes()))
+        for observer in (False, True):
+            with pytest.raises(ContractViolation) as exc:
+                read_checkpoint(path, observer=observer)
+            assert str(exc.value) == (
+                f"{path}: stored slice enc.b0 starts at value 0, not at 18")
+
+    def test_a_block_is_one_run_of_slices(self, tmp_path):
+        # a table that tiles the data but puts dec.W0 among the encoder's
+        # slices would read dec.W0's values as enc.b0's
+        bundle = self.build_bundle("autonomous")
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(bundle, path)
+        blob = path.read_bytes()
+        (size,) = struct.unpack_from("<I", blob, 6)
+        meta = json.loads(blob[10 : 10 + size])
+        stores = (bundle.theta, bundle.phi)
+        slices = [(s.name, store.get(s.name)) for store in stores
+                  for s in store.layout.slices]
+        slices += [("obs.A", bundle.obs.A), ("obs.B", bundle.obs.B)]
+        raw_checkpoint(tmp_path / "same.hkkp", meta, slices)
+        assert (tmp_path / "same.hkkp").read_bytes() == blob
+        names = [name for name, _ in slices]
+        slices.insert(1, slices.pop(names.index("dec.W0")))
+        raw_checkpoint(path, meta, slices)
+        with pytest.raises(ContractViolation) as exc:
+            read_checkpoint(path)
+        assert str(exc.value) == (
+            f"{path}: stored slice enc.b1 is apart from its enc. block")
+
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hkkp"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(ContractViolation):
             read_checkpoint(path)
+
+
+def raw_checkpoint(path, meta, slices):
+    """An HKKP file at ``path`` holding the (name, array) ``slices`` in
+    the given order, each stored where the ones before it end."""
+    text = json.dumps(meta, sort_keys=True).encode()
+    out = [b"HKKP", struct.pack("<HI", 1, len(text)), text,
+           struct.pack("<I", len(slices))]
+    at = 0
+    for name, a in slices:
+        out += [struct.pack("<H", len(name)), name.encode(),
+                struct.pack(f"<B{a.ndim}IQ", a.ndim, *a.shape, at)]
+        at += a.size
+    out.append(struct.pack("<Q", at))
+    out += [np.ascontiguousarray(a, "<f8").tobytes() for _, a in slices]
+    path.write_bytes(b"".join(out))
 
 
 def slice_positions(blob):

@@ -226,7 +226,7 @@ class TestInjection:
     @staticmethod
     def inject_once(xi, spec, z, win):
         """The step injection at the step whose window is exactly ``win``."""
-        inject = make_step_injection(xi, spec, win, 0.05)
+        inject = make_step_injection(xi, spec, win)
         return inject(z, spec.window - 1)
 
     def test_zero_window_injection_exactly_zero(self):
@@ -271,7 +271,7 @@ class TestInjection:
         obs = build_observer_matrices(2, 1)
         y = np.random.default_rng(14).normal(size=(60, 1, 1))
         u = np.zeros((60, 1))
-        inject = make_step_injection(xi, spec, u, 0.05)
+        inject = make_step_injection(xi, spec, u)
         with_inj = simulate_latent(obs, y, 0.05, injection=inject)
         plain = simulate_latent(obs, y, 0.05)
         assert np.array_equal(with_inj, plain)
@@ -283,7 +283,7 @@ class TestInjection:
         obs = build_observer_matrices(2, 1)
         y = rng.normal(size=(60, 1, 1))
         u = np.full((60, 1), 0.8)
-        inject = make_step_injection(xi, spec, u, 0.05)
+        inject = make_step_injection(xi, spec, u)
         with_inj = simulate_latent(obs, y, 0.05, injection=inject)
         plain = simulate_latent(obs, y, 0.05)
         assert not np.array_equal(with_inj, plain)

@@ -11,6 +11,11 @@ A top-level function ``mod.fn`` counts as used where src names it as
 ``mod`` (``from . import mod as alias``). So ``np.exp`` does not vouch
 for a function ``exp`` in src. A method is called on objects of any
 type, so any attribute of its name counts for it.
+
+A second census holds every function, method and lambda in src to read
+each parameter it declares: one that nothing reads is a caller's
+argument that changes nothing. Its allow-list, PARAMETERS_ALLOWED, is
+empty.
 """
 
 import ast
@@ -92,3 +97,48 @@ def unreferenced() -> set:
 
 def test_src_calls_every_function_it_defines():
     assert unreferenced() == set(ALLOWED)
+
+
+# Parameters that nothing reads, kept on purpose: (module.function,
+# parameter) -> reason. Empty: each parameter src declares, src reads.
+PARAMETERS_ALLOWED = {}
+
+
+def _scopes(node, prefix):
+    """(qualified name, node) of each function, method and lambda under
+    ``node``, named through the classes and functions that hold it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (*FUNCTIONS, ast.Lambda, ast.ClassDef)):
+            name = prefix + getattr(child, "name", "<lambda>")
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _scopes(child, name + ".")
+        else:
+            yield from _scopes(child, prefix)
+
+
+def unread_parameters() -> set:
+    """(qualified function, parameter) of each parameter its function
+    never reads: no load of its name anywhere in the body, nested
+    functions included (``x += y`` reads x). ``self``, ``cls`` and names
+    that start with ``_`` are exempt."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, fn in _scopes(tree, path.stem + "."):
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            nodes = [n for stmt in body for n in ast.walk(stmt)]
+            read = {n.id for n in nodes
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read |= {n.target.id for n in nodes if isinstance(n, ast.AugAssign)
+                     and isinstance(n.target, ast.Name)}
+            found |= {(name, p) for p in params if p not in read
+                      and p not in ("self", "cls") and not p.startswith("_")}
+    return found
+
+
+def test_src_reads_every_parameter_it_declares():
+    assert unread_parameters() == set(PARAMETERS_ALLOWED)

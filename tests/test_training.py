@@ -18,7 +18,7 @@ import hyperkkl.autodiff as ad
 from hyperkkl import seeding, training
 from hyperkkl.config import SETTINGS
 from hyperkkl.data import generate_dataset
-from hyperkkl.dynamics import duffing, van_der_pol
+from hyperkkl.dynamics import SystemSpec, duffing, van_der_pol
 from hyperkkl.errors import ContractViolation, NumericError
 from hyperkkl.hypernet import (
     build_hypernet_spec,
@@ -41,9 +41,9 @@ from hyperkkl.training import (
     CurriculumConfig,
     _check_zero_input_gating,
     TrainConfig,
+    compute_f_scale,
     curriculum_train,
     latent_targets,
-    normalize_vector_field,
     phase1_train,
     phase2_train,
     plateau_detect,
@@ -97,11 +97,19 @@ class TestConfigs:
 
 
 class TestNormalization:
+    """``compute_f_scale`` on a system whose drift is the state itself,
+    so each state row is its own drift sample."""
+
+    @staticmethod
+    def scale(f):
+        n_x = f.shape[1]
+        system = SystemSpec(name="identity", n_x=n_x, n_y=1, m=0,
+                            f=lambda x, u: x, h=lambda x: x[:, :1],
+                            domain=np.tile([-1.0, 1.0], (n_x, 1)))
+        return compute_f_scale(system, f)
+
     def test_small_drift_is_identity(self):
-        f = np.array([[0.3, 0.4], [0.0, 1.0]])
-        scaled, s = normalize_vector_field(f)
-        assert s == 1.0
-        assert np.array_equal(scaled, f)
+        assert self.scale(np.array([[0.3, 0.4], [0.0, 1.0]])) == 1.0
 
     def test_percentile_against_sorted_oracle(self):
         rng = np.random.default_rng(0)
@@ -111,12 +119,11 @@ class TestNormalization:
         pos = 0.95 * (len(norms) - 1)
         lo = int(np.floor(pos))
         expected = norms[lo] + (pos - lo) * (norms[lo + 1] - norms[lo])
-        _, s = normalize_vector_field(f)
-        assert s == pytest.approx(max(1.0, expected), rel=1e-12)
+        assert self.scale(f) == pytest.approx(max(1.0, expected), rel=1e-12)
 
     def test_empty_batch(self):
-        with pytest.raises(ContractViolation):
-            normalize_vector_field(np.zeros((0, 2)))
+        with pytest.raises(ContractViolation, match="empty drift batch"):
+            self.scale(np.zeros((0, 2)))
 
 
 class TestPlateau:
@@ -189,6 +196,20 @@ class TestTotalLoss:
         total, rec, pde = total_loss(maps, theta, phi, obs, sys, x, lam, DT)
         assert float(ad.val(total)) == float(ad.val(rec)) + lam * float(ad.val(pde))
 
+
+    @pytest.mark.parametrize("term, store, lam", [
+        ("reconstruction", "phi", 0.0), ("physics", "theta", 0.1)])
+    def test_a_non_finite_term_is_named(self, term, store, lam):
+        # every term is one mean square with one message; total_loss
+        # names the term
+        sys = duffing()
+        obs, maps, theta, phi = tiny_setup(sys)
+        {"theta": theta, "phi": phi}[store].data[0] = np.nan
+        x = np.random.default_rng(5).uniform(-1, 1, (8, 2))
+        with pytest.raises(NumericError,
+                           match=f"^{term} component: loss is non-finite$"), \
+                np.errstate(all="ignore"):
+            total_loss(maps, theta, phi, obs, sys, x, lam, DT)
 
 class TestLatentTargets:
     def test_shapes_and_discard(self):
@@ -493,7 +514,7 @@ class TestCurriculum:
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=6)
         result = curriculum_train(
-            sys, obs, maps, phi.copy(), self.make_levels(sys),
+            obs, maps, phi.copy(), self.make_levels(sys),
             TrainConfig(epochs=1, batch=32, seed=9),
             CurriculumConfig(epsilon=0.01, patience=5, level_epochs=20),
         )
@@ -510,7 +531,7 @@ class TestCurriculum:
         config = TrainConfig(epochs=1, batch=32, seed=12)
         schedule = CurriculumConfig(epsilon=1e-9, patience=10, level_epochs=15)
         result = curriculum_train(
-            sys, obs, maps, phi0.copy(), [level], config, schedule
+            obs, maps, phi0.copy(), [level], config, schedule
         )
 
         # independent plain loop with the same draws and update rule
@@ -540,7 +561,7 @@ class TestCurriculum:
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=8)
         result = curriculum_train(
-            sys, obs, maps, phi.copy(), self.make_levels(sys),
+            obs, maps, phi.copy(), self.make_levels(sys),
             TrainConfig(epochs=1, batch=32, seed=13, lr=1e-9),  # frozen loss
             CurriculumConfig(epsilon=0.5, patience=3, level_epochs=50),
         )
@@ -551,7 +572,7 @@ class TestCurriculum:
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys)
         with pytest.raises(ContractViolation):
-            curriculum_train(sys, obs, maps, phi, [],
+            curriculum_train(obs, maps, phi, [],
                              TrainConfig(epochs=1), CurriculumConfig())
 
 
@@ -583,7 +604,7 @@ class TestNonFiniteGradient:
                       for regime, seed in (("constant", 10),
                                            ("sinusoid", 20))]
             result = curriculum_train(
-                sys, obs, maps, phi, levels, config,
+                obs, maps, phi, levels, config,
                 CurriculumConfig(level_epochs=3))
             return result, (result.phi,)
         ds = tiny_dataset(sys, "sinusoid", count=2, horizon=2.0)
