@@ -46,6 +46,13 @@ zeros can only turn a +0.0 into -0.0. Gradients then equal the
 zero-filled walk's as numbers, and a preset buffer, which starts at
 +0.0 and so never holds -0.0, gets the same bytes; a bare leaf's
 ``.grad`` may show -0.0 where that walk gave +0.0.
+
+A VJP may overwrite the gradient it is handed. That is its node's own
+``.grad``: an array ``backward`` zero-filled or adopted, never a view,
+and by the rule above nothing else reads it. ``backward`` drops it,
+with the VJP's results, once the VJP returns, so only what the VJP
+returns reads the overwritten values (``nets``' tanh layers write their
+backward there, and their W gradient reads it).
 """
 
 from __future__ import annotations
@@ -278,7 +285,9 @@ def backward(root: Var) -> None:
                 g.add(parent.grad)
             else:
                 parent.grad += g
-        node.grad = node._vjp = node._parents = None
+        # the VJP's results may hold the node's gradient (in AddInto
+        # closures), so they go with it, before the next VJP runs
+        node.grad = node._vjp = node._parents = grads = g = None
 
 
 def _adoptable(g, parent, grads) -> bool:

@@ -24,7 +24,9 @@ out from the spec in the metadata, so only their value counts have to
 match; files that split each head's U readout into several slices load
 unchanged, since the values sit in the same order. The slice offsets
 must tile the data block in table order, each block's slices in one
-run; a slice that does not is refused by name. A file that ends
+run; a slice that does not is refused by name, and so is a slice in no
+block a read takes: obs., enc. and dec., and hyper. or inj. only under
+metadata with ``hyper`` or ``injection``. A file that ends
 early or has bytes past the data is refused with the byte offset, and
 metadata that lacks a key the reader uses or gives it the wrong type is
 refused with the key (see META_KEYS).
@@ -290,6 +292,9 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
         if not isinstance(meta, dict):
             raise ContractViolation(f"{path}: metadata must be a JSON object")
         _check_meta(meta, path)
+        blocks = ("obs.", "enc.", "dec.") + tuple(
+            prefix for prefix, key in (("hyper.", "hyper"),
+                                       ("inj.", "injection")) if key in meta)
         (n_entries,) = r.unpack("<I")
         entries = []
         end = 0  # the slices must tile [0, total) in table order
@@ -299,6 +304,9 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             (ndim,) = r.unpack("<B")
             shape = r.unpack(f"<{ndim}I")
             (off,) = r.unpack("<Q")
+            if not name.startswith(blocks):
+                raise ContractViolation(f"{path}: stored slice {name} is in "
+                                        "no block the metadata names")
             if off != end:
                 raise ContractViolation(f"{path}: stored slice {name} starts "
                                         f"at value {off}, not at {end}")

@@ -100,9 +100,28 @@ def cmd_gen(args, s):
     return Run(out_dir, s, {"seed": s["seed"]}, [], outputs)
 
 
-def _training_dt(datasets, base=None) -> float:
+def _read_training_sets(paths, system_name: str):
+    """The trajectory sets of the datasets at ``paths`` and the seed range
+    they span; nothing else of a dataset outlives the call."""
+    from .data import read_dataset
+
+    if not paths:
+        raise ConfigError("train needs at least one --data dataset")
+    sets, seeds = [], []
+    for path in paths:
+        ds = read_dataset(path)
+        if ds.system.name != system_name:
+            raise ConfigError(
+                f"dataset {ds.system.name!r} does not match --system {system_name!r}"
+            )
+        sets.append(ds.trajectories)
+        seeds.extend(ds.seed_range)
+    return sets, (min(seeds), max(seeds))
+
+
+def _training_dt(sets, base=None) -> float:
     """The one time step of the training data, also the base model's."""
-    dts = sorted({ds.dt for ds in datasets})
+    dts = sorted({runs.dt for runs in sets})
     if len(dts) > 1:
         raise ConfigError(f"training datasets mix time steps {dts}")
     if base is not None and base.dt is not None and base.dt != dts[0]:
@@ -113,17 +132,19 @@ def _training_dt(datasets, base=None) -> float:
     return dts[0]
 
 
-def _dataset_level(dataset) -> int:
+def _dataset_level(runs) -> int:
     from .signals import difficulty_level
 
     return max(0 if sig is None else difficulty_level(sig)
-               for sig in dataset.trajectories.signals)
+               for sig in runs.signals)
 
 
 def cmd_train(args, s):
     """Train one phase into ``{system}_{phase or variant}.hkkp`` and its
     loss CSV. Only dynamic phase 2 reads the base in full before training;
-    curriculum and static read its θ after (module docstring)."""
+    curriculum and static read its θ after (module docstring). Of the
+    datasets only their trajectory sets stay, and phase 1 lets those go
+    once it has drawn its latent targets."""
     if args.variant is not None and args.phase != "2":
         raise ConfigError(f"--variant applies only to --phase 2, "
                           f"not to --phase {args.phase}")
@@ -131,10 +152,9 @@ def cmd_train(args, s):
         raise ConfigError("--phase 1 trains from scratch and takes no --base")
     from . import training
     from .checkpoints import CheckpointBundle, read_checkpoint, write_checkpoint
-    from .data import read_dataset
     from .dynamics import get_system
     from .hypernet import build_hypernet_spec, build_injection_spec
-    from .kkl import build_observer_matrices, init_map_params, make_maps
+    from .kkl import build_observer_matrices, make_maps
 
     system_name = s["system"]
     system = get_system(system_name)
@@ -146,20 +166,9 @@ def cmd_train(args, s):
         segment_batch=s["segment_batch"],
     )
 
-    if not args.data:
-        raise ConfigError("train needs at least one --data dataset")
-    datasets = [read_dataset(p) for p in args.data]
-    for ds in datasets:
-        if ds.system.name != system_name:
-            raise ConfigError(
-                f"dataset {ds.system.name!r} does not match --system {system_name!r}"
-            )
-    seed_lo = min(ds.seed_range[0] for ds in datasets)
-    seed_hi = max(ds.seed_range[1] for ds in datasets)
-
+    sets, (seed_lo, seed_hi) = _read_training_sets(args.data, system_name)
     out_dir = Path(args.out or ".")
     inputs = list(args.data)
-    sets = [ds.trajectories for ds in datasets]
     base = stamp = None
     lo, hi = seed_lo, seed_hi  # the seeds the checkpoint was trained on
     if args.phase != "1":
@@ -174,15 +183,13 @@ def cmd_train(args, s):
         if base.train_seed_range:
             lo = min(lo, base.train_seed_range[0])
             hi = max(hi, base.train_seed_range[1])
-    dt = _training_dt(datasets, base)
+    dt = _training_dt(sets, base)
 
     if args.phase == "1":
         obs = build_observer_matrices(system.n_x, system.n_y, s["latent_dim"])
         maps = make_maps(system.n_x, obs.n_z, hidden=s["hidden"])
-        theta, phi = init_map_params(maps, s["seed"])
-        result = training.phase1_train(
-            system, obs, maps, theta, phi, sets, train_config
-        )
+        # empties ``sets``: the data go once phase 1 has its targets
+        result = training.phase1_train(system, obs, maps, sets, train_config)
         bundle = CheckpointBundle(
             variant="autonomous", system_name=system_name, maps=maps, obs=obs,
             theta=result.theta, phi=result.phi, f_scale=result.f_scale,
@@ -218,7 +225,7 @@ def cmd_train(args, s):
         )
         stem = f"{system_name}_{args.variant}"
     else:
-        levels = [_dataset_level(ds) for ds in datasets]
+        levels = [_dataset_level(runs) for runs in sets]
         if levels != sorted(levels):
             raise ConfigError(
                 f"curriculum datasets must be ordered by difficulty, got {levels}"

@@ -156,12 +156,19 @@ def decoder_layout(maps: KklMaps) -> Layout:
     return Layout(mlp_layout_entries(maps.dec, DEC))
 
 
-def init_map_params(maps: KklMaps, seed: int) -> tuple[ParamStore, ParamStore]:
+def init_encoder(maps: KklMaps, seed: int) -> ParamStore:
+    """A fresh encoder θ, initialised on the stream of ``seed``."""
     theta = ParamStore(encoder_layout(maps))
-    phi = ParamStore(decoder_layout(maps))
     init_mlp(theta, maps.enc, ENC, seed)
+    return theta
+
+
+def init_decoder(maps: KklMaps, seed: int) -> ParamStore:
+    """A fresh decoder φ, initialised on the stream of ``seed + 1`` so that
+    the two maps of one seed draw different values."""
+    phi = ParamStore(decoder_layout(maps))
     init_mlp(phi, maps.dec, DEC, seed + 1)
-    return theta, phi
+    return phi
 
 
 def encode(maps: KklMaps, theta, x, weight_deltas=None):

@@ -42,8 +42,9 @@ from . import seeding
 from .errors import ContractViolation
 from .params import Layout, ParamStore
 
-# Rows per forward block of lowrank_linear and of the plain LSTM, and
-# input columns per chunk of lowrank_linear (see there).
+# Rows per forward block of lowrank_linear and of the plain LSTM and per
+# block of tanh's backward, and input columns per chunk of lowrank_linear
+# (see there).
 ROW_BLOCK = 256
 IN_BLOCK = 16
 
@@ -280,26 +281,33 @@ def u_grad_sq_norm(terms) -> float:
 
 
 def _tanh_grad(g, y, tangent_lin=None):
-    """The gradient at a tanh layer's linear outputs, from g at its outputs.
+    """The gradient at a tanh layer's linear outputs, written into g.
 
-    The first len(y) rows of the output are y = tanh(v); the rest, when
-    ``tangent_lin`` t is given, are the tangent t ⊙ (1 − y²), whose
-    factor depends on y as well: dL/dv = (g_y − 2 y t g_t)(1 − y²).
-    ``tangent_lin`` is overwritten.
+    g is the gradient at the layer's outputs. Its first len(y) rows are
+    at y = tanh(v); the rest, when ``tangent_lin`` t is given, at the
+    tangent t ⊙ (1 − y²), whose factor depends on y as well:
+    dL/dv = (g_y − 2 y t g_t)(1 − y²). g is the node's own ``.grad``,
+    which ``backward`` drops once the VJP returns (``autodiff``), so the
+    result overwrites it and no second g-sized array is made; 1 − y² is
+    formed ROW_BLOCK rows at a time, once for both halves, and each
+    block's g_t is read into the second-order term before it is
+    overwritten. ``tangent_lin`` is overwritten too.
     """
     n = len(y)
-    gl = np.empty_like(g)
-    d = np.multiply(y, y, out=gl[:n])
-    np.subtract(1.0, d, out=d)
-    if tangent_lin is None:
-        d *= g
-        return gl
-    np.multiply(g[n:], d, out=gl[n:])
-    tangent_lin *= y
-    tangent_lin *= g[n:]
-    tangent_lin *= 2.0
-    d *= np.subtract(g[:n], tangent_lin, out=tangent_lin)
-    return gl
+    for lo in range(0, n, ROW_BLOCK):
+        values = slice(lo, min(lo + ROW_BLOCK, n))
+        d = np.multiply(y[values], y[values])
+        np.subtract(1.0, d, out=d)
+        if tangent_lin is not None:
+            g_t = g[n + values.start : n + values.stop]
+            second = tangent_lin[values]
+            second *= y[values]
+            second *= g_t
+            second *= 2.0
+            g_t *= d
+            g[values] -= second
+        g[values] *= d
+    return g
 
 
 def _mlp_layer(x, n, w, b, factors, squash):
@@ -318,9 +326,10 @@ def _mlp_layer(x, n, w, b, factors, squash):
     this node replaces, on the same row blocks, so the values and the
     tangent are that chain's, bit for bit. The node keeps only its
     result. Its VJP recomputes x[n:] Wᵀ for the tangent's second-order
-    term, takes the linear map's gradients over all R rows at once (s
-    repeated per row block) and adds W's, b's and u's gradients into
-    their arrays (``autodiff.AddInto``).
+    term, writes tanh's backward into the gradient it is handed
+    (``_tanh_grad``), takes the linear map's gradients over all R rows
+    at once (s repeated per row block) and adds W's, b's and u's
+    gradients into their arrays (``autodiff.AddInto``).
     """
     u, s = factors or (None, None)
     xv, wv, bv = (ad.val(a) for a in (x, w, b))

@@ -64,6 +64,8 @@ from .kkl import (
     decode,
     dynamic_pde_residual_batch,
     encode,
+    init_decoder,
+    init_encoder,
     mean_square,
     reconstruction_loss,
     simulate_latent,
@@ -142,7 +144,7 @@ class Abort:
 @dataclass
 class Phase1Result:
     theta: ParamStore
-    phi: ParamStore
+    phi: ParamStore | None
     f_scale: float
     log: list
     abort: Abort | None = None
@@ -172,13 +174,12 @@ def plateau_detect(loss_history, epsilon: float, patience: int) -> bool:
 
     Compares the best value before the last ``patience`` entries with the
     best value inside them: relative improvement below ``epsilon`` is a
-    plateau.
+    plateau. A history of at most ``patience`` entries has nothing before
+    the window, so it is no plateau yet.
     """
     hist = list(loss_history)
-    if len(hist) < patience + 1:
-        raise ContractViolation(
-            f"need at least patience+1={patience + 1} entries, got {len(hist)}"
-        )
+    if len(hist) <= patience:
+        return False
     best_before = min(hist[:-patience])
     best_in = min(hist[-patience:])
     return (best_before - best_in) / max(best_before, 1e-12) < epsilon
@@ -313,24 +314,32 @@ def phase1_train(
     system: SystemSpec,
     obs: ObserverMatrices,
     maps: KklMaps,
-    theta: ParamStore,
-    phi: ParamStore,
-    sets,
+    sets: list,
     config: TrainConfig,
 ) -> Phase1Result:
-    """Sequential autonomous pretraining of the base maps (in place).
+    """Sequential autonomous pretraining of the base maps, from scratch.
 
-    Encoder stage: latent data fit plus stationary residual on fresh
-    collocation points, ``config.epochs`` steps. Decoder stage: frozen
-    encoder, reconstruction on data states plus collocation points,
-    another ``config.epochs`` steps.
+    Encoder stage: θ fresh from ``init_encoder`` at ``config.seed``,
+    latent data fit plus stationary residual on fresh collocation points,
+    ``config.epochs`` steps. Decoder stage: frozen encoder, φ fresh from
+    ``init_decoder`` at ``config.seed``, reconstruction on data states
+    plus collocation points, another ``config.epochs`` steps.
+
+    Each stage holds only what its steps read. The list ``sets`` is
+    emptied once the latent targets are drawn from it, so its
+    trajectories are freed unless the caller keeps them elsewhere; the z
+    labels go when the encoder stage ends, with its Adam state; and φ is
+    made only when the decoder stage starts, so a run aborted in the
+    encoder stage returns ``phi`` None.
     """
     x_data, z_data = latent_targets(system, obs, sets)
+    sets.clear()
     f_scale = compute_f_scale(system, x_data) if config.normalize else 1.0
 
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
     colloc_rng = seeding.stream(config.seed, seeding.STREAM_COLLOCATION)
 
+    theta = init_encoder(maps, config.seed)
     run = _Fit(theta, config)
     for epoch in range(1, config.epochs + 1):
         idx = batch_rng.integers(0, len(x_data), size=config.batch)
@@ -345,10 +354,12 @@ def phase1_train(
             return ad.add(fit, ad.mul(pde, config.lam)), fit, pde
 
         if run.epoch(epoch, step) is None:
-            return Phase1Result(theta=theta, phi=phi, f_scale=f_scale,
+            return Phase1Result(theta=theta, phi=None, f_scale=f_scale,
                                 log=run.log, abort=run.abort)
 
     encoder_log = run.log
+    del z_data, run
+    phi = init_decoder(maps, config.seed)
     run = _Fit(phi, config, frozen=(theta,))
     for epoch in range(config.epochs + 1, 2 * config.epochs + 1):
         idx = batch_rng.integers(0, len(x_data), size=config.batch)
@@ -573,9 +584,7 @@ def curriculum_train(
             if row is None:
                 break
             history.append(row.loss_rec)
-            if len(history) >= schedule.patience + 1 and plateau_detect(
-                history, schedule.epsilon, schedule.patience
-            ):
+            if plateau_detect(history, schedule.epsilon, schedule.patience):
                 break
         if run.abort is not None:
             break

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from hyperkkl.kkl import (
     ObserverMatrices,
     decoder_layout,
     encoder_layout,
+    init_decoder,
+    init_encoder,
     verify_observer,
 )
 from hyperkkl.nets import MlpSpec
@@ -112,6 +115,19 @@ def reshape(x, shape):
     if not ad.is_var(x):
         return out
     return ad.Var(out, (x,), lambda g: (g.reshape(xv.shape),))
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes tracemalloc saw held at once during
+    the call beyond those held when it began."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def zero_fill_backward(root) -> None:
@@ -342,3 +358,8 @@ def oracle_latent_targets(system, obs, sets):
              for runs in sets for states in runs.states]
     zs, xs = oracle_observer_pairs(obs, clean)
     return xs, zs
+
+
+def init_map_params(maps, seed):
+    """A fresh (θ, φ) pair of one seed, as phase 1 makes them."""
+    return init_encoder(maps, seed), init_decoder(maps, seed)

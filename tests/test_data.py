@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import oracle_simulate
+from conftest import init_map_params, oracle_simulate
 
 from hyperkkl.binfile import Reader
 from hyperkkl.checkpoints import (
@@ -45,7 +45,6 @@ from hyperkkl.hypernet import (
 from hyperkkl.kkl import (
     build_observer_matrices,
     decode,
-    init_map_params,
     make_maps,
     simulate_latent,
 )
@@ -435,11 +434,11 @@ class TestCheckpointFormat:
             assert str(exc.value) == (
                 f"{path}: stored slice enc.b0 starts at value 0, not at 18")
 
-    def test_a_block_is_one_run_of_slices(self, tmp_path):
-        # a table that tiles the data but puts dec.W0 among the encoder's
-        # slices would read dec.W0's values as enc.b0's
+    def autonomous_parts(self, path):
+        """The metadata and the (name, array) slices of an autonomous
+        checkpoint written at ``path``; raw_checkpoint writes them back
+        to the same bytes."""
         bundle = self.build_bundle("autonomous")
-        path = tmp_path / "ck.hkkp"
         write_checkpoint(bundle, path)
         blob = path.read_bytes()
         (size,) = struct.unpack_from("<I", blob, 6)
@@ -448,8 +447,15 @@ class TestCheckpointFormat:
         slices = [(s.name, store.get(s.name)) for store in stores
                   for s in store.layout.slices]
         slices += [("obs.A", bundle.obs.A), ("obs.B", bundle.obs.B)]
-        raw_checkpoint(tmp_path / "same.hkkp", meta, slices)
-        assert (tmp_path / "same.hkkp").read_bytes() == blob
+        raw_checkpoint(path, meta, slices)
+        assert path.read_bytes() == blob
+        return meta, slices
+
+    def test_a_block_is_one_run_of_slices(self, tmp_path):
+        # a table that tiles the data but puts dec.W0 among the encoder's
+        # slices would read dec.W0's values as enc.b0's
+        path = tmp_path / "ck.hkkp"
+        meta, slices = self.autonomous_parts(path)
         names = [name for name, _ in slices]
         slices.insert(1, slices.pop(names.index("dec.W0")))
         raw_checkpoint(path, meta, slices)
@@ -457,6 +463,31 @@ class TestCheckpointFormat:
             read_checkpoint(path)
         assert str(exc.value) == (
             f"{path}: stored slice enc.b1 is apart from its enc. block")
+
+    @pytest.mark.parametrize("name", ["zzz.junk", "inj.W0", "hyper.lstm.Wx"])
+    def test_a_slice_no_read_takes_is_refused(self, tmp_path, monkeypatch,
+                                              name):
+        # an autonomous file's metadata names no hyper or injection block,
+        # so a tiled slice outside obs., enc. and dec. is refused by name
+        path = tmp_path / "ck.hkkp"
+        meta, slices = self.autonomous_parts(path)
+        raw_checkpoint(path, meta, slices + [(name, np.ones(10))])
+        assert refused_unread(monkeypatch, path) == {
+            f"{path}: stored slice {name} is in no block the metadata names"}
+
+    @pytest.mark.parametrize("variant, key", [("static", "injection"),
+                                              ("dynamic", "hyper")])
+    def test_a_block_the_metadata_does_not_name_is_refused(
+            self, tmp_path, monkeypatch, variant, key):
+        bundle = self.build_bundle(variant)
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(bundle, path)
+        path.write_bytes(edit_meta(lambda m: {
+            k: v for k, v in m.items() if k != key})(path.read_bytes()))
+        store = bundle.xi if variant == "static" else bundle.psi
+        assert refused_unread(monkeypatch, path) == {
+            f"{path}: stored slice {store.layout.slices[0].name} is in no "
+            "block the metadata names"}
 
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hkkp"
@@ -479,6 +510,26 @@ def raw_checkpoint(path, meta, slices):
     out.append(struct.pack("<Q", at))
     out += [np.ascontiguousarray(a, "<f8").tobytes() for _, a in slices]
     path.write_bytes(b"".join(out))
+
+
+def refused_unread(monkeypatch, path):
+    """The messages both reads refuse ``path`` with; neither reads a
+    value of the data block."""
+    reads = []
+    real = Reader.f64_at
+
+    def f64_at(self, spans):
+        reads.append(spans)
+        return real(self, spans)
+
+    monkeypatch.setattr(Reader, "f64_at", f64_at)
+    messages = set()
+    for observer in (False, True):
+        with pytest.raises(ContractViolation) as exc:
+            read_checkpoint(path, observer=observer)
+        messages.add(str(exc.value))
+    assert reads == []
+    return messages
 
 
 def slice_positions(blob):

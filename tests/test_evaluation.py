@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     analytic_linear_maps,
     analytic_linear_observer,
+    init_map_params,
     linear_test_system,
     oracle_latent,
 )
@@ -38,7 +39,6 @@ from hyperkkl.hypernet import (
 from hyperkkl.kkl import (
     build_observer_matrices,
     decode,
-    init_map_params,
     make_maps,
 )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grad_check
+from conftest import grad_check, init_map_params
 
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
@@ -22,7 +22,6 @@ from hyperkkl.hypernet import (
 from hyperkkl.kkl import (
     build_observer_matrices,
     encode,
-    init_map_params,
     make_maps,
     simulate_latent,
 )

@@ -22,7 +22,6 @@ from hyperkkl.kkl import (
     dynamic_pde_residual_batch,
     encode,
     encoder_layout,
-    init_map_params,
     latent_dim,
     make_maps,
     reconstruction_loss,
@@ -57,6 +56,7 @@ from conftest import (
     analytic_linear_maps,
     analytic_linear_observer,
     grad_check,
+    init_map_params,
     linear_test_system,
 )
 

@@ -4,7 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grad_check, make_store, reshape, tanh, zero_fill_backward
+from conftest import (
+    grad_check,
+    make_store,
+    reshape,
+    tanh,
+    traced_peak,
+    zero_fill_backward,
+)
 
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
@@ -303,10 +310,13 @@ class TestFusedLayer:
 
 
     def test_taped_jacobian_backward_adopts_each_layer_gradient(self):
-        # the lorenz encoder's shape: the backward of three 350-wide tanh
-        # layers at B = 256 over their (2B, 350) results holds each
-        # layer's x gradient once, as the next layer down's .grad, and
-        # gives the bytes of the zero-filled walk
+        # the lorenz encoder's shape: three 350-wide tanh layers at B = 256
+        # over their (2B, 350) results. A layer's backward writes tanh's
+        # gradient into its own .grad and passes its x gradient down as
+        # the next layer's .grad, so at most two stacked arrays and the
+        # (350, 350) product added into W's gradient exist at once; the
+        # zero-filled walk adds each x gradient into zeros, one stacked
+        # array more. Both walks give the same bytes.
         batch, width = 256, 350
         spec, store = fresh_mlp([3, width, width, width, 7], seed=43)
         rng = np.random.default_rng(43)
@@ -316,17 +326,38 @@ class TestFusedLayer:
             pv = ParamVars(store)
             out, jvp = mlp_forward_with_jacobian(pv, spec, x, "net", v)
             loss = ad.sum_all(ad.add(ad.mul(out, out), ad.mul(jvp, jvp)))
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                walk(loss)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(walk, loss)
             grads.append((pv.grads().data.tobytes(), peak))
         stacked = 2 * batch * width * 8
         assert grads[0][0] == grads[1][0]
-        assert grads[0][1] <= 4 * stacked + 256 * 1024 < grads[1][1]
+        assert (grads[0][1] <= 2 * stacked + width * width * 8 + 64 * 1024
+                < grads[1][1])
+
+    def test_value_backward_holds_one_gradient_sized_array_more(self):
+        # a hidden layer of the lorenz decoder (7 -> 350^3 -> 3) at 512
+        # rows: tanh's gradient is written into the g the VJP is handed,
+        # so beyond g and the x gradient it returns, the VJP and the
+        # additions into W's and b's gradients hold at most one (512, 350)
+        # array (1 - y^2 by ROW_BLOCK rows, then the (350, 350) W product)
+        rows, width = 512, 350
+        spec, store = fresh_mlp([7, width, width, width, 3], seed=44)
+        pv = ParamVars(store)
+        w, b = pv.get("net.W1"), pv.get("net.b1")
+        rng = np.random.default_rng(44)
+        out = _mlp_layer(ad.Var(rng.normal(size=(rows, width))), rows, w, b,
+                         None, True)
+        g = rng.normal(size=out.value.shape)
+        expect = ((1.0 - out.value * out.value) * g) @ w.value
+
+        def vjp():
+            gx, gw, gb = out._vjp(g)
+            gw.add(w.grad)
+            gb.add(b.grad)
+            return gx
+
+        gx, peak = traced_peak(vjp)
+        assert np.array_equal(gx, expect)
+        assert peak <= gx.nbytes + g.nbytes + 64 * 1024
 
 
 def jacobian_columns(store, spec, x, deltas):

@@ -11,6 +11,8 @@ import inspect
 import json
 from pathlib import Path
 
+from conftest import init_map_params
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -76,7 +78,7 @@ def test_traced_eval_names_one_span_per_cell_and_counts_steps(monkeypatch):
 
     obs = kkl.build_observer_matrices(2, 1)
     maps = kkl.make_maps(2, obs.n_z, hidden=(6,))
-    theta, phi = kkl.init_map_params(maps, 0)
+    theta, phi = init_map_params(maps, 0)
     bundle = CheckpointBundle(variant="autonomous", system_name="duffing",
                               maps=maps, obs=obs, theta=theta, phi=phi)
     ds = data.generate_dataset(dynamics.duffing(), "sinusoid", 3, 4,
@@ -108,7 +110,7 @@ def test_traced_static_phase2_encodes_each_run_once_per_segment(
     system = dynamics.van_der_pol()
     obs = kkl.build_observer_matrices(2, 1)
     maps = kkl.make_maps(2, obs.n_z, hidden=(6,))
-    _, phi = kkl.init_map_params(maps, 5)
+    _, phi = init_map_params(maps, 5)
     runs = data.generate_dataset(system, "sinusoid", 2, 3,
                                  horizon=2.0).trajectories
     spec = hypernet.build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
