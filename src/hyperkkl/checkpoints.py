@@ -18,18 +18,18 @@ File layout (little-endian):
 
 Parameter slices are tagged by component through their name prefixes
 (enc., dec., hyper., inj., obs.). Files round-trip bitwise. The
-encoder and decoder slices must have the names and shapes the metadata
-implies, slice by slice. The hypernetwork and injection blocks are laid
-out from the spec in the metadata, so only their value counts have to
-match; files that split each head's U readout into several slices load
-unchanged, since the values sit in the same order. The slice offsets
-must tile the data block in table order, each block's slices in one
-run; a slice that does not is refused by name, and so is a slice in no
-block a read takes: obs., enc. and dec., and hyper. or inj. only under
-metadata with ``hyper`` or ``injection``. A file that ends
-early or has bytes past the data is refused with the byte offset, and
-metadata that lacks a key the reader uses or gives it the wrong type is
-refused with the key (see META_KEYS).
+observer, encoder and decoder slices must have the names and shapes the
+metadata implies, slice by slice. The hypernetwork and injection blocks
+are laid out from the spec in the metadata, so only their value counts
+have to match; files that split each head's U readout into several
+slices load unchanged, since the values sit in the same order. The
+slice offsets must tile the data block in table order, each block's
+slices in one run; a slice that does not is refused by name, and so is
+a slice in no block a read takes: obs., enc. and dec., and hyper. or
+inj. only under metadata with ``hyper`` or ``injection``. A file that
+ends early or has bytes past the data is refused with the byte offset,
+and metadata that lacks a key the reader uses or gives it a wrong type
+or value is refused with the key (see META_KEYS).
 
 Each store's buffer is written in place, after the total count, so a
 write holds no second copy. A read checks the header, metadata, slices
@@ -154,7 +154,8 @@ META_KEYS = {
     "n_y": INTEGER,
     "n_z": INTEGER,
     "enc_hidden": INTEGERS,
-    "f_scale": NUMBER,
+    "f_scale": (lambda v: _is_number(v) and math.isfinite(v) and v > 0,
+                "a finite number > 0"),
     "dt": (lambda v: v is None or _is_number(v), "a number or null"),
     "train_seed_range": (lambda v: v is None or (_is_ints(v) and len(v) == 2),
                          "null or two integers"),
@@ -225,15 +226,16 @@ def _stores_of(bundle: CheckpointBundle):
         stores.append(bundle.psi)
     if bundle.xi is not None:
         stores.append(bundle.xi)
-    obs_layout = Layout(
-        [("obs.A", bundle.obs.A.shape), ("obs.B", bundle.obs.B.shape)]
-    )
     obs_store = ParamStore(
-        obs_layout,
+        _obs_layout(bundle.obs.n_z, bundle.obs.n_y),
         np.concatenate([bundle.obs.A.ravel(), bundle.obs.B.ravel()]),
     )
     stores.append(obs_store)
     return stores
+
+
+def _obs_layout(n_z: int, n_y: int) -> Layout:
+    return Layout([("obs.A", (n_z, n_z)), ("obs.B", (n_z, n_y))])
 
 
 def write_checkpoint(bundle: CheckpointBundle, path) -> None:
@@ -321,16 +323,14 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
                                     f"values, the data block {total}")
         skips = OBSERVER_SKIPS if observer else ()
 
-        def take(prefix, layout=None, by_slice=False):
-            """The stored ``prefix`` block as a store of ``layout``
-            (default: the stored slices) less the skipped slices, or None
-            if no slice is read. It must hold the layout's value count,
-            and with ``by_slice`` its slice names and shapes as well."""
+        def take(prefix, layout, by_slice=False):
+            """The stored ``prefix`` block as a store of ``layout`` less
+            the skipped slices, or None if every slice is skipped. It must
+            hold the layout's value count, and with ``by_slice`` its slice
+            names and shapes as well."""
             block = [e for e in entries if e[0].startswith(prefix)]
             stored = Layout((n, sh) for n, sh, _ in block)
-            if layout is None:
-                layout = stored
-            elif by_slice:
+            if by_slice:
                 pairs = zip_longest(stored.slices, layout.slices)
                 for k, (got, want) in enumerate(pairs):
                     if _slice_text(got) != _slice_text(want):
@@ -344,8 +344,6 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
                     f"{path}: stored {prefix} block holds {stored.total} "
                     f"values, its spec needs {layout.total}"
                 )
-            if not block:
-                return None
             # tiled slices: the block is one run unless its last starts late
             first = block[0][2]
             if block[-1][2] - first != stored.slices[-1].offset:
@@ -368,8 +366,8 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             meta["n_x"], meta["n_z"], hidden=meta["enc_hidden"],
             activation=meta["activation"],
         )
-        obs_store = take("obs.")
         n_z = meta["n_z"]
+        obs_store = take("obs.", _obs_layout(n_z, meta["n_y"]), by_slice=True)
         obs = ObserverMatrices(
             A=obs_store.get("obs.A"), B=obs_store.get("obs.B"), n_z=n_z
         )

@@ -135,8 +135,7 @@ def _training_dt(sets, base=None) -> float:
 def _dataset_level(runs) -> int:
     from .signals import difficulty_level
 
-    return max(0 if sig is None else difficulty_level(sig)
-               for sig in runs.signals)
+    return max(difficulty_level(sig) for sig in runs.signals)
 
 
 def cmd_train(args, s):

@@ -17,7 +17,9 @@ File layout (all little-endian):
     u16    regime-name length, then that many UTF-8 bytes
     per trajectory: signal descriptor
         u8  kind, u8 component count K, f64 offset, K * (f64 A, f64 w, f64 phi)
-        (K 0 for zero and constant, 1 for sinusoid and square, 2+ mixture)
+        (an ``InputSignal`` as it is: ``signals.KIND_RULES`` fixes K and
+        whether the offset may be nonzero per kind; kind codes number
+        ``config.KINDS`` from 0)
     per trajectory: f64 arrays in (states, inputs, outputs) order
 
 Readers refuse a file that ends early or has bytes past the last
@@ -30,7 +32,6 @@ CSV export mirrors the columns t, x1..x_{n_x}, u1..u_{m}, y1..y_{n_y}.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 from dataclasses import dataclass
 
@@ -99,8 +100,7 @@ def generate_dataset(
     if count < 1:
         raise ContractViolation("count must be >= 1")
     x0s = sample_initial_conditions(system, count, seed)
-    signals = [None if regime == "zero" else sample_signal(regime, seed + i)
-               for i in range(count)]
+    signals = [sample_signal(regime, seed + i) for i in range(count)]
     runs = simulate(system, x0s, signals, dt, horizon, sigma, seed)
     return Dataset(
         system=system, trajectories=runs, horizon=horizon, sigma=sigma,
@@ -108,22 +108,10 @@ def generate_dataset(
     )
 
 
-def _pack_signal(sig: InputSignal | None) -> bytes:
-    if sig is None:
-        sig = InputSignal(kind="zero")
-    if sig.kind == "mixture":
-        comps = sig.components
-        offset = 0.0
-    elif sig.kind in ("sinusoid", "square"):
-        comps = ((sig.amplitude, sig.frequency, sig.phase),)
-        offset = sig.offset
-    else:
-        comps = ()
-        offset = sig.offset
-    out = struct.pack("<BBd", _KIND_CODE[sig.kind], len(comps), offset)
-    for a, w, phi in comps:
-        out += struct.pack("<ddd", a, w, phi)
-    return out
+def _pack_signal(sig: InputSignal) -> bytes:
+    return struct.pack("<BBd", _KIND_CODE[sig.kind], len(sig.components),
+                       sig.offset) + b"".join(
+        struct.pack("<ddd", *c) for c in sig.components)
 
 
 def _unpack_signal(r: Reader) -> InputSignal:
@@ -131,20 +119,12 @@ def _unpack_signal(r: Reader) -> InputSignal:
     code, k, offset = r.unpack("<BBd")
     if code not in _CODE_KIND:
         raise ContractViolation(f"{r.path}: unknown signal kind code {code}")
-    kind = _CODE_KIND[code]
-    need = {"sinusoid": 1, "square": 1, "mixture": 2}.get(kind, 0)
-    if k < need or (k > need and kind != "mixture"):
-        more = " or more" if kind == "mixture" else ""
-        raise ContractViolation(f"{r.path}: {kind} signal at byte offset "
-                                f"{at} has {k} components, needs {need}{more}")
     comps = tuple(r.unpack("<ddd") for _ in range(k))
-    if kind == "mixture":
-        return InputSignal(kind=kind, components=comps)
-    if kind in ("sinusoid", "square"):
-        a, w, phi = comps[0]
-        return InputSignal(kind=kind, amplitude=a, frequency=w, phase=phi,
-                           offset=offset)
-    return InputSignal(kind=kind, offset=offset)
+    try:
+        return InputSignal(_CODE_KIND[code], offset, comps)
+    except ContractViolation as e:
+        raise ContractViolation(
+            f"{r.path}: at byte offset {at}, {e}") from None
 
 
 def write_dataset(dataset: Dataset, path) -> None:
@@ -202,11 +182,8 @@ def read_dataset(path) -> Dataset:
     blocks = np.split(values, np.cumsum(widths[:-1]) * (n + 1), axis=1)
     states, inputs, outputs = (block.reshape(count, n + 1, w)
                                for block, w in zip(blocks, widths))
-    signals = tuple(
-        None if regime == "zero" else dataclasses.replace(sig, seed=seed + i)
-        for i, sig in enumerate(signals))
     runs = TrajectorySet(dt, np.arange(n + 1) * dt, states, inputs, outputs,
-                         signals)
+                         tuple(signals))
     return Dataset(
         system=system, trajectories=runs, horizon=horizon, sigma=sigma,
         seed=seed, regime=regime,

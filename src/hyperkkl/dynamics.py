@@ -30,7 +30,7 @@ import numpy as np
 from . import seeding
 from .config import SYSTEM_NAMES
 from .errors import ContractViolation, DivergenceError, NumericError
-from .signals import eval_signal
+from .signals import InputSignal, eval_signal
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class SystemSpec:
 class TrajectorySet:
     """Runs on one time grid at fixed step dt, run-major: states
     (count, N+1, n_x), inputs (count, N+1, m), outputs (count, N+1, n_y),
-    and one signal per run (None for zero input)."""
+    and one ``InputSignal`` per run."""
 
     dt: float
     times: np.ndarray        # (N+1,)
@@ -255,7 +255,7 @@ def simulate(
 ) -> TrajectorySet:
     """Integrate the runs x0[i] (x0 is (count, n_x)) under ``signals[i]``.
 
-    A signal of None (or ``signals`` None) is zero input; the grids
+    ``signals`` None is zero input for every run; the grids
     ``times[k]`` (the recorded inputs), ``times[k] + 0.5*dt`` and
     ``times[k] + dt`` are evaluated before the loop, which makes one
     ``rk4_step`` per step. Run i draws its noise from the Philox streams
@@ -271,18 +271,18 @@ def simulate(
     if x0.ndim != 2 or x0.shape[1] != system.n_x:
         raise ContractViolation(f"x0 must have shape (count, {system.n_x})")
     count = len(x0)
-    signals = (None,) * count if signals is None else tuple(signals)
+    signals = ((InputSignal("zero"),) * count if signals is None
+               else tuple(signals))
     if len(signals) != count:
         raise ContractViolation(f"{len(signals)} signals for {count} runs")
 
     times = np.arange(n + 1) * dt
     u = np.zeros((n + 1, 3, count, system.m))  # step, grid, run, channel
-    for i, signal in enumerate(signals):
-        if signal is not None and system.m:
-            if system.m != 1:
-                raise ContractViolation("shipped signals are scalar (m=1)")
-            for g, grid in enumerate((times, times + 0.5 * dt, times + dt)):
-                u[:, g, i, 0] = eval_signal(signal, grid)
+    for i, signal in enumerate(signals if system.m else ()):
+        if system.m != 1:
+            raise ContractViolation("shipped signals are scalar (m=1)")
+        for g, grid in enumerate((times, times + 0.5 * dt, times + dt)):
+            u[:, g, i, 0] = eval_signal(signal, grid)
 
     lo, hi = system.domain.T
     limit = 1e3 * np.sqrt(np.sum((hi - lo) ** 2))

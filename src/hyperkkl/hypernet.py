@@ -28,6 +28,7 @@ the same perturbations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,14 @@ from .signals import window_matrix
 DEFAULT_TAU = defaults("train")["tau"]  # its config.SETTINGS row's
 
 
+def _check_windows(window: int, tau: float) -> None:
+    """The window length and gate width both conditioning specs take."""
+    if window < 1:
+        raise ContractViolation("window must be >= 1")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ContractViolation(f"tau must be finite and positive, got {tau!r}")
+
+
 @dataclass(frozen=True)
 class HeadSpec:
     """A rank-factorized readout onto the weights of one base layout."""
@@ -75,10 +84,7 @@ class HyperNetSpec:
     tau: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ContractViolation("window must be >= 1")
-        if self.tau <= 0:
-            raise ContractViolation("tau must be positive")
+        _check_windows(self.window, self.tau)
         if min(self.enc_head.rank, self.dec_head.rank) < 1:
             raise ContractViolation("rank must be >= 1")
 
@@ -228,10 +234,7 @@ class InjectionSpec:
             raise ContractViolation(
                 "injection MLP input must be n_z + context size"
             )
-        if self.window < 1:
-            raise ContractViolation("window must be >= 1")
-        if self.tau <= 0:
-            raise ContractViolation("tau must be positive")
+        _check_windows(self.window, self.tau)
 
 
 def build_injection_spec(

@@ -1,10 +1,15 @@
 """Exogenous input families, sliding windows, and difficulty levels.
 
 Five scalar signal kinds are shipped: zero, constant, sinusoid, square,
-and multi-sinusoid mixtures. The curriculum orders signals by a level
-read from the kind and, for sinusoids, the frequency: zero sits on level
-0, constants on 1, slow sinusoids (at most 1 rad/s) on 2, fast sinusoids
-and squares on 3, and mixtures on 4.
+and multi-sinusoid mixtures. Every run's input, zero input included, is
+one ``InputSignal``: a kind, an offset and a tuple of (A, w, phi)
+components, whose counts and offsets KIND_RULES fixes per kind. A
+sinusoid or square carries its one (A, w, phi) as its only component.
+The curriculum orders signals by a level read from the kind and, for
+sinusoids, the frequency: zero sits on level 0, constants on 1, slow
+sinusoids (at most 1 rad/s) on 2, fast sinusoids and squares on 3, and
+mixtures on 4. The input windows the networks read follow one rule,
+``window_index``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .config import KINDS
 from .errors import ContractViolation
 
 # Sampling ranges. The slowest sampled angular frequency (0.2 rad/s) has a
@@ -25,69 +29,72 @@ FREQ_RANGE = (0.2, 2.0)
 MIXTURE_FREQ_RANGE = (0.2, 4.0)
 MIXTURE_COMPONENTS = (2, 4)
 
+# Per kind, in config.KINDS order: the least and the most component
+# count (None: no bound) and whether the kind may carry a nonzero offset.
+KIND_RULES = {
+    "zero": (0, 0, False),
+    "constant": (0, 0, True),
+    "sinusoid": (1, 1, True),
+    "square": (1, 1, True),
+    "mixture": (2, None, False),
+}
+
 
 @dataclass(frozen=True)
 class InputSignal:
-    """A parametric scalar input u(t)."""
+    """A parametric scalar input u(t): an offset and (A, w [rad/s], phi)
+    components, as many as KIND_RULES allows the kind, at distinct w."""
 
     kind: str
-    amplitude: float = 0.0
-    frequency: float = 0.0   # rad/s
-    phase: float = 0.0
     offset: float = 0.0
-    components: tuple = ()   # ((A, w, phi), ...) for mixtures
-    seed: int | None = None
+    components: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_RULES:
             raise ContractViolation(f"unknown signal kind {self.kind!r}")
-        if self.kind == "mixture":
-            if len(self.components) < 2:
-                raise ContractViolation("mixture needs >= 2 components")
-            freqs = [w for _, w, _ in self.components]
-            if len(set(freqs)) != len(freqs):
-                raise ContractViolation("mixture component frequencies must differ")
+        least, most, takes_offset = KIND_RULES[self.kind]
+        k = len(self.components)
+        if k < least or (most is not None and k > most):
+            more = "" if most is not None else " or more"
+            raise ContractViolation(f"{self.kind} signal has {k} components, "
+                                    f"needs {least}{more}")
+        if self.offset != 0.0 and not takes_offset:
+            raise ContractViolation(f"{self.kind} signal has offset "
+                                    f"{self.offset!r}, its kind takes none")
+        freqs = [w for _, w, _ in self.components]
+        if len(set(freqs)) != len(freqs):
+            raise ContractViolation(f"{self.kind} component frequencies "
+                                    "must differ")
 
 
 def eval_signal(signal: InputSignal, t):
-    """u(t); vectorized over an array of times. sign(0) := +1 for squares."""
+    """u(t) = offset + sum of A sin(w t + phi) over the components, in
+    order; a square adds A sign(sin(w t + phi)) instead, with sign(0) :=
+    +1. Vectorized over an array of times."""
     t = np.asarray(t, dtype=np.float64)
-    if signal.kind == "zero":
-        return np.zeros_like(t)
-    if signal.kind == "constant":
-        return np.full_like(t, signal.offset)
-    if signal.kind == "sinusoid":
-        return (
-            signal.amplitude * np.sin(signal.frequency * t + signal.phase)
-            + signal.offset
-        )
-    if signal.kind == "square":
-        s = np.sin(signal.frequency * t + signal.phase)
-        sign = np.where(s >= 0.0, 1.0, -1.0)
-        return signal.amplitude * sign + signal.offset
-    acc = np.zeros_like(t)
+    u = np.full_like(t, signal.offset)
     for a, w, phi in signal.components:
-        acc = acc + a * np.sin(w * t + phi)
-    return acc
+        s = np.sin(w * t + phi)
+        if signal.kind == "square":
+            s = np.where(s >= 0.0, 1.0, -1.0)
+        u += a * s
+    return u
 
 
 def sample_signal(regime: str, rng_seed: int) -> InputSignal:
     """Draw a random signal of the given kind, deterministically in rng_seed."""
-    if regime not in KINDS:
+    if regime not in KIND_RULES:
         raise ContractViolation(f"unknown signal regime {regime!r}")
     rng = seeding.stream(rng_seed, seeding.STREAM_SIGNAL)
     if regime == "zero":
-        return InputSignal(kind="zero", seed=rng_seed)
+        return InputSignal(kind="zero")
     if regime == "constant":
-        c = rng.uniform(*CONSTANT_RANGE)
-        return InputSignal(kind="constant", offset=c, seed=rng_seed)
+        return InputSignal(kind="constant", offset=rng.uniform(*CONSTANT_RANGE))
     if regime in ("sinusoid", "square"):
         a = rng.uniform(*AMPLITUDE_RANGE)
         w = rng.uniform(*FREQ_RANGE)
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        return InputSignal(
-            kind=regime, amplitude=a, frequency=w, phase=phi, seed=rng_seed
-        )
+        return InputSignal(kind=regime, components=((a, w, phi),))
     k = int(rng.integers(MIXTURE_COMPONENTS[0], MIXTURE_COMPONENTS[1] + 1))
     comps = []
     freqs: set[float] = set()
@@ -99,35 +106,30 @@ def sample_signal(regime: str, rng_seed: int) -> InputSignal:
             continue
         freqs.add(w)
         comps.append((a, w, phi))
-    return InputSignal(kind="mixture", components=tuple(comps), seed=rng_seed)
+    return InputSignal(kind="mixture", components=tuple(comps))
+
+
+def window_index(ends, w: int) -> np.ndarray:
+    """The sample indices of the w-long windows ending at ``ends``: row i
+    reads samples max(ends[i] - w + 1 + j, 0), j = 0 .. w-1, so a window
+    that reaches before the first sample repeats it there. (len, w)."""
+    if w <= 0:
+        raise ContractViolation("window length must be >= 1")
+    return np.maximum(np.asarray(ends)[:, None] + np.arange(1 - w, 1), 0)
 
 
 def window_matrix(u_seq: np.ndarray, w: int) -> np.ndarray:
-    """All sliding windows over a sampled sequence.
-
-    Row k holds the w samples ending at index k, left-padded by repeating
-    u[0], so a window that reaches before the first sample reads u[0]
-    there. Input (N+1, m); output (N+1, w, m).
-    """
-    if w <= 0:
-        raise ContractViolation("window length must be >= 1")
+    """All sliding windows over a sampled sequence: row k holds the
+    ``window_index`` window ending at sample k. Input (N+1, m); output
+    (N+1, w, m)."""
     u = np.asarray(u_seq, dtype=np.float64)
     if u.ndim != 2:
         raise ContractViolation(f"expected an (N+1, m) sequence, got {u.ndim}-D")
-    n1 = len(u)
-    padded = np.concatenate([np.repeat(u[:1], w - 1, axis=0), u], axis=0)
-    idx = np.arange(n1)[:, None] + np.arange(w)[None, :]
-    return padded[idx]
+    return u[window_index(np.arange(len(u)), w)]
 
 
 def difficulty_level(signal: InputSignal) -> int:
     """Curriculum level of a signal, 0 (zero input) to 4 (mixtures)."""
-    if signal.kind == "zero":
-        return 0
-    if signal.kind == "constant":
-        return 1
     if signal.kind == "sinusoid":
-        return 2 if signal.frequency <= 1.0 else 3
-    if signal.kind == "square":
-        return 3
-    return 4
+        return 2 if signal.components[0][1] <= 1.0 else 3
+    return {"zero": 0, "constant": 1, "square": 3, "mixture": 4}[signal.kind]

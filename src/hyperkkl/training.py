@@ -73,6 +73,7 @@ from .kkl import (
 )
 from .optim import AdamState, adam_step, clip_factor, clip_grad_norm
 from .params import ParamStore, ParamVars
+from .signals import window_index
 
 LATENT_TARGET_DISCARD = 0.2  # transient fraction dropped from z labels
 _DEFAULT = defaults("train")  # each default is its config.SETTINGS row's
@@ -444,7 +445,6 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, runs,
     _check_zero_input_gating(maps, spec, psi)
 
     dt, n_steps = runs.dt, runs.n_steps
-    taps = np.arange(spec.window) - (spec.window - 1)
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
     run = _Fit(psi, config, frozen=(theta_base, phi_base),
                factored=(f"{spec.enc_head.name}.U", f"{spec.dec_head.name}.U"))
@@ -453,11 +453,10 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, runs,
         k_idx = batch_rng.integers(0, n_steps, size=config.batch)
         x = runs.states[t_idx, k_idx]
         u_now = runs.inputs[t_idx, k_idx]
-        # the input windows ending at steps k (pre) and k + 1 (post),
-        # clipped to the run
+        # the input windows ending at steps k (pre) and k + 1 (post)
         ends = np.concatenate([k_idx, k_idx + 1])
         windows = runs.inputs[np.tile(t_idx, 2)[:, None],
-                              np.clip(ends[:, None] + taps, 0, n_steps)]
+                              window_index(ends, spec.window)]
 
         def step(pv):
             b = config.batch

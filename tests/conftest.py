@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -363,3 +365,19 @@ def oracle_latent_targets(system, obs, sets):
 def init_map_params(maps, seed):
     """A fresh (θ, φ) pair of one seed, as phase 1 makes them."""
     return init_encoder(maps, seed), init_decoder(maps, seed)
+
+
+def raw_checkpoint(path, meta, slices):
+    """An HKKP file at ``path`` holding the (name, array) ``slices`` in
+    the given order, each stored where the ones before it end."""
+    text = json.dumps(meta, sort_keys=True).encode()
+    out = [b"HKKP", struct.pack("<HI", 1, len(text)), text,
+           struct.pack("<I", len(slices))]
+    at = 0
+    for name, a in slices:
+        out += [struct.pack("<H", len(name)), name.encode(),
+                struct.pack(f"<B{a.ndim}IQ", a.ndim, *a.shape, at)]
+        at += a.size
+    out.append(struct.pack("<Q", at))
+    out += [np.ascontiguousarray(a, "<f8").tobytes() for _, a in slices]
+    path.write_bytes(b"".join(out))

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import poison_backward
+from conftest import poison_backward, raw_checkpoint
 
 from hyperkkl import cli, dynamics, training
 from hyperkkl.checkpoints import read_checkpoint
@@ -609,6 +609,27 @@ class TestTrainConditioned:
         assert capsys.readouterr().err == "error: rank must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant, tau", [
+        ("static", "nan"), ("dynamic", "nan"), ("static", "inf"),
+        ("dynamic", "inf"),
+    ])
+    def test_tau_must_be_finite(self, trained, capsys, variant, tau):
+        # a NaN gate poisons the first latent step; an infinite one gates
+        # every window to 0, so the conditioning network would never act
+        ini = trained["root"] / "tau.ini"
+        ini.write_text(f"[hypernet]\nwindow = 6\ntau = {tau}\n")
+        out = trained["root"] / "tau"
+        code = run(
+            "train", "--system", "duffing", "--phase", "2", "--variant",
+            variant, "--base", str(trained["base"]), "--data",
+            str(trained["forced"]), "--epochs", "1", "--config", str(ini),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: tau must be finite and positive, got {float(tau)!r}\n")
+        assert not out.exists()
+
     def test_a_changed_frozen_base_writes_nothing(self, trained, capsys,
                                                   monkeypatch):
         real = training.total_loss
@@ -985,7 +1006,7 @@ class TestDamagedFiles:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {bad}: sinusoid signal at byte offset {at} has 0 "
+            f"error: {bad}: at byte offset {at}, sinusoid signal has 0 "
             "components, needs 1\n")
         assert not out.exists()
 
@@ -1038,7 +1059,14 @@ class TestDamagedFiles:
                      "key 'variant' must be one of autonomous, curriculum, "
                      "static, dynamic", id="unknown-variant"),
         pytest.param(lambda m: {**m, "f_scale": "1"},
-                     "key 'f_scale' must be a number", id="f_scale-string"),
+                     "key 'f_scale' must be a finite number > 0",
+                     id="f_scale-string"),
+        # the residual divides by f_scale; an infinite one zeroes the PDE
+        # loss
+        *(pytest.param(lambda m, v=v: {**m, "f_scale": v},
+                       "key 'f_scale' must be a finite number > 0",
+                       id=f"f_scale-{v}")
+          for v in (0.0, -1.0, float("nan"), float("inf"))),
         pytest.param(lambda m: {**m, "dt": [0.05]},
                      "key 'dt' must be a number or null", id="dt-list"),
         pytest.param(lambda m: {**m, "train_seed_range": [1, 2, 3]},
@@ -1087,6 +1115,9 @@ class TestDamagedFiles:
         pytest.param(lambda m: {**m, "enc_hidden": [8]},
                      "stored enc. slice 2 is enc.W1 (8, 8), the metadata "
                      "implies enc.W1 (5, 8)", id="missing-hidden-layer"),
+        pytest.param(lambda m: {**m, "n_y": 2},
+                     "stored obs. slice 1 is obs.B (5, 1), the metadata "
+                     "implies obs.B (5, 2)", id="n_y-over-the-gain"),
     ])
     def test_checkpoint_weights_follow_the_metadata(self, trained, capsys,
                                                     edit, message):
@@ -1096,6 +1127,23 @@ class TestDamagedFiles:
         out = trained["root"] / "ev"
         assert self.evaluate("autonomous", bad, out) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    def test_checkpoint_without_an_observer_block(self, trained, capsys):
+        # θ and φ as written, obs.A and obs.B left out and the value count
+        # with them; the observer block is read against its implied slices
+        blob = trained["base"].read_bytes()
+        (size,) = struct.unpack_from("<I", blob, 6)
+        bundle = read_checkpoint(trained["base"])
+        bad = trained["root"] / "no_obs.hkkp"
+        raw_checkpoint(bad, json.loads(blob[10 : 10 + size]), [
+            (s.name, store.get(s.name)) for store in (bundle.theta, bundle.phi)
+            for s in store.layout.slices])
+        out = trained["root"] / "ev"
+        assert self.evaluate("autonomous", bad, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: stored obs. slice 0 is none, the metadata "
+            "implies obs.A (5, 5)\n")
         assert not out.exists()
 
     def test_injection_block_follows_the_metadata(self, trained, capsys):

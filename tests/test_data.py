@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import init_map_params, oracle_simulate
+from conftest import init_map_params, oracle_simulate, raw_checkpoint
 
 from hyperkkl.binfile import Reader
 from hyperkkl.checkpoints import (
@@ -48,7 +48,7 @@ from hyperkkl.kkl import (
     make_maps,
     simulate_latent,
 )
-from hyperkkl.signals import sample_signal, window_matrix
+from hyperkkl.signals import InputSignal, sample_signal, window_matrix
 
 DATA = Path(__file__).parent / "data"
 CHUNKED = DATA / "dynamic_rank2_chunk7.hkkp"
@@ -69,8 +69,8 @@ class TestGeneration:
     def test_seed_range_is_contiguous(self):
         ds = generate_dataset(duffing(), "constant", 5, 100, horizon=1.0)
         assert ds.seed_range == (100, 104)
-        assert [sig.seed for sig in ds.trajectories.signals] == [
-            100, 101, 102, 103, 104]
+        assert ds.trajectories.signals == tuple(
+            sample_signal("constant", s) for s in range(100, 105))
 
     def test_overlap_predicate(self):
         assert seed_ranges_overlap((0, 10), (10, 20))
@@ -100,7 +100,7 @@ class TestGeneration:
     def test_zero_regime_zero_inputs(self):
         ds = generate_dataset(duffing(), "zero", 2, 3, horizon=1.0)
         assert np.all(ds.trajectories.inputs == 0.0)
-        assert ds.trajectories.signals == (None, None)
+        assert ds.trajectories.signals == (InputSignal("zero"),) * 2
 
     def test_time_grid_is_stated_once(self):
         ds = generate_dataset(duffing(), "zero", 2, 3, horizon=2.0)
@@ -138,10 +138,7 @@ class TestDatasetFormat:
         for name in ("states", "inputs", "outputs"):
             assert getattr(b, name).shape == getattr(a, name).shape
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        if regime == "zero":
-            assert b.signals == (None,) * 3
-        else:
-            assert a.signals == b.signals
+        assert a.signals == b.signals
 
     def test_write_is_deterministic(self, tmp_path):
         ds = generate_dataset(duffing(), "sinusoid", 2, 5, horizon=1.0)
@@ -197,8 +194,7 @@ class TestDatasetFormat:
         write_dataset(generate_dataset(duffing(), regime, 2, 5, horizon=1.0),
                       path)
         blob = path.read_bytes()
-        at = 4 + 2 + 2 + len("duffing") + 3 * 2 + 3 * 8 + 4 + 8 + 2 + len(
-            regime)  # the first signal descriptor
+        at = self.first_descriptor(regime)
         old = blob[at + 1]
         comps = at + 10  # its K (f64 A, f64 w, f64 phi) components
         blob = (blob[:at + 1] + bytes([k]) + blob[at + 2:comps]
@@ -208,8 +204,44 @@ class TestDatasetFormat:
         with pytest.raises(ContractViolation) as exc:
             read_dataset(path)
         assert str(exc.value) == (
-            f"{path}: {regime} signal at byte offset {at} has {k} "
+            f"{path}: at byte offset {at}, {regime} signal has {k} "
             f"components, needs {need.get(regime, '0')}")
+
+    @staticmethod
+    def first_descriptor(regime):
+        """Byte offset of a duffing dataset's first signal descriptor."""
+        return 4 + 2 + 2 + len("duffing") + 3 * 2 + 3 * 8 + 4 + 8 + 2 + len(
+            regime)
+
+    @pytest.mark.parametrize("regime", ["zero", "mixture"])
+    def test_an_offset_the_kind_takes_none_of_is_refused(self, tmp_path,
+                                                         regime):
+        # these kinds ignored a stored offset; the signal now is the
+        # descriptor as it stands, so a nonzero one is refused
+        path = tmp_path / "set.hkkl"
+        write_dataset(generate_dataset(duffing(), regime, 2, 5, horizon=1.0),
+                      path)
+        blob = bytearray(path.read_bytes())
+        at = self.first_descriptor(regime)
+        assert struct.unpack_from("<d", blob, at + 2) == (0.0,)
+        struct.pack_into("<d", blob, at + 2, 0.5)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractViolation) as exc:
+            read_dataset(path)
+        assert str(exc.value) == (
+            f"{path}: at byte offset {at}, {regime} signal has offset 0.5, "
+            "its kind takes none")
+
+    @pytest.mark.parametrize("regime, code", [
+        ("zero", 0), ("constant", 1), ("sinusoid", 2), ("square", 3),
+        ("mixture", 4),
+    ])
+    def test_kind_codes_are_pinned(self, tmp_path, regime, code):
+        # the codes are part of the format, whatever order config.KINDS has
+        path = tmp_path / "set.hkkl"
+        write_dataset(generate_dataset(duffing(), regime, 1, 5, horizon=1.0),
+                      path)
+        assert path.read_bytes()[self.first_descriptor(regime)] == code
 
     def test_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.hkkl"
@@ -494,22 +526,6 @@ class TestCheckpointFormat:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(ContractViolation):
             read_checkpoint(path)
-
-
-def raw_checkpoint(path, meta, slices):
-    """An HKKP file at ``path`` holding the (name, array) ``slices`` in
-    the given order, each stored where the ones before it end."""
-    text = json.dumps(meta, sort_keys=True).encode()
-    out = [b"HKKP", struct.pack("<HI", 1, len(text)), text,
-           struct.pack("<I", len(slices))]
-    at = 0
-    for name, a in slices:
-        out += [struct.pack("<H", len(name)), name.encode(),
-                struct.pack(f"<B{a.ndim}IQ", a.ndim, *a.shape, at)]
-        at += a.size
-    out.append(struct.pack("<Q", at))
-    out += [np.ascontiguousarray(a, "<f8").tobytes() for _, a in slices]
-    path.write_bytes(b"".join(out))
 
 
 def refused_unread(monkeypatch, path):

@@ -137,7 +137,7 @@ class TestRk4:
 
     def test_convergence_order_forced_vdp(self):
         sys = van_der_pol()
-        sig = InputSignal(kind="sinusoid", amplitude=0.8, frequency=1.3, phase=0.4)
+        sig = InputSignal(kind="sinusoid", components=((0.8, 1.3, 0.4),))
         x0 = np.array([1.0, 0.5])
         horizon = 4.0
 
@@ -199,6 +199,13 @@ class TestSimulate:
         assert runs.inputs.shape == (1, 21, 1)
         assert runs.signals == (sig,)
 
+    def test_unforced_runs_carry_the_zero_signal(self):
+        # signals None is the shorthand; the set holds no None
+        runs = simulate(duffing(), np.zeros((2, 2)), None, 0.05, 1.0, 0.0,
+                        seed=0)
+        assert runs.signals == (InputSignal("zero"),) * 2
+        assert np.all(runs.inputs == 0.0)
+
     def test_bad_dt(self):
         with pytest.raises(ContractViolation):
             simulate(duffing(), np.zeros((1, 2)), None, 0.0, 1.0, 0.0, seed=0)
@@ -231,8 +238,7 @@ class TestBatch:
         # one the scalar RK4 integrates alone from its own seed
         system = get_system(name)
         x0 = sample_initial_conditions(system, 7, seed=5)
-        signals = [None if regime == "zero" else sample_signal(regime, 5 + i)
-                   for i in range(7)]
+        signals = [sample_signal(regime, 5 + i) for i in range(7)]
         batch = simulate(system, x0, signals, 0.05, 10.0, 0.01, seed=5)
         assert batch.times.shape == (201,)
         assert batch.states.shape == (7, 201, system.n_x)
@@ -282,8 +288,8 @@ class TestBatch:
 
     def test_one_signal_per_run(self):
         with pytest.raises(ContractViolation, match="2 signals for 3 runs"):
-            simulate(duffing(), np.zeros((3, 2)), [None, None], 0.05, 1.0,
-                     0.0, seed=0)
+            simulate(duffing(), np.zeros((3, 2)), [InputSignal("zero")] * 2,
+                     0.05, 1.0, 0.0, seed=0)
 
 
 class TestInitialConditions:

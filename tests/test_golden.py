@@ -6,7 +6,7 @@ epochs per stage), and one ``eval`` scores the four checkpoints over the
 four regimes (2 trajectories of 20 s each); phase 1 and both phase-2
 variants also train once on two datasets of one time grid, and ``plot``
 draws the four checkpoints over the four regimes. The sha256 of the
-five generated datasets, of the ``gen --csv`` export, of every loss
+six generated datasets, of the ``gen --csv`` export, of every loss
 CSV, of every parameter vector the checkpoints store, of the eval CSV
 and of the plot SVGs is compared with the values below,
 so a refactor of the state simulation, the tape, the LSTM, the
@@ -139,6 +139,11 @@ GOLDEN = {
         "d544a1c5c2dc06ac87d57d5ee67db6125aedb02d91babef544c7bc57b110dbe6",
     "dynamic_two.psi":
         "138d0af0dec163a98fdc8dda2d4803f7a7537c47e5f31f6379ecf01625cf4701",
+    # Recorded at 1 and 2 threads before every signal kind became an
+    # offset plus its (A, w, phi) components, so that the mixture path of
+    # eval_signal has pinned bytes too.
+    "duffing_mixture_n3_s50.hkkl":
+        "dd13a0915cb836f679c6c2c014d917ae90f1304f14b16e9c53f4c6fe4fbf6ac1",
 }
 
 
@@ -166,6 +171,7 @@ def pipeline_hashes(root) -> dict:
     constant = _gen(root / "data", "constant", 2, 60)
     forced = _gen(root / "data", "sinusoid", 3, 30, "--csv")
     square = _gen(root / "data", "square", 2, 40)
+    mixture = _gen(root / "data", "mixture", 3, 50)
     ck = root / "ck"
     _train(ck, "--phase", "1", "--data", str(zero), "--epochs", "3",
            "--batch", "16", "--hidden", "8,8", "--seed", "3")
@@ -212,8 +218,8 @@ def pipeline_hashes(root) -> dict:
 
     csv = root / "data" / f"{forced.stem}_traj0.csv"
     hashes = {path.name: _sha(path)
-              for path in (zero, constant, forced, square, zero2, csv,
-                           ev / "duffing_report.csv")}
+              for path in (zero, constant, forced, square, mixture, zero2,
+                           csv, ev / "duffing_report.csv")}
     svgs = sorted(plots.glob("*.svg"))
     assert len(svgs) == 16
     hashes["plots"] = hashlib.sha256(b"".join(
