@@ -1,11 +1,14 @@
 """The HKKP checkpoint format and the bundle it carries.
 
 A checkpoint stores everything needed to run an observer variant: the
-latent pair, the base encoder/decoder parameters, optional conditioning
-parameters (hypernetwork or injection network), architecture metadata,
-the frozen drift normalization scale, the training seed range (used by
-the evaluation harness to refuse train/test seed overlap) and the time
-step of the training data (files written without it load with dt None).
+latent pair, the base encoder/decoder parameters, the conditioning
+``spec`` and its ``params``, architecture metadata, the frozen drift
+normalization scale, the training seed range (used by the evaluation
+harness to refuse train/test seed overlap) and the time step of the
+training data (files written without it load with dt None). A
+conditioned variant carries exactly its own spec, parameter block and
+metadata key (holding ``spec.settings()``), and the table CONDITIONING
+says which; autonomous and curriculum carry none.
 
 File layout (little-endian):
 
@@ -17,7 +20,7 @@ File layout (little-endian):
     u64 total f64 count, then the raw little-endian f64 data
 
 Parameter slices are tagged by component through their name prefixes
-(enc., dec., hyper., inj., obs.). Files round-trip bitwise. The
+(enc., dec., obs., and the spec's PREFIX). Files round-trip bitwise. The
 observer, encoder and decoder slices must have the names and shapes the
 metadata implies, slice by slice. The hypernetwork and injection blocks
 are laid out from the spec in the metadata, so only their value counts
@@ -25,11 +28,12 @@ have to match; files that split each head's U readout into several
 slices load unchanged, since the values sit in the same order. The
 slice offsets must tile the data block in table order, each block's
 slices in one run; a slice that does not is refused by name, and so is
-a slice in no block a read takes: obs., enc. and dec., and hyper. or
-inj. only under metadata with ``hyper`` or ``injection``. A file that
-ends early or has bytes past the data is refused with the byte offset,
-and metadata that lacks a key the reader uses or gives it a wrong type
-or value is refused with the key (see META_KEYS).
+a slice in no block a read takes: obs., enc., dec. and the variant's
+conditioning block. A file that ends early or has bytes past the data
+is refused with the byte offset. Metadata is refused with the key when
+it lacks a key the reader uses or gives it a wrong type or value (see
+META_KEYS), when a conditioning key is not the variant's or its spec
+refuses it, and when n_x, n_y or input_size are not its system's.
 
 Each store's buffer is written in place, after the total count, so a
 write holds no second copy. A read checks the header, metadata, slices
@@ -43,8 +47,8 @@ holds no second copy either. Two reads differ only in what they skip:
         (hyper.enc_head.*) feed only the training residual; their bytes
         are stepped over, never read, so the bundle holds obs.*, dec.*,
         and inj.* (static) or hyper.lstm.* and hyper.dec_head.*
-        (dynamic). It has theta None and a psi without hyper.enc_head.*
-        slices, and write_checkpoint refuses it.
+        (dynamic). It has theta None and, if dynamic, params without
+        hyper.enc_head.* slices, and write_checkpoint refuses it.
 
 Which command makes which read:
 
@@ -67,10 +71,13 @@ import math
 import struct
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .binfile import Reader
+from .config import SYSTEM_NAMES
+from .dynamics import get_system
 from .errors import ContractViolation
 from .hypernet import (
     HyperNetSpec,
@@ -95,7 +102,25 @@ VERSION = 1
 
 VARIANTS = ("autonomous", "curriculum", "static", "dynamic")
 # the blocks an observer read steps over: they feed only the training residual
-OBSERVER_SKIPS = ("enc.", "hyper.enc_head.")
+OBSERVER_SKIPS = ("enc.", HyperNetSpec.PREFIX + "enc_head.")
+
+
+class Conditioning(NamedTuple):
+    spec_type: type     # its PREFIX names the parameter block
+    key: str            # the metadata key holding spec.settings()
+    build: Callable     # build(maps, **spec.settings()) == spec
+    layout: Callable    # layout(spec): the parameter block's layout
+
+
+# the conditioned variants; autonomous and curriculum carry none
+CONDITIONING = {
+    "static": Conditioning(
+        InjectionSpec, "injection",
+        lambda maps, **kw: build_injection_spec(maps.n_z, **kw),
+        injection_layout),
+    "dynamic": Conditioning(HyperNetSpec, "hyper", build_hypernet_spec,
+                            hypernet_layout),
+}
 
 
 @dataclass
@@ -109,21 +134,20 @@ class CheckpointBundle:
     f_scale: float = 1.0
     train_seed_range: tuple[int, int] | None = None
     dt: float | None = None     # time step of the training data
-    hyper_spec: HyperNetSpec | None = None
-    psi: ParamStore | None = None
-    injection_spec: InjectionSpec | None = None
-    xi: ParamStore | None = None
+    spec: HyperNetSpec | InjectionSpec | None = None  # see CONDITIONING
+    params: ParamStore | None = None    # the spec's ψ or ξ
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ContractViolation(f"unknown variant {self.variant!r}")
-        if self.variant == "dynamic" and (self.hyper_spec is None or self.psi is None):
-            raise ContractViolation("dynamic checkpoint needs hypernet params")
-        if self.variant == "static" and (
-            self.injection_spec is None or self.xi is None
-        ):
-            raise ContractViolation("static checkpoint needs injection params")
+        cond = CONDITIONING.get(self.variant)
+        kind = cond.spec_type if cond else type(None)
+        if (not isinstance(self.spec, kind)
+                or (self.params is None) != (cond is None)):
+            need = f"a {kind.__name__} and its params" if cond else "neither"
+            raise ContractViolation(
+                f"{self.variant} checkpoint needs {need} (spec, params)")
 
 
 def _is_int(v) -> bool:
@@ -148,7 +172,8 @@ OBJECT = (lambda v: isinstance(v, dict), "a JSON object")
 # pass; a nested table is an object whose keys are checked in turn.
 META_KEYS = {
     "variant": (lambda v: v in VARIANTS, f"one of {', '.join(VARIANTS)}"),
-    "system": STRING,
+    "system": (lambda v: v in SYSTEM_NAMES,
+               f"one of {', '.join(SYSTEM_NAMES)}"),
     "activation": STRING,
     "n_x": INTEGER,
     "n_y": INTEGER,
@@ -164,9 +189,9 @@ META_KEYS = {
     "injection": {"window": INTEGER, "lstm_hidden": INTEGER,
                   "mlp_hidden": INTEGERS, "tau": NUMBER, "input_size": INTEGER},
 }
-# files written before dt was stored lack it; only the conditioned
-# variants carry hyper or injection
-OPTIONAL_META_KEYS = ("dt", "hyper", "injection")
+# files written before dt was stored lack it; read_checkpoint checks the
+# conditioning keys against the variant
+OPTIONAL_META_KEYS = ("dt", *(c.key for c in CONDITIONING.values()))
 
 
 def _check_meta(meta, path, keys=META_KEYS, prefix="") -> None:
@@ -199,39 +224,9 @@ def _meta_for(bundle: CheckpointBundle) -> dict:
         else None,
         "extra": bundle.extra,
     }
-    if bundle.hyper_spec is not None:
-        hs = bundle.hyper_spec
-        meta["hyper"] = {
-            "window": hs.window,
-            "lstm_hidden": hs.lstm.hidden_size,
-            "input_size": hs.lstm.input_size,
-            "rank": hs.enc_head.rank,
-            "tau": hs.tau,
-        }
-    if bundle.injection_spec is not None:
-        isp = bundle.injection_spec
-        meta["injection"] = {
-            "window": isp.window,
-            "lstm_hidden": isp.lstm.hidden_size,
-            "input_size": isp.lstm.input_size,
-            "mlp_hidden": list(isp.mlp.widths[1:-1]),
-            "tau": isp.tau,
-        }
+    if bundle.spec is not None:
+        meta[CONDITIONING[bundle.variant].key] = bundle.spec.settings()
     return meta
-
-
-def _stores_of(bundle: CheckpointBundle):
-    stores = [bundle.theta, bundle.phi]
-    if bundle.psi is not None:
-        stores.append(bundle.psi)
-    if bundle.xi is not None:
-        stores.append(bundle.xi)
-    obs_store = ParamStore(
-        _obs_layout(bundle.obs.n_z, bundle.obs.n_y),
-        np.concatenate([bundle.obs.A.ravel(), bundle.obs.B.ravel()]),
-    )
-    stores.append(obs_store)
-    return stores
 
 
 def _obs_layout(n_z: int, n_y: int) -> Layout:
@@ -243,27 +238,22 @@ def write_checkpoint(bundle: CheckpointBundle, path) -> None:
         raise ContractViolation(
             "an observer read holds no encoder and cannot be written")
     meta_bytes = json.dumps(_meta_for(bundle), sort_keys=True).encode()
-    stores = _stores_of(bundle)
+    obs = bundle.obs
+    stores = [st for st in (bundle.theta, bundle.phi, bundle.params)
+              if st is not None]
+    stores.append(ParamStore(_obs_layout(obs.n_z, obs.n_y),
+                             np.concatenate([obs.A.ravel(), obs.B.ravel()])))
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(MAGIC + struct.pack("<HI", VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
-        entries = []
+        fh.write(struct.pack("<I", sum(len(st.layout.slices) for st in stores)))
         offset = 0
         for store in stores:
             for s in store.layout.slices:
-                entries.append((s.name, s.shape, offset + s.offset))
+                name, ndim = s.name.encode(), len(s.shape)
+                fh.write(struct.pack(f"<H{len(name)}sB{ndim}IQ", len(name),
+                                     name, ndim, *s.shape, offset + s.offset))
             offset += store.layout.total
-        fh.write(struct.pack("<I", len(entries)))
-        for name, shape, off in entries:
-            nb = name.encode()
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", len(shape)))
-            for d in shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(struct.pack("<Q", off))
         fh.write(struct.pack("<Q", offset))  # the total value count
         for store in stores:
             fh.write(np.ascontiguousarray(store.data, dtype="<f8"))
@@ -294,9 +284,16 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
         if not isinstance(meta, dict):
             raise ContractViolation(f"{path}: metadata must be a JSON object")
         _check_meta(meta, path)
-        blocks = ("obs.", "enc.", "dec.") + tuple(
-            prefix for prefix, key in (("hyper.", "hyper"),
-                                       ("inj.", "injection")) if key in meta)
+        # the variant's conditioning key is given, any other is absent
+        cond = CONDITIONING.get(meta["variant"])
+        for other in CONDITIONING.values():
+            if (other.key in meta) != (other is cond):
+                raise ContractViolation(
+                    f"{path}: metadata key {other.key!r} must be "
+                    f"{'given' if other is cond else 'absent'} for variant "
+                    f"{meta['variant']}")
+        blocks = ("obs.", "enc.", "dec.") + (
+            (cond.spec_type.PREFIX,) if cond else ())
         (n_entries,) = r.unpack("<I")
         entries = []
         end = 0  # the slices must tile [0, total) in table order
@@ -373,25 +370,28 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
         )
         verify_observer(obs)
 
-        hyper_spec = psi = None
-        if "hyper" in meta:
-            h = meta["hyper"]
-            hyper_spec = build_hypernet_spec(
-                maps, window=h["window"], lstm_hidden=h["lstm_hidden"],
-                rank=h["rank"], tau=h["tau"], input_size=h["input_size"],
-            )
-            psi = take("hyper.", hypernet_layout(hyper_spec))
-        injection_spec = xi = None
-        if "injection" in meta:
-            i = meta["injection"]
-            injection_spec = build_injection_spec(
-                n_z=n_z, window=i["window"], lstm_hidden=i["lstm_hidden"],
-                mlp_hidden=i["mlp_hidden"], tau=i["tau"],
-                input_size=i["input_size"],
-            )
-            xi = take("inj.", injection_layout(injection_spec))
+        spec = params = None
+        if cond is not None:
+            settings = meta[cond.key]
+            try:
+                spec = cond.build(maps, **{k: settings[k]
+                                           for k in META_KEYS[cond.key]})
+            except ContractViolation as e:
+                raise ContractViolation(
+                    f"{path}: metadata key {cond.key!r}: {e}") from None
+            params = take(cond.spec_type.PREFIX, cond.layout(spec))
         theta = take("enc.", encoder_layout(maps), by_slice=True)
         phi = take("dec.", decoder_layout(maps), by_slice=True)
+        system = get_system(meta["system"])
+        dims = {"n_x": (meta["n_x"], system.n_x),
+                "n_y": (meta["n_y"], system.n_y)}
+        if cond is not None:
+            dims[f"{cond.key}.input_size"] = (settings["input_size"], system.m)
+        for key, (got, want) in dims.items():
+            if got != want:
+                raise ContractViolation(f"{path}: metadata key {key!r} is "
+                                        f"{got}, system {system.name} takes "
+                                        f"{want}")
 
     return CheckpointBundle(
         variant=meta["variant"],
@@ -405,9 +405,7 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
         train_seed_range=tuple(meta["train_seed_range"])
         if meta["train_seed_range"]
         else None,
-        hyper_spec=hyper_spec,
-        psi=psi,
-        injection_spec=injection_spec,
-        xi=xi,
+        spec=spec,
+        params=params,
         extra=meta.get("extra", {}),
     )

@@ -150,9 +150,9 @@ def cmd_train(args, s):
     if args.base is not None and args.phase == "1":
         raise ConfigError("--phase 1 trains from scratch and takes no --base")
     from . import training
-    from .checkpoints import CheckpointBundle, read_checkpoint, write_checkpoint
+    from .checkpoints import (CONDITIONING, CheckpointBundle, read_checkpoint,
+                              write_checkpoint)
     from .dynamics import get_system
-    from .hypernet import build_hypernet_spec, build_injection_spec
     from .kkl import build_observer_matrices, make_maps
 
     system_name = s["system"]
@@ -198,17 +198,11 @@ def cmd_train(args, s):
     elif args.phase == "2":
         if args.variant is None:
             raise ConfigError("--phase 2 requires --variant static|dynamic")
-        if args.variant == "dynamic":
-            spec = build_hypernet_spec(
-                base.maps, window=s["window"], lstm_hidden=s["lstm_hidden"],
-                rank=s["rank"], tau=s["tau"],
-            )
-        else:
-            spec = build_injection_spec(
-                n_z=base.maps.n_z, window=s["window"],
-                lstm_hidden=s["lstm_hidden"], mlp_hidden=s["inj_hidden"],
-                tau=s["tau"],
-            )
+        spec = CONDITIONING[args.variant].build(
+            base.maps, window=s["window"], lstm_hidden=s["lstm_hidden"],
+            tau=s["tau"], input_size=system.m,
+            **({"rank": s["rank"]} if args.variant == "dynamic"
+               else {"mlp_hidden": s["inj_hidden"]}))
         result = training.phase2_train(
             system, base.obs, base.maps, base.theta, base.phi, spec,
             sets, train_config, f_scale=base.f_scale,
@@ -217,10 +211,7 @@ def cmd_train(args, s):
             variant=args.variant, system_name=system_name, maps=base.maps,
             obs=base.obs, theta=base.theta, phi=base.phi, f_scale=base.f_scale,
             train_seed_range=(lo, hi), dt=dt,
-            hyper_spec=spec if args.variant == "dynamic" else None,
-            psi=result.params if args.variant == "dynamic" else None,
-            injection_spec=spec if args.variant == "static" else None,
-            xi=result.params if args.variant == "static" else None,
+            spec=spec, params=result.params,
         )
         stem = f"{system_name}_{args.variant}"
     else:

@@ -13,9 +13,9 @@ What each variant reads from a checkpoint (``read_checkpoint`` with
 ``observer=True`` reads only these):
 
     every variant: the latent pair obs.A, obs.B and the decoder dec.*
-    static:  the injection network inj.* (LSTM and MLP)
-    dynamic: the hypernetwork's LSTM hyper.lstm.* and decoder head
-             hyper.dec_head.*
+    static:  bundle.spec and bundle.params: the injection network inj.*
+    dynamic: bundle.spec and bundle.params: the hypernetwork's LSTM
+             hyper.lstm.* and decoder head hyper.dec_head.*
 
 The encoder T and the encoder head only feed the training residual.
 
@@ -102,7 +102,7 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     xhat = np.empty(runs.states.shape)
     for i, (y, u) in enumerate(zip(runs.outputs, runs.inputs)):
         if plain is None:
-            inject = make_step_injection(bundle.xi, bundle.injection_spec, u)
+            inject = make_step_injection(bundle.params, bundle.spec, u)
             zs = simulate_latent(obs, y[:, None], dt, injection=inject)[:, 0]
         else:
             zs = np.ascontiguousarray(plain[:, i])
@@ -120,15 +120,15 @@ def _decode(bundle: CheckpointBundle, zs, u) -> np.ndarray:
     maps = bundle.maps
     xhat = decode(maps, bundle.phi, zs)
     if bundle.variant == "dynamic":
-        spec = bundle.hyper_spec
+        spec, psi = bundle.spec, bundle.params
         windows = window_matrix(u, spec.window)
         gates = gate_values(windows, spec.tau)
         live = gates[:, 0] != 0.0
         if np.any(live):
             # only the decoder head is read; all live rows go in one call,
             # which the LSTM and lowrank_linear run ROW_BLOCK rows at a time
-            context = encode_context(bundle.psi, spec, windows[live])
-            factors = head_layer_deltas(bundle.psi, spec.dec_head, maps.dec,
+            context = encode_context(psi, spec, windows[live])
+            factors = head_layer_deltas(psi, spec.dec_head, maps.dec,
                                         DEC, context, gates[live])
             xhat[live] = decode(maps, bundle.phi, zs[live],
                                 weight_deltas=factors)

@@ -9,6 +9,9 @@ Two conditioning mechanisms live here:
   observer dynamics, conditioned on the latent state and the same kind
   of windowed input context.
 
+Each network's slices are named under its spec's ``PREFIX``, and
+``encode_context`` is the one context encoder: it runs either's LSTM.
+
 Both are gated by g(u) = 1 - exp(-|u_window|^2 / tau), which vanishes
 identically on all-zero windows. On exactly zero input the perturbations
 and the injection are exactly zero, so the conditioned observer is the
@@ -82,18 +85,27 @@ class HyperNetSpec:
     enc_head: HeadSpec
     dec_head: HeadSpec
     tau: float = DEFAULT_TAU
+    PREFIX = "hyper."  # not a field: every ψ slice name starts with it
 
     def __post_init__(self):
         _check_windows(self.window, self.tau)
         if min(self.enc_head.rank, self.dec_head.rank) < 1:
             raise ContractViolation("rank must be >= 1")
 
+    def settings(self) -> dict:
+        """build_hypernet_spec's keyword arguments for this spec."""
+        return {"window": self.window, "lstm_hidden": self.lstm.hidden_size,
+                "rank": self.enc_head.rank, "tau": self.tau,
+                "input_size": self.lstm.input_size}
 
-def _head(name, target_layout, weight_names, rank):
+
+def _head(target_layout, mlp: MlpSpec, prefix: str, rank: int) -> HeadSpec:
+    """The readout onto the ``prefix`` map's weights in ``target_layout``."""
+    names = tuple(mlp_weight_names(mlp, prefix))
     return HeadSpec(
-        name=name, target_layout=target_layout,
-        weight_names=tuple(weight_names),
-        total=sum(target_layout[w].size for w in weight_names), rank=rank,
+        name=f"{HyperNetSpec.PREFIX}{prefix}_head", target_layout=target_layout,
+        weight_names=names, total=sum(target_layout[w].size for w in names),
+        rank=rank,
     )
 
 
@@ -105,14 +117,8 @@ def build_hypernet_spec(
     tau: float = DEFAULT_TAU,
     input_size: int = 1,
 ) -> HyperNetSpec:
-    enc_head = _head(
-        "hyper.enc_head", encoder_layout(maps), mlp_weight_names(maps.enc, ENC),
-        rank,
-    )
-    dec_head = _head(
-        "hyper.dec_head", decoder_layout(maps), mlp_weight_names(maps.dec, DEC),
-        rank,
-    )
+    enc_head = _head(encoder_layout(maps), maps.enc, ENC, rank)
+    dec_head = _head(decoder_layout(maps), maps.dec, DEC, rank)
     return HyperNetSpec(
         lstm=LstmSpec(input_size=input_size, hidden_size=lstm_hidden),
         window=window, enc_head=enc_head, dec_head=dec_head, tau=tau,
@@ -120,7 +126,7 @@ def build_hypernet_spec(
 
 
 def hypernet_layout(spec: HyperNetSpec) -> Layout:
-    entries = lstm_layout_entries(spec.lstm, "hyper.lstm")
+    entries = lstm_layout_entries(spec.lstm, spec.PREFIX + "lstm")
     for head in (spec.enc_head, spec.dec_head):
         entries.append((f"{head.name}.V", (head.rank, spec.lstm.hidden_size)))
         entries.append((f"{head.name}.U", (head.total, head.rank)))
@@ -134,7 +140,7 @@ def init_hypernet_params(spec: HyperNetSpec, seed: int) -> ParamStore:
     so conditioned training starts exactly at the frozen base observer.
     """
     psi = ParamStore(hypernet_layout(spec))
-    init_lstm(psi, spec.lstm, "hyper.lstm", seed)
+    init_lstm(psi, spec.lstm, spec.PREFIX + "lstm", seed)
     rng = stream(seed + 1, STREAM_PARAM_INIT)
     bound = np.sqrt(1.0 / spec.lstm.hidden_size)
     for head in (spec.enc_head, spec.dec_head):
@@ -146,26 +152,23 @@ def init_hypernet_params(spec: HyperNetSpec, seed: int) -> ParamStore:
     return psi
 
 
-def window_energy(windows) -> np.ndarray:
-    """Per-sample squared L2 norm of (B, w, m) input windows."""
+def gate_values(windows, tau: float) -> np.ndarray:
+    """g(u) = 1 - exp(-|u|^2 / tau) of each of (B, w, m) input windows as
+    a (B, 1) column, in [0, 1), exactly 0 on zero windows."""
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 3:
         raise ContractViolation(f"expected (B, w, m) windows, got {w.ndim}-D")
-    return np.sum(w * w, axis=(1, 2), keepdims=False).reshape(-1, 1)
+    return 1.0 - np.exp(-np.sum(w * w, axis=(1, 2)).reshape(-1, 1) / tau)
 
 
-def gate_values(windows, tau: float) -> np.ndarray:
-    """g(u) = 1 - exp(-|u|^2 / tau), in [0, 1), exactly 0 on zero windows."""
-    return 1.0 - np.exp(-window_energy(windows) / tau)
-
-
-def encode_context(psi, spec: HyperNetSpec, windows):
-    """Shared LSTM summary of (B, w, m) input windows -> (B, d_h)."""
+def encode_context(params, spec: HyperNetSpec | InjectionSpec, windows):
+    """LSTM summary of (B, w, m) input windows -> (B, d_h): the one context
+    encoder, run on the LSTM of ``params`` (ψ or ξ) under spec.PREFIX."""
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 3 or w.shape[1] != spec.window:
         raise ContractViolation(
             f"expected (B, {spec.window}, m) windows, got shape {w.shape}")
-    return lstm_forward(psi, spec.lstm, w, "hyper.lstm")
+    return lstm_forward(params, spec.lstm, w, spec.PREFIX + "lstm")
 
 
 def generate_deltas(psi, spec: HyperNetSpec, windows):
@@ -228,6 +231,7 @@ class InjectionSpec:
     mlp: MlpSpec
     window: int
     tau: float = DEFAULT_TAU
+    PREFIX = "inj."  # not a field: every ξ slice name starts with it
 
     def __post_init__(self):
         if self.mlp.widths[0] != self.mlp.widths[-1] + self.lstm.hidden_size:
@@ -235,6 +239,12 @@ class InjectionSpec:
                 "injection MLP input must be n_z + context size"
             )
         _check_windows(self.window, self.tau)
+
+    def settings(self) -> dict:
+        """build_injection_spec's keyword arguments for this spec."""
+        return {"window": self.window, "lstm_hidden": self.lstm.hidden_size,
+                "mlp_hidden": list(self.mlp.widths[1:-1]), "tau": self.tau,
+                "input_size": self.lstm.input_size}
 
 
 def build_injection_spec(
@@ -250,19 +260,19 @@ def build_injection_spec(
 
 
 def injection_layout(spec: InjectionSpec) -> Layout:
-    entries = lstm_layout_entries(spec.lstm, "inj.lstm")
-    entries.extend(mlp_layout_entries(spec.mlp, "inj.mlp"))
+    entries = lstm_layout_entries(spec.lstm, spec.PREFIX + "lstm")
+    entries.extend(mlp_layout_entries(spec.mlp, spec.PREFIX + "mlp"))
     return Layout(entries)
 
 
 def init_injection_params(spec: InjectionSpec, seed: int) -> ParamStore:
     """Standard inits, except the final MLP layer starts at exact zero."""
     xi = ParamStore(injection_layout(spec))
-    init_lstm(xi, spec.lstm, "inj.lstm", seed)
-    init_mlp(xi, spec.mlp, "inj.mlp", seed + 1)
-    xi.set(f"inj.mlp.W{spec.mlp.n_layers - 1}", np.zeros_like(
-        xi.get(f"inj.mlp.W{spec.mlp.n_layers - 1}")
-    ))
+    mlp = spec.PREFIX + "mlp"
+    init_lstm(xi, spec.lstm, spec.PREFIX + "lstm", seed)
+    init_mlp(xi, spec.mlp, mlp, seed + 1)
+    last = f"{mlp}.W{spec.mlp.n_layers - 1}"
+    xi.set(last, np.zeros_like(xi.get(last)))
     return xi
 
 
@@ -272,7 +282,7 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq):
     is the filter's own, so none is taken here.
 
     Encodes the ``window_matrix`` rows of u_seq, one spec.window-long
-    window per sample, through the injection LSTM; the returned callable
+    window per sample, through ``encode_context``; the returned callable
     evaluates the injection MLP at the (1, n_z + d_h) row [z, context_k]
     for a (1, n_z) latent row z. Steps whose window is identically zero
     short-circuit to None, so the latent update is the autonomous one,
@@ -284,13 +294,13 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq):
     nonzero = gates != 0.0
     contexts = None
     if np.any(nonzero):
-        contexts = lstm_forward(xi, spec.lstm, windows, "inj.lstm")
+        contexts = encode_context(xi, spec, windows)
 
     def inject(z, k):
         if not nonzero[k]:
             return None
         inp = ad.concat([z, ad.narrow(contexts, 0, k, 1)], axis=1)
-        out = mlp_forward(xi, spec.mlp, inp, "inj.mlp")
+        out = mlp_forward(xi, spec.mlp, inp, spec.PREFIX + "mlp")
         return ad.mul(out, float(gates[k]))
 
     return inject

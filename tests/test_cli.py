@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import dataclasses
 import json
 import os
 import struct
@@ -11,12 +12,23 @@ import pytest
 from conftest import poison_backward, raw_checkpoint
 
 from hyperkkl import cli, dynamics, training
-from hyperkkl.checkpoints import read_checkpoint
+from hyperkkl.checkpoints import read_checkpoint, write_checkpoint
 from hyperkkl.cli import build_parser, main
 from hyperkkl.config import load_config, resolve, system_defaults
 from hyperkkl.data import read_dataset
 from hyperkkl.errors import ConfigError, NumericError
-from hyperkkl.hypernet import init_injection_params
+from hyperkkl.hypernet import (
+    build_hypernet_spec,
+    build_injection_spec,
+    init_hypernet_params,
+    init_injection_params,
+)
+from hyperkkl.kkl import (
+    build_observer_matrices,
+    init_decoder,
+    init_encoder,
+    make_maps,
+)
 from hyperkkl.manifest import MANIFEST_NAME
 
 
@@ -508,8 +520,8 @@ class TestTrainConditioned:
         assert code == 0
         bundle = read_checkpoint(out / "duffing_dynamic.hkkp")
         assert bundle.variant == "dynamic"
-        assert bundle.hyper_spec.enc_head.rank == 32  # oscillator default
-        assert bundle.hyper_spec.window == 6
+        assert bundle.spec.enc_head.rank == 32  # oscillator default
+        assert bundle.spec.window == 6
         # training seeds now span base + forced data
         assert bundle.train_seed_range == (1, 32)
 
@@ -550,7 +562,7 @@ class TestTrainConditioned:
         assert code == 0
         bundle = read_checkpoint(out / "duffing_static.hkkp")
         assert bundle.variant == "static"
-        assert bundle.xi is not None
+        assert bundle.params is not None
 
     def test_static_trains_on_unforced_runs(self, trained, capsys):
         # an epoch whose segments all come from zero-input runs tapes no
@@ -579,8 +591,8 @@ class TestTrainConditioned:
         only = trained["root"] / "only"
         assert train(only, zero) == 0
         bundle = read_checkpoint(only / "duffing_static.hkkp")
-        init = init_injection_params(bundle.injection_spec, 4)
-        assert np.array_equal(bundle.xi.data, init.data)
+        init = init_injection_params(bundle.spec, 4)
+        assert np.array_equal(bundle.params.data, init.data)
         assert "error" not in capsys.readouterr().err
 
     def test_static_refuses_an_empty_segment_batch(self, trained, capsys):
@@ -1187,3 +1199,147 @@ class TestDamagedFiles:
         assert code == 2
         err = capsys.readouterr().err
         assert f"truncated at byte {len(blob)}: {8 * 2**60} bytes needed" in err
+
+
+def meta_of(path) -> dict:
+    blob = path.read_bytes()
+    (size,) = struct.unpack_from("<I", blob, 6)
+    return json.loads(blob[10 : 10 + size])
+
+
+def slices_of(*stores):
+    return [(s.name, store.get(s.name)) for store in stores
+            for s in store.layout.slices]
+
+
+@pytest.fixture
+def conditioned(trained):
+    """Static and dynamic bundles on the trained base, with freshly
+    initialized conditioning (written, not trained), and their paths
+    under ``<variant>_path``."""
+    base = read_checkpoint(trained["base"])
+    made = {"static": (build_injection_spec(base.maps.n_z, window=6,
+                                            lstm_hidden=4, mlp_hidden=(8,)),
+                       init_injection_params),
+            "dynamic": (build_hypernet_spec(base.maps, window=6,
+                                            lstm_hidden=4, rank=2),
+                        init_hypernet_params)}
+    out = {}
+    for variant, (spec, init) in made.items():
+        path = trained["root"] / f"{variant}.hkkp"
+        out[variant] = dataclasses.replace(base, variant=variant, spec=spec,
+                                           params=init(spec, 4))
+        write_checkpoint(out[variant], path)
+        out[f"{variant}_path"] = path
+    return out
+
+
+def refusal(command, variant, path, trained, capsys) -> str:
+    """``command`` run on the checkpoint at ``path``, which it must refuse
+    with exit 2, one error line and no output; that line."""
+    out = trained["root"] / "out"
+    common = ["--system", "duffing", "--out", str(out)]
+    if command in ("eval", "plot"):
+        argv = [command, *common, "--checkpoint", f"{variant}={path}",
+                "--regimes", "zero", "--seed", "9000", "--horizon", "1.0"]
+    else:  # the train commands that read a base
+        phase = (["--phase", "curriculum"] if command == "curriculum" else
+                 ["--phase", "2", "--variant", command])
+        argv = ["train", *common, *phase, "--base", str(path), "--data",
+                str(trained["forced"]), "--epochs", "1", "--window", "6"]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not out.exists()
+    return err
+
+
+COMMANDS = ["eval", "plot", "static", "dynamic", "curriculum"]
+
+
+class TestConditioningMetadata:
+    """A checkpoint carries its variant's conditioning and no other, at
+    its system's dimensions; each command that reads one refuses it
+    otherwise, naming the file and the metadata key."""
+
+    @pytest.mark.parametrize("variant, key, value, message", [
+        ("static", "tau", float("nan"),
+         "tau must be finite and positive, got nan"),
+        ("static", "window", 0, "window must be >= 1"),
+        ("dynamic", "rank", 0, "rank must be >= 1"),
+        ("static", "mlp_hidden", [], "MLP needs at least one hidden layer"),
+    ])
+    def test_a_spec_refusal_names_the_file(self, trained, conditioned, capsys,
+                                           variant, key, value, message):
+        meta_key = {"static": "injection", "dynamic": "hyper"}[variant]
+        bad = TestDamagedFiles.edit_meta(
+            conditioned[f"{variant}_path"], trained["root"] / "bad.hkkp",
+            lambda m: {**m, meta_key: {**m[meta_key], key: value}})
+        assert refusal("eval", variant, bad, trained, capsys) == (
+            f"error: {bad}: metadata key {meta_key!r}: {message}\n")
+
+    @pytest.mark.parametrize("source, variant, key, need", [
+        ("base", "autonomous", "hyper", "absent"),
+        ("base", "autonomous", "injection", "absent"),
+        ("base", "curriculum", "hyper", "absent"),
+        ("base", "curriculum", "injection", "absent"),
+        ("static", "static", "hyper", "absent"),
+        ("dynamic", "dynamic", "injection", "absent"),
+        ("static", "static", "injection", "given"),
+        ("dynamic", "dynamic", "hyper", "given"),
+    ])
+    def test_conditioning_key_follows_the_variant(
+            self, trained, conditioned, capsys, source, variant, key, need):
+        settings = {"injection": conditioned["static"].spec.settings(),
+                    "hyper": conditioned["dynamic"].spec.settings()}
+
+        def edit(meta):
+            meta = {**meta, "variant": variant}
+            if need == "given":
+                del meta[key]
+            else:
+                meta[key] = settings[key]
+            return meta
+
+        src = trained["base"] if source == "base" else conditioned[
+            f"{source}_path"]
+        bad = TestDamagedFiles.edit_meta(src, trained["root"] / "bad.hkkp",
+                                         edit)
+        assert refusal("eval", variant, bad, trained, capsys) == (
+            f"error: {bad}: metadata key {key!r} must be {need} for variant "
+            f"{variant}\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("variant", ["autonomous", "static"])
+    def test_a_checkpoint_carrying_another_network_is_refused(
+            self, trained, conditioned, capsys, variant, command):
+        # an autonomous checkpoint with both networks, and a static one
+        # with a hypernetwork too, each stored as the writer once laid
+        # such files out: θ, φ, ψ, ξ, then the observer
+        static, dynamic = conditioned["static"], conditioned["dynamic"]
+        meta = {**meta_of(conditioned["static_path"]), "variant": variant,
+                "hyper": dynamic.spec.settings()}
+        stores = [static.theta, static.phi, dynamic.params, static.params]
+        bad = trained["root"] / "both.hkkp"
+        raw_checkpoint(bad, meta, slices_of(*stores) + [
+            ("obs.A", static.obs.A), ("obs.B", static.obs.B)])
+        key = "injection" if variant == "autonomous" else "hyper"
+        assert refusal(command, variant, bad, trained, capsys) == (
+            f"error: {bad}: metadata key {key!r} must be absent for variant "
+            f"{variant}\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_dimensions_of_another_system_are_refused(self, trained, capsys,
+                                                      command):
+        # a self-consistent checkpoint for a 3-state system, labelled duffing
+        obs = build_observer_matrices(3, 1)
+        maps = make_maps(3, obs.n_z, hidden=(8,))
+        base = read_checkpoint(trained["base"])
+        bad = trained["root"] / "n_x3.hkkp"
+        write_checkpoint(dataclasses.replace(
+            base, maps=maps, obs=obs, theta=init_encoder(maps, 1),
+            phi=init_decoder(maps, 1)), bad)
+        assert refusal(command, "autonomous", bad, trained, capsys) == (
+            f"error: {bad}: metadata key 'n_x' is 3, system duffing takes "
+            "2\n")

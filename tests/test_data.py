@@ -11,6 +11,8 @@ from conftest import init_map_params, oracle_simulate, raw_checkpoint
 
 from hyperkkl.binfile import Reader
 from hyperkkl.checkpoints import (
+    CONDITIONING,
+    META_KEYS,
     OBSERVER_SKIPS,
     CheckpointBundle,
     read_checkpoint,
@@ -324,12 +326,12 @@ class TestCheckpointFormat:
                                        rank=rank, tau=0.02)
             psi = init_hypernet_params(spec, 4)
             psi.data[:] = np.random.default_rng(5).normal(size=psi.data.shape)
-            kw = {"hyper_spec": spec, "psi": psi}
+            kw = {"spec": spec, "params": psi}
         elif variant == "static":
             spec = build_injection_spec(5, window=7, lstm_hidden=5,
                                         mlp_hidden=(8,), tau=0.02)
             xi = init_injection_params(spec, 6)
-            kw = {"injection_spec": spec, "xi": xi}
+            kw = {"spec": spec, "params": xi}
         return CheckpointBundle(
             variant=variant, system_name="duffing", maps=maps, obs=obs,
             theta=theta, phi=phi, f_scale=2.5, train_seed_range=(1, 100),
@@ -352,12 +354,9 @@ class TestCheckpointFormat:
         assert np.array_equal(back.obs.A, bundle.obs.A)
         assert np.array_equal(back.obs.B, bundle.obs.B)
         assert back.theta.layout == bundle.theta.layout
-        if variant == "dynamic":
-            assert np.array_equal(back.psi.data, bundle.psi.data)
-            assert back.hyper_spec == bundle.hyper_spec
-        if variant == "static":
-            assert np.array_equal(back.xi.data, bundle.xi.data)
-            assert back.injection_spec == bundle.injection_spec
+        assert back.spec == bundle.spec
+        if variant != "autonomous":
+            assert np.array_equal(back.params.data, bundle.params.data)
         # writing the reread bundle reproduces the file bitwise
         path2 = tmp_path / "ck2.hkkp"
         write_checkpoint(back, path2)
@@ -379,9 +378,9 @@ class TestCheckpointFormat:
         # 2), with the run_observer estimate it gave on one trajectory.
         bundle = read_checkpoint(CHUNKED)
         assert bundle.dt is None  # written before checkpoints recorded dt
-        spec = bundle.hyper_spec
-        assert bundle.psi.layout == hypernet_layout(spec)
-        assert bundle.psi.get("hyper.dec_head.U").shape == (
+        spec = bundle.spec
+        assert bundle.params.layout == hypernet_layout(spec)
+        assert bundle.params.get("hyper.dec_head.U").shape == (
             spec.dec_head.total, 2)
         runs, xhat = chunked_reference()
         dt, u, y = runs.dt, runs.inputs[0], runs.outputs[0]
@@ -390,7 +389,7 @@ class TestCheckpointFormat:
         zs = simulate_latent(bundle.obs, y[:, None], dt)[:, 0]
         windows = window_matrix(u, spec.window)
         live = gate_values(windows, spec.tau)[:, 0] != 0.0
-        _, d_phi = generate_deltas(bundle.psi, spec, windows[live])
+        _, d_phi = generate_deltas(bundle.params, spec, windows[live])
         dense = decode(bundle.maps, bundle.phi, zs)
         for row, flat in zip(np.flatnonzero(live), d_phi):
             eff = bundle.phi + delta_store(spec.dec_head, flat)
@@ -412,9 +411,9 @@ class TestCheckpointFormat:
 
     def test_io_holds_no_second_copy_of_the_data(self, tmp_path):
         bundle = self.build_bundle("dynamic", hidden=(100, 100), rank=48)
-        assert bundle.psi.data.nbytes >= 8_000_000
+        assert bundle.params.data.nbytes >= 8_000_000
         data_bytes = 8 * sum(s.data.size for s in (bundle.theta, bundle.phi,
-                                                   bundle.psi))
+                                                   bundle.params))
         path = tmp_path / "ck.hkkp"
         tracemalloc.start()
         try:
@@ -429,7 +428,7 @@ class TestCheckpointFormat:
             tracemalloc.stop()
         assert write_peak <= 2**20
         assert read_peak <= 1.1 * data_bytes
-        assert np.array_equal(back.psi.data, bundle.psi.data)
+        assert np.array_equal(back.params.data, bundle.params.data)
 
     def test_huge_value_count_is_refused_before_allocating(self, tmp_path):
         bundle = self.build_bundle("autonomous")
@@ -511,12 +510,16 @@ class TestCheckpointFormat:
                                               ("dynamic", "hyper")])
     def test_a_block_the_metadata_does_not_name_is_refused(
             self, tmp_path, monkeypatch, variant, key):
+        # relabelled autonomous and without its key, the metadata names no
+        # conditioning block (a conditioned variant without its key is
+        # refused by the key: TestConditioningMetadata)
         bundle = self.build_bundle(variant)
         path = tmp_path / "ck.hkkp"
         write_checkpoint(bundle, path)
         path.write_bytes(edit_meta(lambda m: {
-            k: v for k, v in m.items() if k != key})(path.read_bytes()))
-        store = bundle.xi if variant == "static" else bundle.psi
+            **{k: v for k, v in m.items() if k != key},
+            "variant": "autonomous"})(path.read_bytes()))
+        store = bundle.params
         assert refused_unread(monkeypatch, path) == {
             f"{path}: stored slice {store.layout.slices[0].name} is in no "
             "block the metadata names"}
@@ -630,14 +633,15 @@ class TestObserverRead:
         full = read_checkpoint(path)
         lean = read_checkpoint(path, observer=True)
         assert lean.theta is None
-        stores = [s for s in (lean.phi, lean.psi, lean.xi) if s is not None]
+        stores = [s for s in (lean.phi, lean.params) if s is not None]
         names = [s.name for store in stores for s in store.layout.slices]
         assert not [n for n in names if n.startswith(OBSERVER_SKIPS)]
-        kept = [s for store in (full.theta, full.phi, full.psi, full.xi)
+        kept = [s for store in (full.theta, full.phi, full.params)
                 if store is not None for s in store.layout.slices
                 if not s.name.startswith(OBSERVER_SKIPS)]
         assert names == [s.name for s in kept]
-        sources = {"dec.": full.phi, "hyper.": full.psi, "inj.": full.xi}
+        sources = {"dec.": full.phi, "hyper.": full.params,
+                   "inj.": full.params}
         for store in stores:
             for s in store.layout.slices:
                 source = sources[s.name[: s.name.index(".") + 1]]
@@ -649,7 +653,7 @@ class TestObserverRead:
         if variant == "dynamic":
             with pytest.raises(ContractViolation,
                                match="no slice named 'hyper.enc_head.U'"):
-                lean.psi.get("hyper.enc_head.U")
+                lean.params.get("hyper.enc_head.U")
 
     def test_bundle_cannot_be_written(self, tmp_path):
         path = tmp_path / "ck.hkkp"
@@ -666,9 +670,9 @@ class TestObserverRead:
                                                      rank=48)
         path = tmp_path / "ck.hkkp"
         write_checkpoint(bundle, path)
-        head = bundle.psi.get("hyper.enc_head.U").nbytes
-        assert head >= 0.45 * bundle.psi.data.nbytes
-        kept_bytes = 8 * (bundle.phi.data.size + bundle.psi.data.size) - head
+        head = bundle.params.get("hyper.enc_head.U").nbytes
+        assert head >= 0.45 * bundle.params.data.nbytes
+        kept_bytes = 8 * (bundle.phi.data.size + bundle.params.data.size) - head
         tracemalloc.start()
         try:
             lean = read_checkpoint(path, observer=True)
@@ -676,23 +680,91 @@ class TestObserverRead:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * kept_bytes
-        assert np.array_equal(lean.psi.get("hyper.dec_head.U"),
-                              bundle.psi.get("hyper.dec_head.U"))
+        assert np.array_equal(lean.params.get("hyper.dec_head.U"),
+                              bundle.params.get("hyper.dec_head.U"))
 
     def test_reads_file_with_chunked_readout_slices(self):
         full = read_checkpoint(CHUNKED)
         lean = read_checkpoint(CHUNKED, observer=True)
-        kept = [s for s in hypernet_layout(lean.hyper_spec).slices
+        kept = [s for s in hypernet_layout(lean.spec).slices
                 if not s.name.startswith(OBSERVER_SKIPS)]
-        assert lean.psi.layout.slices[-1].name == "hyper.dec_head.U"
-        assert [(s.name, s.shape) for s in lean.psi.layout.slices] == [
+        assert lean.params.layout.slices[-1].name == "hyper.dec_head.U"
+        assert [(s.name, s.shape) for s in lean.params.layout.slices] == [
             (s.name, s.shape) for s in kept]
         for s in kept:
-            assert np.array_equal(lean.psi.get(s.name), full.psi.get(s.name))
+            assert np.array_equal(lean.params.get(s.name),
+                                  full.params.get(s.name))
         runs, xhat = chunked_reference()
         est = run_observer(lean, runs)[0]
         assert np.array_equal(est, run_observer(full, runs)[0])
-        windows = window_matrix(runs.inputs[0], lean.hyper_spec.window)
-        live = gate_values(windows, lean.hyper_spec.tau)[:, 0] != 0.0
+        windows = window_matrix(runs.inputs[0], lean.spec.window)
+        live = gate_values(windows, lean.spec.tau)[:, 0] != 0.0
         assert np.array_equal(est[~live], xhat[~live])
         assert np.max(np.abs(est - xhat)) <= 1e-12 * np.max(np.abs(xhat))
+
+
+def two_inputs(bundle):
+    """A static bundle whose injection network reads two inputs."""
+    spec = build_injection_spec(5, **{**bundle.spec.settings(),
+                                      "input_size": 2})
+    return dataclasses.replace(bundle, spec=spec,
+                               params=init_injection_params(spec, 1))
+
+
+class TestConditioningTable:
+    """CONDITIONING is the one statement of which variant carries which
+    spec, metadata key and block; the writer, the metadata check and the
+    reader all go through it."""
+
+    @pytest.mark.parametrize("variant", sorted(CONDITIONING))
+    @pytest.mark.parametrize("n_x, hidden, size", [
+        (2, (9,), 1), (3, (4, 6), 2), (2, (20, 20, 20), 5)])
+    def test_settings_rebuild_the_spec(self, variant, n_x, hidden, size):
+        cond = CONDITIONING[variant]
+        maps = make_maps(n_x, 2 * n_x + 1, hidden=hidden)
+        settings = {"window": 3 * size, "lstm_hidden": size + 2,
+                    "tau": 0.5 * size, "input_size": size,
+                    **({"rank": size} if variant == "dynamic"
+                       else {"mlp_hidden": [size + 1] * size})}
+        spec = cond.build(maps, **settings)
+        assert isinstance(spec, cond.spec_type)
+        assert spec.settings() == settings
+        assert cond.build(maps, **spec.settings()) == spec
+        assert set(META_KEYS[cond.key]) == set(spec.settings())
+        assert all(s.name.startswith(cond.spec_type.PREFIX)
+                   for s in cond.layout(spec).slices)
+
+    @pytest.mark.parametrize("variant, other", [
+        ("autonomous", "static"), ("curriculum", "dynamic"),
+        ("static", "dynamic"), ("dynamic", "static"), ("static", None)])
+    def test_a_bundle_carries_only_its_variants_conditioning(self, variant,
+                                                             other):
+        # ``other`` names the variant whose spec and params it is given
+        kw = {}
+        if other is not None:
+            given = build_bundle(other)
+            kw = {"spec": given.spec, "params": given.params}
+        with pytest.raises(ContractViolation, match=f"^{variant} checkpoint"):
+            dataclasses.replace(build_bundle("autonomous"), variant=variant,
+                                **kw)
+
+    @pytest.mark.parametrize("variant, edit, message", [
+        pytest.param("autonomous", lambda b: dataclasses.replace(
+            b, obs=build_observer_matrices(2, 2, 5)),
+            "metadata key 'n_y' is 2, system duffing takes 1", id="n_y"),
+        pytest.param("static", two_inputs,
+                     "metadata key 'injection.input_size' is 2, system "
+                     "duffing takes 1", id="injection-input_size"),
+        pytest.param("dynamic", lambda b: dataclasses.replace(
+            b, system_name="duffin"),
+            "metadata key 'system' must be one of duffing, vanderpol, "
+            "rossler, lorenz", id="unknown-system"),
+    ])
+    def test_dimensions_follow_the_system(self, tmp_path, variant, edit,
+                                          message):
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(edit(build_bundle(variant)), path)
+        for observer in (False, True):
+            with pytest.raises(ContractViolation) as exc:
+                read_checkpoint(path, observer=observer)
+            assert str(exc.value).startswith(f"{path}: {message}")

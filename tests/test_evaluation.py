@@ -104,7 +104,7 @@ def duffing_bundles(variant_list, seed=0, hidden=(10,)):
             psi.data[:] = np.random.default_rng(seed + 2).normal(
                 size=psi.data.shape
             ) * 0.05
-            kw = {"hyper_spec": spec, "psi": psi}
+            kw = {"spec": spec, "params": psi}
         elif variant == "static":
             spec = build_injection_spec(5, window=12, lstm_hidden=6,
                                         mlp_hidden=(8,))
@@ -112,7 +112,7 @@ def duffing_bundles(variant_list, seed=0, hidden=(10,)):
             xi.data[:] = np.random.default_rng(seed + 4).normal(
                 size=xi.data.shape
             ) * 0.05
-            kw = {"injection_spec": spec, "xi": xi}
+            kw = {"spec": spec, "params": xi}
         out[variant] = CheckpointBundle(
             variant=variant, system_name="duffing", maps=maps, obs=obs,
             theta=theta, phi=phi, **kw,

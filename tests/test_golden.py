@@ -231,8 +231,11 @@ def pipeline_hashes(root) -> dict:
                          for s in ("phase1", "static", "dynamic"))):
         hashes[f"duffing_{stem}_loss.csv"] = _sha(f"{path}_loss.csv")
         bundle = read_checkpoint(f"{path}.hkkp")
-        for field in ("theta", "phi", "psi", "xi"):
-            store = getattr(bundle, field)
+        # a static checkpoint's params are its ξ, a dynamic one's its ψ
+        stores = {"theta": bundle.theta, "phi": bundle.phi,
+                  {"static": "xi", "dynamic": "psi"}.get(bundle.variant):
+                  bundle.params}
+        for field, store in stores.items():
             if store is not None:
                 hashes[f"{stem}.{field}"] = hashlib.sha256(
                     store.data.tobytes()).hexdigest()
