@@ -359,16 +359,25 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             return ParamStore(Layout((s.name, s.shape) for s in kept),
                               r.f64_at(spans))
 
-        maps = make_maps(
-            meta["n_x"], meta["n_z"], hidden=meta["enc_hidden"],
-            activation=meta["activation"],
-        )
+        try:
+            maps = make_maps(
+                meta["n_x"], meta["n_z"], hidden=meta["enc_hidden"],
+                activation=meta["activation"],
+            )
+        except ContractViolation as e:
+            raise ContractViolation(
+                f"{path}: metadata keys 'n_x', 'n_z', 'enc_hidden', "
+                f"'activation': {e}") from None
         n_z = meta["n_z"]
         obs_store = take("obs.", _obs_layout(n_z, meta["n_y"]), by_slice=True)
         obs = ObserverMatrices(
             A=obs_store.get("obs.A"), B=obs_store.get("obs.B"), n_z=n_z
         )
-        verify_observer(obs)
+        try:
+            verify_observer(obs)
+        except ContractViolation as e:
+            raise ContractViolation(
+                f"{path}: stored obs.A and obs.B: {e}") from None
 
         spec = params = None
         if cond is not None:

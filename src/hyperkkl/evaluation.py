@@ -24,11 +24,16 @@ runs into one run-major (count, N+1, n_x) array. The plain filter takes
 the set's runs as one time-major block, each run's column bit for bit
 its run filtered alone; the static filter, which calls the injection at
 every step, steps each run alone as a count-1 block of one (1, n_z) row,
-as training does. The decode is run by run, since a decode batched
-across runs could move the last bits of the estimates (OpenBLAS results
-depend on a GEMM's row count). Metrics discard the first 5% of each
-trajectory by default and average per-trajectory values across the test
-set.
+as training does. The decode is run by run and, within a run, in blocks
+of ``nets.ROW_BLOCK`` steps: each block's rows go through the decoder
+(and, for the dynamic variant, its live windows through the LSTM, the
+gates and the decoder head) alone, so a decode's transients grow with
+ROW_BLOCK, not with the run length. OpenBLAS results depend on a GEMM's
+row count, so the block rule is part of the estimates' bits: a run's
+estimates are those of its steps decoded ROW_BLOCK at a time from step
+0, whatever the run's length or the set it is in. Metrics discard the
+first 5% of each trajectory by default and average per-trajectory values
+across the test set.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from .hypernet import (
     make_step_injection,
 )
 from .kkl import DEC, decode, simulate_latent
-from .signals import window_matrix
+from .nets import ROW_BLOCK
+from .signals import window_index
 
 _DEFAULT = defaults("eval")  # each default is its config.SETTINGS row's
 
@@ -87,10 +93,13 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     """Estimated state sequences of a measured set, (count, N+1, n_x).
 
     The latent filter starts at z = 0 and is driven by the recorded
-    outputs (and inputs, per variant). Estimates are causal: they depend
-    only on samples up to each step. A conditioned variant acts only on
-    steps whose input window is nonzero: elsewhere the injection returns
-    None and the decoder takes no delta, so those rows are the
+    outputs (and inputs, per variant). Each run is decoded in blocks
+    [lo, lo + ROW_BLOCK) of steps (``_decode``). Estimates are causal:
+    they depend only on samples up to each step, and a block's bits only
+    on its own rows, so a run cut at a block boundary keeps the whole
+    run's estimates there, bit for bit. A conditioned variant acts only
+    on steps whose input window is nonzero: elsewhere the injection
+    returns None and the decoder takes no delta, so those rows are the
     autonomous estimates, bit for bit.
     """
     if runs.outputs.shape[2] != bundle.obs.n_y:
@@ -105,8 +114,11 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
             inject = make_step_injection(bundle.params, bundle.spec, u)
             zs = simulate_latent(obs, y[:, None], dt, injection=inject)[:, 0]
         else:
-            zs = np.ascontiguousarray(plain[:, i])
-        xhat[i] = _decode(bundle, zs, u)
+            zs = plain[:, i]
+        for lo in range(0, len(zs), ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            xhat[i, rows] = _decode(bundle, np.ascontiguousarray(zs[rows]),
+                                    u, lo)
         finite = np.all(np.isfinite(xhat[i]), axis=1)
         if not finite.all():
             raise NumericError(f"non-finite estimate in run {i} at step "
@@ -114,19 +126,27 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     return xhat
 
 
-def _decode(bundle: CheckpointBundle, zs, u) -> np.ndarray:
-    """One run's estimates from its latent states zs and inputs u (the
-    bundle's variant is one of ``checkpoints.VARIANTS``)."""
+def _decode(bundle: CheckpointBundle, zs, u, lo: int) -> np.ndarray:
+    """The estimates of one block of a run's steps, lo .. lo + len(zs) - 1,
+    from their latent states zs and the run's inputs u (the bundle's
+    variant is one of ``checkpoints.VARIANTS``).
+
+    Every row is first decoded plainly, as one block: the autonomous
+    variant's decode of the same block, so rows of zero windows keep its
+    bits. For the dynamic variant the block's live steps, those whose
+    ``window_index`` window is nonzero, are decoded again with their
+    weight deltas; their windows are gathered for this block only.
+    """
     maps = bundle.maps
     xhat = decode(maps, bundle.phi, zs)
     if bundle.variant == "dynamic":
         spec, psi = bundle.spec, bundle.params
-        windows = window_matrix(u, spec.window)
+        ends = np.arange(lo, lo + len(zs))
+        windows = u[window_index(ends, spec.window)]
         gates = gate_values(windows, spec.tau)
         live = gates[:, 0] != 0.0
         if np.any(live):
-            # only the decoder head is read; all live rows go in one call,
-            # which the LSTM and lowrank_linear run ROW_BLOCK rows at a time
+            # only the decoder head is read
             context = encode_context(psi, spec, windows[live])
             factors = head_layer_deltas(psi, spec.dec_head, maps.dec,
                                         DEC, context, gates[live])

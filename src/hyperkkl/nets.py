@@ -24,10 +24,11 @@ Forward and backward walk the same fixed chunks of IN_BLOCK input
 columns, the forward within fixed blocks of ROW_BLOCK rows: the
 forward's transients grow with neither the batch nor the weight's size,
 the backward's only with the batch. The LSTM on plain parameters runs
-ROW_BLOCK windows at a time for the same reason. U's gradient is a sum
-of rank-one terms g_b ⊗ x_b ⊗ s_b; ``u_grad_chunks`` and
-``u_grad_sq_norm`` give its chunks and its norm from those factors, so
-a training run need never hold it whole (``optim``).
+ROW_BLOCK windows at a time for the same reason, and eval's decode
+(``evaluation.run_observer``) ROW_BLOCK steps of a run at a time. U's
+gradient is a sum of rank-one terms g_b ⊗ x_b ⊗ s_b; ``u_grad_chunks``
+and ``u_grad_sq_norm`` give its chunks and its norm from those factors,
+so a training run need never hold it whole (``optim``).
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from . import seeding
 from .errors import ContractViolation
 from .params import Layout, ParamStore
 
-# Rows per forward block of lowrank_linear and of the plain LSTM and per
-# block of tanh's backward, and input columns per chunk of lowrank_linear
-# (see there).
+# Rows per forward block of lowrank_linear and of the plain LSTM, per
+# block of tanh's backward and per block of steps of eval's decode
+# (evaluation.run_observer, whose estimates' last bits follow it), and
+# input columns per chunk of lowrank_linear (see there).
 ROW_BLOCK = 256
 IN_BLOCK = 16
 

@@ -1141,6 +1141,45 @@ class TestDamagedFiles:
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, reason", [
+        pytest.param(lambda m: {**m, "n_z": 0}, "MLP widths must be positive",
+                     id="n_z-0"),
+        pytest.param(lambda m: {**m, "enc_hidden": [0, 8]},
+                     "MLP widths must be positive", id="hidden-width-0"),
+        pytest.param(lambda m: {**m, "activation": "foo"},
+                     "unknown activation 'foo'", id="unknown-activation"),
+    ])
+    def test_checkpoint_maps_the_metadata_cannot_make(self, trained, capsys,
+                                                      edit, reason):
+        bad = self.edit_meta(trained["base"], trained["root"] / "meta.hkkp",
+                             edit)
+        out = trained["root"] / "ev"
+        assert self.evaluate("autonomous", bad, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: metadata keys 'n_x', 'n_z', 'enc_hidden', "
+            f"'activation': {reason}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sign_a, gain_b, reason", [
+        pytest.param(-1.0, 1.0, "A is not Hurwitz (spectral abscissa 5)",
+                     id="unstable-A"),
+        pytest.param(1.0, 0.0, "(A, B) not controllable (rank 0 < 5)",
+                     id="zero-B"),
+    ])
+    def test_checkpoint_observer_pair_is_verified(self, trained, capsys,
+                                                  sign_a, gain_b, reason):
+        bundle = read_checkpoint(trained["base"])
+        bad = trained["root"] / "obs.hkkp"
+        raw_checkpoint(bad, meta_of(trained["base"]),
+                       slices_of(bundle.theta, bundle.phi) + [
+                           ("obs.A", sign_a * bundle.obs.A),
+                           ("obs.B", gain_b * bundle.obs.B)])
+        out = trained["root"] / "ev"
+        assert self.evaluate("autonomous", bad, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: stored obs.A and obs.B: {reason}\n")
+        assert not out.exists()
+
     def test_checkpoint_without_an_observer_block(self, trained, capsys):
         # θ and φ as written, obs.A and obs.B left out and the value count
         # with them; the observer block is read against its implied slices

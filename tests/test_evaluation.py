@@ -11,8 +11,10 @@ from conftest import (
     init_map_params,
     linear_test_system,
     oracle_latent,
+    traced_peak,
 )
 
+import hyperkkl.evaluation as evaluation
 from hyperkkl.checkpoints import (
     VARIANTS,
     CheckpointBundle,
@@ -20,7 +22,7 @@ from hyperkkl.checkpoints import (
     write_checkpoint,
 )
 from hyperkkl.data import Dataset, generate_dataset
-from hyperkkl.dynamics import TrajectorySet, duffing, simulate
+from hyperkkl.dynamics import TrajectorySet, duffing, get_system, simulate
 from hyperkkl.errors import ContractViolation
 from hyperkkl.evaluation import (
     EvalReport,
@@ -41,6 +43,7 @@ from hyperkkl.kkl import (
     decode,
     make_maps,
 )
+from hyperkkl.nets import ROW_BLOCK
 
 
 class TestMetrics:
@@ -90,10 +93,12 @@ def manufactured_bundle():
     )
 
 
-def duffing_bundles(variant_list, seed=0, hidden=(10,)):
-    """Bundles around one shared random base (fresh conditioning params)."""
-    obs = build_observer_matrices(2, 1)
-    maps = make_maps(2, 5, hidden=hidden)
+def observer_bundles(variant_list, seed=0, hidden=(10,), system="duffing"):
+    """Bundles on the named system around one shared random base (fresh
+    conditioning params)."""
+    system = get_system(system)
+    obs = build_observer_matrices(system.n_x, system.n_y)
+    maps = make_maps(system.n_x, obs.n_z, hidden=hidden)
     theta, phi = init_map_params(maps, seed)
     out = {}
     for variant in variant_list:
@@ -106,7 +111,7 @@ def duffing_bundles(variant_list, seed=0, hidden=(10,)):
             ) * 0.05
             kw = {"spec": spec, "params": psi}
         elif variant == "static":
-            spec = build_injection_spec(5, window=12, lstm_hidden=6,
+            spec = build_injection_spec(obs.n_z, window=12, lstm_hidden=6,
                                         mlp_hidden=(8,))
             xi = init_injection_params(spec, seed + 3)
             xi.data[:] = np.random.default_rng(seed + 4).normal(
@@ -114,10 +119,17 @@ def duffing_bundles(variant_list, seed=0, hidden=(10,)):
             ) * 0.05
             kw = {"spec": spec, "params": xi}
         out[variant] = CheckpointBundle(
-            variant=variant, system_name="duffing", maps=maps, obs=obs,
+            variant=variant, system_name=system.name, maps=maps, obs=obs,
             theta=theta, phi=phi, **kw,
         )
     return out
+
+
+def first_steps(runs, steps):
+    """The first ``steps`` samples of every run of ``runs``."""
+    return TrajectorySet(runs.dt, runs.times[:steps], runs.states[:, :steps],
+                         runs.inputs[:, :steps], runs.outputs[:, :steps],
+                         runs.signals)
 
 
 class TestRunObserver:
@@ -135,7 +147,7 @@ class TestRunObserver:
 
     @pytest.mark.parametrize("variant", ["autonomous", "dynamic", "static"])
     def test_each_run_is_its_estimate_alone_bitwise(self, variant):
-        bundle = duffing_bundles([variant])[variant]
+        bundle = observer_bundles([variant])[variant]
         runs = generate_dataset(duffing(), "sinusoid", 3, seed=5,
                                 horizon=5.0).trajectories
         xhat = run_observer(bundle, runs)
@@ -151,7 +163,7 @@ class TestRunObserver:
                                                                    variant):
         # the set's runs go through the latent filter as one block; each
         # run's estimate is its own filter and decode, bit for bit
-        bundle = duffing_bundles([variant], hidden=(32, 32))[variant]
+        bundle = observer_bundles([variant], hidden=(32, 32))[variant]
         runs = generate_dataset(duffing(), "mixture", 4, seed=5,
                                 horizon=5.0).trajectories
         xhat = run_observer(bundle, runs)
@@ -161,7 +173,7 @@ class TestRunObserver:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_observer_read_estimates_bitwise(self, tmp_path, variant):
-        bundle = duffing_bundles([variant])[variant]
+        bundle = observer_bundles([variant])[variant]
         path = tmp_path / "ck.hkkp"
         write_checkpoint(bundle, path)
         runs = generate_dataset(duffing(), "sinusoid", 2, seed=5,
@@ -172,22 +184,55 @@ class TestRunObserver:
         assert np.array_equal(lean, full)
 
     def test_estimates_are_causal(self):
-        bundles = duffing_bundles(["dynamic"])
+        bundles = observer_bundles(["dynamic"])
         sys = duffing()
         ds = generate_dataset(sys, "sinusoid", 1, seed=5, horizon=5.0, sigma=0.01)
         runs = ds.trajectories
         full = run_observer(bundles["dynamic"], runs)
         cut = 60
-        short = TrajectorySet(
-            runs.dt, runs.times[:cut], runs.states[:, :cut],
-            runs.inputs[:, :cut], runs.outputs[:, :cut], runs.signals,
-        )
-        prefix = run_observer(bundles["dynamic"], short)
+        prefix = run_observer(bundles["dynamic"], first_steps(runs, cut))
         assert np.array_equal(full[:, :cut], prefix)
+
+    @pytest.mark.parametrize("variant, system, hidden", [
+        ("autonomous", "lorenz", (350, 350)),
+        ("dynamic", "duffing", (32, 32)),
+    ])
+    def test_estimates_are_causal_across_a_block_boundary(self, variant,
+                                                          system, hidden):
+        # At these widths a decode of the first 2 ROW_BLOCK rows alone
+        # differs in its bits from the same rows of a 1001-row decode; the
+        # block rule makes the cut run's estimates the whole run's.
+        bundle = observer_bundles([variant], hidden=hidden,
+                                  system=system)[variant]
+        runs = generate_dataset(get_system(system), "sinusoid", 1,
+                                seed=5).trajectories
+        assert runs.n_steps > 2 * ROW_BLOCK
+        full = run_observer(bundle, runs)
+        prefix = run_observer(bundle, first_steps(runs, 2 * ROW_BLOCK))
+        assert np.array_equal(full[:, :2 * ROW_BLOCK], prefix)
+
+    @pytest.mark.parametrize("variant", ["autonomous", "dynamic"])
+    def test_memory_does_not_grow_with_the_run(self, variant):
+        # Beyond its output and the latent states, run_observer holds one
+        # block's transients: at 350-wide maps a whole-run decode would
+        # hold two (N+1, 350) activations.
+        bundle = observer_bundles([variant], hidden=(350, 350),
+                                  system="lorenz")[variant]
+        runs = generate_dataset(get_system("lorenz"), "sinusoid", 1, seed=5,
+                                horizon=8 * ROW_BLOCK * 0.05).trajectories
+        run_observer(bundle, first_steps(runs, 2 * ROW_BLOCK))  # warm up
+        extra = {}
+        for steps in (2 * ROW_BLOCK, 8 * ROW_BLOCK):
+            xhat, peak = traced_peak(run_observer, bundle,
+                                     first_steps(runs, steps))
+            latent = steps * bundle.obs.n_z * 8
+            extra[steps] = peak - xhat.nbytes - latent
+        # 4 KiB of slack for the interpreter's own bookkeeping
+        assert extra[8 * ROW_BLOCK] <= extra[2 * ROW_BLOCK] + 4096
 
     @pytest.mark.parametrize("variant", ["dynamic", "static"])
     def test_zero_input_recovery_bitwise(self, variant):
-        bundles = duffing_bundles(["autonomous", variant])
+        bundles = observer_bundles(["autonomous", variant])
         sys = duffing()
         ds = generate_dataset(sys, "zero", 3, seed=9, horizon=5.0, sigma=0.01)
         a = run_observer(bundles["autonomous"], ds.trajectories)
@@ -198,12 +243,13 @@ class TestRunObserver:
     def test_rows_of_zero_windows_stay_autonomous_bitwise(self, variant):
         # At 32x32 maps a decode of only the rows before the cut (a GEMM
         # with fewer rows M) differs in its bits from the full decode at
-        # each of these cuts, at 1 and at 2 BLAS threads.
-        bundles = duffing_bundles(["autonomous", variant], hidden=(32, 32))
+        # each of these cuts, at 1 and at 2 BLAS threads. The last zero
+        # stretch runs past the first block boundary.
+        bundles = observer_bundles(["autonomous", variant], hidden=(32, 32))
         runs = generate_dataset(duffing(), "sinusoid", 1, seed=11,
-                                horizon=5.0, sigma=0.0).trajectories
+                                horizon=20.0, sigma=0.0).trajectories
         a = run_observer(bundles["autonomous"], runs)[0]
-        for cut in (3, 10, 37, 61):
+        for cut in (3, 10, 37, 61, ROW_BLOCK + 44):
             inputs = runs.inputs.copy()
             inputs[:, :cut] = 0.0
             b = run_observer(bundles[variant],
@@ -211,9 +257,24 @@ class TestRunObserver:
             assert np.array_equal(a[:cut], b[:cut])
             assert not np.array_equal(a[cut:], b[cut:])
 
+    @pytest.mark.parametrize("variant", ["autonomous", "dynamic", "static"])
+    def test_a_last_block_of_one_row(self, variant, monkeypatch):
+        # A single-row GEMM may round otherwise than the same row of a
+        # longer one, so the last row is close to, not equal to, the
+        # whole-run decode: the run decoded as one block.
+        bundle = observer_bundles([variant], hidden=(32, 32))[variant]
+        runs = first_steps(generate_dataset(duffing(), "sinusoid", 1,
+                                            seed=5).trajectories,
+                           2 * ROW_BLOCK + 1)
+        xhat = run_observer(bundle, runs)
+        monkeypatch.setattr(evaluation, "ROW_BLOCK", len(runs.times))
+        whole = run_observer(bundle, runs)
+        assert np.all(np.isfinite(xhat))
+        np.testing.assert_allclose(xhat, whole, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("variant", ["dynamic", "static"])
     def test_forced_input_changes_estimates(self, variant):
-        bundles = duffing_bundles(["autonomous", variant])
+        bundles = observer_bundles(["autonomous", variant])
         sys = duffing()
         ds = generate_dataset(sys, "sinusoid", 1, seed=11, horizon=5.0,
                               sigma=0.0)
@@ -224,7 +285,7 @@ class TestRunObserver:
 
 class TestBenchmark:
     def test_seed_overlap_refused(self):
-        bundles = duffing_bundles(["autonomous"])
+        bundles = observer_bundles(["autonomous"])
         bundle = bundles["autonomous"]
         bundle.train_seed_range = (0, 99)
         sys = duffing()
@@ -235,7 +296,7 @@ class TestBenchmark:
         evaluate_cell(bundle, ds_ok)
 
     def test_grid_shape_and_cell_independence(self):
-        bundles = duffing_bundles(["autonomous", "dynamic"])
+        bundles = observer_bundles(["autonomous", "dynamic"])
         report = benchmark(
             bundles, "duffing", regimes=("zero", "sinusoid"), n_test=2,
             seed=500, horizon=2.0,
@@ -256,7 +317,7 @@ class TestBenchmark:
         assert solo == grid
 
     def test_report_reproducible(self, tmp_path):
-        bundles = duffing_bundles(["autonomous"])
+        bundles = observer_bundles(["autonomous"])
         kw = dict(regimes=("zero",), n_test=2, seed=700, horizon=2.0)
         a = benchmark(bundles, "duffing", **kw)
         b = benchmark(bundles, "duffing", **kw)
@@ -267,7 +328,7 @@ class TestBenchmark:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_carries_the_rmse_spread(self, tmp_path):
-        bundles = duffing_bundles(["autonomous"])
+        bundles = observer_bundles(["autonomous"])
         report = benchmark(bundles, "duffing", regimes=("sinusoid",),
                            n_test=3, seed=800, horizon=2.0)
         path = tmp_path / "r.csv"
