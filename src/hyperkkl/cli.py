@@ -37,6 +37,10 @@ they read the base without it and read its θ only to write the
 checkpoint (the ``checkpoints`` docstring). If the base's size or
 modification time changed in between, the run exits 2 and writes
 nothing.
+``eval`` and ``plot`` read and check every --checkpoint before they
+build a test set, and read it again for each of its cells, so they hold
+one checkpoint at a time (the ``evaluation`` docstring). ``plot`` writes
+its SVGs only once every cell is estimated.
 A request too large for memory (say ``gen --horizon 1e12``) is a user
 error: it exits 2 with one ``error: out of memory: ...`` line.
 """
@@ -285,22 +289,15 @@ def _refuse_other_system(bundle, path, system_name: str) -> None:
         )
 
 
-def _parse_checkpoint_args(pairs, s) -> dict:
-    from .checkpoints import VARIANTS, read_checkpoint
+def _observer_loader(variant, path, s, seed_ranges):
+    """A zero-argument read of the checkpoint at ``path`` for eval and
+    plot. Each call reads its observer blocks and refuses the bundle
+    unless it holds ``variant``, trained on --system at --dt on seeds
+    apart from every test set's (``seed_ranges``)."""
+    from .checkpoints import read_checkpoint
+    from .evaluation import refuse_seed_overlap
 
-    bundles = {}
-    for spec in pairs or []:
-        if "=" not in spec:
-            raise ConfigError(
-                f"--checkpoint takes VARIANT=PATH, got {spec!r}"
-            )
-        variant, path = spec.split("=", 1)
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r} in --checkpoint")
-        if variant in bundles:
-            raise ConfigError(f"--checkpoint names variant {variant!r} twice")
-        if not Path(path).exists():
-            raise ConfigError(f"checkpoint not found: {path}")
+    def load():
         bundle = read_checkpoint(path, observer=True)
         if bundle.variant != variant:
             raise ConfigError(
@@ -313,21 +310,52 @@ def _parse_checkpoint_args(pairs, s) -> dict:
                 f"checkpoint {path} was trained at dt {bundle.dt!r}, "
                 f"not at dt {s['dt']!r}"
             )
-        bundles[variant] = (bundle, path)
-    if not bundles:
+        for seed_range in seed_ranges:
+            refuse_seed_overlap(bundle, seed_range)
+        return bundle
+
+    return load
+
+
+def _parse_checkpoint_args(pairs, s, n_test: int) -> dict:
+    """{variant: (load, path)} of the --checkpoint pairs, in their order,
+    for test sets of ``n_test`` runs per regime. Each checkpoint is read
+    and checked here, before any test set or cell, and dropped at once;
+    ``load`` reads it again through the same checks for each cell."""
+    from .checkpoints import VARIANTS
+    from .evaluation import regime_seed_ranges
+
+    seed_ranges = regime_seed_ranges(s["regimes"], n_test, s["test_seed"])
+    named = {}
+    for spec in pairs or []:
+        if "=" not in spec:
+            raise ConfigError(
+                f"--checkpoint takes VARIANT=PATH, got {spec!r}"
+            )
+        variant, path = spec.split("=", 1)
+        if variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {variant!r} in --checkpoint")
+        if variant in named:
+            raise ConfigError(f"--checkpoint names variant {variant!r} twice")
+        if not Path(path).exists():
+            raise ConfigError(f"checkpoint not found: {path}")
+        load = _observer_loader(variant, path, s, seed_ranges)
+        load()  # the checks; the bundle is dropped
+        named[variant] = (load, path)
+    if not named:
         raise ConfigError("eval/plot need at least one --checkpoint VARIANT=PATH")
-    return bundles
+    return named
 
 
 def cmd_eval(args, s):
     from .evaluation import benchmark
 
-    named = _parse_checkpoint_args(args.checkpoint, s)
-    bundles = {v: b for v, (b, _) in named.items()}
+    named = _parse_checkpoint_args(args.checkpoint, s, s["n_test"])
     report = benchmark(
-        bundles, s["system"], regimes=s["regimes"], n_test=s["n_test"],
-        seed=s["test_seed"], dt=s["dt"], horizon=s["horizon"],
-        sigma=s["sigma"], transient_frac=s["transient"],
+        {v: load for v, (load, _) in named.items()}, s["system"],
+        regimes=s["regimes"], n_test=s["n_test"], seed=s["test_seed"],
+        dt=s["dt"], horizon=s["horizon"], sigma=s["sigma"],
+        transient_frac=s["transient"],
     )
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -339,30 +367,31 @@ def cmd_eval(args, s):
 
 
 def cmd_plot(args, s):
-    from .data import generate_dataset
-    from .dynamics import get_system
-    from .evaluation import run_observer
+    """One SVG per (variant, regime) cell, each on one test run. Every
+    cell is estimated before the first SVG is written, so a failure
+    leaves no partial plot set."""
+    from .evaluation import regime_test_sets, run_observer
     from .plots import plot_name, svg_timeseries
 
-    named = _parse_checkpoint_args(args.checkpoint, s)
-    system = get_system(s["system"])
+    named = _parse_checkpoint_args(args.checkpoint, s, n_test=1)
+    cells = [
+        (dataset, variant, run_observer(load(), dataset.trajectories)[0])
+        for dataset in regime_test_sets(
+            s["system"], s["regimes"], 1, s["test_seed"], s["dt"],
+            s["horizon"], s["sigma"])
+        for variant, (load, _) in named.items()
+    ]
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for r_idx, regime in enumerate(s["regimes"]):
-        dataset = generate_dataset(
-            system, regime, 1, s["test_seed"] + r_idx, dt=s["dt"],
-            horizon=s["horizon"], sigma=s["sigma"],
-        )
+    for dataset, variant, xhat in cells:
         runs = dataset.trajectories
-        for variant, (bundle, _) in named.items():
-            xhat = run_observer(bundle, runs)[0]
-            path = out_dir / plot_name(s["system"], variant, regime)
-            svg_timeseries(
-                path, runs.times, runs.states[0], xhat, runs.inputs[0],
-                title=f"{s['system']} / {variant} / {regime}",
-            )
-            outputs.append(path)
+        path = out_dir / plot_name(s["system"], variant, dataset.regime)
+        svg_timeseries(
+            path, runs.times, runs.states[0], xhat, runs.inputs[0],
+            title=f"{s['system']} / {variant} / {dataset.regime}",
+        )
+        outputs.append(path)
     print(f"wrote {len(outputs)} plots to {out_dir}")
     return Run(out_dir, s, {"test_seed": s["test_seed"]},
                [p for _, p in named.values()], outputs)

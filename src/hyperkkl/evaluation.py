@@ -34,6 +34,15 @@ estimates are those of its steps decoded ROW_BLOCK at a time from step
 0, whatever the run's length or the set it is in. Metrics discard the
 first 5% of each trajectory by default and average per-trajectory values
 across the test set.
+
+Memory model of a grid (``benchmark``, and ``plot``): the grid walks
+regime by regime. Each regime's test set is built once, when its cells
+start (``regime_test_sets``); each cell loads its checkpoint bundle when
+it starts and drops it when it ends. So one test set and one
+checkpoint's arrays are alive at a time, and the peak is the largest
+bundle, one test set and one ``ROW_BLOCK`` decode, at any number of
+variants, regimes or test runs. The price is one checkpoint read per
+cell.
 """
 
 from __future__ import annotations
@@ -184,19 +193,25 @@ class EvalReport:
                 )
 
 
+def refuse_seed_overlap(bundle: CheckpointBundle, seed_range) -> None:
+    """Refuse a test set whose seeds [lo, hi] meet the bundle's training
+    seeds: a test on training trajectories scores nothing held out."""
+    if bundle.train_seed_range is not None and seed_ranges_overlap(
+        bundle.train_seed_range, seed_range
+    ):
+        raise ContractViolation(
+            f"test seeds {seed_range} overlap training seeds "
+            f"{bundle.train_seed_range}"
+        )
+
+
 def evaluate_cell(
     bundle: CheckpointBundle,
     dataset: Dataset,
     transient_frac: float = TRANSIENT_FRACTION,
 ) -> EvalCell:
     """Average per-trajectory metrics of one (variant, regime) cell."""
-    if bundle.train_seed_range is not None and seed_ranges_overlap(
-        bundle.train_seed_range, dataset.seed_range
-    ):
-        raise ContractViolation(
-            f"test seeds {dataset.seed_range} overlap training seeds "
-            f"{bundle.train_seed_range}"
-        )
+    refuse_seed_overlap(bundle, dataset.seed_range)
     runs = dataset.trajectories
     xhat = run_observer(bundle, runs)
     rmses = [rmse(x, xh, transient_frac) for x, xh in zip(runs.states, xhat)]
@@ -215,8 +230,27 @@ def evaluate_cell(
     )
 
 
+def regime_seed_ranges(regimes, n_test: int, seed: int) -> list:
+    """Each regime's test-set seed range [lo, hi], in regime order: the
+    regimes take disjoint blocks of ``n_test`` seeds from ``seed`` on."""
+    return [(seed + i * n_test, seed + (i + 1) * n_test - 1)
+            for i in range(len(regimes))]
+
+
+def regime_test_sets(system_name: str, regimes, n_test: int, seed: int,
+                     dt: float, horizon: float, sigma: float):
+    """Yield each regime's test dataset of ``n_test`` runs, in regime
+    order, on the seeds of ``regime_seed_ranges``; each is built when the
+    previous one's cells are done."""
+    system = get_system(system_name)
+    for regime, (lo, _) in zip(regimes,
+                               regime_seed_ranges(regimes, n_test, seed)):
+        yield generate_dataset(system, regime, n_test, lo, dt, horizon,
+                               sigma)
+
+
 def benchmark(
-    bundles: dict,
+    loaders: dict,
     system_name: str,
     regimes=REGIMES,
     n_test: int = _DEFAULT["n_test"],
@@ -228,21 +262,21 @@ def benchmark(
 ) -> EvalReport:
     """The variants x regimes grid for one system.
 
-    ``bundles`` maps variant name to checkpoint bundle. Each regime draws
-    its own test dataset from a disjoint seed block; every cell of one
-    regime shares that dataset, and cells are independent of each other.
+    ``loaders`` maps variant name to a zero-argument callable that returns
+    its checkpoint bundle. Each regime draws its own test dataset from a
+    disjoint seed block (``regime_seed_ranges``); every cell of one regime
+    shares that dataset, and cells are independent of each other. The
+    report lists them regime-major, in ``loaders`` order within a regime.
+    Each cell calls its loader and drops the bundle when it ends, so one
+    test set and one bundle are alive at a time and the peak is the
+    largest bundle, one test set and one ``ROW_BLOCK`` decode.
     """
-    missing = [v for v, b in bundles.items() if b is None]
+    missing = [v for v, load in loaders.items() if load is None]
     if missing:
         raise ContractViolation(f"missing checkpoints for variants: {missing}")
-    system = get_system(system_name)
     cells = []
-    for r_idx, regime in enumerate(regimes):
-        dataset = generate_dataset(
-            system, regime, n_test, seed + r_idx * n_test, dt, horizon, sigma
-        )
-        for variant in bundles:
-            cells.append(
-                evaluate_cell(bundles[variant], dataset, transient_frac)
-            )
+    for dataset in regime_test_sets(system_name, regimes, n_test, seed, dt,
+                                    horizon, sigma):
+        for load in loaders.values():
+            cells.append(evaluate_cell(load(), dataset, transient_frac))
     return EvalReport(cells=cells)

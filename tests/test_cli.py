@@ -11,7 +11,7 @@ import pytest
 
 from conftest import poison_backward, raw_checkpoint
 
-from hyperkkl import cli, dynamics, training
+from hyperkkl import cli, dynamics, evaluation, training
 from hyperkkl.checkpoints import read_checkpoint, write_checkpoint
 from hyperkkl.cli import build_parser, main
 from hyperkkl.config import load_config, resolve, system_defaults
@@ -976,6 +976,96 @@ class TestEvalPlotReport:
         assert run(
             "eval", "--system", "duffing", "--checkpoint", "nonsense",
         ) == 2
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_plot_writes_no_partial_plot_set(self, trained, monkeypatch,
+                                             capsys, existing):
+        # the third of three cells fails: the first two are estimated but
+        # no SVG is written, and no --out directory is made
+        real, calls = evaluation.run_observer, []
+
+        def third_fails(bundle, runs):
+            calls.append(bundle.variant)
+            if len(calls) == 3:
+                raise NumericError("non-finite estimate in run 0 at step 7")
+            return real(bundle, runs)
+
+        monkeypatch.setattr(evaluation, "run_observer", third_fails)
+        out = trained["root"] / "plots"
+        if existing:
+            out.mkdir()
+        capsys.readouterr()
+        code = run(
+            "plot", "--system", "duffing", "--checkpoint",
+            f"autonomous={trained['base']}", "--regimes",
+            "zero,constant,sinusoid", "--seed", "9000", "--horizon", "2.0",
+            "--out", str(out),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite estimate in run 0 at step 7\n")
+        assert len(calls) == 3
+        assert (list(out.iterdir()) == []) if existing else not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_seed_overlap_is_refused_before_any_test_set(
+            self, trained, monkeypatch, capsys, command):
+        # the base trained on seeds 1..4; at --seed 0 with one run per
+        # regime, the second regime's test set is seed 1
+        forbid_cells(monkeypatch)
+        out = trained["root"] / "overlap"
+        capsys.readouterr()
+        code = run(
+            command, "--system", "duffing", "--checkpoint",
+            f"autonomous={trained['base']}", "--regimes", "zero,sinusoid",
+            "--seed", "0", "--horizon", "2.0", "--out", str(out),
+            *(["--n", "1"] if command == "eval" else []),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: test seeds (1, 1) overlap training seeds (1, 4)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    @pytest.mark.parametrize("bad", ["variant", "missing", "seeds"])
+    def test_a_bad_second_checkpoint_is_refused_before_any_test_set(
+            self, trained, monkeypatch, capsys, command, bad):
+        base, root = trained["base"], trained["root"]
+        later = root / "later.hkkp"  # a curriculum bundle on test seeds
+        write_checkpoint(dataclasses.replace(
+            read_checkpoint(base), variant="curriculum",
+            train_seed_range=(9000, 9000)), later)
+        second, message = {
+            "variant": (f"static={base}",
+                        f"checkpoint {base} holds variant 'autonomous', "
+                        "requested 'static'"),
+            "missing": (f"dynamic={root / 'none.hkkp'}",
+                        f"checkpoint not found: {root / 'none.hkkp'}"),
+            "seeds": (f"curriculum={later}",
+                      "test seeds (9000, 9000) overlap training seeds "
+                      "(9000, 9000)"),
+        }[bad]
+        forbid_cells(monkeypatch)
+        out = root / "second"
+        capsys.readouterr()
+        code = run(
+            command, "--system", "duffing", "--checkpoint",
+            f"autonomous={base}", "--checkpoint", second, "--regimes",
+            "zero", "--seed", "9000", "--horizon", "2.0", "--out", str(out),
+            *(["--n", "1"] if command == "eval" else []),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def forbid_cells(monkeypatch):
+    """Fail the test if a test set is built or a cell runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a test set or a cell ran before the checks")
+
+    monkeypatch.setattr(evaluation, "generate_dataset", forbidden)
+    monkeypatch.setattr(evaluation, "run_observer", forbidden)
 
 
 class TestDamagedFiles:

@@ -125,6 +125,11 @@ def observer_bundles(variant_list, seed=0, hidden=(10,), system="duffing"):
     return out
 
 
+def loaders(bundles):
+    """The grid's zero-argument loaders of ready-made bundles."""
+    return {v: (lambda b=b: b) for v, b in bundles.items()}
+
+
 def first_steps(runs, steps):
     """The first ``steps`` samples of every run of ``runs``."""
     return TrajectorySet(runs.dt, runs.times[:steps], runs.states[:, :steps],
@@ -298,29 +303,89 @@ class TestBenchmark:
     def test_grid_shape_and_cell_independence(self):
         bundles = observer_bundles(["autonomous", "dynamic"])
         report = benchmark(
-            bundles, "duffing", regimes=("zero", "sinusoid"), n_test=2,
-            seed=500, horizon=2.0,
+            loaders(bundles), "duffing", regimes=("zero", "sinusoid"),
+            n_test=2, seed=500, horizon=2.0,
         )
-        assert len(report.cells) == 4
-        keys = {(c.variant, c.regime) for c in report.cells}
-        assert keys == {
-            ("autonomous", "zero"), ("autonomous", "sinusoid"),
-            ("dynamic", "zero"), ("dynamic", "sinusoid"),
-        }
+        # regime-major, in loader order within a regime
+        assert [(c.regime, c.variant) for c in report.cells] == [
+            ("zero", "autonomous"), ("zero", "dynamic"),
+            ("sinusoid", "autonomous"), ("sinusoid", "dynamic"),
+        ]
+        assert [c.seed_lo for c in report.cells] == [500, 500, 502, 502]
         # standalone recomputation of one cell matches the grid cell
         ds = generate_dataset(duffing(), "zero", 2, 500, horizon=2.0)
         solo = evaluate_cell(bundles["autonomous"], ds)
-        grid = next(
-            c for c in report.cells
-            if c.variant == "autonomous" and c.regime == "zero"
-        )
-        assert solo == grid
+        assert solo == report.cells[0]
+
+    def test_each_test_set_is_built_once_and_each_cell_loads_its_bundle(
+            self, monkeypatch):
+        bundles = observer_bundles(["autonomous", "dynamic"])
+        events = []
+        real_generate = evaluation.generate_dataset
+
+        def generate(*args, **kwargs):
+            events.append(args[1])
+            return real_generate(*args, **kwargs)
+
+        def loader(variant):
+            def load():
+                events.append(variant)
+                return bundles[variant]
+            return load
+
+        monkeypatch.setattr(evaluation, "generate_dataset", generate)
+        benchmark({v: loader(v) for v in ("dynamic", "autonomous")},
+                  "duffing", regimes=("zero", "constant", "sinusoid"),
+                  n_test=1, seed=500, horizon=1.0)
+        assert events == [
+            "zero", "dynamic", "autonomous",
+            "constant", "dynamic", "autonomous",
+            "sinusoid", "dynamic", "autonomous",
+        ]
+
+    def test_the_grid_holds_one_bundle_at_a_time(self, tmp_path):
+        # At lorenz widths the autonomous bundle's decoder is about 2 MB:
+        # a grid that held both bundles at once would peak that much
+        # higher than the dynamic variant alone.
+        paths = {}
+        for variant, bundle in observer_bundles(
+                ["autonomous", "dynamic"], hidden=(350, 350, 350),
+                system="lorenz").items():
+            paths[variant] = tmp_path / f"{variant}.hkkp"
+            write_checkpoint(bundle, paths[variant])
+
+        def grid_peak(variants):
+            reads = {v: (lambda p=paths[v]: read_checkpoint(p, observer=True))
+                     for v in variants}
+            return traced_peak(lambda: benchmark(
+                reads, "lorenz", regimes=("zero", "sinusoid"), n_test=1,
+                seed=900, horizon=1.0))[1]
+
+        grid_peak(["dynamic"])  # warm up
+        alone = grid_peak(["dynamic"])
+        both = grid_peak(["autonomous", "dynamic"])
+        assert both <= alone + 64 * 1024
+
+    def test_the_grid_holds_one_test_set_at_a_time(self):
+        # 8 lorenz runs of 1001 steps are about 320 KB a test set: a grid
+        # that kept every regime's would peak that much higher per regime
+        loads = loaders(observer_bundles(["autonomous"], system="lorenz"))
+
+        def grid_peak(regimes):
+            return traced_peak(lambda: benchmark(
+                loads, "lorenz", regimes=regimes, n_test=8, seed=900,
+                horizon=50.0))[1]
+
+        grid_peak(("zero",))  # warm up
+        one = grid_peak(("zero",))
+        three = grid_peak(("zero", "constant", "sinusoid"))
+        assert three <= one + 64 * 1024
 
     def test_report_reproducible(self, tmp_path):
         bundles = observer_bundles(["autonomous"])
         kw = dict(regimes=("zero",), n_test=2, seed=700, horizon=2.0)
-        a = benchmark(bundles, "duffing", **kw)
-        b = benchmark(bundles, "duffing", **kw)
+        a = benchmark(loaders(bundles), "duffing", **kw)
+        b = benchmark(loaders(bundles), "duffing", **kw)
         assert a.cells == b.cells
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         a.to_csv(p1)
@@ -329,8 +394,9 @@ class TestBenchmark:
 
     def test_csv_carries_the_rmse_spread(self, tmp_path):
         bundles = observer_bundles(["autonomous"])
-        report = benchmark(bundles, "duffing", regimes=("sinusoid",),
-                           n_test=3, seed=800, horizon=2.0)
+        report = benchmark(loaders(bundles), "duffing",
+                           regimes=("sinusoid",), n_test=3, seed=800,
+                           horizon=2.0)
         path = tmp_path / "r.csv"
         report.to_csv(path)
         with open(path, newline="") as fh:
