@@ -31,7 +31,9 @@ Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure,
 whether the error is raised by a handler or by one of its imports.
 A training run that ends in a numeric abort writes no checkpoint, but
 its manifest record (``status`` "aborted", with the epoch and the
-reason) still goes to the output directory.
+reason) still goes to the output directory. Every ``train`` record,
+aborted or not, states its logged epochs' wall seconds as ``epoch_s``
+(``_epoch_seconds``).
 Curriculum and static training hold no base encoder while they train:
 they read the base without it and read its θ only to write the
 checkpoint (the ``checkpoints`` docstring). If the base's size or
@@ -70,6 +72,18 @@ class Run(NamedTuple):
     input_files: list
     outputs: list
     abort: Abort | None = None
+    epoch_s: dict | None = None
+
+
+def _epoch_seconds(rows) -> dict:
+    """count, median (p50), max and total of the rows' epoch wall seconds;
+    p50 and max are None when no epoch was logged."""
+    times = sorted(r.wall_s for r in rows)
+    n = len(times)
+    return {"count": n,
+            "p50": (times[(n - 1) // 2] + times[n // 2]) / 2 if n else None,
+            "max": times[-1] if n else None,
+            "total": sum(times)}
 
 
 def _write_loss_csv(path, rows) -> None:
@@ -241,7 +255,7 @@ def cmd_train(args, s):
 
     run = Run(out_dir, {**s, "phase": args.phase, "variant": args.variant},
               {"seed": s["seed"], "data_seed_range": [seed_lo, seed_hi]},
-              inputs, [])
+              inputs, [], epoch_s=_epoch_seconds(result.log))
     if result.abort is not None:
         # The stores hold the k - 1 steps that completed before the
         # failing epoch k, but they are not a trained model: write no
@@ -568,7 +582,7 @@ def main(argv=None) -> int:
         append_manifest(
             run.out_dir, args.command, argv, run.resolved_config, run.seeds,
             run.input_files + ([config_path] if config_path else []),
-            run.outputs, started, run.abort,
+            run.outputs, started, run.abort, run.epoch_s,
         )
         if run.abort is not None:
             raise NumericError(f"epoch {run.abort.epoch}: {run.abort.reason}")

@@ -271,12 +271,10 @@ def benchmark(
     test set and one bundle are alive at a time and the peak is the
     largest bundle, one test set and one ``ROW_BLOCK`` decode.
     """
-    missing = [v for v, load in loaders.items() if load is None]
-    if missing:
-        raise ContractViolation(f"missing checkpoints for variants: {missing}")
     cells = []
     for dataset in regime_test_sets(system_name, regimes, n_test, seed, dt,
                                     horizon, sigma):
         for load in loaders.values():
             cells.append(evaluate_cell(load(), dataset, transient_frac))
+        del dataset  # the next regime's set is drawn without this one
     return EvalReport(cells=cells)

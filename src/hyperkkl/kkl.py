@@ -191,6 +191,7 @@ def simulate_latent_nodes(
     y_seq,
     dt: float,
     injection=None,
+    stacked: bool = False,
 ):
     """RK4 integration of the latent observer from z = 0, returning
     per-step nodes.
@@ -202,7 +203,11 @@ def simulate_latent_nodes(
     (``y[:, None]``). The shipped A is diagonal and n_y is 1, so each
     column is bit for bit its run filtered alone; a non-finite state in
     any run raises at that step. Elements are Vars when the injection
-    closes over tape leaves, plain arrays otherwise.
+    closes over tape leaves, plain arrays otherwise. With ``stacked``
+    each step's state is written into one preallocated (N+1, count, n_z)
+    array, which is returned: no per-step list is kept and B y_k is
+    formed a step at a time, so the run holds its output and O(1) more
+    per step. Taped callers take the list.
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
@@ -211,16 +216,20 @@ def simulate_latent_nodes(
         raise ContractViolation(
             f"y must be an (N+1, count, {obs.n_y}) block, got shape {y.shape}")
     n_steps = len(y) - 1
-    a_t = obs.A.T
-    by = y @ obs.B.T  # (N+1, count, n_z)
+    a_t, b_t = obs.A.T, obs.B.T
 
-    z = np.zeros(by.shape[1:])
-    zs = [z]
+    z = np.zeros((y.shape[1], obs.n_z))
+    if stacked:
+        zs = np.empty((len(y), *z.shape))
+        zs[0] = z
+    else:
+        zs = [z]
 
     for k in range(n_steps):
+        by = y[k] @ b_t
 
         def deriv(zz):
-            dz = ad.add(ad.matmul(zz, a_t), by[k])
+            dz = ad.add(ad.matmul(zz, a_t), by)
             if injection is not None:
                 inj = injection(zz, k)
                 if inj is not None:
@@ -236,15 +245,16 @@ def simulate_latent_nodes(
         zv = ad.val(z)
         if not np.all(np.isfinite(zv)):
             raise NumericError(f"latent state became non-finite at step {k + 1}")
-        zs.append(z)
+        if stacked:
+            zs[k + 1] = zv
+        else:
+            zs.append(z)
     return zs
 
 
 def simulate_latent(obs, y_seq, dt, **kwargs) -> np.ndarray:
-    """Like simulate_latent_nodes but stacked into an (N+1, count, n_z)
-    array."""
-    nodes = simulate_latent_nodes(obs, y_seq, dt, **kwargs)
-    return np.stack([np.asarray(ad.val(z)) for z in nodes])
+    """simulate_latent_nodes' states as one (N+1, count, n_z) array."""
+    return simulate_latent_nodes(obs, y_seq, dt, stacked=True, **kwargs)
 
 
 def _stationary_residual_vec(obs, system, x, f_scale, t_out, jf, fd_term):

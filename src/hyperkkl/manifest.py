@@ -14,10 +14,12 @@ record also names the count OpenBLAS reports, the one in effect: in a
 process that loaded numpy before ``main``, the count it loaded it at.
 ``status`` is "ok", or "aborted" for a training run that a numeric
 failure stopped: that record adds ``abort`` (the epoch and the reason)
-and hashes no output, since none was written. Re-running the recorded
-argv reproduces the outputs byte for byte; the manifest is the only file
-in an output directory whose bytes may differ between identical runs (it
-carries the clock time and these costs).
+and hashes no output, since none was written. A ``train`` record also
+has ``epoch_s``: the count, median (``p50``), max and total wall seconds
+of the epochs it logged. Re-running the recorded argv reproduces the
+outputs byte for byte; the manifest is the only file in an output
+directory whose bytes may differ between identical runs (it carries the
+clock time and these costs).
 """
 
 from __future__ import annotations
@@ -84,10 +86,12 @@ def append_manifest(
     outputs: list,
     started: float,
     abort=None,
+    epoch_s: dict | None = None,
 ) -> Path:
     """Append one record; ``started`` is the run's ``time.perf_counter()``
     and ``abort``, if given, has the ``epoch`` and ``reason`` of the
-    numeric failure that stopped the run."""
+    numeric failure that stopped the run. ``epoch_s``, if given, is
+    recorded as it is."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     record = {
@@ -109,6 +113,8 @@ def append_manifest(
     }
     if abort is not None:
         record["abort"] = {"epoch": abort.epoch, "reason": abort.reason}
+    if epoch_s is not None:
+        record["epoch_s"] = epoch_s
     path = out_dir / MANIFEST_NAME
     with open(path, "a") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -25,7 +25,10 @@ columns, the forward within fixed blocks of ROW_BLOCK rows: the
 forward's transients grow with neither the batch nor the weight's size,
 the backward's only with the batch. The LSTM on plain parameters runs
 ROW_BLOCK windows at a time for the same reason, and eval's decode
-(``evaluation.run_observer``) ROW_BLOCK steps of a run at a time. U's
+(``evaluation.run_observer``) ROW_BLOCK steps of a run at a time. The
+taped LSTM runs its forward on the whole batch, keeping only segment
+checkpoints, and backpropagates LSTM_BLOCK rows at a time, so its replay
+does not grow with the batch (``lstm_forward``). U's
 gradient is a sum of rank-one terms g_b ⊗ x_b ⊗ s_b; ``u_grad_chunks``
 and ``u_grad_sq_norm`` give its chunks and its norm from those factors,
 so a training run need never hold it whole (``optim``).
@@ -49,6 +52,13 @@ from .params import Layout, ParamStore
 # input columns per chunk of lowrank_linear (see there).
 ROW_BLOCK = 256
 IN_BLOCK = 16
+# Rows per block of the taped LSTM's backward, which replays and reverses
+# one block at a time (lstm_forward). The replay must give the forward's
+# bits, and OpenBLAS gives a GEMM of 1-4 rows other bits than the same
+# rows of a larger product, so a tail of fewer than MIN_REPLAY_ROWS rows
+# joins the block before it (_row_blocks).
+LSTM_BLOCK = ROW_BLOCK // 4
+MIN_REPLAY_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -458,15 +468,30 @@ def _lstm_step(x_t, h, c, wx, wh, b, hsz, out=(None,) * 7):
     return gi, gf, gc, go, tanh_c, c_t, np.multiply(go, tanh_c, out=h_t)
 
 
-def _lstm_span(w: int) -> int:
-    """Steps per checkpointed segment of a w-step taped window.
+def _lstm_span(w: int, batch: int) -> int:
+    """Steps per checkpointed segment of a taped w-step window over
+    ``batch`` rows.
 
     Between forward and backward the window holds the (h, c) entering
-    each segment but the first, 2·(⌈w/span⌉ − 1) arrays, and one
-    segment's replay holds 7·span; ⌈√(2w/7)⌉ balances the two (Chen et
-    al., arXiv 1604.06174). It is 6 at w = 100.
+    each segment but the first, 2·(⌈w/span⌉ − 1) arrays of B rows; the
+    backward replays one segment of one row block at a time, 7·span
+    arrays of R = min(B, LSTM_BLOCK) rows. ⌈√(2·w·B/(7·R))⌉ balances the
+    two: the time trade of Chen et al. (arXiv 1604.06174) and Gruslys et
+    al. (arXiv 1606.03401), taken over rows as well. It is 6 at w = 100
+    for B ≤ LSTM_BLOCK, 11 at B = 256 and 22 at B = 1001.
     """
-    return math.ceil(math.sqrt(2 * w / 7))
+    rows = min(batch, LSTM_BLOCK)
+    return math.ceil(math.sqrt(2 * w * batch / (7 * rows)))
+
+
+def _row_blocks(batch: int) -> list[slice]:
+    """The row blocks of the taped LSTM's backward: LSTM_BLOCK rows each,
+    and a tail of fewer than MIN_REPLAY_ROWS rows joins the block before
+    it, so no block but a whole batch of fewer rows has fewer."""
+    starts = list(range(0, batch, LSTM_BLOCK))
+    if len(starts) > 1 and batch - starts[-1] < MIN_REPLAY_ROWS:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [batch])]
 
 
 def _lstm_run(seq, wx, wh, b, hsz, checkpoints=None):
@@ -474,10 +499,10 @@ def _lstm_run(seq, wx, wh, b, hsz, checkpoints=None):
     zero state.
 
     With a ``checkpoints`` list, the (h, c) entering each segment of
-    ``_lstm_span(w)`` steps but the first is appended to it.
+    ``_lstm_span(w, B)`` steps but the first is appended to it.
     """
     batch, w, _ = seq.shape
-    span = _lstm_span(w)
+    span = _lstm_span(w, batch)
     h = np.zeros((batch, hsz))
     c = np.zeros((batch, hsz))
     for t in range(w):
@@ -491,7 +516,7 @@ def _lstm_replay(seq, t0, t1, h, c, wx, wh, b, hsz, spare):
     """Steps t0..t1-1 again from their checkpoint (h, c), as the forward
     ran them; returns each step's x_t, h_{t-1}, c_{t-1}, (i, f, g, o) and
     tanh(c_t) for ``_lstm_step_back``. The results are written into the
-    (B, h) arrays of ``spare`` while it has any."""
+    arrays of ``spare`` while it has any; they must have the rows of h."""
     steps = []
     for t in range(t0, t1):
         x_t = seq[:, t, :]
@@ -531,16 +556,21 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     time into the output, so a step's transients grow with ROW_BLOCK, not
     with B; rows are independent, and each block's rows are the whole
     batch's, bit for bit. When the weights are tape leaves the whole
-    batch is one tape node, and the forward keeps only the (h, c)
-    entering each segment of ``_lstm_span(w)`` steps (the first segment
-    starts from zeros). The hand-written backward-through-time pass
-    takes the segments from last to first: it replays one segment's
-    forward from its checkpoint, keeping each step's h_{t-1}, c_{t-1},
-    gates and tanh(c_t), then runs that segment's reverse steps. Every
-    gate is thus computed twice, once in the forward and once in the
-    replay, and since the replay is the forward's own step on the same
-    inputs, the gradients are those of keeping every step, bit for bit,
-    whatever the span.
+    batch is one tape node, and its forward is one whole-batch pass that
+    keeps only the (h, c) entering each segment of ``_lstm_span(w, B)``
+    steps (the first segment starts from zeros). The hand-written
+    backward-through-time pass walks the batch in the row blocks of
+    ``_row_blocks``. For each block it takes the segments from last to
+    first: it replays one segment's forward from the block's rows of its
+    checkpoint, keeping each step's h_{t-1}, c_{t-1}, gates and tanh(c_t),
+    then runs that segment's reverse steps. So the replay holds one
+    segment of one block, whatever B is. Every gate is computed twice,
+    once in the forward and once in the replay, and since the replay is
+    the forward's own step on rows whose GEMMs give the whole batch's bits
+    (LSTM_BLOCK), every replayed state is the forward's, bit for bit,
+    whatever the span. The weight gradients are those of keeping every
+    step, summed block by block: the same products as one whole-batch
+    reverse pass, added in another order.
     """
     seq = np.asarray(ad.val(sequence), dtype=np.float64)
     if seq.ndim != 3 or seq.shape[1] < 1:
@@ -559,26 +589,32 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
             rows = slice(lo, lo + ROW_BLOCK)
             h[rows] = _lstm_run(seq[rows], wx, wh, b, hsz)
         return h
-    span = _lstm_span(w)
+    span = _lstm_span(w, batch)
     checkpoints = []
     h = _lstm_run(seq, wx, wh, b, hsz, checkpoints)
 
     def vjp(g):
-        # A reversed step's arrays are spare: the next segment's replay
-        # writes into them, so the backward does not allocate each step's
-        # arrays anew. Popping the checkpoints frees them segment by segment.
+        # A reversed step's arrays are spare: the next replay of a block of
+        # as many rows writes into them, so the backward does not allocate
+        # each step's arrays anew. A segment's entering (h, c) is not spare:
+        # it is the checkpoint, which the other blocks still read.
         grads = (np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b))
         spare = []
-        dh, dc = g, np.zeros_like(g)
-        for t0 in reversed(range(0, w, span)):
-            h0, c0 = (checkpoints.pop() if t0 else
-                      (np.zeros((batch, hsz)), np.zeros((batch, hsz))))
-            steps = _lstm_replay(seq, t0, min(t0 + span, w), h0, c0,
-                                 wx, wh, b, hsz, spare)
-            while steps:
-                step = steps.pop()
-                dh, dc = _lstm_step_back(dh, dc, step, wh, grads)
-                spare.extend(step[1:])
+        for rows in _row_blocks(batch):
+            n = rows.stop - rows.start
+            if spare and len(spare[0]) != n:
+                spare = []
+            block = seq[rows]
+            dh, dc = g[rows], np.zeros((n, hsz))
+            for t0 in reversed(range(0, w, span)):
+                h0, c0 = (tuple(a[rows] for a in checkpoints[t0 // span - 1])
+                          if t0 else (np.zeros((n, hsz)), np.zeros((n, hsz))))
+                steps = _lstm_replay(block, t0, min(t0 + span, w), h0, c0,
+                                     wx, wh, b, hsz, spare)
+                while steps:
+                    step = steps.pop()
+                    dh, dc = _lstm_step_back(dh, dc, step, wh, grads)
+                    spare.extend(step[1:] if steps else step[3:])
         return tuple(gr for p, gr in zip(weights, grads) if ad.is_var(p))
 
     return ad.Var(h, tuple(p for p in weights if ad.is_var(p)), vjp)

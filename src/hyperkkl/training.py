@@ -20,14 +20,16 @@ decoder learns the inverse on reconstruction alone.
 
 Every loop hands its epochs to one ``_Fit``, which holds the policy they
 share: tape the loss, backpropagate, clip, take an Adam step and log a
-row with the gradient norm found before clipping. A loss that reaches no
-parameter (a static epoch of unforced runs) is not taped: its epoch steps
-on a zero gradient and logs a norm of 0.0. A ``NumericError``
-while taping the loss or clipping the gradient ends the run with an
-``Abort`` at that epoch k, before its Adam step, so no rollback copy is
-needed: the stores are those of the k - 1 completed steps, each taken on
-a finite, clipped gradient (the CLI writes no output for an aborted
-run, only its manifest record).
+row with the gradient norm found before clipping and the epoch's wall
+seconds (``LogRow.wall_s``: it is not in the loss CSV, whose bytes are a
+function of data and config, and rows compare equal without it). A loss
+that reaches no parameter (a static epoch of unforced runs) is not
+taped: its epoch steps on a zero gradient and logs a norm of 0.0. A
+``NumericError`` while taping the loss or clipping the gradient ends the
+run with an ``Abort`` at that epoch k, before its Adam step, so no
+rollback copy is needed: the stores are those of the k - 1 completed
+steps, each taken on a finite, clipped gradient (the CLI writes no
+output for an aborted run, only its manifest record).
 The stores a run declares frozen are hashed when it starts and checked
 when it ends; a changed one raises ``NumericError``.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,6 +135,7 @@ class LogRow:
     loss_pde: float
     grad_norm: float
     level: int
+    wall_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -214,6 +218,7 @@ class _Fit:
         ``step`` returns ``(loss, rec, pde)``: the loss to differentiate
         and the two components the row records.
         """
+        started = time.perf_counter()
         try:
             pv = ParamVars(self.params, self.state.grad)
             loss, rec, pde = step(pv)
@@ -228,7 +233,7 @@ class _Fit:
                   factored=pv.factored,
                   grad_scale=clip_factor(norm, self.config.clip_norm))
         self.log.append(LogRow(epoch, float(ad.val(rec)), float(ad.val(pde)),
-                               norm, level))
+                               norm, level, time.perf_counter() - started))
         return self.log[-1]
 
     def check_frozen(self) -> None:

@@ -435,6 +435,35 @@ class TestTrain:
             "numeric failure: epoch 4: gradient norm is non-finite\n")
         assert [f.name for f in out.iterdir()] == [MANIFEST_NAME]
 
+    def test_epoch_seconds_summary(self):
+        rows = [training.LogRow(k, 0.0, 0.0, 0.0, 0, t)
+                for k, t in enumerate((0.5, 0.125, 0.25, 2.0), start=1)]
+        assert cli._epoch_seconds(rows) == {
+            "count": 4, "p50": 0.375, "max": 2.0, "total": 2.875}
+        assert cli._epoch_seconds(rows[:3])["p50"] == 0.25
+        assert cli._epoch_seconds([]) == {
+            "count": 0, "p50": None, "max": None, "total": 0}
+
+    def test_train_records_its_epoch_seconds(self, gen_dir, tmp_path,
+                                             monkeypatch):
+        # an ok run times every epoch of its loss CSV; a run aborted at
+        # epoch 4 the 3 epochs it logged before it
+        argv = ("train", "--system", "duffing", "--phase", "1", "--data",
+                str(gen_dir / "duffing_zero_n4_s1.hkkl"), "--epochs", "2",
+                "--batch", "16", "--hidden", "8,8")
+        ok_dir, abort_dir = tmp_path / "ok", tmp_path / "abort"
+        assert run(*argv, "--out", str(ok_dir)) == 0
+        poison_backward(monkeypatch, at_call=4)
+        assert run(*argv, "--out", str(abort_dir)) == 3
+        csv_rows = (ok_dir / "duffing_phase1_loss.csv").read_text().splitlines()
+        (ok,), (aborted,) = read_manifest(ok_dir), read_manifest(abort_dir)
+        assert aborted["abort"]["epoch"] == 4 and len(csv_rows) == 1 + 4
+        for record, count in ((ok, 4), (aborted, 3)):
+            timing = record["epoch_s"]
+            assert sorted(timing) == ["count", "max", "p50", "total"]
+            assert timing["count"] == count
+            assert 0.0 < timing["p50"] <= timing["max"] <= timing["total"]
+
     def test_config_supplies_values(self, gen_dir, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(

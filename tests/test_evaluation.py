@@ -405,8 +405,3 @@ class TestBenchmark:
         assert cell.rmse_std > 0.0
         assert float(row["rmse_std"]) == cell.rmse_std
         assert float(row["rmse"]) == cell.rmse
-
-    def test_missing_checkpoint_listed(self):
-        with pytest.raises(ContractViolation) as exc:
-            benchmark({"autonomous": None}, "duffing")
-        assert "autonomous" in str(exc.value)

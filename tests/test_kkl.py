@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_latent
+from conftest import oracle_latent, traced_peak
 
 import hyperkkl.autodiff as ad
 from hyperkkl import nets
@@ -26,6 +26,7 @@ from hyperkkl.kkl import (
     make_maps,
     reconstruction_loss,
     simulate_latent,
+    simulate_latent_nodes,
     verify_observer,
 )
 from hyperkkl.nets import MlpSpec
@@ -206,6 +207,28 @@ class TestSimulateLatent:
         with np.errstate(all="ignore"), pytest.raises(
                 NumericError, match="non-finite at step 5"):
             simulate_latent(obs, y, 0.05)
+
+    def test_stacked_states_are_the_listed_nodes_bitwise(self):
+        obs = build_observer_matrices(3, 1)
+        y = np.random.default_rng(5).normal(size=(301, 6, 1))
+        assert np.array_equal(simulate_latent(obs, y, 0.05),
+                              np.stack(simulate_latent_nodes(obs, y, 0.05)))
+
+    def test_plain_filter_holds_its_output_and_o1_per_step(self):
+        # each state goes straight into the stacked output and B y_k is
+        # formed a step at a time, so beyond the output the filter holds
+        # one step's arrays whatever the run's length; a list of per-step
+        # states and a whole-run B y would add about 2·count·n_z floats
+        # a step and an array header, 840 KB more at 2048 steps than at 512
+        obs = build_observer_matrices(3, 1)
+        rng = np.random.default_rng(4)
+        beyond = []
+        for steps in (512, 2048):
+            y = rng.normal(size=(steps + 1, 4, 1))
+            zs, peak = traced_peak(simulate_latent, obs, y, 0.05)
+            beyond.append(peak - zs.nbytes)
+        assert beyond[1] - beyond[0] <= 2048
+        assert beyond[1] <= 16 * 1024
 
     def test_contracts(self):
         obs = build_observer_matrices(2, 1)

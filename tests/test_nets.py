@@ -17,12 +17,17 @@ import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
 from hyperkkl.nets import (
     IN_BLOCK,
+    LSTM_BLOCK,
+    MIN_REPLAY_ROWS,
     ROW_BLOCK,
     LstmSpec,
     MlpSpec,
+    _lstm_replay,
+    _lstm_run,
     _lstm_span,
     _lstm_step,
     _mlp_layer,
+    _row_blocks,
     init_lstm,
     init_mlp,
     lstm_forward,
@@ -745,11 +750,12 @@ def taped_lstm(params, spec, sequence, prefix):
     return h
 
 
-def stored_state_bptt(wx, wh, b, seq, dh):
+def stored_state_bptt(wx, wh, b, seq, dh, grads=None):
     """Gradients of sum(h_w * dh) by the stored-state BPTT that the fused
     window used before it kept checkpoints: every step's h_{t-1} and c_{t-1}
     are kept, and each reverse step recomputes its gates from them. The
-    reference for bitwise gradient checks across segment edges."""
+    whole batch is one reverse pass. Each step's terms are added into
+    ``grads`` when given (zeros otherwise)."""
     batch, w, _ = seq.shape
     hsz = wh.shape[1]
 
@@ -770,7 +776,9 @@ def stored_state_bptt(wx, wh, b, seq, dh):
         h_prevs.append(h)
         c_prevs.append(c)
         *_, c, h = step(seq[:, t, :], h, c)
-    gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+    if grads is None:
+        grads = (np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b))
+    gwx, gwh, gb = grads
     dc = np.zeros_like(dh)
     for t in reversed(range(w)):
         h_prev, c_prev = h_prevs[t], c_prevs[t]
@@ -790,11 +798,46 @@ def stored_state_bptt(wx, wh, b, seq, dh):
     return h, (gwx, gwh, gb)
 
 
-# (input size, hidden size, batch, window length)
-FUSED_CASES = [(1, 4, 3, 7), (2, 5, 4, 30), (1, 16, 9, 100)]
+def oracle_row_blocks(batch):
+    """LSTM_BLOCK rows per block; a tail of 1-7 rows joins the block before."""
+    edges = list(range(0, batch, LSTM_BLOCK)) + [batch]
+    if len(edges) > 2 and edges[-1] - edges[-2] < 8:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def row_blocked_bptt(wx, wh, b, seq, dh):
+    """``stored_state_bptt`` one row block after another, every block adding
+    into the same gradients: the reference for the blocked backward's bits."""
+    grads = (np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b))
+    hs = [stored_state_bptt(wx, wh, b, seq[rows], dh[rows], grads)[0]
+          for rows in oracle_row_blocks(len(seq))]
+    return np.concatenate(hs), grads
+
+
+def whole_batch_states(seq, wx, wh, b, hsz):
+    """Every step's (i, f, g, o, tanh(c_t), c_t, h_t) of one whole-batch pass."""
+    batch, w, _ = seq.shape
+    h, c = np.zeros((batch, hsz)), np.zeros((batch, hsz))
+    states = []
+    for t in range(w):
+        states.append(_lstm_step(seq[:, t, :], h, c, wx, wh, b, hsz))
+        c, h = states[-1][5:]
+    return states
+
+
+# (input size, hidden size, batch, window length); the last two have more
+# rows than one backward block, one with a tail that joins the block before
+FUSED_CASES = [(1, 4, 3, 7), (2, 5, 4, 30), (1, 16, 9, 100),
+               (1, 8, 2 * LSTM_BLOCK + 3, 30), (2, 6, LSTM_BLOCK + 20, 13)]
 # windows around the segment edges of the w = 100 span, and w = 100
-SPAN_EDGE_WINDOWS = [1, _lstm_span(100) - 1, _lstm_span(100),
-                     _lstm_span(100) + 1, 2 * _lstm_span(100) + 1, 100]
+SPAN_EDGE_WINDOWS = [1, _lstm_span(100, 1) - 1, _lstm_span(100, 1),
+                     _lstm_span(100, 1) + 1, 2 * _lstm_span(100, 1) + 1, 100]
+# B < R, B = R, and B = k·R + r with r in {1, 2, 3, 4, 7}, which join the
+# block before, and r = 8, which makes its own block
+REPLAY_BATCHES = [LSTM_BLOCK // 2 + 1, LSTM_BLOCK, LSTM_BLOCK + 1,
+                  2 * LSTM_BLOCK + 2, LSTM_BLOCK + 3, 3 * LSTM_BLOCK + 4,
+                  LSTM_BLOCK + 7, 2 * LSTM_BLOCK + 8]
 
 
 class TestLstm:
@@ -873,12 +916,13 @@ class TestLstm:
         assert np.max(np.abs(fused - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("batch", [1, 7, 2 * LSTM_BLOCK + 3])
     @pytest.mark.parametrize("w", SPAN_EDGE_WINDOWS)
-    def test_checkpointed_gradients_equal_stored_state_bptt_bitwise(
+    def test_checkpointed_gradients_equal_row_blocked_stored_state_bitwise(
             self, m, batch, w):
-        # the replay runs the forward's own step on the same arrays, so the
-        # segment edges leave no trace in the bits
+        # the replay runs the forward's own step on the same rows, so the
+        # segment edges leave no trace in the bits; up to one block the
+        # row-blocked oracle is the whole-batch one
         spec, store = fresh_lstm(m, 5, seed=w + m)
         rng = np.random.default_rng(10 * w + batch)
         seq = rng.normal(size=(batch, w, m))
@@ -886,25 +930,93 @@ class TestLstm:
         pv = ParamVars(store)
         out = lstm_forward(pv, spec, seq, "lstm")
         ad.backward(ad.sum_all(ad.mul(out, weight)))
-        h, expect = stored_state_bptt(
+        h, expect = row_blocked_bptt(
             *(store.get(f"lstm.{n}") for n in ("Wx", "Wh", "b")), seq, weight)
         assert np.array_equal(out.value, h)
         for name, gr in zip(("Wx", "Wh", "b"), expect):
             assert np.array_equal(pv.get(f"lstm.{name}").grad, gr), name
 
+    @pytest.mark.parametrize("batch", [LSTM_BLOCK + 9, 3 * LSTM_BLOCK + 4,
+                                       1001])
+    def test_blocked_gradients_match_whole_batch_bptt(self, batch):
+        # stated tolerance: 1e-14 of the largest entry. The blocked pass
+        # sums the same per-row products, one block's before the next's;
+        # at the shipped width (h 64, w 100) they differ by up to 3e-15
+        spec, store = fresh_lstm(1, 64, seed=batch)
+        rng = np.random.default_rng(batch)
+        seq = rng.normal(size=(batch, 100, 1))
+        weight = rng.normal(size=(batch, 64))
+        pv = ParamVars(store)
+        out = lstm_forward(pv, spec, seq, "lstm")
+        ad.backward(ad.sum_all(ad.mul(out, weight)))
+        h, expect = stored_state_bptt(
+            *(store.get(f"lstm.{n}") for n in ("Wx", "Wh", "b")), seq, weight)
+        assert np.array_equal(out.value, h)
+        for name, gr in zip(("Wx", "Wh", "b"), expect):
+            got = pv.get(f"lstm.{name}").grad
+            assert np.max(np.abs(got - gr)) <= 1e-14 * np.max(np.abs(gr)), name
+
+    @pytest.mark.parametrize("batch", REPLAY_BATCHES)
+    def test_block_replay_gives_the_forward_states_bitwise(self, batch):
+        # each block replays every segment from its rows of the whole-batch
+        # checkpoints; every state and gate is the whole-batch pass's
+        m, hsz, w = 1, 64, 20
+        spec, store = fresh_lstm(m, hsz, seed=batch)
+        seq = np.random.default_rng(batch).normal(size=(batch, w, m))
+        wx, wh, b = (store.get(f"lstm.{n}") for n in ("Wx", "Wh", "b"))
+        whole = whole_batch_states(seq, wx, wh, b, hsz)
+        checkpoints = []
+        _lstm_run(seq, wx, wh, b, hsz, checkpoints)
+        span = _lstm_span(w, batch)
+        assert len(checkpoints) == math.ceil(w / span) - 1
+        for rows in _row_blocks(batch):
+            n = rows.stop - rows.start
+            for t0 in range(0, w, span):
+                h0, c0 = ((np.zeros((n, hsz)),) * 2 if t0 == 0 else
+                          (a[rows] for a in checkpoints[t0 // span - 1]))
+                steps = _lstm_replay(seq[rows], t0, min(t0 + span, w), h0, c0,
+                                     wx, wh, b, hsz, [])
+                for t, (_, h_prev, c_prev, *gates) in zip(range(t0, w), steps):
+                    if t:
+                        assert np.array_equal(c_prev, whole[t - 1][5][rows])
+                        assert np.array_equal(h_prev, whole[t - 1][6][rows])
+                    for got, expect in zip(gates, whole[t][:5]):
+                        assert np.array_equal(got, expect[rows]), (t, rows)
+
+    def test_row_blocks_fold_a_short_tail(self):
+        for batch in range(1, 3 * LSTM_BLOCK + 10):
+            blocks = _row_blocks(batch)
+            assert blocks == oracle_row_blocks(batch), batch
+            sizes = [r.stop - r.start for r in blocks]
+            assert sum(sizes) == batch and blocks[0].start == 0
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) == 1 or min(sizes) >= MIN_REPLAY_ROWS
+
     def test_span_edge_windows_include_ragged_segments(self):
-        assert any(w % _lstm_span(w) for w in SPAN_EDGE_WINDOWS)
-        assert _lstm_span(100) == 6
+        assert any(w % _lstm_span(w, 1) for w in SPAN_EDGE_WINDOWS)
+        assert _lstm_span(100, 1) == 6
+
+    @pytest.mark.parametrize("batch, span", [
+        (1, 6), (LSTM_BLOCK, 6), (ROW_BLOCK, 11), (1001, 22), (1024, 22)])
+    def test_span_balances_checkpoints_against_one_block_replay(
+            self, batch, span):
+        # ceil(sqrt(2·w·B / (7·R))) with R = min(B, LSTM_BLOCK), at w = 100
+        rows = min(batch, LSTM_BLOCK)
+        assert _lstm_span(100, batch) == span
+        assert span == math.ceil(math.sqrt(200 * batch / (7 * rows)))
 
     def test_taped_window_keeps_h_and_c_per_span(self):
         # between forward and backward the window holds the (h, c) entering
-        # its ceil(w/span) segments at most, plus O(B·h) for the output and
-        # the bookkeeping; the backward replays one segment at a time, so
-        # its peak adds at most the 7 arrays of each of span steps and
-        # O(B·h) transients (keeping every step's h and c would be 2·w·B·h)
-        batch, w, h = 64, 100, 16
-        span = _lstm_span(w)
-        segments = math.ceil(w / span)
+        # each segment but the first, plus O(B·h) for the output and the
+        # bookkeeping; the backward replays one segment of one row block at
+        # a time, so its peak adds at most the 7 arrays of each of span
+        # steps of the widest block and O(R·h) transients, plus g and the
+        # block's dh and dc (keeping every step's h and c would be 2·w·B·h)
+        batch, w, h = 3 * LSTM_BLOCK + 5, 100, 16
+        span = _lstm_span(w, batch)
+        kept = 2 * (math.ceil(w / span) - 1)
+        widest = max(r.stop - r.start for r in _row_blocks(batch))
+        assert widest == LSTM_BLOCK + 5
         spec, store = fresh_lstm(1, h, seed=3)
         seq = np.random.default_rng(3).normal(size=(batch, w, 1))
         pv = ParamVars(store)
@@ -918,8 +1030,40 @@ class TestLstm:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert held <= (2 * segments + 8) * batch * h * 8
-        assert peak <= (2 * segments + 7 * span + 16) * batch * h * 8
+        assert held <= (kept + 8) * batch * h * 8
+        assert peak <= ((kept + 4) * batch + (7 * span + 16) * widest) * h * 8
+
+    def test_blocked_backward_peak_follows_the_span_formula(self):
+        # at B = 1001, w = 100, h = 64: 8 checkpoint arrays of B rows and
+        # 7·22 replay arrays of 64 rows; a whole-batch replay at the 6-step
+        # span of B ≤ 64 would hold 74 arrays of B rows (38 MB)
+        batch, w, h = 1001, 100, 64
+        span = math.ceil(math.sqrt(2 * w * batch / (7 * LSTM_BLOCK)))
+        kept = 2 * (math.ceil(w / span) - 1)
+        peak = self._backward_peak(batch, w, h)
+        assert peak <= ((kept + 4) * batch + (7 * span + 16) * LSTM_BLOCK) * h * 8
+
+    def test_blocked_backward_peak_grows_slower_than_the_batch(self):
+        # 4× the rows: only the checkpoints grow with B, and √B of them
+        assert self._backward_peak(1024, 100, 64) < (
+            2.5 * self._backward_peak(256, 100, 64))
+
+    @staticmethod
+    def _backward_peak(batch, w, h):
+        """Most bytes held during the backward of one taped window, from
+        before its forward."""
+        spec, store = fresh_lstm(1, h, seed=batch)
+        seq = np.random.default_rng(batch).normal(size=(batch, w, 1))
+        pv = ParamVars(store)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = lstm_forward(pv, spec, seq, "lstm")
+            tracemalloc.reset_peak()
+            ad.backward(ad.sum_all(out))
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
 
     def test_plain_forward_in_row_blocks_is_one_whole_batch_pass_bitwise(self):
         # 2 full blocks of windows and a ragged one of 17
