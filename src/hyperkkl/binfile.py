@@ -1,4 +1,5 @@
-"""Length-checked sequential reads for the HKKL and HKKP binary formats.
+"""Length-checked reads and all-or-nothing writes for the HKKL and HKKP
+binary formats.
 
 Every read states how many bytes it needs and is checked against the
 file size before anything is allocated, so a corrupt count never sizes
@@ -7,13 +8,21 @@ refused with the byte offset. A block of f64 values is one read into one
 preallocated array, so the data is never held twice, and a read that
 comes back short is refused the same way. ``skip`` steps over bytes
 without reading them, and ``f64_at`` reads chosen spans of a file into
-one array, each span checked against the file size before it allocates.
+one array, each span checked against the file size before it allocates,
+or into a buffer the caller reuses.
+
+``replacing`` writes a file all or nothing: into a ``.partial`` sibling
+that replaces the file only once it is complete, so a failed or
+interrupted write keeps the file that was there and leaves no partial
+one. The replacement is a new file (a new inode), so a reader that holds
+the old one open goes on reading the old bytes.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -68,13 +77,15 @@ class Reader:
         """Step over n bytes that the file is known to hold, reading none."""
         self.fh.seek(self.need(n) + n)
 
-    def f64_at(self, spans) -> np.ndarray:
+    def f64_at(self, spans, out=None) -> np.ndarray:
         """The f64 values of each (byte offset, count) span in turn, read
-        into one fresh array once the file is known to hold every span."""
+        into one fresh array, or into the f64 array ``out`` that holds as
+        many values, once the file is known to hold every span."""
         for offset, count in spans:
             if offset + 8 * count > self.size:
                 raise self._truncated(self.size, 8 * count, offset)
-        out = np.empty(sum(count for _, count in spans), dtype="<f8")
+        if out is None:
+            out = np.empty(sum(count for _, count in spans), dtype="<f8")
         at = 0
         for offset, count in spans:
             self.fh.seek(offset)
@@ -92,3 +103,19 @@ class Reader:
             raise ContractViolation(
                 f"{self.path}: {extra} trailing bytes after byte offset {offset}"
             )
+
+
+@contextmanager
+def replacing(path):
+    """An open binary file whose bytes replace ``path`` once the block
+    ends without an error. They go to ``<path>.partial`` first, which is
+    removed if anything fails, an interrupt included."""
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(partial)
+        raise

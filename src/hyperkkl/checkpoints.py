@@ -36,30 +36,39 @@ META_KEYS), when a conditioning key is not the variant's or its spec
 refuses it, and when n_x, n_y or input_size are not its system's.
 
 Each store's buffer is written in place, after the total count, so a
-write holds no second copy. A read checks the header, metadata, slices
-and value counts, and the data block's size against the file size,
-then reads each store's slices into that store's own array, so a read
-holds no second copy either. Two reads differ only in what they skip:
+write holds no second copy. The bytes go to ``<path>.partial``, which
+replaces the file only once it is complete (``binfile.replacing``): a
+write that fails or is interrupted keeps the file that was there. A read
+checks the header, metadata, slices and value counts, and the data
+block's size against the file size, then reads each store's slices into
+that store's own array, so a read holds no second copy either. Two reads
+differ only in what they skip:
 
     full read (the default): nothing; every store is read whole;
     observer read (``observer=True``): the blocks an observer does not
         run. The encoder T (enc.*) and the hypernetwork's encoder head
         (hyper.enc_head.*) feed only the training residual; their bytes
         are stepped over, never read, so the bundle holds obs.*, dec.*,
-        and inj.* (static) or hyper.lstm.* and hyper.dec_head.*
-        (dynamic). It has theta None and, if dynamic, params without
-        hyper.enc_head.* slices, and write_checkpoint refuses it.
+        and inj.* (static) or hyper.lstm.* and hyper.dec_head.V
+        (dynamic). The decoder head's U (STREAMED) is not read either:
+        the bundle's ``readout`` records, for each decoder layer, the
+        one span of the file that holds its rows, and the file's stamp
+        (``file_stamp``), and an observer reads one layer's rows at a
+        time (``Readout.layers``). The bundle has theta None and, if
+        dynamic, params without hyper.enc_head.* and STREAMED, and
+        write_checkpoint refuses it.
 
 Which command makes which read:
 
-    eval, plot: an observer read of each checkpoint;
+    eval, plot: an observer read of each checkpoint, and the readout
+        rows of a dynamic one, a layer at a time, in each cell;
     train --phase 2 --variant dynamic: one full read of the base, whose
         encoder its residual runs;
     train --phase curriculum, train --phase 2 --variant static: an
         observer read of the base to train from (neither runs T), then,
         after a run that did not abort, a full read for the θ the output
-        checkpoint stores. The base must keep its size and modification
-        time between the two reads.
+        checkpoint stores. The base must keep its stamp between the two
+        reads.
 
 Both reads refuse the same files with the same messages.
 """
@@ -68,14 +77,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .binfile import Reader
+from .binfile import Reader, replacing
 from .config import SYSTEM_NAMES
 from .dynamics import get_system
 from .errors import ContractViolation
@@ -84,10 +95,12 @@ from .hypernet import (
     InjectionSpec,
     build_hypernet_spec,
     build_injection_spec,
+    head_layer_rows,
     hypernet_layout,
     injection_layout,
 )
 from .kkl import (
+    DEC,
     KklMaps,
     ObserverMatrices,
     decoder_layout,
@@ -103,6 +116,52 @@ VERSION = 1
 VARIANTS = ("autonomous", "curriculum", "static", "dynamic")
 # the blocks an observer read steps over: they feed only the training residual
 OBSERVER_SKIPS = ("enc.", HyperNetSpec.PREFIX + "enc_head.")
+# the slice an observer read leaves in the file, to be read one decoder
+# layer at a time (Readout)
+STREAMED = HyperNetSpec.PREFIX + "dec_head.U"
+
+
+def file_stamp(file) -> tuple:
+    """(size, modification time in ns, inode) of the file at a path or an
+    open descriptor. A rewrite changes the first two, a replacement the
+    inode, so equal stamps mean the same bytes."""
+    st = os.stat(file)
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+class Readout(NamedTuple):
+    """The decoder head's U as an observer read leaves it: in the file at
+    ``path``, whose stamp the read saw, with layer l's rows U_l stored as
+    the one (byte offset, value count) span ``spans[l]``."""
+
+    path: object
+    stamp: tuple
+    spans: tuple
+    rank: int
+
+    def _refuse_changed(self, fh) -> None:
+        if file_stamp(fh.fileno()) != self.stamp:
+            raise ContractViolation(
+                f"{self.path}: the checkpoint changed after it was read")
+
+    @contextmanager
+    def layers(self):
+        """``read(l)``, layer l's (rows, rank) U_l, read from the file into
+        one buffer sized for the largest layer, so each read overwrites
+        the one before. The file is opened once; its stamp must be the
+        read's when it opens and again after the last read."""
+        with open(self.path, "rb") as fh:
+            self._refuse_changed(fh)
+            r = Reader(fh, self.path)
+            buf = np.empty(max(count for _, count in self.spans))
+
+            def read(layer):
+                at, count = self.spans[layer]
+                return r.f64_at([(at, count)], buf[:count]).reshape(
+                    -1, self.rank)
+
+            yield read
+            self._refuse_changed(fh)
 
 
 class Conditioning(NamedTuple):
@@ -137,6 +196,7 @@ class CheckpointBundle:
     spec: HyperNetSpec | InjectionSpec | None = None  # see CONDITIONING
     params: ParamStore | None = None    # the spec's ψ or ξ
     extra: dict = field(default_factory=dict)
+    readout: Readout | None = None  # ψ's STREAMED U in an observer read
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -243,7 +303,7 @@ def write_checkpoint(bundle: CheckpointBundle, path) -> None:
               if st is not None]
     stores.append(ParamStore(_obs_layout(obs.n_z, obs.n_y),
                              np.concatenate([obs.A.ravel(), obs.B.ravel()])))
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC + struct.pack("<HI", VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
         fh.write(struct.pack("<I", sum(len(st.layout.slices) for st in stores)))
@@ -318,13 +378,12 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
         if end != total:
             raise ContractViolation(f"{path}: the stored slices hold {end} "
                                     f"values, the data block {total}")
-        skips = OBSERVER_SKIPS if observer else ()
+        skips = OBSERVER_SKIPS + (STREAMED,) if observer else ()
 
-        def take(prefix, layout, by_slice=False):
-            """The stored ``prefix`` block as a store of ``layout`` less
-            the skipped slices, or None if every slice is skipped. It must
+        def block_at(prefix, layout, by_slice=False):
+            """The byte offset of the stored ``prefix`` block, which must
             hold the layout's value count, and with ``by_slice`` its slice
-            names and shapes as well."""
+            names and shapes as well, in one run."""
             block = [e for e in entries if e[0].startswith(prefix)]
             stored = Layout((n, sh) for n, sh, _ in block)
             if by_slice:
@@ -346,12 +405,19 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             if block[-1][2] - first != stored.slices[-1].offset:
                 raise ContractViolation(f"{path}: stored slice {block[-1][0]} "
                                         f"is apart from its {prefix} block")
+            return data_offset + 8 * first
+
+        def take(prefix, layout, by_slice=False):
+            """The stored ``prefix`` block (``block_at``) as a store of
+            ``layout`` less the skipped slices, or None if every slice is
+            skipped."""
+            start = block_at(prefix, layout, by_slice)
             kept = [s for s in layout.slices if not s.name.startswith(skips)]
             if not kept:
                 return None
             spans = []  # adjacent kept slices are read as one span
             for s in kept:
-                at = data_offset + 8 * (first + s.offset)
+                at = start + 8 * s.offset
                 if spans and spans[-1][0] + 8 * spans[-1][1] == at:
                     spans[-1] = (spans[-1][0], spans[-1][1] + s.size)
                 else:
@@ -379,7 +445,7 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             raise ContractViolation(
                 f"{path}: stored obs.A and obs.B: {e}") from None
 
-        spec = params = None
+        spec = params = readout = None
         if cond is not None:
             settings = meta[cond.key]
             try:
@@ -388,7 +454,16 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             except ContractViolation as e:
                 raise ContractViolation(
                     f"{path}: metadata key {cond.key!r}: {e}") from None
-            params = take(cond.spec_type.PREFIX, cond.layout(spec))
+            layout = cond.layout(spec)
+            params = take(cond.spec_type.PREFIX, layout)
+            if observer and STREAMED in layout:
+                u_at = (block_at(cond.spec_type.PREFIX, layout)
+                        + 8 * layout[STREAMED].offset)
+                rank = spec.dec_head.rank
+                spans = tuple(
+                    (u_at + 8 * rank * first, rank * rows) for first, rows
+                    in head_layer_rows(spec.dec_head, maps.dec, DEC))
+                readout = Readout(path, file_stamp(fh.fileno()), spans, rank)
         theta = take("enc.", encoder_layout(maps), by_slice=True)
         phi = take("dec.", decoder_layout(maps), by_slice=True)
         system = get_system(meta["system"])
@@ -417,4 +492,5 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
         spec=spec,
         params=params,
         extra=meta.get("extra", {}),
+        readout=readout,
     )

@@ -28,7 +28,11 @@ Only then does ``main`` import numpy (for ``np.errstate``) and
 ``plots``); ``report`` nothing more.
 
 Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure,
-whether the error is raised by a handler or by one of its imports.
+whether the error is raised by a handler or by one of its imports, and
+130 for a command ended by Ctrl-C (SIGINT) or by SIGTERM, which ``main``
+handles alike once the settings resolve; each prints one line. A file a
+command writes replaces the one at its path only once it is complete
+(``binfile.replacing``), so a failed or interrupted write keeps it.
 A training run that ends in a numeric abort writes no checkpoint, but
 its manifest record (``status`` "aborted", with the epoch and the
 reason) still goes to the output directory. Every ``train`` record,
@@ -36,13 +40,18 @@ aborted or not, states its logged epochs' wall seconds as ``epoch_s``
 (``_epoch_seconds``).
 Curriculum and static training hold no base encoder while they train:
 they read the base without it and read its θ only to write the
-checkpoint (the ``checkpoints`` docstring). If the base's size or
-modification time changed in between, the run exits 2 and writes
-nothing.
+checkpoint (the ``checkpoints`` docstring). If the base's stamp (size,
+modification time and inode, ``checkpoints.file_stamp``) changed in
+between, the run exits 2 and writes nothing.
 ``eval`` and ``plot`` read and check every --checkpoint before they
 build a test set, and read it again for each of its cells, so they hold
-one checkpoint at a time (the ``evaluation`` docstring). ``plot`` writes
-its SVGs only once every cell is estimated.
+one checkpoint at a time (the ``evaluation`` docstring). Neither read
+takes a dynamic checkpoint's decoder-head readout U: each cell opens
+the file once more and reads one decoder layer's rows of U at a time.
+If the file's stamp is not the cell's read's, when the cell opens it or
+after its last read, the command exits 2 with one line naming the file
+and writes no report or plot. ``plot`` writes its SVGs only once every
+cell is estimated.
 A request too large for memory (say ``gen --horizon 1e12``) is a user
 error: it exits 2 with one ``error: out of memory: ...`` line.
 """
@@ -168,8 +177,8 @@ def cmd_train(args, s):
     if args.base is not None and args.phase == "1":
         raise ConfigError("--phase 1 trains from scratch and takes no --base")
     from . import training
-    from .checkpoints import (CONDITIONING, CheckpointBundle, read_checkpoint,
-                              write_checkpoint)
+    from .checkpoints import (CONDITIONING, CheckpointBundle, file_stamp,
+                              read_checkpoint, write_checkpoint)
     from .dynamics import get_system
     from .kkl import build_observer_matrices, make_maps
 
@@ -193,7 +202,7 @@ def cmd_train(args, s):
             raise ConfigError(f"--phase {args.phase} requires --base CHECKPOINT")
         # only dynamic phase 2 runs the base encoder T; curriculum and
         # static train without it and read its θ afterwards (_base_theta)
-        stamp = _stamp(args.base)
+        stamp = file_stamp(args.base)
         base = read_checkpoint(args.base, observer=args.variant != "dynamic")
         _refuse_other_system(base, args.base, system_name)
         inputs.append(args.base)
@@ -272,20 +281,15 @@ def cmd_train(args, s):
     return run._replace(outputs=[ckpt_path, loss_path])
 
 
-def _stamp(path) -> tuple:
-    st = os.stat(path)
-    return st.st_size, st.st_mtime_ns
-
-
 def _base_theta(path, stamp):
     """The base encoder θ that the output checkpoint stores, from a full
     read of the base after training. The base must still be the file the
-    run trained from: the same size and modification time (``stamp``)
-    before and after this read."""
-    from .checkpoints import read_checkpoint
+    run trained from: the same ``checkpoints.file_stamp`` before and
+    after this read."""
+    from .checkpoints import file_stamp, read_checkpoint
 
     def check():
-        if _stamp(path) != stamp:
+        if file_stamp(path) != stamp:
             raise ConfigError(f"base checkpoint {path} changed during "
                               "training; no checkpoint written")
 
@@ -558,14 +562,23 @@ HANDLERS = {
 }
 
 
+def _interrupt(*_):
+    """SIGTERM's handler while a command runs: end it as Ctrl-C does."""
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     config_path = getattr(args, "config", None)
+    on_term = None  # SIGTERM's handler before main's, once main set its own
     try:
         conf = cfg.load_config(config_path) if config_path else {}
         s = cfg.settings(args.command, vars(args), conf)
+        import signal
+
+        on_term = signal.signal(signal.SIGTERM, _interrupt)
         sys.modules.setdefault("_hashlib", None)
         if "blas_threads" in s and "numpy" not in sys.modules:
             os.environ["OPENBLAS_NUM_THREADS"] = str(s["blas_threads"])
@@ -598,6 +611,12 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o failure: {e}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    finally:
+        if on_term is not None:
+            signal.signal(signal.SIGTERM, on_term)
     return 0
 
 

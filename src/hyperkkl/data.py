@@ -22,7 +22,8 @@ File layout (all little-endian):
         ``config.KINDS`` from 0)
     per trajectory: f64 arrays in (states, inputs, outputs) order
 
-Readers refuse a file that ends early or has bytes past the last
+A write replaces the file at its path only once it is complete
+(``binfile.replacing``). Readers refuse a file that ends early or has bytes past the last
 trajectory, naming the byte offset, before they allocate the arrays.
 ``read_dataset`` takes every trajectory's samples in one f64 read; the
 set's states, inputs and outputs are read-only run-major views of it.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import Reader
+from .binfile import Reader, replacing
 from .config import KINDS, defaults
 from .dynamics import SystemSpec, TrajectorySet, get_system, n_steps_for
 from .dynamics import sample_initial_conditions, simulate
@@ -130,7 +131,7 @@ def _unpack_signal(r: Reader) -> InputSignal:
 def write_dataset(dataset: Dataset, path) -> None:
     sysname = dataset.system.name.encode()
     regime = dataset.regime.encode()
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         fh.write(struct.pack("<H", len(sysname)))

@@ -15,9 +15,19 @@ What each variant reads from a checkpoint (``read_checkpoint`` with
     every variant: the latent pair obs.A, obs.B and the decoder dec.*
     static:  bundle.spec and bundle.params: the injection network inj.*
     dynamic: bundle.spec and bundle.params: the hypernetwork's LSTM
-             hyper.lstm.* and decoder head hyper.dec_head.*
+             hyper.lstm.* and decoder head hyper.dec_head.*, whose
+             readout U an observer read leaves in the file
+             (bundle.readout)
 
-The encoder T and the encoder head only feed the training residual.
+The encoder T and the encoder head only feed the training residual. U is
+nearly all of a dynamic checkpoint, and each decoder layer l takes only
+its own rows U_l of it. So ``run_observer`` on an observer read opens
+the file once and reads U_l into one buffer, sized for the largest
+layer, just before layer l runs in each decode block
+(``checkpoints.Readout``). It refuses the file, naming it, if its stamp
+is not the read's when it opens or after its last read. A bundle that
+holds U (training's, a full read's) decodes from views of it, to the
+same bits.
 
 A test set is one ``TrajectorySet``: ``run_observer`` estimates all its
 runs into one run-major (count, N+1, n_x) array. The plain filter takes
@@ -40,13 +50,16 @@ regime by regime. Each regime's test set is built once, when its cells
 start (``regime_test_sets``); each cell loads its checkpoint bundle when
 it starts and drops it when it ends. So one test set and one
 checkpoint's arrays are alive at a time, and the peak is the largest
-bundle, one test set and one ``ROW_BLOCK`` decode, at any number of
-variants, regimes or test runs. The price is one checkpoint read per
-cell.
+bundle less its decoder-head readout, plus one layer's readout rows, one
+test set and one ``ROW_BLOCK`` decode, at any number of variants,
+regimes or test runs. The price is one checkpoint read per cell, and a
+dynamic cell's re-read of the readout, from the page cache, per decode
+block.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,7 +122,9 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     run's estimates there, bit for bit. A conditioned variant acts only
     on steps whose input window is nonzero: elsewhere the injection
     returns None and the decoder takes no delta, so those rows are the
-    autonomous estimates, bit for bit.
+    autonomous estimates, bit for bit. A bundle whose readout stayed in
+    its file (``bundle.readout``) has the file opened once for the call,
+    and each decode block reads each layer's rows as the layer runs.
     """
     if runs.outputs.shape[2] != bundle.obs.n_y:
         raise ContractViolation("trajectory output width does not match observer")
@@ -118,24 +133,28 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     if bundle.variant != "static":
         plain = simulate_latent(obs, runs.outputs.swapaxes(0, 1), dt)
     xhat = np.empty(runs.states.shape)
-    for i, (y, u) in enumerate(zip(runs.outputs, runs.inputs)):
-        if plain is None:
-            inject = make_step_injection(bundle.params, bundle.spec, u)
-            zs = simulate_latent(obs, y[:, None], dt, injection=inject)[:, 0]
-        else:
-            zs = plain[:, i]
-        for lo in range(0, len(zs), ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            xhat[i, rows] = _decode(bundle, np.ascontiguousarray(zs[rows]),
-                                    u, lo)
-        finite = np.all(np.isfinite(xhat[i]), axis=1)
-        if not finite.all():
-            raise NumericError(f"non-finite estimate in run {i} at step "
-                               f"{int(np.argmin(finite))}")
+    readout = bundle.readout
+    with readout.layers() if readout else nullcontext() as read_rows:
+        for i, (y, u) in enumerate(zip(runs.outputs, runs.inputs)):
+            if plain is None:
+                inject = make_step_injection(bundle.params, bundle.spec, u)
+                zs = simulate_latent(obs, y[:, None], dt,
+                                     injection=inject)[:, 0]
+            else:
+                zs = plain[:, i]
+            for lo in range(0, len(zs), ROW_BLOCK):
+                rows = slice(lo, lo + ROW_BLOCK)
+                xhat[i, rows] = _decode(
+                    bundle, np.ascontiguousarray(zs[rows]), u, lo, read_rows)
+            finite = np.all(np.isfinite(xhat[i]), axis=1)
+            if not finite.all():
+                raise NumericError(f"non-finite estimate in run {i} at step "
+                                   f"{int(np.argmin(finite))}")
     return xhat
 
 
-def _decode(bundle: CheckpointBundle, zs, u, lo: int) -> np.ndarray:
+def _decode(bundle: CheckpointBundle, zs, u, lo: int,
+            read_rows) -> np.ndarray:
     """The estimates of one block of a run's steps, lo .. lo + len(zs) - 1,
     from their latent states zs and the run's inputs u (the bundle's
     variant is one of ``checkpoints.VARIANTS``).
@@ -144,7 +163,10 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int) -> np.ndarray:
     variant's decode of the same block, so rows of zero windows keep its
     bits. For the dynamic variant the block's live steps, those whose
     ``window_index`` window is nonzero, are decoded again with their
-    weight deltas; their windows are gathered for this block only.
+    weight deltas; their windows are gathered for this block only. Each
+    layer's readout rows U_l are a view of the bundle's ψ when
+    ``read_rows`` is None, else ``read_rows(l)``, read from the bundle's
+    file just before the layer runs (``run_observer``).
     """
     maps = bundle.maps
     xhat = decode(maps, bundle.phi, zs)
@@ -158,7 +180,7 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int) -> np.ndarray:
             # only the decoder head is read
             context = encode_context(psi, spec, windows[live])
             factors = head_layer_deltas(psi, spec.dec_head, maps.dec,
-                                        DEC, context, gates[live])
+                                        DEC, context, gates[live], read_rows)
             xhat[live] = decode(maps, bundle.phi, zs[live],
                                 weight_deltas=factors)
     return xhat
@@ -268,8 +290,8 @@ def benchmark(
     shares that dataset, and cells are independent of each other. The
     report lists them regime-major, in ``loaders`` order within a regime.
     Each cell calls its loader and drops the bundle when it ends, so one
-    test set and one bundle are alive at a time and the peak is the
-    largest bundle, one test set and one ``ROW_BLOCK`` decode.
+    test set and one bundle are alive at a time (the module docstring's
+    memory model).
     """
     cells = []
     for dataset in regime_test_sets(system_name, regimes, n_test, seed, dt,

@@ -22,11 +22,12 @@ Each readout head is rank-factorized: a (rank, d_h) matrix V projects
 the LSTM state h to rank coordinates s = g · h Vᵀ, and one (total, rank)
 matrix U maps them onto the flat entry space of the target's weight
 matrices, in layout order. Training and inference keep the factors:
-``head_layer_deltas`` splits U into per-layer row blocks U_l and pairs
-each with s, and the MLP applies W x + Σ_r s_r (U_l,r x) through
-``nets.lowrank_linear``, so no (B, total) delta or (B, o, i) weight is
-formed. ``generate_deltas`` and ``delta_store`` give the dense form of
-the same perturbations.
+``head_layer_deltas`` splits U into per-layer row blocks U_l
+(``head_layer_rows``) and pairs each with s, and the MLP applies
+W x + Σ_r s_r (U_l,r x) through ``nets.lowrank_linear``, so no
+(B, total) delta or (B, o, i) weight is formed; eval may read each U_l
+from the checkpoint file just before its layer runs. ``generate_deltas``
+and ``delta_store`` give the dense form of the same perturbations.
 """
 
 from __future__ import annotations
@@ -189,27 +190,58 @@ def generate_deltas(psi, spec: HyperNetSpec, windows):
     return tuple(out)
 
 
+def head_layer_rows(head: HeadSpec, maps_spec: MlpSpec, prefix: str):
+    """The (first row, row count) of each layer's block U_l of the head's
+    U, in layer order: the rows that map onto layer l's weight entries.
+    The one rule for which U rows feed a layer; the observer read's
+    per-layer file spans (``checkpoints.Readout``) follow it too."""
+    blocks, first = [], 0
+    for i in range(maps_spec.n_layers):
+        size = head.target_layout[f"{prefix}.W{i}"].size
+        blocks.append((first, size))
+        first += size
+    if first != head.total:
+        raise ContractViolation("MLP layers do not match the head's targets")
+    return blocks
+
+
+class _ReadFactors:
+    """Per-layer (U_l, s) factors whose U_l is ``read(l)``, read when
+    layer l asks for it: ``nets.mlp_forward`` asks once per layer, in
+    order, and is done with a layer before it asks for the next."""
+
+    def __init__(self, read, s):
+        self.read, self.s = read, s
+
+    def __getitem__(self, layer):
+        return self.read(layer), self.s
+
+
 def head_layer_deltas(psi, head: HeadSpec, maps_spec: MlpSpec, prefix: str,
-                      context, gates):
+                      context, gates, read_rows=None):
     """One head as per-layer (U_l, s) weight-delta factors for mlp_forward.
 
     s = g · h Vᵀ is the gated (B, rank) projection of the (B, d_h)
     contexts, shared by every layer; U_l is the block of the head's U
-    rows that maps onto layer l's weight entries, so sample b's layer-l
-    delta is reshape(U_l s[b], (o, i)). Rows whose gate is 0 get s = 0.
+    rows that maps onto layer l's weight entries (``head_layer_rows``),
+    so sample b's layer-l delta is reshape(U_l s[b], (o, i)). Rows whose
+    gate is 0 get s = 0.
+
+    U_l is a view of psi's U, unless ``read_rows`` is given: then psi
+    holds no U, ``read_rows(l)`` returns layer l's block, and each layer
+    reads its block only when it runs. Such reads may share one buffer,
+    so the factors serve a plain forward only; a taped s is refused.
     """
-    u = psi.get(f"{head.name}.U")
     s = ad.mul(ad.matmul(context, transpose2d(psi.get(f"{head.name}.V"))),
                gates)
-    out = []
-    offset = 0
-    for i in range(maps_spec.n_layers):
-        size = head.target_layout[f"{prefix}.W{i}"].size
-        out.append((ad.narrow(u, 0, offset, size), s))
-        offset += size
-    if offset != head.total:
-        raise ContractViolation("MLP layers do not match the head's targets")
-    return out
+    if read_rows is not None:
+        if ad.is_var(s):
+            raise ContractViolation(
+                "readout rows read a layer at a time cannot be taped")
+        return _ReadFactors(read_rows, s)
+    u = psi.get(f"{head.name}.U")
+    return [(ad.narrow(u, 0, first, size), s)
+            for first, size in head_layer_rows(head, maps_spec, prefix)]
 
 
 def delta_store(head: HeadSpec, flat_row: np.ndarray) -> ParamStore:

@@ -3,8 +3,12 @@ import builtins
 import dataclasses
 import json
 import os
+import signal
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1501,3 +1505,109 @@ class TestConditioningMetadata:
         assert refusal(command, "autonomous", bad, trained, capsys) == (
             f"error: {bad}: metadata key 'n_x' is 3, system duffing takes "
             "2\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "plot"])
+def test_a_checkpoint_replaced_after_its_read_is_refused(
+        trained, conditioned, monkeypatch, capsys, command):
+    # The observer read leaves the decoder head's U in the file. Here the
+    # file is written again, to the same bytes, after the cell read it and
+    # before its decode: a new file, whose rows the cell must not take.
+    path = conditioned["dynamic_path"]
+    real = evaluation.run_observer
+
+    def rewrite_then_run(bundle, runs):
+        write_checkpoint(conditioned["dynamic"], path)
+        return real(bundle, runs)
+
+    monkeypatch.setattr(evaluation, "run_observer", rewrite_then_run)
+    out = trained["root"] / "out"
+    capsys.readouterr()
+    code = run(command, "--system", "duffing", "--checkpoint",
+               f"dynamic={path}", "--regimes", "sinusoid", "--seed", "9000",
+               "--horizon", "1.0", "--out", str(out),
+               *(["--n", "1"] if command == "eval" else []))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: the checkpoint changed after it was read\n")
+    assert not out.exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs ``setup``, then main(argv) as the CLI does.
+CHILD = """
+import signal, sys
+{setup}
+from hyperkkl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+# Says "training" on stdout when phase 1 starts. SIGINT raises
+# KeyboardInterrupt, as in a terminal, even when the test runs where
+# SIGINT is ignored (a background job).
+ANNOUNCE = """
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from hyperkkl import training
+phase1_train = training.phase1_train
+def announced(*args, **kwargs):
+    print("training", flush=True)
+    return phase1_train(*args, **kwargs)
+training.phase1_train = announced
+"""
+
+# A 1 MiB limit on the size of any file the child writes; past it a
+# write fails with EFBIG rather than end the process.
+FILE_LIMIT = """
+import resource
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (2**20, 2**20))
+"""
+
+
+def spawn(setup, *argv, cwd):
+    return subprocess.Popen(
+        [sys.executable, "-c", CHILD.format(setup=setup), *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+
+
+def phase1_argv(gen_dir, out, *more):
+    return ("train", "--system", "duffing", "--phase", "1", "--data",
+            str(gen_dir / "duffing_zero_n4_s1.hkkl"), "--batch", "16",
+            "--out", str(out), *more)
+
+
+class TestProcessEnds:
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+    def test_a_signal_ends_a_run_in_one_line(self, gen_dir, tmp_path,
+                                             signum):
+        out = tmp_path / "ck"
+        child = spawn(ANNOUNCE, *phase1_argv(
+            gen_dir, out, "--epochs", str(10**9), "--hidden", "8,8"),
+            cwd=tmp_path)
+        try:
+            assert child.stdout.readline() == "training\n"
+            child.send_signal(signum)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+        assert child.returncode == 130
+        assert err == "interrupted\n"
+        assert not out.exists()
+
+    def test_a_failed_overwrite_keeps_the_checkpoint(self, gen_dir,
+                                                     tmp_path):
+        out = tmp_path / "ck"
+        argv = phase1_argv(gen_dir, out, "--epochs", "1", "--hidden",
+                           "300,300")
+        assert run(*argv, "--seed", "3") == 0
+        path = out / "duffing_phase1.hkkp"
+        good = path.read_bytes()
+        assert len(good) > 2**20
+        child = spawn(FILE_LIMIT, *argv, "--seed", "4", cwd=tmp_path)
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 4
+        assert err == "i/o failure: [Errno 27] File too large\n"
+        assert path.read_bytes() == good
+        assert not [p for p in out.iterdir() if p.suffix == ".partial"]

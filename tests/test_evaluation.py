@@ -16,6 +16,7 @@ from conftest import (
 
 import hyperkkl.evaluation as evaluation
 from hyperkkl.checkpoints import (
+    STREAMED,
     VARIANTS,
     CheckpointBundle,
     read_checkpoint,
@@ -178,14 +179,23 @@ class TestRunObserver:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_observer_read_estimates_bitwise(self, tmp_path, variant):
+        # three decode blocks per run; the input is zero on steps
+        # 300-399, so the second block's windows are partly zero and the
+        # dynamic variant decodes only some of its rows with the readout
         bundle = observer_bundles([variant])[variant]
         path = tmp_path / "ck.hkkp"
         write_checkpoint(bundle, path)
         runs = generate_dataset(duffing(), "sinusoid", 2, seed=5,
-                                horizon=5.0).trajectories
+                                horizon=30.0).trajectories
+        assert runs.n_steps > 2 * ROW_BLOCK
+        inputs = runs.inputs.copy()
+        inputs[:, 300:400] = 0.0
+        runs = dataclasses.replace(runs, inputs=inputs)
         full = run_observer(read_checkpoint(path), runs)
         assert np.array_equal(full, run_observer(bundle, runs))
-        lean = run_observer(read_checkpoint(path, observer=True), runs)
+        read = read_checkpoint(path, observer=True)
+        assert (read.readout is not None) == (variant == "dynamic")
+        lean = run_observer(read, runs)
         assert np.array_equal(lean, full)
 
     def test_estimates_are_causal(self):
@@ -234,6 +244,28 @@ class TestRunObserver:
             extra[steps] = peak - xhat.nbytes - latent
         # 4 KiB of slack for the interpreter's own bookkeeping
         assert extra[8 * ROW_BLOCK] <= extra[2 * ROW_BLOCK] + 4096
+
+    def test_a_streamed_readout_holds_one_layer_of_rows(self, tmp_path):
+        # At 350-wide maps two of the decoder's four layers hold 350·350
+        # readout rows each. The bundle in memory holds all of U before
+        # the call; the observer read holds none, and its decode may
+        # peak above the in-memory one's by one layer's rows only.
+        bundle = observer_bundles(["dynamic"], hidden=(350, 350, 350),
+                                  system="lorenz")["dynamic"]
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(bundle, path)
+        lean = read_checkpoint(path, observer=True)
+        runs = first_steps(generate_dataset(get_system("lorenz"), "sinusoid",
+                                            1, seed=5).trajectories,
+                           2 * ROW_BLOCK)
+        run_observer(lean, runs)  # warm up
+        held, held_peak = traced_peak(run_observer, bundle, runs)
+        streamed, peak = traced_peak(run_observer, lean, runs)
+        assert np.array_equal(streamed, held)
+        layer = 8 * max(count for _, count in lean.readout.spans)
+        assert layer <= 0.51 * bundle.params.get(STREAMED).nbytes
+        # 64 KiB for the open file and its reader
+        assert peak <= held_peak + layer + 2**16
 
     @pytest.mark.parametrize("variant", ["dynamic", "static"])
     def test_zero_input_recovery_bitwise(self, variant):

@@ -75,6 +75,30 @@ class TestHeadSpec:
             for i in range(maps.enc.n_layers):
                 assert np.all(store.get(f"enc.b{i}") == 0.0)
 
+    def test_read_rows_give_each_layer_its_block_and_refuse_a_tape(self):
+        # read_rows(l) stands in for psi's U, layer by layer, on plain
+        # parameters; their rows may share one buffer, so a taped s is
+        # refused
+        maps, spec, psi = small_hyper()
+        rng = np.random.default_rng(2)
+        psi.data[:] = rng.normal(size=psi.data.shape)
+        win = rng.normal(size=(2, spec.window, 1))
+        ctx = encode_context(psi, spec, win)
+        g = gate_values(win, spec.tau)
+        args = (spec.dec_head, maps.dec, "dec", ctx, g)
+        views = head_layer_deltas(psi, *args)
+        reads = []
+        read = head_layer_deltas(psi, *args,
+                                 lambda l: reads.append(l) or views[l][0])
+        assert reads == []
+        for layer, (u_l, s) in enumerate(views):
+            got_u, got_s = read[layer]
+            assert got_u is u_l and np.array_equal(got_s, s)
+        assert reads == list(range(maps.dec.n_layers))
+        with pytest.raises(ContractViolation, match="cannot be taped"):
+            head_layer_deltas(psi, spec.dec_head, maps.dec, "dec",
+                              ad.Var(ctx), g, lambda l: views[l][0])
+
 
 class TestGate:
     def test_zero_window_gate_is_exactly_zero(self):
