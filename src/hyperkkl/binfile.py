@@ -1,5 +1,5 @@
-"""Length-checked reads and all-or-nothing writes for the HKKL and HKKP
-binary formats.
+"""Length-checked reads for the HKKL and HKKP binary formats, and
+all-or-nothing writes for them and for the text outputs.
 
 Every read states how many bytes it needs and is checked against the
 file size before anything is allocated, so a corrupt count never sizes
@@ -15,7 +15,8 @@ or into a buffer the caller reuses.
 that replaces the file only once it is complete, so a failed or
 interrupted write keeps the file that was there and leaves no partial
 one. The replacement is a new file (a new inode), so a reader that holds
-the old one open goes on reading the old bytes.
+the old one open goes on reading the old bytes. ``write_text`` writes a
+text output (CSV, SVG, markdown) that way.
 """
 
 from __future__ import annotations
@@ -119,3 +120,9 @@ def replacing(path):
         with suppress(FileNotFoundError):
             os.unlink(partial)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """``text`` as UTF-8 at ``path``, all or nothing (``replacing``)."""
+    with replacing(path) as fh:
+        fh.write(text.encode())

@@ -51,17 +51,19 @@ differ only in what they skip:
         are stepped over, never read, so the bundle holds obs.*, dec.*,
         and inj.* (static) or hyper.lstm.* and hyper.dec_head.V
         (dynamic). The decoder head's U (STREAMED) is not read either:
-        the bundle's ``readout`` records, for each decoder layer, the
-        one span of the file that holds its rows, and the file's stamp
-        (``file_stamp``), and an observer reads one layer's rows at a
-        time (``Readout.layers``). The bundle has theta None and, if
-        dynamic, params without hyper.enc_head.* and STREAMED, and
+        the bundle's ``readout`` records, for each decoder layer, where
+        its rows start in the file and its weight's shape, and the
+        file's stamp (``file_stamp``), and an observer reads one
+        IN_BLOCK chunk of one layer's rows at a time
+        (``Readout.layers``). The bundle has theta None and, if dynamic,
+        params without hyper.enc_head.* and STREAMED, and
         write_checkpoint refuses it.
 
 Which command makes which read:
 
     eval, plot: an observer read of each checkpoint, and the readout
-        rows of a dynamic one, a layer at a time, in each cell;
+        rows of a dynamic one, an IN_BLOCK chunk of a layer at a time,
+        in each cell;
     train --phase 2 --variant dynamic: one full read of the base, whose
         encoder its residual runs;
     train --phase curriculum, train --phase 2 --variant static: an
@@ -108,6 +110,7 @@ from .kkl import (
     make_maps,
     verify_observer,
 )
+from .nets import IN_BLOCK
 from .params import Layout, ParamStore
 
 MAGIC = b"HKKP"
@@ -116,8 +119,8 @@ VERSION = 1
 VARIANTS = ("autonomous", "curriculum", "static", "dynamic")
 # the blocks an observer read steps over: they feed only the training residual
 OBSERVER_SKIPS = ("enc.", HyperNetSpec.PREFIX + "enc_head.")
-# the slice an observer read leaves in the file, to be read one decoder
-# layer at a time (Readout)
+# the slice an observer read leaves in the file, to be read one IN_BLOCK
+# chunk of one decoder layer at a time (Readout)
 STREAMED = HyperNetSpec.PREFIX + "dec_head.U"
 
 
@@ -129,14 +132,43 @@ def file_stamp(file) -> tuple:
     return st.st_size, st.st_mtime_ns, st.st_ino
 
 
+class LayerChunks(NamedTuple):
+    """One decoder layer's readout rows U_l in a checkpoint file, as the
+    chunk source ``nets.lowrank_linear`` takes: U_l is stored from byte
+    ``at`` on as the C-order (n_out, n_in·rank) matrix u_r, for W_l's
+    (n_out, n_in) ``w_shape``. Each chunk is read into ``buf``,
+    overwriting the chunk before it."""
+
+    reader: Reader
+    buf: np.ndarray
+    at: int
+    w_shape: tuple
+    rank: int
+
+    @property
+    def shape(self) -> tuple:
+        return math.prod(self.w_shape), self.rank
+
+    def chunk(self, cols_r):
+        """Columns ``cols_r`` of u_r: one span of |cols_r| values per row."""
+        n_out, n_in = self.w_shape
+        width = cols_r.stop - cols_r.start
+        spans = [(self.at + 8 * (o * n_in * self.rank + cols_r.start), width)
+                 for o in range(n_out)]
+        return self.reader.f64_at(spans, self.buf[:n_out * width]).reshape(
+            n_out, width)
+
+
 class Readout(NamedTuple):
     """The decoder head's U as an observer read leaves it: in the file at
-    ``path``, whose stamp the read saw, with layer l's rows U_l stored as
-    the one (byte offset, value count) span ``spans[l]``."""
+    ``path``, whose stamp the read saw, with layer l's rows U_l stored
+    from byte offset ``blocks[l][0]`` on for W_l's (n_out, n_in) shape
+    ``blocks[l][1]``. An observer holds one IN_BLOCK chunk of one layer's
+    rows at a time (``layers``)."""
 
     path: object
     stamp: tuple
-    spans: tuple
+    blocks: tuple
     rank: int
 
     def _refuse_changed(self, fh) -> None:
@@ -146,21 +178,19 @@ class Readout(NamedTuple):
 
     @contextmanager
     def layers(self):
-        """``read(l)``, layer l's (rows, rank) U_l, read from the file into
-        one buffer sized for the largest layer, so each read overwrites
-        the one before. The file is opened once; its stamp must be the
-        read's when it opens and again after the last read."""
+        """``read(l)``, layer l's U_l as a chunk source (``LayerChunks``)
+        whose chunks of IN_BLOCK input columns are read from the file
+        into one buffer, sized for the largest layer's chunk, so each
+        chunk overwrites the one before. The file is opened once; its
+        stamp must be the read's when it opens and again after the last
+        read."""
         with open(self.path, "rb") as fh:
             self._refuse_changed(fh)
             r = Reader(fh, self.path)
-            buf = np.empty(max(count for _, count in self.spans))
-
-            def read(layer):
-                at, count = self.spans[layer]
-                return r.f64_at([(at, count)], buf[:count]).reshape(
-                    -1, self.rank)
-
-            yield read
+            buf = np.empty(IN_BLOCK * self.rank
+                           * max(n_out for _, (n_out, _) in self.blocks))
+            yield lambda layer: LayerChunks(r, buf, *self.blocks[layer],
+                                            self.rank)
             self._refuse_changed(fh)
 
 
@@ -459,11 +489,14 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
             if observer and STREAMED in layout:
                 u_at = (block_at(cond.spec_type.PREFIX, layout)
                         + 8 * layout[STREAMED].offset)
-                rank = spec.dec_head.rank
-                spans = tuple(
-                    (u_at + 8 * rank * first, rank * rows) for first, rows
-                    in head_layer_rows(spec.dec_head, maps.dec, DEC))
-                readout = Readout(path, file_stamp(fh.fileno()), spans, rank)
+                head = spec.dec_head
+                rank = head.rank
+                blocks = tuple(
+                    (u_at + 8 * rank * first,
+                     head.target_layout[f"{DEC}.W{i}"].shape)
+                    for i, (first, _) in enumerate(
+                        head_layer_rows(head, maps.dec, DEC)))
+                readout = Readout(path, file_stamp(fh.fileno()), blocks, rank)
         theta = take("enc.", encoder_layout(maps), by_slice=True)
         phi = take("dec.", decoder_layout(maps), by_slice=True)
         system = get_system(meta["system"])

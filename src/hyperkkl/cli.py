@@ -25,13 +25,14 @@ Only then does ``main`` import numpy (for ``np.errstate``) and
 ``manifest``, and each handler imports the modules it runs: ``gen`` only
 ``data`` and ``dynamics``; ``train`` the training stack and
 ``checkpoints``; ``eval`` and ``plot`` ``evaluation`` (and ``plot`` also
-``plots``); ``report`` nothing more.
+``plots``); ``report`` only ``binfile``.
 
 Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure,
 whether the error is raised by a handler or by one of its imports, and
 130 for a command ended by Ctrl-C (SIGINT) or by SIGTERM, which ``main``
 handles alike once the settings resolve; each prints one line. A file a
-command writes replaces the one at its path only once it is complete
+command writes (a checkpoint, dataset, CSV, SVG or report; the manifest
+is appended to) replaces the one at its path only once it is complete
 (``binfile.replacing``), so a failed or interrupted write keeps it.
 A training run that ends in a numeric abort writes no checkpoint, but
 its manifest record (``status`` "aborted", with the epoch and the
@@ -47,7 +48,8 @@ between, the run exits 2 and writes nothing.
 build a test set, and read it again for each of its cells, so they hold
 one checkpoint at a time (the ``evaluation`` docstring). Neither read
 takes a dynamic checkpoint's decoder-head readout U: each cell opens
-the file once more and reads one decoder layer's rows of U at a time.
+the file once more and reads one IN_BLOCK chunk of one decoder layer's
+rows of U at a time.
 If the file's stamp is not the cell's read's, when the cell opens it or
 after its last read, the command exits 2 with one line naming the file
 and writes no report or plot. ``plot`` writes its SVGs only once every
@@ -96,13 +98,11 @@ def _epoch_seconds(rows) -> dict:
 
 
 def _write_loss_csv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,loss_rec,loss_pde,grad_norm,level\n")
-        for r in rows:
-            fh.write(
-                f"{r.epoch},{r.loss_rec!r},{r.loss_pde!r},{r.grad_norm!r},"
-                f"{r.level}\n"
-            )
+    from .binfile import write_text
+
+    write_text(path, "epoch,loss_rec,loss_pde,grad_norm,level\n" + "".join(
+        f"{r.epoch},{r.loss_rec!r},{r.loss_pde!r},{r.grad_norm!r},"
+        f"{r.level}\n" for r in rows))
 
 
 def cmd_gen(args, s):
@@ -445,6 +445,8 @@ def _report_rows(path) -> list:
 
 
 def cmd_report(args, s):
+    from .binfile import write_text
+
     rows = [row for path in args.reports for row in _report_rows(path)]
     if not rows:
         raise ConfigError("no report rows found")
@@ -467,8 +469,7 @@ def cmd_report(args, s):
             lines.append(f"| {variant} | " + " | ".join(cells) + " |")
         lines.append("")
     path = out_dir / "report.md"
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return Run(out_dir, s, {}, list(args.reports), [path])
 

@@ -28,7 +28,8 @@ trajectory, naming the byte offset, before they allocate the arrays.
 ``read_dataset`` takes every trajectory's samples in one f64 read; the
 set's states, inputs and outputs are read-only run-major views of it.
 
-CSV export mirrors the columns t, x1..x_{n_x}, u1..u_{m}, y1..y_{n_y}.
+CSV export mirrors the columns t, x1..x_{n_x}, u1..u_{m}, y1..y_{n_y},
+and is written all or nothing too.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import Reader, replacing
+from .binfile import Reader, replacing, write_text
 from .config import KINDS, defaults
 from .dynamics import SystemSpec, TrajectorySet, get_system, n_steps_for
 from .dynamics import sample_initial_conditions, simulate
@@ -204,13 +205,8 @@ def trajectory_to_csv(runs: TrajectorySet, path) -> None:
         + [f"u{i + 1}" for i in range(m)]
         + [f"y{i + 1}" for i in range(n_y)]
     )
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(len(runs.times)):
-            row = (
-                [runs.times[k]]
-                + list(states[k])
-                + list(inputs[k])
-                + list(outputs[k])
-            )
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    lines = [",".join(header)]
+    for k in range(len(runs.times)):
+        row = [runs.times[k], *states[k], *inputs[k], *outputs[k]]
+        lines.append(",".join(repr(float(v)) for v in row))
+    write_text(path, "\n".join(lines) + "\n")

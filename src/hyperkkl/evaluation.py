@@ -20,14 +20,15 @@ What each variant reads from a checkpoint (``read_checkpoint`` with
              (bundle.readout)
 
 The encoder T and the encoder head only feed the training residual. U is
-nearly all of a dynamic checkpoint, and each decoder layer l takes only
-its own rows U_l of it. So ``run_observer`` on an observer read opens
-the file once and reads U_l into one buffer, sized for the largest
-layer, just before layer l runs in each decode block
-(``checkpoints.Readout``). It refuses the file, naming it, if its stamp
-is not the read's when it opens or after its last read. A bundle that
-holds U (training's, a full read's) decodes from views of it, to the
-same bits.
+nearly all of a dynamic checkpoint, each decoder layer l takes only its
+own rows U_l of it, and ``nets.lowrank_linear`` takes those one IN_BLOCK
+chunk of input columns at a time. So ``run_observer`` on an observer
+read opens the file once and, as layer l runs in each decode block,
+reads U_l chunk by chunk into one buffer sized for the largest layer's
+chunk (``checkpoints.Readout``). It refuses the file, naming it, if its
+stamp is not the read's when it opens or after its last read. A bundle
+that holds U (training's, a full read's) decodes from views of it, to
+the same bits.
 
 A test set is one ``TrajectorySet``: ``run_observer`` estimates all its
 runs into one run-major (count, N+1, n_x) array. The plain filter takes
@@ -50,11 +51,11 @@ regime by regime. Each regime's test set is built once, when its cells
 start (``regime_test_sets``); each cell loads its checkpoint bundle when
 it starts and drops it when it ends. So one test set and one
 checkpoint's arrays are alive at a time, and the peak is the largest
-bundle less its decoder-head readout, plus one layer's readout rows, one
-test set and one ``ROW_BLOCK`` decode, at any number of variants,
-regimes or test runs. The price is one checkpoint read per cell, and a
-dynamic cell's re-read of the readout, from the page cache, per decode
-block.
+bundle less its decoder-head readout, plus one IN_BLOCK chunk of one
+layer's readout rows, one test set and one ``ROW_BLOCK`` decode, at any
+number of variants, regimes or test runs. The price is one checkpoint
+read per cell, and a dynamic cell's re-read of the readout, from the
+page cache, per decode block.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import write_text
 from .checkpoints import CheckpointBundle
 from .config import REGIMES, TRANSIENT_FRACTION, defaults
 from .data import Dataset, generate_dataset, seed_ranges_overlap
@@ -124,7 +126,8 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     returns None and the decoder takes no delta, so those rows are the
     autonomous estimates, bit for bit. A bundle whose readout stayed in
     its file (``bundle.readout``) has the file opened once for the call,
-    and each decode block reads each layer's rows as the layer runs.
+    and each decode block reads each layer's rows, a chunk at a time, as
+    the layer runs.
     """
     if runs.outputs.shape[2] != bundle.obs.n_y:
         raise ContractViolation("trajectory output width does not match observer")
@@ -165,8 +168,9 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int,
     ``window_index`` window is nonzero, are decoded again with their
     weight deltas; their windows are gathered for this block only. Each
     layer's readout rows U_l are a view of the bundle's ψ when
-    ``read_rows`` is None, else ``read_rows(l)``, read from the bundle's
-    file just before the layer runs (``run_observer``).
+    ``read_rows`` is None, else ``read_rows(l)``, a chunk source that
+    reads them from the bundle's file as the layer runs
+    (``run_observer``).
     """
     maps = bundle.maps
     xhat = decode(maps, bundle.phi, zs)
@@ -204,15 +208,11 @@ class EvalReport:
     cells: list
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("system,variant,regime,rmse,smape,rmse_std,n,seed_lo,"
-                     "seed_hi\n")
-            for c in self.cells:
-                fh.write(
-                    f"{c.system},{c.variant},{c.regime},{c.rmse!r},"
-                    f"{c.smape!r},{c.rmse_std!r},{c.n},{c.seed_lo},"
-                    f"{c.seed_hi}\n"
-                )
+        write_text(path, "system,variant,regime,rmse,smape,rmse_std,n,"
+                   "seed_lo,seed_hi\n" + "".join(
+                       f"{c.system},{c.variant},{c.regime},{c.rmse!r},"
+                       f"{c.smape!r},{c.rmse_std!r},{c.n},{c.seed_lo},"
+                       f"{c.seed_hi}\n" for c in self.cells))
 
 
 def refuse_seed_overlap(bundle: CheckpointBundle, seed_range) -> None:

@@ -26,8 +26,10 @@ matrices, in layout order. Training and inference keep the factors:
 (``head_layer_rows``) and pairs each with s, and the MLP applies
 W x + Σ_r s_r (U_l,r x) through ``nets.lowrank_linear``, so no
 (B, total) delta or (B, o, i) weight is formed; eval may read each U_l
-from the checkpoint file just before its layer runs. ``generate_deltas``
-and ``delta_store`` give the dense form of the same perturbations.
+from the checkpoint file as its layer runs, one IN_BLOCK chunk of input
+columns at a time (a chunk source, ``nets.lowrank_linear``).
+``generate_deltas`` and ``delta_store`` give the dense form of the same
+perturbations.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def head_layer_rows(head: HeadSpec, maps_spec: MlpSpec, prefix: str):
     """The (first row, row count) of each layer's block U_l of the head's
     U, in layer order: the rows that map onto layer l's weight entries.
     The one rule for which U rows feed a layer; the observer read's
-    per-layer file spans (``checkpoints.Readout``) follow it too."""
+    per-layer file offsets (``checkpoints.Readout``) follow it too."""
     blocks, first = [], 0
     for i in range(maps_spec.n_layers):
         size = head.target_layout[f"{prefix}.W{i}"].size
@@ -228,9 +230,10 @@ def head_layer_deltas(psi, head: HeadSpec, maps_spec: MlpSpec, prefix: str,
     gate is 0 get s = 0.
 
     U_l is a view of psi's U, unless ``read_rows`` is given: then psi
-    holds no U, ``read_rows(l)`` returns layer l's block, and each layer
-    reads its block only when it runs. Such reads may share one buffer,
-    so the factors serve a plain forward only; a taped s is refused.
+    holds no U, ``read_rows(l)`` returns layer l's block, as an array or
+    as a chunk source (``nets.lowrank_linear``), and each layer reads its
+    block only when it runs. Such reads may share one buffer, so the
+    factors serve a plain forward only; a taped s is refused.
     """
     s = ad.mul(ad.matmul(context, transpose2d(psi.get(f"{head.name}.V"))),
                gates)

@@ -21,9 +21,13 @@ W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
 and s (B, r) per sample. ``lowrank_linear`` applies that as two GEMMs
 with a hand-written backward, so no (B, n_out, n_in) weight is formed.
 Forward and backward walk the same fixed chunks of IN_BLOCK input
-columns, the forward within fixed blocks of ROW_BLOCK rows: the
-forward's transients grow with neither the batch nor the weight's size,
-the backward's only with the batch. The LSTM on plain parameters runs
+columns, the forward chunk by chunk over fixed blocks of ROW_BLOCK rows:
+the forward's transients grow with neither the batch nor the weight's
+size, the backward's only with the batch. The forward needs one chunk
+of U_l at a time, so it also takes U_l as a chunk source that reads
+each chunk when it is wanted: eval's, which reads one IN_BLOCK chunk of
+one layer's readout from the checkpoint file at a time
+(``checkpoints.Readout``). The LSTM on plain parameters runs
 ROW_BLOCK windows at a time for the same reason, and eval's decode
 (``evaluation.run_observer``) ROW_BLOCK steps of a run at a time. The
 taped LSTM runs its forward on the whole batch, keeping only segment
@@ -156,6 +160,22 @@ def _in_chunks(n_in, rank):
         yield slice(i0, i1), slice(i0 * rank, i1 * rank)
 
 
+def _u_values(u, others):
+    """The values of u: u's array, or u itself if it is a chunk source.
+
+    A chunk source is a read-only object with u's (o·i, r) ``shape``
+    whose ``chunk(cols_r)`` returns the (o, |cols_r|) columns ``cols_r``
+    of u's (o, i·r) view u_r, the values of u_r[:, cols_r]. Its chunks
+    may share one buffer, so it is refused beside a taped input of
+    ``others``.
+    """
+    if not hasattr(u, "chunk"):
+        return ad.val(u)
+    if any(ad.is_var(a) for a in others):
+        raise ContractViolation("a readout read in chunks cannot be taped")
+    return u
+
+
 def lowrank_linear(x, w, u, s, out=None):
     """x Wᵀ with sample b's weight W + reshape(u s[b], (o, i)), unformed.
 
@@ -163,16 +183,22 @@ def lowrank_linear(x, w, u, s, out=None):
     entries in C order, and s (B, r) the per-sample coordinates. Computed
     as two GEMMs, x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r)
     and u_r the (o, i·r) view of u; no (B, o, i) weight exists. The
-    result is written into ``out`` when one is given.
+    result is written into ``out`` when one is given. u is an array,
+    taped or not, or a chunk source (``_u_values``), which no taped
+    input may join.
 
     Both passes walk the inputs IN_BLOCK columns at a time: columns
     [i0, i1) of x own columns [i0·r, i1·r) of P and of u_r, a strided
-    view that BLAS takes as it is. The forward, taped or not, adds
-    P[rows, chunk] u_r[:, chunk]ᵀ into out[rows] chunk by chunk within
-    each block of ROW_BLOCK rows, so its transient is ROW_BLOCK·IN_BLOCK·r
-    floats whatever B and i are. The backward is ``_linear_grads``.
+    view that BLAS takes as it is. The forward, taped or not, takes each
+    chunk of u_r once and, for each block of ROW_BLOCK rows, adds
+    P[rows, chunk] u_r[:, chunk]ᵀ into out[rows]: each block gets the
+    GEMMs, of the same shapes and in the same chunk order, that a loop
+    over blocks outside the chunks gives it, so the bits do not depend
+    on the loop order. Its transient is ROW_BLOCK·IN_BLOCK·r floats
+    whatever B and i are. The backward is ``_linear_grads``.
     """
-    xv, wv, uv, sv = (ad.val(a) for a in (x, w, u, s))
+    xv, wv, sv = (ad.val(a) for a in (x, w, s))
+    uv = _u_values(u, (x, w, s))
     batch, n_in = xv.shape
     n_out, rank = wv.shape[0], sv.shape[1]
     if uv.shape != (n_out * n_in, rank) or sv.shape[0] != batch:
@@ -180,12 +206,20 @@ def lowrank_linear(x, w, u, s, out=None):
             f"low-rank factors {uv.shape} and {sv.shape} do not fit a "
             f"({n_out}, {n_in}) weight on {batch} samples"
         )
-    u_r = uv.reshape(n_out, n_in * rank)
+    if hasattr(uv, "chunk"):
+        chunk = uv.chunk
+    else:
+        u_r = uv.reshape(n_out, n_in * rank)
+
+        def chunk(cols_r):
+            return u_r[:, cols_r]
+
     out = np.matmul(xv, wv.T, out=out)
-    for lo in range(0, batch, ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        for cols, cols_r in _in_chunks(n_in, rank):
-            out[rows] += _outer(xv[rows, cols], sv[rows]) @ u_r[:, cols_r].T
+    for cols, cols_r in _in_chunks(n_in, rank):
+        u_chunk = chunk(cols_r)
+        for lo in range(0, batch, ROW_BLOCK):
+            rows = slice(lo, lo + ROW_BLOCK)
+            out[rows] += _outer(xv[rows, cols], sv[rows]) @ u_chunk.T
     inputs = (x, w, u, s)
     taped = [ad.is_var(a) for a in inputs]
     if not any(taped):
@@ -331,7 +365,8 @@ def _mlp_layer(x, n, w, b, factors, squash):
     derivative 1 − y² at the value rows when ``squash``. ``factors``, a
     (u, s) pair or None, gives every row block its sample's low-rank
     weight through ``lowrank_linear``, run once on the value rows and
-    once on the tangent rows.
+    once on the tangent rows; u may be a chunk source, which no taped
+    input may join.
 
     The result is written in place in the order x[:n] Wᵀ, + b, tanh,
     x[n:] Wᵀ, · (1 − y²): the operations of the chain of tape primitives
@@ -345,7 +380,8 @@ def _mlp_layer(x, n, w, b, factors, squash):
     """
     u, s = factors or (None, None)
     xv, wv, bv = (ad.val(a) for a in (x, w, b))
-    uv, sv = (None, None) if factors is None else (ad.val(u), ad.val(s))
+    uv, sv = (None, None) if factors is None else (
+        _u_values(u, (x, w, b, s)), ad.val(s))
     rows = len(xv)
     values, tangent = slice(0, n), slice(n, rows)
 
@@ -409,7 +445,8 @@ def mlp_forward(params, spec: MlpSpec, x, prefix: str, weight_deltas=None):
     """Forward pass over a (B, n_in) batch; one sample is a (1, n_in) row.
 
     ``weight_deltas`` is an optional per-layer list of ``(U_l, s)``
-    factors or None: layer l of sample b then uses the weight
+    factors or None (U_l an array or a chunk source, ``lowrank_linear``):
+    layer l of sample b then uses the weight
     W_l + reshape(U_l s[b], (n_out, n_in)), applied by lowrank_linear
     without forming it (biases stay shared).
     """

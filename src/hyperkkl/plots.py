@@ -3,13 +3,15 @@
 No plotting dependency: panels are rectangles, series are <polyline>
 elements (one per state coordinate per series), plus an input-trace
 panel at the bottom. Output is deterministic: identical inputs give
-identical bytes.
+identical bytes, which replace the file at the path only once they are
+all written (``binfile.write_text``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .binfile import write_text
 from .errors import ContractViolation
 
 PANEL_W = 760
@@ -106,8 +108,7 @@ def svg_timeseries(path, times, truth, estimate, inputs=None, title="") -> None:
         f'font-family="sans-serif" font-size="10">t = {_fmt(t[-1])}</text>'
     )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def plot_name(system: str, variant: str, regime: str) -> str:

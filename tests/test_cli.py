@@ -1556,12 +1556,13 @@ def announced(*args, **kwargs):
 training.phase1_train = announced
 """
 
-# A 1 MiB limit on the size of any file the child writes; past it a
-# write fails with EFBIG rather than end the process.
-FILE_LIMIT = """
+def file_limit(size):
+    """A limit of ``size`` bytes on any file the child writes; past it a
+    write fails with EFBIG rather than end the process."""
+    return f"""
 import resource
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-resource.setrlimit(resource.RLIMIT_FSIZE, (2**20, 2**20))
+resource.setrlimit(resource.RLIMIT_FSIZE, ({size}, {size}))
 """
 
 
@@ -1605,7 +1606,41 @@ class TestProcessEnds:
         path = out / "duffing_phase1.hkkp"
         good = path.read_bytes()
         assert len(good) > 2**20
-        child = spawn(FILE_LIMIT, *argv, "--seed", "4", cwd=tmp_path)
+        child = spawn(file_limit(2**20), *argv, "--seed", "4", cwd=tmp_path)
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 4
+        assert err == "i/o failure: [Errno 27] File too large\n"
+        assert path.read_bytes() == good
+        assert not [p for p in out.iterdir() if p.suffix == ".partial"]
+
+    def test_a_failed_overwrite_keeps_the_loss_csv(self, gen_dir, tmp_path):
+        # the 1.7 KB checkpoint fits under the limit, the 22 KB loss CSV
+        # of 200 epochs does not
+        out = tmp_path / "ck"
+        argv = phase1_argv(gen_dir, out, "--epochs", "200", "--hidden", "4,4")
+        assert run(*argv, "--seed", "3") == 0
+        path = out / "duffing_phase1_loss.csv"
+        good = path.read_bytes()
+        assert (out / "duffing_phase1.hkkp").stat().st_size < 8192 < len(good)
+        child = spawn(file_limit(8192), *argv, "--seed", "4", cwd=tmp_path)
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 4
+        assert err == "i/o failure: [Errno 27] File too large\n"
+        assert path.read_bytes() == good
+        assert not [p for p in out.iterdir() if p.suffix == ".partial"]
+
+    def test_a_failed_overwrite_keeps_the_eval_report(self, trained,
+                                                      tmp_path):
+        out = tmp_path / "eval"
+        argv = ("eval", "--system", "duffing", "--checkpoint",
+                f"autonomous={trained['base']}", "--regimes",
+                "zero,constant,sinusoid", "--n", "1", "--horizon", "1.0",
+                "--out", str(out))
+        assert run(*argv, "--seed", "9000") == 0
+        path = out / "duffing_report.csv"
+        good = path.read_bytes()
+        assert len(good) > 300
+        child = spawn(file_limit(300), *argv, "--seed", "9100", cwd=tmp_path)
         _, err = child.communicate(timeout=120)
         assert child.returncode == 4
         assert err == "i/o failure: [Errno 27] File too large\n"

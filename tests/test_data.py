@@ -53,6 +53,7 @@ from hyperkkl.kkl import (
     make_maps,
     simulate_latent,
 )
+from hyperkkl.nets import IN_BLOCK
 from hyperkkl.signals import InputSignal, sample_signal, window_matrix
 
 DATA = Path(__file__).parent / "data"
@@ -612,10 +613,19 @@ def build_bundle(variant):
 
 def streamed_readout(lean, full):
     """Each decoder layer's U rows as the observer read ``lean`` streams
-    them from its file, copied, after checking that in layer order they
-    are the U of the full read ``full``."""
+    them from its file, assembled from their IN_BLOCK chunks of input
+    columns, after checking that in layer order they are the U of the
+    full read ``full``."""
+    widths, rank = lean.maps.dec.widths, lean.readout.rank
+    rows = []
     with lean.readout.layers() as read:
-        rows = [read(layer).copy() for layer in range(len(lean.readout.spans))]
+        for layer, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+            source = read(layer)
+            assert source.shape == (n_out * n_in, rank)
+            chunks = [source.chunk(slice(i0 * rank,
+                                         min(i0 + IN_BLOCK, n_in) * rank)).copy()
+                      for i0 in range(0, n_in, IN_BLOCK)]
+            rows.append(np.concatenate(chunks, axis=1).reshape(-1, rank))
     assert np.array_equal(np.concatenate(rows),
                           full.params.get("hyper.dec_head.U"))
     return rows

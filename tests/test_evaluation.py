@@ -44,7 +44,7 @@ from hyperkkl.kkl import (
     decode,
     make_maps,
 )
-from hyperkkl.nets import ROW_BLOCK
+from hyperkkl.nets import IN_BLOCK, ROW_BLOCK
 
 
 class TestMetrics:
@@ -245,11 +245,12 @@ class TestRunObserver:
         # 4 KiB of slack for the interpreter's own bookkeeping
         assert extra[8 * ROW_BLOCK] <= extra[2 * ROW_BLOCK] + 4096
 
-    def test_a_streamed_readout_holds_one_layer_of_rows(self, tmp_path):
+    def test_a_streamed_readout_holds_one_chunk_of_rows(self, tmp_path):
         # At 350-wide maps two of the decoder's four layers hold 350·350
         # readout rows each. The bundle in memory holds all of U before
         # the call; the observer read holds none, and its decode may
-        # peak above the in-memory one's by one layer's rows only.
+        # peak above the in-memory one's by one IN_BLOCK chunk of one
+        # layer's rows only.
         bundle = observer_bundles(["dynamic"], hidden=(350, 350, 350),
                                   system="lorenz")["dynamic"]
         path = tmp_path / "ck.hkkp"
@@ -262,10 +263,12 @@ class TestRunObserver:
         held, held_peak = traced_peak(run_observer, bundle, runs)
         streamed, peak = traced_peak(run_observer, lean, runs)
         assert np.array_equal(streamed, held)
-        layer = 8 * max(count for _, count in lean.readout.spans)
-        assert layer <= 0.51 * bundle.params.get(STREAMED).nbytes
-        # 64 KiB for the open file and its reader
-        assert peak <= held_peak + layer + 2**16
+        widths, rank = bundle.maps.dec.widths, bundle.spec.dec_head.rank
+        chunk = 8 * max(widths[1:]) * IN_BLOCK * rank
+        layer = 8 * max(o * i for i, o in zip(widths, widths[1:])) * rank
+        assert 20 * chunk <= layer
+        # 64 KiB for the open file, its reader and a chunk's spans
+        assert peak <= held_peak + chunk + 2**16
 
     @pytest.mark.parametrize("variant", ["dynamic", "static"])
     def test_zero_input_recovery_bitwise(self, variant):

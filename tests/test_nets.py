@@ -601,6 +601,77 @@ class TestLowRankLinear:
         with pytest.raises(ContractViolation, match="low-rank factors"):
             lowrank_linear(vals["x"], vals["w"], vals["u"][:-1], vals["s"])
 
+    # n_in is no multiple of IN_BLOCK and the batch spans three row
+    # blocks, so the chunk-outer loop crosses row blocks and a short chunk
+    CHUNKED = {"batch": 2 * ROW_BLOCK + 7, "n_in": 2 * IN_BLOCK + 5,
+               "n_out": 9, "rank": 3}
+
+    def test_a_chunk_source_gives_the_array_bits(self):
+        vals = lowrank_inputs(np.random.default_rng(30), **self.CHUNKED)
+        x, w, u, s = (vals[n] for n in self.NAMES)
+        out = lowrank_linear(x, w, ChunkSource(u, len(w)), s)
+        assert np.array_equal(out, lowrank_linear(x, w, u, s))
+        assert np.array_equal(out, row_outer_lowrank_linear(x, w, u, s))
+
+    def test_a_chunk_source_is_read_once_per_chunk_in_order(self):
+        vals = lowrank_inputs(np.random.default_rng(31), **self.CHUNKED)
+        source = ChunkSource(vals["u"], len(vals["w"]))
+        lowrank_linear(vals["x"], vals["w"], source, vals["s"])
+        n_in, rank = self.CHUNKED["n_in"], self.CHUNKED["rank"]
+        assert source.asked == [
+            slice(i0 * rank, min(i0 + IN_BLOCK, n_in) * rank)
+            for i0 in range(0, n_in, IN_BLOCK)]
+
+    @pytest.mark.parametrize("taped", ["x", "w", "b", "s"])
+    def test_a_chunk_source_refuses_a_tape(self, taped):
+        # its chunks share one buffer, which a backward would read
+        vals = lowrank_inputs(np.random.default_rng(32))
+        vals["b"] = np.zeros(len(vals["w"]))
+        source = ChunkSource(vals["u"], len(vals["w"]))
+        args = {**vals, "u": source, taped: ad.Var(vals[taped])}
+        with pytest.raises(ContractViolation, match="cannot be taped"):
+            _mlp_layer(args["x"], len(vals["x"]), args["w"], args["b"],
+                       (source, args["s"]), True)
+        if taped != "b":
+            with pytest.raises(ContractViolation, match="cannot be taped"):
+                lowrank_linear(*(args[n] for n in self.NAMES))
+        assert source.asked == []
+
+
+class ChunkSource:
+    """u as a chunk source for lowrank_linear: it records the columns of
+    u_r each call asks for and returns them in one reused buffer, as
+    eval's file reader does."""
+
+    def __init__(self, u, n_out):
+        self.shape = u.shape
+        self.u_r = u.reshape(n_out, -1)
+        self.buf = np.empty(n_out * IN_BLOCK * u.shape[1])
+        self.asked = []
+
+    def chunk(self, cols_r):
+        self.asked.append(cols_r)
+        n_out = len(self.u_r)
+        got = self.buf[:n_out * (cols_r.stop - cols_r.start)].reshape(n_out, -1)
+        got[...] = self.u_r[:, cols_r]
+        return got
+
+
+def row_outer_lowrank_linear(x, w, u, s):
+    """lowrank_linear's forward with the loops the other way round: each
+    block of ROW_BLOCK rows adds its IN_BLOCK chunks' products in turn."""
+    (n_out, n_in), rank = w.shape, s.shape[1]
+    u_r = u.reshape(n_out, n_in * rank)
+    out = x @ w.T
+    for lo in range(0, len(x), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        for i0 in range(0, n_in, IN_BLOCK):
+            i1 = min(i0 + IN_BLOCK, n_in)
+            p = (x[rows, i0:i1, None] * s[rows, None, :]).reshape(
+                len(x[rows]), -1)
+            out[rows] += p @ u_r[:, i0 * rank:i1 * rank].T
+    return out
+
 
 def without_u(store):
     """A gradient buffer with no room for U, so U's leaf keeps factors."""
