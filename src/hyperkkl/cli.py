@@ -34,6 +34,8 @@ handles alike once the settings resolve; each prints one line. A file a
 command writes (a checkpoint, dataset, CSV, SVG or report; the manifest
 is appended to) replaces the one at its path only once it is complete
 (``binfile.replacing``), so a failed or interrupted write keeps it.
+``train`` replaces its checkpoint and loss CSV as a pair: a failure in
+either write keeps both old files.
 A training run that ends in a numeric abort writes no checkpoint, but
 its manifest record (``status`` "aborted", with the epoch and the
 reason) still goes to the output directory. Every ``train`` record,
@@ -97,12 +99,10 @@ def _epoch_seconds(rows) -> dict:
             "total": sum(times)}
 
 
-def _write_loss_csv(path, rows) -> None:
-    from .binfile import write_text
-
-    write_text(path, "epoch,loss_rec,loss_pde,grad_norm,level\n" + "".join(
+def _loss_csv(rows) -> bytes:
+    return ("epoch,loss_rec,loss_pde,grad_norm,level\n" + "".join(
         f"{r.epoch},{r.loss_rec!r},{r.loss_pde!r},{r.grad_norm!r},"
-        f"{r.level}\n" for r in rows))
+        f"{r.level}\n" for r in rows)).encode()
 
 
 def cmd_gen(args, s):
@@ -177,6 +177,7 @@ def cmd_train(args, s):
     if args.base is not None and args.phase == "1":
         raise ConfigError("--phase 1 trains from scratch and takes no --base")
     from . import training
+    from .binfile import replacing
     from .checkpoints import (CONDITIONING, CheckpointBundle, file_stamp,
                               read_checkpoint, write_checkpoint)
     from .dynamics import get_system
@@ -274,9 +275,14 @@ def cmd_train(args, s):
         bundle.theta = _base_theta(args.base, stamp)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / f"{stem}.hkkp"
-    write_checkpoint(bundle, ckpt_path)
     loss_path = out_dir / f"{stem}_loss.csv"
-    _write_loss_csv(loss_path, result.log)
+    # the pair is replaced together: the loss CSV is staged and flushed,
+    # so its write has failed or succeeded, before the checkpoint is
+    # written, and it takes its path only once the checkpoint has
+    with replacing(loss_path) as fh:
+        fh.write(_loss_csv(result.log))
+        fh.flush()
+        write_checkpoint(bundle, ckpt_path)
     print(f"wrote {ckpt_path}")
     return run._replace(outputs=[ckpt_path, loss_path])
 

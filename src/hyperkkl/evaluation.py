@@ -1,9 +1,10 @@
 """Observer evaluation: run a variant over held-out trajectories and
 score it with RMSE and SMAPE after a transient discard.
 
-All variants drive the same latent filter with the measured output; they
-differ in how the latent state is decoded and whether the latent
-dynamics carry an input-conditioned drive:
+All variants drive the same latent filter with the measured output, the
+plain numpy ``kkl.simulate_latent`` (eval tapes nothing); they differ in
+how the latent state is decoded and whether the latent dynamics carry an
+input-conditioned drive:
 
     autonomous / curriculum: plain latent filter, fixed decoder
     static:  latent filter plus gated injection, fixed decoder
@@ -35,11 +36,11 @@ runs into one run-major (count, N+1, n_x) array. The plain filter takes
 the set's runs as one time-major block, each run's column bit for bit
 its run filtered alone; the static filter, which calls the injection at
 every step, steps each run alone as a count-1 block of one (1, n_z) row,
-as training does. The decode is run by run and, within a run, in blocks
-of ``nets.ROW_BLOCK`` steps: each block's rows go through the decoder
-(and, for the dynamic variant, its live windows through the LSTM, the
-gates and the decoder head) alone, so a decode's transients grow with
-ROW_BLOCK, not with the run length. OpenBLAS results depend on a GEMM's
+as static training's taped rollout does. The decode is run by run and,
+within a run, in blocks of ``nets.ROW_BLOCK`` steps: each block's rows
+go through the decoder (and, for the dynamic variant, its live windows
+through the LSTM, the gates and the decoder head) alone, so a decode's
+transients grow with ROW_BLOCK, not with the run length. OpenBLAS results depend on a GEMM's
 row count, so the block rule is part of the estimates' bits: a run's
 estimates are those of its steps decoded ROW_BLOCK at a time from step
 0, whatever the run's length or the set it is in. Metrics discard the

@@ -312,9 +312,13 @@ def init_injection_params(spec: InjectionSpec, seed: int) -> ParamStore:
 
 
 def make_step_injection(xi, spec: InjectionSpec, u_seq):
-    """Per-step injection callable for simulate_latent: step k reads
-    sample k of the (N+1, m) input sequence ``u_seq``, and the step size
-    is the filter's own, so none is taken here.
+    """Per-step injection ``(z, k)`` callable for the latent filter: step
+    k reads sample k of the (N+1, m) input sequence ``u_seq``, and the
+    step size is the filter's own, so none is taken here. With a
+    ``ParamStore`` ξ it returns arrays, for the plain
+    ``kkl.simulate_latent`` (eval); with ``ParamVars`` it returns tape
+    nodes, for the static training rollout, which calls it at the
+    run's absolute step.
 
     Encodes the ``window_matrix`` rows of u_seq, one spec.window-long
     window per sample, through ``encode_context``; the returned callable

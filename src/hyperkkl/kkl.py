@@ -186,28 +186,22 @@ def encode_with_jacobian(maps: KklMaps, theta, x, tangent, weight_deltas=None):
     )
 
 
-def simulate_latent_nodes(
-    obs: ObserverMatrices,
-    y_seq,
-    dt: float,
-    injection=None,
-    stacked: bool = False,
-):
-    """RK4 integration of the latent observer from z = 0, returning
-    per-step nodes.
+def simulate_latent_nodes(obs: ObserverMatrices, y_seq, dt: float,
+                          injection=None) -> np.ndarray:
+    """RK4 integration of the latent observer from z = 0: the states as
+    one (N+1, count, n_z) array, in plain numpy.
 
     z' = A z + B y_k (+ injection(z, k)), with y held constant over each
-    step (zero-order hold); an injection returning None adds nothing.
+    step (zero-order hold); the injection takes the (count, n_z) state
+    and the step and returns an array, or None to add nothing.
     ``y_seq`` is a time-major (N+1, count, n_y) block of runs on one
     grid, stepped as one (count, n_z) array; one run is a count-1 block
     (``y[:, None]``). The shipped A is diagonal and n_y is 1, so each
     column is bit for bit its run filtered alone; a non-finite state in
-    any run raises at that step. Elements are Vars when the injection
-    closes over tape leaves, plain arrays otherwise. With ``stacked``
-    each step's state is written into one preallocated (N+1, count, n_z)
-    array, which is returned: no per-step list is kept and B y_k is
-    formed a step at a time, so the run holds its output and O(1) more
-    per step. Taped callers take the list.
+    any run raises at that step. Each step's state is written into the
+    preallocated output and B y_k is formed a step at a time, so the run
+    holds its output and O(1) more per step. Nothing is taped: static
+    training tapes its own copy (``training._segment_nodes``).
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
@@ -215,46 +209,32 @@ def simulate_latent_nodes(
     if y.ndim != 3 or y.shape[2] != obs.n_y:
         raise ContractViolation(
             f"y must be an (N+1, count, {obs.n_y}) block, got shape {y.shape}")
-    n_steps = len(y) - 1
     a_t, b_t = obs.A.T, obs.B.T
-
     z = np.zeros((y.shape[1], obs.n_z))
-    if stacked:
-        zs = np.empty((len(y), *z.shape))
-        zs[0] = z
-    else:
-        zs = [z]
-
-    for k in range(n_steps):
+    zs = np.empty((len(y), *z.shape))
+    zs[0] = z
+    for k in range(len(y) - 1):
         by = y[k] @ b_t
 
         def deriv(zz):
-            dz = ad.add(ad.matmul(zz, a_t), by)
-            if injection is not None:
-                inj = injection(zz, k)
-                if inj is not None:
-                    dz = ad.add(dz, inj)
-            return dz
+            dz = zz @ a_t + by
+            inj = None if injection is None else injection(zz, k)
+            return dz if inj is None else dz + inj
 
         k1 = deriv(z)
-        k2 = deriv(ad.add(z, ad.mul(k1, 0.5 * dt)))
-        k3 = deriv(ad.add(z, ad.mul(k2, 0.5 * dt)))
-        k4 = deriv(ad.add(z, ad.mul(k3, dt)))
-        incr = ad.add(ad.add(k1, ad.mul(ad.add(k2, k3), 2.0)), k4)
-        z = ad.add(z, ad.mul(incr, dt / 6.0))
-        zv = ad.val(z)
-        if not np.all(np.isfinite(zv)):
+        k2 = deriv(z + k1 * (0.5 * dt))
+        k3 = deriv(z + k2 * (0.5 * dt))
+        k4 = deriv(z + k3 * dt)
+        z = z + (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0)
+        if not np.all(np.isfinite(z)):
             raise NumericError(f"latent state became non-finite at step {k + 1}")
-        if stacked:
-            zs[k + 1] = zv
-        else:
-            zs.append(z)
+        zs[k + 1] = z
     return zs
 
 
-def simulate_latent(obs, y_seq, dt, **kwargs) -> np.ndarray:
-    """simulate_latent_nodes' states as one (N+1, count, n_z) array."""
-    return simulate_latent_nodes(obs, y_seq, dt, stacked=True, **kwargs)
+def simulate_latent(obs, y_seq, dt, injection=None) -> np.ndarray:
+    """The latent filter's states: ``simulate_latent_nodes``."""
+    return simulate_latent_nodes(obs, y_seq, dt, injection)
 
 
 def _stationary_residual_vec(obs, system, x, f_scale, t_out, jf, fd_term):

@@ -1615,18 +1615,21 @@ class TestProcessEnds:
 
     def test_a_failed_overwrite_keeps_the_loss_csv(self, gen_dir, tmp_path):
         # the 1.7 KB checkpoint fits under the limit, the 22 KB loss CSV
-        # of 200 epochs does not
+        # of 200 epochs does not; the two are replaced as a pair, so the
+        # old checkpoint stays beside the old CSV
         out = tmp_path / "ck"
         argv = phase1_argv(gen_dir, out, "--epochs", "200", "--hidden", "4,4")
         assert run(*argv, "--seed", "3") == 0
         path = out / "duffing_phase1_loss.csv"
-        good = path.read_bytes()
-        assert (out / "duffing_phase1.hkkp").stat().st_size < 8192 < len(good)
+        ckpt = out / "duffing_phase1.hkkp"
+        good, good_ckpt = path.read_bytes(), ckpt.read_bytes()
+        assert len(good_ckpt) < 8192 < len(good)
         child = spawn(file_limit(8192), *argv, "--seed", "4", cwd=tmp_path)
         _, err = child.communicate(timeout=120)
         assert child.returncode == 4
         assert err == "i/o failure: [Errno 27] File too large\n"
         assert path.read_bytes() == good
+        assert ckpt.read_bytes() == good_ckpt
         assert not [p for p in out.iterdir() if p.suffix == ".partial"]
 
     def test_a_failed_overwrite_keeps_the_eval_report(self, trained,

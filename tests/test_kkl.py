@@ -6,10 +6,15 @@ import pytest
 from conftest import oracle_latent, traced_peak
 
 import hyperkkl.autodiff as ad
-from hyperkkl import nets
+from hyperkkl import kkl, nets
 from hyperkkl.data import generate_dataset
 from hyperkkl.dynamics import SystemSpec, duffing, lorenz, simulate, van_der_pol
 from hyperkkl.errors import ContractViolation, NumericError
+from hyperkkl.hypernet import (
+    build_injection_spec,
+    init_injection_params,
+    make_step_injection,
+)
 from hyperkkl.kkl import (
     KklMaps,
     ObserverMatrices,
@@ -26,11 +31,11 @@ from hyperkkl.kkl import (
     make_maps,
     reconstruction_loss,
     simulate_latent,
-    simulate_latent_nodes,
     verify_observer,
 )
 from hyperkkl.nets import MlpSpec
 from hyperkkl.params import ParamStore, ParamVars
+from hyperkkl.training import _segment_nodes
 
 
 def elimination_rank(mat, tol=1e-9):
@@ -208,11 +213,52 @@ class TestSimulateLatent:
                 NumericError, match="non-finite at step 5"):
             simulate_latent(obs, y, 0.05)
 
-    def test_stacked_states_are_the_listed_nodes_bitwise(self):
-        obs = build_observer_matrices(3, 1)
-        y = np.random.default_rng(5).normal(size=(301, 6, 1))
-        assert np.array_equal(simulate_latent(obs, y, 0.05),
-                              np.stack(simulate_latent_nodes(obs, y, 0.05)))
+    def test_taped_segment_nodes_are_the_plain_states_bitwise(self):
+        # static training tapes its own latent rollout of a segment from
+        # step k0, calling the injection at the run's absolute step; its
+        # node values are the plain filter's states, whether the injection
+        # reads a ParamStore (plain arrays) or ParamVars (tape nodes)
+        obs = build_observer_matrices(2, 1)
+        spec = build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
+                                    mlp_hidden=(5,))
+        rng = np.random.default_rng(5)
+        xi = init_injection_params(spec, 0)
+        xi.data[:] = rng.normal(size=xi.data.shape) * 0.3
+        y = rng.normal(size=(61, 1, 1))
+        u = np.zeros((61, 1))
+        u[20:, 0] = np.sin(0.3 * np.arange(41)) + 0.5  # zero windows first
+        k0, seg = 7, 40
+        inject = make_step_injection(xi, spec, u)
+        plain = simulate_latent(obs, y[k0 : k0 + seg + 1], 0.05,
+                                injection=lambda z, k: inject(z, k0 + k))
+        untaped = _segment_nodes(obs, y[k0 : k0 + seg + 1], 0.05, inject, k0)
+        assert not any(ad.is_var(z) for z in untaped)
+        assert np.array_equal(np.stack(untaped), plain)
+        pv = ParamVars(xi)
+        taped = _segment_nodes(obs, y[k0 : k0 + seg + 1], 0.05,
+                               make_step_injection(pv, spec, u), k0)
+        assert [ad.is_var(z) for z in taped] == [False] * 14 + [True] * 27
+        assert np.array_equal(np.stack([ad.val(z) for z in taped]), plain)
+        tail = ad.concat(taped[-5:])
+        ad.backward(ad.sum_all(ad.mul(tail, tail)))
+        assert np.any(pv.grads().data != 0.0)
+
+    def test_the_plain_filter_makes_no_autodiff_call(self, monkeypatch):
+        obs = build_observer_matrices(2, 1)
+        y = np.random.default_rng(6).normal(size=(41, 3, 1))
+        gain = np.linspace(-1.0, 1.0, obs.n_z)
+        injection = lambda z, k: np.tanh(z) * gain * y[k]  # noqa: E731
+        expected = [simulate_latent(obs, y, 0.05),
+                    simulate_latent(obs, y, 0.05, injection=injection)]
+
+        def tape_call(*args, **kwargs):
+            raise AssertionError("the plain latent filter called autodiff")
+
+        for name in ("add", "mul", "matmul", "val"):
+            monkeypatch.setattr(kkl.ad, name, tape_call)
+        assert np.array_equal(simulate_latent(obs, y, 0.05), expected[0])
+        assert np.array_equal(
+            simulate_latent(obs, y, 0.05, injection=injection), expected[1])
 
     def test_plain_filter_holds_its_output_and_o1_per_step(self):
         # each state goes straight into the stacked output and B y_k is

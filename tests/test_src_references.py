@@ -16,6 +16,9 @@ A second census holds every function, method and lambda in src to read
 each parameter it declares: one that nothing reads is a caller's
 argument that changes nothing. Its allow-list, PARAMETERS_ALLOWED, is
 empty.
+
+A third holds the functions in UNTAPED to name no ``autodiff``
+function: the plain latent filter stays plain numpy.
 """
 
 import ast
@@ -142,3 +145,27 @@ def unread_parameters() -> set:
 
 def test_src_reads_every_parameter_it_declares():
     assert unread_parameters() == set(PARAMETERS_ALLOWED)
+
+
+# Functions that must tape nothing, with the reason: (module, function).
+# Static training differentiates through its own latent rollout
+# (``training._segment_nodes``); the plain filter that eval and the
+# training labels run names no ``autodiff`` primitive.
+UNTAPED = {
+    ("kkl", "simulate_latent_nodes"): "the plain latent filter",
+    ("kkl", "simulate_latent"): "the plain latent filter's entry point",
+}
+
+
+def taped_names(module, name) -> set:
+    """The ``autodiff`` names that function ``module.name`` reads."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, FUNCTIONS) and node.name == name)
+    return {ref for (mod, ref) in _referenced(fn, module, _bindings(tree))
+            if mod == "autodiff"}
+
+
+def test_the_plain_latent_filter_names_no_autodiff_function():
+    for (module, name), reason in UNTAPED.items():
+        assert taped_names(module, name) == set(), f"{reason} tapes"
