@@ -36,16 +36,18 @@ runs into one run-major (count, N+1, n_x) array. The plain filter takes
 the set's runs as one time-major block, each run's column bit for bit
 its run filtered alone; the static filter, which calls the injection at
 every step, steps each run alone as a count-1 block of one (1, n_z) row,
-as static training's taped rollout does. The decode is run by run and,
-within a run, in blocks of ``nets.ROW_BLOCK`` steps: each block's rows
+as static training's taped rollout does, and encodes the run's input
+contexts one block of ``nets.ROW_BLOCK`` steps at a time as the filter
+reaches them (``hypernet.make_step_injection``). The decode is run by
+run and, within a run, in blocks of ROW_BLOCK steps: each block's rows
 go through the decoder (and, for the dynamic variant, its live windows
-through the LSTM, the gates and the decoder head) alone, so a decode's
-transients grow with ROW_BLOCK, not with the run length. OpenBLAS results depend on a GEMM's
-row count, so the block rule is part of the estimates' bits: a run's
-estimates are those of its steps decoded ROW_BLOCK at a time from step
-0, whatever the run's length or the set it is in. Metrics discard the
-first 5% of each trajectory by default and average per-trajectory values
-across the test set.
+through the LSTM, the gates and the decoder head) alone, so neither the
+static filter's nor a decode's transients grow with the run length.
+OpenBLAS results depend on a GEMM's row count, so the block rule is
+part of the estimates' bits: a run's estimates are those of its steps
+decoded ROW_BLOCK at a time from step 0, whatever the run's length or
+the set it is in. Metrics discard the first 5% of each trajectory by
+default and average per-trajectory values across the test set.
 
 Memory model of a grid (``benchmark``, and ``plot``): the grid walks
 regime by regime. Each regime's test set is built once, when its cells
@@ -53,8 +55,10 @@ start (``regime_test_sets``); each cell loads its checkpoint bundle when
 it starts and drops it when it ends. So one test set and one
 checkpoint's arrays are alive at a time, and the peak is the largest
 bundle less its decoder-head readout, plus one IN_BLOCK chunk of one
-layer's readout rows, one test set and one ``ROW_BLOCK`` decode, at any
-number of variants, regimes or test runs. The price is one checkpoint
+layer's readout rows, one test set, one run's latent states and one
+``ROW_BLOCK`` block of a static filter's contexts or of a decode (its
+windows dropped once the LSTM has read them), at any number of
+variants, regimes, test runs or steps. The price is one checkpoint
 read per cell, and a dynamic cell's re-read of the readout, from the
 page cache, per decode block.
 """
@@ -80,7 +84,7 @@ from .hypernet import (
 )
 from .kkl import DEC, decode, simulate_latent
 from .nets import ROW_BLOCK
-from .signals import window_index
+from .signals import window_matrix
 
 _DEFAULT = defaults("eval")  # each default is its config.SETTINGS row's
 
@@ -166,7 +170,7 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int,
     Every row is first decoded plainly, as one block: the autonomous
     variant's decode of the same block, so rows of zero windows keep its
     bits. For the dynamic variant the block's live steps, those whose
-    ``window_index`` window is nonzero, are decoded again with their
+    ``window_matrix`` window is nonzero, are decoded again with their
     weight deltas; their windows are gathered for this block only. Each
     layer's readout rows U_l are a view of the bundle's ψ when
     ``read_rows`` is None, else ``read_rows(l)``, a chunk source that
@@ -177,13 +181,13 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int,
     xhat = decode(maps, bundle.phi, zs)
     if bundle.variant == "dynamic":
         spec, psi = bundle.spec, bundle.params
-        ends = np.arange(lo, lo + len(zs))
-        windows = u[window_index(ends, spec.window)]
+        windows = window_matrix(u, spec.window, lo, lo + len(zs))
         gates = gate_values(windows, spec.tau)
         live = gates[:, 0] != 0.0
         if np.any(live):
             # only the decoder head is read
             context = encode_context(psi, spec, windows[live])
+            del windows
             factors = head_layer_deltas(psi, spec.dec_head, maps.dec,
                                         DEC, context, gates[live], read_rows)
             xhat[live] = decode(maps, bundle.phi, zs[live],

@@ -44,6 +44,7 @@ from .config import defaults
 from .errors import ContractViolation
 from .kkl import DEC, ENC, KklMaps, decoder_layout, encoder_layout
 from .nets import (
+    ROW_BLOCK,
     LstmSpec,
     MlpSpec,
     init_lstm,
@@ -320,26 +321,46 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq):
     nodes, for the static training rollout, which calls it at the
     run's absolute step.
 
-    Encodes the ``window_matrix`` rows of u_seq, one spec.window-long
-    window per sample, through ``encode_context``; the returned callable
-    evaluates the injection MLP at the (1, n_z + d_h) row [z, context_k]
-    for a (1, n_z) latent row z. Steps whose window is identically zero
-    short-circuit to None, so the latent update is the autonomous one,
-    bit for bit; on an all-zero input nothing is encoded and every step
-    is autonomous.
+    The steps come in blocks: ``nets.ROW_BLOCK`` steps from step 0 for a
+    plain ξ, the whole run for a taped one. A block's ``window_matrix``
+    windows, their gates and their contexts (``encode_context``) are
+    built when a step of the block is first asked for, and only one
+    block is held: block 0 before this returns, each later one as the
+    filter reaches it, so a plain run holds one block's contexts
+    whatever its length. A block is encoded as one batch; the LSTM's
+    rows are independent, so a context's bits follow only its window and
+    the row blocks of its block's batch (``nets.lstm_forward``): a plain
+    run's contexts are those of encoding it ROW_BLOCK windows at a time
+    from step 0, however the filter walks it.
+
+    The returned callable evaluates the injection MLP at the
+    (1, n_z + d_h) row [z, context_k] for a (1, n_z) latent row z. Steps
+    whose window is identically zero short-circuit to None, so the
+    latent update is the autonomous one, bit for bit; a block whose
+    windows are all zero encodes nothing.
     """
-    windows = window_matrix(u_seq, spec.window)
-    gates = gate_values(windows, spec.tau)[:, 0]
-    nonzero = gates != 0.0
-    contexts = None
-    if np.any(nonzero):
-        contexts = encode_context(xi, spec, windows)
+    n = len(u_seq)
+    size = n if ad.is_var(xi.get(spec.PREFIX + "lstm.Wx")) else ROW_BLOCK
+    lo = gates = contexts = None
+
+    def encode(start):
+        nonlocal lo, gates, contexts
+        contexts = None  # the block held so far goes first
+        windows = window_matrix(u_seq, spec.window, start,
+                                min(start + size, n))
+        lo, gates = start, gate_values(windows, spec.tau)[:, 0]
+        if np.any(gates):
+            contexts = encode_context(xi, spec, windows)
 
     def inject(z, k):
-        if not nonzero[k]:
+        if not lo <= k < lo + size:
+            encode(k - k % size)
+        gate = gates[k - lo]
+        if gate == 0.0:
             return None
-        inp = ad.concat([z, ad.narrow(contexts, 0, k, 1)], axis=1)
+        inp = ad.concat([z, ad.narrow(contexts, 0, k - lo, 1)], axis=1)
         out = mlp_forward(xi, spec.mlp, inp, spec.PREFIX + "mlp")
-        return ad.mul(out, float(gates[k]))
+        return ad.mul(out, float(gate))
 
+    encode(0)
     return inject

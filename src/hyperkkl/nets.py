@@ -27,12 +27,13 @@ size, the backward's only with the batch. The forward needs one chunk
 of U_l at a time, so it also takes U_l as a chunk source that reads
 each chunk when it is wanted: eval's, which reads one IN_BLOCK chunk of
 one layer's readout from the checkpoint file at a time
-(``checkpoints.Readout``). The LSTM on plain parameters runs
-ROW_BLOCK windows at a time for the same reason, and eval's decode
-(``evaluation.run_observer``) ROW_BLOCK steps of a run at a time. The
-taped LSTM runs its forward on the whole batch, keeping only segment
-checkpoints, and backpropagates LSTM_BLOCK rows at a time, so its replay
-does not grow with the batch (``lstm_forward``). U's
+(``checkpoints.Readout``). Every LSTM forward, plain or taped, runs
+one block of LSTM_BLOCK rows at a time (``_row_blocks``) for the same
+reason, and eval's decode (``evaluation.run_observer``) ROW_BLOCK steps
+of a run at a time. The taped LSTM keeps only segment checkpoints and
+backpropagates in the same row blocks, replaying each from its
+checkpoint, so neither pass's transients grow with the batch
+(``lstm_forward``). U's
 gradient is a sum of rank-one terms g_b ⊗ x_b ⊗ s_b; ``u_grad_chunks``
 and ``u_grad_sq_norm`` give its chunks and its norm from those factors,
 so a training run need never hold it whole (``optim``).
@@ -50,17 +51,18 @@ from . import seeding
 from .errors import ContractViolation
 from .params import Layout, ParamStore
 
-# Rows per forward block of lowrank_linear and of the plain LSTM, per
-# block of tanh's backward and per block of steps of eval's decode
-# (evaluation.run_observer, whose estimates' last bits follow it), and
-# input columns per chunk of lowrank_linear (see there).
+# Rows per forward block of lowrank_linear, per block of tanh's backward
+# and per block of steps of eval's decode (evaluation.run_observer, whose
+# estimates' last bits follow it) and of a plain step injection's
+# contexts (hypernet.make_step_injection), and input columns per chunk of
+# lowrank_linear (see there).
 ROW_BLOCK = 256
 IN_BLOCK = 16
-# Rows per block of the taped LSTM's backward, which replays and reverses
-# one block at a time (lstm_forward). The replay must give the forward's
-# bits, and OpenBLAS gives a GEMM of 1-4 rows other bits than the same
-# rows of a larger product, so a tail of fewer than MIN_REPLAY_ROWS rows
-# joins the block before it (_row_blocks).
+# Rows per block of every LSTM forward and of the taped LSTM's backward,
+# which replays and reverses one block at a time (lstm_forward). A block
+# must give the whole batch's bits, and OpenBLAS gives a GEMM of 1-4 rows
+# other bits than the same rows of a larger product, so a tail of fewer
+# than MIN_REPLAY_ROWS rows joins the block before it (_row_blocks).
 LSTM_BLOCK = ROW_BLOCK // 4
 MIN_REPLAY_ROWS = 8
 
@@ -511,8 +513,9 @@ def _lstm_span(w: int, batch: int) -> int:
 
     Between forward and backward the window holds the (h, c) entering
     each segment but the first, 2·(⌈w/span⌉ − 1) arrays of B rows; the
-    backward replays one segment of one row block at a time, 7·span
-    arrays of R = min(B, LSTM_BLOCK) rows. ⌈√(2·w·B/(7·R))⌉ balances the
+    forward runs one row block at a time, and the backward replays one
+    segment of one row block at a time, 7·span arrays of
+    R = min(B, LSTM_BLOCK) rows. ⌈√(2·w·B/(7·R))⌉ balances the
     two: the time trade of Chen et al. (arXiv 1604.06174) and Gruslys et
     al. (arXiv 1606.03401), taken over rows as well. It is 6 at w = 100
     for B ≤ LSTM_BLOCK, 11 at B = 256 and 22 at B = 1001.
@@ -522,7 +525,7 @@ def _lstm_span(w: int, batch: int) -> int:
 
 
 def _row_blocks(batch: int) -> list[slice]:
-    """The row blocks of the taped LSTM's backward: LSTM_BLOCK rows each,
+    """The row blocks of every LSTM pass: LSTM_BLOCK rows each,
     and a tail of fewer than MIN_REPLAY_ROWS rows joins the block before
     it, so no block but a whole batch of fewer rows has fewer."""
     starts = list(range(0, batch, LSTM_BLOCK))
@@ -531,22 +534,31 @@ def _row_blocks(batch: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [batch])]
 
 
-def _lstm_run(seq, wx, wh, b, hsz, checkpoints=None):
+def _lstm_run(seq, wx, wh, b, hsz, checkpoints=()):
     """Final h of the LSTM run over the (B, w, m) windows ``seq`` from
-    zero state.
+    zero state, one ``_row_blocks`` block of rows after another.
 
-    With a ``checkpoints`` list, the (h, c) entering each segment of
-    ``_lstm_span(w, B)`` steps but the first is appended to it.
+    ``checkpoints`` holds one pair of (B, h) arrays for each segment of
+    ``_lstm_span(w, B)`` steps but the first; each block writes its rows
+    of the (h, c) entering that segment into them. Rows are independent
+    and a block's GEMMs give the whole batch's bits (LSTM_BLOCK), so the
+    result and the checkpoints are those of one whole-batch pass, bit for
+    bit, and a step's transients grow with LSTM_BLOCK, not with B.
     """
     batch, w, _ = seq.shape
     span = _lstm_span(w, batch)
-    h = np.zeros((batch, hsz))
-    c = np.zeros((batch, hsz))
-    for t in range(w):
-        if checkpoints is not None and t and t % span == 0:
-            checkpoints.append((h, c))
-        *_, c, h = _lstm_step(seq[:, t, :], h, c, wx, wh, b, hsz)
-    return h
+    out = np.empty((batch, hsz))
+    for rows in _row_blocks(batch):
+        block = seq[rows]
+        h = np.zeros((len(block), hsz))
+        c = np.zeros((len(block), hsz))
+        for t in range(w):
+            if t and t % span == 0 and checkpoints:
+                h_k, c_k = checkpoints[t // span - 1]
+                h_k[rows], c_k[rows] = h, c
+            *_, c, h = _lstm_step(block[:, t, :], h, c, wx, wh, b, hsz)
+        out[rows] = h
+    return out
 
 
 def _lstm_replay(seq, t0, t1, h, c, wx, wh, b, hsz, spare):
@@ -588,26 +600,26 @@ def _lstm_step_back(dh, dc, step, wh, grads):
 def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     """Final hidden state of the LSTM over (B, w, m) input windows.
 
-    Zero initial hidden and cell state; returns (B, hidden_size). On
-    plain parameters nothing is kept and the windows run ROW_BLOCK at a
-    time into the output, so a step's transients grow with ROW_BLOCK, not
+    Zero initial hidden and cell state; returns (B, hidden_size). The
+    forward runs the ``_row_blocks`` blocks one after another
+    (``_lstm_run``), so a step's transients grow with LSTM_BLOCK, not
     with B; rows are independent, and each block's rows are the whole
-    batch's, bit for bit. When the weights are tape leaves the whole
-    batch is one tape node, and its forward is one whole-batch pass that
-    keeps only the (h, c) entering each segment of ``_lstm_span(w, B)``
-    steps (the first segment starts from zeros). The hand-written
-    backward-through-time pass walks the batch in the row blocks of
-    ``_row_blocks``. For each block it takes the segments from last to
-    first: it replays one segment's forward from the block's rows of its
-    checkpoint, keeping each step's h_{t-1}, c_{t-1}, gates and tanh(c_t),
-    then runs that segment's reverse steps. So the replay holds one
-    segment of one block, whatever B is. Every gate is computed twice,
-    once in the forward and once in the replay, and since the replay is
-    the forward's own step on rows whose GEMMs give the whole batch's bits
-    (LSTM_BLOCK), every replayed state is the forward's, bit for bit,
-    whatever the span. The weight gradients are those of keeping every
-    step, summed block by block: the same products as one whole-batch
-    reverse pass, added in another order.
+    batch's, bit for bit. On plain parameters nothing else is kept. When
+    the weights are tape leaves the whole batch is one tape node, and
+    the forward writes each block's rows of the (h, c) entering each
+    segment of ``_lstm_span(w, B)`` steps into whole-batch checkpoint
+    arrays (the first segment starts from zeros). The hand-written
+    backward-through-time pass walks the same row blocks. For each block
+    it takes the segments from last to first: it replays one segment's
+    forward from the block's rows of its checkpoint, keeping each step's
+    h_{t-1}, c_{t-1}, gates and tanh(c_t), then runs that segment's
+    reverse steps. So the replay holds one segment of one block,
+    whatever B is. Every gate is computed twice, once in the forward and
+    once in the replay, and since the replay is the forward's own step
+    on the forward's own rows, every replayed state is the forward's,
+    bit for bit, whatever the span. The weight gradients are those of
+    keeping every step, summed block by block: the same products as one
+    whole-batch reverse pass, added in another order.
     """
     seq = np.asarray(ad.val(sequence), dtype=np.float64)
     if seq.ndim != 3 or seq.shape[1] < 1:
@@ -621,13 +633,10 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     weights = [params.get(f"{prefix}.{n}") for n in ("Wx", "Wh", "b")]
     wx, wh, b = (ad.val(p) for p in weights)
     if not any(ad.is_var(p) for p in weights):
-        h = np.empty((batch, hsz))
-        for lo in range(0, batch, ROW_BLOCK):
-            rows = slice(lo, lo + ROW_BLOCK)
-            h[rows] = _lstm_run(seq[rows], wx, wh, b, hsz)
-        return h
+        return _lstm_run(seq, wx, wh, b, hsz)
     span = _lstm_span(w, batch)
-    checkpoints = []
+    checkpoints = [(np.empty((batch, hsz)), np.empty((batch, hsz)))
+                   for _ in range(math.ceil(w / span) - 1)]
     h = _lstm_run(seq, wx, wh, b, hsz, checkpoints)
 
     def vjp(g):

@@ -118,14 +118,16 @@ def window_index(ends, w: int) -> np.ndarray:
     return np.maximum(np.asarray(ends)[:, None] + np.arange(1 - w, 1), 0)
 
 
-def window_matrix(u_seq: np.ndarray, w: int) -> np.ndarray:
-    """All sliding windows over a sampled sequence: row k holds the
-    ``window_index`` window ending at sample k. Input (N+1, m); output
-    (N+1, w, m)."""
+def window_matrix(u_seq: np.ndarray, w: int, lo: int = 0,
+                  hi: int | None = None) -> np.ndarray:
+    """The sliding windows over a sampled sequence that end at samples
+    lo .. hi - 1 (by default all of them): row i holds the
+    ``window_index`` window ending at sample lo + i. Input (N+1, m);
+    output (hi - lo, w, m)."""
     u = np.asarray(u_seq, dtype=np.float64)
     if u.ndim != 2:
         raise ContractViolation(f"expected an (N+1, m) sequence, got {u.ndim}-D")
-    return u[window_index(np.arange(len(u)), w)]
+    return u[window_index(np.arange(lo, len(u) if hi is None else hi), w)]
 
 
 def difficulty_level(signal: InputSignal) -> int:

@@ -1556,6 +1556,19 @@ def announced(*args, **kwargs):
 training.phase1_train = announced
 """
 
+# Raises KeyboardInterrupt where an eval or plot starts its second cell,
+# as Ctrl-C there would.
+SECOND_CELL_INTERRUPTED = """
+from hyperkkl import evaluation
+run_observer, cells = evaluation.run_observer, []
+def interrupted(bundle, runs):
+    cells.append(bundle.variant)
+    if len(cells) == 2:
+        raise KeyboardInterrupt
+    return run_observer(bundle, runs)
+evaluation.run_observer = interrupted
+"""
+
 def file_limit(size):
     """A limit of ``size`` bytes on any file the child writes; past it a
     write fails with EFBIG rather than end the process."""
@@ -1596,6 +1609,22 @@ class TestProcessEnds:
         assert child.returncode == 130
         assert err == "interrupted\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_an_interrupt_in_the_second_cell_writes_nothing(
+            self, trained, tmp_path, command):
+        out = tmp_path / command
+        out.mkdir()
+        child = spawn(
+            SECOND_CELL_INTERRUPTED, command, "--system", "duffing",
+            "--checkpoint", f"autonomous={trained['base']}", "--regimes",
+            "zero,sinusoid", "--seed", "9000", "--horizon", "1.0", "--out",
+            str(out), *(["--n", "1"] if command == "eval" else []),
+            cwd=tmp_path)
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 130
+        assert err == "interrupted\n"
+        assert list(out.iterdir()) == []
 
     def test_a_failed_overwrite_keeps_the_checkpoint(self, gen_dir,
                                                      tmp_path):

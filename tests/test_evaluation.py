@@ -44,7 +44,7 @@ from hyperkkl.kkl import (
     decode,
     make_maps,
 )
-from hyperkkl.nets import IN_BLOCK, ROW_BLOCK
+from hyperkkl.nets import IN_BLOCK, LSTM_BLOCK, ROW_BLOCK
 
 
 class TestMetrics:
@@ -244,6 +244,31 @@ class TestRunObserver:
             extra[steps] = peak - xhat.nbytes - latent
         # 4 KiB of slack for the interpreter's own bookkeeping
         assert extra[8 * ROW_BLOCK] <= extra[2 * ROW_BLOCK] + 4096
+
+    def test_a_static_run_holds_one_block_of_contexts(self):
+        # At the shipped window 100 and LSTM width 64, a step's window and
+        # context take 1.3 KB: encoding a 2048-step run up front would
+        # hold 2.7 MB of them. Beyond its output and the latent states,
+        # the static filter holds one ROW_BLOCK block's windows, their
+        # index and squares, and contexts, and one LSTM row block's step.
+        bundle = observer_bundles(["static"])["static"]
+        w, hsz = 100, 64
+        spec = build_injection_spec(bundle.obs.n_z, window=w,
+                                    lstm_hidden=hsz, mlp_hidden=(8,))
+        xi = init_injection_params(spec, 3)
+        xi.data[:] = np.random.default_rng(4).normal(
+            size=xi.data.shape) * 0.05
+        bundle = dataclasses.replace(bundle, spec=spec, params=xi)
+        steps = 8 * ROW_BLOCK
+        runs = first_steps(generate_dataset(
+            duffing(), "sinusoid", 1, seed=5,
+            horizon=steps * 0.05).trajectories, steps)
+        run_observer(bundle, first_steps(runs, ROW_BLOCK + 9))  # warm up
+        xhat, peak = traced_peak(run_observer, bundle, runs)
+        extra = peak - xhat.nbytes - steps * bundle.obs.n_z * 8
+        block = ROW_BLOCK * (3 * w + hsz) * 8
+        lstm_step = 20 * LSTM_BLOCK * hsz * 8
+        assert extra <= block + lstm_step
 
     def test_a_streamed_readout_holds_one_chunk_of_rows(self, tmp_path):
         # At 350-wide maps two of the decoder's four layers hold 350·350

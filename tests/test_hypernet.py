@@ -4,6 +4,7 @@ import pytest
 from conftest import grad_check, init_map_params
 
 import hyperkkl.autodiff as ad
+import hyperkkl.hypernet as hypernet
 from hyperkkl.errors import ContractViolation
 from hyperkkl.hypernet import (
     build_hypernet_spec,
@@ -25,7 +26,9 @@ from hyperkkl.kkl import (
     make_maps,
     simulate_latent,
 )
-from hyperkkl.params import ParamStore
+from hyperkkl.nets import ROW_BLOCK, mlp_forward
+from hyperkkl.params import ParamStore, ParamVars
+from hyperkkl.signals import window_matrix
 
 
 def small_hyper(window=8, rank=3, hidden=6):
@@ -310,6 +313,77 @@ class TestInjection:
         with_inj = simulate_latent(obs, y, 0.05, injection=inject)
         plain = simulate_latent(obs, y, 0.05)
         assert not np.array_equal(with_inj, plain)
+
+    @staticmethod
+    def counted_encodes(monkeypatch):
+        """The batch of every LSTM forward the injection runs, in order."""
+        batches, real = [], hypernet.lstm_forward
+
+        def counted(params, spec, sequence, prefix):
+            batches.append(len(sequence))
+            return real(params, spec, sequence, prefix)
+
+        monkeypatch.setattr(hypernet, "lstm_forward", counted)
+        return batches
+
+    @staticmethod
+    def blocks_input():
+        """Four ROW_BLOCK blocks of steps: all-zero windows, partly zero
+        windows, live windows, and a last block of 100 live steps."""
+        u = np.zeros((3 * ROW_BLOCK + 100, 1))
+        live = np.arange(ROW_BLOCK + 40, len(u))
+        u[live, 0] = np.sin(0.05 * live) + 0.3
+        return u
+
+    def test_plain_injection_is_the_whole_run_encode_bitwise(self,
+                                                             monkeypatch):
+        # at the shipped window and LSTM width; each block is encoded when
+        # the filter first reaches it, the all-zero one not at all, and
+        # every step's injection is the one of the run's windows encoded
+        # at once, walked forward or backward
+        spec = build_injection_spec(n_z=5, window=100, lstm_hidden=64,
+                                    mlp_hidden=(8,))
+        xi = init_injection_params(spec, seed=4)
+        rng = np.random.default_rng(4)
+        xi.data[:] = rng.normal(size=xi.data.shape) * 0.2
+        u = self.blocks_input()
+        windows = window_matrix(u, spec.window)
+        gates = gate_values(windows, spec.tau)[:, 0]
+        contexts = encode_context(xi, spec, windows)
+        zs = rng.normal(size=(len(u), 1, 5))
+        zero = gates == 0.0
+        assert zero[:ROW_BLOCK].all() and not zero[2 * ROW_BLOCK:].any()
+        assert zero[ROW_BLOCK:2 * ROW_BLOCK].any()
+        assert not zero[ROW_BLOCK:2 * ROW_BLOCK].all()
+        batches = self.counted_encodes(monkeypatch)
+        inject = make_step_injection(xi, spec, u)
+        assert batches == []
+        for order in (range(len(u)), reversed(range(len(u)))):
+            for k in order:
+                got = inject(zs[k], k)
+                if zero[k]:
+                    assert got is None, k
+                    continue
+                row = np.concatenate([zs[k], contexts[k:k + 1]], axis=1)
+                expect = mlp_forward(xi, spec.mlp, row, "inj.mlp") * gates[k]
+                assert np.array_equal(got, expect), k
+        # the backward walk starts in the block the forward walk ended in
+        assert batches == [ROW_BLOCK, ROW_BLOCK, 100, ROW_BLOCK, ROW_BLOCK]
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_the_first_block_is_encoded_before_the_injection_returns(
+            self, monkeypatch, taped):
+        # a plain injection encodes ROW_BLOCK steps, a taped one (the
+        # static training rollout) its whole run, once
+        spec, xi = self.spec_and_params()
+        u = np.full((2 * ROW_BLOCK + 5, 1), 0.5)
+        batches = self.counted_encodes(monkeypatch)
+        inject = make_step_injection(ParamVars(xi) if taped else xi, spec, u)
+        first = [len(u)] if taped else [ROW_BLOCK]
+        assert batches == first
+        for k in range(len(u)):
+            inject(np.ones((1, 5)), k)
+        assert batches == (first if taped else [ROW_BLOCK, ROW_BLOCK, 5])
 
     def test_latent_dim_contract(self):
         spec, xi = self.spec_and_params()

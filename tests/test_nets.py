@@ -26,6 +26,7 @@ from hyperkkl.nets import (
     _lstm_run,
     _lstm_span,
     _lstm_step,
+    _lstm_step_back,
     _mlp_layer,
     _row_blocks,
     init_lstm,
@@ -897,6 +898,41 @@ def whole_batch_states(seq, wx, wh, b, hsz):
     return states
 
 
+def unblocked_lstm_run(seq, wx, wh, b, hsz, checkpoints=None):
+    """The forward as one pass over all of ``seq``'s rows, as the taped
+    window ran before its forward took row blocks: final h, and the
+    (h, c) entering each ``_lstm_span`` segment but the first appended
+    to ``checkpoints`` when given."""
+    batch, w, _ = seq.shape
+    span = _lstm_span(w, batch)
+    h, c = np.zeros((batch, hsz)), np.zeros((batch, hsz))
+    for t in range(w):
+        if checkpoints is not None and t and t % span == 0:
+            checkpoints.append((h, c))
+        *_, c, h = _lstm_step(seq[:, t, :], h, c, wx, wh, b, hsz)
+    return h
+
+
+def replayed_lstm_grads(seq, wx, wh, b, hsz, checkpoints, g):
+    """The weight gradients for the output gradient g, replayed from the
+    whole-batch pass's ``checkpoints`` block by block, as the taped
+    backward replays them."""
+    batch, w, _ = seq.shape
+    span = _lstm_span(w, batch)
+    grads = (np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b))
+    for rows in oracle_row_blocks(batch):
+        n = rows.stop - rows.start
+        dh, dc = g[rows], np.zeros((n, hsz))
+        for t0 in reversed(range(0, w, span)):
+            h0, c0 = ((a[rows] for a in checkpoints[t0 // span - 1]) if t0
+                      else (np.zeros((n, hsz)),) * 2)
+            steps = _lstm_replay(seq[rows], t0, min(t0 + span, w), h0, c0,
+                                 wx, wh, b, hsz, [])
+            for step in reversed(steps):
+                dh, dc = _lstm_step_back(dh, dc, step, wh, grads)
+    return grads
+
+
 # (input size, hidden size, batch, window length); the last two have more
 # rows than one backward block, one with a tail that joins the block before
 FUSED_CASES = [(1, 4, 3, 7), (2, 5, 4, 30), (1, 16, 9, 100),
@@ -1036,10 +1072,15 @@ class TestLstm:
         seq = np.random.default_rng(batch).normal(size=(batch, w, m))
         wx, wh, b = (store.get(f"lstm.{n}") for n in ("Wx", "Wh", "b"))
         whole = whole_batch_states(seq, wx, wh, b, hsz)
-        checkpoints = []
-        _lstm_run(seq, wx, wh, b, hsz, checkpoints)
         span = _lstm_span(w, batch)
+        checkpoints = [(np.full((batch, hsz), np.nan),
+                        np.full((batch, hsz), np.nan))
+                       for _ in range(math.ceil(w / span) - 1)]
+        _lstm_run(seq, wx, wh, b, hsz, checkpoints)
         assert len(checkpoints) == math.ceil(w / span) - 1
+        for k, (h_k, c_k) in enumerate(checkpoints, 1):
+            assert np.array_equal(h_k, whole[k * span - 1][6])
+            assert np.array_equal(c_k, whole[k * span - 1][5])
         for rows in _row_blocks(batch):
             n = rows.stop - rows.start
             for t0 in range(0, w, span):
@@ -1053,6 +1094,56 @@ class TestLstm:
                         assert np.array_equal(h_prev, whole[t - 1][6][rows])
                     for got, expect in zip(gates, whole[t][:5]):
                         assert np.array_equal(got, expect[rows]), (t, rows)
+
+    @pytest.mark.parametrize("batch", [1, 5, 8, 63, 64, 65, 71, 233,
+                                       ROW_BLOCK, 1001])
+    def test_row_blocked_forward_is_the_whole_batch_forward_bitwise(
+            self, batch):
+        # the references run the plain forward ROW_BLOCK windows at a time
+        # and the taped one as one whole-batch pass, as both ran before
+        # they took _row_blocks blocks; outputs, checkpoints and weight
+        # gradients keep the bits of those passes
+        m, hsz, w = 1, 64, 30
+        spec, store = fresh_lstm(m, hsz, seed=batch)
+        rng = np.random.default_rng(batch)
+        seq = rng.normal(size=(batch, w, m))
+        g = rng.normal(size=(batch, hsz))
+        wx, wh, b = (store.get(f"lstm.{n}") for n in ("Wx", "Wh", "b"))
+        plain = np.concatenate([
+            unblocked_lstm_run(seq[lo:lo + ROW_BLOCK], wx, wh, b, hsz)
+            for lo in range(0, batch, ROW_BLOCK)])
+        assert np.array_equal(lstm_forward(store, spec, seq, "lstm"), plain)
+        whole_checkpoints = []
+        whole = unblocked_lstm_run(seq, wx, wh, b, hsz, whole_checkpoints)
+        checkpoints = [(np.empty((batch, hsz)), np.empty((batch, hsz)))
+                       for _ in whole_checkpoints]
+        assert np.array_equal(_lstm_run(seq, wx, wh, b, hsz, checkpoints),
+                              whole)
+        for got, expect in zip(checkpoints, whole_checkpoints):
+            assert np.array_equal(got[0], expect[0])
+            assert np.array_equal(got[1], expect[1])
+        pv = ParamVars(store)
+        out = lstm_forward(pv, spec, seq, "lstm")
+        ad.backward(ad.sum_all(ad.mul(out, g)))
+        assert np.array_equal(out.value, whole)
+        expect = replayed_lstm_grads(seq, wx, wh, b, hsz, whole_checkpoints, g)
+        for name, gr in zip(("Wx", "Wh", "b"), expect):
+            assert np.array_equal(pv.get(f"lstm.{name}").grad, gr), name
+
+    def test_taped_forward_holds_its_checkpoints_and_one_block(self):
+        # at B = 1001, w = 100, h = 64 the forward keeps 8 checkpoint
+        # arrays and the output, B rows each, and runs one row block's
+        # step at a time; one whole-batch step would hold its (B, 4h) gates
+        # and h Whᵀ term and seven (B, h) results besides (26 B·h arrays)
+        batch, w, h = 1001, 100, 64
+        span = _lstm_span(w, batch)
+        kept = 2 * (math.ceil(w / span) - 1)
+        spec, store = fresh_lstm(1, h, seed=13)
+        seq = np.random.default_rng(13).normal(size=(batch, w, 1))
+        out, peak = traced_peak(lstm_forward, ParamVars(store), spec, seq,
+                                "lstm")
+        widest = max(r.stop - r.start for r in _row_blocks(batch))
+        assert peak <= ((kept + 2) * batch + 20 * widest) * h * 8
 
     def test_row_blocks_fold_a_short_tail(self):
         for batch in range(1, 3 * LSTM_BLOCK + 10):
@@ -1154,7 +1245,7 @@ class TestLstm:
     def test_plain_forward_holds_one_block_of_state(self):
         # a step of one block holds its 4h-wide gates and h Whᵀ term, the
         # seven (rows, h) results and the entering (h, c): 18 arrays of
-        # ROW_BLOCK·h floats; the whole batch at once would hold 18 of B·h
+        # LSTM_BLOCK·h floats; the whole batch at once would hold 18 of B·h
         batch, w, h = 1001, 100, 64
         spec, store = fresh_lstm(1, h, seed=12)
         seq = np.random.default_rng(12).normal(size=(batch, w, 1))
@@ -1165,7 +1256,8 @@ class TestLstm:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= out.nbytes + 20 * ROW_BLOCK * h * 8
+        widest = max(r.stop - r.start for r in _row_blocks(batch))
+        assert peak <= out.nbytes + 20 * widest * h * 8
 
     def test_window_is_one_tape_node(self):
         spec, store = fresh_lstm(2, 3, seed=4)
