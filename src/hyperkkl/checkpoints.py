@@ -178,19 +178,19 @@ class Readout(NamedTuple):
 
     @contextmanager
     def layers(self):
-        """``read(l)``, layer l's U_l as a chunk source (``LayerChunks``)
-        whose chunks of IN_BLOCK input columns are read from the file
-        into one buffer, sized for the largest layer's chunk, so each
-        chunk overwrites the one before. The file is opened once; its
-        stamp must be the read's when it opens and again after the last
-        read."""
+        """Each layer's U_l, in layer order, as a chunk source
+        (``LayerChunks``) that reads nothing until a chunk is asked for.
+        Every chunk of IN_BLOCK input columns is read from the file into
+        one buffer, sized for the largest layer's chunk, so each chunk
+        overwrites the one before. The file is opened once; its stamp
+        must be the read's when it opens and again after the last read."""
         with open(self.path, "rb") as fh:
             self._refuse_changed(fh)
             r = Reader(fh, self.path)
             buf = np.empty(IN_BLOCK * self.rank
                            * max(n_out for _, (n_out, _) in self.blocks))
-            yield lambda layer: LayerChunks(r, buf, *self.blocks[layer],
-                                            self.rank)
+            yield [LayerChunks(r, buf, *block, self.rank)
+                   for block in self.blocks]
             self._refuse_changed(fh)
 
 

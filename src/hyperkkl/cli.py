@@ -31,9 +31,10 @@ Exit codes: 0 success, 2 user error, 3 numeric failure, 4 I/O failure,
 whether the error is raised by a handler or by one of its imports, and
 130 for a command ended by Ctrl-C (SIGINT) or by SIGTERM, which ``main``
 handles alike once the settings resolve; each prints one line. A file a
-command writes (a checkpoint, dataset, CSV, SVG or report; the manifest
-is appended to) replaces the one at its path only once it is complete
-(``binfile.replacing``), so a failed or interrupted write keeps it.
+command writes (a checkpoint, dataset, CSV, SVG or report) replaces the
+one at its path only once it is complete (``binfile.replacing``), so a
+failed or interrupted write keeps it; the manifest gains each record
+whole or not at all (``manifest``).
 ``train`` replaces its checkpoint and loss CSV as a pair: a failure in
 either write keeps both old files.
 A training run that ends in a numeric abort writes no checkpoint, but

@@ -24,12 +24,13 @@ The encoder T and the encoder head only feed the training residual. U is
 nearly all of a dynamic checkpoint, each decoder layer l takes only its
 own rows U_l of it, and ``nets.lowrank_linear`` takes those one IN_BLOCK
 chunk of input columns at a time. So ``run_observer`` on an observer
-read opens the file once and, as layer l runs in each decode block,
-reads U_l chunk by chunk into one buffer sized for the largest layer's
-chunk (``checkpoints.Readout``). It refuses the file, naming it, if its
+read opens the file once and lists the layers' U_l as chunk sources,
+one per layer (``checkpoints.Readout.layers``): as layer l runs in each
+decode block, its source reads U_l chunk by chunk into one buffer sized
+for the largest layer's chunk. It refuses the file, naming it, if its
 stamp is not the read's when it opens or after its last read. A bundle
-that holds U (training's, a full read's) decodes from views of it, to
-the same bits.
+that holds U (training's, a full read's) decodes from a list of views
+of it, to the same bits.
 
 A test set is one ``TrajectorySet``: ``run_observer`` estimates all its
 runs into one run-major (count, N+1, n_x) array. The plain filter takes
@@ -130,9 +131,10 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     on steps whose input window is nonzero: elsewhere the injection
     returns None and the decoder takes no delta, so those rows are the
     autonomous estimates, bit for bit. A bundle whose readout stayed in
-    its file (``bundle.readout``) has the file opened once for the call,
-    and each decode block reads each layer's rows, a chunk at a time, as
-    the layer runs.
+    its file (``bundle.readout``) has the file opened once for the call
+    and its decoder layers' rows listed once, one chunk source per layer
+    (``checkpoints.Readout.layers``); each decode block reads each
+    layer's rows, a chunk at a time, as the layer runs.
     """
     if runs.outputs.shape[2] != bundle.obs.n_y:
         raise ContractViolation("trajectory output width does not match observer")
@@ -142,7 +144,7 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
         plain = simulate_latent(obs, runs.outputs.swapaxes(0, 1), dt)
     xhat = np.empty(runs.states.shape)
     readout = bundle.readout
-    with readout.layers() if readout else nullcontext() as read_rows:
+    with readout.layers() if readout else nullcontext() as u_rows:
         for i, (y, u) in enumerate(zip(runs.outputs, runs.inputs)):
             if plain is None:
                 inject = make_step_injection(bundle.params, bundle.spec, u)
@@ -153,7 +155,7 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
             for lo in range(0, len(zs), ROW_BLOCK):
                 rows = slice(lo, lo + ROW_BLOCK)
                 xhat[i, rows] = _decode(
-                    bundle, np.ascontiguousarray(zs[rows]), u, lo, read_rows)
+                    bundle, np.ascontiguousarray(zs[rows]), u, lo, u_rows)
             finite = np.all(np.isfinite(xhat[i]), axis=1)
             if not finite.all():
                 raise NumericError(f"non-finite estimate in run {i} at step "
@@ -162,7 +164,7 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
 
 
 def _decode(bundle: CheckpointBundle, zs, u, lo: int,
-            read_rows) -> np.ndarray:
+            u_rows) -> np.ndarray:
     """The estimates of one block of a run's steps, lo .. lo + len(zs) - 1,
     from their latent states zs and the run's inputs u (the bundle's
     variant is one of ``checkpoints.VARIANTS``).
@@ -171,10 +173,10 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int,
     variant's decode of the same block, so rows of zero windows keep its
     bits. For the dynamic variant the block's live steps, those whose
     ``window_matrix`` window is nonzero, are decoded again with their
-    weight deltas; their windows are gathered for this block only. Each
-    layer's readout rows U_l are a view of the bundle's ψ when
-    ``read_rows`` is None, else ``read_rows(l)``, a chunk source that
-    reads them from the bundle's file as the layer runs
+    weight deltas; their windows are gathered for this block only. The
+    decoder layers' readout rows are views of the bundle's ψ when
+    ``u_rows`` is None, else the list ``u_rows``, one chunk source per
+    layer that reads its rows from the bundle's file as the layer runs
     (``run_observer``).
     """
     maps = bundle.maps
@@ -189,7 +191,7 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int,
             context = encode_context(psi, spec, windows[live])
             del windows
             factors = head_layer_deltas(psi, spec.dec_head, maps.dec,
-                                        DEC, context, gates[live], read_rows)
+                                        DEC, context, gates[live], u_rows)
             xhat[live] = decode(maps, bundle.phi, zs[live],
                                 weight_deltas=factors)
     return xhat

@@ -22,12 +22,13 @@ Each readout head is rank-factorized: a (rank, d_h) matrix V projects
 the LSTM state h to rank coordinates s = g · h Vᵀ, and one (total, rank)
 matrix U maps them onto the flat entry space of the target's weight
 matrices, in layout order. Training and inference keep the factors:
-``head_layer_deltas`` splits U into per-layer row blocks U_l
-(``head_layer_rows``) and pairs each with s, and the MLP applies
+``head_layer_deltas`` pairs s with a list of per-layer row blocks U_l
+(``head_layer_rows``), one entry per layer, and the MLP applies
 W x + Σ_r s_r (U_l,r x) through ``nets.lowrank_linear``, so no
-(B, total) delta or (B, o, i) weight is formed; eval may read each U_l
-from the checkpoint file as its layer runs, one IN_BLOCK chunk of input
-columns at a time (a chunk source, ``nets.lowrank_linear``).
+(B, total) delta or (B, o, i) weight is formed. The entries are views
+of ψ's U, or in eval chunk sources that read U_l from the checkpoint
+file one IN_BLOCK chunk of input columns at a time as its layer runs
+(``checkpoints.Readout.layers``).
 ``generate_deltas`` and ``delta_store`` give the dense form of the same
 perturbations.
 """
@@ -208,20 +209,8 @@ def head_layer_rows(head: HeadSpec, maps_spec: MlpSpec, prefix: str):
     return blocks
 
 
-class _ReadFactors:
-    """Per-layer (U_l, s) factors whose U_l is ``read(l)``, read when
-    layer l asks for it: ``nets.mlp_forward`` asks once per layer, in
-    order, and is done with a layer before it asks for the next."""
-
-    def __init__(self, read, s):
-        self.read, self.s = read, s
-
-    def __getitem__(self, layer):
-        return self.read(layer), self.s
-
-
 def head_layer_deltas(psi, head: HeadSpec, maps_spec: MlpSpec, prefix: str,
-                      context, gates, read_rows=None):
+                      context, gates, u_rows=None):
     """One head as per-layer (U_l, s) weight-delta factors for mlp_forward.
 
     s = g · h Vᵀ is the gated (B, rank) projection of the (B, d_h)
@@ -230,22 +219,19 @@ def head_layer_deltas(psi, head: HeadSpec, maps_spec: MlpSpec, prefix: str,
     so sample b's layer-l delta is reshape(U_l s[b], (o, i)). Rows whose
     gate is 0 get s = 0.
 
-    U_l is a view of psi's U, unless ``read_rows`` is given: then psi
-    holds no U, ``read_rows(l)`` returns layer l's block, as an array or
-    as a chunk source (``nets.lowrank_linear``), and each layer reads its
-    block only when it runs. Such reads may share one buffer, so the
-    factors serve a plain forward only; a taped s is refused.
+    ``u_rows`` lists each layer's U_l, in layer order, for a psi that
+    holds no U: an observer read's chunk sources
+    (``checkpoints.Readout.layers``), which read a layer's rows only as
+    it runs and which no taped input may join (``nets.lowrank_linear``).
+    By default the U_l are views of psi's U.
     """
     s = ad.mul(ad.matmul(context, transpose2d(psi.get(f"{head.name}.V"))),
                gates)
-    if read_rows is not None:
-        if ad.is_var(s):
-            raise ContractViolation(
-                "readout rows read a layer at a time cannot be taped")
-        return _ReadFactors(read_rows, s)
-    u = psi.get(f"{head.name}.U")
-    return [(ad.narrow(u, 0, first, size), s)
-            for first, size in head_layer_rows(head, maps_spec, prefix)]
+    if u_rows is None:
+        u = psi.get(f"{head.name}.U")
+        u_rows = [ad.narrow(u, 0, first, size)
+                  for first, size in head_layer_rows(head, maps_spec, prefix)]
+    return [(u_l, s) for u_l in u_rows]
 
 
 def delta_store(head: HeadSpec, flat_row: np.ndarray) -> ParamStore:

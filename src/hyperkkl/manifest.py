@@ -1,23 +1,25 @@
 """Run manifests: every command records what it did, next to its outputs.
 
 A manifest file (JSON lines, append-only, one per output directory)
-holds one record per command run. A record carries the exact argv, the
-resolved configuration (every setting the command reads, as
-``config.settings`` returns it), the seeds, the content hashes of every
-input and output file, the package version, the numeric environment
-(numpy version, BLAS library and version, BLAS thread count), and what
-the run cost: its wall time from the start of ``cli.main`` and the
-process's peak RSS. Output bytes can depend on the BLAS thread count,
-so the count is a setting (``blas_threads``, default 1, in the resolved
-configuration) that ``cli.main`` applies before numpy loads, and the
-record also names the count OpenBLAS reports, the one in effect: in a
-process that loaded numpy before ``main``, the count it loaded it at.
-``status`` is "ok", or "aborted" for a training run that a numeric
-failure stopped: that record adds ``abort`` (the epoch and the reason)
-and hashes no output, since none was written. A ``train`` record also
-has ``epoch_s``: the count, median (``p50``), max and total wall seconds
-of the epochs it logged. Re-running the recorded argv reproduces the
-outputs byte for byte; the manifest is the only file in an output
+holds one record per command run. A record is appended with one write of
+its whole line; if that write fails or comes back short, the file is cut
+back to its old size, so it never holds part of a record. A record
+carries the exact argv, the resolved configuration (every setting the
+command reads, as ``config.settings`` returns it), the seeds, the
+content hashes of every input and output file, the package version, the
+numeric environment (numpy version, BLAS library and version, BLAS
+thread count), and what the run cost: its wall time from the start of
+``cli.main`` and the process's peak RSS. Output bytes can depend on the
+BLAS thread count, so the count is a setting (``blas_threads``, default
+1, in the resolved configuration) that ``cli.main`` applies before numpy
+loads, and the record also names the count OpenBLAS reports, the one in
+effect: in a process that loaded numpy before ``main``, the count it
+loaded it at. ``status`` is "ok", or "aborted" for a training run that a
+numeric failure stopped: that record adds ``abort`` (the epoch and the
+reason) and hashes no output, since none was written. A ``train`` record
+also has ``epoch_s``: the count, median (``p50``), max and total wall
+seconds of the epochs it logged. Re-running the recorded argv reproduces
+the outputs byte for byte; the manifest is the only file in an output
 directory whose bytes may differ between identical runs (it carries the
 clock time and these costs).
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import os
 import resource
 import time
 from pathlib import Path
@@ -115,7 +118,16 @@ def append_manifest(
         record["abort"] = {"epoch": abort.epoch, "reason": abort.reason}
     if epoch_s is not None:
         record["epoch_s"] = epoch_s
+    line = (json.dumps(record, sort_keys=True) + "\n").encode()
     path = out_dir / MANIFEST_NAME
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    size = os.fstat(fd).st_size
+    try:
+        if os.write(fd, line) != len(line):
+            raise OSError(f"{path}: short write of a manifest record")
+    except BaseException:
+        os.ftruncate(fd, size)
+        raise
+    finally:
+        os.close(fd)
     return path

@@ -25,18 +25,18 @@ columns, the forward chunk by chunk over fixed blocks of ROW_BLOCK rows:
 the forward's transients grow with neither the batch nor the weight's
 size, the backward's only with the batch. The forward needs one chunk
 of U_l at a time, so it also takes U_l as a chunk source that reads
-each chunk when it is wanted: eval's, which reads one IN_BLOCK chunk of
-one layer's readout from the checkpoint file at a time
-(``checkpoints.Readout``). Every LSTM forward, plain or taped, runs
-one block of LSTM_BLOCK rows at a time (``_row_blocks``) for the same
-reason, and eval's decode (``evaluation.run_observer``) ROW_BLOCK steps
-of a run at a time. The taped LSTM keeps only segment checkpoints and
-backpropagates in the same row blocks, replaying each from its
-checkpoint, so neither pass's transients grow with the batch
-(``lstm_forward``). U's
-gradient is a sum of rank-one terms g_b ⊗ x_b ⊗ s_b; ``u_grad_chunks``
-and ``u_grad_sq_norm`` give its chunks and its norm from those factors,
-so a training run need never hold it whole (``optim``).
+each chunk when it is wanted: eval's list of them, one per decoder
+layer, each reading its layer's readout from the checkpoint file one
+IN_BLOCK chunk at a time (``checkpoints.Readout.layers``). Every LSTM
+forward, plain or taped, runs one block of LSTM_BLOCK rows at a time
+(``_row_blocks``) for the same reason, and eval's decode
+(``evaluation.run_observer``) ROW_BLOCK steps of a run at a time. The
+taped LSTM keeps only segment checkpoints and backpropagates in the
+same row blocks, replaying each from its checkpoint, so neither pass's
+transients grow with the batch (``lstm_forward``). U's gradient is a
+sum of rank-one terms g_b ⊗ x_b ⊗ s_b; ``u_grad_chunks`` and
+``u_grad_sq_norm`` give its chunks and its norm from those factors, so a
+training run need never hold it whole (``optim``).
 """
 
 from __future__ import annotations

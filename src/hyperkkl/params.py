@@ -1,9 +1,7 @@
 """Flat parameter storage with a named-slice layout.
 
 A ParamStore is one contiguous float64 vector plus an ordered layout of
-named slices (one per weight/bias tensor). Adding two stores requires
-bit-identical layouts, which is what lets a hypernetwork delta be added
-onto base weights without any reshaping ambiguity.
+named slices (one per weight/bias tensor).
 """
 
 from __future__ import annotations
@@ -66,16 +64,8 @@ class Layout:
     def __eq__(self, other):
         return isinstance(other, Layout) and self.slices == other.slices
 
-    def __hash__(self):
-        return hash(self.slices)
-
     def __repr__(self):
         return f"Layout({len(self.slices)} slices, total={self.total})"
-
-
-def _check_same_layout(a, b):
-    if a.layout != b.layout:
-        raise ContractViolation("param stores have different layouts")
 
 
 class ParamStore:
@@ -104,13 +94,6 @@ class ParamStore:
                 f"slice {name!r} has shape {s.shape}, got {value.shape}"
             )
         self.data[s.offset : s.offset + s.size] = value.ravel()
-
-    def copy(self) -> "ParamStore":
-        return ParamStore(self.layout, self.data.copy())
-
-    def __add__(self, other: "ParamStore") -> "ParamStore":
-        _check_same_layout(self, other)
-        return ParamStore(self.layout, self.data + other.data)
 
     def __repr__(self):
         return f"ParamStore({self.layout!r})"

@@ -77,6 +77,11 @@ def make_store(named_arrays):
     return store
 
 
+def copy_store(store):
+    """A ParamStore of ``store``'s layout holding a copy of its values."""
+    return ParamStore(store.layout, store.data.copy())
+
+
 def central_diff(fn, x, eps=1e-6):
     """Finite-difference gradient of scalar fn at ndarray x (independent oracle)."""
     x = np.asarray(x, dtype=np.float64)

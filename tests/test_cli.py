@@ -1569,6 +1569,20 @@ def interrupted(bundle, runs):
 evaluation.run_observer = interrupted
 """
 
+# Raises KeyboardInterrupt where a command's first staged output is
+# complete, just before it would replace its file, as Ctrl-C there would.
+WRITE_INTERRUPTED = """
+import contextlib
+from hyperkkl import binfile
+replacing = binfile.replacing
+@contextlib.contextmanager
+def interrupted(path):
+    with replacing(path) as fh:
+        yield fh
+        raise KeyboardInterrupt
+binfile.replacing = interrupted
+"""
+
 def file_limit(size):
     """A limit of ``size`` bytes on any file the child writes; past it a
     write fails with EFBIG rather than end the process."""
@@ -1678,3 +1692,53 @@ class TestProcessEnds:
         assert err == "i/o failure: [Errno 27] File too large\n"
         assert path.read_bytes() == good
         assert not [p for p in out.iterdir() if p.suffix == ".partial"]
+
+    def test_a_failed_manifest_append_keeps_the_manifest(self, tmp_path):
+        # the dataset fits under the limit, the second record does not
+        out = tmp_path / "data"
+        argv = ("gen", "--system", "duffing", "--regime", "zero", "--n", "1",
+                "--seed", "1", "--horizon", "0.1", "--out", str(out))
+        assert run(*argv) == 0
+        manifest = out / MANIFEST_NAME
+        good = manifest.read_bytes()
+        child = spawn(file_limit(len(good) + 600), *argv, cwd=tmp_path)
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 4
+        assert err == (f"i/o failure: {manifest}: short write of a manifest "
+                       "record\n")
+        assert manifest.read_bytes() == good
+
+    @pytest.mark.parametrize("command", [
+        "gen", "report", "static", "dynamic", "curriculum"])
+    def test_an_interrupted_write_leaves_the_directory_as_it_was(
+            self, trained, tmp_path, command):
+        # each output directory already holds a manifest and outputs
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(
+            "[train]\nsegment_steps = 20\nsegment_discard = 5\n"
+            "[hypernet]\nwindow = 6\nlstm_hidden = 4\ninj_hidden = 8\n"
+            "[curriculum]\nlevel_epochs = 2\n")
+        csv = tmp_path / "r.csv"
+        csv.write_text("system,variant,regime,rmse,smape\n"
+                       "duffing,autonomous,zero,0.5,1\n")
+        data, ck = tmp_path / "data", trained["base"].parent
+        train = ("train", "--system", "duffing", "--base",
+                 str(trained["base"]), "--data", str(trained["forced"]),
+                 "--epochs", "2", "--batch", "8", "--config", str(ini),
+                 "--out", str(ck))
+        out, argv = {
+            "gen": (data, ("gen", "--system", "duffing", "--regime",
+                           "sinusoid", "--n", "2", "--seed", "7", "--csv",
+                           "--horizon", "1.0", "--out", str(data))),
+            "report": (data, ("report", str(csv), "--out", str(data))),
+            "static": (ck, (*train, "--phase", "2", "--variant", "static")),
+            "dynamic": (ck, (*train, "--phase", "2", "--variant", "dynamic")),
+            "curriculum": (ck, (*train, "--phase", "curriculum")),
+        }[command]
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert MANIFEST_NAME in before
+        child = spawn(WRITE_INTERRUPTED, *argv, cwd=tmp_path)
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 130
+        assert err == "interrupted\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before

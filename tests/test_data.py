@@ -54,6 +54,7 @@ from hyperkkl.kkl import (
     simulate_latent,
 )
 from hyperkkl.nets import IN_BLOCK
+from hyperkkl.params import ParamStore
 from hyperkkl.signals import InputSignal, sample_signal, window_matrix
 
 DATA = Path(__file__).parent / "data"
@@ -413,7 +414,8 @@ class TestCheckpointFormat:
         _, d_phi = generate_deltas(bundle.params, spec, windows[live])
         dense = decode(bundle.maps, bundle.phi, zs)
         for row, flat in zip(np.flatnonzero(live), d_phi):
-            eff = bundle.phi + delta_store(spec.dec_head, flat)
+            eff = ParamStore(bundle.phi.layout, bundle.phi.data
+                             + delta_store(spec.dec_head, flat).data)
             dense[row] = decode(bundle.maps, eff, zs[row : row + 1])[0]
         assert np.array_equal(dense, xhat)
         # run_observer applies the same deltas as rank factors
@@ -618,9 +620,9 @@ def streamed_readout(lean, full):
     full read ``full``."""
     widths, rank = lean.maps.dec.widths, lean.readout.rank
     rows = []
-    with lean.readout.layers() as read:
-        for layer, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
-            source = read(layer)
+    with lean.readout.layers() as sources:
+        assert len(sources) == len(widths) - 1
+        for source, n_in, n_out in zip(sources, widths, widths[1:]):
             assert source.shape == (n_out * n_in, rank)
             chunks = [source.chunk(slice(i0 * rank,
                                          min(i0 + IN_BLOCK, n_in) * rank)).copy()
@@ -716,13 +718,13 @@ class TestObserverRead:
         write_checkpoint(build_bundle("dynamic"), path)
         lean = read_checkpoint(path, observer=True)
         with pytest.raises(ContractViolation) as exc:
-            with lean.readout.layers() as read:
-                read(0)
+            with lean.readout.layers() as sources:
+                sources[0].chunk(slice(0, 2))
                 st = path.stat()
                 with open(path, "r+b") as fh:
                     fh.write(b"HKKP")  # the same bytes, a later mtime
                 os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
-                read(1)
+                sources[1].chunk(slice(0, 2))
         assert str(exc.value) == (
             f"{path}: the checkpoint changed after it was read")
 

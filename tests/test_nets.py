@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    copy_store,
     grad_check,
     make_store,
     reshape,
@@ -150,7 +151,7 @@ class TestMlp:
         deltas = [(rng.normal(size=(8, 2)), s), (rng.normal(size=(12, 2)), s)]
         out = mlp_forward(store, spec, x, "net", weight_deltas=deltas)
         for i in range(3):
-            shifted = store.copy()
+            shifted = copy_store(store)
             for layer, (u, _) in enumerate(deltas):
                 w = store.get(f"net.W{layer}")
                 shifted.set(f"net.W{layer}", w + (u @ s[i]).reshape(w.shape))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_store
+from conftest import copy_store, make_store
 
 from hyperkkl.autodiff import AddInto, FactoredGrad
 from hyperkkl.errors import ContractViolation, NumericError
@@ -111,7 +111,7 @@ def test_blockwise_step_bitwise_equals_out_of_place_oracle():
     rng = np.random.default_rng(11)
     layout = Layout([("w", (n,))])
     params = ParamStore(layout, rng.normal(size=n))
-    expect = params.copy()
+    expect = copy_store(params)
     state, oracle = AdamState.for_params(params), AdamState.for_params(expect)
     for _ in range(5):
         scale = 10.0 ** rng.integers(-8, 3, n)
@@ -223,7 +223,7 @@ def factored_case(seed, n_out=5, n_in=2 * IN_BLOCK + 3, rank=3):
 
 def test_factored_step_is_the_dense_step_bitwise_without_a_clip():
     params, dense, compact, fg = factored_case(50)
-    expect = params.copy()
+    expect = copy_store(params)
     state = AdamState.for_params(params, ("U",))
     oracle = AdamState.for_params(expect)
     assert state.grad.layout == compact.layout
@@ -243,7 +243,7 @@ def test_factored_clip_scales_each_formed_chunk():
     # with the clip firing, the factored and dense norms differ only in
     # their last bits, and so do the scaled gradients Adam sees
     params, dense, compact, fg = factored_case(51)
-    expect = params.copy()
+    expect = copy_store(params)
     raw = compact.data.copy()
     norm_d = clip_grad_norm(dense, 0.5)
     norm_f = clip_grad_norm(compact, 0.5, {"U": fg})

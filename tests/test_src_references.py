@@ -19,11 +19,29 @@ empty.
 
 A third holds the functions in UNTAPED to name no ``autodiff``
 function: the plain latent filter stays plain numpy.
+
+A fourth, the execution census, runs the program and holds every src
+function, method and nested function to be entered: the golden
+pipeline (``test_golden.pipeline_hashes``), ``report`` on its eval CSV
+and ``gen`` for the other systems, all in one child process under
+``sys.setprofile``. It closes the first census's blind spot: there any
+attribute of a method's name vouches for the method, here only a call
+does. Class bodies, comprehensions and lambdas are not counted. The
+functions it never enters, each with its reason, are ENTRY_ALLOWED; an
+entry that the run enters, or whose function is gone, fails it too.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+from test_golden import pipeline_hashes
+
+from hyperkkl.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperkkl"
 
@@ -169,3 +187,100 @@ def taped_names(module, name) -> set:
 def test_the_plain_latent_filter_names_no_autodiff_function():
     for (module, name), reason in UNTAPED.items():
         assert taped_names(module, name) == set(), f"{reason} tapes"
+
+
+# Functions the execution census does not enter, kept on purpose:
+# (module, qualified name) -> reason.
+ENTRY_ALLOWED = {
+    ("hypernet", "generate_deltas"):
+        "a traced-benchmark target (pipebench/trace.py TARGETS)",
+    ("hypernet", "delta_store"):
+        "a traced-benchmark target (pipebench/trace.py TARGETS)",
+    ("nets", "lowrank_linear.vjp"):
+        "the taped primitive of TestFusedLayer's reference chain; the "
+        "program tapes lowrank_linear only inside _mlp_layer's own node",
+    ("nets", "_linear_grads.add_u_grad"):
+        "the dense U gradient that the factored one is checked against, "
+        "bit for bit",
+    ("params", "Layout.__repr__"): "a debugging aid",
+    ("params", "ParamStore.__repr__"): "a debugging aid",
+    ("cli", "_interrupt"): "runs only on SIGTERM",
+    ("cli", "_report_rows.refuse"): "runs only on a malformed report CSV",
+    ("binfile", "Reader._truncated"): "runs only on a truncated file",
+    ("errors", "DivergenceError.__init__"):
+        "runs only when a simulated run escapes its region",
+    ("config", "boolean"):
+        "checks the [train] normalize key, which only a config file sets; "
+        "the census leaves it at its default",
+}
+
+
+def _defined() -> dict:
+    """(file, first line) of each function, method and nested function
+    in src -> (module, qualified name). A decorated function's code
+    starts at its first decorator."""
+    found = {}
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                found[(str(SRC / f"{module}.py"), first)] = (
+                    module, prefix + child.name)
+                walk(child, module, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, prefix + child.name + ".")
+            else:
+                walk(child, module, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text(), str(path)), path.stem, "")
+    return found
+
+
+def census_commands(root) -> None:
+    """The commands the execution census runs, in this process, under
+    ``root``."""
+    pipeline_hashes(root)
+    assert main(["report", str(root / "eval" / "duffing_report.csv"),
+                 "--out", str(root / "report")]) == 0
+    for system in ("vanderpol", "rossler", "lorenz"):
+        assert main(["gen", "--system", system, "--regime", "sinusoid",
+                     "--n", "1", "--seed", "1", "--horizon", "1.0",
+                     "--blas-threads", "1", "--out", str(root / "gen")]) == 0
+
+
+# A child process profiles from before its first src import, so the
+# calls src makes while its modules load count too.
+CENSUS = """
+import json, sys
+from pathlib import Path
+codes = set()
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+sys.setprofile(profile)
+from test_src_references import census_commands
+census_commands(Path(sys.argv[1]))
+sys.setprofile(None)
+print(json.dumps([[c.co_filename, c.co_firstlineno] for c in codes]))
+"""
+
+
+def unentered(root) -> set:
+    """(module, qualified name) of each src function that the census's
+    commands, run under ``root``, never enter."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), str(tests), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", CENSUS, str(root)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    entered = {(str(Path(name).resolve()), line) for name, line
+               in json.loads(done.stdout.splitlines()[-1])}
+    return {name for key, name in _defined().items() if key not in entered}
+
+
+def test_the_program_enters_every_function_src_defines(tmp_path):
+    assert unentered(tmp_path) == set(ENTRY_ALLOWED)

@@ -11,6 +11,7 @@ from conftest import (
     init_map_params,
     poison_backward,
     analytic_linear_observer,
+    copy_store,
     linear_test_system,
     make_store,
     oracle_latent_targets,
@@ -343,7 +344,7 @@ class TestEpochStep:
             loss = autonomous_pde_residual(maps, pv, obs, sys, x)
             return loss, loss, loss
 
-        pv = ParamVars(theta.copy())
+        pv = ParamVars(copy_store(theta))
         ad.backward(step(pv)[0])
         expect = float(np.sqrt(np.sum(pv.grads().data ** 2)))
         clip = 1e-3
@@ -546,7 +547,7 @@ class TestCurriculum:
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=6)
         result = curriculum_train(
-            obs, maps, phi.copy(), self.make_levels(sys),
+            obs, maps, copy_store(phi), self.make_levels(sys),
             TrainConfig(epochs=1, batch=32, seed=9),
             CurriculumConfig(epsilon=0.01, patience=5, level_epochs=20),
         )
@@ -563,13 +564,13 @@ class TestCurriculum:
         config = TrainConfig(epochs=1, batch=32, seed=12)
         schedule = CurriculumConfig(epsilon=1e-9, patience=10, level_epochs=15)
         result = curriculum_train(
-            obs, maps, phi0.copy(), [level], config, schedule
+            obs, maps, copy_store(phi0), [level], config, schedule
         )
 
         # independent plain loop with the same draws and update rule
         from hyperkkl.kkl import simulate_latent
 
-        phi = phi0.copy()
+        phi = copy_store(phi0)
         batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
         state = AdamState.for_params(phi)
         zs, xs = [], []
@@ -593,7 +594,7 @@ class TestCurriculum:
         sys = van_der_pol()
         obs, maps, theta, phi = tiny_setup(sys, hidden=(10,), seed=8)
         result = curriculum_train(
-            obs, maps, phi.copy(), self.make_levels(sys),
+            obs, maps, copy_store(phi), self.make_levels(sys),
             TrainConfig(epochs=1, batch=32, seed=13, lr=1e-9),  # frozen loss
             CurriculumConfig(epsilon=0.5, patience=3, level_epochs=50),
         )
