@@ -16,11 +16,8 @@ the functions are the API.
 Gradients of untouched leaves are exact zeros; all values are float64.
 A VJP may hand back an ``AddInto`` instead of an array: a gradient that
 adds itself into its parent's ``.grad`` in place, so it need not exist
-as one parent-sized array. A ``narrow`` of an interior node passes back
-its slice's gradient that way; a ``narrow`` of a leaf whose ``.grad`` is
-preset is itself a leaf whose ``.grad`` is that slice of the parent's,
-so the slice's gradient lands in the parent's array with no array of
-its own held until the walk ends.
+as one parent-sized array. A ``narrow`` passes back its slice's
+gradient that way, unless it narrows a factored leaf (below).
 
 ``backward`` consumes the graph it walks: once a node has passed its
 gradient on, the node drops that gradient, its VJP closure (and with it
@@ -36,9 +33,13 @@ buffer and no per-leaf array is made. A preset ``FactoredGrad`` goes
 further: it takes only ``AddInto`` gradients that carry their factors
 and keeps those factors, so the leaf's gradient is never formed at all
 (the hypernetwork readouts U, whose gradients are sums of rank-one
-terms as large as U itself). ``optim`` forms their entries bit for bit
-as the dense path would, but sums their norm from the factors in
-another order, so the norm's last bits can differ.
+terms as large as U itself). Such a gradient is only its factors, an
+``AddInto`` with nothing to add, and ``backward`` refuses it anywhere
+but on a factored leaf. A row ``narrow`` of a factored leaf is itself a
+leaf, holding the row block's share of the parent's ``FactoredGrad``.
+``optim`` forms the entries one chunk at a time and sums their norm
+from the factors, in another order, so the norm's last bits can differ
+from a formed gradient's.
 
 A VJP hands over the arrays it returns. Where a parent has no ``.grad``
 yet, ``backward`` takes a returned array as that ``.grad`` when it is a
@@ -172,9 +173,11 @@ class AddInto:
 
     ``backward`` calls ``add(acc)`` with the parent's ``.grad`` (zeros if
     it had none yet); ``add`` adds the gradient into ``acc`` in place.
-    ``factors``, when given, are what the gradient is made of (for
-    ``nets.lowrank_linear``'s u, the (g, x, s) of Σ_b g_b ⊗ x_b ⊗ s_b);
-    a leaf whose ``.grad`` is a ``FactoredGrad`` keeps them instead.
+    ``factors``, when given, are what the gradient is made of, and a
+    leaf whose ``.grad`` is a ``FactoredGrad`` keeps them instead. A
+    readout u's gradient (``nets._linear_grads``) is only its factors,
+    the (g, x, s) of Σ_b g_b ⊗ x_b ⊗ s_b: its ``add`` is None, and
+    ``backward`` refuses it where no ``FactoredGrad`` takes it.
     """
 
     __slots__ = ("add", "factors")
@@ -212,11 +215,10 @@ class FactoredGrad:
 def narrow(x, axis, start, length):
     """Contiguous slice along one axis.
 
-    On a leaf whose ``.grad`` is preset (a ``params.ParamVars`` leaf) the
-    slice is a new leaf whose ``.grad`` is the same slice of that array,
-    so whatever reaches it is added straight into the parent's gradient;
-    of a ``FactoredGrad``, the row block's share of it. Otherwise it is
-    a node whose gradient adds into its parent's slice.
+    A node whose gradient adds into its parent's slice; but on a leaf
+    whose ``.grad`` is a ``FactoredGrad`` (a readout U of a
+    ``params.ParamVars``) a row slice is a new leaf that keeps the row
+    block's share of it.
     """
     xv = val(x)
     sl = [slice(None)] * xv.ndim
@@ -225,14 +227,11 @@ def narrow(x, axis, start, length):
     out = xv[sl]
     if not is_var(x):
         return out
-    if x._vjp is None and x.grad is not None:
+    if isinstance(x.grad, FactoredGrad):
+        if axis != 0:
+            raise ContractViolation("a factored leaf narrows along rows")
         leaf = Var(out)
-        if isinstance(x.grad, FactoredGrad):
-            if axis != 0:
-                raise ContractViolation("a factored leaf narrows along rows")
-            leaf.grad = x.grad.narrow(start, length)
-        else:
-            leaf.grad = x.grad[sl]
+        leaf.grad = x.grad.narrow(start, length)
         return leaf
 
     def vjp(g):
@@ -286,6 +285,9 @@ def backward(root: Var) -> None:
             if isinstance(parent.grad, FactoredGrad):
                 parent.grad.append(g)
             elif isinstance(g, AddInto):
+                if g.add is None:
+                    raise ContractViolation(
+                        "a gradient of factors only reaches a factored leaf")
                 g.add(parent.grad)
             else:
                 parent.grad += g

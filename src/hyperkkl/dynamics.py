@@ -244,6 +244,14 @@ def n_steps_for(horizon: float, dt: float) -> int:
     return int(n_round)
 
 
+def _draw(seed: int, stream: int, out: np.ndarray) -> np.ndarray:
+    """Standard normals of Philox stream ``stream`` of ``seed + i`` drawn
+    in place into each run's rows out[i]."""
+    for i, rows in enumerate(out):
+        seeding.stream(seed + i, stream).standard_normal(out=rows)
+    return out
+
+
 def simulate(
     system: SystemSpec,
     x0,
@@ -291,13 +299,13 @@ def simulate(
     states[:, 0] = x0
     x = x0
     if sigma > 0:
-        kick = sigma * math.sqrt(dt) * np.stack([
-            seeding.stream(seed + i, seeding.STREAM_PROCESS_NOISE)
-            .standard_normal((n, system.n_x)) for i in range(count)], axis=1)
+        # a step's process noise waits in the states it then overwrites
+        _draw(seed, seeding.STREAM_PROCESS_NOISE, states[:, 1:])
+        states[:, 1:] *= sigma * math.sqrt(dt)
     for k in range(n):
         x = rk4_step(system, x, u[k], times[k], dt)
         if sigma > 0:
-            x = x + kick[k]
+            x = x + states[:, k + 1]
         escaped = np.sqrt(np.sum((x - center) ** 2, axis=1)) > limit
         if escaped.any():
             raise DivergenceError(
@@ -309,9 +317,10 @@ def simulate(
     outputs = np.asarray(system.h(states), dtype=np.float64).reshape(
         count, n + 1, system.n_y)
     if sigma > 0:
-        outputs = outputs + sigma * np.stack([
-            seeding.stream(seed + i, seeding.STREAM_MEASUREMENT_NOISE)
-            .standard_normal((n + 1, system.n_y)) for i in range(count)])
+        noise = _draw(seed, seeding.STREAM_MEASUREMENT_NOISE,
+                      np.empty(outputs.shape))
+        noise *= sigma
+        outputs = np.add(outputs, noise, out=noise)
     inputs = np.ascontiguousarray(u[:, 0].transpose(1, 0, 2))
     return TrajectorySet(dt, times, states, inputs, outputs, signals)
 

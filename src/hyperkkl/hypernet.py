@@ -222,7 +222,7 @@ def head_layer_deltas(psi, head: HeadSpec, maps_spec: MlpSpec, prefix: str,
     ``u_rows`` lists each layer's U_l, in layer order, for a psi that
     holds no U: an observer read's chunk sources
     (``checkpoints.Readout.layers``), which read a layer's rows only as
-    it runs and which no taped input may join (``nets.lowrank_linear``).
+    it runs and which no taped input may join (``nets._mlp_layer``).
     By default the U_l are views of psi's U.
     """
     s = ad.mul(ad.matmul(context, transpose2d(psi.get(f"{head.name}.V"))),

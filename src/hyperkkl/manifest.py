@@ -9,16 +9,20 @@ command reads, as ``config.settings`` returns it), the seeds, the
 content hashes of every input and output file, the package version, the
 numeric environment (numpy version, BLAS library and version, BLAS
 thread count), and what the run cost: its wall time from the start of
-``cli.main`` and the process's peak RSS. Output bytes can depend on the
-BLAS thread count, so the count is a setting (``blas_threads``, default
-1, in the resolved configuration) that ``cli.main`` applies before numpy
-loads, and the record also names the count OpenBLAS reports, the one in
-effect: in a process that loaded numpy before ``main``, the count it
-loaded it at. ``status`` is "ok", or "aborted" for a training run that a
-numeric failure stopped: that record adds ``abort`` (the epoch and the
-reason) and hashes no output, since none was written. A ``train`` record
-also has ``epoch_s``: the count, median (``p50``), max and total wall
-seconds of the epochs it logged. Re-running the recorded argv reproduces
+``cli.main`` (``wall_s``) and, from ``getrusage(RUSAGE_SELF)`` for the
+whole process when the record is written, its peak RSS in MiB
+(``peak_rss_mb``), its user and system CPU seconds (``cpu_s``, keys
+``user`` and ``sys``) and its minor page faults (``minor_faults``).
+Output bytes can depend on the BLAS thread count, so the count is a
+setting (``blas_threads``, default 1, in the resolved configuration)
+that ``cli.main`` applies before numpy loads, and the record also
+names the count OpenBLAS reports, the one in effect: in a process that
+loaded numpy before ``main``, the count it loaded it at. ``status`` is
+"ok", or "aborted" for a training run that a numeric failure stopped:
+that record adds ``abort`` (the epoch and the reason) and hashes no
+output, since none was written. A ``train`` record also has
+``epoch_s``: the count, median (``p50``), max and total wall seconds of
+the epochs it logged. Re-running the recorded argv reproduces
 the outputs byte for byte; the manifest is the only file in an output
 directory whose bytes may differ between identical runs (it carries the
 clock time and these costs).
@@ -111,9 +115,11 @@ def append_manifest(
         "blas_threads": _blas_threads(),
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "wall_s": time.perf_counter() - started,
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    record["peak_rss_mb"] = usage.ru_maxrss / 1024  # ru_maxrss is in KiB
+    record["cpu_s"] = {"user": usage.ru_utime, "sys": usage.ru_stime}
+    record["minor_faults"] = usage.ru_minflt
     if abort is not None:
         record["abort"] = {"epoch": abort.epoch, "reason": abort.reason}
     if epoch_s is not None:

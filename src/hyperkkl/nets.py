@@ -18,12 +18,13 @@ forward tapes nothing.
 
 Per-sample weights come as rank factors: layer l of sample b uses
 W_l + reshape(U_l s[b], (n_out, n_in)) with U_l (n_out·n_in, r) shared
-and s (B, r) per sample. ``lowrank_linear`` applies that as two GEMMs
-with a hand-written backward, so no (B, n_out, n_in) weight is formed.
-Forward and backward walk the same fixed chunks of IN_BLOCK input
-columns, the forward chunk by chunk over fixed blocks of ROW_BLOCK rows:
-the forward's transients grow with neither the batch nor the weight's
-size, the backward's only with the batch. The forward needs one chunk
+and s (B, r) per sample. ``lowrank_linear`` applies that as two GEMMs,
+so no (B, n_out, n_in) weight is formed; ``_mlp_layer``, the one node
+that tapes it, differentiates it through ``_linear_grads``. Forward
+and backward walk the same fixed chunks of IN_BLOCK input columns, the
+forward chunk by chunk over fixed blocks of ROW_BLOCK rows: the
+forward's transients grow with neither the batch nor the weight's size,
+the backward's only with the batch. The forward needs one chunk
 of U_l at a time, so it also takes U_l as a chunk source that reads
 each chunk when it is wanted: eval's list of them, one per decoder
 layer, each reading its layer's readout from the checkpoint file one
@@ -34,9 +35,9 @@ forward, plain or taped, runs one block of LSTM_BLOCK rows at a time
 taped LSTM keeps only segment checkpoints and backpropagates in the
 same row blocks, replaying each from its checkpoint, so neither pass's
 transients grow with the batch (``lstm_forward``). U's gradient is a
-sum of rank-one terms g_b ⊗ x_b ⊗ s_b; ``u_grad_chunks`` and
-``u_grad_sq_norm`` give its chunks and its norm from those factors, so a
-training run need never hold it whole (``optim``).
+sum of rank-one terms g_b ⊗ x_b ⊗ s_b and exists only as their factors;
+``u_grad_chunks`` and ``u_grad_sq_norm`` give its chunks and its norm
+from them, so no run holds it whole (``optim``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from . import autodiff as ad
 from . import seeding
 from .errors import ContractViolation
-from .params import Layout, ParamStore
+from .params import ParamStore
 
 # Rows per forward block of lowrank_linear, per block of tanh's backward
 # and per block of steps of eval's decode (evaluation.run_observer, whose
@@ -182,56 +183,45 @@ def lowrank_linear(x, w, u, s, out=None):
     """x Wᵀ with sample b's weight W + reshape(u s[b], (o, i)), unformed.
 
     x is (B, i), W (o, i), u (o·i, r) the readout rows that map onto W's
-    entries in C order, and s (B, r) the per-sample coordinates. Computed
-    as two GEMMs, x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r)
-    and u_r the (o, i·r) view of u; no (B, o, i) weight exists. The
-    result is written into ``out`` when one is given. u is an array,
-    taped or not, or a chunk source (``_u_values``), which no taped
-    input may join.
+    entries in C order, and s (B, r) the per-sample coordinates: arrays,
+    but u may be a chunk source (``_u_values``). Computed as two GEMMs,
+    x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r) and u_r the
+    (o, i·r) view of u; no (B, o, i) weight exists. The result is
+    written into ``out`` when one is given. This is the forward kernel
+    of ``_mlp_layer``, the one node that tapes it; its gradients are
+    ``_linear_grads``.
 
-    Both passes walk the inputs IN_BLOCK columns at a time: columns
-    [i0, i1) of x own columns [i0·r, i1·r) of P and of u_r, a strided
-    view that BLAS takes as it is. The forward, taped or not, takes each
-    chunk of u_r once and, for each block of ROW_BLOCK rows, adds
-    P[rows, chunk] u_r[:, chunk]ᵀ into out[rows]: each block gets the
-    GEMMs, of the same shapes and in the same chunk order, that a loop
-    over blocks outside the chunks gives it, so the bits do not depend
-    on the loop order. Its transient is ROW_BLOCK·IN_BLOCK·r floats
-    whatever B and i are. The backward is ``_linear_grads``.
+    It walks the inputs IN_BLOCK columns at a time: columns [i0, i1) of
+    x own columns [i0·r, i1·r) of P and of u_r, a strided view that BLAS
+    takes as it is. It takes each chunk of u_r once and, for each block
+    of ROW_BLOCK rows, adds P[rows, chunk] u_r[:, chunk]ᵀ into out[rows]:
+    each block gets the GEMMs, of the same shapes and in the same chunk
+    order, that a loop over blocks outside the chunks gives it, so the
+    bits do not depend on the loop order. Its transient is
+    ROW_BLOCK·IN_BLOCK·r floats whatever B and i are.
     """
-    xv, wv, sv = (ad.val(a) for a in (x, w, s))
-    uv = _u_values(u, (x, w, s))
-    batch, n_in = xv.shape
-    n_out, rank = wv.shape[0], sv.shape[1]
-    if uv.shape != (n_out * n_in, rank) or sv.shape[0] != batch:
+    batch, n_in = x.shape
+    n_out, rank = w.shape[0], s.shape[1]
+    if u.shape != (n_out * n_in, rank) or s.shape[0] != batch:
         raise ContractViolation(
-            f"low-rank factors {uv.shape} and {sv.shape} do not fit a "
+            f"low-rank factors {u.shape} and {s.shape} do not fit a "
             f"({n_out}, {n_in}) weight on {batch} samples"
         )
-    if hasattr(uv, "chunk"):
-        chunk = uv.chunk
+    if hasattr(u, "chunk"):
+        chunk = u.chunk
     else:
-        u_r = uv.reshape(n_out, n_in * rank)
+        u_r = u.reshape(n_out, n_in * rank)
 
         def chunk(cols_r):
             return u_r[:, cols_r]
 
-    out = np.matmul(xv, wv.T, out=out)
+    out = np.matmul(x, w.T, out=out)
     for cols, cols_r in _in_chunks(n_in, rank):
         u_chunk = chunk(cols_r)
         for lo in range(0, batch, ROW_BLOCK):
             rows = slice(lo, lo + ROW_BLOCK)
-            out[rows] += _outer(xv[rows, cols], sv[rows]) @ u_chunk.T
-    inputs = (x, w, u, s)
-    taped = [ad.is_var(a) for a in inputs]
-    if not any(taped):
-        return out
-
-    def vjp(g):
-        grads = _linear_grads(g, xv, wv, (uv, sv), taped)
-        return tuple(gr for t, gr in zip(taped, grads) if t)
-
-    return ad.Var(out, tuple(a for a in inputs if ad.is_var(a)), vjp)
+            out[rows] += _outer(x[rows, cols], s[rows]) @ u_chunk.T
+    return out
 
 
 def _linear_grads(g, xv, wv, factors, taped):
@@ -241,12 +231,11 @@ def _linear_grads(g, xv, wv, factors, taped):
     ``taped`` flags which of x, W, u and s want a gradient. Returns their
     four gradients in that order, None where not wanted: x's and s's as
     arrays, W's and u's as ``autodiff.AddInto``. Per IN_BLOCK chunk of
-    inputs the x and s terms come from g u_r's columns and u's from P's
-    columns gᵀP, added into u's gradient array in place, so no
-    (rows, i·r) array and no second u-sized array is formed. u's
-    ``AddInto`` also carries its factors (g, x, s): a factored leaf
-    (``autodiff.FactoredGrad``) keeps those instead, and
-    ``u_grad_chunks`` later forms the same chunks from them.
+    inputs the x and s terms come from g u_r's columns, so no (rows, i·r)
+    array is formed. u's gradient exists only as its factors (g, x, s),
+    the terms of Σ_b g_b ⊗ x_b ⊗ s_b: an ``AddInto`` with nothing to
+    add, which only a factored leaf (``autodiff.FactoredGrad``) takes;
+    ``u_grad_chunks`` forms its chunks from them.
     """
     want_x, want_w, want_u, want_s = taped
     gx = g @ wv if want_x else None
@@ -257,20 +246,12 @@ def _linear_grads(g, xv, wv, factors, taped):
         return gx, gw, gu, gs
     uv, sv = factors
     (rows, n_in), rank = xv.shape, sv.shape[1]
-    u_r = uv.reshape(len(wv), n_in * rank)
-
-    def add_u_grad(acc):
-        acc_r = acc.reshape(u_r.shape)
-        for cols, cols_r in _in_chunks(n_in, rank):
-            _add_u_chunk(acc_r[:, cols_r], [(g, xv, sv)], cols)
-        if not np.may_share_memory(acc_r, acc):  # reshape had to copy
-            acc[...] = acc_r.reshape(acc.shape)
-
     if want_u:
-        gu = ad.AddInto(add_u_grad, factors=(g, xv, sv))
+        gu = ad.AddInto(None, factors=(g, xv, sv))
     if want_s:
         gs = np.zeros_like(sv)
     if want_x or want_s:
+        u_r = uv.reshape(len(wv), n_in * rank)
         for cols, cols_r in _in_chunks(n_in, rank):
             gp = (g @ u_r[:, cols_r]).reshape(rows, cols.stop - cols.start,
                                                rank)
@@ -294,9 +275,8 @@ def u_grad_chunks(terms):
     ``terms`` are the ``AddInto.factors`` (g, x, s) that ``_linear_grads``
     hands one (o·i, r) u, in the order they arrived. Yields
     ``(cols_r, chunk)``: the (o, |cols|·r) columns ``cols_r`` of u's
-    (o, i·r) view, each summed from zeros term by term with the GEMMs
-    the dense ``AddInto`` runs, so every entry is the dense gradient's,
-    bit for bit. One chunk exists at a time.
+    (o, i·r) view, each summed from zeros term by term, gᵀ (x[:, cols] ⊗
+    s) per term (``_add_u_chunk``). One chunk exists at a time.
     """
     g, xv, sv = terms[0]
     n_out, n_in, rank = g.shape[1], xv.shape[1], sv.shape[1]
@@ -377,8 +357,9 @@ def _mlp_layer(x, n, w, b, factors, squash):
     result. Its VJP recomputes x[n:] Wᵀ for the tangent's second-order
     term, writes tanh's backward into the gradient it is handed
     (``_tanh_grad``), takes the linear map's gradients over all R rows
-    at once (s repeated per row block) and adds W's, b's and u's
-    gradients into their arrays (``autodiff.AddInto``).
+    at once (s repeated per row block), adds W's and b's gradients into
+    their arrays (``autodiff.AddInto``) and hands u's on as its factors
+    (``_linear_grads``).
     """
     u, s = factors or (None, None)
     xv, wv, bv = (ad.val(a) for a in (x, w, b))

@@ -13,16 +13,15 @@ also owns the run's one gradient buffer, which every step's
 ``ParamVars`` fills.
 
 Factored slices. The hypernetwork readouts U have gradients as large as
-U, each a sum of rank-one terms; a run may keep them as the terms'
-factors (``autodiff.FactoredGrad``) and give them no room in the
-buffer. ``clip_grad_norm`` then adds their squared norm from the
-factors' Gram matrices, and ``adam_step`` forms them one chunk at a
-time with the GEMMs of the dense path, in its order, scales the chunk
-by the clip factor it is handed (``clip_factor``) and updates m, v and
-U on strided views of at most ADAM_BLOCK entries. So every gradient
-entry Adam sees is the dense one, bit for bit; only the norm is summed
-in another order, so it, and a clip factor, can differ in the last bits
-(within 1e-13 relative).
+U, each a sum of rank-one terms, which exist only as the terms' factors
+(``autodiff.FactoredGrad``) and get no room in the buffer.
+``clip_grad_norm`` adds their squared norm from the factors' Gram
+matrices, and ``adam_step`` forms them one chunk at a time
+(``nets.u_grad_chunks``), scales the chunk by the clip factor it is
+handed (``clip_factor``) and updates m, v and U on strided views of at
+most ADAM_BLOCK entries. The norm is summed in another order than the
+chunks' entries, so it, and a clip factor, can differ in the last bits
+from the formed gradient's (within 1e-13 relative).
 """
 
 from __future__ import annotations
@@ -103,10 +102,10 @@ def adam_step(
     docstring). Each chunk formed from those is scaled by ``grad_scale``,
     the ``clip_factor`` that ``clip_grad_norm`` applied to ``grads``, if
     any. Rows of a factored slice that no term reached step with a zero
-    gradient, as the dense path's zeros would.
+    gradient.
 
     One walk over the slices in layout order updates each in turn: a
-    dense slice from its stretch of ``grads``, a factored one from the
+    buffered slice from its stretch of ``grads``, a factored one from the
     chunks formed from its factors. So a factor must not share memory
     with the parameters: one that did could be read after its update.
     Such a factor, like a layout that does not match or blocks that do

@@ -64,9 +64,6 @@ class Layout:
     def __eq__(self, other):
         return isinstance(other, Layout) and self.slices == other.slices
 
-    def __repr__(self):
-        return f"Layout({len(self.slices)} slices, total={self.total})"
-
 
 class ParamStore:
     """Flat float64 parameter vector addressed through a Layout."""
@@ -95,9 +92,6 @@ class ParamStore:
             )
         self.data[s.offset : s.offset + s.size] = value.ravel()
 
-    def __repr__(self):
-        return f"ParamStore({self.layout!r})"
-
 
 class ParamVars:
     """Tape leaves for a ParamStore, one Var per named slice.
@@ -118,9 +112,10 @@ class ParamVars:
     must be the store's ``Layout.without`` them. Their leaves get an
     ``autodiff.FactoredGrad`` each, which keeps the factors of the
     rank-one terms that reach it and is never formed; ``factored`` maps
-    each such name to its own. ``optim`` takes their norm from the
-    factors, in another summation order, so its last bits can differ
-    from a formed gradient's.
+    each such name to its own. A readout's gradient exists only as those
+    factors, so a U that a backward reaches must be factored. ``optim``
+    takes their norm from the factors, in another summation order, so
+    its last bits can differ from a formed gradient's.
     """
 
     def __init__(self, store: ParamStore, grad: ParamStore | None = None):

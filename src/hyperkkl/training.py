@@ -196,10 +196,9 @@ class _Fit:
     The dynamic run names its readouts U ``factored``: the gradient
     buffer has no room for them, so ``ParamVars`` keeps their gradients
     as factors, never formed (``optim``), and the run holds ψ, m and v
-    and no fourth ψ-sized array. Its gradient entries are the dense
-    path's bit for bit; its norm is summed in another order, so the norm
-    and the clip factor handed to ``adam_step`` can differ in the last
-    bits.
+    and no fourth ψ-sized array. Their norm is summed from the factors
+    in another order than the formed entries, so the norm and the clip
+    factor handed to ``adam_step`` can differ in the last bits.
     """
 
     def __init__(self, params: ParamStore, config: TrainConfig, frozen=(),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hyperkkl.autodiff as ad
-from hyperkkl import seeding
+from hyperkkl import nets, seeding
 from hyperkkl.dynamics import (
     SystemSpec,
     TrajectorySet,
@@ -165,24 +165,99 @@ def zero_fill_backward(root) -> None:
         node.grad = node._vjp = node._parents = None
 
 
-def grad_check(loss_fn, params: ParamStore, eps: float = 1e-6) -> float:
+def dense_u_grad(factors):
+    """A readout u's gradient term as a dense ``AddInto``, the oracle of
+    the factored one: it adds gᵀ (x ⊗ s) into a formed (o·i, r) array,
+    one chunk of input columns at a time (``nets._add_u_chunk``), and
+    keeps ``factors`` for a leaf that takes them instead."""
+    g, xv, sv = factors
+    n_out, n_in, rank = g.shape[1], xv.shape[1], sv.shape[1]
+
+    def add(acc):
+        acc_r = acc.reshape(n_out, n_in * rank, copy=False)
+        for cols, cols_r in nets._in_chunks(n_in, rank):
+            nets._add_u_chunk(acc_r[:, cols_r], [factors], cols)
+
+    return ad.AddInto(add, factors=factors)
+
+
+_linear_grads = nets._linear_grads  # the original, which dense_u_grads patches
+
+
+def dense_linear_grads(*args):
+    """``nets._linear_grads`` with u's gradient dense as well
+    (``dense_u_grad``), so a full-layout gradient buffer takes it."""
+    gx, gw, gu, gs = _linear_grads(*args)
+    return gx, gw, None if gu is None else dense_u_grad(gu.factors), gs
+
+
+@pytest.fixture
+def dense_u_grads(monkeypatch):
+    """Every taped MLP layer hands u's gradient over dense as well."""
+    monkeypatch.setattr(nets, "_linear_grads", dense_linear_grads)
+
+
+def taped_lowrank_linear(x, w, u, s):
+    """``nets.lowrank_linear`` as a tape node of its own: the kernel's rows,
+    with ``dense_linear_grads`` as its VJP. The low-rank primitive of the
+    fused layer's reference chain."""
+    inputs = (x, w, u, s)
+    xv, wv, uv, sv = (ad.val(a) for a in inputs)
+    out = nets.lowrank_linear(xv, wv, uv, sv)
+    taped = [ad.is_var(a) for a in inputs]
+    if not any(taped):
+        return out
+
+    def vjp(g):
+        grads = dense_linear_grads(g, xv, wv, (uv, sv), taped)
+        return tuple(gr for t, gr in zip(taped, grads) if t)
+
+    return ad.Var(out, tuple(a for a in inputs if ad.is_var(a)), vjp)
+
+
+def factored_vars(store, names=("U",)):
+    """ParamVars over ``store`` whose slices ``names`` keep their gradients
+    as factors (``autodiff.FactoredGrad``); the rest go into a buffer."""
+    return ParamVars(store, ParamStore(store.layout.without(
+        [n for n in names if n in store.layout])))
+
+
+def formed_grads(pv) -> np.ndarray:
+    """``pv``'s gradients as one vector in its store's layout, each factored
+    slice formed chunk by chunk from its factors (``nets.u_grad_chunks``)."""
+    out = ParamStore(pv.layout)
+    for spec in pv.layout.slices:
+        if spec.name not in pv.factored:
+            out.set(spec.name, pv.grads().get(spec.name))
+            continue
+        u = out.get(spec.name)
+        for (start, length), terms in pv.factored[spec.name].blocks.items():
+            block = u[start:start + length].reshape(terms[0][0].shape[1], -1)
+            for cols, chunk in nets.u_grad_chunks(terms):
+                block[:, cols] = chunk
+    return out.data
+
+
+def grad_check(loss_fn, params: ParamStore, eps: float = 1e-6,
+               factored=()) -> float:
     """Max relative error between tape gradients and central differences.
 
-    ``loss_fn`` is called once with ParamVars (recorded) and then with the
-    plain ParamStore while each coordinate is perturbed by +-eps. The
+    ``loss_fn`` is called once with ParamVars (recorded; the slices
+    ``factored`` keep factored gradients, ``factored_vars``) and then with
+    the plain ParamStore while each coordinate is perturbed by +-eps. The
     relative error per coordinate is |fd - g| / (|fd| + |g| + 1e-12).
     """
     if eps <= 0:
         raise ContractViolation("eps must be positive")
 
-    pv = ParamVars(params)
+    pv = factored_vars(params, factored)
     out = loss_fn(pv)
     if not ad.is_var(out):
         raise ContractViolation("loss must depend on the parameters")
     if not np.isfinite(out.value):
         raise NumericError("loss is non-finite")
     ad.backward(out)
-    analytic = pv.grads().data
+    analytic = formed_grads(pv)
 
     def scalar_loss():
         v = loss_fn(params)

@@ -151,6 +151,11 @@ class TestGen:
         assert records[0]["seeds"] == {"seed": 1}
         assert records[0]["wall_s"] > 0
         assert records[0]["peak_rss_mb"] > 0
+        cpu = records[0]["cpu_s"]
+        assert set(cpu) == {"user", "sys"}
+        assert cpu["user"] > 0 and cpu["sys"] >= 0
+        assert isinstance(records[0]["minor_faults"], int)
+        assert records[0]["minor_faults"] > 0
         assert records[0]["numpy"] == np.__version__
         assert set(records[0]["blas"]) == {"name", "version"}
         assert all(isinstance(v, str) for v in records[0]["blas"].values())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_rk4_step, oracle_simulate
+from conftest import oracle_rk4_step, oracle_simulate, traced_peak
 
 from hyperkkl import dynamics
 from hyperkkl.config import KINDS, SYSTEM_NAMES
@@ -250,6 +250,23 @@ class TestBatch:
             assert np.array_equal(batch.inputs[i], one.inputs[0])
             assert np.array_equal(batch.outputs[i], one.outputs[0])
             assert batch.signals[i] == signals[i]
+
+    def test_noise_is_drawn_in_place(self):
+        # 8 lorenz runs of 2000 noisy steps under inputs. Beyond what it
+        # returns, simulate may hold one run's draw and a slack of the
+        # (n+1, 3, count, m) input grid, h's result and 64 KiB; stacking
+        # the runs' noise and scaling it into a new array holds it twice
+        system, count = lorenz(), 8
+        x0 = sample_initial_conditions(system, count, seed=3)
+        signals = [sample_signal("sinusoid", 3 + i) for i in range(count)]
+        simulate(system, x0, signals, 0.01, 0.1, 0.05, seed=3)
+        run, peak = traced_peak(simulate, system, x0, signals, 0.01, 20.0,
+                                0.05, 3)
+        steps = len(run.times) - 1
+        returned = run.states.nbytes + run.inputs.nbytes + run.outputs.nbytes
+        draw = steps * system.n_x * 8
+        slack = 3 * run.inputs.nbytes + run.outputs.nbytes + 64 * 1024
+        assert peak <= returned + draw + slack
 
     def test_one_step_matches_the_scalar_step(self):
         # run 0 at zero input, run 1 under 0.8 sin(1.3 t + 0.4)

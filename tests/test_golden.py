@@ -50,11 +50,11 @@ SRC = TESTS.parent / "src"
 # ``PYTHONPATH=src python tests/test_golden.py [threads]`` prints the
 # new values.
 #
-# The dynamic loss CSV and psi were re-recorded again when the taped
-# lowrank_linear backward began to add the readout U's gradient into the
-# flat gradient buffer one chunk of input columns at a time: U's
-# gradient is now summed in the order its terms arrive, not first per
-# narrowed block. The other entries kept their bytes.
+# The dynamic loss CSV and psi were re-recorded again when the readout
+# U's gradient began to be summed one chunk of input columns at a time,
+# in the order its terms arrive, not first per narrowed block; the
+# factored gradient that replaced the dense one (nets.u_grad_chunks)
+# keeps that order. The other entries kept their bytes.
 #
 # Every parameter entry and the phase-1 and dynamic loss CSVs were
 # re-recorded when each MLP layer became one tape node on stacked value

@@ -6,10 +6,13 @@ import pytest
 
 from conftest import (
     copy_store,
+    factored_vars,
+    formed_grads,
     grad_check,
     make_store,
     reshape,
     tanh,
+    taped_lowrank_linear,
     traced_peak,
     zero_fill_backward,
 )
@@ -198,7 +201,7 @@ def chain_layer(x, n, w, b, factors, squash):
         wt = transpose2d(w)
         linear = lambda v: ad.matmul(v, wt)
     else:
-        linear = lambda v: lowrank_linear(v, w, *factors)
+        linear = lambda v: taped_lowrank_linear(v, w, *factors)
     rows = len(ad.val(x))
     a = ad.narrow(x, 0, 0, n)
     tangent = ad.narrow(x, 0, n, n) if rows > n else None
@@ -251,7 +254,7 @@ class TestFusedLayer:
                                           seed=batch + 2 * conditioned)
         results = []
         for fused in (True, False):
-            pv = ParamVars(store)
+            pv = factored_vars(store)
             x = ad.Var(xv) if taped else xv
             w, b, factors = layer_args(pv, conditioned)
             if fused:
@@ -266,7 +269,7 @@ class TestFusedLayer:
                 if t is not None:
                     loss = ad.add(loss, ad.sum_all(ad.mul(t, weights[batch:])))
             ad.backward(loss)
-            grads = {"params": pv.grads().data.copy()}
+            grads = {"params": formed_grads(pv)}
             if taped:
                 grads["x"] = x.grad
             results.append((value, jvp, grads))
@@ -288,7 +291,7 @@ class TestFusedLayer:
             jvp = ad.narrow(out, 0, batch, batch)
             return ad.sum_all(ad.mul(jvp, ad.mul(jvp, weights[batch:])))
 
-        assert grad_check(loss, store, eps=1e-6) < 1e-5
+        assert grad_check(loss, store, eps=1e-6, factored=("U",)) < 1e-5
 
     def test_plain_inputs_record_nothing(self):
         xv, store, _ = layer_inputs(3, True, True, seed=41)
@@ -420,7 +423,7 @@ class TestLowRankLinear:
         weights = np.random.default_rng(21).normal(size=(4, 5))
 
         def loss(p):
-            out = lowrank_linear(*(p.get(n) for n in self.NAMES))
+            out = taped_lowrank_linear(*(p.get(n) for n in self.NAMES))
             return ad.sum_all(ad.mul(tanh(out), weights))
 
         assert grad_check(loss, store, eps=1e-6) < 1e-6
@@ -432,7 +435,7 @@ class TestLowRankLinear:
         vals = lowrank_inputs(rng, batch, n_in, n_out, rank)
         weights = rng.normal(size=(batch, n_out))
         results = []
-        for fn in (lowrank_linear, dense_lowrank_linear):
+        for fn in (taped_lowrank_linear, dense_lowrank_linear):
             leaves = [ad.Var(vals[n]) for n in self.NAMES]
             out = fn(*leaves)
             ad.backward(ad.sum_all(ad.mul(out, weights)))
@@ -507,15 +510,6 @@ class TestLowRankLinear:
         whole = self.one_gemm(x, w, u, s)
         assert np.max(np.abs(out - whole)) <= 1e-13 * np.max(np.abs(whole))
 
-    def test_taped_call_is_the_plain_call_bitwise(self):
-        # one row-block rule: a taped forward blocks its rows as a plain one
-        vals = lowrank_inputs(np.random.default_rng(28), ROW_BLOCK + 44, 12,
-                              10, 3)
-        leaves = [ad.Var(vals[n]) for n in self.NAMES]
-        out = lowrank_linear(*leaves)
-        assert np.array_equal(out.value,
-                              lowrank_linear(*(vals[n] for n in self.NAMES)))
-
     @staticmethod
     def one_chunk_grads(g, x, w, u, s):
         """The gradients as one formula over all input columns at once."""
@@ -529,35 +523,27 @@ class TestLowRankLinear:
                 "u": (g.T @ p).reshape(u.shape),
                 "s": np.einsum("bir,bi->br", gp, x)}
 
-    @pytest.mark.parametrize("u_kind", ["leaf", "narrowed", "transposed"])
+    @pytest.mark.parametrize("u_kind", ["leaf", "narrowed"])
     def test_chunked_backward_is_the_one_chunk_formula(self, u_kind):
-        # 2 full chunks of input columns and a ragged one of 5
+        # 2 full chunks of input columns and a ragged one of 5; u keeps
+        # factored gradients, formed chunk by chunk
         batch, n_in, n_out, rank = 9, 2 * IN_BLOCK + 5, 7, 3
         rng = np.random.default_rng(30)
         vals = lowrank_inputs(rng, batch, n_in, n_out, rank)
         weights = rng.normal(size=(batch, n_out))
         leaves = {n: ad.Var(vals[n]) for n in ("x", "w", "s")}
-        if u_kind == "leaf":
-            leaves["u"] = ad.Var(vals["u"])
-            u_grad = lambda: leaves["u"].grad
-        elif u_kind == "narrowed":
-            # a slice of a ParamVars leaf: its gradient lands in the buffer
-            pv = ParamVars(make_store(
-                [("U", np.vstack([np.ones((4, rank)), vals["u"]]))]))
-            leaves["u"] = ad.narrow(pv.get("U"), 0, 4, n_out * n_in)
-            u_grad = lambda: pv.grads().get("U")[4:]
-        else:
-            # u's gradient array is column-major, so no view of it is u_r
-            base = ad.Var(np.ascontiguousarray(vals["u"].T))
-            leaves["u"] = transpose2d(base)
-            u_grad = lambda: base.grad.T
-        out = lowrank_linear(*(leaves[n] for n in self.NAMES))
+        first = 4 if u_kind == "narrowed" else 0
+        pv = factored_vars(make_store(
+            [("U", np.vstack([np.ones((first, rank)), vals["u"]]))]))
+        leaves["u"] = pv.get("U")
+        if u_kind == "narrowed":
+            leaves["u"] = ad.narrow(leaves["u"], 0, first, n_out * n_in)
+        out = taped_lowrank_linear(*(leaves[n] for n in self.NAMES))
         ad.backward(ad.sum_all(ad.mul(out, weights)))
         expect = self.one_chunk_grads(weights, *(vals[n] for n in self.NAMES))
         got = {n: leaves[n].grad for n in ("x", "w", "s")}
-        got["u"] = u_grad()
-        if u_kind == "narrowed":
-            assert np.all(pv.grads().get("U")[:4] == 0.0)
+        got["u"] = formed_grads(pv).reshape(-1, rank)[first:]
+        assert list(pv.factored["U"].blocks) == [(first, n_out * n_in)]
         for n in self.NAMES:
             scale = np.max(np.abs(expect[n]))
             assert np.max(np.abs(got[n] - expect[n])) <= 1e-13 * scale, n
@@ -566,22 +552,21 @@ class TestLowRankLinear:
         batch, width, rank = 256, 150, 32
         vals = lowrank_inputs(np.random.default_rng(31), batch, width, width,
                               rank)
-        store = make_store([("W", vals["w"]),
+        store = make_store([("W", vals["w"]), ("b", np.zeros(width)),
                             ("U", np.vstack([vals["u"], vals["u"][:10]]))])
-        pv = ParamVars(store)
+        pv = factored_vars(store)
         x, s = ad.Var(vals["x"]), ad.Var(vals["s"])
         u = ad.narrow(pv.get("U"), 0, 0, width * width)
-        loss = ad.sum_all(lowrank_linear(x, pv.get("W"), u, s))
+        out = _mlp_layer(x, batch, pv.get("W"), pv.get("b"), (u, s), False)
         tracemalloc.start()
         try:
-            ad.backward(loss)
+            ad.backward(ad.sum_all(out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one (B, i·r) array is 9.8 MB; u's gradient went into the buffer
+        # one (B, i·r) array is 9.8 MB; u's gradient stayed as its factors
         assert peak < batch * width * rank * 8
-        assert np.any(pv.grads().get("U")[:width * width] != 0.0)
-        assert np.all(pv.grads().get("U")[width * width:] == 0.0)
+        assert list(pv.factored["U"].blocks) == [(0, width * width)]
 
     def test_plain_call_holds_one_block_of_outer_products(self):
         batch, width, rank = 1000, 150, 32
@@ -634,9 +619,6 @@ class TestLowRankLinear:
         with pytest.raises(ContractViolation, match="cannot be taped"):
             _mlp_layer(args["x"], len(vals["x"]), args["w"], args["b"],
                        (source, args["s"]), True)
-        if taped != "b":
-            with pytest.raises(ContractViolation, match="cannot be taped"):
-                lowrank_linear(*(args[n] for n in self.NAMES))
         assert source.asked == []
 
 
@@ -675,11 +657,6 @@ def row_outer_lowrank_linear(x, w, u, s):
     return out
 
 
-def without_u(store):
-    """A gradient buffer with no room for U, so U's leaf keeps factors."""
-    return ParamStore(store.layout.without(("U",)))
-
-
 def readout_uses(factored, seed=40, batch=6, rank=3):
     """A readout U shared by two layers' deltas and used twice, as in the
     dynamic step: once through the Jacobian forward (value and tangent
@@ -694,7 +671,7 @@ def readout_uses(factored, seed=40, batch=6, rank=3):
     entries = [(n, rng.normal(size=shape) * 0.3)
                for n, shape in mlp_layout_entries(spec, "m")]
     store = make_store(entries + [("U", rng.normal(size=(total, rank)))])
-    pv = ParamVars(store, without_u(store) if factored else None)
+    pv = factored_vars(store) if factored else ParamVars(store)
     u = pv.get("U")
     blocks, start = [], 0
     for o, i in shapes:
@@ -717,21 +694,17 @@ def readout_uses(factored, seed=40, batch=6, rank=3):
     return pv, blocks
 
 
-def formed_u_grad(pv, rank=3):
+def formed_u_grad(pv):
     """U's gradient formed from the factored leaf's blocks, chunk by chunk."""
-    fg = pv.factored["U"]
-    out = np.zeros((fg.rows, rank))
-    for (start, length), terms in fg.blocks.items():
-        block = out[start:start + length].reshape(terms[0][0].shape[1], -1)
-        for cols, chunk in u_grad_chunks(terms):
-            block[:, cols] = chunk
-    return out
+    return ParamStore(pv.layout, formed_grads(pv)).get("U")
 
 
 class TestFactoredReadoutGradient:
     """U's gradient kept as the factors of its terms (autodiff.FactoredGrad)."""
 
-    def test_forming_from_factors_is_the_dense_buffer_bitwise(self):
+    def test_forming_from_factors_is_the_dense_buffer_bitwise(
+            self, dense_u_grads):
+        # the dense run adds each term into the full-layout buffer
         dense, _ = readout_uses(factored=False)
         factored, blocks = readout_uses(factored=True)
         fg = factored.factored["U"]
@@ -770,12 +743,25 @@ class TestFactoredReadoutGradient:
 
     def test_a_factored_leaf_refuses_a_formed_gradient(self):
         store = make_store([("U", np.ones((4, 2)))])
-        pv = ParamVars(store, without_u(store))
+        pv = factored_vars(store)
         loss = ad.sum_all(transpose2d(pv.get("U")))
         with pytest.raises(ContractViolation, match="only factors"):
             ad.backward(loss)
         with pytest.raises(ContractViolation, match="along rows"):
             ad.narrow(pv.get("U"), 1, 0, 1)
+
+    @pytest.mark.parametrize("narrowed", [False, True])
+    def test_a_dense_leaf_refuses_a_gradient_of_factors(self, narrowed):
+        # U's gradient exists only as factors, which a full-layout buffer
+        # cannot take, whole or through a row narrow
+        xv, store, weights = layer_inputs(3, True, True, seed=45)
+        pv = ParamVars(store)
+        w, b, (u, s) = layer_args(pv, True)
+        if narrowed:
+            u = ad.narrow(u, 0, 0, len(u.value))
+        out = _mlp_layer(xv, 3, w, b, (u, s), True)
+        with pytest.raises(ContractViolation, match="factored leaf"):
+            ad.backward(ad.sum_all(ad.mul(out, weights)))
 
 
 def oracle_lstm(wx, wh, b, seq):

@@ -196,14 +196,6 @@ ENTRY_ALLOWED = {
         "a traced-benchmark target (pipebench/trace.py TARGETS)",
     ("hypernet", "delta_store"):
         "a traced-benchmark target (pipebench/trace.py TARGETS)",
-    ("nets", "lowrank_linear.vjp"):
-        "the taped primitive of TestFusedLayer's reference chain; the "
-        "program tapes lowrank_linear only inside _mlp_layer's own node",
-    ("nets", "_linear_grads.add_u_grad"):
-        "the dense U gradient that the factored one is checked against, "
-        "bit for bit",
-    ("params", "Layout.__repr__"): "a debugging aid",
-    ("params", "ParamStore.__repr__"): "a debugging aid",
     ("cli", "_interrupt"): "runs only on SIGTERM",
     ("cli", "_report_rows.refuse"): "runs only on a malformed report CSV",
     ("binfile", "Reader._truncated"): "runs only on a truncated file",

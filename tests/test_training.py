@@ -12,13 +12,14 @@ from conftest import (
     poison_backward,
     analytic_linear_observer,
     copy_store,
+    dense_linear_grads,
     linear_test_system,
     make_store,
     oracle_latent_targets,
 )
 
 import hyperkkl.autodiff as ad
-from hyperkkl import seeding, training
+from hyperkkl import nets, seeding, training
 from hyperkkl.config import SETTINGS
 from hyperkkl.data import generate_dataset
 from hyperkkl.dynamics import SystemSpec, duffing, van_der_pol
@@ -33,7 +34,6 @@ from hyperkkl.kkl import (
     autonomous_pde_residual,
     build_observer_matrices,
     decode,
-    encode,
     make_maps,
     reconstruction_loss,
 )
@@ -404,7 +404,8 @@ class TestPhase2Dynamic:
 
     def run_readouts(self, monkeypatch, keep_factors, clip):
         """A 2-epoch run whose readouts U keep factored gradients or, with
-        ``keep_factors`` False, dense ones; its result and Adam state."""
+        ``keep_factors`` False, dense ones in the buffer (the oracle
+        ``dense_linear_grads``); its result and Adam state."""
         real, fits = training._Fit, []
 
         def fit(params, config, frozen=(), factored=()):
@@ -419,6 +420,8 @@ class TestPhase2Dynamic:
         config = TrainConfig(epochs=2, batch=16, seed=7, clip_norm=clip)
         with monkeypatch.context() as m:
             m.setattr(training, "_Fit", fit)
+            if not keep_factors:
+                m.setattr(nets, "_linear_grads", dense_linear_grads)
             result = phase2_train(sys, obs, maps, theta, phi, spec,
                                   [ds.trajectories], config, f_scale=2.0)
         return result, fits[0].state
