@@ -17,7 +17,7 @@ Gradients of untouched leaves are exact zeros; all values are float64.
 A VJP may hand back an ``AddInto`` instead of an array: a gradient that
 adds itself into its parent's ``.grad`` in place, so it need not exist
 as one parent-sized array. A ``narrow`` passes back its slice's
-gradient that way, unless it narrows a factored leaf (below).
+gradient that way.
 
 ``backward`` consumes the graph it walks: once a node has passed its
 gradient on, the node drops that gradient, its VJP closure (and with it
@@ -32,14 +32,14 @@ adds into an existing ``.grad`` in place, so the gradient lands in that
 buffer and no per-leaf array is made. A preset ``FactoredGrad`` goes
 further: it takes only ``AddInto`` gradients that carry their factors
 and keeps those factors, so the leaf's gradient is never formed at all
-(the hypernetwork readouts U, whose gradients are sums of rank-one
-terms as large as U itself). Such a gradient is only its factors, an
-``AddInto`` with nothing to add, and ``backward`` refuses it anywhere
-but on a factored leaf. A row ``narrow`` of a factored leaf is itself a
-leaf, holding the row block's share of the parent's ``FactoredGrad``.
-``optim`` forms the entries one chunk at a time and sums their norm
-from the factors, in another order, so the norm's last bits can differ
-from a formed gradient's.
+(the hypernetwork readouts U_l, one per targeted layer, whose
+gradients are sums of rank-one terms as large as U_l itself). Such a
+gradient is only its factors, an ``AddInto`` with nothing to add, and
+``backward`` refuses it anywhere but on a factored leaf; a factored
+leaf in turn refuses any other gradient, so a ``narrow`` of one is
+refused like any dense use. ``optim`` forms the entries one chunk at a
+time and sums their norm from the factors, in another order, so the
+norm's last bits can differ from a formed gradient's.
 
 A VJP hands over the arrays it returns. Where a parent has no ``.grad``
 yet, ``backward`` takes a returned array as that ``.grad`` when it is a
@@ -87,47 +87,40 @@ def val(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the axes numpy broadcast when producing it."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
 def _binary(a, b, out_val, vjp):
     if not (is_var(a) or is_var(b)):
         return out_val
     parents = tuple(x for x in (a, b) if is_var(x))
 
     def wired(g):
-        ga, gb = vjp(g)
-        grads = []
-        if is_var(a):
-            grads.append(_unbroadcast(ga, a.value.shape))
-        if is_var(b):
-            grads.append(_unbroadcast(gb, b.value.shape))
-        return tuple(grads)
+        return tuple(gr for x, gr in zip((a, b), vjp(g)) if is_var(x))
 
     return Var(out_val, parents, wired)
 
 
+def _elementwise(a, b, out_val, vjp):
+    """``_binary`` for an elementwise op. A plain operand may broadcast;
+    a taped one must have the result's shape, so the VJP's g-shaped
+    gradient is its own as it is."""
+    for x in (a, b):
+        if is_var(x) and x.value.shape != out_val.shape:
+            raise ContractViolation(
+                f"a taped operand of shape {x.value.shape} is broadcast to "
+                f"{out_val.shape}")
+    return _binary(a, b, out_val, vjp)
+
+
 def add(a, b):
-    return _binary(a, b, val(a) + val(b), lambda g: (g, g))
+    return _elementwise(a, b, val(a) + val(b), lambda g: (g, g))
 
 
 def sub(a, b):
-    return _binary(a, b, val(a) - val(b), lambda g: (g, -g))
+    return _elementwise(a, b, val(a) - val(b), lambda g: (g, -g))
 
 
 def mul(a, b):
     av, bv = val(a), val(b)
-    return _binary(a, b, av * bv, lambda g: (g * bv, g * av))
+    return _elementwise(a, b, av * bv, lambda g: (g * bv, g * av))
 
 
 def matmul(a, b):
@@ -174,7 +167,8 @@ class AddInto:
     ``backward`` calls ``add(acc)`` with the parent's ``.grad`` (zeros if
     it had none yet); ``add`` adds the gradient into ``acc`` in place.
     ``factors``, when given, are what the gradient is made of, and a
-    leaf whose ``.grad`` is a ``FactoredGrad`` keeps them instead. A
+    leaf whose ``.grad`` is a ``FactoredGrad`` keeps them instead; it
+    refuses an ``AddInto`` without them, such as a ``narrow``'s. A
     readout u's gradient (``nets._linear_grads``) is only its factors,
     the (g, x, s) of Σ_b g_b ⊗ x_b ⊗ s_b: its ``add`` is None, and
     ``backward`` refuses it where no ``FactoredGrad`` takes it.
@@ -188,38 +182,23 @@ class AddInto:
 
 
 class FactoredGrad:
-    """A leaf's gradient kept as the factors of its terms, never formed.
+    """A leaf's gradient kept as the factors of its terms, never formed:
+    ``terms`` lists the ``AddInto.factors`` delivered, in arrival order."""
 
-    ``blocks`` maps each row block (start, length) a gradient reached to
-    the ``AddInto.factors`` delivered there, in arrival order. A row
-    ``narrow`` of the leaf gets a FactoredGrad that shares ``blocks`` at
-    its offset, so every use of one block appends to one list.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("rows", "start", "blocks")
-
-    def __init__(self, rows, start=0, blocks=None):
-        self.rows = rows
-        self.start = start
-        self.blocks = {} if blocks is None else blocks
-
-    def narrow(self, start, length) -> "FactoredGrad":
-        return FactoredGrad(length, self.start + start, self.blocks)
+    def __init__(self):
+        self.terms = []
 
     def append(self, g) -> None:
         if not isinstance(g, AddInto) or g.factors is None:
             raise ContractViolation("a factored gradient takes only factors")
-        self.blocks.setdefault((self.start, self.rows), []).append(g.factors)
+        self.terms.append(g.factors)
 
 
 def narrow(x, axis, start, length):
-    """Contiguous slice along one axis.
-
-    A node whose gradient adds into its parent's slice; but on a leaf
-    whose ``.grad`` is a ``FactoredGrad`` (a readout U of a
-    ``params.ParamVars``) a row slice is a new leaf that keeps the row
-    block's share of it.
-    """
+    """Contiguous slice along one axis: a node whose gradient adds into
+    its parent's slice (an ``AddInto``)."""
     xv = val(x)
     sl = [slice(None)] * xv.ndim
     sl[axis] = slice(start, start + length)
@@ -227,12 +206,6 @@ def narrow(x, axis, start, length):
     out = xv[sl]
     if not is_var(x):
         return out
-    if isinstance(x.grad, FactoredGrad):
-        if axis != 0:
-            raise ContractViolation("a factored leaf narrows along rows")
-        leaf = Var(out)
-        leaf.grad = x.grad.narrow(start, length)
-        return leaf
 
     def vjp(g):
         def add(acc):

@@ -24,8 +24,10 @@ Parameter slices are tagged by component through their name prefixes
 observer, encoder and decoder slices must have the names and shapes the
 metadata implies, slice by slice. The hypernetwork and injection blocks
 are laid out from the spec in the metadata, so only their value counts
-have to match; files that split each head's U readout into several
-slices load unchanged, since the values sit in the same order. The
+have to match. The spec lays each head's readout out as one slice
+{head}.U{l} per targeted decoder or encoder layer (``hypernet``); files
+that store it otherwise, as one U slice per head or split into other
+row blocks, load unchanged, since the values sit in the same order. The
 slice offsets must tile the data block in table order, each block's
 slices in one run; a slice that does not is refused by name, and so is
 a slice in no block a read takes: obs., enc., dec. and the variant's
@@ -50,13 +52,14 @@ differ only in what they skip:
         (hyper.enc_head.*) feed only the training residual; their bytes
         are stepped over, never read, so the bundle holds obs.*, dec.*,
         and inj.* (static) or hyper.lstm.* and hyper.dec_head.V
-        (dynamic). The decoder head's U (STREAMED) is not read either:
-        the bundle's ``readout`` records, for each decoder layer, where
-        its rows start in the file and its weight's shape, and the
-        file's stamp (``file_stamp``), and an observer reads one
-        IN_BLOCK chunk of one layer's rows at a time
+        (dynamic). The decoder head's readout slices (named from the
+        prefix STREAMED) are not read either: the bundle's ``readout``
+        records, for each decoder layer, where its slice starts in the
+        file (its offset in the spec's layout) and its weight's shape,
+        and the file's stamp (``file_stamp``), and an observer reads one
+        IN_BLOCK chunk of one layer's slice at a time
         (``Readout.layers``). The bundle has theta None and, if dynamic,
-        params without hyper.enc_head.* and STREAMED, and
+        params without hyper.enc_head.* and the STREAMED slices, and
         write_checkpoint refuses it.
 
 Which command makes which read:
@@ -97,12 +100,10 @@ from .hypernet import (
     InjectionSpec,
     build_hypernet_spec,
     build_injection_spec,
-    head_layer_rows,
     hypernet_layout,
     injection_layout,
 )
 from .kkl import (
-    DEC,
     KklMaps,
     ObserverMatrices,
     decoder_layout,
@@ -119,8 +120,9 @@ VERSION = 1
 VARIANTS = ("autonomous", "curriculum", "static", "dynamic")
 # the blocks an observer read steps over: they feed only the training residual
 OBSERVER_SKIPS = ("enc.", HyperNetSpec.PREFIX + "enc_head.")
-# the slice an observer read leaves in the file, to be read one IN_BLOCK
-# chunk of one decoder layer at a time (Readout)
+# the name prefix of the decoder head's readout slices, one per layer,
+# which an observer read leaves in the file, to be read one IN_BLOCK
+# chunk of one layer at a time (Readout)
 STREAMED = HyperNetSpec.PREFIX + "dec_head.U"
 
 
@@ -133,7 +135,7 @@ def file_stamp(file) -> tuple:
 
 
 class LayerChunks(NamedTuple):
-    """One decoder layer's readout rows U_l in a checkpoint file, as the
+    """One decoder layer's readout slice U_l in a checkpoint file, as the
     chunk source ``nets.lowrank_linear`` takes: U_l is stored from byte
     ``at`` on as the C-order (n_out, n_in·rank) matrix u_r, for W_l's
     (n_out, n_in) ``w_shape``. Each chunk is read into ``buf``,
@@ -160,11 +162,11 @@ class LayerChunks(NamedTuple):
 
 
 class Readout(NamedTuple):
-    """The decoder head's U as an observer read leaves it: in the file at
-    ``path``, whose stamp the read saw, with layer l's rows U_l stored
-    from byte offset ``blocks[l][0]`` on for W_l's (n_out, n_in) shape
-    ``blocks[l][1]``. An observer holds one IN_BLOCK chunk of one layer's
-    rows at a time (``layers``)."""
+    """The decoder head's readout as an observer read leaves it: in the
+    file at ``path``, whose stamp the read saw, with layer l's slice U_l
+    stored from byte offset ``blocks[l][0]`` on for W_l's (n_out, n_in)
+    shape ``blocks[l][1]``. An observer holds one IN_BLOCK chunk of one
+    layer's U_l at a time (``layers``)."""
 
     path: object
     stamp: tuple
@@ -226,7 +228,7 @@ class CheckpointBundle:
     spec: HyperNetSpec | InjectionSpec | None = None  # see CONDITIONING
     params: ParamStore | None = None    # the spec's ψ or ξ
     extra: dict = field(default_factory=dict)
-    readout: Readout | None = None  # ψ's STREAMED U in an observer read
+    readout: Readout | None = None  # ψ's STREAMED slices in an observer read
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -486,17 +488,14 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
                     f"{path}: metadata key {cond.key!r}: {e}") from None
             layout = cond.layout(spec)
             params = take(cond.spec_type.PREFIX, layout)
-            if observer and STREAMED in layout:
-                u_at = (block_at(cond.spec_type.PREFIX, layout)
-                        + 8 * layout[STREAMED].offset)
+            if observer and isinstance(spec, HyperNetSpec):
+                at = block_at(cond.spec_type.PREFIX, layout)
                 head = spec.dec_head
-                rank = head.rank
                 blocks = tuple(
-                    (u_at + 8 * rank * first,
-                     head.target_layout[f"{DEC}.W{i}"].shape)
-                    for i, (first, _) in enumerate(
-                        head_layer_rows(head, maps.dec, DEC)))
-                readout = Readout(path, file_stamp(fh.fileno()), blocks, rank)
+                    (at + 8 * layout[u].offset, head.target_layout[w].shape)
+                    for u, w in zip(head.u_names, head.weight_names))
+                readout = Readout(path, file_stamp(fh.fileno()), blocks,
+                                  head.rank)
         theta = take("enc.", encoder_layout(maps), by_slice=True)
         phi = take("dec.", decoder_layout(maps), by_slice=True)
         system = get_system(meta["system"])

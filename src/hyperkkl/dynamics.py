@@ -211,8 +211,8 @@ def eval_vector_field(system: SystemSpec, x, u=None) -> np.ndarray:
 def rk4_step(system: SystemSpec, x, u, t: float, dt: float) -> np.ndarray:
     """One classical 4-stage Runge-Kutta update of a (count, n_x) batch.
 
-    ``u`` stacks each run's input at t, t + dt/2 and t + dt, shape
-    (3, count, m). A non-finite stage raises ``NumericError`` naming the
+    ``u`` holds each run's input at t, t + dt/2 and t + dt, three
+    (count, m) arrays. A non-finite stage raises ``NumericError`` naming the
     first run it hit; ``simulate`` has validated dt.
     """
     u0, um, u1 = u
@@ -264,13 +264,14 @@ def simulate(
     """Integrate the runs x0[i] (x0 is (count, n_x)) under ``signals[i]``.
 
     ``signals`` None is zero input for every run; the grids
-    ``times[k]`` (the recorded inputs), ``times[k] + 0.5*dt`` and
-    ``times[k] + dt`` are evaluated before the loop, which makes one
-    ``rk4_step`` per step. Run i draws its noise from the Philox streams
-    of ``seed + i``, so it is bit for bit the run simulated alone; the
-    result is run-major. At the first step where a run strays farther
-    than 1e3 domain-box diameters from the box center, a
-    ``DivergenceError`` names it and the step.
+    ``times[k]`` (the recorded inputs, written run-major into the
+    returned ``inputs``), ``times[k] + 0.5*dt`` and ``times[k] + dt`` are
+    evaluated before the loop, which makes one ``rk4_step`` per step.
+    Run i draws its noise from the Philox streams of ``seed + i``, so it
+    is bit for bit the run simulated alone; the result is run-major. At
+    the first step where a run strays farther than 1e3 domain-box
+    diameters from the box center, a ``DivergenceError`` names it and
+    the step.
     """
     if not (sigma >= 0 and math.isfinite(sigma)):
         raise ContractViolation(f"sigma must be finite and >= 0, got {sigma!r}")
@@ -285,12 +286,14 @@ def simulate(
         raise ContractViolation(f"{len(signals)} signals for {count} runs")
 
     times = np.arange(n + 1) * dt
-    u = np.zeros((n + 1, 3, count, system.m))  # step, grid, run, channel
+    inputs = np.zeros((count, n + 1, system.m))  # run, step, channel
+    mid, end = np.zeros((2, n + 1, count, system.m))  # step, run, channel
     for i, signal in enumerate(signals if system.m else ()):
         if system.m != 1:
             raise ContractViolation("shipped signals are scalar (m=1)")
-        for g, grid in enumerate((times, times + 0.5 * dt, times + dt)):
-            u[:, g, i, 0] = eval_signal(signal, grid)
+        inputs[i, :, 0] = eval_signal(signal, times)
+        mid[:, i, 0] = eval_signal(signal, times + 0.5 * dt)
+        end[:, i, 0] = eval_signal(signal, times + dt)
 
     lo, hi = system.domain.T
     limit = 1e3 * np.sqrt(np.sum((hi - lo) ** 2))
@@ -303,7 +306,7 @@ def simulate(
         _draw(seed, seeding.STREAM_PROCESS_NOISE, states[:, 1:])
         states[:, 1:] *= sigma * math.sqrt(dt)
     for k in range(n):
-        x = rk4_step(system, x, u[k], times[k], dt)
+        x = rk4_step(system, x, (inputs[:, k], mid[k], end[k]), times[k], dt)
         if sigma > 0:
             x = x + states[:, k + 1]
         escaped = np.sqrt(np.sum((x - center) ** 2, axis=1)) > limit
@@ -313,6 +316,7 @@ def simulate(
                 f"step {k + 1}", step=k + 1,
             )
         states[:, k + 1] = x
+    del mid, end  # gone before h's result and the noise are made
 
     outputs = np.asarray(system.h(states), dtype=np.float64).reshape(
         count, n + 1, system.n_y)
@@ -321,7 +325,6 @@ def simulate(
                       np.empty(outputs.shape))
         noise *= sigma
         outputs = np.add(outputs, noise, out=noise)
-    inputs = np.ascontiguousarray(u[:, 0].transpose(1, 0, 2))
     return TrajectorySet(dt, times, states, inputs, outputs, signals)
 
 

@@ -17,20 +17,20 @@ What each variant reads from a checkpoint (``read_checkpoint`` with
     static:  bundle.spec and bundle.params: the injection network inj.*
     dynamic: bundle.spec and bundle.params: the hypernetwork's LSTM
              hyper.lstm.* and decoder head hyper.dec_head.*, whose
-             readout U an observer read leaves in the file
+             readout slices U_l an observer read leaves in the file
              (bundle.readout)
 
-The encoder T and the encoder head only feed the training residual. U is
-nearly all of a dynamic checkpoint, each decoder layer l takes only its
-own rows U_l of it, and ``nets.lowrank_linear`` takes those one IN_BLOCK
-chunk of input columns at a time. So ``run_observer`` on an observer
+The encoder T and the encoder head only feed the training residual. The
+readouts are nearly all of a dynamic checkpoint, each decoder layer l
+takes only its own slice U_l, and ``nets.lowrank_linear`` takes that one
+IN_BLOCK chunk of input columns at a time. So ``run_observer`` on an observer
 read opens the file once and lists the layers' U_l as chunk sources,
 one per layer (``checkpoints.Readout.layers``): as layer l runs in each
 decode block, its source reads U_l chunk by chunk into one buffer sized
 for the largest layer's chunk. It refuses the file, naming it, if its
 stamp is not the read's when it opens or after its last read. A bundle
-that holds U (training's, a full read's) decodes from a list of views
-of it, to the same bits.
+that holds the U_l (training's, a full read's) decodes from its slices,
+to the same bits.
 
 A test set is one ``TrajectorySet``: ``run_observer`` estimates all its
 runs into one run-major (count, N+1, n_x) array. The plain filter takes
@@ -56,7 +56,7 @@ start (``regime_test_sets``); each cell loads its checkpoint bundle when
 it starts and drops it when it ends. So one test set and one
 checkpoint's arrays are alive at a time, and the peak is the largest
 bundle less its decoder-head readout, plus one IN_BLOCK chunk of one
-layer's readout rows, one test set, one run's latent states and one
+layer's readout U_l, one test set, one run's latent states and one
 ``ROW_BLOCK`` block of a static filter's contexts or of a decode (its
 windows dropped once the LSTM has read them), at any number of
 variants, regimes, test runs or steps. The price is one checkpoint
@@ -83,7 +83,7 @@ from .hypernet import (
     head_layer_deltas,
     make_step_injection,
 )
-from .kkl import DEC, decode, simulate_latent
+from .kkl import decode, simulate_latent
 from .nets import ROW_BLOCK
 from .signals import window_matrix
 
@@ -174,9 +174,9 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int,
     bits. For the dynamic variant the block's live steps, those whose
     ``window_matrix`` window is nonzero, are decoded again with their
     weight deltas; their windows are gathered for this block only. The
-    decoder layers' readout rows are views of the bundle's ψ when
+    decoder layers' readouts U_l are the bundle's ψ slices when
     ``u_rows`` is None, else the list ``u_rows``, one chunk source per
-    layer that reads its rows from the bundle's file as the layer runs
+    layer that reads its U_l from the bundle's file as the layer runs
     (``run_observer``).
     """
     maps = bundle.maps
@@ -190,8 +190,8 @@ def _decode(bundle: CheckpointBundle, zs, u, lo: int,
             # only the decoder head is read
             context = encode_context(psi, spec, windows[live])
             del windows
-            factors = head_layer_deltas(psi, spec.dec_head, maps.dec,
-                                        DEC, context, gates[live], u_rows)
+            factors = head_layer_deltas(psi, spec.dec_head, context,
+                                        gates[live], u_rows)
             xhat[live] = decode(maps, bundle.phi, zs[live],
                                 weight_deltas=factors)
     return xhat

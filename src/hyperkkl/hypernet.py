@@ -19,18 +19,17 @@ autonomous one, bit for bit — that recovery claim is enforced rather
 than merely trained for.
 
 Each readout head is rank-factorized: a (rank, d_h) matrix V projects
-the LSTM state h to rank coordinates s = g · h Vᵀ, and one (total, rank)
-matrix U maps them onto the flat entry space of the target's weight
-matrices, in layout order. Training and inference keep the factors:
-``head_layer_deltas`` pairs s with a list of per-layer row blocks U_l
-(``head_layer_rows``), one entry per layer, and the MLP applies
+the LSTM state h to rank coordinates s = g · h Vᵀ, and one
+(o_l·i_l, rank) slice U_l per targeted weight W_l of shape (o_l, i_l),
+named ``{head}.U{l}`` (``HeadSpec.u_names``), maps them onto that
+weight's entries in C order. Training and inference keep the factors:
+``head_layer_deltas`` pairs s with each layer's U_l, and the MLP applies
 W x + Σ_r s_r (U_l,r x) through ``nets.lowrank_linear``, so no
-(B, total) delta or (B, o, i) weight is formed. The entries are views
-of ψ's U, or in eval chunk sources that read U_l from the checkpoint
-file one IN_BLOCK chunk of input columns at a time as its layer runs
-(``checkpoints.Readout.layers``).
-``generate_deltas`` and ``delta_store`` give the dense form of the same
-perturbations.
+(B, o_l·i_l) delta or (B, o, i) weight is formed. The U_l are ψ's
+slices, or in eval chunk sources that read U_l from the checkpoint file
+one IN_BLOCK chunk of input columns at a time as its layer runs
+(``checkpoints.Readout.layers``). ``generate_deltas`` and
+``delta_store`` give the dense form of the same perturbations.
 """
 
 from __future__ import annotations
@@ -79,8 +78,13 @@ class HeadSpec:
     name: str                   # parameter prefix, e.g. "hyper.enc_head"
     target_layout: Layout       # full base layout (weights + biases)
     weight_names: tuple         # targeted weight slices, in layout order
-    total: int                  # total targeted entries
     rank: int
+
+    @property
+    def u_names(self) -> tuple:
+        """ψ's readout slices U_l, one per name of ``weight_names``."""
+        return tuple(f"{self.name}.U{l}"
+                     for l in range(len(self.weight_names)))
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,9 @@ class HyperNetSpec:
 
 def _head(target_layout, mlp: MlpSpec, prefix: str, rank: int) -> HeadSpec:
     """The readout onto the ``prefix`` map's weights in ``target_layout``."""
-    names = tuple(mlp_weight_names(mlp, prefix))
     return HeadSpec(
         name=f"{HyperNetSpec.PREFIX}{prefix}_head", target_layout=target_layout,
-        weight_names=names, total=sum(target_layout[w].size for w in names),
-        rank=rank,
+        weight_names=tuple(mlp_weight_names(mlp, prefix)), rank=rank,
     )
 
 
@@ -134,7 +136,8 @@ def hypernet_layout(spec: HyperNetSpec) -> Layout:
     entries = lstm_layout_entries(spec.lstm, spec.PREFIX + "lstm")
     for head in (spec.enc_head, spec.dec_head):
         entries.append((f"{head.name}.V", (head.rank, spec.lstm.hidden_size)))
-        entries.append((f"{head.name}.U", (head.total, head.rank)))
+        entries.extend((u, (head.target_layout[w].size, head.rank))
+                       for u, w in zip(head.u_names, head.weight_names))
     return Layout(entries)
 
 
@@ -179,58 +182,40 @@ def encode_context(params, spec: HyperNetSpec | InjectionSpec, windows):
 def generate_deltas(psi, spec: HyperNetSpec, windows):
     """Gated weight perturbations for both heads, in dense form.
 
-    Returns (d_theta, d_phi) as (B, total) flat entry tensors, each
-    ((h Vᵀ) Uᵀ) · g; rows whose window is identically zero are exactly
-    zero. Training and inference use head_layer_deltas instead, which
-    never forms these tensors.
+    Returns (d_theta, d_phi) as (B, Σ_l o_l·i_l) flat entry tensors,
+    each ((h Vᵀ) U_lᵀ) · g for the layers in order; rows whose window is
+    identically zero are exactly zero. Training and inference use
+    head_layer_deltas instead, which never forms these tensors.
     """
     context = encode_context(psi, spec, windows)
     g = gate_values(windows, spec.tau)
     out = []
     for head in (spec.enc_head, spec.dec_head):
         s = ad.matmul(context, transpose2d(psi.get(f"{head.name}.V")))
-        out.append(ad.mul(ad.matmul(s, transpose2d(psi.get(f"{head.name}.U"))),
-                          g))
+        out.append(ad.mul(ad.concat(
+            [ad.matmul(s, transpose2d(psi.get(u))) for u in head.u_names],
+            axis=1), g))
     return tuple(out)
 
 
-def head_layer_rows(head: HeadSpec, maps_spec: MlpSpec, prefix: str):
-    """The (first row, row count) of each layer's block U_l of the head's
-    U, in layer order: the rows that map onto layer l's weight entries.
-    The one rule for which U rows feed a layer; the observer read's
-    per-layer file offsets (``checkpoints.Readout``) follow it too."""
-    blocks, first = [], 0
-    for i in range(maps_spec.n_layers):
-        size = head.target_layout[f"{prefix}.W{i}"].size
-        blocks.append((first, size))
-        first += size
-    if first != head.total:
-        raise ContractViolation("MLP layers do not match the head's targets")
-    return blocks
-
-
-def head_layer_deltas(psi, head: HeadSpec, maps_spec: MlpSpec, prefix: str,
-                      context, gates, u_rows=None):
+def head_layer_deltas(psi, head: HeadSpec, context, gates, u_rows=None):
     """One head as per-layer (U_l, s) weight-delta factors for mlp_forward.
 
     s = g · h Vᵀ is the gated (B, rank) projection of the (B, d_h)
-    contexts, shared by every layer; U_l is the block of the head's U
-    rows that maps onto layer l's weight entries (``head_layer_rows``),
-    so sample b's layer-l delta is reshape(U_l s[b], (o, i)). Rows whose
-    gate is 0 get s = 0.
+    contexts, shared by every layer; U_l is the head's readout slice of
+    layer l, so sample b's layer-l delta is reshape(U_l s[b], (o, i)).
+    Rows whose gate is 0 get s = 0.
 
     ``u_rows`` lists each layer's U_l, in layer order, for a psi that
-    holds no U: an observer read's chunk sources
-    (``checkpoints.Readout.layers``), which read a layer's rows only as
+    holds none: an observer read's chunk sources
+    (``checkpoints.Readout.layers``), which read a layer's U_l only as
     it runs and which no taped input may join (``nets._mlp_layer``).
-    By default the U_l are views of psi's U.
+    By default the U_l are psi's slices ``head.u_names``.
     """
     s = ad.mul(ad.matmul(context, transpose2d(psi.get(f"{head.name}.V"))),
                gates)
     if u_rows is None:
-        u = psi.get(f"{head.name}.U")
-        u_rows = [ad.narrow(u, 0, first, size)
-                  for first, size in head_layer_rows(head, maps_spec, prefix)]
+        u_rows = [psi.get(u) for u in head.u_names]
     return [(u_l, s) for u_l in u_rows]
 
 

@@ -182,7 +182,7 @@ def _u_values(u, others):
 def lowrank_linear(x, w, u, s, out=None):
     """x Wᵀ with sample b's weight W + reshape(u s[b], (o, i)), unformed.
 
-    x is (B, i), W (o, i), u (o·i, r) the readout rows that map onto W's
+    x is (B, i), W (o, i), u (o·i, r) the readout U_l that maps onto W's
     entries in C order, and s (B, r) the per-sample coordinates: arrays,
     but u may be a chunk source (``_u_values``). Computed as two GEMMs,
     x Wᵀ + P u_rᵀ, with P[b] = x[b] ⊗ s[b] of shape (B, i·r) and u_r the

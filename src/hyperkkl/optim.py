@@ -12,16 +12,17 @@ step of an epoch holds a second parameter-sized array. ``AdamState``
 also owns the run's one gradient buffer, which every step's
 ``ParamVars`` fills.
 
-Factored slices. The hypernetwork readouts U have gradients as large as
-U, each a sum of rank-one terms, which exist only as the terms' factors
-(``autodiff.FactoredGrad``) and get no room in the buffer.
-``clip_grad_norm`` adds their squared norm from the factors' Gram
-matrices, and ``adam_step`` forms them one chunk at a time
-(``nets.u_grad_chunks``), scales the chunk by the clip factor it is
-handed (``clip_factor``) and updates m, v and U on strided views of at
-most ADAM_BLOCK entries. The norm is summed in another order than the
-chunks' entries, so it, and a clip factor, can differ in the last bits
-from the formed gradient's (within 1e-13 relative).
+Factored slices. The hypernetwork readouts, one slice U_l per targeted
+layer, have gradients as large as U_l, each a sum of rank-one terms,
+which exist only as the terms' factors (``autodiff.FactoredGrad``) and
+get no room in the buffer. ``clip_grad_norm`` adds each slice's squared
+norm from the factors' Gram matrices, and ``adam_step`` forms each
+slice's gradient one chunk at a time (``nets.u_grad_chunks``), scales
+the chunk by the clip factor it is handed (``clip_factor``) and updates
+m, v and U_l on strided views of at most ADAM_BLOCK entries. The norm is
+summed in another order than the chunks' entries, so it, and a clip
+factor, can differ in the last bits from the formed gradient's (within
+1e-13 relative).
 """
 
 from __future__ import annotations
@@ -66,22 +67,15 @@ def _spans(lo, hi, size=ADAM_BLOCK):
         yield slice(a, min(a + size, hi))
 
 
-def _check_blocks(name, spec, fg, data):
-    """Refuse ``fg``'s blocks unless each fits the rows of ``spec``, a
-    (rows, r) slice, none overlaps another and no factor shares memory
-    with the parameters ``data``."""
-    row = 0
-    for (start, length), terms in sorted(fg.blocks.items()):
-        g, xv, sv = terms[0]
-        if start < row:
-            raise ContractViolation(f"factored blocks of {name} overlap")
-        if g.shape[1] * xv.shape[1] != length or sv.shape[1] != spec.shape[1]:
-            raise ContractViolation(
-                f"factors do not fit rows {start}:{start + length} of {name}")
-        if any(np.may_share_memory(f, data) for t in terms for f in t):
+def _check_terms(name, spec, fg, data):
+    """Refuse ``fg``'s terms unless each fits ``spec``, an (o·i, r) slice,
+    and no factor shares memory with the parameters ``data``."""
+    for g, xv, sv in fg.terms:
+        if (g.shape[1] * xv.shape[1], sv.shape[1]) != spec.shape:
+            raise ContractViolation(f"factors do not fit {name}")
+        if any(np.may_share_memory(f, data) for f in (g, xv, sv)):
             raise ContractViolation(
                 f"factors of {name} share memory with the parameters")
-        row = start + length
 
 
 def adam_step(
@@ -101,14 +95,14 @@ def adam_step(
     ``factored`` maps to their ``autodiff.FactoredGrad`` (module
     docstring). Each chunk formed from those is scaled by ``grad_scale``,
     the ``clip_factor`` that ``clip_grad_norm`` applied to ``grads``, if
-    any. Rows of a factored slice that no term reached step with a zero
+    any. A factored slice that no term reached steps with a zero
     gradient.
 
     One walk over the slices in layout order updates each in turn: a
     buffered slice from its stretch of ``grads``, a factored one from the
     chunks formed from its factors. So a factor must not share memory
     with the parameters: one that did could be read after its update.
-    Such a factor, like a layout that does not match or blocks that do
+    Such a factor, like a layout that does not match or terms that do
     not fit, is refused before anything changes.
     """
     factored = factored or {}
@@ -123,7 +117,7 @@ def adam_step(
     if grads.layout != params.layout.without(factored):
         raise ContractViolation("params and grads have different layouts")
     for name, fg in factored.items():
-        _check_blocks(name, params.layout[name], fg, params.data)
+        _check_terms(name, params.layout[name], fg, params.data)
     state.step += 1
     m_scale = 1.0 - beta1**state.step
     v_scale = 1.0 - beta2**state.step
@@ -152,18 +146,16 @@ def adam_step(
             update(gb, state.m[block], state.v[block], params.data[block])
 
     for spec in params.layout.slices:
-        if spec.name not in factored:
+        lo, hi = spec.offset, spec.offset + spec.size
+        terms = factored[spec.name].terms if spec.name in factored else None
+        if terms is None:
             g = grads.layout[spec.name]
-            update_flat(spec.offset, spec.offset + spec.size,
-                        grads.data[g.offset:g.offset + g.size])
-            continue
-        rank, row = spec.shape[1], 0
-        blocks = sorted(factored[spec.name].blocks.items())
-        for (start, length), terms in blocks:
-            update_flat(spec.offset + row * rank, spec.offset + start * rank)
-            lo = spec.offset + start * rank
+            update_flat(lo, hi, grads.data[g.offset:g.offset + g.size])
+        elif not terms:
+            update_flat(lo, hi)
+        else:
             n_out = terms[0][0].shape[1]
-            m_r, v_r, p_r = (a[lo:lo + length * rank].reshape(n_out, -1)
+            m_r, v_r, p_r = (a[lo:hi].reshape(n_out, -1)
                              for a in (state.m, state.v, params.data))
             for cols, chunk in u_grad_chunks(terms):
                 if grad_scale is not None:
@@ -172,8 +164,6 @@ def adam_step(
                 for rows in _spans(0, n_out, rows_per):
                     update(chunk[rows], m_r[rows, cols], v_r[rows, cols],
                            p_r[rows, cols])
-            row = start + length
-        update_flat(spec.offset + row * rank, spec.offset + spec.size)
     return params
 
 
@@ -187,10 +177,10 @@ def clip_grad_norm(grads: ParamStore, max_norm: float, factored=None) -> float:
     numpy value bit for bit. A non-finite norm (an inf or NaN entry)
     raises NumericError: Adam would write it into every parameter.
 
-    Each block of each ``factored`` gradient then adds its squared norm
-    from the factors (``nets.u_grad_sq_norm``, GEMMs whose sums may follow
-    the thread count; a rounded value below 0 counts as 0), in slice and
-    row order. They are not scaled here: ``adam_step`` scales each chunk
+    Each ``factored`` gradient then adds its squared norm from the
+    factors (``nets.u_grad_sq_norm``, GEMMs whose sums may follow the
+    thread count; a rounded value below 0 counts as 0), in slice order.
+    They are not scaled here: ``adam_step`` scales each chunk
     it forms by the ``grad_scale`` it is handed.
     """
     if max_norm <= 0:
@@ -201,8 +191,8 @@ def clip_grad_norm(grads: ParamStore, max_norm: float, factored=None) -> float:
     for block in _spans(0, g.size):
         total += np.sum(g[block] * g[block])
     for fg in factored.values():
-        for _, terms in sorted(fg.blocks.items()):
-            total += max(u_grad_sq_norm(terms), 0.0)
+        if fg.terms:
+            total += max(u_grad_sq_norm(fg.terms), 0.0)
     norm = float(np.sqrt(total))
     if not np.isfinite(norm):
         raise NumericError("gradient norm is non-finite")

@@ -108,12 +108,13 @@ class ParamVars:
     is used.
 
     The factored slices are the slices a ``grad`` store lacks (the
-    hypernetwork readouts U; ``optim.AdamState.for_params``): its layout
-    must be the store's ``Layout.without`` them. Their leaves get an
-    ``autodiff.FactoredGrad`` each, which keeps the factors of the
-    rank-one terms that reach it and is never formed; ``factored`` maps
-    each such name to its own. A readout's gradient exists only as those
-    factors, so a U that a backward reaches must be factored. ``optim``
+    hypernetwork readouts, one U_l per targeted layer;
+    ``optim.AdamState.for_params``): its layout must be the store's
+    ``Layout.without`` them. Their leaves get an ``autodiff.FactoredGrad``
+    each, which keeps the factors of the rank-one terms that reach it and
+    is never formed; ``factored`` maps each such name to its own. A
+    readout's gradient exists only as those factors, so a U_l that a
+    backward reaches must be factored, and is used whole. ``optim``
     takes their norm from the factors, in another summation order, so
     its last bits can differ from a formed gradient's.
     """
@@ -123,7 +124,7 @@ class ParamVars:
         if grad is None:
             grad = ParamStore(store.layout)
         else:
-            self.factored = {s.name: FactoredGrad(s.shape[0])
+            self.factored = {s.name: FactoredGrad()
                              for s in store.layout.slices
                              if s.name not in grad.layout}
             if grad.layout != store.layout.without(self.factored):

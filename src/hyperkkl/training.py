@@ -59,8 +59,6 @@ from .hypernet import (
     make_step_injection,
 )
 from .kkl import (
-    DEC,
-    ENC,
     KklMaps,
     ObserverMatrices,
     autonomous_pde_residual,
@@ -193,7 +191,7 @@ class _Fit:
     """One Adam run over ``params`` in place: m, v and one gradient buffer,
     and no copy of the parameters (see the module docstring).
 
-    The dynamic run names its readouts U ``factored``: the gradient
+    The dynamic run names its readout slices U_l ``factored``: the gradient
     buffer has no room for them, so ``ParamVars`` keeps their gradients
     as factors, never formed (``optim``), and the run holds ψ, m and v
     and no fourth ψ-sized array. Their norm is summed from the factors
@@ -383,14 +381,13 @@ def phase1_train(
                         log=encoder_log + run.log, abort=run.abort)
 
 
-def _check_zero_input_gating(maps, spec, psi):
+def _check_zero_input_gating(spec, psi):
     """Zero windows must give the exact zero s factors training applies."""
     zero_win = np.zeros((2, spec.window, spec.lstm.input_size))
     context = encode_context(psi, spec, zero_win)
     gates = gate_values(zero_win, spec.tau)
-    for head, mlp, prefix in ((spec.enc_head, maps.enc, ENC),
-                              (spec.dec_head, maps.dec, DEC)):
-        factors = head_layer_deltas(psi, head, mlp, prefix, context, gates)
+    for head in (spec.enc_head, spec.dec_head):
+        factors = head_layer_deltas(psi, head, context, gates)
         if any(np.any(ad.val(s) != 0.0) for _, s in factors):
             raise NumericError("zero-input gating violated: deltas not exactly 0")
 
@@ -445,12 +442,12 @@ def phase2_train(
 def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, runs,
                    config, f_scale):
     psi = init_hypernet_params(spec, config.seed)
-    _check_zero_input_gating(maps, spec, psi)
+    _check_zero_input_gating(spec, psi)
 
     dt, n_steps = runs.dt, runs.n_steps
     batch_rng = seeding.stream(config.seed, seeding.STREAM_BATCH)
     run = _Fit(psi, config, frozen=(theta_base, phi_base),
-               factored=(f"{spec.enc_head.name}.U", f"{spec.dec_head.name}.U"))
+               factored=spec.enc_head.u_names + spec.dec_head.u_names)
     for epoch in range(1, config.epochs + 1):
         t_idx = batch_rng.integers(0, runs.count, size=config.batch)
         k_idx = batch_rng.integers(0, n_steps, size=config.batch)
@@ -466,13 +463,10 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, runs,
             context = encode_context(pv, spec, windows)
             gates = gate_values(windows, spec.tau)
             pre, post = ad.narrow(context, 0, 0, b), ad.narrow(context, 0, b, b)
-            enc_pre = head_layer_deltas(pv, spec.enc_head, maps.enc, ENC,
-                                        pre, gates[:b])
-            enc_post = head_layer_deltas(pv, spec.enc_head, maps.enc, ENC,
-                                         post, gates[b:])
+            enc_pre = head_layer_deltas(pv, spec.enc_head, pre, gates[:b])
+            enc_post = head_layer_deltas(pv, spec.enc_head, post, gates[b:])
             # the decoder head reads only the pre-windows
-            dec_pre = head_layer_deltas(pv, spec.dec_head, maps.dec, DEC,
-                                        pre, gates[:b])
+            dec_pre = head_layer_deltas(pv, spec.dec_head, pre, gates[:b])
             return total_loss(
                 maps, theta_base, phi_base, obs, system, x, config.lam, dt,
                 u_now=u_now, enc_deltas_pre=enc_pre, enc_deltas_post=enc_post,

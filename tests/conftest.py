@@ -124,6 +124,22 @@ def reshape(x, shape):
     return ad.Var(out, (x,), lambda g: (g.reshape(xv.shape),))
 
 
+def broadcast_add(x, b):
+    """x + b for a b of x's shape less its first axis (a bias row, a weight
+    shared by a batch of samples) as one tape node, whose VJP sums b's
+    gradient over that axis: the broadcast that ``autodiff``'s elementwise
+    primitives refuse a taped operand. For the oracles that need it."""
+    out = ad.val(x) + ad.val(b)
+    if not (ad.is_var(x) or ad.is_var(b)):
+        return out
+
+    def vjp(g):
+        return tuple(gr for p, gr in ((x, g), (b, g.sum(axis=0)))
+                     if ad.is_var(p))
+
+    return ad.Var(out, tuple(p for p in (x, b) if ad.is_var(p)), vjp)
+
+
 def traced_peak(fn, *args):
     """``fn(*args)`` and the most bytes tracemalloc saw held at once during
     the call beyond those held when it began."""
@@ -230,11 +246,11 @@ def formed_grads(pv) -> np.ndarray:
         if spec.name not in pv.factored:
             out.set(spec.name, pv.grads().get(spec.name))
             continue
-        u = out.get(spec.name)
-        for (start, length), terms in pv.factored[spec.name].blocks.items():
-            block = u[start:start + length].reshape(terms[0][0].shape[1], -1)
+        terms = pv.factored[spec.name].terms
+        if terms:
+            u_r = out.get(spec.name).reshape(terms[0][0].shape[1], -1)
             for cols, chunk in nets.u_grad_chunks(terms):
-                block[:, cols] = chunk
+                u_r[:, cols] = chunk
     return out.data
 
 

@@ -34,15 +34,22 @@ class TestElementwise:
         check(lambda v: ad.sum_all(exp(ad.mul(v, 0.3))), x)
 
     def test_mul_broadcast(self, rng):
+        # a plain operand may broadcast; a taped one may not
         x = rng.normal(size=(4, 3))
         s = rng.normal(size=(4, 1))
         check(lambda v: ad.sum_all(ad.mul(v, s)), x)
-        check(lambda v: ad.sum_all(ad.mul(x, v)), s)
+        with pytest.raises(ContractViolation, match=r"\(4, 1\) is broadcast"):
+            ad.mul(x, ad.Var(s))
 
-    def test_add_bias_broadcast(self, rng):
-        b = rng.normal(size=3)
+    def test_add_bias_broadcast_is_refused(self, rng):
+        # a taped bias row is not summed over the batch: it is refused
+        b = rng.normal(size=(1, 3))
         a = rng.normal(size=(5, 3))
-        check(lambda v: ad.sum_all(ad.mul(ad.add(a, v), ad.add(a, v))), b)
+        for op in (ad.add, ad.sub, ad.mul):
+            with pytest.raises(ContractViolation, match="broadcast to"):
+                op(a, ad.Var(b))
+            with pytest.raises(ContractViolation, match="broadcast to"):
+                op(ad.Var(b), ad.Var(a))
 
 
 class TestMatmul:

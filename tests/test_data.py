@@ -54,7 +54,7 @@ from hyperkkl.kkl import (
     simulate_latent,
 )
 from hyperkkl.nets import IN_BLOCK
-from hyperkkl.params import ParamStore
+from hyperkkl.params import Layout, ParamStore
 from hyperkkl.signals import InputSignal, sample_signal, window_matrix
 
 DATA = Path(__file__).parent / "data"
@@ -402,8 +402,9 @@ class TestCheckpointFormat:
         assert bundle.dt is None  # written before checkpoints recorded dt
         spec = bundle.spec
         assert bundle.params.layout == hypernet_layout(spec)
-        assert bundle.params.get("hyper.dec_head.U").shape == (
-            spec.dec_head.total, 2)
+        # the 7-row slices' values land in one U_l per decoder layer
+        assert [bundle.params.get(u).shape for u in spec.dec_head.u_names] == [
+            (bundle.phi.get(w).size, 2) for w in spec.dec_head.weight_names]
         runs, xhat = chunked_reference()
         dt, u, y = runs.dt, runs.inputs[0], runs.outputs[0]
         # the stored estimate is the dense decode, row by row through a
@@ -614,10 +615,10 @@ def build_bundle(variant):
 
 
 def streamed_readout(lean, full):
-    """Each decoder layer's U rows as the observer read ``lean`` streams
-    them from its file, assembled from their IN_BLOCK chunks of input
-    columns, after checking that in layer order they are the U of the
-    full read ``full``."""
+    """Each decoder layer's U_l as the observer read ``lean`` streams it
+    from its file, assembled from its IN_BLOCK chunks of input columns,
+    after checking that in layer order they are the U_l of the full read
+    ``full``."""
     widths, rank = lean.maps.dec.widths, lean.readout.rank
     rows = []
     with lean.readout.layers() as sources:
@@ -628,9 +629,32 @@ def streamed_readout(lean, full):
                                          min(i0 + IN_BLOCK, n_in) * rank)).copy()
                       for i0 in range(0, n_in, IN_BLOCK)]
             rows.append(np.concatenate(chunks, axis=1).reshape(-1, rank))
-    assert np.array_equal(np.concatenate(rows),
-                          full.params.get("hyper.dec_head.U"))
+    for u_l, name in zip(rows, lean.spec.dec_head.u_names, strict=True):
+        assert np.array_equal(u_l, full.params.get(name))
     return rows
+
+
+def readout_names(spec):
+    """Both heads' readout slices U_l."""
+    return spec.enc_head.u_names + spec.dec_head.u_names
+
+
+def one_readout_per_head(bundle):
+    """``bundle`` with each head's U_l joined into one (Σ o_l·i_l, r)
+    slice hyper.*_head.U over the same values: the layout files were
+    written in before each targeted layer had a slice of its own."""
+    entries, joined = [], {}
+    for sl in bundle.params.layout.slices:
+        head = sl.name.rpartition(".U")[0]
+        if sl.name in readout_names(bundle.spec):
+            if head not in joined:
+                joined[head] = [f"{head}.U", [0, sl.shape[1]]]
+                entries.append(joined[head])
+            joined[head][1][0] += sl.shape[0]
+        else:
+            entries.append([sl.name, sl.shape])
+    return dataclasses.replace(bundle, params=ParamStore(
+        Layout(entries), bundle.params.data))
 
 
 class TestObserverRead:
@@ -697,10 +721,9 @@ class TestObserverRead:
             # the decoder head's U stays in the file, one span per layer
             layout = hypernet_layout(lean.spec)
             skipped = sum(s.size for s in layout.slices
-                          if s.name.startswith(OBSERVER_SKIPS))
-            assert lean.params.data.size == (layout.total - skipped
-                                             - layout[STREAMED].size)
-            for name in ("hyper.enc_head.U", STREAMED):
+                          if s.name.startswith(OBSERVER_SKIPS + (STREAMED,)))
+            assert lean.params.data.size == layout.total - skipped
+            for name in readout_names(lean.spec):
                 with pytest.raises(ContractViolation,
                                    match=f"no slice named '{name}'"):
                     lean.params.get(name)
@@ -743,8 +766,8 @@ class TestObserverRead:
                                                      rank=48)
         path = tmp_path / "ck.hkkp"
         write_checkpoint(bundle, path)
-        heads = sum(bundle.params.get(f"hyper.{h}_head.U").nbytes
-                    for h in ("enc", "dec"))
+        heads = sum(bundle.params.get(u).nbytes
+                    for u in readout_names(bundle.spec))
         assert heads >= 0.9 * bundle.params.data.nbytes
         kept_bytes = (8 * (bundle.phi.data.size + bundle.params.data.size)
                       - heads)
@@ -764,7 +787,7 @@ class TestObserverRead:
         lean = read_checkpoint(CHUNKED, observer=True)
         kept = [s for s in hypernet_layout(lean.spec).slices
                 if not s.name.startswith(OBSERVER_SKIPS + (STREAMED,))]
-        # the chunk slices' values are read from the spans of one U
+        # the chunk slices' values are read from the spans of each U_l
         streamed_readout(lean, full)
         assert [(s.name, s.shape) for s in lean.params.layout.slices] == [
             (s.name, s.shape) for s in kept]
@@ -778,6 +801,32 @@ class TestObserverRead:
         live = gate_values(windows, lean.spec.tau)[:, 0] != 0.0
         assert np.array_equal(est[~live], xhat[~live])
         assert np.max(np.abs(est - xhat)) <= 1e-12 * np.max(np.abs(xhat))
+
+
+    def test_reads_file_with_one_readout_slice_per_head(self, tmp_path):
+        # the layout every file had before each targeted layer got its own
+        # U_l: it reads into the per-layer layout, fully and as an observer
+        per_layer = read_checkpoint(CHUNKED)
+        paths = {}
+        for kind, bundle in (("layer", per_layer),
+                             ("head", one_readout_per_head(per_layer))):
+            paths[kind] = tmp_path / f"{kind}.hkkp"
+            write_checkpoint(bundle, paths[kind])
+        blob = paths["head"].read_bytes()
+        assert b"hyper.dec_head.U\x02" in blob and b"dec_head.U0" not in blob
+        runs, _ = chunked_reference()
+        full = read_checkpoint(paths["head"])
+        assert full.params.layout == per_layer.params.layout
+        assert full.params.data.tobytes() == per_layer.params.data.tobytes()
+        lean = read_checkpoint(paths["head"], observer=True)
+        lean_layer = read_checkpoint(paths["layer"], observer=True)
+        assert lean.params.layout == lean_layer.params.layout
+        assert np.array_equal(lean.params.data, lean_layer.params.data)
+        streamed_readout(lean, per_layer)
+        # every read estimates as the per-layer file's observer read does
+        est = run_observer(lean_layer, runs)[0]
+        for bundle in (full, lean):
+            assert run_observer(bundle, runs)[0].tobytes() == est.tobytes()
 
 
 def two_inputs(bundle):

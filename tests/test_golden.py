@@ -7,16 +7,17 @@ four regimes (2 trajectories of 20 s each); phase 1 and both phase-2
 variants also train once on two datasets of one time grid, and ``plot``
 draws the four checkpoints over the four regimes. The sha256 of the
 six generated datasets, of the ``gen --csv`` export, of every loss
-CSV, of every parameter vector the checkpoints store, of the eval CSV
-and of the plot SVGs is compared with the values below,
-so a refactor of the state simulation, the tape, the LSTM, the
-optimizer, the training loops or conditioned inference that changes a
-single output bit fails here. Each run is a child
-process with a fixed OpenBLAS thread count; at these shapes the bytes
-are the same at 1 and 2 threads. The child imports numpy (through this
-module) before it calls ``cli.main``, so main's ``blas_threads`` setting
-does not apply there: the child's environment still sets the thread
-count, and the 1- and 2-thread cases keep their meaning.
+CSV, of every parameter vector the checkpoints store, of every
+checkpoint file, of the eval CSV and of the plot SVGs is compared with
+the values below, so a refactor of the state simulation, the tape, the
+LSTM, the optimizer, the training loops, conditioned inference or the
+checkpoint format that changes a single output bit fails here. Each run
+is a child process with a fixed OpenBLAS thread count; at these shapes
+the bytes are the same at 1 and 2 threads. The child imports numpy
+(through this module) before it calls ``cli.main``, so main's
+``blas_threads`` setting does not apply there: the child's environment
+still sets the thread count, and the 1- and 2-thread cases keep their
+meaning.
 """
 
 import hashlib
@@ -144,6 +145,26 @@ GOLDEN = {
     # eval_signal has pinned bytes too.
     "duffing_mixture_n3_s50.hkkl":
         "dd13a0915cb836f679c6c2c014d917ae90f1304f14b16e9c53f4c6fe4fbf6ac1",
+    # Each checkpoint file whole, header and slice table included, so a
+    # change of the file layout shows even where every stored value keeps
+    # its bytes. Recorded at 1 and 2 threads while each head's readout U
+    # was one slice; the two dynamic files were re-recorded when it became
+    # one slice per targeted layer: their slice tables list the U_l, and
+    # every stored value, and every other entry, kept its bytes.
+    "phase1.hkkp":
+        "919195bd86b9dead45a824a4e1e1cc4c225ab0cffc70499f88f9c059c3271bda",
+    "static.hkkp":
+        "ca90d25fabdb25d42a344d7d64526e392730d16810bf735beb18a1709d052f42",
+    "dynamic.hkkp":
+        "301ef2e01905dd858c2d7c124395285d01b80bcc26f5d4622cd7a7b3e9e55fac",
+    "curriculum.hkkp":
+        "b4d2f38f43b54ce241d9b23fde30a83e34fcd2c427ed8426486563ff4f8b15f0",
+    "phase1_two.hkkp":
+        "1cff59ace7e1bf0fced7f139708166fca15fdb0775ce1853711d25a0428231b1",
+    "static_two.hkkp":
+        "445263ebebad2709028a6c259f3b32722ce30c021ecc19d0fa58a2e6190d9140",
+    "dynamic_two.hkkp":
+        "25fc148ea7520e2e638fbb35ac98b9679eb361edd78dd6d386cebe20e87e420e",
 }
 
 
@@ -230,6 +251,7 @@ def pipeline_hashes(root) -> dict:
                        *((f"{s}_two", ck / "two" / f"duffing_{s}")
                          for s in ("phase1", "static", "dynamic"))):
         hashes[f"duffing_{stem}_loss.csv"] = _sha(f"{path}_loss.csv")
+        hashes[f"{stem}.hkkp"] = _sha(f"{path}.hkkp")
         bundle = read_checkpoint(f"{path}.hkkp")
         # a static checkpoint's params are its ξ, a dynamic one's its ψ
         stores = {"theta": bundle.theta, "phi": bundle.phi,

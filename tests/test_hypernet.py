@@ -38,6 +38,11 @@ def small_hyper(window=8, rank=3, hidden=6):
     return maps, spec, psi
 
 
+def stacked_u(psi, head):
+    """The head's U_l stacked in layer order: the (Σ o_l·i_l, r) readout."""
+    return np.concatenate([psi.get(u) for u in head.u_names])
+
+
 class TestHeadSpec:
     def test_readout_covers_target_weights_once(self):
         maps, spec, psi = small_hyper()
@@ -48,11 +53,15 @@ class TestHeadSpec:
             assert head.weight_names == tuple(
                 f"{prefix}.W{i}" for i in range(mlp.n_layers)
             )
-            weight_total = sum(
-                head.target_layout[n].size for n in head.weight_names
-            )
-            assert head.total == weight_total
-            assert psi.get(f"{head.name}.U").shape == (head.total, head.rank)
+            # one U_l per weight, back to back in layer order
+            assert head.u_names == tuple(
+                f"{head.name}.U{i}" for i in range(mlp.n_layers))
+            end = psi.layout[head.u_names[0]].offset
+            for u, w in zip(head.u_names, head.weight_names):
+                sl = psi.layout[u]
+                assert sl.shape == (head.target_layout[w].size, head.rank)
+                assert sl.offset == end
+                end += sl.size
 
     def test_scatter_matches_delta_store(self):
         # layer l's (U_l, s) factor gives the enc.W{l} slice that
@@ -63,11 +72,11 @@ class TestHeadSpec:
         win = rng.normal(size=(2, spec.window, 1))
         ctx = encode_context(psi, spec, win)
         g = gate_values(win, spec.tau)
-        factors = head_layer_deltas(psi, spec.enc_head, maps.enc, "enc", ctx, g)
+        factors = head_layer_deltas(psi, spec.enc_head, ctx, g)
         assert len(factors) == maps.enc.n_layers
         s = factors[0][1]
         assert np.array_equal(s, (ctx @ psi.get("hyper.enc_head.V").T) * g)
-        u = psi.get("hyper.enc_head.U")
+        u = stacked_u(psi, spec.enc_head)
         for b in range(2):
             store = delta_store(spec.enc_head, u @ s[b])
             for i, (u_l, s_l) in enumerate(factors):
@@ -86,13 +95,17 @@ class TestHeadSpec:
         win = rng.normal(size=(2, spec.window, 1))
         ctx = encode_context(psi, spec, win)
         g = gate_values(win, spec.tau)
-        args = (spec.dec_head, maps.dec, "dec", ctx, g)
+        args = (spec.dec_head, ctx, g)
         views = head_layer_deltas(psi, *args)
         rows = [object() for _ in views]
         listed = head_layer_deltas(psi, *args, rows)
         assert len(listed) == len(views) == maps.dec.n_layers
         for (got_u, got_s), u_l, (_, s) in zip(listed, rows, views):
             assert got_u is u_l and np.array_equal(got_s, s)
+        # by default each layer's factor is psi's slice U_l itself
+        for (view, _), name in zip(views, spec.dec_head.u_names):
+            assert np.shares_memory(view, psi.data)
+            assert np.array_equal(view, psi.get(name))
 
 
 class TestGate:
@@ -134,8 +147,8 @@ class TestDeltas:
         win = np.random.default_rng(5).normal(size=(1, spec.window, 1))
         ctx = encode_context(psi, spec, win)
         v = psi.get("hyper.enc_head.V")
-        u = psi.get("hyper.enc_head.U")
-        raw = (ctx @ v.T) @ u.T
+        raw = np.concatenate([(ctx @ v.T) @ psi.get(u).T
+                              for u in spec.enc_head.u_names], axis=1)
         d_theta, _ = generate_deltas(psi, spec, win)
         assert np.array_equal(ad.val(d_theta), raw)  # gate saturates to 1.0
 
@@ -143,7 +156,7 @@ class TestDeltas:
         maps, spec, psi = small_hyper()
         theta, _ = init_map_params(maps, seed=1)
         rng = np.random.default_rng(6)
-        flat = rng.normal(size=spec.enc_head.total) * 0.1
+        flat = rng.normal(size=len(stacked_u(psi, spec.enc_head))) * 0.1
         delta = delta_store(spec.enc_head, flat)
         assert delta.layout == theta.layout
         eff = ParamStore(theta.layout, theta.data + delta.data)
@@ -154,7 +167,7 @@ class TestDeltas:
     def test_nonzero_first_layer_delta_changes_output(self):
         maps, spec, psi = small_hyper()
         theta, _ = init_map_params(maps, seed=4)
-        flat = np.zeros(spec.enc_head.total)
+        flat = np.zeros(len(stacked_u(psi, spec.enc_head)))
         flat[0] = 0.5  # first entry of enc.W0
         delta = delta_store(spec.enc_head, flat)
         x = np.array([[0.7, 0.1]])

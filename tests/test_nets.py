@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    broadcast_add,
     copy_store,
     factored_vars,
     formed_grads,
@@ -205,7 +206,7 @@ def chain_layer(x, n, w, b, factors, squash):
     rows = len(ad.val(x))
     a = ad.narrow(x, 0, 0, n)
     tangent = ad.narrow(x, 0, n, n) if rows > n else None
-    pre = ad.add(linear(a), b)
+    pre = broadcast_add(linear(a), b)
     tangent = None if tangent is None else linear(tangent)
     if not squash:
         return pre, tangent
@@ -402,7 +403,7 @@ def dense_lowrank_linear(x, w, u, s):
     """x_b (W + reshape(s_b uᵀ)): every sample's weight formed in full."""
     batch, (n_out, n_in) = ad.val(x).shape[0], ad.val(w).shape
     delta = reshape(ad.matmul(s, transpose2d(u)), (batch, n_out, n_in))
-    return oracle_bmatvec(ad.add(w, delta), x)
+    return oracle_bmatvec(broadcast_add(delta, w), x)
 
 
 def lowrank_inputs(rng, batch=4, n_in=3, n_out=5, rank=2):
@@ -523,8 +524,7 @@ class TestLowRankLinear:
                 "u": (g.T @ p).reshape(u.shape),
                 "s": np.einsum("bir,bi->br", gp, x)}
 
-    @pytest.mark.parametrize("u_kind", ["leaf", "narrowed"])
-    def test_chunked_backward_is_the_one_chunk_formula(self, u_kind):
+    def test_chunked_backward_is_the_one_chunk_formula(self):
         # 2 full chunks of input columns and a ragged one of 5; u keeps
         # factored gradients, formed chunk by chunk
         batch, n_in, n_out, rank = 9, 2 * IN_BLOCK + 5, 7, 3
@@ -532,18 +532,14 @@ class TestLowRankLinear:
         vals = lowrank_inputs(rng, batch, n_in, n_out, rank)
         weights = rng.normal(size=(batch, n_out))
         leaves = {n: ad.Var(vals[n]) for n in ("x", "w", "s")}
-        first = 4 if u_kind == "narrowed" else 0
-        pv = factored_vars(make_store(
-            [("U", np.vstack([np.ones((first, rank)), vals["u"]]))]))
+        pv = factored_vars(make_store([("U", vals["u"])]))
         leaves["u"] = pv.get("U")
-        if u_kind == "narrowed":
-            leaves["u"] = ad.narrow(leaves["u"], 0, first, n_out * n_in)
         out = taped_lowrank_linear(*(leaves[n] for n in self.NAMES))
         ad.backward(ad.sum_all(ad.mul(out, weights)))
         expect = self.one_chunk_grads(weights, *(vals[n] for n in self.NAMES))
         got = {n: leaves[n].grad for n in ("x", "w", "s")}
-        got["u"] = formed_grads(pv).reshape(-1, rank)[first:]
-        assert list(pv.factored["U"].blocks) == [(first, n_out * n_in)]
+        got["u"] = formed_grads(pv).reshape(-1, rank)
+        assert len(pv.factored["U"].terms) == 1
         for n in self.NAMES:
             scale = np.max(np.abs(expect[n]))
             assert np.max(np.abs(got[n] - expect[n])) <= 1e-13 * scale, n
@@ -553,11 +549,11 @@ class TestLowRankLinear:
         vals = lowrank_inputs(np.random.default_rng(31), batch, width, width,
                               rank)
         store = make_store([("W", vals["w"]), ("b", np.zeros(width)),
-                            ("U", np.vstack([vals["u"], vals["u"][:10]]))])
+                            ("U", vals["u"])])
         pv = factored_vars(store)
         x, s = ad.Var(vals["x"]), ad.Var(vals["s"])
-        u = ad.narrow(pv.get("U"), 0, 0, width * width)
-        out = _mlp_layer(x, batch, pv.get("W"), pv.get("b"), (u, s), False)
+        out = _mlp_layer(x, batch, pv.get("W"), pv.get("b"),
+                         (pv.get("U"), s), False)
         tracemalloc.start()
         try:
             ad.backward(ad.sum_all(out))
@@ -566,7 +562,7 @@ class TestLowRankLinear:
             tracemalloc.stop()
         # one (B, i·r) array is 9.8 MB; u's gradient stayed as its factors
         assert peak < batch * width * rank * 8
-        assert list(pv.factored["U"].blocks) == [(0, width * width)]
+        assert len(pv.factored["U"].terms) == 1
 
     def test_plain_call_holds_one_block_of_outer_products(self):
         batch, width, rank = 1000, 150, 32
@@ -657,29 +653,26 @@ def row_outer_lowrank_linear(x, w, u, s):
     return out
 
 
+READOUTS = ("U0", "U1")
+
+
 def readout_uses(factored, seed=40, batch=6, rank=3):
-    """A readout U shared by two layers' deltas and used twice, as in the
-    dynamic step: once through the Jacobian forward (value and tangent
-    rows stacked, s repeated) and once through a plain forward at other
-    coordinates. Returns the ParamVars after backward and the layout of
-    the U rows (start, n_out, n_in) per layer. The hidden width spans
-    two IN_BLOCK chunks and a ragged one."""
+    """Two layers' readouts U0 and U1, each used twice, as in the dynamic
+    step: once through the Jacobian forward (value and tangent rows
+    stacked, s repeated) and once through a plain forward at other
+    coordinates. Returns the ParamVars after backward. The hidden width
+    spans two IN_BLOCK chunks and a ragged one."""
     rng = np.random.default_rng(seed)
     spec = MlpSpec((3, 2 * IN_BLOCK + 5, 4))
-    shapes = [(2 * IN_BLOCK + 5, 3), (4, 2 * IN_BLOCK + 5)]
-    total = sum(o * i for o, i in shapes)
     entries = [(n, rng.normal(size=shape) * 0.3)
                for n, shape in mlp_layout_entries(spec, "m")]
-    store = make_store(entries + [("U", rng.normal(size=(total, rank)))])
-    pv = factored_vars(store) if factored else ParamVars(store)
-    u = pv.get("U")
-    blocks, start = [], 0
-    for o, i in shapes:
-        blocks.append((start, o, i))
-        start += o * i
+    store = make_store(entries + [
+        (f"U{l}", rng.normal(size=(w.size, rank)))
+        for l, (_, w) in enumerate(entries[::2])])
+    pv = factored_vars(store, READOUTS) if factored else ParamVars(store)
 
     def deltas(s):
-        return [(ad.narrow(u, 0, b0, o * i), s) for b0, o, i in blocks]
+        return [(pv.get(u), s) for u in READOUTS]
 
     x, tangent = (rng.normal(size=(batch, 3)) for _ in range(2))
     s_pre, s_post = (ad.Var(rng.normal(size=(batch, rank))) for _ in range(2))
@@ -691,44 +684,39 @@ def readout_uses(factored, seed=40, batch=6, rank=3):
     for part, w in ((jvp, weights[1]), (post, weights[2])):
         loss = ad.add(loss, ad.sum_all(ad.mul(part, w)))
     ad.backward(loss)
-    return pv, blocks
-
-
-def formed_u_grad(pv):
-    """U's gradient formed from the factored leaf's blocks, chunk by chunk."""
-    return ParamStore(pv.layout, formed_grads(pv)).get("U")
+    return pv
 
 
 class TestFactoredReadoutGradient:
-    """U's gradient kept as the factors of its terms (autodiff.FactoredGrad)."""
+    """A readout's gradient kept as the factors of its terms
+    (autodiff.FactoredGrad)."""
 
     def test_forming_from_factors_is_the_dense_buffer_bitwise(
             self, dense_u_grads):
         # the dense run adds each term into the full-layout buffer
-        dense, _ = readout_uses(factored=False)
-        factored, blocks = readout_uses(factored=True)
-        fg = factored.factored["U"]
-        # one shared list per narrowed block, in the order backward
-        # delivered the uses: the 12 stacked Jacobian rows, then the post
-        # forward's 6
-        assert sorted(fg.blocks) == [(b0, o * i) for b0, o, i in blocks]
-        for terms in fg.blocks.values():
+        dense = readout_uses(factored=False)
+        factored = readout_uses(factored=True)
+        formed = ParamStore(factored.layout, formed_grads(factored))
+        for u in READOUTS:
+            # one list per readout, in the order backward delivered the
+            # uses: the 12 stacked Jacobian rows, then the post forward's 6
+            terms = factored.factored[u].terms
             assert [len(g) for g, _, _ in terms] == [12, 6]
-        got = formed_u_grad(factored)
-        assert got.tobytes() == dense.grads().get("U").tobytes()
-        # every other slice is the dense buffer's, and U has no room there
-        assert "U" not in factored.grads().layout
+            assert formed.get(u).tobytes() == dense.grads().get(u).tobytes()
+            # and it has no room in the buffer
+            assert u not in factored.grads().layout
+        # every other slice is the dense buffer's
         for spec in factored.grads().layout.slices:
             assert np.array_equal(factored.grads().get(spec.name),
                                   dense.grads().get(spec.name))
 
     def test_gram_norm_matches_the_formed_gradient(self):
-        pv, _ = readout_uses(factored=True, seed=41)
-        dense = formed_u_grad(pv)
-        gram = sum(u_grad_sq_norm(terms)
-                   for terms in pv.factored["U"].blocks.values())
-        expect = np.sum(dense * dense)
-        assert abs(gram - expect) <= 1e-13 * expect
+        pv = readout_uses(factored=True, seed=41)
+        formed = ParamStore(pv.layout, formed_grads(pv))
+        for u in READOUTS:
+            gram = u_grad_sq_norm(pv.factored[u].terms)
+            expect = np.sum(formed.get(u) ** 2)
+            assert abs(gram - expect) <= 1e-13 * expect
 
     def test_gram_norm_in_row_blocks_of_many_rows(self):
         # more stacked rows than ROW_BLOCK, over three terms
@@ -747,8 +735,21 @@ class TestFactoredReadoutGradient:
         loss = ad.sum_all(transpose2d(pv.get("U")))
         with pytest.raises(ContractViolation, match="only factors"):
             ad.backward(loss)
-        with pytest.raises(ContractViolation, match="along rows"):
-            ad.narrow(pv.get("U"), 1, 0, 1)
+
+    def test_a_narrow_of_a_factored_leaf_is_refused(self):
+        # a readout is used whole: a narrow of it is a node like any
+        # other, which can neither take a layer's factors nor hand its
+        # slice's gradient to the leaf
+        xv, store, weights = layer_inputs(3, True, True, seed=46)
+        pv = factored_vars(store)
+        w, b, (u, s) = layer_args(pv, True)
+        part = ad.narrow(u, 0, 0, len(u.value))
+        out = _mlp_layer(xv, 3, w, b, (part, s), True)
+        with pytest.raises(ContractViolation, match="factored leaf"):
+            ad.backward(ad.sum_all(ad.mul(out, weights)))
+        pv = factored_vars(store)
+        with pytest.raises(ContractViolation, match="only factors"):
+            ad.backward(ad.sum_all(ad.narrow(pv.get("U"), 0, 1, 2)))
 
     @pytest.mark.parametrize("narrowed", [False, True])
     def test_a_dense_leaf_refuses_a_gradient_of_factors(self, narrowed):
@@ -799,7 +800,8 @@ def taped_lstm(params, spec, sequence, prefix):
     h = np.zeros((batch, hsz))
     c = np.zeros((batch, hsz))
     for t in range(w):
-        gates = ad.add(ad.add(ad.matmul(seq[:, t, :], wxt), ad.matmul(h, wht)), b)
+        gates = broadcast_add(ad.add(ad.matmul(seq[:, t, :], wxt),
+                                ad.matmul(h, wht)), b)
         gi = taped_sigmoid(ad.narrow(gates, 1, 0, hsz))
         gf = taped_sigmoid(ad.narrow(gates, 1, hsz, hsz))
         gc = tanh(ad.narrow(gates, 1, 2 * hsz, hsz))

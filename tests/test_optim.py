@@ -195,44 +195,43 @@ def test_clip_refuses_a_non_finite_gradient(bad):
 
 
 def factored_case(seed, n_out=5, n_in=2 * IN_BLOCK + 3, rank=3):
-    """A layout with a readout U between two dense slices; U's rows
-    [2, 2 + n_out·n_in) get three factored terms, the rows around them
-    none. Returns params, the dense gradient store, the factored one and
-    the FactoredGrad, with U's dense gradient formed from the same terms."""
+    """A layout with two readout slices between two dense ones: U0 of
+    n_out·n_in rows gets three factored terms, U1 none. Returns params,
+    the dense gradient store, the factored one and the FactoredGrads by
+    name, with U0's dense gradient formed from the same terms."""
     rng = np.random.default_rng(seed)
-    rows = 2 + n_out * n_in + 3
-    layout = Layout([("a", (7,)), ("U", (rows, rank)), ("b", (4,))])
+    layout = Layout([("a", (7,)), ("U0", (n_out * n_in, rank)),
+                     ("U1", (5, rank)), ("b", (4,))])
     params = ParamStore(layout, rng.normal(size=layout.total))
     dense = ParamStore(layout)
     dense.set("a", rng.normal(size=7))
     dense.set("b", rng.normal(size=4))
-    fg = FactoredGrad(rows)
-    block = fg.narrow(2, n_out * n_in)
-    u_grad = dense.get("U")[2:2 + n_out * n_in].reshape(n_out, -1)
+    factored = {"U0": FactoredGrad(), "U1": FactoredGrad()}
+    u_grad = dense.get("U0").reshape(n_out, -1)
     terms = [(rng.normal(size=(m, n_out)), rng.normal(size=(m, n_in)),
               rng.normal(size=(m, rank))) for m in (4, 9, 4)]
     for factors in terms:
-        block.append(AddInto(None, factors))
+        factored["U0"].append(AddInto(None, factors))
     for cols, chunk in u_grad_chunks(terms):
         u_grad[:, cols] = chunk
-    compact = ParamStore(layout.without(("U",)))
+    compact = ParamStore(layout.without(factored))
     for name in ("a", "b"):
         compact.set(name, dense.get(name))
-    return params, dense, compact, fg
+    return params, dense, compact, factored
 
 
 def test_factored_step_is_the_dense_step_bitwise_without_a_clip():
-    params, dense, compact, fg = factored_case(50)
+    params, dense, compact, factored = factored_case(50)
     expect = copy_store(params)
-    state = AdamState.for_params(params, ("U",))
+    state = AdamState.for_params(params, factored)
     oracle = AdamState.for_params(expect)
     assert state.grad.layout == compact.layout
     for _ in range(3):
         # the norm matches; no clip fires, so nothing is scaled
-        norm = clip_grad_norm(compact, 1e300, {"U": fg})
+        norm = clip_grad_norm(compact, 1e300, factored)
         assert norm == pytest.approx(whole_norm(dense), rel=1e-13)
         assert clip_factor(norm, 1e300) is None
-        adam_step(state, params, compact, lr=0.01, factored={"U": fg})
+        adam_step(state, params, compact, lr=0.01, factored=factored)
         adam_step(oracle, expect, dense, lr=0.01)
         for got, want in ((params.data, expect.data), (state.m, oracle.m),
                           (state.v, oracle.v)):
@@ -242,18 +241,18 @@ def test_factored_step_is_the_dense_step_bitwise_without_a_clip():
 def test_factored_clip_scales_each_formed_chunk():
     # with the clip firing, the factored and dense norms differ only in
     # their last bits, and so do the scaled gradients Adam sees
-    params, dense, compact, fg = factored_case(51)
+    params, dense, compact, factored = factored_case(51)
     expect = copy_store(params)
     raw = compact.data.copy()
     norm_d = clip_grad_norm(dense, 0.5)
-    norm_f = clip_grad_norm(compact, 0.5, {"U": fg})
+    norm_f = clip_grad_norm(compact, 0.5, factored)
     assert norm_f == pytest.approx(norm_d, rel=1e-13) and norm_f > 0.5
     scale = clip_factor(norm_f, 0.5)
     assert scale == 0.5 / norm_f
     assert np.array_equal(compact.data, raw * scale)
-    state = AdamState.for_params(params, ("U",))
+    state = AdamState.for_params(params, factored)
     oracle = AdamState.for_params(expect)
-    adam_step(state, params, compact, lr=0.01, factored={"U": fg},
+    adam_step(state, params, compact, lr=0.01, factored=factored,
               grad_scale=scale)
     adam_step(oracle, expect, dense, lr=0.01)
     for got, want in ((params.data, expect.data), (state.m, oracle.m),
@@ -269,7 +268,7 @@ def test_factored_step_forms_no_u_sized_array():
     params = ParamStore(layout, np.zeros(layout.total))
     state = AdamState.for_params(params, ("U",))
     assert state.grad.data.size == 3
-    fg = FactoredGrad(n_out * n_in)
+    fg = FactoredGrad()
     fg.append(AddInto(None, (rng.normal(size=(8, n_out)),
                              rng.normal(size=(8, n_in)),
                              rng.normal(size=(8, rank)))))
@@ -289,48 +288,48 @@ def test_factored_step_forms_no_u_sized_array():
 
 
 def test_factored_gradient_contracts():
-    params, _, compact, fg = factored_case(53)
-    (terms,) = fg.blocks.values()
-    fg.narrow(4, 6).append(AddInto(None, terms[0]))
-    state = AdamState.for_params(params, ("U",))
+    params, _, compact, factored = factored_case(53)
+    g, xv, sv = factored["U0"].terms[0]
+    state = AdamState.for_params(params, factored)
     before = params.data.copy()
-    with pytest.raises(ContractViolation, match="overlap"):
-        adam_step(state, params, compact, factored={"U": fg})
+    # terms of another slice's shape, or of another rank
+    for misfit in ((g, xv[:, :-1], sv), (g, xv, sv[:, :-1])):
+        bad = dict(factored, U1=FactoredGrad())
+        bad["U1"].append(AddInto(None, misfit))
+        with pytest.raises(ContractViolation, match="do not fit U1"):
+            adam_step(state, params, compact, factored=bad)
     # refused before any update
     assert state.step == 0 and np.array_equal(params.data, before)
-    misfit = FactoredGrad(fg.rows)
-    misfit.narrow(0, 7).append(AddInto(None, terms[0]))
-    with pytest.raises(ContractViolation, match="do not fit rows 0:7"):
-        adam_step(state, params, compact, factored={"U": misfit})
     with pytest.raises(ContractViolation, match="different layouts"):
         adam_step(AdamState.for_params(params), params, compact)
     with pytest.raises(ContractViolation, match="no room for"):
         adam_step(state, params, compact)
+    with pytest.raises(ContractViolation, match="no room for"):
+        adam_step(state, params, compact, factored={"U0": factored["U0"]})
     with pytest.raises(ContractViolation, match="only factors"):
-        fg.append(AddInto(None))
+        factored["U0"].append(AddInto(None))
     assert state.step == 0 and np.array_equal(params.data, before)
 
 
 def test_factored_step_refuses_a_factor_that_views_the_parameters():
     # the dense stretches step before U's chunks are formed, so a factor
     # that is a view of ψ would be read after its update
-    params, _, compact, fg = factored_case(55)
-    ((g, xv, sv),) = next(iter(fg.blocks.values()))[:1]
-    aliased = FactoredGrad(fg.rows)
+    params, _, compact, factored = factored_case(55)
+    g, xv, sv = factored["U0"].terms[0]
     view = params.data[:sv.size].reshape(sv.shape)
-    aliased.narrow(2, g.shape[1] * xv.shape[1]).append(
-        AddInto(None, (g, xv, view)))
-    state = AdamState.for_params(params, ("U",))
+    aliased = dict(factored, U0=FactoredGrad())
+    aliased["U0"].append(AddInto(None, (g, xv, view)))
+    state = AdamState.for_params(params, factored)
     before = params.data.copy()
     with pytest.raises(ContractViolation, match="share memory"):
-        adam_step(state, params, compact, factored={"U": aliased})
+        adam_step(state, params, compact, factored=aliased)
     assert state.step == 0 and np.array_equal(params.data, before)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_clip_refuses_a_non_finite_factor(bad):
-    _, _, compact, fg = factored_case(54)
-    next(iter(fg.blocks.values()))[1][0][0, 0] = bad
+    _, _, compact, factored = factored_case(54)
+    factored["U0"].terms[1][0][0, 0] = bad
     with pytest.raises(NumericError, match="gradient norm is non-finite"), \
             np.errstate(invalid="ignore"):  # inf · 0 in the Gram products
-        clip_grad_norm(compact, 1.0, {"U": fg})
+        clip_grad_norm(compact, 1.0, factored)

@@ -431,9 +431,11 @@ class TestPhase2Dynamic:
                                                       clip):
         dense, dense_state = self.run_readouts(monkeypatch, False, clip)
         got, state = self.run_readouts(monkeypatch, True, clip)
-        # the buffer has no room for U; only ψ, m and v are ψ-sized
-        size = sum(got.params.layout[f"hyper.{h}_head.U"].size
-                   for h in ("enc", "dec"))
+        # the buffer has no room for any U_l; only ψ, m and v are ψ-sized
+        readouts = [sl for sl in got.params.layout.slices
+                    if "_head.U" in sl.name]
+        assert len(readouts) == 4  # two layers in each head's map
+        size = sum(sl.size for sl in readouts)
         assert state.grad.data.size == got.params.data.size - size
         assert len(got.log) == len(dense.log) == 2
         for row, want in zip(got.log, dense.log):
@@ -451,11 +453,11 @@ class TestPhase2Dynamic:
         _, maps, *_ = tiny_setup(van_der_pol(), hidden=(10,))
         spec = build_hypernet_spec(maps, window=8, lstm_hidden=6, rank=3)
         psi = init_hypernet_params(spec, 7)
-        _check_zero_input_gating(maps, spec, psi)
+        _check_zero_input_gating(spec, psi)
         # gate 0 times a NaN context is NaN, not the exact zero training needs
         psi.set("hyper.lstm.b", np.full(4 * 6, np.nan))
         with pytest.raises(NumericError, match="zero-input gating"):
-            _check_zero_input_gating(maps, spec, psi)
+            _check_zero_input_gating(spec, psi)
 
     def test_refuses_a_non_spec(self):
         sys = van_der_pol()
