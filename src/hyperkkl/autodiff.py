@@ -6,12 +6,12 @@ parents and a VJP, as ``nets`` does for an MLP layer, the low-rank
 linear map and the LSTM window). Both dispatch on their argument types:
 called on plain ndarrays they return plain ndarrays (no recording), so
 a network's forward-only evaluation pays no tape overhead and one
-forward serves training and inference. The latent filter is not built
-on them: its plain form (``kkl.simulate_latent_nodes``) is numpy, and
-the static training rollout, the one filter a gradient goes through,
-tapes its own (``training._segment_nodes``). A sample is a row of a
-2-D block: nothing reshapes a node, and a ``Var`` has no operators;
-the functions are the API.
+forward serves training and inference. The plain latent filter
+(``kkl.simulate_latent_nodes``) is numpy; the static observer's, the
+one a gradient goes through, is built on them, so one rollout
+(``kkl.simulate_latent_injected``) serves static training and eval. A
+sample is a row of a 2-D block: nothing reshapes a node, and a ``Var``
+has no operators; the functions are the API.
 
 Gradients of untouched leaves are exact zeros; all values are float64.
 A VJP may hand back an ``AddInto`` instead of an array: a gradient that

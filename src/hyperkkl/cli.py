@@ -425,11 +425,16 @@ def cmd_plot(args, s):
 def _report_rows(path) -> list:
     """An eval report CSV's rows as dicts, rmse and smape as floats; a
     missing column, a row with another field count than the header or a
-    score that is not a number is refused with its line number."""
+    score that is not a number is refused with its line number, and a
+    file that is not UTF-8 text is refused."""
     if not Path(path).exists():
         raise ConfigError(f"report CSV not found: {path}")
-    with open(path) as fh:
-        lines = [line.strip().split(",") for line in fh] or [[]]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip().split(",") for line in fh] or [[]]
+    except UnicodeDecodeError as e:
+        raise ConfigError(
+            f"report CSV {path} is not UTF-8 text: {e.reason}") from None
 
     def refuse(n, why):
         raise ConfigError(f"report CSV {path} line {n}: {why}")

@@ -43,6 +43,7 @@ SYSTEM_NAMES = OSCILLATORS + CHAOTIC
 KINDS = ("zero", "constant", "sinusoid", "square", "mixture")
 REGIMES = ("zero", "constant", "sinusoid", "square")  # eval's default grid
 TRANSIENT_FRACTION = 0.05  # share of each eval run not scored
+SEED_LIMIT = 1 << 64  # a seed is one 64-bit Philox key word (``seeding``)
 
 
 def system_defaults(name: str) -> dict:
@@ -68,6 +69,12 @@ def real(v):
 def boolean(v):
     if not isinstance(v, bool):
         raise ValueError("true or false")
+    return v
+
+
+def seed(v):
+    if not 0 <= integer(v) < SEED_LIMIT:
+        raise ValueError("an integer in [0, 2^64)")
     return v
 
 
@@ -125,9 +132,9 @@ SETTINGS = (
     Setting("regime", ("gen",), Choice(KINDS), "zero", ("data", "regime"),
             "--regime"),
     Setting("n_train", ("gen",), integer, 100, ("data", "n_train"), "--n"),
-    Setting("seed", ("gen",), integer, 1, ("data", "seed"), "--seed"),
+    Setting("seed", ("gen",), seed, 1, ("data", "seed"), "--seed"),
     Setting("n_test", ("eval",), integer, 20, ("data", "n_test"), "--n"),
-    Setting("test_seed", ("eval", "plot"), integer, 10_000,
+    Setting("test_seed", ("eval", "plot"), seed, 10_000,
             ("data", "test_seed"), "--seed"),
     Setting("dt", SIMULATE, real, 0.05, ("data", "dt"), "--dt"),
     Setting("horizon", SIMULATE, real, 50.0, ("data", "horizon"), "--horizon"),
@@ -136,7 +143,7 @@ SETTINGS = (
             list(REGIMES), flag="--regimes", help="comma list"),
     Setting("transient", ("eval",), real, TRANSIENT_FRACTION,
             flag="--transient", help="fraction of each run not scored"),
-    Setting("seed", ("train",), integer, 7, ("train", "seed"), "--seed"),
+    Setting("seed", ("train",), seed, 7, ("train", "seed"), "--seed"),
     Setting("epochs", ("train",), integer, 2000, ("train", "epochs"),
             "--epochs"),
     Setting("batch", ("train",), integer, 256, ("train", "batch"), "--batch"),
@@ -203,15 +210,23 @@ def parse_value(raw: str):
 
 
 def load_config(path) -> dict:
-    """Parse a config file into {section: {key: value}}."""
+    """Parse a config file into {section: {key: value}}. A file that
+    cannot be read raises its OSError; a missing file, text that is not
+    UTF-8 and a file that is not INI raise a one-line ConfigError. Values
+    are taken as written: no ``%`` interpolation."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except UnicodeDecodeError as e:
+        raise ConfigError(
+            f"config file {path} is not UTF-8 text: {e.reason}") from None
     except configparser.Error as e:
-        raise ConfigError(f"bad config file {path}: {e}") from e
+        raise ConfigError(
+            f"bad config file {path}: {' '.join(str(e).split())}") from None
     out: dict = {}
     for section in parser.sections():
         if section not in SECTIONS:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import Reader, replacing, write_text
-from .config import KINDS, defaults
+from .config import KINDS, SEED_LIMIT, defaults
 from .dynamics import SystemSpec, TrajectorySet, get_system, n_steps_for
 from .dynamics import sample_initial_conditions, simulate
 from .errors import ContractViolation
@@ -89,6 +89,15 @@ def seed_ranges_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] <= b[1] and b[0] <= a[1]
 
 
+def check_seed_range(seed: int, count: int) -> None:
+    """Refuse run seeds [seed, seed + count) outside [0, 2^64): a file
+    stores a seed as a u64, and past 2^64 ``seeding.stream`` would wrap a
+    run onto another seed's streams."""
+    if seed < 0 or seed + count > SEED_LIMIT:
+        raise ContractViolation(
+            f"seeds [{seed}, {seed + count}) do not lie in [0, 2^64)")
+
+
 def generate_dataset(
     system: SystemSpec,
     regime: str,
@@ -101,6 +110,7 @@ def generate_dataset(
     """Sample ``count`` seeded trajectories under the given input regime."""
     if count < 1:
         raise ContractViolation("count must be >= 1")
+    check_seed_range(seed, count)
     x0s = sample_initial_conditions(system, count, seed)
     signals = [sample_signal(regime, seed + i) for i in range(count)]
     runs = simulate(system, x0s, signals, dt, horizon, sigma, seed)

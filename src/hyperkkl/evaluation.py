@@ -1,10 +1,10 @@
 """Observer evaluation: run a variant over held-out trajectories and
 score it with RMSE and SMAPE after a transient discard.
 
-All variants drive the same latent filter with the measured output, the
-plain numpy ``kkl.simulate_latent`` (eval tapes nothing); they differ in
-how the latent state is decoded and whether the latent dynamics carry an
-input-conditioned drive:
+All variants drive the latent filter with the measured output, the
+plain ``kkl.simulate_latent`` or the static ``kkl.simulate_latent_injected``
+(eval tapes nothing); they differ in how the latent state is decoded and
+whether the latent dynamics carry an input-conditioned drive:
 
     autonomous / curriculum: plain latent filter, fixed decoder
     static:  latent filter plus gated injection, fixed decoder
@@ -37,7 +37,7 @@ runs into one run-major (count, N+1, n_x) array. The plain filter takes
 the set's runs as one time-major block, each run's column bit for bit
 its run filtered alone; the static filter, which calls the injection at
 every step, steps each run alone as a count-1 block of one (1, n_z) row,
-as static training's taped rollout does, and encodes the run's input
+in the rollout static training tapes, and encodes the run's input
 contexts one block of ``nets.ROW_BLOCK`` steps at a time as the filter
 reaches them (``hypernet.make_step_injection``). The decode is run by
 run and, within a run, in blocks of ROW_BLOCK steps: each block's rows
@@ -74,7 +74,7 @@ import numpy as np
 from .binfile import write_text
 from .checkpoints import CheckpointBundle
 from .config import REGIMES, TRANSIENT_FRACTION, defaults
-from .data import Dataset, generate_dataset, seed_ranges_overlap
+from .data import Dataset, check_seed_range, generate_dataset, seed_ranges_overlap
 from .dynamics import TrajectorySet, get_system
 from .errors import ContractViolation, NumericError
 from .hypernet import (
@@ -83,7 +83,7 @@ from .hypernet import (
     head_layer_deltas,
     make_step_injection,
 )
-from .kkl import decode, simulate_latent
+from .kkl import decode, simulate_latent, simulate_latent_injected
 from .nets import ROW_BLOCK
 from .signals import window_matrix
 
@@ -147,9 +147,11 @@ def run_observer(bundle: CheckpointBundle, runs: TrajectorySet) -> np.ndarray:
     with readout.layers() if readout else nullcontext() as u_rows:
         for i, (y, u) in enumerate(zip(runs.outputs, runs.inputs)):
             if plain is None:
-                inject = make_step_injection(bundle.params, bundle.spec, u)
-                zs = simulate_latent(obs, y[:, None], dt,
-                                     injection=inject)[:, 0]
+                zs = np.empty((len(y), obs.n_z))
+                for k, z in enumerate(simulate_latent_injected(
+                        obs, y[:, None], dt,
+                        make_step_injection(bundle.params, bundle.spec, u))):
+                    zs[k] = z
             else:
                 zs = plain[:, i]
             for lo in range(0, len(zs), ROW_BLOCK):
@@ -261,7 +263,9 @@ def evaluate_cell(
 
 def regime_seed_ranges(regimes, n_test: int, seed: int) -> list:
     """Each regime's test-set seed range [lo, hi], in regime order: the
-    regimes take disjoint blocks of ``n_test`` seeds from ``seed`` on."""
+    regimes take disjoint blocks of ``n_test`` seeds from ``seed`` on,
+    which must all lie below 2^64 (``data.check_seed_range``)."""
+    check_seed_range(seed, len(regimes) * n_test)
     return [(seed + i * n_test, seed + (i + 1) * n_test - 1)
             for i in range(len(regimes))]
 

@@ -287,10 +287,10 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq):
     """Per-step injection ``(z, k)`` callable for the latent filter: step
     k reads sample k of the (N+1, m) input sequence ``u_seq``, and the
     step size is the filter's own, so none is taken here. With a
-    ``ParamStore`` ξ it returns arrays, for the plain
-    ``kkl.simulate_latent`` (eval); with ``ParamVars`` it returns tape
-    nodes, for the static training rollout, which calls it at the
-    run's absolute step.
+    ``ParamStore`` ξ it returns arrays (eval); with ``ParamVars`` it
+    returns tape nodes (static training). Both run it in
+    ``kkl.simulate_latent_injected``, which calls it at the run's
+    absolute step.
 
     The steps come in blocks: ``nets.ROW_BLOCK`` steps from step 0 for a
     plain ξ, the whole run for a taped one. A block's ``window_matrix``

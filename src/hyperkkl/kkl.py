@@ -186,22 +186,19 @@ def encode_with_jacobian(maps: KklMaps, theta, x, tangent, weight_deltas=None):
     )
 
 
-def simulate_latent_nodes(obs: ObserverMatrices, y_seq, dt: float,
-                          injection=None) -> np.ndarray:
-    """RK4 integration of the latent observer from z = 0: the states as
-    one (N+1, count, n_z) array, in plain numpy.
+def simulate_latent_nodes(obs: ObserverMatrices, y_seq, dt: float) -> np.ndarray:
+    """RK4 integration of the latent filter z' = A z + B y_k from z = 0:
+    the states as one (N+1, count, n_z) array, in plain numpy.
 
-    z' = A z + B y_k (+ injection(z, k)), with y held constant over each
-    step (zero-order hold); the injection takes the (count, n_z) state
-    and the step and returns an array, or None to add nothing.
-    ``y_seq`` is a time-major (N+1, count, n_y) block of runs on one
-    grid, stepped as one (count, n_z) array; one run is a count-1 block
-    (``y[:, None]``). The shipped A is diagonal and n_y is 1, so each
-    column is bit for bit its run filtered alone; a non-finite state in
-    any run raises at that step. Each step's state is written into the
-    preallocated output and B y_k is formed a step at a time, so the run
-    holds its output and O(1) more per step. Nothing is taped: static
-    training tapes its own copy (``training._segment_nodes``).
+    y is held constant over each step (zero-order hold). ``y_seq`` is a
+    time-major (N+1, count, n_y) block of runs on one grid, stepped as
+    one (count, n_z) array; one run is a count-1 block (``y[:, None]``).
+    The shipped A is diagonal and n_y is 1, so each column is bit for
+    bit its run filtered alone; a non-finite state in any run raises at
+    that step. Each step's state is written into the preallocated output
+    and B y_k is formed a step at a time, so the run holds its output and
+    O(1) more per step. Nothing is taped; the static observer's filter
+    is ``simulate_latent_injected``.
     """
     if dt <= 0:
         raise ContractViolation("dt must be positive")
@@ -215,16 +212,10 @@ def simulate_latent_nodes(obs: ObserverMatrices, y_seq, dt: float,
     zs[0] = z
     for k in range(len(y) - 1):
         by = y[k] @ b_t
-
-        def deriv(zz):
-            dz = zz @ a_t + by
-            inj = None if injection is None else injection(zz, k)
-            return dz if inj is None else dz + inj
-
-        k1 = deriv(z)
-        k2 = deriv(z + k1 * (0.5 * dt))
-        k3 = deriv(z + k2 * (0.5 * dt))
-        k4 = deriv(z + k3 * dt)
+        k1 = z @ a_t + by
+        k2 = (z + k1 * (0.5 * dt)) @ a_t + by
+        k3 = (z + k2 * (0.5 * dt)) @ a_t + by
+        k4 = (z + k3 * dt) @ a_t + by
         z = z + (k1 + (k2 + k3) * 2.0 + k4) * (dt / 6.0)
         if not np.all(np.isfinite(z)):
             raise NumericError(f"latent state became non-finite at step {k + 1}")
@@ -232,9 +223,39 @@ def simulate_latent_nodes(obs: ObserverMatrices, y_seq, dt: float,
     return zs
 
 
-def simulate_latent(obs, y_seq, dt, injection=None) -> np.ndarray:
+def simulate_latent(obs, y_seq, dt) -> np.ndarray:
     """The latent filter's states: ``simulate_latent_nodes``."""
-    return simulate_latent_nodes(obs, y_seq, dt, injection)
+    return simulate_latent_nodes(obs, y_seq, dt)
+
+
+def simulate_latent_injected(obs: ObserverMatrices, y, dt: float, inject, k0=0):
+    """The static observer's latent filter z' = A z + B y_k + inject(z, k)
+    from z = 0 over one run's (N+1, 1, n_y) outputs ``y`` from step ``k0``
+    of the run on: yields its N+1 (1, n_z) states in turn, tape nodes once
+    ``inject`` (called at the run's absolute step, None to add nothing)
+    returns one (static training), plain arrays otherwise (static eval).
+    With ``inject`` always None they are ``simulate_latent_nodes``' states
+    bit for bit: the same operations in the same order."""
+    a_t, b_t = obs.A.T, obs.B.T
+    z = np.zeros((1, obs.n_z))
+    yield z
+    for k in range(len(y) - 1):
+        by = y[k] @ b_t
+
+        def deriv(zz):
+            dz = ad.add(ad.matmul(zz, a_t), by)
+            inj = inject(zz, k0 + k)
+            return dz if inj is None else ad.add(dz, inj)
+
+        k1 = deriv(z)
+        k2 = deriv(ad.add(z, ad.mul(k1, 0.5 * dt)))
+        k3 = deriv(ad.add(z, ad.mul(k2, 0.5 * dt)))
+        k4 = deriv(ad.add(z, ad.mul(k3, dt)))
+        incr = ad.add(ad.add(k1, ad.mul(ad.add(k2, k3), 2.0)), k4)
+        z = ad.add(z, ad.mul(incr, dt / 6.0))
+        if not np.all(np.isfinite(ad.val(z))):
+            raise NumericError(f"latent state became non-finite at step {k + 1}")
+        yield z
 
 
 def _stationary_residual_vec(obs, system, x, f_scale, t_out, jf, fd_term):

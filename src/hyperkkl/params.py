@@ -104,8 +104,7 @@ class ParamVars:
     zeroes it, each leaf's ``.grad`` is a view of its slice, ``backward``
     adds into those views, and ``grads`` returns the store itself, so a
     training run that passes the same buffer every step holds one
-    gradient vector and copies none. Without ``grad`` a fresh zero store
-    is used.
+    gradient vector and copies none.
 
     The factored slices are the slices a ``grad`` store lacks (the
     hypernetwork readouts, one U_l per targeted layer;
@@ -119,17 +118,13 @@ class ParamVars:
     its last bits can differ from a formed gradient's.
     """
 
-    def __init__(self, store: ParamStore, grad: ParamStore | None = None):
-        self.factored: dict[str, FactoredGrad] = {}
-        if grad is None:
-            grad = ParamStore(store.layout)
-        else:
-            self.factored = {s.name: FactoredGrad()
-                             for s in store.layout.slices
-                             if s.name not in grad.layout}
-            if grad.layout != store.layout.without(self.factored):
-                raise ContractViolation("param stores have different layouts")
-            grad.data.fill(0.0)
+    def __init__(self, store: ParamStore, grad: ParamStore):
+        self.factored: dict[str, FactoredGrad] = {
+            s.name: FactoredGrad() for s in store.layout.slices
+            if s.name not in grad.layout}
+        if grad.layout != store.layout.without(self.factored):
+            raise ContractViolation("param stores have different layouts")
+        grad.data.fill(0.0)
         self.store = store
         self.layout = store.layout
         self._grad = grad

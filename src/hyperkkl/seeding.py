@@ -23,6 +23,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def stream(seed: int, role: int) -> np.random.Generator:
-    """A deterministic generator for (seed, role)."""
+    """A deterministic generator for (seed, role). The seed is taken
+    mod 2^64; ``data.check_seed_range`` keeps run seeds from wrapping."""
     key = np.array([seed & _MASK64, role & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

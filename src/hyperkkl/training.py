@@ -70,6 +70,7 @@ from .kkl import (
     mean_square,
     reconstruction_loss,
     simulate_latent,
+    simulate_latent_injected,
 )
 from .optim import AdamState, adam_step, clip_factor, clip_grad_norm
 from .params import ParamStore, ParamVars
@@ -479,40 +480,12 @@ def _train_dynamic(system, obs, maps, theta_base, phi_base, spec, runs,
     return Phase2Result(params=psi, log=run.log, abort=run.abort)
 
 
-def _segment_nodes(obs, y, dt, inject, k0):
-    """The latent states of one run's segment as a list of tape nodes:
-    ``kkl.simulate_latent_nodes``' operations in the same order, so each
-    value is that filter's state bit for bit. ``y`` holds the segment's
-    (seg + 1, 1, n_y) outputs from step ``k0`` of the run, and the run's
-    ``inject`` is called at the absolute step k0 + k."""
-    a_t, b_t = obs.A.T, obs.B.T
-    z = np.zeros((1, obs.n_z))
-    nodes = [z]
-    for k in range(len(y) - 1):
-        by = y[k] @ b_t
-
-        def deriv(zz):
-            dz = ad.add(ad.matmul(zz, a_t), by)
-            inj = inject(zz, k0 + k)
-            return dz if inj is None else ad.add(dz, inj)
-
-        k1 = deriv(z)
-        k2 = deriv(ad.add(z, ad.mul(k1, 0.5 * dt)))
-        k3 = deriv(ad.add(z, ad.mul(k2, 0.5 * dt)))
-        k4 = deriv(ad.add(z, ad.mul(k3, dt)))
-        incr = ad.add(ad.add(k1, ad.mul(ad.add(k2, k3), 2.0)), k4)
-        z = ad.add(z, ad.mul(incr, dt / 6.0))
-        if not np.all(np.isfinite(ad.val(z))):
-            raise NumericError(f"latent state became non-finite at step {k + 1}")
-        nodes.append(z)
-    return nodes
-
-
 def _train_static(obs, maps, phi_base, spec, runs, config):
     """The injection network on latent rollouts decoded by the frozen
     ``phi_base``; the loss never reaches the encoder, so θ is not taken.
-    Its segment rollouts (``_segment_nodes``) are the only latent filter
-    a gradient goes through; every other caller runs the plain one."""
+    Each segment is rolled out by ``kkl.simulate_latent_injected``, the
+    static eval cell's filter, on a taped ξ: the one latent filter a
+    gradient goes through."""
     xi = init_injection_params(spec, config.seed)
 
     dt, n_steps = runs.dt, runs.n_steps
@@ -528,9 +501,9 @@ def _train_static(obs, maps, phi_base, spec, runs, config):
             total = None
             count = 0
             for t, k0 in zip(t_idx, k_idx):
-                nodes = _segment_nodes(
+                nodes = list(simulate_latent_injected(
                     obs, runs.outputs[t, k0 : k0 + seg + 1, None], dt,
-                    make_step_injection(pv, spec, runs.inputs[t]), k0)
+                    make_step_injection(pv, spec, runs.inputs[t]), k0))
                 xhat = decode(maps, phi_base, ad.concat(nodes[discard:]))
                 target = runs.states[t, k0 + discard : k0 + seg + 1]
                 diff = ad.sub(xhat, target)

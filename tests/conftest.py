@@ -231,6 +231,12 @@ def taped_lowrank_linear(x, w, u, s):
     return ad.Var(out, tuple(a for a in inputs if ad.is_var(a)), vjp)
 
 
+def param_vars(store):
+    """ParamVars over ``store`` with a fresh gradient buffer of its whole
+    layout, so every slice's gradient is formed."""
+    return ParamVars(store, ParamStore(store.layout))
+
+
 def factored_vars(store, names=("U",)):
     """ParamVars over ``store`` whose slices ``names`` keep their gradients
     as factors (``autodiff.FactoredGrad``); the rest go into a buffer."""
@@ -413,12 +419,14 @@ def oracle_simulate(system, x0, signal, dt, horizon, sigma, seed):
                          (signal,))
 
 
-def oracle_latent(obs, y, dt: float, z0=None) -> np.ndarray:
+def oracle_latent(obs, y, dt: float, z0=None, inject=None) -> np.ndarray:
     """The plain latent filter on one run's (N+1, n_y) outputs, (N+1, n_z).
 
     The oracle of ``kkl.simulate_latent`` on a time-major block: the same
     RK4 operations, one trajectory at a time. The filter starts at z = 0,
-    the oracle at ``z0`` if one is given.
+    the oracle at ``z0`` if one is given. ``inject(z, k)``, when given,
+    is added to the drift at step k for an (n_z,) state z, as
+    ``kkl.simulate_latent_injected`` adds its injection.
     """
     by = np.asarray(y, dtype=np.float64) @ obs.B.T
     z = np.zeros(obs.n_z) if z0 is None else np.asarray(z0, dtype=np.float64)
@@ -426,7 +434,8 @@ def oracle_latent(obs, y, dt: float, z0=None) -> np.ndarray:
     for k in range(len(by) - 1):
 
         def deriv(zz):
-            return zz @ obs.A.T + by[k]
+            dz = zz @ obs.A.T + by[k]
+            return dz if inject is None else dz + inject(zz, k)
 
         k1 = deriv(z)
         k2 = deriv(z + k1 * (0.5 * dt))

@@ -136,6 +136,37 @@ class TestConfigModule:
             assert d["hidden"] == [350, 350, 350]
             assert d["rank"] == 128
 
+    @pytest.mark.parametrize("raw, code, message", [
+        pytest.param(None, 4, "i/o failure: [Errno 21] Is a directory: '{}'",
+                     id="directory"),
+        pytest.param(b"[data]\nseed = 1\xff\n", 2,
+                     "error: config file {} is not UTF-8 text: invalid start "
+                     "byte", id="not-utf8"),
+        pytest.param(b"seed = 1\n", 2,
+                     "error: bad config file {}: File contains no section "
+                     "headers. file: '{}', line: 1 'seed = 1\\n'",
+                     id="no-header"),
+        pytest.param(b"[data]\nsigma = 5%\n", 2,
+                     "error: [data] sigma must be a number, got '5%'",
+                     id="percent-sign"),
+    ])
+    def test_a_config_file_that_is_not_ini_text_fails_in_one_line(
+            self, tmp_path, monkeypatch, capsys, raw, code, message):
+        # ConfigParser.read skipped a path it could not open, so gen ran
+        # on the defaults; configparser's own messages span lines, and its
+        # interpolation raised on a '%' as the value was read
+        conf = tmp_path / "run.ini"
+        if raw is None:
+            conf.mkdir()
+        else:
+            conf.write_bytes(raw)
+        out = tmp_path / "x"
+        forbid_numeric_imports(monkeypatch)
+        assert run("gen", "--system", "duffing", "--config", str(conf),
+                   "--out", str(out)) == code
+        assert capsys.readouterr().err == message.format(conf, conf) + "\n"
+        assert not out.exists()
+
 
 class TestGen:
     def test_writes_dataset_and_manifest(self, gen_dir):
@@ -226,6 +257,41 @@ class TestGen:
             forbid_numeric_imports(monkeypatch)
         assert exit_code("gen", *flags, "--out", str(tmp_path / "x")) == 2
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(("--seed", "-1"), id="negative"),
+        pytest.param(("--seed", str(2**64)), id="past-2^64"),
+    ])
+    def test_a_seed_outside_u64_is_a_flag_error(self, tmp_path, monkeypatch,
+                                                flags):
+        forbid_numeric_imports(monkeypatch)
+        assert exit_code("gen", "--system", "duffing", "--n", "1", *flags,
+                         "--out", str(tmp_path / "x")) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_run_seeds_past_2_64_are_refused_before_simulating(
+            self, tmp_path, monkeypatch, capsys):
+        # run 1 would take seed 2^64, which the streams wrap to seed 0
+        from hyperkkl import data
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run was simulated")
+
+        monkeypatch.setattr(data, "sample_initial_conditions", forbidden)
+        out = tmp_path / "x"
+        top = 2**64 - 1
+        assert run("gen", "--system", "duffing", "--n", "2", "--seed",
+                   str(top), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: seeds [{top}, {top + 2}) do not lie in [0, 2^64)\n")
+        assert not out.exists()
+
+    def test_the_last_seed_below_2_64_is_written(self, tmp_path):
+        top = 2**64 - 1
+        assert run("gen", "--system", "duffing", "--n", "1", "--seed",
+                   str(top), "--horizon", "1.0", "--out", str(tmp_path)) == 0
+        ds = read_dataset(tmp_path / f"duffing_zero_n1_s{top}.hkkl")
+        assert ds.seed_range == (top, top)
 
     @pytest.mark.parametrize("where", ["handler", "import"])
     @pytest.mark.parametrize("error, code, prefix", [
@@ -365,6 +431,12 @@ class TestTrain:
         pytest.param("gen", "[data]\nsigma = inf\n", "sigma", id="inf-sigma"),
         pytest.param("gen", "[data]\nsigma = -0.1\n", "sigma",
                      id="negative-sigma"),
+        pytest.param("gen", "[data]\nseed = -1\n", "[data] seed",
+                     id="negative-seed"),
+        pytest.param("gen", f"[data]\nseed = {2**64}\n", "[data] seed",
+                     id="seed-past-2^64"),
+        pytest.param("train", "[train]\nseed = -1\n", "[train] seed",
+                     id="negative-train-seed"),
     ])
     def test_bad_config_value_is_error(self, gen_dir, tmp_path, capsys,
                                        monkeypatch, command, ini, where):
@@ -983,6 +1055,16 @@ class TestEvalPlotReport:
             f"error: report CSV {bad} line {line}: {why}\n")
         assert not out.exists()
 
+    def test_report_refuses_a_csv_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"system,variant,regime,rmse,smape\n"
+                        b"duffing,autonomous,zero,1,2\xff\n")
+        out = tmp_path / "rep"
+        assert run("report", str(bad), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: report CSV {bad} is not UTF-8 text: invalid start byte\n")
+        assert not out.exists()
+
     def test_report_shows_the_first_row_of_a_cell(self, tmp_path):
         csv = tmp_path / "r.csv"
         csv.write_text("system,variant,regime,rmse,smape\n"
@@ -1062,6 +1144,25 @@ class TestEvalPlotReport:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: test seeds (1, 1) overlap training seeds (1, 4)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "plot"])
+    def test_test_seeds_past_2_64_are_refused_before_any_test_set(
+            self, trained, monkeypatch, capsys, command):
+        # the second regime's run would take seed 2^64
+        forbid_cells(monkeypatch)
+        out = trained["root"] / "past"
+        top = 2**64 - 1
+        capsys.readouterr()
+        code = run(
+            command, "--system", "duffing", "--checkpoint",
+            f"autonomous={trained['base']}", "--regimes", "zero,sinusoid",
+            "--seed", str(top), "--horizon", "2.0", "--out", str(out),
+            *(["--n", "1"] if command == "eval" else []),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: seeds [{top}, {top + 2}) do not lie in [0, 2^64)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "plot"])

@@ -829,6 +829,45 @@ class TestObserverRead:
             assert run_observer(bundle, runs)[0].tobytes() == est.tobytes()
 
 
+def cut_and_padded(path):
+    """Yield once for each damaged form of the file at ``path``: every
+    proper prefix, longest first, then the whole file with one byte
+    appended; the file holds that form while the caller runs."""
+    blob = path.read_bytes()
+    for n in range(len(blob) - 1, -1, -1):
+        os.truncate(path, n)
+        yield
+    path.write_bytes(blob + b"\x00")
+    yield
+
+
+class TestEveryCutAndOneMoreByte:
+    """A file that ends early or runs on is refused, wherever it ends."""
+
+    def test_dataset(self, tmp_path):
+        path = tmp_path / "d.hkkl"
+        write_dataset(generate_dataset(duffing(), "mixture", 2, 3,
+                                       horizon=0.5), path)
+        forms = 0
+        for _ in cut_and_padded(path):
+            with pytest.raises(ContractViolation):
+                read_dataset(path)
+            forms += 1
+        assert forms == path.stat().st_size
+
+    @pytest.mark.parametrize("variant", ["autonomous", "static", "dynamic"])
+    def test_checkpoint(self, tmp_path, variant):
+        path = tmp_path / "ck.hkkp"
+        write_checkpoint(build_bundle(variant), path)
+        forms = 0
+        for _ in cut_and_padded(path):
+            for observer in (False, True):
+                with pytest.raises(ContractViolation):
+                    read_checkpoint(path, observer=observer)
+            forms += 1
+        assert forms == path.stat().st_size
+
+
 def two_inputs(bundle):
     """A static bundle whose injection network reads two inputs."""
     spec = build_injection_spec(5, **{**bundle.spec.settings(),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grad_check, init_map_params
+from conftest import grad_check, init_map_params, param_vars
 
 import hyperkkl.autodiff as ad
 import hyperkkl.hypernet as hypernet
@@ -25,9 +25,10 @@ from hyperkkl.kkl import (
     encode,
     make_maps,
     simulate_latent,
+    simulate_latent_injected,
 )
 from hyperkkl.nets import ROW_BLOCK, mlp_forward
-from hyperkkl.params import ParamStore, ParamVars
+from hyperkkl.params import ParamStore
 from hyperkkl.signals import window_matrix
 
 
@@ -287,8 +288,9 @@ class TestInjection:
         y = np.random.default_rng(14).normal(size=(60, 1, 1))
         u = np.zeros((60, 1))
         inject = make_step_injection(xi, spec, u)
-        with_inj = simulate_latent(obs, y, 0.05, injection=inject)
-        plain = simulate_latent(obs, y, 0.05)
+        with_inj = np.concatenate(list(simulate_latent_injected(
+            obs, y, 0.05, inject)))
+        plain = simulate_latent(obs, y, 0.05)[:, 0]
         assert np.array_equal(with_inj, plain)
 
     def test_latent_sim_with_forcing_differs(self):
@@ -299,8 +301,9 @@ class TestInjection:
         y = rng.normal(size=(60, 1, 1))
         u = np.full((60, 1), 0.8)
         inject = make_step_injection(xi, spec, u)
-        with_inj = simulate_latent(obs, y, 0.05, injection=inject)
-        plain = simulate_latent(obs, y, 0.05)
+        with_inj = np.concatenate(list(simulate_latent_injected(
+            obs, y, 0.05, inject)))
+        plain = simulate_latent(obs, y, 0.05)[:, 0]
         assert not np.array_equal(with_inj, plain)
 
     @staticmethod
@@ -367,7 +370,7 @@ class TestInjection:
         spec, xi = self.spec_and_params()
         u = np.full((2 * ROW_BLOCK + 5, 1), 0.5)
         batches = self.counted_encodes(monkeypatch)
-        inject = make_step_injection(ParamVars(xi) if taped else xi, spec, u)
+        inject = make_step_injection(param_vars(xi) if taped else xi, spec, u)
         first = [len(u)] if taped else [ROW_BLOCK]
         assert batches == first
         for k in range(len(u)):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_latent, traced_peak
+from conftest import oracle_latent, param_vars, traced_peak
 
 import hyperkkl.autodiff as ad
 from hyperkkl import kkl, nets
@@ -31,11 +31,11 @@ from hyperkkl.kkl import (
     make_maps,
     reconstruction_loss,
     simulate_latent,
+    simulate_latent_injected,
     verify_observer,
 )
 from hyperkkl.nets import MlpSpec
-from hyperkkl.params import ParamStore, ParamVars
-from hyperkkl.training import _segment_nodes
+from hyperkkl.params import ParamStore
 
 
 def elimination_rank(mat, tol=1e-9):
@@ -171,15 +171,15 @@ class TestSimulateLatent:
         norms = np.linalg.norm(zb - za, axis=1)
         assert np.all(norms <= np.exp(-ts) * np.linalg.norm(dz0) * 1.01)
 
-    def test_plain_injection_against_rk4_oracle(self):
+    def test_injected_rollout_against_rk4_oracle(self):
         obs = build_observer_matrices(2, 1)
         rng = np.random.default_rng(3)
         y = rng.normal(size=(41, 1))
         u = rng.normal(size=(41, 1))
         gain = rng.normal(size=(5, 1))
         # a state-independent injection is held over each step like y
-        zs = simulate_latent(obs, y[:, None], 0.05,
-                             injection=lambda z, k: u[k : k + 1] @ gain.T)[:, 0]
+        zs = np.concatenate(list(simulate_latent_injected(
+            obs, y[:, None], 0.05, lambda z, k: u[k : k + 1] @ gain.T)))
         z = np.zeros(5)
         for k in range(40):
             c = obs.B @ y[k] + gain @ u[k]
@@ -213,11 +213,11 @@ class TestSimulateLatent:
                 NumericError, match="non-finite at step 5"):
             simulate_latent(obs, y, 0.05)
 
-    def test_taped_segment_nodes_are_the_plain_states_bitwise(self):
-        # static training tapes its own latent rollout of a segment from
-        # step k0, calling the injection at the run's absolute step; its
-        # node values are the plain filter's states, whether the injection
-        # reads a ParamStore (plain arrays) or ParamVars (tape nodes)
+    def test_a_segment_rollout_is_the_same_taped_or_not(self):
+        # static training rolls out a segment from step k0, calling the
+        # injection at the run's absolute step; with a ParamStore ξ the
+        # states are plain arrays, with ParamVars tape nodes of the same
+        # values, bit for bit
         obs = build_observer_matrices(2, 1)
         spec = build_injection_spec(obs.n_z, window=4, lstm_hidden=3,
                                     mlp_hidden=(5,))
@@ -229,16 +229,25 @@ class TestSimulateLatent:
         u[20:, 0] = np.sin(0.3 * np.arange(41)) + 0.5  # zero windows first
         k0, seg = 7, 40
         inject = make_step_injection(xi, spec, u)
-        plain = simulate_latent(obs, y[k0 : k0 + seg + 1], 0.05,
-                                injection=lambda z, k: inject(z, k0 + k))
-        untaped = _segment_nodes(obs, y[k0 : k0 + seg + 1], 0.05, inject, k0)
+        untaped = list(simulate_latent_injected(
+            obs, y[k0 : k0 + seg + 1], 0.05, inject, k0))
         assert not any(ad.is_var(z) for z in untaped)
-        assert np.array_equal(np.stack(untaped), plain)
-        pv = ParamVars(xi)
-        taped = _segment_nodes(obs, y[k0 : k0 + seg + 1], 0.05,
-                               make_step_injection(pv, spec, u), k0)
+        plain = np.concatenate(untaped)
+
+        def oracle_inject(z, k):
+            inj = inject(z[None], k0 + k)
+            return 0.0 if inj is None else inj[0]
+
+        assert np.allclose(plain, oracle_latent(obs, y[k0 : k0 + seg + 1, 0],
+                                                0.05, inject=oracle_inject),
+                           rtol=0.0, atol=1e-13)
+        pv = param_vars(xi)
+        taped = list(simulate_latent_injected(
+            obs, y[k0 : k0 + seg + 1], 0.05, make_step_injection(pv, spec, u),
+            k0))
         assert [ad.is_var(z) for z in taped] == [False] * 14 + [True] * 27
-        assert np.array_equal(np.stack([ad.val(z) for z in taped]), plain)
+        assert np.array_equal(np.concatenate([ad.val(z) for z in taped]),
+                              plain)
         tail = ad.concat(taped[-5:])
         ad.backward(ad.sum_all(ad.mul(tail, tail)))
         assert np.any(pv.grads().data != 0.0)
@@ -246,19 +255,14 @@ class TestSimulateLatent:
     def test_the_plain_filter_makes_no_autodiff_call(self, monkeypatch):
         obs = build_observer_matrices(2, 1)
         y = np.random.default_rng(6).normal(size=(41, 3, 1))
-        gain = np.linspace(-1.0, 1.0, obs.n_z)
-        injection = lambda z, k: np.tanh(z) * gain * y[k]  # noqa: E731
-        expected = [simulate_latent(obs, y, 0.05),
-                    simulate_latent(obs, y, 0.05, injection=injection)]
+        expected = simulate_latent(obs, y, 0.05)
 
         def tape_call(*args, **kwargs):
             raise AssertionError("the plain latent filter called autodiff")
 
         for name in ("add", "mul", "matmul", "val"):
             monkeypatch.setattr(kkl.ad, name, tape_call)
-        assert np.array_equal(simulate_latent(obs, y, 0.05), expected[0])
-        assert np.array_equal(
-            simulate_latent(obs, y, 0.05, injection=injection), expected[1])
+        assert np.array_equal(simulate_latent(obs, y, 0.05), expected)
 
     def test_plain_filter_holds_its_output_and_o1_per_step(self):
         # each state goes straight into the stacked output and B y_k is
@@ -425,7 +429,7 @@ class TestResiduals:
         analytic = np.zeros((3, 5))
         for s in range(3):
             for i in range(5):
-                pv = ParamVars(theta)
+                pv = param_vars(theta)
                 out = encode(maps, pv, x[s : s + 1])
                 ad.backward(ad.sum_all(ad.narrow(out, 1, i, 1)))
                 analytic[s, i] = pv.grads().data @ d.data

@@ -11,6 +11,7 @@ from conftest import (
     formed_grads,
     grad_check,
     make_store,
+    param_vars,
     reshape,
     tanh,
     taped_lowrank_linear,
@@ -46,7 +47,7 @@ from hyperkkl.nets import (
     u_grad_chunks,
     u_grad_sq_norm,
 )
-from hyperkkl.params import Layout, ParamStore, ParamVars
+from hyperkkl.params import Layout, ParamStore
 
 
 def fresh_mlp(widths, seed=0, activation="tanh"):
@@ -307,7 +308,7 @@ class TestFusedLayer:
         spec, store = fresh_mlp([3, width, width, width, 7], seed=42)
         rng = np.random.default_rng(42)
         x, v = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3))
-        pv = ParamVars(store)
+        pv = param_vars(store)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -334,7 +335,7 @@ class TestFusedLayer:
         x, v = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 3))
         grads = []
         for walk in (ad.backward, zero_fill_backward):
-            pv = ParamVars(store)
+            pv = param_vars(store)
             out, jvp = mlp_forward_with_jacobian(pv, spec, x, "net", v)
             loss = ad.sum_all(ad.add(ad.mul(out, out), ad.mul(jvp, jvp)))
             _, peak = traced_peak(walk, loss)
@@ -352,7 +353,7 @@ class TestFusedLayer:
         # array (1 - y^2 by ROW_BLOCK rows, then the (350, 350) W product)
         rows, width = 512, 350
         spec, store = fresh_mlp([7, width, width, width, 3], seed=44)
-        pv = ParamVars(store)
+        pv = param_vars(store)
         w, b = pv.get("net.W1"), pv.get("net.b1")
         rng = np.random.default_rng(44)
         out = _mlp_layer(ad.Var(rng.normal(size=(rows, width))), rows, w, b,
@@ -669,7 +670,7 @@ def readout_uses(factored, seed=40, batch=6, rank=3):
     store = make_store(entries + [
         (f"U{l}", rng.normal(size=(w.size, rank)))
         for l, (_, w) in enumerate(entries[::2])])
-    pv = factored_vars(store, READOUTS) if factored else ParamVars(store)
+    pv = factored_vars(store, READOUTS) if factored else param_vars(store)
 
     def deltas(s):
         return [(pv.get(u), s) for u in READOUTS]
@@ -756,7 +757,7 @@ class TestFactoredReadoutGradient:
         # U's gradient exists only as factors, which a full-layout buffer
         # cannot take, whole or through a row narrow
         xv, store, weights = layer_inputs(3, True, True, seed=45)
-        pv = ParamVars(store)
+        pv = param_vars(store)
         w, b, (u, s) = layer_args(pv, True)
         if narrowed:
             u = ad.narrow(u, 0, 0, len(u.value))
@@ -989,7 +990,7 @@ class TestLstm:
         seq = np.random.default_rng(w).normal(size=(batch, w, m))
         expect = ad.val(taped_lstm(store, spec, seq, "lstm"))
         plain = lstm_forward(store, spec, seq, "lstm")
-        taped = lstm_forward(ParamVars(store), spec, seq, "lstm")
+        taped = lstm_forward(param_vars(store), spec, seq, "lstm")
         assert isinstance(plain, np.ndarray)
         assert np.array_equal(plain, expect)
         assert np.array_equal(taped.value, expect)
@@ -1004,7 +1005,7 @@ class TestLstm:
         weight = rng.normal(size=(batch, h))
         grads = []
         for forward in (lstm_forward, taped_lstm):
-            pv = ParamVars(store)
+            pv = param_vars(store)
             out = forward(pv, spec, seq, "lstm")
             ad.backward(ad.sum_all(ad.mul(out, weight)))
             grads.append(pv.grads().data)
@@ -1023,7 +1024,7 @@ class TestLstm:
         rng = np.random.default_rng(10 * w + batch)
         seq = rng.normal(size=(batch, w, m))
         weight = rng.normal(size=(batch, 5))
-        pv = ParamVars(store)
+        pv = param_vars(store)
         out = lstm_forward(pv, spec, seq, "lstm")
         ad.backward(ad.sum_all(ad.mul(out, weight)))
         h, expect = row_blocked_bptt(
@@ -1042,7 +1043,7 @@ class TestLstm:
         rng = np.random.default_rng(batch)
         seq = rng.normal(size=(batch, 100, 1))
         weight = rng.normal(size=(batch, 64))
-        pv = ParamVars(store)
+        pv = param_vars(store)
         out = lstm_forward(pv, spec, seq, "lstm")
         ad.backward(ad.sum_all(ad.mul(out, weight)))
         h, expect = stored_state_bptt(
@@ -1111,7 +1112,7 @@ class TestLstm:
         for got, expect in zip(checkpoints, whole_checkpoints):
             assert np.array_equal(got[0], expect[0])
             assert np.array_equal(got[1], expect[1])
-        pv = ParamVars(store)
+        pv = param_vars(store)
         out = lstm_forward(pv, spec, seq, "lstm")
         ad.backward(ad.sum_all(ad.mul(out, g)))
         assert np.array_equal(out.value, whole)
@@ -1129,7 +1130,7 @@ class TestLstm:
         kept = 2 * (math.ceil(w / span) - 1)
         spec, store = fresh_lstm(1, h, seed=13)
         seq = np.random.default_rng(13).normal(size=(batch, w, 1))
-        out, peak = traced_peak(lstm_forward, ParamVars(store), spec, seq,
+        out, peak = traced_peak(lstm_forward, param_vars(store), spec, seq,
                                 "lstm")
         widest = max(r.stop - r.start for r in _row_blocks(batch))
         assert peak <= ((kept + 2) * batch + 20 * widest) * h * 8
@@ -1170,7 +1171,7 @@ class TestLstm:
         assert widest == LSTM_BLOCK + 5
         spec, store = fresh_lstm(1, h, seed=3)
         seq = np.random.default_rng(3).normal(size=(batch, w, 1))
-        pv = ParamVars(store)
+        pv = param_vars(store)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1205,7 +1206,7 @@ class TestLstm:
         before its forward."""
         spec, store = fresh_lstm(1, h, seed=batch)
         seq = np.random.default_rng(batch).normal(size=(batch, w, 1))
-        pv = ParamVars(store)
+        pv = param_vars(store)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1227,7 +1228,7 @@ class TestLstm:
         for t in range(w):
             *_, cs, hs = _lstm_step(seq[:, t, :], hs, cs, wx, wh, b, h)
         plain = lstm_forward(store, spec, seq, "lstm")
-        taped = lstm_forward(ParamVars(store), spec, seq, "lstm")
+        taped = lstm_forward(param_vars(store), spec, seq, "lstm")
         assert np.array_equal(plain, hs)
         assert np.array_equal(plain, taped.value)
 
@@ -1250,7 +1251,7 @@ class TestLstm:
 
     def test_window_is_one_tape_node(self):
         spec, store = fresh_lstm(2, 3, seed=4)
-        pv = ParamVars(store)
+        pv = param_vars(store)
         seq = np.random.default_rng(4).normal(size=(2, 5, 2))
         out = lstm_forward(pv, spec, seq, "lstm")
         assert out._parents == tuple(pv.get(f"lstm.{n}") for n in ("Wx", "Wh", "b"))

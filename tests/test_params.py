@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_store
+from conftest import make_store, param_vars
 
 import hyperkkl.autodiff as ad
 from hyperkkl.errors import ContractViolation
@@ -36,7 +36,7 @@ def test_get_set_roundtrip():
 
 def test_paramvars_grads_cover_untouched_with_zeros():
     store = make_store([("w", np.full((2, 2), 0.5)), ("b", np.ones(2))])
-    pv = ParamVars(store)
+    pv = param_vars(store)
     w = pv.get("w")
     loss = ad.sum_all(ad.mul(w, w))
     ad.backward(loss)

@@ -166,9 +166,10 @@ def test_src_reads_every_parameter_it_declares():
 
 
 # Functions that must tape nothing, with the reason: (module, function).
-# Static training differentiates through its own latent rollout
-# (``training._segment_nodes``); the plain filter that eval and the
-# training labels run names no ``autodiff`` primitive.
+# The static observer's rollout (``kkl.simulate_latent_injected``),
+# which static training differentiates through, is built on ``autodiff``;
+# the plain filter that every other variant and the training labels run
+# names no ``autodiff`` primitive.
 UNTAPED = {
     ("kkl", "simulate_latent_nodes"): "the plain latent filter",
     ("kkl", "simulate_latent"): "the plain latent filter's entry point",

@@ -82,14 +82,18 @@ GEN = ("gen", "--system", "duffing", "--n", "1", "--horizon", "2.0",
                  id="flag-type"),
     pytest.param(["gen", "--config", "bad.ini"], 2, id="config-key"),
     pytest.param(["gen", "--config", "missing.ini"], 2, id="config-missing"),
+    pytest.param(["gen", "--system", "duffing", "--config", "a-dir"], 4,
+                 id="config-directory"),
     pytest.param(["train", "--phase", "1"], 2, id="required-setting"),
     pytest.param(["gen", "--system", "duffing", "--blas-threads", "0"], 2,
                  id="blas-threads"),
 ])
 def test_early_exits_load_no_numpy(tmp_path, argv, want):
     (tmp_path / "bad.ini").write_text("[data]\nn_trian = 4\n")
+    (tmp_path / "a-dir").mkdir()
     child = start(*argv, cwd=tmp_path, OPENBLAS_NUM_THREADS="2")
     assert child["code"] == want, child["stderr"]
+    assert not list(tmp_path.glob("*.hkkl"))
     modules = child["modules"]
     assert not any(m == "numpy" or m.startswith("numpy.") for m in modules)
     assert "hyperkkl.manifest" not in modules

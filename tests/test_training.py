@@ -16,6 +16,7 @@ from conftest import (
     linear_test_system,
     make_store,
     oracle_latent_targets,
+    param_vars,
 )
 
 import hyperkkl.autodiff as ad
@@ -38,7 +39,6 @@ from hyperkkl.kkl import (
     reconstruction_loss,
 )
 from hyperkkl.optim import AdamState, adam_step, clip_grad_norm
-from hyperkkl.params import ParamVars
 from hyperkkl.training import (
     CurriculumConfig,
     _check_zero_input_gating,
@@ -344,7 +344,7 @@ class TestEpochStep:
             loss = autonomous_pde_residual(maps, pv, obs, sys, x)
             return loss, loss, loss
 
-        pv = ParamVars(copy_store(theta))
+        pv = param_vars(copy_store(theta))
         ad.backward(step(pv)[0])
         expect = float(np.sqrt(np.sum(pv.grads().data ** 2)))
         clip = 1e-3
@@ -587,7 +587,7 @@ class TestCurriculum:
         z_data, x_data = np.concatenate(zs), np.concatenate(xs)
         for _ in range(15):
             idx = batch_rng.integers(0, len(x_data), size=32)
-            pv = ParamVars(phi)
+            pv = param_vars(phi)
             diff = ad.sub(decode(maps, pv, z_data[idx]), x_data[idx])
             loss = ad.mul(ad.sum_all(ad.mul(diff, diff)), 1.0 / 32)
             ad.backward(loss)
