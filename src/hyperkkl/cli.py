@@ -530,8 +530,17 @@ def _add_settings(p, command):
             )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose error, a bad value, an unknown or missing flag or a
+    missing command, prints one ``error:`` line, without the usage
+    block, and exits 2. Its subcommands' parsers are of its class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperkkl",
         description="Learning-based KKL observers for driven nonlinear systems",
     )

@@ -2,7 +2,8 @@
 
 Four driven nonlinear benchmarks are shipped: the reverse Duffing
 oscillator, the Van der Pol oscillator, and the Rossler and Lorenz
-chaotic systems. A scalar drive enters additively on the second state
+chaotic systems, each with its one parameter set: VDP_MU, ROSSLER_ABC
+and LORENZ_PQR. A scalar drive enters additively on the second state
 equation of each system (the forced-oscillator convention); the output
 map is untouched by the input.
 
@@ -31,6 +32,11 @@ from . import seeding
 from .config import SYSTEM_NAMES
 from .errors import ContractViolation, DivergenceError, NumericError
 from .signals import InputSignal, eval_signal
+
+
+VDP_MU = 3.0                        # Van der Pol damping
+ROSSLER_ABC = (0.1, 0.1, 14.0)      # Rossler a, b, c
+LORENZ_PQR = (10.0, 28.0, 8.0 / 3.0)  # Lorenz sigma, rho, beta
 
 
 @dataclass(frozen=True)
@@ -120,11 +126,12 @@ def duffing() -> SystemSpec:
     )
 
 
-def van_der_pol(mu: float = 3.0) -> SystemSpec:
-    """Van der Pol oscillator with nonlinear damping mu (default 3)."""
+def van_der_pol() -> SystemSpec:
+    """Van der Pol oscillator with nonlinear damping VDP_MU."""
 
     def drift(x):
-        return x[..., 1], mu * (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]
+        return (x[..., 1],
+                VDP_MU * (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0])
 
     return SystemSpec(
         name="vanderpol", n_x=2, n_y=1, m=1,
@@ -134,8 +141,9 @@ def van_der_pol(mu: float = 3.0) -> SystemSpec:
     )
 
 
-def rossler(a: float = 0.1, b: float = 0.1, c: float = 14.0) -> SystemSpec:
+def rossler() -> SystemSpec:
     """Rossler attractor in its chaotic parameter regime, y = x2."""
+    a, b, c = ROSSLER_ABC
 
     def drift(x):
         return (-x[..., 1] - x[..., 2], x[..., 0] + a * x[..., 1],
@@ -149,8 +157,9 @@ def rossler(a: float = 0.1, b: float = 0.1, c: float = 14.0) -> SystemSpec:
     )
 
 
-def lorenz(p: float = 10.0, q: float = 28.0, r: float = 8.0 / 3.0) -> SystemSpec:
+def lorenz() -> SystemSpec:
     """Lorenz system with the classic chaotic parameters, y = x2."""
+    p, q, r = LORENZ_PQR
 
     def drift(x):
         return (p * (x[..., 1] - x[..., 0]),

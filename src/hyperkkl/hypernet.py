@@ -293,12 +293,13 @@ def make_step_injection(xi, spec: InjectionSpec, u_seq):
     absolute step.
 
     The steps come in blocks: ``nets.ROW_BLOCK`` steps from step 0 for a
-    plain ξ, the whole run for a taped one. A block's ``window_matrix``
-    windows, their gates and their contexts (``encode_context``) are
-    built when a step of the block is first asked for, and only one
-    block is held: block 0 before this returns, each later one as the
-    filter reaches it, so a plain run holds one block's contexts
-    whatever its length. A block is encoded as one batch; the LSTM's
+    plain ξ, the whole run for a taped one, whose backward then reverses
+    only the LSTM row blocks holding the windows a loss reads
+    (``nets.lstm_forward``). A block's ``window_matrix`` windows, their
+    gates and their contexts (``encode_context``) are built when a step
+    of the block is first asked for, and only one block is held: block 0
+    before this returns, each later one as the filter reaches it, so a
+    plain run holds one block's contexts whatever its length. A block is encoded as one batch; the LSTM's
     rows are independent, so a context's bits follow only its window and
     the row blocks of its block's batch (``nets.lstm_forward``): a plain
     run's contexts are those of encoding it ROW_BLOCK windows at a time

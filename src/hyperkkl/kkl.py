@@ -9,9 +9,9 @@ approximates the immersion map from state to latent space, the decoder
 its left inverse.
 
 Two residuals measure how far the encoder is from an exact immersion:
-the stationary one penalizes dT/dx f - A T - B h, and the dynamic one
-adds a finite-difference estimate of the map's own time derivative under
-a moving input window.
+the stationary one (phase 1's: zero input, no conditioning) penalizes
+dT/dx f - A T - B h, and the dynamic one adds a finite-difference
+estimate of the map's own time derivative under a moving input window.
 """
 
 from __future__ import annotations
@@ -286,19 +286,12 @@ def mean_square(r, batch):
     return loss
 
 
-def autonomous_pde_residual(
-    maps, theta, obs, system, x_batch, u_batch=None, f_scale=None,
-    weight_deltas=None,
-):
-    """Mean squared stationary residual over a state batch.
-
-    With the default u_batch=None the drift is evaluated at zero input;
-    passing inputs gives the forced stationary form (the dynamic residual
-    reduces to it when consecutive windows coincide).
-    """
+def autonomous_pde_residual(maps, theta, obs, system, x_batch, f_scale=None):
+    """Mean squared stationary residual over a state batch, the drift
+    at zero input and the encoder unconditioned (phase 1)."""
     x = _state_batch(x_batch)
-    f = eval_vector_field(system, x, u_batch)
-    t_out, jf = encode_with_jacobian(maps, theta, x, f, weight_deltas)
+    f = eval_vector_field(system, x)
+    t_out, jf = encode_with_jacobian(maps, theta, x, f)
     r = _stationary_residual_vec(obs, system, x, f_scale, t_out, jf, None)
     return mean_square(r, len(x))
 

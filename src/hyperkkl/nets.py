@@ -34,10 +34,12 @@ forward, plain or taped, runs one block of LSTM_BLOCK rows at a time
 (``evaluation.run_observer``) ROW_BLOCK steps of a run at a time. The
 taped LSTM keeps only segment checkpoints and backpropagates in the
 same row blocks, replaying each from its checkpoint, so neither pass's
-transients grow with the batch (``lstm_forward``). U's gradient is a
-sum of rank-one terms g_b ⊗ x_b ⊗ s_b and exists only as their factors;
-``u_grad_chunks`` and ``u_grad_sq_norm`` give its chunks and its norm
-from them, so no run holds it whole (``optim``).
+transients grow with the batch; it skips a block whose output gradient
+is all zero, which would add only ±0.0 to the weight gradients
+(``lstm_forward``). U's gradient is a sum of rank-one terms
+g_b ⊗ x_b ⊗ s_b and exists only as their factors; ``u_grad_chunks`` and
+``u_grad_sq_norm`` give its chunks and its norm from them, so no run
+holds it whole (``optim``).
 """
 
 from __future__ import annotations
@@ -600,7 +602,14 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
     on the forward's own rows, every replayed state is the forward's,
     bit for bit, whatever the span. The weight gradients are those of
     keeping every step, summed block by block: the same products as one
-    whole-batch reverse pass, added in another order.
+    whole-batch reverse pass, added in another order. A block whose rows
+    of the output gradient are all zero is neither replayed nor reversed:
+    each of its terms would be ±0.0, which moves no gradient entry's
+    value, at most a zero's sign. Adam cannot tell the two zeros apart
+    (its m never holds -0.0, and v adds g·g), so its m, v and parameter
+    bytes cannot move either. A static training segment's loss reads
+    the windows of 2 or 3 of its run's 16 blocks, and only those are
+    reversed.
     """
     seq = np.asarray(ad.val(sequence), dtype=np.float64)
     if seq.ndim != 3 or seq.shape[1] < 1:
@@ -628,6 +637,8 @@ def lstm_forward(params, spec: LstmSpec, sequence, prefix: str):
         grads = (np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b))
         spare = []
         for rows in _row_blocks(batch):
+            if not g[rows].any():
+                continue
             n = rows.stop - rows.start
             if spare and len(spare[0]) != n:
                 spare = []

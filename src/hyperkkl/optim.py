@@ -1,5 +1,8 @@
 """Adam with bias correction and global-norm gradient clipping.
 
+Adam's decay rates and ε are the constants BETA1, BETA2 and EPS, the
+usual 0.9, 0.999 and 1e-8, the same for every run.
+
 ``adam_step`` works in place: it walks the parameter slices in layout
 order and updates m, v and each slice in blocks of at most ADAM_BLOCK
 entries, and each block runs the textbook expressions in their usual
@@ -36,6 +39,7 @@ from .nets import IN_BLOCK, u_grad_chunks, u_grad_sq_norm
 from .params import ParamStore
 
 ADAM_BLOCK = 1 << 16  # entries per in-place update block
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and its ε
 
 
 @dataclass
@@ -83,9 +87,6 @@ def adam_step(
     params: ParamStore,
     grads: ParamStore,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     factored=None,
     grad_scale: float | None = None,
 ) -> ParamStore:
@@ -119,8 +120,8 @@ def adam_step(
     for name, fg in factored.items():
         _check_terms(name, params.layout[name], fg, params.data)
     state.step += 1
-    m_scale = 1.0 - beta1**state.step
-    v_scale = 1.0 - beta2**state.step
+    m_scale = 1.0 - BETA1**state.step
+    v_scale = 1.0 - BETA2**state.step
     # update's two temporaries: every operand it gets is at most
     # ADAM_BLOCK entries or one row of a factored chunk (IN_BLOCK·r wide)
     widest = max((IN_BLOCK * params.layout[name].shape[1]
@@ -131,12 +132,12 @@ def adam_step(
         """The textbook update, each expression in its usual order,
         written into m, v, p and the two work blocks."""
         a, b = (w[:m.size].reshape(m.shape) for w in work)
-        np.add(np.multiply(beta1, m, out=a),
-               np.multiply(1.0 - beta1, g, out=b), out=m)
-        np.multiply(np.multiply(1.0 - beta2, g, out=b), g, out=b)
-        np.add(np.multiply(beta2, v, out=a), b, out=v)
+        np.add(np.multiply(BETA1, m, out=a),
+               np.multiply(1.0 - BETA1, g, out=b), out=m)
+        np.multiply(np.multiply(1.0 - BETA2, g, out=b), g, out=b)
+        np.add(np.multiply(BETA2, v, out=a), b, out=v)
         np.multiply(lr, np.divide(m, m_scale, out=a), out=a)  # lr · m̂
-        np.add(np.sqrt(np.divide(v, v_scale, out=b), out=b), eps, out=b)
+        np.add(np.sqrt(np.divide(v, v_scale, out=b), out=b), EPS, out=b)
         p -= np.divide(a, b, out=a)
 
     def update_flat(lo, hi, g=None):

@@ -485,7 +485,10 @@ def _train_static(obs, maps, phi_base, spec, runs, config):
     ``phi_base``; the loss never reaches the encoder, so θ is not taken.
     Each segment is rolled out by ``kkl.simulate_latent_injected``, the
     static eval cell's filter, on a taped ξ: the one latent filter a
-    gradient goes through."""
+    gradient goes through. Its injection encodes the whole run's windows
+    (``hypernet.make_step_injection``), but the backward reverses only
+    the LSTM row blocks that hold the segment's windows
+    (``nets.lstm_forward``)."""
     xi = init_injection_params(spec, config.seed)
 
     dt, n_steps = runs.dt, runs.n_steps

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hyperkkl.autodiff as ad
-from hyperkkl import nets, seeding
+from hyperkkl import kkl, nets, seeding
 from hyperkkl.dynamics import (
     SystemSpec,
     TrajectorySet,
@@ -229,6 +229,18 @@ def taped_lowrank_linear(x, w, u, s):
         return tuple(gr for t, gr in zip(taped, grads) if t)
 
     return ad.Var(out, tuple(a for a in inputs if ad.is_var(a)), vjp)
+
+
+def forced_stationary_residual(maps, theta, obs, system, x, u, deltas=None,
+                               f_scale=None):
+    """The stationary residual at inputs ``u`` and encoder weight deltas
+    ``deltas``, from ``kkl``'s own pieces: the form the dynamic residual
+    takes where the windows before and after a step agree. Phase 1's
+    ``kkl.autonomous_pde_residual`` is its unforced, unconditioned case."""
+    f = eval_vector_field(system, x, u)
+    t_out, jf = kkl.encode_with_jacobian(maps, theta, x, f, deltas)
+    r = kkl._stationary_residual_vec(obs, system, x, f_scale, t_out, jf, None)
+    return kkl.mean_square(r, len(x))
 
 
 def param_vars(store):

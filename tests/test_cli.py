@@ -561,6 +561,31 @@ class TestTrain:
         assert records[0]["resolved_config"]["epochs"] == 4
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("gen", "--system", "duffing", "--seed", "-1"),
+                 "argument --seed: must be an integer in [0, 2^64), got '-1'",
+                 id="gen-bad-value"),
+    pytest.param(("train", "--system", "duffing"),
+                 "the following arguments are required: --phase",
+                 id="train-no-phase"),
+    pytest.param(("eval", "--system", "duffing", "--bogus"),
+                 "unrecognized arguments: --bogus", id="eval-unknown-flag"),
+    pytest.param(("plot", "--dt", "abc"),
+                 "argument --dt: must be a number, got 'abc'",
+                 id="plot-bad-value"),
+    pytest.param(("report",), "the following arguments are required: reports",
+                 id="report-no-file"),
+    pytest.param((), "the following arguments are required: command",
+                 id="no-command"),
+])
+def test_a_bad_flag_fails_in_one_line(argv, message, capsys, monkeypatch):
+    # no usage block: one error line, as every other failure prints
+    forbid_numeric_imports(monkeypatch)
+    assert exit_code(*argv) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
 def test_help_shows_config_key_and_default(capsys):
     with pytest.raises(SystemExit):
         main(["train", "--help"])

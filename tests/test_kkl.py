@@ -61,6 +61,7 @@ def elimination_rank(mat, tol=1e-9):
 from conftest import (
     analytic_linear_maps,
     analytic_linear_observer,
+    forced_stationary_residual,
     grad_check,
     init_map_params,
     linear_test_system,
@@ -366,8 +367,10 @@ class TestResiduals:
             return real(v, *args)
 
         monkeypatch.setattr(nets, "lowrank_linear", lowrank_linear)
-        autonomous_pde_residual(maps, theta, obs, sys, x, weight_deltas=deltas)
-        assert rows == [4] * (2 * maps.enc.n_layers)
+        dynamic_pde_residual_batch(maps, theta, obs, sys, x, np.zeros((4, 1)),
+                                   deltas, deltas, dt=0.05)
+        # two passes for the pre-window residual, one for the post encoding
+        assert rows == [4] * (3 * maps.enc.n_layers)
 
     def test_dynamic_reduces_to_autonomous_at_zero_input(self):
         sys = duffing()
@@ -381,8 +384,8 @@ class TestResiduals:
             maps, theta, obs, sys, x, np.zeros((1, 1)), deltas, deltas,
             dt=0.05,
         )
-        auto = autonomous_pde_residual(maps, theta, obs, sys, x,
-                                       weight_deltas=deltas)
+        auto = forced_stationary_residual(maps, theta, obs, sys, x, None,
+                                          deltas)
         assert float(ad.val(dyn)) == float(ad.val(auto))
 
     def test_constant_input_reduces_to_forced_stationary(self):
@@ -397,8 +400,7 @@ class TestResiduals:
         dyn, _ = dynamic_pde_residual_batch(
             maps, theta, obs, sys, x, u, deltas, deltas, dt=0.05,
         )
-        forced = autonomous_pde_residual(maps, theta, obs, sys, x, u_batch=u,
-                                         weight_deltas=deltas)
+        forced = forced_stationary_residual(maps, theta, obs, sys, x, u, deltas)
         assert float(ad.val(dyn)) == float(ad.val(forced))
 
     def test_dynamic_residual_returns_the_pre_window_encoding(self):

@@ -20,6 +20,7 @@ from conftest import (
 )
 
 import hyperkkl.autodiff as ad
+from hyperkkl import nets
 from hyperkkl.errors import ContractViolation
 from hyperkkl.nets import (
     IN_BLOCK,
@@ -1117,6 +1118,38 @@ class TestLstm:
         ad.backward(ad.sum_all(ad.mul(out, g)))
         assert np.array_equal(out.value, whole)
         expect = replayed_lstm_grads(seq, wx, wh, b, hsz, whole_checkpoints, g)
+        for name, gr in zip(("Wx", "Wh", "b"), expect):
+            assert np.array_equal(pv.get(f"lstm.{name}").grad, gr), name
+
+    def test_backward_reverses_only_the_blocks_its_loss_reads(
+            self, monkeypatch):
+        # the loss reads 5 rows of the middle of three row blocks: only that
+        # block is replayed, one call per segment, and the weight gradients
+        # are those of reversing every block (the others add only ±0.0)
+        batch, w, hsz = 3 * LSTM_BLOCK, 30, 16
+        spec, store = fresh_lstm(1, hsz, seed=31)
+        rng = np.random.default_rng(31)
+        seq = rng.normal(size=(batch, w, 1))
+        weight = rng.normal(size=(5, hsz))
+        lo = LSTM_BLOCK + 6
+        replayed = []
+
+        def replay(block, *args):
+            replayed.append(len(block))
+            return _lstm_replay(block, *args)
+
+        monkeypatch.setattr(nets, "_lstm_replay", replay)
+        pv = param_vars(store)
+        out = lstm_forward(pv, spec, seq, "lstm")
+        ad.backward(ad.sum_all(ad.mul(ad.narrow(out, 0, lo, 5), weight)))
+        span = _lstm_span(w, batch)
+        assert replayed == [LSTM_BLOCK] * math.ceil(w / span)
+        wx, wh, b = (store.get(f"lstm.{n}") for n in ("Wx", "Wh", "b"))
+        checkpoints = []
+        unblocked_lstm_run(seq, wx, wh, b, hsz, checkpoints)
+        g = np.zeros((batch, hsz))
+        g[lo:lo + 5] = weight
+        expect = replayed_lstm_grads(seq, wx, wh, b, hsz, checkpoints, g)
         for name, gr in zip(("Wx", "Wh", "b"), expect):
             assert np.array_equal(pv.get(f"lstm.{name}").grad, gr), name
 

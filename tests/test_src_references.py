@@ -17,10 +17,15 @@ each parameter it declares: one that nothing reads is a caller's
 argument that changes nothing. Its allow-list, PARAMETERS_ALLOWED, is
 empty.
 
-A third holds the functions in UNTAPED to name no ``autodiff``
+A third holds every parameter src declares with a default to be set by
+some src call: a value no command can change belongs in a constant,
+and a branch that only a test's argument reaches belongs in the test.
+Its allow-list, DEFAULTS_ALLOWED, holds the console-script entry point.
+
+A fourth holds the functions in UNTAPED to name no ``autodiff``
 function: the plain latent filter stays plain numpy.
 
-A fourth, the execution census, runs the program and holds every src
+A fifth, the execution census, runs the program and holds every src
 function, method and nested function to be entered: the golden
 pipeline (``test_golden.pipeline_hashes``), ``report`` on its eval CSV
 and ``gen`` for the other systems, all in one child process under
@@ -50,6 +55,7 @@ ALLOWED = {
         "a traced-benchmark target (pipebench/trace.py TARGETS)",
     ("hypernet", "delta_store"):
         "a traced-benchmark target (pipebench/trace.py TARGETS)",
+    ("cli", "error"): "argparse calls it, as ArgumentParser.error",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -165,6 +171,96 @@ def test_src_reads_every_parameter_it_declares():
     assert unread_parameters() == set(PARAMETERS_ALLOWED)
 
 
+# Defaulted parameters that no src call sets, kept on purpose:
+# (module.qualified function, parameter) -> reason.
+DEFAULTS_ALLOWED = {
+    ("cli.main", "argv"):
+        "the console-script entry point calls main() with no argument",
+}
+
+
+def _is_method(fn) -> bool:
+    return [p.arg for p in fn.args.args[:1]] in (["self"], ["cls"])
+
+
+def _defaulted(fn):
+    """(positional index or None, name) of each parameter ``fn`` declares
+    with a default. A method's index, like its call's, skips self or cls."""
+    a = fn.args
+    positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+    shift = 1 if _is_method(fn) else 0
+    first = len(positional) - len(a.defaults)
+    return ({(i - shift, positional[i]) for i in range(first, len(positional))}
+            | {(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+               if d is not None})
+
+
+def unset_defaults() -> set:
+    """(qualified function, parameter) of each defaulted parameter that
+    no src call passes.
+
+    A call ``fn(...)`` or ``alias.fn(...)`` reaches a function as the
+    first census resolves names, and a class's name reaches its
+    ``__init__``; ``anything.m(...)`` reaches every method ``m`` (a
+    function whose first parameter is self or cls). A call passes a
+    parameter by position, by keyword, or through a ``*`` or ``**``
+    argument. A function named as an argument of a call is handed on as
+    a value, and counts as called with every keyword.
+    """
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    functions, methods = {}, {}  # (module, name) or name -> [(qual, params)]
+    for module, tree in trees.items():
+        for qual, fn in _scopes(tree, module + "."):
+            params = _defaulted(fn)
+            if not params:
+                continue
+            *owner, name = qual.split(".")
+            table, key = ((functions, (module, owner[-1]))
+                          if name == "__init__" else (methods, name)
+                          if _is_method(fn) else (functions, (module, name)))
+            table.setdefault(key, []).append((qual, params))
+    unset = {(qual, name) for entries in (*functions.values(),
+                                         *methods.values())
+             for qual, params in entries for _, name in params}
+
+    def reach(entries, positional, keywords):
+        for qual, params in entries:
+            unset.difference_update(
+                (qual, name) for index, name in params
+                if keywords is None or name in keywords
+                or index is not None and index < positional)
+
+    for module, tree in trees.items():
+        modules, imported = _bindings(tree)
+
+        def named(expr):
+            if isinstance(expr, ast.Name):
+                return functions.get(imported.get(expr.id, (module, expr.id)),
+                                     [])
+            if (isinstance(expr, ast.Attribute)
+                    and isinstance(expr.value, ast.Name)
+                    and expr.value.id in modules):
+                return functions.get((modules[expr.value.id], expr.attr), [])
+            return []
+
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords = {k.arg for k in call.keywords}
+            entries = named(call.func) + (
+                methods.get(call.func.attr, [])
+                if isinstance(call.func, ast.Attribute) else [])
+            reach(entries, float("inf") if starred else len(call.args),
+                  None if None in keywords else keywords)
+            for value in (*call.args, *(k.value for k in call.keywords)):
+                reach(named(value), 0, None)
+    return unset
+
+
+def test_src_sets_every_parameter_it_defaults():
+    assert unset_defaults() == set(DEFAULTS_ALLOWED)
+
+
 # Functions that must tape nothing, with the reason: (module, function).
 # The static observer's rollout (``kkl.simulate_latent_injected``),
 # which static training differentiates through, is built on ``autodiff``;
@@ -198,6 +294,7 @@ ENTRY_ALLOWED = {
     ("hypernet", "delta_store"):
         "a traced-benchmark target (pipebench/trace.py TARGETS)",
     ("cli", "_interrupt"): "runs only on SIGTERM",
+    ("cli", "_Parser.error"): "runs only on a bad flag",
     ("cli", "_report_rows.refuse"): "runs only on a malformed report CSV",
     ("binfile", "Reader._truncated"): "runs only on a truncated file",
     ("errors", "DivergenceError.__init__"):

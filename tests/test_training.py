@@ -13,6 +13,7 @@ from conftest import (
     analytic_linear_observer,
     copy_store,
     dense_linear_grads,
+    forced_stationary_residual,
     linear_test_system,
     make_store,
     oracle_latent_targets,
@@ -158,8 +159,8 @@ class TestTotalLoss:
         u = rng.uniform(-1, 1, (8, 1))
         _, _, pde = total_loss(maps, theta, phi, obs, sys, x, 0.1, DT,
                                u_now=u, f_scale=2.0)
-        stationary = autonomous_pde_residual(maps, theta, obs, sys, x,
-                                             u_batch=u, f_scale=2.0)
+        stationary = forced_stationary_residual(maps, theta, obs, sys, x, u,
+                                                f_scale=2.0)
         assert float(ad.val(pde)) == float(ad.val(stationary))
 
     def test_lambda_zero_is_pure_reconstruction(self):
