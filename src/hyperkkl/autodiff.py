@@ -47,10 +47,13 @@ fresh float64 array of the parent's shape (owns its memory, writable,
 once in the VJP's result) and adds later gradients into it in place, so
 a VJP must not return an array it or anything else still reads; a view
 (``g.T``, a slice) is never taken. Taking g instead of adding it into
-zeros can only turn a +0.0 into -0.0. Gradients then equal the
-zero-filled walk's as numbers, and a preset buffer, which starts at
-+0.0 and so never holds -0.0, gets the same bytes; a bare leaf's
-``.grad`` may show -0.0 where that walk gave +0.0.
+zeros can only turn a +0.0 into -0.0. An ``AddInto`` may do the same:
+``nets``' W gradient is written, not added, into a ``.grad`` that holds
+only zeros. Gradients then equal the zero-filled walk's as numbers,
+and any entry may show -0.0 where that walk gave +0.0, a preset
+buffer's as well. Adam and ``optim.clip_grad_norm`` cannot tell the
+two zeros apart (Adam's m and v stay +0.0 on either), so parameters,
+losses and norms keep their bytes.
 
 A VJP may overwrite the gradient it is handed. That is its node's own
 ``.grad``: an array ``backward`` zero-filled or adopted, never a view,
@@ -165,7 +168,8 @@ class AddInto:
     """A gradient that adds itself into its parent's gradient array.
 
     ``backward`` calls ``add(acc)`` with the parent's ``.grad`` (zeros if
-    it had none yet); ``add`` adds the gradient into ``acc`` in place.
+    it had none yet); ``add`` adds the gradient into ``acc`` in place, or
+    writes it there where ``acc`` holds only zeros (module docstring).
     ``factors``, when given, are what the gradient is made of, and a
     leaf whose ``.grad`` is a ``FactoredGrad`` keeps them instead; it
     refuses an ``AddInto`` without them, such as a ``narrow``'s. A

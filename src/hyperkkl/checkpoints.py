@@ -222,8 +222,8 @@ class CheckpointBundle:
     obs: ObserverMatrices
     theta: ParamStore | None    # None in an observer read
     phi: ParamStore
+    train_seed_range: tuple[int, int]   # the seeds it was trained on
     f_scale: float = 1.0
-    train_seed_range: tuple[int, int] | None = None
     dt: float | None = None     # time step of the training data
     spec: HyperNetSpec | InjectionSpec | None = None  # see CONDITIONING
     params: ParamStore | None = None    # the spec's ψ or ξ
@@ -274,8 +274,8 @@ META_KEYS = {
     "f_scale": (lambda v: _is_number(v) and math.isfinite(v) and v > 0,
                 "a finite number > 0"),
     "dt": (lambda v: v is None or _is_number(v), "a number or null"),
-    "train_seed_range": (lambda v: v is None or (_is_ints(v) and len(v) == 2),
-                         "null or two integers"),
+    "train_seed_range": (lambda v: _is_ints(v) and len(v) == 2,
+                         "two integers"),
     "hyper": {"window": INTEGER, "lstm_hidden": INTEGER, "rank": INTEGER,
               "tau": NUMBER, "input_size": INTEGER},
     "injection": {"window": INTEGER, "lstm_hidden": INTEGER,
@@ -311,9 +311,7 @@ def _meta_for(bundle: CheckpointBundle) -> dict:
         "n_y": bundle.obs.n_y,
         "f_scale": bundle.f_scale,
         "dt": bundle.dt,
-        "train_seed_range": list(bundle.train_seed_range)
-        if bundle.train_seed_range
-        else None,
+        "train_seed_range": list(bundle.train_seed_range),
         "extra": bundle.extra,
     }
     if bundle.spec is not None:
@@ -518,9 +516,7 @@ def read_checkpoint(path, *, observer: bool = False) -> CheckpointBundle:
         phi=phi,
         f_scale=meta["f_scale"],
         dt=meta.get("dt"),
-        train_seed_range=tuple(meta["train_seed_range"])
-        if meta["train_seed_range"]
-        else None,
+        train_seed_range=tuple(meta["train_seed_range"]),
         spec=spec,
         params=params,
         extra=meta.get("extra", {}),

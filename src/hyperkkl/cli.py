@@ -208,9 +208,8 @@ def cmd_train(args, s):
         base = read_checkpoint(args.base, observer=args.variant != "dynamic")
         _refuse_other_system(base, args.base, system_name)
         inputs.append(args.base)
-        if base.train_seed_range:
-            lo = min(lo, base.train_seed_range[0])
-            hi = max(hi, base.train_seed_range[1])
+        lo = min(lo, base.train_seed_range[0])
+        hi = max(hi, base.train_seed_range[1])
     dt = _training_dt(sets, base)
 
     if args.phase == "1":

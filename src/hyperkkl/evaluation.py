@@ -227,9 +227,7 @@ class EvalReport:
 def refuse_seed_overlap(bundle: CheckpointBundle, seed_range) -> None:
     """Refuse a test set whose seeds [lo, hi] meet the bundle's training
     seeds: a test on training trajectories scores nothing held out."""
-    if bundle.train_seed_range is not None and seed_ranges_overlap(
-        bundle.train_seed_range, seed_range
-    ):
+    if seed_ranges_overlap(bundle.train_seed_range, seed_range):
         raise ContractViolation(
             f"test seeds {seed_range} overlap training seeds "
             f"{bundle.train_seed_range}"

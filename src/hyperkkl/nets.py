@@ -232,18 +232,30 @@ def _linear_grads(g, xv, wv, factors, taped):
     ``factors`` is (u, s) as arrays, one s row per row of x, or None;
     ``taped`` flags which of x, W, u and s want a gradient. Returns their
     four gradients in that order, None where not wanted: x's and s's as
-    arrays, W's and u's as ``autodiff.AddInto``. Per IN_BLOCK chunk of
-    inputs the x and s terms come from g u_r's columns, so no (rows, i·r)
-    array is formed. u's gradient exists only as its factors (g, x, s),
-    the terms of Σ_b g_b ⊗ x_b ⊗ s_b: an ``AddInto`` with nothing to
-    add, which only a factored leaf (``autodiff.FactoredGrad``) takes;
-    ``u_grad_chunks`` forms its chunks from them.
+    arrays, W's and u's as ``autodiff.AddInto``. W's gᵀ x is written
+    straight into a gradient that holds only zeros, so no (o, i) product
+    exists beside it, and added as a product into one that already holds
+    a contribution (the encoder stage's residual after its data fit).
+    0 + P is P, so the bytes are the add's but where the add gave +0.0
+    and P is -0.0, which Adam cannot tell apart (``autodiff``). Per
+    IN_BLOCK chunk of inputs the x and s terms come from g u_r's
+    columns, so no (rows, i·r) array is formed. u's gradient exists only
+    as its factors (g, x, s), the terms of Σ_b g_b ⊗ x_b ⊗ s_b: an
+    ``AddInto`` with nothing to add, which only a factored leaf
+    (``autodiff.FactoredGrad``) takes; ``u_grad_chunks`` forms its
+    chunks from them.
     """
     want_x, want_w, want_u, want_s = taped
     gx = g @ wv if want_x else None
     gw = gu = gs = None
     if want_w:
-        gw = ad.AddInto(lambda acc: np.add(acc, g.T @ xv, out=acc))
+        def add_w(acc):
+            if acc.any():
+                np.add(acc, g.T @ xv, out=acc)
+            else:
+                np.matmul(g.T, xv, out=acc)
+
+        gw = ad.AddInto(add_w)
     if factors is None:
         return gx, gw, gu, gs
     uv, sv = factors
@@ -360,8 +372,8 @@ def _mlp_layer(x, n, w, b, factors, squash):
     term, writes tanh's backward into the gradient it is handed
     (``_tanh_grad``), takes the linear map's gradients over all R rows
     at once (s repeated per row block), adds W's and b's gradients into
-    their arrays (``autodiff.AddInto``) and hands u's on as its factors
-    (``_linear_grads``).
+    their arrays (``autodiff.AddInto``; W's is written into one that
+    holds only zeros) and hands u's on as its factors (``_linear_grads``).
     """
     u, s = factors or (None, None)
     xv, wv, bv = (ad.val(a) for a in (x, w, b))

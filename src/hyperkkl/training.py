@@ -300,12 +300,40 @@ def latent_targets(system: SystemSpec, obs: ObserverMatrices, sets):
 def compute_f_scale(system: SystemSpec, states: np.ndarray) -> float:
     """s = max(1, 95th percentile of |f|) over ``states``: the residuals
     divide every term by s, which leaves their minimizer unchanged and
-    keeps the loss tame on large-drift systems."""
+    keeps the loss tame on large-drift systems. The percentile is
+    ``percentile_95``, numpy's own bit for bit."""
     f = eval_vector_field(system, states)
     if len(f) == 0:
         raise ContractViolation("empty drift batch")
     norms = np.sqrt(np.sum(f.reshape(len(f), -1) ** 2, axis=1))
-    return max(1.0, float(np.percentile(norms, 95)))
+    return max(1.0, percentile_95(norms))
+
+
+def percentile_95(values: np.ndarray) -> float:
+    """``np.percentile(values, 95)`` of a non-empty 1-D array, bit for bit.
+
+    numpy's "linear" method: with v = (n − 1)·0.95, the order statistics
+    a = x₍⌊v⌋₎ and b = x₍⌊v⌋+1₎ are interpolated as numpy's ``_lerp``
+    does, a + d·t, or b − d·(1 − t) where t ≥ 0.5, with d = b − a and
+    t = v − ⌊v⌋. Where v reaches n − 1 (n = 1), a and b are both the
+    largest entry and t = v + 1, as in numpy. With a NaN entry the result
+    is the partition's last entry, a NaN. The partition takes numpy's kth
+    list, so even a NaN's bits are numpy's. ``np.percentile`` builds that
+    list with ``np.unique``, which imports ``numpy.ma``; this builds it
+    in Python, so no command loads that package.
+    """
+    n = len(values)
+    v = (n - 1) * 0.95
+    lo = hi = -1
+    if v < n - 1:
+        lo = math.floor(v)
+        hi = lo + 1
+    x = np.partition(values, sorted({0, -1, lo, hi}))
+    if np.isnan(x[-1]):
+        return float(x[-1])
+    a, b, t = float(x[lo]), float(x[hi]), v - lo
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
 
 
 def _sample_box(rng, system: SystemSpec, count: int) -> np.ndarray:

@@ -1336,8 +1336,12 @@ class TestDamagedFiles:
         pytest.param(lambda m: {**m, "dt": [0.05]},
                      "key 'dt' must be a number or null", id="dt-list"),
         pytest.param(lambda m: {**m, "train_seed_range": [1, 2, 3]},
-                     "key 'train_seed_range' must be null or two integers",
+                     "key 'train_seed_range' must be two integers",
                      id="three-seeds"),
+        # every train records its seeds; a file without them is refused
+        pytest.param(lambda m: {**m, "train_seed_range": None},
+                     "key 'train_seed_range' must be two integers",
+                     id="null-seeds"),
         pytest.param(lambda m: {**m, "hyper": {"window": 6}},
                      "key 'hyper.lstm_hidden' must be an integer",
                      id="hyper-incomplete"),

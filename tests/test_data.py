@@ -391,7 +391,7 @@ class TestCheckpointFormat:
         with pytest.raises(ContractViolation):
             CheckpointBundle(
                 variant="dynamic", system_name="duffing", maps=maps, obs=obs,
-                theta=theta, phi=phi,
+                theta=theta, phi=phi, train_seed_range=(1, 4),
             )
 
     def test_reads_file_with_chunked_readout_slices(self):

@@ -85,12 +85,15 @@ class TestMetrics:
             rmse(np.zeros((2, 2)), np.zeros((2, 2)), transient_frac=1.0)
 
 
+TRAIN_SEEDS = (1, 3)  # below every test set's seeds here
+
+
 def manufactured_bundle():
     obs, c = analytic_linear_observer()
     maps, theta, phi = analytic_linear_maps(c)
     return CheckpointBundle(
         variant="autonomous", system_name="linear1d", maps=maps, obs=obs,
-        theta=theta, phi=phi,
+        theta=theta, phi=phi, train_seed_range=TRAIN_SEEDS,
     )
 
 
@@ -121,7 +124,7 @@ def observer_bundles(variant_list, seed=0, hidden=(10,), system="duffing"):
             kw = {"spec": spec, "params": xi}
         out[variant] = CheckpointBundle(
             variant=variant, system_name=system.name, maps=maps, obs=obs,
-            theta=theta, phi=phi, **kw,
+            theta=theta, phi=phi, train_seed_range=TRAIN_SEEDS, **kw,
         )
     return out
 

@@ -29,6 +29,7 @@ from hyperkkl.nets import (
     ROW_BLOCK,
     LstmSpec,
     MlpSpec,
+    _linear_grads,
     _lstm_replay,
     _lstm_run,
     _lstm_span,
@@ -326,10 +327,10 @@ class TestFusedLayer:
         # the lorenz encoder's shape: three 350-wide tanh layers at B = 256
         # over their (2B, 350) results. A layer's backward writes tanh's
         # gradient into its own .grad and passes its x gradient down as
-        # the next layer's .grad, so at most two stacked arrays and the
-        # (350, 350) product added into W's gradient exist at once; the
-        # zero-filled walk adds each x gradient into zeros, one stacked
-        # array more. Both walks give the same bytes.
+        # the next layer's .grad, and W's gradient is written straight
+        # into its fresh slice, so at most two stacked arrays exist at
+        # once; the zero-filled walk adds each x gradient into zeros, one
+        # stacked array more. Both walks give the same bytes.
         batch, width = 256, 350
         spec, store = fresh_mlp([3, width, width, width, 7], seed=43)
         rng = np.random.default_rng(43)
@@ -343,15 +344,15 @@ class TestFusedLayer:
             grads.append((pv.grads().data.tobytes(), peak))
         stacked = 2 * batch * width * 8
         assert grads[0][0] == grads[1][0]
-        assert (grads[0][1] <= 2 * stacked + width * width * 8 + 64 * 1024
-                < grads[1][1])
+        assert grads[0][1] <= 2 * stacked + 64 * 1024 < grads[1][1]
 
     def test_value_backward_holds_one_gradient_sized_array_more(self):
         # a hidden layer of the lorenz decoder (7 -> 350^3 -> 3) at 512
-        # rows: tanh's gradient is written into the g the VJP is handed,
-        # so beyond g and the x gradient it returns, the VJP and the
-        # additions into W's and b's gradients hold at most one (512, 350)
-        # array (1 - y^2 by ROW_BLOCK rows, then the (350, 350) W product)
+        # rows: tanh's gradient is written into the g the VJP is handed
+        # (1 - y^2 by ROW_BLOCK rows, freed before the x gradient exists)
+        # and W's gradient straight into its fresh slice, so beyond g the
+        # VJP and the additions into W's and b's gradients hold only the x
+        # gradient it returns
         rows, width = 512, 350
         spec, store = fresh_mlp([7, width, width, width, 3], seed=44)
         pv = param_vars(store)
@@ -370,7 +371,31 @@ class TestFusedLayer:
 
         gx, peak = traced_peak(vjp)
         assert np.array_equal(gx, expect)
-        assert peak <= gx.nbytes + g.nbytes + 64 * 1024
+        assert peak <= gx.nbytes + 64 * 1024
+
+    def test_a_weight_reached_twice_adds_its_second_product(self):
+        # the first gradient to reach W's slice, which holds only zeros,
+        # is written into it with no (350, 350) product beside it; a
+        # second (the encoder stage's residual after its data fit) finds
+        # the slice used and adds its product, one (350, 350) array. The
+        # bytes are the zero-filled sum's.
+        rows, width = 512, 350
+        _, store = fresh_mlp([7, width, width, 3], seed=45)
+        w = param_vars(store).get("net.W1")
+        rng = np.random.default_rng(45)
+        pairs = [(rng.normal(size=(rows, width)),
+                  rng.normal(size=(rows, width))) for _ in range(2)]
+        peaks = []
+        for g, x in pairs:
+            gw = _linear_grads(g, x, w.value, None,
+                               (False, True, False, False))[1]
+            peaks.append(traced_peak(gw.add, w.grad)[1])
+        want = np.zeros((width, width))
+        for g, x in pairs:
+            want += g.T @ x
+        assert w.grad.tobytes() == want.tobytes()
+        assert peaks[0] <= 64 * 1024
+        assert width * width * 8 <= peaks[1] <= width * width * 8 + 64 * 1024
 
 
 def jacobian_columns(store, spec, x, deltas):

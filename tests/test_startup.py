@@ -4,10 +4,10 @@ Each case starts a fresh interpreter that runs ``hyperkkl.cli.main`` and
 then reports its modules, its environment and its memory map: help, a
 bad flag and a settings error must exit without numpy and leave
 ``os.environ`` and ``sys.modules`` as they were; ``gen`` must not load
-the training, evaluation or plotting stack; a numeric command keeps
-OpenSSL out of the process and runs at the ``blas_threads`` setting, not
-at the thread count it inherits. The help texts are pinned byte for byte
-in ``data/cli_help.json`` at 80 columns.
+the training, evaluation or plotting stack, and no stage ``numpy.ma``;
+a numeric command keeps OpenSSL out of the process and runs at the
+``blas_threads`` setting, not at the thread count it inherits. The help
+texts are pinned byte for byte in ``data/cli_help.json`` at 80 columns.
 """
 
 import hashlib
@@ -176,6 +176,32 @@ def test_an_explicit_thread_count_is_honoured(tmp_path):
     record = last_record(tmp_path / "out")
     assert record["resolved_config"]["blas_threads"] == 2
     assert record["blas_threads"] == 2
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    """numpy's percentile imports numpy.ma (through np.unique); phase 1
+    takes its drift scale without it, so no stage of the pipeline loads
+    that package."""
+    (tmp_path / "small.ini").write_text("[curriculum]\nlevel_epochs = 1\n")
+    base, data = "ck/duffing_phase1.hkkp", "data/duffing_zero_n4_s1.hkkl"
+    checkpoints = ("--checkpoint", f"autonomous={base}", "--checkpoint",
+                   "curriculum=cur/duffing_curriculum.hkkp")
+    shown = ("--system", "duffing", *checkpoints, "--regimes", "zero",
+             "--seed", "9000", "--horizon", "2.0")
+    for argv in (
+        ("gen", "--system", "duffing", "--n", "4", "--out", "data"),
+        (*PHASE1, "--batch", "16", "--hidden", "8,8", "--out", "ck"),
+        ("train", "--system", "duffing", "--phase", "curriculum", "--base",
+         base, "--data", data, "--epochs", "1", "--batch", "16", "--config",
+         "small.ini", "--out", "cur"),
+        ("eval", *shown, "--n", "1", "--out", "ev"),
+        ("plot", *shown, "--out", "plots"),
+    ):
+        child = start(*argv, cwd=tmp_path)
+        assert child["code"] == 0, child["stderr"]
+        loaded = sorted(m for m in child["modules"]
+                        if m == "numpy.ma" or m.startswith("numpy.ma."))
+        assert not loaded, (argv[0], loaded)
 
 
 @pytest.mark.parametrize("command", sorted(HELP))

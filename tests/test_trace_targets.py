@@ -80,7 +80,8 @@ def test_traced_eval_names_one_span_per_cell_and_counts_steps(monkeypatch):
     maps = kkl.make_maps(2, obs.n_z, hidden=(6,))
     theta, phi = init_map_params(maps, 0)
     bundle = CheckpointBundle(variant="autonomous", system_name="duffing",
-                              maps=maps, obs=obs, theta=theta, phi=phi)
+                              maps=maps, obs=obs, theta=theta, phi=phi,
+                              train_seed_range=(1, 3))
     ds = data.generate_dataset(dynamics.duffing(), "sinusoid", 3, 4,
                                horizon=2.0)
     tracer = trace.Tracer("test")

@@ -5,6 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     analytic_linear_maps,
@@ -47,6 +50,7 @@ from hyperkkl.training import (
     compute_f_scale,
     curriculum_train,
     latent_targets,
+    percentile_95,
     phase1_train,
     phase2_train,
     plateau_detect,
@@ -127,6 +131,20 @@ class TestNormalization:
     def test_empty_batch(self):
         with pytest.raises(ContractViolation, match="empty drift batch"):
             self.scale(np.zeros((0, 2)))
+
+    # a few values drawn again and again, so ties are common, or any float
+    # at all: signed zeros, infinities and NaNs of any sign and payload.
+    # Past 21 entries some lie beyond the interpolated pair, so the
+    # partition's kth list decides where a NaN lands.
+    @given(arrays(np.float64, st.integers(1, 100), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf, -np.inf, np.nan]),
+        st.floats())))
+    @settings(max_examples=300, deadline=None)
+    def test_percentile_is_numpys_bit_for_bit(self, values):
+        with np.errstate(all="ignore"):  # inf - inf in numpy's _lerp
+            want = np.percentile(values, 95)
+        got = percentile_95(values)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestPlateau:
